@@ -54,7 +54,8 @@ class NoMaximumError(BeliefChangeError):
 
 
 class ScopeError(BeliefChangeError):
-    """Check requested at a size the exhaustive machinery does not support."""
+    """Check requested at an atom count, sample size or worker count the
+    checker does not support."""
 
 
 class MissingContractionError(BeliefChangeError):

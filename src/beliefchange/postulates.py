@@ -6,6 +6,13 @@ pairs.  A check either passes with zero violations or fails with
 replayable witnesses, reported deterministically: identical runs and any
 worker count produce byte-identical reports.
 
+IIAI and Beta1/Beta2, whose scans are quadratic in the inputs, are
+counted per world pair instead: a closed-form count over the inputs
+grouped by their outcome on each pair.  Their witness generators stay
+the reference; they run only for an outer preorder with a nonzero count
+while fewer than ten witnesses are held, so the report keeps the same
+witnesses in the same order.
+
 Quantification conventions, fixed once for the whole module:
 
 * input sentences range over nonempty model sets (sentences equivalent
@@ -26,6 +33,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import operator
 import random
 from dataclasses import dataclass, field
 from itertools import islice
@@ -484,6 +492,60 @@ _g_beta1 = _g_beta(False)
 _g_beta2 = _g_beta(True)
 
 
+# ---------------------------------------------------------------------------
+# Violation counts grouped by world pair (same totals as the generators)
+
+
+def _outcomes(ctx, t):
+    """(input, its minimal worlds, posterior rank) for every input."""
+    return [(p, ctx.minset(t, p), ctx.rev_tpo(t, p).rank) for p in ctx.props]
+
+
+def _c2(m: int) -> int:
+    return m * (m - 1) // 2
+
+
+def _c_iiai(ctx, t):
+    """IIAI violations: per world pair, the input pairs that order it alike,
+    keep both worlds out of their minima, and order it differently after
+    revision."""
+    rows = _outcomes(ctx, t)
+    count = 0
+    for x, y in ctx.pairs:
+        groups = [0] * 9  # (input code, posterior code), both in -1..1
+        for p, minimal, r in rows:
+            if x in minimal or y in minimal:
+                continue
+            groups[3 * _icode(p, x, y) + _code(r, x, y) + 4] += 1
+        for i in (0, 3, 6):
+            same_input = groups[i : i + 3]
+            count += _c2(sum(same_input)) - sum(_c2(m) for m in same_input)
+    return count
+
+
+def _c_beta(strict: bool):
+    """Beta1/Beta2 violations: per ordered pair (x, y), inputs a that put
+    x in and y out yet rank y below x, times inputs c that leave x out of
+    their minima and do not rank y below x."""
+    below = operator.lt if strict else operator.le
+
+    def count(ctx, t):
+        rows = _outcomes(ctx, t)
+        total = 0
+        for x, y in ctx.opairs:
+            before = sum(
+                1 for a, _, r in rows if x in a and y not in a and below(r[y], r[x])
+            )
+            if before:
+                total += before * sum(
+                    1 for _, minimal, r in rows
+                    if x not in minimal and not below(r[y], r[x])
+                )
+        return total
+
+    return count
+
+
 def _g_neut(ctx, pair):
     t1, t2 = pair
     if [len(c) for c in t1.cells] != [len(c) for c in t2.cells]:
@@ -568,7 +630,11 @@ def _g_ilirc(ctx, t):
 
 @dataclass(frozen=True)
 class _PostulateDef:
+    """One postulate: ``gen`` yields an outer's witnesses in order; the
+    optional ``count`` returns how many it would yield, without them."""
+
     gen: Callable
+    count: Optional[Callable] = None
     pair_outer: bool = False
     needs_con: bool = False
     needs_rev: bool = True
@@ -598,13 +664,14 @@ _POSTULATES = {
     "IIAP": _PostulateDef(_g_iiap, pair_outer=True),
     "IIAI": _PostulateDef(
         _g_iiai,
+        count=_c_iiai,
         inputs_per_outer=lambda ctx: len(ctx.props) * (len(ctx.props) - 1) // 2,
     ),
     "Beta1": _PostulateDef(
-        _g_beta1, inputs_per_outer=lambda ctx: len(ctx.props) ** 2
+        _g_beta1, count=_c_beta(False), inputs_per_outer=lambda ctx: len(ctx.props) ** 2
     ),
     "Beta2": _PostulateDef(
-        _g_beta2, inputs_per_outer=lambda ctx: len(ctx.props) ** 2
+        _g_beta2, count=_c_beta(True), inputs_per_outer=lambda ctx: len(ctx.props) ** 2
     ),
     "Neut": _PostulateDef(_g_neut, pair_outer=True),
     "Red": _PostulateDef(_g_red),
@@ -623,9 +690,15 @@ _POSTULATES = {
 # Check driver
 
 
+def _validate_atoms(n_atoms: int) -> None:
+    if n_atoms < 1:
+        raise ScopeError("at least 1 atom is required")
+
+
 def _validate_scope(n_atoms: int, mode: str) -> None:
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
+    _validate_atoms(n_atoms)
     if mode == "exhaustive" and n_atoms > 2:
         raise ScopeError("exhaustive checking supports at most 2 atoms")
     if mode == "sampled" and n_atoms > 3:
@@ -671,10 +744,16 @@ def _run_chunk(args):
     per_outer = spec.inputs_per_outer(ctx)
     for outer in _outer_slice(spec.pair_outer, n_atoms, mode, seed, sample, start, stop):
         instances += per_outer
-        for witness in spec.gen(ctx, outer):
-            violations += 1
-            if len(witnesses) < WITNESS_CAP:
-                witnesses.append(witness)
+        if spec.count is None:
+            for witness in spec.gen(ctx, outer):
+                violations += 1
+                if len(witnesses) < WITNESS_CAP:
+                    witnesses.append(witness)
+        else:
+            found = spec.count(ctx, outer)
+            violations += found
+            if found and len(witnesses) < WITNESS_CAP:
+                witnesses.extend(islice(spec.gen(ctx, outer), WITNESS_CAP - len(witnesses)))
         if mode == "sampled":
             ctx.clear()
     return instances, violations, witnesses
@@ -706,6 +785,10 @@ def check_postulate(
     if spec.needs_rev and revision is None:
         raise ValueError(f"postulate {postulate} needs a revision operator")
     _validate_scope(n_atoms, mode)
+    if sample is not None and sample < 1:
+        raise ScopeError("the sample size must be at least 1")
+    if workers < 1:
+        raise ScopeError("the worker count must be at least 1")
     if mode == "sampled":
         seed = 0 if seed is None else seed
         sample = 10000 if sample is None else sample
@@ -763,7 +846,10 @@ def postulate_holds(
     else:
         outers = enumerate_tpos(n_atoms)
     for outer in outers:
-        if next(spec.gen(ctx, outer), None) is not None:
+        if spec.count is not None:
+            if spec.count(ctx, outer):
+                return False
+        elif next(spec.gen(ctx, outer), None) is not None:
             return False
     return True
 
@@ -986,6 +1072,8 @@ def _yn(value: bool) -> str:
 
 
 def _verify_t1(n_atoms: int):
+    if n_atoms < 2:
+        raise ScopeError("the diagram exclusions need at least three worlds (2 atoms)")
     lines = []
     failures = 0
     for rev in _BUILTIN_REVISIONS:
@@ -1303,6 +1391,7 @@ def verify_claim(claim: str, n_atoms: int = 2, **kwargs) -> CheckReport:
     """Compile one named claim to its exhaustive check and report on it."""
     if claim not in _CLAIMS:
         raise ValueError(f"unknown claim {claim!r}")
+    _validate_atoms(n_atoms)
     if n_atoms > 2:
         raise ScopeError("claim verification is exhaustive and supports at most 2 atoms")
     instances, failures, detail, witnesses = _CLAIMS[claim](n_atoms, **kwargs)

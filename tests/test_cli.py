@@ -215,6 +215,28 @@ def test_check_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "DP1", "natural", "--n", "3", "--mode", "sampled", "--sample", "0"],
+        ["check", "DP1", "natural", "--n", "3", "--mode", "sampled", "--sample", "-5"],
+        ["check", "DP1", "natural", "--n", "0"],
+        ["check", "DP1", "natural", "--n", "-1"],
+        ["check", "DP1", "natural", "--n", "2", "--workers", "0"],
+        ["check", "DP1", "natural", "--n", "2", "--workers", "-3"],
+        ["verify", "T2", "--n", "0"],
+        ["verify", "T1", "--n", "1"],
+        ["verify", "T1", "--n", "0"],
+    ],
+)
+def test_bad_scope_values_exit_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "shift" not in captured.err
+
+
 def test_verify_subcommand(capsys):
     assert main(["verify", "P5", "--n", "2"]) == 0
     out = capsys.readouterr().out

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -8,11 +9,17 @@ from beliefchange.exceptions import (
     ScopeError,
 )
 from beliefchange.lang import models, parse_formula, parse_world
-from beliefchange.operators import Contraction, Revision
+from beliefchange.operators import Contraction, Revision, make_random_dp_operator
 from beliefchange.postulates import (
+    _BUILTIN_CONTRACTIONS,
+    _BUILTIN_REVISIONS,
+    _POSTULATES,
     CLAIM_IDS,
     POSTULATE_IDS,
+    WITNESS_CAP,
     Witness,
+    _Ctx,
+    _NliComposition,
     check_diagram,
     check_postulate,
     pair_profile,
@@ -22,7 +29,7 @@ from beliefchange.postulates import (
     replay_witness,
     verify_claim,
 )
-from beliefchange.tpo import count_tpos, parse_tpo
+from beliefchange.tpo import count_tpos, enumerate_tpos, parse_tpo, tpo_at_index
 
 ATOMS = ("p", "q")
 
@@ -102,6 +109,36 @@ def test_scope_limits():
         check_postulate("DP1", Revision.NATURAL, n_atoms=4, mode="sampled")
     with pytest.raises(ValueError):
         check_postulate("DP1", Revision.NATURAL, mode="quick")
+
+
+@pytest.mark.parametrize("sample", [0, -5])
+def test_sample_below_one_is_rejected(sample):
+    with pytest.raises(ScopeError):
+        check_postulate("DP1", Revision.NATURAL, n_atoms=3, mode="sampled", sample=sample)
+
+
+@pytest.mark.parametrize("n_atoms", [0, -1])
+def test_atom_count_below_one_is_rejected(n_atoms):
+    for mode in ("exhaustive", "sampled"):
+        with pytest.raises(ScopeError):
+            check_postulate("DP1", Revision.NATURAL, n_atoms=n_atoms, mode=mode, sample=5)
+    with pytest.raises(ScopeError):
+        postulate_holds("DP1", Revision.NATURAL, n_atoms=n_atoms)
+    with pytest.raises(ScopeError):
+        verify_claim("T2", n_atoms=n_atoms)
+
+
+def test_t1_needs_two_atoms():
+    # One atom gives two worlds, too few to show the excluded diagrams'
+    # intransitive triple.
+    with pytest.raises(ScopeError):
+        verify_claim("T1", n_atoms=1)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_are_rejected(workers):
+    with pytest.raises(ScopeError):
+        check_postulate("DP1", Revision.NATURAL, n_atoms=2, workers=workers)
 
 
 # ---------------------------------------------------------------------------
@@ -269,3 +306,79 @@ def test_cr_spu_wpu_equivalence_extends_to_tabular_operators():
                 "WPU", op, con, n_atoms=2
             )
             assert cr == spu_wpu
+
+
+# ---------------------------------------------------------------------------
+# Per-world-pair violation counts against the witness generators
+
+COUNTED = ("IIAI", "Beta1", "Beta2")
+
+
+def _assert_counts_match(ctx, t):
+    """Each counted postulate's count equals its generator's length."""
+    counts = {}
+    for postulate in COUNTED:
+        spec = _POSTULATES[postulate]
+        counts[postulate] = spec.count(ctx, t)
+        assert counts[postulate] == sum(1 for _ in spec.gen(ctx, t)), (postulate, t)
+    return counts
+
+
+def test_counts_equal_generator_lengths_on_every_two_atom_preorder():
+    operators = (
+        list(_BUILTIN_REVISIONS)
+        + [make_random_dp_operator(seed, 2) for seed in range(10)]
+        + [
+            _NliComposition(con, rev)
+            for con in _BUILTIN_CONTRACTIONS
+            for rev in _BUILTIN_REVISIONS
+        ]
+    )
+    nonzero = 0
+    for op in operators:
+        ctx = _Ctx(2, op)  # shared, so each revision is computed once
+        for t in enumerate_tpos(2):
+            nonzero += sum(1 for c in _assert_counts_match(ctx, t).values() if c)
+    assert nonzero > 0
+
+
+@pytest.mark.parametrize(
+    "seed, rev, fails",
+    [
+        (0, Revision.NATURAL, True),
+        (0, Revision.LEXICOGRAPHIC, False),
+        (1, Revision.RESTRAINED, True),
+    ],
+)
+def test_counts_equal_generator_lengths_on_three_atom_preorders(seed, rev, fails):
+    t = tpo_at_index(random.Random(seed).randrange(count_tpos(3)), 3)
+    counts = _assert_counts_match(_Ctx(3, _NliComposition(Contraction.STQ_LEX, rev)), t)
+    assert all(counts.values()) if fails else not any(counts.values())
+
+
+def _brute_report(postulate, op):
+    """Violation total and first witnesses straight from the generator."""
+    spec = _POSTULATES[postulate]
+    ctx = _Ctx(2, op)
+    violations = 0
+    witnesses = []
+    for t in enumerate_tpos(2):
+        found = list(spec.gen(ctx, t))
+        violations += len(found)
+        witnesses.extend(found[: WITNESS_CAP - len(witnesses)])
+    return violations, tuple(witnesses)
+
+
+@pytest.mark.parametrize("postulate", COUNTED)
+def test_counted_reports_match_the_brute_force_reducer(postulate):
+    composed = _NliComposition(Contraction.STQ_LEX, Revision.NATURAL)
+    composed.value = "contract-stq-lex then natural"  # label for the report
+    for op in (make_random_dp_operator(0, 2), composed):
+        violations, witnesses = _brute_report(postulate, op)
+        assert violations > 0
+        for workers in (1, 2):
+            report = check_postulate(postulate, op, n_atoms=2, workers=workers)
+            assert report.outcome == "fail"
+            assert report.violations == violations
+            assert report.witnesses == witnesses
+            assert len(witnesses) == WITNESS_CAP
