@@ -11,7 +11,7 @@ admits.
 
 from .conditionals import (
     ClosureResult,
-    is_rational,
+    rational_base,
     rational_closure,
     rational_closure_fast,
     satisfies,
@@ -36,7 +36,6 @@ from .lang import (
     MixedSet,
     cn_extended_member,
     dnf_of_worlds,
-    entails,
     models,
     parse_formula,
     world_str,
@@ -69,7 +68,6 @@ from .tpo import (
     Absurd,
     State,
     Tpo,
-    agrees_on,
     beliefs,
     conditional_holds,
     conditional_set,
@@ -78,11 +76,9 @@ from .tpo import (
     enumerate_tpos,
     flatter_eq,
     format_tpo,
-    input_cmp,
     min_worlds,
     parse_tpo,
     tpo_at_index,
-    tpo_from_partition,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -22,7 +22,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .conditionals import rational_closure, rational_closure_fast
+from .conditionals import rational_base, rational_closure, rational_closure_fast
 from .exceptions import (
     BeliefChangeError,
     FormulaSyntaxError,
@@ -52,7 +52,7 @@ from .postulates import (
     render_text,
     verify_claim,
 )
-from .tpo import Absurd, State, Tpo, beliefs, conditional_holds, format_tpo, min_worlds, parse_tpo, propositions
+from .tpo import Absurd, State, beliefs, conditional_holds, format_tpo, parse_tpo
 
 _REVISIONS = {m.value: m for m in Revision}
 _CONTRACTIONS = {m.value: m for m in Contraction}
@@ -313,30 +313,6 @@ def parse_conditional_set(text: str, atoms) -> MixedSet:
     return MixedSet.from_items(plain, conds, atoms)
 
 
-def _rational_base(delta: MixedSet, n_atoms: int):
-    """The preorder whose minimal-world map the conditionals name, if any."""
-    strongest = delta.strongest_map()
-    required = propositions(n_atoms)
-    if set(strongest) != set(required):
-        return None
-    n_worlds = 1 << n_atoms
-    below = []
-    for x in range(n_worlds):
-        count = 0
-        for y in range(n_worlds):
-            if y != x and strongest[frozenset((x, y))] == frozenset((y,)):
-                count += 1
-        below.append(count)
-    cells = []
-    for key in sorted(set(below)):
-        cells.append(frozenset(w for w in range(n_worlds) if below[w] == key))
-    candidate = Tpo(tuple(cells), n_atoms)
-    for p in required:
-        if min_worlds(candidate, p) != strongest[p]:
-            return None
-    return candidate
-
-
 def closure_answer(delta: MixedSet, n_atoms: int) -> tuple:
     """Closure result plus whether the natural-revision fast path applied.
 
@@ -345,7 +321,7 @@ def closure_answer(delta: MixedSet, n_atoms: int) -> tuple:
     minimal worlds; the conditional part then pins the belief set, so a
     plain part excluding all minimal worlds is unsatisfiable outright.
     """
-    base = _rational_base(delta, n_atoms)
+    base = rational_base(delta, n_atoms)
     if base is not None and not delta.plain_models & base.cells[0]:
         raise UnsatisfiableError("no total preorder satisfies the input set")
     fast_applicable = base is not None and bool(delta.plain_models)

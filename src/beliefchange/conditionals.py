@@ -113,22 +113,34 @@ def rational_closure_fast(t_contracted: Tpo, sentence_models: frozenset) -> Tpo:
     return revise(t_contracted, sentence_models, Revision.NATURAL)
 
 
-def is_rational(delta: MixedSet, n_atoms: int) -> bool:
-    """Whether some preorder's conditional set is exactly this set.
+def rational_base(delta: MixedSet, n_atoms: int) -> Tpo | None:
+    """The preorder whose minimal-world map the conditionals name, if any.
 
-    Comparison is against the canonical semantic representation: the set
-    must map every nonempty antecedent proposition to that preorder's
-    minimal worlds and carry exactly its belief set as plain part.
+    The conditional part must map every nonempty antecedent proposition
+    to that preorder's minimal worlds; the plain part is not consulted,
+    so the set is exactly the preorder's conditional set iff the plain
+    part is also its belief set.  Direct construction, O(4^n): a world's
+    rank follows from how many worlds the two-world antecedents put
+    strictly below it, and the candidate is then checked on every
+    antecedent.
     """
-    if n_atoms > MAX_CLOSURE_ATOMS:
-        raise ScopeError(f"rationality test supports at most {MAX_CLOSURE_ATOMS} atoms")
     strongest = delta.strongest_map()
     required = propositions(n_atoms)
     if set(strongest) != set(required):
-        return False
-    for t in enumerate_tpos(n_atoms):
-        if t.cells[0] != delta.plain_models:
-            continue
-        if all(min_worlds(t, p) == strongest[p] for p in required):
-            return True
-    return False
+        return None
+    n_worlds = 1 << n_atoms
+    below = []
+    for x in range(n_worlds):
+        count = 0
+        for y in range(n_worlds):
+            if y != x and strongest[frozenset((x, y))] == frozenset((y,)):
+                count += 1
+        below.append(count)
+    cells = []
+    for key in sorted(set(below)):
+        cells.append(frozenset(w for w in range(n_worlds) if below[w] == key))
+    candidate = Tpo(tuple(cells), n_atoms)
+    for p in required:
+        if min_worlds(candidate, p) != strongest[p]:
+            return None
+    return candidate

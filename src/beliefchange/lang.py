@@ -150,10 +150,6 @@ def check_atoms(atoms: Sequence[str]) -> tuple[str, ...]:
     return atoms
 
 
-def world_count(n_atoms: int) -> int:
-    return 1 << n_atoms
-
-
 def all_worlds(n_atoms: int) -> WorldSet:
     return frozenset(range(1 << n_atoms))
 
@@ -319,15 +315,6 @@ def models(f: Formula, atoms: Sequence[str]) -> WorldSet:
         raise TypeError(f"not a formula: {g!r}")
 
     return walk(f)
-
-
-def entails(gamma: Iterable[Formula], f: Formula, atoms: Sequence[str]) -> bool:
-    """Classical consequence: every world satisfying all of gamma satisfies f."""
-    atoms = check_atoms(atoms)
-    worlds = all_worlds(len(atoms))
-    for g in gamma:
-        worlds = worlds & models(g, atoms)
-    return worlds <= models(f, atoms)
 
 
 def dnf_of_worlds(worlds: Iterable[int], atoms: Sequence[str]) -> str:

@@ -85,10 +85,11 @@ RevisionMethod = Union[Revision, TabularRevision]
 
 
 def method_name(method) -> str:
-    """CLI string for a revision or contraction method."""
+    """Report name of a method: the CLI string of a built-in, the seed of
+    a tabular operator, else the object's ``value`` or its ``repr``."""
     if isinstance(method, TabularRevision):
         return f"tabular(seed={method.seed})"
-    return method.value
+    return getattr(method, "value", repr(method))
 
 
 def _require_consistent(sentence_models: frozenset) -> None:

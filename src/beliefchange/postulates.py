@@ -6,6 +6,13 @@ pairs.  A check either passes with zero violations or fails with
 replayable witnesses, reported deterministically: identical runs and any
 worker count produce byte-identical reports.
 
+The fourteen pair-relation postulates (DP1-4, CC1-4, CR1-4, SPU, WPU)
+are rows of one table, ``_PAIR_RULES``: premise orders, a conclusion
+order, a region of world pairs relative to the input, and the relation
+the conclusion must keep.  One generator, built from a row, scans them
+all.  NLI and iLIRC share one generator too; they differ only in the
+final revision of the contraction route.
+
 IIAI and Beta1/Beta2, whose scans are quadratic in the inputs, are
 counted per world pair instead: a closed-form count over the inputs
 grouped by their outcome on each pair.  Their witness generators stay
@@ -36,6 +43,7 @@ import multiprocessing
 import operator
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import islice
 from typing import Callable, Iterator, Optional
 
@@ -218,6 +226,15 @@ def render_machine(report: CheckReport) -> str:
 # Scan context
 
 
+@lru_cache(maxsize=None)
+def _world_pairs(n_atoms: int, ordered: bool) -> tuple:
+    """World pairs x < y, or every ordered pair x != y, x outer."""
+    worlds = range(1 << n_atoms)
+    return tuple(
+        (x, y) for x in worlds for y in worlds if (x != y if ordered else x < y)
+    )
+
+
 class _Ctx:
     """Per-run caches shared by the postulate scans."""
 
@@ -227,10 +244,9 @@ class _Ctx:
         self.atoms = default_atoms(n_atoms)
         self.props = propositions(n_atoms)
         self.props_proper = tuple(p for p in self.props if p != self.full)
-        worlds = tuple(range(1 << n_atoms))
-        self.worlds = worlds
-        self.pairs = tuple((x, y) for x in worlds for y in worlds if x < y)
-        self.opairs = tuple((x, y) for x in worlds for y in worlds if x != y)
+        self.worlds = tuple(range(1 << n_atoms))
+        self.pairs = _world_pairs(n_atoms, ordered=False)
+        self.opairs = _world_pairs(n_atoms, ordered=True)
         self.rev = rev
         self.con = con
         self._rev = {}
@@ -311,115 +327,67 @@ def _g_success(ctx, t):
             yield ctx.witness((t,), (p,), (min(stray),), note="minimal world outside input")
 
 
-def _g_dp(same_side: bool, inside: bool):
-    """DP1/DP2 when ``same_side``; DP3 (strict) / DP4 (weak) otherwise."""
+# The fourteen pair-relation postulates share one shape: for the world
+# pairs in a region of the input p, the conclusion order keeps the
+# relation that the premise orders give the pair.  Orders, for prior t:
+# ``prior`` is t; ``rev``/``con`` revise/contract t by p; ``revneg``
+# revises t by the complement of p; ``conneg`` contracts t by it.
+# Relations: ``same`` keeps the pair's relation code, whatever it is;
+# ``strict`` ("x below y") and ``weak`` ("x at most y") are kept whenever
+# every premise order holds them.
 
-    def gen(ctx, t):
-        r = t.rank
-        for p in ctx.props:
-            rq = ctx.rev_tpo(t, p).rank
-            if same_side:
-                for x, y in ctx.pairs:
-                    if (x in p) is inside and (y in p) is inside:
-                        if _code(r, x, y) != _code(rq, x, y):
-                            yield ctx.witness((t,), (p,), (x, y))
-            else:
-                for x in ctx.worlds:
-                    if x not in p:
-                        continue
-                    for y in ctx.worlds:
-                        if y in p:
-                            continue
-                        if inside:  # strict clause
-                            if r[x] < r[y] and not rq[x] < rq[y]:
-                                yield ctx.witness((t,), (p,), (x, y))
-                        else:
-                            if r[x] <= r[y] and not rq[x] <= rq[y]:
-                                yield ctx.witness((t,), (p,), (x, y))
+_ORDERS = {
+    "prior": lambda ctx, t, p: t.rank,
+    "rev": lambda ctx, t, p: ctx.rev_tpo(t, p).rank,
+    "revneg": lambda ctx, t, p: ctx.rev_tpo(t, ctx.full - p).rank,
+    "con": lambda ctx, t, p: ctx.con_tpo(t, p).rank,
+    "conneg": lambda ctx, t, p: ctx.conneg_tpo(t, p).rank,
+}
 
-    return gen
-
-
-_g_dp1 = _g_dp(True, True)
-_g_dp2 = _g_dp(True, False)
-_g_dp3 = _g_dp(False, True)
-_g_dp4 = _g_dp(False, False)
+# region: (ordered pairs?, x in p, y in p), None leaving a side free.
+# The same-side regions take pairs x < y; the others take ordered pairs.
+_REGIONS = {
+    "in": (False, True, True),
+    "out": (False, False, False),
+    "in-out": (True, True, False),
+    "out-in": (True, False, True),
+    "all": (True, None, None),
+}
 
 
-def _g_cc(index: int):
-    def gen(ctx, t):
-        r = t.rank
-        for p in ctx.props:
-            rc = ctx.con_tpo(t, p).rank
-            if index in (1, 2):
-                inside = index == 2
-                for x, y in ctx.pairs:
-                    if (x in p) is inside and (y in p) is inside:
-                        if _code(r, x, y) != _code(rc, x, y):
-                            yield ctx.witness((t,), (p,), (x, y))
-            else:
-                for x in ctx.worlds:
-                    if x in p:
-                        continue
-                    for y in ctx.worlds:
-                        if y not in p:
-                            continue
-                        if index == 3:
-                            if r[x] < r[y] and not rc[x] < rc[y]:
-                                yield ctx.witness((t,), (p,), (x, y))
-                        else:
-                            if r[x] <= r[y] and not rc[x] <= rc[y]:
-                                yield ctx.witness((t,), (p,), (x, y))
-
-    return gen
+@lru_cache(maxsize=None)
+def _region(name: str, p: frozenset, n_atoms: int) -> tuple:
+    """The world pairs of one region of input p, in scan order."""
+    ordered, x_in, y_in = _REGIONS[name]
+    pairs = _world_pairs(n_atoms, ordered)
+    if x_in is None:
+        return pairs
+    return tuple((x, y) for x, y in pairs if (x in p) is x_in and (y in p) is y_in)
 
 
-def _g_cr(index: int):
-    def gen(ctx, t):
-        for p in ctx.props:
-            rc = ctx.conneg_tpo(t, p).rank
-            rv = ctx.rev_tpo(t, p).rank
-            if index in (1, 2):
-                inside = index == 1
-                for x, y in ctx.pairs:
-                    if (x in p) is inside and (y in p) is inside:
-                        if _code(rc, x, y) != _code(rv, x, y):
-                            yield ctx.witness((t,), (p,), (x, y))
-            else:
-                for x in ctx.worlds:
-                    if x not in p:
-                        continue
-                    for y in ctx.worlds:
-                        if y in p:
-                            continue
-                        if index == 3:
-                            if rc[x] < rc[y] and not rv[x] < rv[y]:
-                                yield ctx.witness((t,), (p,), (x, y))
-                        else:
-                            if rc[x] <= rc[y] and not rv[x] <= rv[y]:
-                                yield ctx.witness((t,), (p,), (x, y))
+_RELATIONS = {
+    "same": lambda a, b: (a > b) - (a < b),
+    "strict": operator.lt,
+    "weak": operator.le,
+}
 
-    return gen
-
-
-def _g_spu(ctx, t):
-    r = t.rank
-    for p in ctx.props_proper:
-        rc = ctx.con_tpo(t, p).rank
-        rv = ctx.rev_tpo(t, ctx.full - p).rank
-        for x, y in ctx.opairs:
-            if r[x] < r[y] and rv[x] < rv[y] and not rc[x] < rc[y]:
-                yield ctx.witness((t,), (p,), (x, y))
-
-
-def _g_wpu(ctx, t):
-    r = t.rank
-    for p in ctx.props_proper:
-        rc = ctx.con_tpo(t, p).rank
-        rv = ctx.rev_tpo(t, ctx.full - p).rank
-        for x, y in ctx.opairs:
-            if r[x] <= r[y] and rv[x] <= rv[y] and not rc[x] <= rc[y]:
-                yield ctx.witness((t,), (p,), (x, y))
+_PAIR_RULES = {
+    # id: (premise orders, conclusion order, region, relation)
+    "DP1": (("prior",), "rev", "in", "same"),
+    "DP2": (("prior",), "rev", "out", "same"),
+    "DP3": (("prior",), "rev", "in-out", "strict"),
+    "DP4": (("prior",), "rev", "in-out", "weak"),
+    "CC1": (("prior",), "con", "out", "same"),
+    "CC2": (("prior",), "con", "in", "same"),
+    "CC3": (("prior",), "con", "out-in", "strict"),
+    "CC4": (("prior",), "con", "out-in", "weak"),
+    "CR1": (("conneg",), "rev", "in", "same"),
+    "CR2": (("conneg",), "rev", "out", "same"),
+    "CR3": (("conneg",), "rev", "in-out", "strict"),
+    "CR4": (("conneg",), "rev", "in-out", "weak"),
+    "SPU": (("prior", "revneg"), "con", "all", "strict"),
+    "WPU": (("prior", "revneg"), "con", "all", "weak"),
+}
 
 
 def _g_iiap(ctx, pair):
@@ -569,6 +537,11 @@ def _g_neut(ctx, pair):
 
 
 def _g_red(ctx, t):
+    """Determinism check for custom operators: revising the same prior by
+    the same input twice must give the same posterior.  The built-ins and
+    tabular operators are pure, so it fails only for an operator object
+    whose ``posterior`` depends on hidden state; the revisions bypass the
+    cache on purpose."""
     for p in ctx.props:
         first = revise(t, p, ctx.rev)
         second = revise(t, p, ctx.rev)
@@ -600,32 +573,25 @@ def _first_diff_pair(ctx, ta: Tpo, tb: Tpo):
     return ()
 
 
-def _g_nli(ctx, t):
-    for p in ctx.props:
-        direct = ctx.rev_tpo(t, p)
-        routed = revise(ctx.conneg_tpo(t, p), p, ctx.rev)
-        if direct != routed:
-            pair = _first_diff_pair(ctx, direct, routed)
-            yield ctx.witness(
-                (t,),
-                (p,),
-                pair,
-                note=f"direct {format_tpo(direct)}; routed {format_tpo(routed)}",
-            )
+def _g_routed(final: Revision | None, route: str):
+    """NLI (``final`` None: the checked revision) and iLIRC (natural
+    revision): revising directly equals contracting by the negated input,
+    then revising by ``final``."""
 
+    def gen(ctx, t):
+        for p in ctx.props:
+            direct = ctx.rev_tpo(t, p)
+            routed = revise(ctx.conneg_tpo(t, p), p, final or ctx.rev)
+            if direct != routed:
+                pair = _first_diff_pair(ctx, direct, routed)
+                yield ctx.witness(
+                    (t,),
+                    (p,),
+                    pair,
+                    note=f"direct {format_tpo(direct)}; {route} {format_tpo(routed)}",
+                )
 
-def _g_ilirc(ctx, t):
-    for p in ctx.props:
-        direct = ctx.rev_tpo(t, p)
-        routed = revise(ctx.conneg_tpo(t, p), p, Revision.NATURAL)
-        if direct != routed:
-            pair = _first_diff_pair(ctx, direct, routed)
-            yield ctx.witness(
-                (t,),
-                (p,),
-                pair,
-                note=f"direct {format_tpo(direct)}; closure route {format_tpo(routed)}",
-            )
+    return gen
 
 
 @dataclass(frozen=True)
@@ -641,26 +607,42 @@ class _PostulateDef:
     inputs_per_outer: Callable = field(default=lambda ctx: len(ctx.props))
 
 
+def _pair_rule(premises, conclusion, region, relation) -> _PostulateDef:
+    """One row of ``_PAIR_RULES``: its scan, operators and input count."""
+    orders = set(premises) | {conclusion}
+    # revising by the complement skips the tautology (see the module doc)
+    inputs = "props_proper" if "revneg" in orders else "props"
+    rel = _RELATIONS[relation]
+    every = relation == "same"  # a kept code need not be a holding one
+    first_order = _ORDERS[premises[0]]
+    second_order = _ORDERS[premises[1]] if len(premises) > 1 else None
+    after_order = _ORDERS[conclusion]
+
+    def gen(ctx, t):
+        for p in getattr(ctx, inputs):
+            first = first_order(ctx, t, p)
+            second = second_order and second_order(ctx, t, p)
+            after = after_order(ctx, t, p)
+            for x, y in _region(region, p, ctx.n):
+                value = rel(first[x], first[y])
+                if (
+                    (every or value)
+                    and rel(after[x], after[y]) != value
+                    and (second is None or rel(second[x], second[y]) == value)
+                ):
+                    yield ctx.witness((t,), (p,), (x, y))
+
+    return _PostulateDef(
+        gen,
+        needs_con=bool(orders & {"con", "conneg"}),
+        needs_rev=bool(orders & {"rev", "revneg"}),
+        inputs_per_outer=lambda ctx: len(getattr(ctx, inputs)),
+    )
+
+
 _POSTULATES = {
     "Success": _PostulateDef(_g_success),
-    "DP1": _PostulateDef(_g_dp1),
-    "DP2": _PostulateDef(_g_dp2),
-    "DP3": _PostulateDef(_g_dp3),
-    "DP4": _PostulateDef(_g_dp4),
-    "CC1": _PostulateDef(_g_cc(1), needs_con=True, needs_rev=False),
-    "CC2": _PostulateDef(_g_cc(2), needs_con=True, needs_rev=False),
-    "CC3": _PostulateDef(_g_cc(3), needs_con=True, needs_rev=False),
-    "CC4": _PostulateDef(_g_cc(4), needs_con=True, needs_rev=False),
-    "CR1": _PostulateDef(_g_cr(1), needs_con=True),
-    "CR2": _PostulateDef(_g_cr(2), needs_con=True),
-    "CR3": _PostulateDef(_g_cr(3), needs_con=True),
-    "CR4": _PostulateDef(_g_cr(4), needs_con=True),
-    "SPU": _PostulateDef(
-        _g_spu, needs_con=True, inputs_per_outer=lambda ctx: len(ctx.props_proper)
-    ),
-    "WPU": _PostulateDef(
-        _g_wpu, needs_con=True, inputs_per_outer=lambda ctx: len(ctx.props_proper)
-    ),
+    **{name: _pair_rule(*row) for name, row in _PAIR_RULES.items()},
     "IIAP": _PostulateDef(_g_iiap, pair_outer=True),
     "IIAI": _PostulateDef(
         _g_iiai,
@@ -681,8 +663,8 @@ _POSTULATES = {
         inputs_per_outer=lambda ctx: len(ctx.props_proper),
     ),
     "LI_beliefs": _PostulateDef(_g_li_beliefs, needs_con=True),
-    "NLI": _PostulateDef(_g_nli, needs_con=True),
-    "iLIRC": _PostulateDef(_g_ilirc, needs_con=True),
+    "NLI": _PostulateDef(_g_routed(None, "routed"), needs_con=True),
+    "iLIRC": _PostulateDef(_g_routed(Revision.NATURAL, "closure route"), needs_con=True),
 }
 
 
@@ -863,12 +845,10 @@ def replay_witness(
     n_atoms: int = 2,
 ) -> bool:
     """Re-run the instance named by a witness; True iff it reproduces."""
-    atoms = default_atoms(n_atoms)
     tpos = tuple(parse_tpo(text, n_atoms) for text in witness.tpos)
     if check_id.startswith("diagram"):
         diagram = check_id.split()[-1]
-        report = _scan_diagram_instance(diagram, n_atoms, tpos[0], witness)
-        return report
+        return _scan_diagram_instance(diagram, n_atoms, tpos[0], witness)
     ctx = _Ctx(n_atoms, revision, contraction)
     spec = _POSTULATES[check_id]
     outer = (tpos[0], tpos[1]) if spec.pair_outer else tpos[0]
@@ -965,7 +945,6 @@ def check_diagram(diagram, n_atoms: int = 2) -> CheckReport:
             if triple is not None:
                 violations += 1
                 if len(witnesses) < WITNESS_CAP:
-                    x, y, z = triple
                     witnesses.append(
                         ctx.witness(
                             (t,),
@@ -1278,6 +1257,9 @@ class _NliComposition:
             self.rev,
         )
 
+    def __repr__(self) -> str:
+        return f"{self.con.value} then {self.rev.value}"
+
 
 def _verify_p3(n_atoms: int):
     lines = []
@@ -1307,7 +1289,6 @@ def _verify_p3(n_atoms: int):
 def _verify_p5(n_atoms: int):
     if n_atoms != 2:
         raise ScopeError("the impossibility regression is a four-world model")
-    ctx = _Ctx(n_atoms)
     prior = parse_tpo("11 | 10 01 | 00", n_atoms)
     p = frozenset((2, 3))
     expected = parse_tpo("11 | 10 | 01 | 00", n_atoms)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator, Union
@@ -72,16 +71,8 @@ class Tpo:
     def world_set(self) -> frozenset:
         return all_worlds(self.n_atoms)
 
-    def leq(self, x: int, y: int) -> bool:
-        return self.rank[x] <= self.rank[y]
-
     def __str__(self) -> str:
         return format_tpo(self)
-
-
-def tpo_from_partition(cells: Iterable[Iterable[int]], n_atoms: int) -> Tpo:
-    """Build a validated Tpo; cells are given lowest (most plausible) first."""
-    return Tpo(tuple(frozenset(cell) for cell in cells), n_atoms)
 
 
 def format_tpo(t: Tpo) -> str:
@@ -137,32 +128,6 @@ def min_worlds(t: Tpo, s: Iterable[int]) -> frozenset:
     rank = t.rank
     best = min(rank[w] for w in s)
     return frozenset(w for w in s if rank[w] == best)
-
-
-def agrees_on(t1: Tpo, t2: Tpo, x: int, y: int) -> bool:
-    """Whether the two preorders restrict identically to {x, y}."""
-    r1, r2 = t1.rank, t2.rank
-    return (r1[x] <= r1[y]) == (r2[x] <= r2[y]) and (r1[y] <= r1[x]) == (r2[y] <= r2[x])
-
-
-class InputRel(Enum):
-    STRICTLY_BELOW = "strictly-below"
-    TIED = "tied"
-    STRICTLY_ABOVE = "strictly-above"
-
-
-def input_cmp(sentence_models: frozenset, x: int, y: int) -> InputRel:
-    """Classify (x, y) under the ordering induced by an input sentence.
-
-    ``x`` is weakly below ``y`` when x satisfies the sentence or y does
-    not; models therefore sit strictly below countermodels and worlds on
-    the same side are tied.
-    """
-    xy = x in sentence_models or y not in sentence_models
-    yx = y in sentence_models or x not in sentence_models
-    if xy and yx:
-        return InputRel.TIED
-    return InputRel.STRICTLY_BELOW if xy else InputRel.STRICTLY_ABOVE
 
 
 def flatter_eq(t1: Tpo, t2: Tpo) -> bool:

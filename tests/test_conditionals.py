@@ -1,8 +1,10 @@
+import random
+
 import pytest
 
 from beliefchange.conditionals import (
     flattest_maximum,
-    is_rational,
+    rational_base,
     rational_closure,
     rational_closure_fast,
     satisfies,
@@ -14,9 +16,12 @@ from beliefchange.tpo import (
     conditional_set,
     enumerate_tpos,
     flatter_eq,
+    count_tpos,
     format_tpo,
+    min_worlds,
     parse_tpo,
     propositions,
+    tpo_at_index,
 )
 
 ATOMS = ("p", "q")
@@ -174,13 +179,13 @@ def test_flattest_maximum_finds_the_maximum():
 
 
 def test_conditional_sets_are_rational():
-    assert is_rational(conditional_set(M0), 2)
-    assert is_rational(conditional_set(FLAT), 2)
+    assert rational_base(conditional_set(M0), 2) == M0
+    assert rational_base(conditional_set(FLAT), 2) == FLAT
 
 
 def test_single_conditional_is_not_rational():
     delta = MixedSet.from_items([], [cond("p", "q")], ATOMS)
-    assert not is_rational(delta, 2)
+    assert rational_base(delta, 2) is None
 
 
 def test_prop2_union_is_never_rational_when_input_unbelieved():
@@ -190,4 +195,66 @@ def test_prop2_union_is_never_rational_when_input_unbelieved():
             if contracted.cells[0] <= p:
                 continue
             delta = conditional_set(contracted).adding_plain(p)
-            assert not is_rational(delta, 2)
+            base = rational_base(delta, 2)
+            assert base == contracted  # the conditionals still name it
+            assert base.cells[0] != delta.plain_models  # but the plain part is not its
+
+
+def _minimal_world_maps(n_atoms):
+    """Enumeration route: every preorder keyed by its minimal-world map."""
+    return {
+        frozenset((p, min_worlds(t, p)) for p in propositions(n_atoms)): t
+        for t in enumerate_tpos(n_atoms)
+    }
+
+
+def _enumerated_base(delta, maps):
+    return maps.get(frozenset(delta.strongest_map().items()))
+
+
+def _perturbed(delta, rng, n_atoms):
+    """The set with a few antecedents remapped, dropped or doubled."""
+    pairs = dict(delta.cond_pairs)
+    extra = []
+    for p in rng.sample(sorted(pairs, key=sorted), rng.randint(1, 3)):
+        choice = rng.randrange(3)
+        members = sorted(p)
+        sub = frozenset(rng.sample(members, rng.randint(1, len(members))))
+        if choice == 0:
+            pairs[p] = sub
+        elif choice == 1:
+            del pairs[p]
+        else:
+            extra.append((p, sub))
+    plain = frozenset(w for w in range(1 << n_atoms) if rng.random() < 0.5)
+    return MixedSet(plain_models=plain, cond_pairs=frozenset(pairs.items()) | frozenset(extra))
+
+
+def test_rational_base_agrees_with_the_enumeration_route():
+    maps = _minimal_world_maps(2)
+    rng = random.Random(0)
+    pool = list(enumerate_tpos(2))
+    plain_parts = [frozenset(w for w in range(4) if mask >> w & 1) for mask in range(16)]
+    for t in pool:
+        for plain in plain_parts:
+            delta = MixedSet(plain_models=plain, cond_pairs=conditional_set(t).cond_pairs)
+            assert rational_base(delta, 2) == _enumerated_base(delta, maps) == t
+    non_rational = 0
+    for _ in range(3000):
+        delta = _perturbed(conditional_set(rng.choice(pool)), rng, 2)
+        base = rational_base(delta, 2)
+        assert base == _enumerated_base(delta, maps), delta
+        non_rational += base is None
+    assert 0 < non_rational < 3000
+
+
+def test_rational_base_recovers_three_atom_preorders():
+    rng = random.Random(3)
+    for _ in range(5):
+        t = tpo_at_index(rng.randrange(count_tpos(3)), 3)
+        assert rational_base(conditional_set(t), 3) == t
+        delta = _perturbed(conditional_set(t), rng, 3)
+        base = rational_base(delta, 3)
+        assert base is None or conditional_set(base).cond_pairs == frozenset(
+            delta.strongest_map().items()
+        )

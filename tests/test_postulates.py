@@ -9,7 +9,7 @@ from beliefchange.exceptions import (
     ScopeError,
 )
 from beliefchange.lang import models, parse_formula, parse_world
-from beliefchange.operators import Contraction, Revision, make_random_dp_operator
+from beliefchange.operators import Contraction, Revision, make_random_dp_operator, revise
 from beliefchange.postulates import (
     _BUILTIN_CONTRACTIONS,
     _BUILTIN_REVISIONS,
@@ -69,11 +69,13 @@ def test_cr4_fails_with_the_known_witness():
 
 
 def test_every_witness_of_a_failing_report_replays():
-    report = check_postulate("CR4", Revision.NATURAL, Contraction.STQ_LEX, n_atoms=2)
-    for witness in report.witnesses:
-        assert replay_witness(
-            "CR4", witness, Revision.NATURAL, Contraction.STQ_LEX, n_atoms=2
-        )
+    for postulate in ("CR3", "CR4", "SPU", "WPU", "NLI", "iLIRC"):
+        report = check_postulate(postulate, Revision.NATURAL, Contraction.STQ_LEX, n_atoms=2)
+        assert not report.passed and report.witnesses, postulate
+        for witness in report.witnesses:
+            assert replay_witness(
+                postulate, witness, Revision.NATURAL, Contraction.STQ_LEX, n_atoms=2
+            ), (postulate, witness)
 
 
 def test_doctored_witness_does_not_replay():
@@ -139,6 +141,58 @@ def test_t1_needs_two_atoms():
 def test_workers_below_one_are_rejected(workers):
     with pytest.raises(ScopeError):
         check_postulate("DP1", Revision.NATURAL, n_atoms=2, workers=workers)
+
+
+# ---------------------------------------------------------------------------
+# Custom operator objects (anything with a ``posterior`` method)
+
+
+class _Posterior:
+    """A revision given only by ``posterior``: no ``value``, no table."""
+
+    def posterior(self, t, sentence_models):
+        return revise(t, sentence_models, Revision.NATURAL)
+
+    def __repr__(self):
+        return "posterior-only natural"
+
+
+class _Alternating:
+    """Natural and lexicographic revision on alternate calls: not a
+    function of (prior, input)."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def posterior(self, t, sentence_models):
+        self.calls += 1
+        method = Revision.NATURAL if self.calls % 2 else Revision.LEXICOGRAPHIC
+        return revise(t, sentence_models, method)
+
+    def __repr__(self):
+        return "alternating"
+
+
+def test_posterior_only_operators_are_named_in_the_report():
+    composed = _NliComposition(Contraction.NATURAL, Revision.NATURAL)
+    report = check_postulate("DP1", composed, n_atoms=1)
+    assert report.passed
+    assert report.revision == "contract-natural then natural"
+    report = check_postulate("Success", _Posterior(), n_atoms=1)
+    assert report.passed and report.revision == "posterior-only natural"
+
+
+def test_red_catches_an_operator_with_hidden_state():
+    assert check_postulate("Red", _Posterior(), n_atoms=2).passed
+    report = check_postulate("Red", _Alternating(), n_atoms=2)
+    assert report.outcome == "fail"
+    assert report.revision == "alternating"
+    assert len(report.witnesses) == WITNESS_CAP
+    first = report.witnesses[0]
+    assert first.note == "revision not a function of (tpo, input)"
+    t = parse_tpo(first.tpos[0], 2)
+    p = mod(first.inputs[0])
+    assert revise(t, p, Revision.NATURAL) != revise(t, p, Revision.LEXICOGRAPHIC)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +426,6 @@ def _brute_report(postulate, op):
 @pytest.mark.parametrize("postulate", COUNTED)
 def test_counted_reports_match_the_brute_force_reducer(postulate):
     composed = _NliComposition(Contraction.STQ_LEX, Revision.NATURAL)
-    composed.value = "contract-stq-lex then natural"  # label for the report
     for op in (make_random_dp_operator(0, 2), composed):
         violations, witnesses = _brute_report(postulate, op)
         assert violations > 0

@@ -7,8 +7,7 @@ from beliefchange.lang import Conditional, models, parse_formula, parse_world
 from beliefchange.operators import Revision, revise
 from beliefchange.tpo import (
     Absurd,
-    InputRel,
-    agrees_on,
+    Tpo,
     beliefs,
     conditional_holds,
     conditional_set,
@@ -17,12 +16,10 @@ from beliefchange.tpo import (
     enumerate_tpos,
     flatter_eq,
     format_tpo,
-    input_cmp,
     min_worlds,
     parse_tpo,
     propositions,
     tpo_at_index,
-    tpo_from_partition,
 )
 
 ATOMS = ("p", "q")
@@ -46,7 +43,7 @@ CHAIN = parse_tpo("00 | 01 | 10 | 11", 2)
 
 
 def test_partition_ranks():
-    t = tpo_from_partition([{w("00")}, {w("11")}, {w("01"), w("10")}], 2)
+    t = Tpo((frozenset({w("00")}), frozenset({w("11")}), frozenset({w("01"), w("10")})), 2)
     assert t.rank[w("00")] == 1
     assert t.rank[w("11")] == 2
     assert t.rank[w("01")] == 3 and t.rank[w("10")] == 3
@@ -54,19 +51,27 @@ def test_partition_ranks():
 
 def test_overlapping_cells_rejected():
     with pytest.raises(PartitionError):
-        tpo_from_partition([{w("00")}, {w("00"), w("11")}], 2)
+        parse_tpo("00 | 00 11 | 01 10", 2)
+    with pytest.raises(PartitionError):
+        Tpo((frozenset({0}), frozenset({0, 3}), frozenset({1, 2})), 2)
 
 
 def test_missing_worlds_rejected():
     with pytest.raises(PartitionError):
-        tpo_from_partition([{w("00")}, {w("11")}], 2)
+        parse_tpo("00 | 11", 2)
+    with pytest.raises(PartitionError):
+        Tpo((frozenset({0}), frozenset({3})), 2)
 
 
 def test_empty_cell_and_unknown_world_rejected():
     with pytest.raises(PartitionError):
-        tpo_from_partition([frozenset(), {0, 1, 2, 3}], 2)
+        parse_tpo("| 00 01 10 11", 2)
     with pytest.raises(PartitionError):
-        tpo_from_partition([{0, 1, 2, 3, 4}], 2)
+        Tpo((frozenset(), frozenset({0, 1, 2, 3})), 2)
+    with pytest.raises(PartitionError):
+        parse_tpo("00 01 10 11 100", 2)
+    with pytest.raises(PartitionError):
+        Tpo((frozenset({0, 1, 2, 3, 4}),), 2)
 
 
 def test_text_form_round_trips_every_tpo():
@@ -84,7 +89,7 @@ def test_rank_is_surjective_onto_cell_indices():
 
 
 # ---------------------------------------------------------------------------
-# Minimisation, agreement, input order
+# Minimisation
 
 
 def test_min_worlds_picks_best_input_world():
@@ -101,27 +106,11 @@ def test_min_worlds_rejects_empty_selection():
         min_worlds(M0, frozenset())
 
 
-def test_agrees_on_is_reflexive():
-    assert agrees_on(M0, M0, w("01"), w("10"))
-
-
 def test_lexicographic_revision_breaks_agreement_on_tied_pair():
     revised = revise(M0, mod("p"), Revision.LEXICOGRAPHIC)
     assert format_tpo(revised) == "11 | 10 | 00 | 01"
-    assert not agrees_on(M0, revised, w("01"), w("10"))
-
-
-def test_swapping_other_cells_keeps_agreement_on_tie():
-    swapped = parse_tpo("11 | 00 | 01 10", 2)
-    assert agrees_on(M0, swapped, w("01"), w("10"))
-
-
-def test_input_cmp_classifies_all_three_situations():
-    p = mod("p")
-    assert input_cmp(p, w("10"), w("01")) is InputRel.STRICTLY_BELOW
-    assert input_cmp(p, w("11"), w("10")) is InputRel.TIED
-    assert input_cmp(p, w("00"), w("01")) is InputRel.TIED
-    assert input_cmp(p, w("01"), w("10")) is InputRel.STRICTLY_ABOVE
+    assert M0.rank[w("01")] == M0.rank[w("10")]
+    assert revised.rank[w("10")] < revised.rank[w("01")]
 
 
 # ---------------------------------------------------------------------------
