@@ -69,9 +69,7 @@ def _n3_pairs(postulate: str) -> tuple:
     """(passing, failing) operator arguments for one sampled n=3 case."""
     if postulate.startswith("DP"):
         return ("natural",), ("lexicographic",)
-    if postulate.startswith("CC"):
-        return ("natural", "contract-natural"), ("natural", "contract-stq-lex")
-    if postulate == "iLIRC":
+    if postulate.startswith("CC") or postulate == "iLIRC":
         return ("natural", "contract-natural"), ("natural", "contract-stq-lex")
     return ("lexicographic", "contract-stq-lex"), ("natural", "contract-stq-lex")
 
