@@ -20,13 +20,20 @@ Groups:
 * ``custom``: the postulates above that read the revision, run with
   ``ReversedNatural``, a non-elementary operator that fails DP1-DP4,
   exhaustive at two atoms; it gives the DP scans failing reports with
-  witnesses.
+  witnesses;
+* ``closure``: ``closure`` queries on the conditional-set files stored
+  beside the reports (``<name>.txt``), each report holding the exit code
+  and the machine stdout: at two atoms a rational set, a contracted set
+  plus its input, a set outside the fast-path shape, an unsatisfiable
+  set and a set over custom atoms; at three atoms two fast-path files,
+  three small files outside that shape and an unsatisfiable one.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -49,6 +56,21 @@ PAIR_RULES = tuple(
     f"{family}{i}" for family in ("DP", "CC", "CR") for i in (1, 2, 3, 4)
 ) + ("SPU", "WPU")
 SAMPLED = ("--n", "3", "--mode", "sampled", "--sample", "20", "--seed", "1")
+CLOSURE = GOLDEN / "closure"
+CLOSURE_CASES = (
+    # (input file stem, extra argv)
+    ("n2.rational", ("--n", "2")),
+    ("n2.contracted-plus-input", ("--n", "2")),
+    ("n2.mixed", ("--n", "2")),
+    ("n2.unsatisfiable", ("--n", "2")),
+    ("n2.custom-atoms", ("--n", "2", "--atoms", "a,b")),
+    ("n3.fast-1", ("--n", "3")),
+    ("n3.fast-2", ("--n", "3")),
+    ("n3.small-1", ("--n", "3")),
+    ("n3.small-2", ("--n", "3")),
+    ("n3.small-3", ("--n", "3")),
+    ("n3.unsatisfiable", ("--n", "3")),
+)
 
 
 class ReversedNatural:
@@ -112,6 +134,16 @@ def render_cli(argv) -> str:
     return out.getvalue()
 
 
+def render_closure(stem: str, extra) -> str:
+    """Exit code and machine stdout of one closure query."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(
+            ["--format", "machine", "closure", str(CLOSURE / f"{stem}.txt"), *extra]
+        )
+    return json.dumps({"exit": code, "stdout": out.getvalue()}, indent=2) + "\n"
+
+
 def render_custom(postulate: str) -> str:
     contraction = Contraction.STQ_LEX if _needs_con(postulate) else None
     report = check_postulate(postulate, ReversedNatural(), contraction, n_atoms=2)
@@ -122,6 +154,9 @@ def rendered() -> dict:
     """Every case's relative path mapped to its report text."""
     out = {path: render_cli(argv) for path, argv in cases()}
     out.update((path, render_custom(postulate)) for path, postulate in custom_cases())
+    out.update(
+        (f"closure/{stem}.json", render_closure(stem, extra)) for stem, extra in CLOSURE_CASES
+    )
     return out
 
 
