@@ -11,6 +11,7 @@ admits.
 
 from .conditionals import (
     ClosureResult,
+    flattest_satisfier,
     rational_base,
     rational_closure,
     rational_closure_fast,

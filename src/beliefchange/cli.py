@@ -11,7 +11,7 @@ Commands::
 
 Exit codes: ``run`` 0/2 (parse)/3 (semantic); ``check`` 0 pass, 1 fail,
 2 usage; ``verify`` 0 iff the claim's check passes; ``closure`` 0, 1
-unsatisfiable, 4 no flattest element.  All output is a pure function of
+unsatisfiable, 2 usage.  All output is a pure function of
 the inputs; transcripts and reports are byte-identical across runs.
 """
 
@@ -28,7 +28,6 @@ from .exceptions import (
     FormulaSyntaxError,
     MalformedDiagramError,
     MissingContractionError,
-    NoMaximumError,
     PartitionError,
     ScenarioError,
     ScopeError,
@@ -317,25 +316,20 @@ def closure_answer(delta: MixedSet, n_atoms: int) -> tuple:
     """Closure result plus whether the natural-revision fast path applied.
 
     The fast path applies when the conditional part is exactly some
-    preorder's conditional set and the plain part keeps one of its
-    minimal worlds; the conditional part then pins the belief set, so a
-    plain part excluding all minimal worlds is unsatisfiable outright.
+    preorder's conditional set; the conditional part then pins the
+    belief set, so a plain part excluding all its minimal worlds is
+    unsatisfiable outright.  Where it applies, the fast path
+    cross-checks the System Z answer.
     """
     base = rational_base(delta, n_atoms)
     if base is not None and not delta.plain_models & base.cells[0]:
         raise UnsatisfiableError("no total preorder satisfies the input set")
-    fast_applicable = base is not None and bool(delta.plain_models)
-    fast = rational_closure_fast(base, delta.plain_models) if fast_applicable else None
-    if n_atoms <= 2:
-        result = rational_closure(delta, n_atoms).tpo
-        if fast is not None and result != fast:
-            raise BeliefChangeError(
-                "internal error: fast path disagrees with the flattest satisfier"
-            )
-        return result, fast_applicable
-    if fast is not None:
-        return fast, True
-    return rational_closure(delta, n_atoms).tpo, False
+    result = rational_closure(delta, n_atoms).tpo
+    if base is not None and rational_closure_fast(base, delta.plain_models) != result:
+        raise BeliefChangeError(
+            "internal error: fast path disagrees with the flattest satisfier"
+        )
+    return result, base is not None
 
 
 # ---------------------------------------------------------------------------
@@ -440,9 +434,6 @@ def main(argv=None) -> int:
             except UnsatisfiableError as exc:
                 sys.stderr.write(f"error: {exc}\n")
                 return 1
-            except NoMaximumError as exc:
-                sys.stderr.write(f"error: {exc}\n")
-                return 4
             if args.format == "machine":
                 sys.stdout.write(
                     json.dumps(

@@ -1,18 +1,27 @@
 """Rational closure over finite preorders.
 
-The closure of a mixed set is computed by brute force, straight from its
-semantic characterisation: enumerate every total preorder, keep the ones
-satisfying the set, and return the flattest satisfier, i.e. the one that
-is at least as flat as every other under the first-difference cell
-containment order.  Satisfiability and the existence of that maximum are
-checked, never assumed; a satisfiable set with two incomparable maximal
-satisfiers raises instead of silently tie-breaking, since the uniqueness
-guarantee only covers sets of the contract-then-add-input shape.
+The closure of a mixed set is its System Z ranking (Pearl 1990, TARK;
+Lehmann & Magidor 1992).  The plain part counts as the conditional
+``true => plain``, and each nonempty antecedent as one rule with its
+strongest listed consequent.  The rules are split into tolerance levels:
+at each level, the rules that some world verifies while falsifying no
+rule still in play make up the level and leave play; a level with no
+such rule makes the set unsatisfiable.  A world's rank is 0, or one
+more than the highest level of a rule it falsifies.  That ranking is
+pointwise minimal among the rankings satisfying the set, so its cells,
+with empty ranks squeezed out, are the flattest satisfier: at least as
+flat as every other satisfying preorder under the first-difference cell
+containment order.  A satisfiable set therefore always has one.
 
-For that shape there is also a fast path: naturally revising the
-contracted preorder by the added sentence yields the same flattest
-satisfier, which the checker confirms against the brute-force route on
-every instance at two atoms.
+The brute-force route stays as the oracle at up to two atoms:
+``flattest_satisfier`` scans a pool of preorders for the satisfiers and
+returns the one at least as flat as every other, raising
+``NoMaximumError`` when there is none.  The tests compare it with the
+System Z route.
+
+For sets of the contract-then-add-input shape there is also a fast
+path: naturally revising the contracted preorder by the added sentence
+yields the same closure.
 """
 
 from __future__ import annotations
@@ -31,19 +40,22 @@ from .operators import Revision, revise
 from .tpo import (
     Tpo,
     conditional_set,
-    enumerate_tpos,
     flatter_eq,
     min_worlds,
     propositions,
 )
 
-MAX_CLOSURE_ATOMS = 3
+MAX_CLOSURE_ATOMS = 4
 
 
 @dataclass(frozen=True)
 class ClosureResult:
     tpo: Tpo
-    closure: MixedSet
+
+    @property
+    def closure(self) -> MixedSet:
+        """The conditional set of the closure preorder."""
+        return conditional_set(self.tpo)
 
 
 def satisfies(t: Tpo, delta: MixedSet) -> bool:
@@ -79,30 +91,69 @@ def flattest_maximum(candidates: Sequence[Tpo]) -> Tpo:
     return best
 
 
-def rational_closure(
-    delta: MixedSet, n_atoms: int, candidates: Iterable[Tpo] | None = None
-) -> ClosureResult:
-    """Flattest satisfying preorder of a mixed set, with its conditional set.
+def flattest_satisfier(delta: MixedSet, pool: Iterable[Tpo]) -> Tpo:
+    """Brute-force closure: the flattest preorder of ``pool`` satisfying the set.
 
-    ``candidates`` may supply a pre-built enumeration (all preorders must
-    be present for the result to be meaningful); by default the full
-    space is enumerated.
+    The oracle for ``rational_closure``; the answer is the closure only
+    when ``pool`` holds every preorder over the atoms.
     """
-    if n_atoms > MAX_CLOSURE_ATOMS:
-        raise ScopeError(f"closure supports at most {MAX_CLOSURE_ATOMS} atoms")
-    pool = enumerate_tpos(n_atoms) if candidates is None else candidates
     satisfiers = [t for t in pool if satisfies(t, delta)]
     if not satisfiers:
         raise UnsatisfiableError("no total preorder satisfies the input set")
-    top = flattest_maximum(satisfiers)
-    return ClosureResult(tpo=top, closure=conditional_set(top))
+    return flattest_maximum(satisfiers)
+
+
+def _mask(worlds: Iterable[int]) -> int:
+    return sum(1 << w for w in worlds)
+
+
+def rational_closure(delta: MixedSet, n_atoms: int) -> ClosureResult:
+    """Flattest satisfying preorder of a mixed set, by System Z.
+
+    Worlds are bitmasks here; each rule is kept as the pair (worlds
+    verifying it, worlds falsifying it).
+    """
+    if n_atoms > MAX_CLOSURE_ATOMS:
+        raise ScopeError(f"closure supports at most {MAX_CLOSURE_ATOMS} atoms")
+    n_worlds = 1 << n_atoms
+    full = (1 << n_worlds) - 1
+    rules = [(full, _mask(delta.plain_models))]
+    rules.extend(
+        (_mask(a), _mask(b)) for a, b in delta.strongest_map().items() if a
+    )
+    remaining = [(a & b, a & ~b) for a, b in rules]
+    falsified = []  # per level, the worlds falsifying a rule of that level
+    while remaining:
+        clean = full
+        for _, bad in remaining:
+            clean &= ~bad
+        level = 0
+        rest = []
+        for good, bad in remaining:
+            if good & clean:
+                level |= bad
+            else:
+                rest.append((good, bad))
+        if len(rest) == len(remaining):
+            raise UnsatisfiableError("no total preorder satisfies the input set")
+        falsified.append(level)
+        remaining = rest
+    rank = [0] * n_worlds
+    for index, bad in enumerate(falsified, start=1):
+        for w in range(n_worlds):
+            if bad >> w & 1:
+                rank[w] = index
+    cells = tuple(
+        frozenset(w for w in range(n_worlds) if rank[w] == r) for r in sorted(set(rank))
+    )
+    return ClosureResult(Tpo(cells, n_atoms))
 
 
 def rational_closure_fast(t_contracted: Tpo, sentence_models: frozenset) -> Tpo:
     """Closure of (conditional set of ``t_contracted``) plus the sentence.
 
-    The natural-revision shortcut that avoids the satisfier scan.  It
-    agrees with the brute-force closure on every instance the
+    The natural-revision shortcut.  It agrees with the closure on every
+    instance the
     contraction route can produce, i.e. whenever some minimal world of
     ``t_contracted`` satisfies the sentence; when none does, the closure
     input is unsatisfiable (the conditional set pins the belief set,
@@ -125,10 +176,12 @@ def rational_base(delta: MixedSet, n_atoms: int) -> Tpo | None:
     antecedent.
     """
     strongest = delta.strongest_map()
+    n_worlds = 1 << n_atoms
+    if len(strongest) != (1 << n_worlds) - 1:
+        return None  # too few antecedents, without building them all
     required = propositions(n_atoms)
     if set(strongest) != set(required):
         return None
-    n_worlds = 1 << n_atoms
     below = []
     for x in range(n_worlds):
         count = 0

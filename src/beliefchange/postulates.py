@@ -20,6 +20,9 @@ the reference; they run only for an outer preorder with a nonzero count
 while fewer than ten witnesses are held, so the report keeps the same
 witnesses in the same order.
 
+The scans yield raw witnesses (preorders, input model sets, worlds and a
+note); only those a report keeps, the first ten, are rendered as text.
+
 Quantification conventions, fixed once for the whole module:
 
 * input sentences range over nonempty model sets (sentences equivalent
@@ -47,7 +50,7 @@ from functools import lru_cache
 from itertools import islice
 from typing import Callable, Iterator, Optional
 
-from .conditionals import rational_closure, rational_closure_fast
+from .conditionals import flattest_satisfier, rational_closure_fast
 from .exceptions import (
     MalformedDiagramError,
     MissingContractionError,
@@ -293,6 +296,11 @@ class _Ctx:
         return out
 
     def witness(self, tpos, inputs, worlds, note="") -> Witness:
+        """Render a raw witness: preorders, input model sets and worlds
+        as text.  A note given as a tuple of parts is joined, with its
+        preorders rendered too."""
+        if not isinstance(note, str):
+            note = "".join(format_tpo(x) if isinstance(x, Tpo) else x for x in note)
         return Witness(
             tpos=tuple(format_tpo(t) for t in tpos),
             inputs=tuple(dnf_of_worlds(p, self.atoms) for p in inputs),
@@ -317,14 +325,15 @@ def _icode(p, x, y) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Postulate scans (generators of witnesses, deterministic order)
+# Postulate scans: generators of raw witnesses (preorders, input model sets,
+# worlds, note), in a deterministic order
 
 
 def _g_success(ctx, t):
     for p in ctx.props:
         stray = ctx.rev_tpo(t, p).cells[0] - p
         if stray:
-            yield ctx.witness((t,), (p,), (min(stray),), note="minimal world outside input")
+            yield (t,), (p,), (min(stray),), "minimal world outside input"
 
 
 # The fourteen pair-relation postulates share one shape: for the world
@@ -403,7 +412,7 @@ def _g_iiap(ctx, pair):
             if _code(r1, x, y) == _code(r2, x, y) and _code(r1q, x, y) != _code(
                 r2q, x, y
             ):
-                yield ctx.witness((t1, t2), (p,), (x, y))
+                yield (t1, t2), (p,), (x, y), ""
 
 
 def _g_iiai(ctx, t):
@@ -422,7 +431,7 @@ def _g_iiai(ctx, t):
                 if _icode(p, x, y) == _icode(q, x, y) and _code(rp, x, y) != _code(
                     rq, x, y
                 ):
-                    yield ctx.witness((t,), (p, q), (x, y))
+                    yield (t,), (p, q), (x, y), ""
 
 
 def _g_beta(strict: bool):
@@ -448,10 +457,10 @@ def _g_beta(strict: bool):
                         rc = ctx.rev_tpo(t, c).rank
                         if strict:
                             if not rc[y] < rc[x]:
-                                yield ctx.witness((t,), (a, c), (x, y))
+                                yield (t,), (a, c), (x, y), ""
                         else:
                             if not rc[y] <= rc[x]:
-                                yield ctx.witness((t,), (a, c), (x, y))
+                                yield (t,), (a, c), (x, y), ""
 
     return gen
 
@@ -531,9 +540,7 @@ def _g_neut(ctx, pair):
                         f"{world_str(w, ctx.n)}->{world_str(perm[w], ctx.n)}"
                         for w in ctx.worlds
                     )
-                    yield ctx.witness(
-                        (t1, t2), (p,), (x, y), note=f"isomorphism {mapping}"
-                    )
+                    yield (t1, t2), (p,), (x, y), f"isomorphism {mapping}"
 
 
 def _g_red(ctx, t):
@@ -546,7 +553,7 @@ def _g_red(ctx, t):
         first = revise(t, p, ctx.rev)
         second = revise(t, p, ctx.rev)
         if first != second:
-            yield ctx.witness((t,), (p,), (), note="revision not a function of (tpo, input)")
+            yield (t,), (p,), (), "revision not a function of (tpo, input)"
 
 
 def _g_hi_beliefs(ctx, t):
@@ -554,7 +561,7 @@ def _g_hi_beliefs(ctx, t):
         got = ctx.con_tpo(t, p).cells[0]
         expected = t.cells[0] | ctx.rev_tpo(t, ctx.full - p).cells[0]
         if got != expected:
-            yield ctx.witness((t,), (p,), (), note="contraction beliefs differ from union of minima")
+            yield (t,), (p,), (), "contraction beliefs differ from union of minima"
 
 
 def _g_li_beliefs(ctx, t):
@@ -562,7 +569,7 @@ def _g_li_beliefs(ctx, t):
         got = ctx.rev_tpo(t, p).cells[0]
         expected = min_worlds(ctx.conneg_tpo(t, p), p)
         if got != expected:
-            yield ctx.witness((t,), (p,), (), note="revision beliefs differ from post-contraction minima")
+            yield (t,), (p,), (), "revision beliefs differ from post-contraction minima"
 
 
 def _first_diff_pair(ctx, ta: Tpo, tb: Tpo):
@@ -584,12 +591,7 @@ def _g_routed(final: Revision | None, route: str):
             routed = revise(ctx.conneg_tpo(t, p), p, final or ctx.rev)
             if direct != routed:
                 pair = _first_diff_pair(ctx, direct, routed)
-                yield ctx.witness(
-                    (t,),
-                    (p,),
-                    pair,
-                    note=f"direct {format_tpo(direct)}; {route} {format_tpo(routed)}",
-                )
+                yield (t,), (p,), pair, ("direct ", direct, f"; {route} ", routed)
 
     return gen
 
@@ -630,7 +632,7 @@ def _pair_rule(premises, conclusion, region, relation) -> _PostulateDef:
                     and rel(after[x], after[y]) != value
                     and (second is None or rel(second[x], second[y]) == value)
                 ):
-                    yield ctx.witness((t,), (p,), (x, y))
+                    yield (t,), (p,), (x, y), ""
 
     return _PostulateDef(
         gen,
@@ -727,15 +729,16 @@ def _run_chunk(args):
     for outer in _outer_slice(spec.pair_outer, n_atoms, mode, seed, sample, start, stop):
         instances += per_outer
         if spec.count is None:
-            for witness in spec.gen(ctx, outer):
+            for raw in spec.gen(ctx, outer):
                 violations += 1
                 if len(witnesses) < WITNESS_CAP:
-                    witnesses.append(witness)
+                    witnesses.append(ctx.witness(*raw))
         else:
             found = spec.count(ctx, outer)
             violations += found
             if found and len(witnesses) < WITNESS_CAP:
-                witnesses.extend(islice(spec.gen(ctx, outer), WITNESS_CAP - len(witnesses)))
+                for raw in islice(spec.gen(ctx, outer), WITNESS_CAP - len(witnesses)):
+                    witnesses.append(ctx.witness(*raw))
         if mode == "sampled":
             ctx.clear()
     return instances, violations, witnesses
@@ -852,7 +855,7 @@ def replay_witness(
     ctx = _Ctx(n_atoms, revision, contraction)
     spec = _POSTULATES[check_id]
     outer = (tpos[0], tpos[1]) if spec.pair_outer else tpos[0]
-    return any(w == witness for w in spec.gen(ctx, outer))
+    return any(ctx.witness(*raw) == witness for raw in spec.gen(ctx, outer))
 
 
 # ---------------------------------------------------------------------------
@@ -1146,13 +1149,11 @@ def _verify_t4(n_atoms: int):
                 key = (contracted, p)
                 verdict = resolved.get(key)
                 if verdict is None:
-                    brute = rational_closure(
-                        conditional_set(contracted).adding_plain(p),
-                        n_atoms,
-                        candidates=pool,
+                    brute = flattest_satisfier(
+                        conditional_set(contracted).adding_plain(p), pool
                     )
                     fast = rational_closure_fast(contracted, p)
-                    verdict = (brute.tpo == fast, fast, brute.tpo)
+                    verdict = (brute == fast, fast, brute)
                     resolved[key] = verdict
                 if not verdict[0]:
                     failures += 1

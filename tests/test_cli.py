@@ -178,6 +178,20 @@ def test_closure_custom_atoms(tmp_path, capsys):
     assert main(["closure", str(path), "--n", "2"]) == 2  # unknown atoms
 
 
+def test_closure_at_four_atoms(tmp_path, capsys):
+    path = tmp_path / "set.txt"
+    path.write_text("true => ~p\np => q\np => ~q | r\n")
+    code = main(["--format", "machine", "closure", str(path), "--n", "4"])
+    assert code == 0
+    # Z levels: true => ~p at 0, the two p rules at 1; so ~p worlds rank
+    # 0, p worlds keeping both p rules rank 1, the others rank 2
+    assert json.loads(capsys.readouterr().out) == {
+        "fast_path": False,
+        "tpo": "0000 0001 0010 0011 0100 0101 0110 0111 | 1110 1111"
+        " | 1000 1001 1010 1011 1100 1101",
+    }
+
+
 def test_conditional_set_parser_ignores_comments_and_blanks():
     delta = parse_conditional_set("# comment\n\np => q\n~p\n", ATOMS)
     assert len(delta.cond_pairs) == 1

@@ -4,6 +4,7 @@ import pytest
 
 from beliefchange.conditionals import (
     flattest_maximum,
+    flattest_satisfier,
     rational_base,
     rational_closure,
     rational_closure_fast,
@@ -13,6 +14,7 @@ from beliefchange.exceptions import NoMaximumError, ScopeError, UnsatisfiableErr
 from beliefchange.lang import Conditional, MixedSet, models, parse_formula
 from beliefchange.operators import Contraction, Revision, contract, contract_by_negation, revise
 from beliefchange.tpo import (
+    Tpo,
     conditional_set,
     enumerate_tpos,
     flatter_eq,
@@ -90,8 +92,9 @@ def test_closure_result_satisfies_its_input():
         for p in propositions(2):
             contracted = contract_by_negation(t, p, Contraction.STQ_RESTRAINED)
             delta = conditional_set(contracted).adding_plain(p)
-            result = rational_closure(delta, 2, candidates=pool)
-            assert satisfies(result.tpo, delta)
+            result = flattest_satisfier(delta, pool)
+            assert satisfies(result, delta)
+            assert rational_closure(delta, 2).tpo == result
 
 
 def test_closure_is_idempotent():
@@ -100,9 +103,11 @@ def test_closure_is_idempotent():
         for p in list(propositions(2))[::4]:
             contracted = contract_by_negation(t, p, Contraction.NATURAL)
             delta = conditional_set(contracted).adding_plain(p)
-            first = rational_closure(delta, 2, candidates=pool)
-            again = rational_closure(conditional_set(first.tpo), 2, candidates=pool)
-            assert again.tpo == first.tpo
+            first = flattest_satisfier(delta, pool)
+            again = flattest_satisfier(conditional_set(first), pool)
+            assert again == first
+            assert rational_closure(delta, 2).tpo == first
+            assert rational_closure(conditional_set(first), 2).tpo == first
 
 
 def test_closure_preserves_contracted_strict_preferences():
@@ -111,8 +116,9 @@ def test_closure_preserves_contracted_strict_preferences():
         for p in propositions(2):
             contracted = contract_by_negation(t, p, Contraction.STQ_LEX)
             delta = conditional_set(contracted).adding_plain(p)
-            result = rational_closure(delta, 2, candidates=pool)
-            rc, rr = contracted.rank, result.tpo.rank
+            result = flattest_satisfier(delta, pool)
+            assert rational_closure(delta, 2).tpo == result
+            rc, rr = contracted.rank, result.rank
             for x in range(4):
                 for y in range(4):
                     if rc[x] < rc[y]:
@@ -131,7 +137,105 @@ def test_closure_with_input_contradicting_beliefs_is_unsatisfiable():
 
 def test_closure_scope_is_capped():
     with pytest.raises(ScopeError):
-        rational_closure(conditional_set(M0), 4)
+        rational_closure(conditional_set(M0), 5)
+
+
+# ---------------------------------------------------------------------------
+# System Z against the brute-force oracle
+
+
+def _z_or_none(delta, n_atoms):
+    try:
+        return rational_closure(delta, n_atoms).tpo
+    except UnsatisfiableError:
+        return None
+
+
+def _assert_z_is_the_flattest_satisfier(delta, pool):
+    """Z fails exactly on the sets no preorder satisfies; otherwise its
+    answer satisfies the set, is at least as flat as every satisfier (so
+    the oracle's maximum always exists) and is the oracle's answer."""
+    satisfiers = [t for t in pool if satisfies(t, delta)]
+    z = _z_or_none(delta, 2)
+    if not satisfiers:
+        assert z is None, delta
+        with pytest.raises(UnsatisfiableError):
+            flattest_satisfier(delta, pool)
+        return False
+    assert z in satisfiers, delta
+    assert all(flatter_eq(z, t) for t in satisfiers), delta
+    assert flattest_satisfier(delta, pool) == z
+    return True
+
+
+def test_system_z_matches_the_oracle_on_every_conditional_set():
+    pool = list(enumerate_tpos(2))
+    plain_parts = [frozenset(w for w in range(4) if mask >> w & 1) for mask in range(16)]
+    satisfiable = 0
+    for t in pool:
+        for plain in plain_parts:
+            delta = MixedSet(plain_models=plain, cond_pairs=conditional_set(t).cond_pairs)
+            satisfiable += _assert_z_is_the_flattest_satisfier(delta, pool)
+    assert 0 < satisfiable < len(pool) * len(plain_parts)
+
+
+def _random_mixed_set(rng, n_atoms):
+    props = propositions(n_atoms)
+    n_worlds = 1 << n_atoms
+    pairs = frozenset(
+        (rng.choice(props), frozenset(w for w in range(n_worlds) if rng.random() < 0.6))
+        for _ in range(rng.randint(0, 5))
+    )
+    plain = frozenset(w for w in range(n_worlds) if rng.random() < 0.7)
+    return MixedSet(plain_models=plain, cond_pairs=pairs)
+
+
+def test_system_z_matches_the_oracle_on_random_mixed_sets():
+    pool = list(enumerate_tpos(2))
+    rng = random.Random(7)
+    cases = 3000
+    satisfiable = sum(
+        _assert_z_is_the_flattest_satisfier(_random_mixed_set(rng, 2), pool)
+        for _ in range(cases)
+    )
+    assert 0 < satisfiable < cases
+
+
+def _contracted_instances(rng, n_atoms, count):
+    """(contracted preorder, input) pairs from random priors and inputs."""
+    n_worlds = 1 << n_atoms
+    out = []
+    for i in range(count):
+        t = _random_tpo(rng, n_atoms)
+        p = frozenset(w for w in range(n_worlds) if rng.random() < 0.5)
+        p |= {rng.randrange(n_worlds)}
+        con = tuple(Contraction)[i % len(Contraction)]
+        out.append((contract_by_negation(t, p, con), p))
+    return out
+
+
+def _random_tpo(rng, n_atoms):
+    n_worlds = 1 << n_atoms
+    rank = [rng.randrange(n_worlds) for _ in range(n_worlds)]
+    cells = (frozenset(w for w in range(n_worlds) if rank[w] == r) for r in sorted(set(rank)))
+    return Tpo(tuple(cells), n_atoms)
+
+
+def test_system_z_equals_the_fast_path_at_three_atoms():
+    rng = random.Random(11)
+    for contracted, p in _contracted_instances(rng, 3, 30):
+        delta = conditional_set(contracted).adding_plain(p)
+        assert rational_closure(delta, 3).tpo == rational_closure_fast(contracted, p)
+
+
+def test_system_z_at_four_atoms():
+    rng = random.Random(4)
+    for _ in range(2):
+        t = _random_tpo(rng, 4)
+        assert rational_closure(conditional_set(t), 4).tpo == t
+    for contracted, p in _contracted_instances(rng, 4, 3):
+        delta = conditional_set(contracted).adding_plain(p)
+        assert rational_closure(delta, 4).tpo == revise(contracted, p, Revision.NATURAL)
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +256,9 @@ def test_fast_path_agrees_with_brute_force_on_contracted_instances():
         for p in propositions(2):
             contracted = contract_by_negation(t, p, Contraction.STQ_LEX)
             delta = conditional_set(contracted).adding_plain(p)
-            assert rational_closure(delta, 2, candidates=pool).tpo == rational_closure_fast(
-                contracted, p
-            )
+            fast = rational_closure_fast(contracted, p)
+            assert flattest_satisfier(delta, pool) == fast
+            assert rational_closure(delta, 2).tpo == fast
 
 
 # ---------------------------------------------------------------------------

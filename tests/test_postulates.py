@@ -417,7 +417,7 @@ def _brute_report(postulate, op):
     violations = 0
     witnesses = []
     for t in enumerate_tpos(2):
-        found = list(spec.gen(ctx, t))
+        found = [ctx.witness(*raw) for raw in spec.gen(ctx, t)]
         violations += len(found)
         witnesses.extend(found[: WITNESS_CAP - len(witnesses)])
     return violations, tuple(witnesses)
