@@ -153,11 +153,11 @@ def rational_closure_fast(t_contracted: Tpo, sentence_models: frozenset) -> Tpo:
     """Closure of (conditional set of ``t_contracted``) plus the sentence.
 
     The natural-revision shortcut.  It agrees with the closure on every
-    instance the
-    contraction route can produce, i.e. whenever some minimal world of
-    ``t_contracted`` satisfies the sentence; when none does, the closure
-    input is unsatisfiable (the conditional set pins the belief set,
-    which the added sentence contradicts) and no shortcut applies.
+    instance the contraction route can produce, i.e. whenever some
+    minimal world of ``t_contracted`` satisfies the sentence; when none
+    does, the closure input is unsatisfiable (the conditional set pins
+    the belief set, which the added sentence contradicts) and no
+    shortcut applies.
     """
     if not sentence_models:
         raise InconsistentInputError("input sentence has no models")

@@ -144,24 +144,18 @@ def test_closure_scope_is_capped():
 # System Z against the brute-force oracle
 
 
-def _z_or_none(delta, n_atoms):
-    try:
-        return rational_closure(delta, n_atoms).tpo
-    except UnsatisfiableError:
-        return None
-
-
 def _assert_z_is_the_flattest_satisfier(delta, pool):
     """Z fails exactly on the sets no preorder satisfies; otherwise its
     answer satisfies the set, is at least as flat as every satisfier (so
     the oracle's maximum always exists) and is the oracle's answer."""
     satisfiers = [t for t in pool if satisfies(t, delta)]
-    z = _z_or_none(delta, 2)
     if not satisfiers:
-        assert z is None, delta
+        with pytest.raises(UnsatisfiableError):
+            rational_closure(delta, 2)
         with pytest.raises(UnsatisfiableError):
             flattest_satisfier(delta, pool)
         return False
+    z = rational_closure(delta, 2).tpo
     assert z in satisfiers, delta
     assert all(flatter_eq(z, t) for t in satisfiers), delta
     assert flattest_satisfier(delta, pool) == z
@@ -201,6 +195,13 @@ def test_system_z_matches_the_oracle_on_random_mixed_sets():
     assert 0 < satisfiable < cases
 
 
+def _random_tpo(rng, n_atoms):
+    n_worlds = 1 << n_atoms
+    rank = [rng.randrange(n_worlds) for _ in range(n_worlds)]
+    cells = (frozenset(w for w in range(n_worlds) if rank[w] == r) for r in sorted(set(rank)))
+    return Tpo(tuple(cells), n_atoms)
+
+
 def _contracted_instances(rng, n_atoms, count):
     """(contracted preorder, input) pairs from random priors and inputs."""
     n_worlds = 1 << n_atoms
@@ -212,13 +213,6 @@ def _contracted_instances(rng, n_atoms, count):
         con = tuple(Contraction)[i % len(Contraction)]
         out.append((contract_by_negation(t, p, con), p))
     return out
-
-
-def _random_tpo(rng, n_atoms):
-    n_worlds = 1 << n_atoms
-    rank = [rng.randrange(n_worlds) for _ in range(n_worlds)]
-    cells = (frozenset(w for w in range(n_worlds) if rank[w] == r) for r in sorted(set(rank)))
-    return Tpo(tuple(cells), n_atoms)
 
 
 def test_system_z_equals_the_fast_path_at_three_atoms():
