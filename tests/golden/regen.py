@@ -26,7 +26,11 @@ Groups:
   and the machine stdout: at two atoms a rational set, a contracted set
   plus its input, a set outside the fast-path shape, an unsatisfiable
   set and a set over custom atoms; at three atoms two fast-path files,
-  three small files outside that shape and an unsatisfiable one.
+  three small files outside that shape and an unsatisfiable one;
+* ``diagram``: ``check_diagram`` at two atoms for each built-in state
+  diagram a-f and for one custom table, ``CUSTOM_DIAGRAM``; the
+  excluded diagrams give reports with witnesses, which the CLI shows
+  only as T1's outcome lines.
 """
 
 from __future__ import annotations
@@ -42,7 +46,9 @@ from beliefchange.operators import Contraction, Revision, revise
 from beliefchange.postulates import (
     _POSTULATES,
     CLAIM_IDS,
+    DIAGRAM_IDS,
     POSTULATE_IDS,
+    check_diagram,
     check_postulate,
     render_machine,
 )
@@ -71,6 +77,9 @@ CLOSURE_CASES = (
     ("n3.small-3", ("--n", "3")),
     ("n3.unsatisfiable", ("--n", "3")),
 )
+
+# excluded, like the built-in diagram d it equals: reported as "custom"
+CUSTOM_DIAGRAM = {1: 1, 0: 0, -1: 0}
 
 
 class ReversedNatural:
@@ -157,6 +166,10 @@ def rendered() -> dict:
     out.update(
         (f"closure/{stem}.json", render_closure(stem, extra)) for stem, extra in CLOSURE_CASES
     )
+    out.update(
+        (f"diagram/{d}.json", render_machine(check_diagram(d, 2))) for d in DIAGRAM_IDS
+    )
+    out["diagram/custom.json"] = render_machine(check_diagram(CUSTOM_DIAGRAM, 2))
     return out
 
 
