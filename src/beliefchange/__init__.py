@@ -10,7 +10,6 @@ admits.
 """
 
 from .conditionals import (
-    ClosureResult,
     flattest_satisfier,
     rational_base,
     rational_closure,

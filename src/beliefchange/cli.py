@@ -324,7 +324,7 @@ def closure_answer(delta: MixedSet, n_atoms: int) -> tuple:
     base = rational_base(delta, n_atoms)
     if base is not None and not delta.plain_models & base.cells[0]:
         raise UnsatisfiableError("no total preorder satisfies the input set")
-    result = rational_closure(delta, n_atoms).tpo
+    result = rational_closure(delta, n_atoms)
     if base is not None and rational_closure_fast(base, delta.plain_models) != result:
         raise BeliefChangeError(
             "internal error: fast path disagrees with the flattest satisfier"

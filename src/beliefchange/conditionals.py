@@ -26,7 +26,6 @@ yields the same closure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .exceptions import (
@@ -39,23 +38,12 @@ from .lang import MixedSet
 from .operators import Revision, revise
 from .tpo import (
     Tpo,
-    conditional_set,
     flatter_eq,
     min_worlds,
     propositions,
 )
 
 MAX_CLOSURE_ATOMS = 4
-
-
-@dataclass(frozen=True)
-class ClosureResult:
-    tpo: Tpo
-
-    @property
-    def closure(self) -> MixedSet:
-        """The conditional set of the closure preorder."""
-        return conditional_set(self.tpo)
 
 
 def satisfies(t: Tpo, delta: MixedSet) -> bool:
@@ -107,7 +95,7 @@ def _mask(worlds: Iterable[int]) -> int:
     return sum(1 << w for w in worlds)
 
 
-def rational_closure(delta: MixedSet, n_atoms: int) -> ClosureResult:
+def rational_closure(delta: MixedSet, n_atoms: int) -> Tpo:
     """Flattest satisfying preorder of a mixed set, by System Z.
 
     Worlds are bitmasks here; each rule is kept as the pair (worlds
@@ -146,7 +134,7 @@ def rational_closure(delta: MixedSet, n_atoms: int) -> ClosureResult:
     cells = tuple(
         frozenset(w for w in range(n_worlds) if rank[w] == r) for r in sorted(set(rank))
     )
-    return ClosureResult(Tpo(cells, n_atoms))
+    return Tpo(cells, n_atoms)
 
 
 def rational_closure_fast(t_contracted: Tpo, sentence_models: frozenset) -> Tpo:

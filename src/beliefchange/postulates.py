@@ -21,7 +21,16 @@ while fewer than ten witnesses are held, so the report keeps the same
 witnesses in the same order.
 
 The scans yield raw witnesses (preorders, input model sets, worlds and a
-note); only those a report keeps, the first ten, are rendered as text.
+note).  Every check, postulate scan, state diagram or claim sweep, counts
+them in one tally, ``_Tally``: instances and violations in full, and
+the first ten raw witnesses in scan order, the only ones rendered as
+text.  A report's outcome follows from its violation count.
+
+A state diagram is a scan too: its generator reads the diagram's table
+where a postulate scan reads the revision, so ``replay_witness`` takes
+one route for both.  A witness of ``diagram <name>`` replays under the
+built-in table of that name; one of ``diagram custom`` under the table
+passed as the revision.
 
 Quantification conventions, fixed once for the whole module:
 
@@ -47,8 +56,8 @@ import operator
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice
-from typing import Callable, Iterator, Optional
+from itertools import islice, product
+from typing import Callable, Optional
 
 from .conditionals import flattest_satisfier, rational_closure_fast
 from .exceptions import (
@@ -62,7 +71,6 @@ from .lang import (
     all_worlds,
     cn_extended_member,
     dnf_of_worlds,
-    models,
     parse_formula,
     world_str,
 )
@@ -74,6 +82,7 @@ from .operators import (
     contract_by_negation,
     make_random_dp_operator,
     method_name,
+    nli_revise,
     revise,
 )
 from .tpo import (
@@ -158,13 +167,16 @@ class CheckReport:
     scope: CheckScope
     instances: int
     violations: int
-    outcome: str
     witnesses: tuple = ()
     detail: str = ""
 
     @property
     def passed(self) -> bool:
-        return self.outcome == "pass"
+        return self.violations == 0
+
+    @property
+    def outcome(self) -> str:
+        return "pass" if self.passed else "fail"
 
 
 def render_text(report: CheckReport) -> str:
@@ -307,6 +319,33 @@ class _Ctx:
             worlds=tuple(world_str(w, self.n) for w in worlds),
             note=note,
         )
+
+
+class _Tally:
+    """One check's verdict: instances and violations counted in full, and
+    the first ``WITNESS_CAP`` raw witnesses in scan order, rendered by
+    ``ctx.witness`` as they are kept."""
+
+    def __init__(self, ctx: _Ctx):
+        self.ctx = ctx
+        self.instances = 0
+        self.violations = 0
+        self.witnesses = []
+
+    @property
+    def room(self) -> int:
+        return WITNESS_CAP - len(self.witnesses)
+
+    def keep(self, raws) -> int:
+        """Render and keep raw witnesses while there is room; how many."""
+        before = len(self.witnesses)
+        self.witnesses.extend(self.ctx.witness(*raw) for raw in islice(raws, self.room))
+        return len(self.witnesses) - before
+
+    def add(self, raws) -> None:
+        """Count every raw witness; keep the first while there is room."""
+        raws = iter(raws)
+        self.violations += self.keep(raws) + sum(1 for _ in raws)
 
 
 def _code(r, x, y) -> int:
@@ -598,8 +637,9 @@ def _g_routed(final: Revision | None, route: str):
 
 @dataclass(frozen=True)
 class _PostulateDef:
-    """One postulate: ``gen`` yields an outer's witnesses in order; the
-    optional ``count`` returns how many it would yield, without them."""
+    """One postulate, or the diagram scan: ``gen`` yields an outer's
+    witnesses in order; the optional ``count`` returns how many it would
+    yield, without them."""
 
     gen: Callable
     count: Optional[Callable] = None
@@ -690,15 +730,12 @@ def _validate_scope(n_atoms: int, mode: str) -> None:
 
 
 def _outer_slice(pair_outer, n_atoms, mode, seed, sample, start, stop):
-    total_tpos = count_tpos(n_atoms)
+    """Outers ``start`` to ``stop`` (None: to the end, exhaustive only)."""
     if mode == "exhaustive":
-        if pair_outer:
-            pool = list(enumerate_tpos(n_atoms))
-            for index in range(start, stop):
-                yield (pool[index // total_tpos], pool[index % total_tpos])
-        else:
-            yield from islice(enumerate_tpos(n_atoms), start, stop)
+        pool = enumerate_tpos(n_atoms)
+        yield from islice(product(pool, repeat=2) if pair_outer else pool, start, stop)
         return
+    total_tpos = count_tpos(n_atoms)
     rng = random.Random(seed)
     if pair_outer:
         draws = [
@@ -718,30 +755,43 @@ def _chunk_bounds(total: int) -> list:
     return [(total * i // chunks, total * (i + 1) // chunks) for i in range(chunks)]
 
 
+def _spec(postulate: str, revision, contraction) -> _PostulateDef:
+    """The postulate's scan, once its operator arguments are checked."""
+    spec = _POSTULATES.get(postulate)
+    if spec is None:
+        raise ValueError(f"unknown postulate {postulate!r}")
+    if spec.needs_con and contraction is None:
+        raise MissingContractionError(f"postulate {postulate} needs a contraction operator")
+    if spec.needs_rev and revision is None:
+        raise ValueError(f"postulate {postulate} needs a revision operator")
+    return spec
+
+
+def _scan(ctx: _Ctx, spec: _PostulateDef, outers, clear: bool = False) -> _Tally:
+    """Tally a scan over outers; a counted scan rebuilds witnesses only
+    for an outer that has some while there is room for them."""
+    tally = _Tally(ctx)
+    per_outer = spec.inputs_per_outer(ctx)
+    for outer in outers:
+        tally.instances += per_outer
+        if spec.count is None:
+            tally.add(spec.gen(ctx, outer))
+        else:
+            found = spec.count(ctx, outer)
+            tally.violations += found
+            if found and tally.room:
+                tally.keep(spec.gen(ctx, outer))
+        if clear:
+            ctx.clear()
+    return tally
+
+
 def _run_chunk(args):
     postulate, rev, con, n_atoms, mode, seed, sample, start, stop = args
     spec = _POSTULATES[postulate]
-    ctx = _Ctx(n_atoms, rev, con)
-    instances = 0
-    violations = 0
-    witnesses = []
-    per_outer = spec.inputs_per_outer(ctx)
-    for outer in _outer_slice(spec.pair_outer, n_atoms, mode, seed, sample, start, stop):
-        instances += per_outer
-        if spec.count is None:
-            for raw in spec.gen(ctx, outer):
-                violations += 1
-                if len(witnesses) < WITNESS_CAP:
-                    witnesses.append(ctx.witness(*raw))
-        else:
-            found = spec.count(ctx, outer)
-            violations += found
-            if found and len(witnesses) < WITNESS_CAP:
-                for raw in islice(spec.gen(ctx, outer), WITNESS_CAP - len(witnesses)):
-                    witnesses.append(ctx.witness(*raw))
-        if mode == "sampled":
-            ctx.clear()
-    return instances, violations, witnesses
+    outers = _outer_slice(spec.pair_outer, n_atoms, mode, seed, sample, start, stop)
+    tally = _scan(_Ctx(n_atoms, rev, con), spec, outers, clear=mode == "sampled")
+    return tally.instances, tally.violations, tally.witnesses
 
 
 def check_postulate(
@@ -762,13 +812,7 @@ def check_postulate(
     Violations are counted in full; the report keeps the first ten
     witnesses in enumeration order, whatever the worker count.
     """
-    if postulate not in _POSTULATES:
-        raise ValueError(f"unknown postulate {postulate!r}")
-    spec = _POSTULATES[postulate]
-    if spec.needs_con and contraction is None:
-        raise MissingContractionError(f"postulate {postulate} needs a contraction operator")
-    if spec.needs_rev and revision is None:
-        raise ValueError(f"postulate {postulate} needs a revision operator")
+    spec = _spec(postulate, revision, contraction)
     _validate_scope(n_atoms, mode)
     if sample is not None and sample < 1:
         raise ScopeError("the sample size must be at least 1")
@@ -793,22 +837,15 @@ def check_postulate(
             results = pool.map(_run_chunk, jobs)
     else:
         results = [_run_chunk(job) for job in jobs]
-    instances = sum(r[0] for r in results)
-    violations = sum(r[1] for r in results)
-    witnesses: list = []
-    for _, _, chunk_witnesses in results:
-        for witness in chunk_witnesses:
-            if len(witnesses) < WITNESS_CAP:
-                witnesses.append(witness)
+    witnesses = [w for _, _, chunk_witnesses in results for w in chunk_witnesses]
     return CheckReport(
         check_id=postulate,
         revision=method_name(revision) if revision is not None else None,
         contraction=method_name(contraction) if contraction is not None else None,
         scope=CheckScope(n_atoms=n_atoms, mode=mode, sample=sample, seed=seed),
-        instances=instances,
-        violations=violations,
-        outcome="pass" if violations == 0 else "fail",
-        witnesses=tuple(witnesses),
+        instances=sum(r[0] for r in results),
+        violations=sum(r[1] for r in results),
+        witnesses=tuple(witnesses[:WITNESS_CAP]),
     )
 
 
@@ -820,17 +857,10 @@ def postulate_holds(
     n_atoms: int = 2,
 ) -> bool:
     """Exhaustive boolean check with early exit on the first violation."""
-    spec = _POSTULATES[postulate]
-    if spec.needs_con and contraction is None:
-        raise MissingContractionError(f"postulate {postulate} needs a contraction operator")
+    spec = _spec(postulate, revision, contraction)
     _validate_scope(n_atoms, "exhaustive")
     ctx = _Ctx(n_atoms, revision, contraction)
-    if spec.pair_outer:
-        pool = list(enumerate_tpos(n_atoms))
-        outers: Iterator = ((t1, t2) for t1 in pool for t2 in pool)
-    else:
-        outers = enumerate_tpos(n_atoms)
-    for outer in outers:
+    for outer in _outer_slice(spec.pair_outer, n_atoms, "exhaustive", None, None, 0, None):
         if spec.count is not None:
             if spec.count(ctx, outer):
                 return False
@@ -847,14 +877,20 @@ def replay_witness(
     *,
     n_atoms: int = 2,
 ) -> bool:
-    """Re-run the instance named by a witness; True iff it reproduces."""
-    tpos = tuple(parse_tpo(text, n_atoms) for text in witness.tpos)
-    if check_id.startswith("diagram"):
-        diagram = check_id.split()[-1]
-        return _scan_diagram_instance(diagram, n_atoms, tpos[0], witness)
+    """Re-run the instance named by a witness; True iff it reproduces.
+
+    For ``diagram <name>`` the diagram's table takes the place of the
+    revision: the built-in table of that name, unless a table is passed
+    as ``revision`` (as a ``diagram custom`` witness needs).
+    """
+    if check_id.startswith("diagram "):
+        spec = _DIAGRAM_SCAN
+        revision = _diagram_table(check_id.split()[-1] if revision is None else revision)
+    else:
+        spec = _spec(check_id, revision, contraction)
     ctx = _Ctx(n_atoms, revision, contraction)
-    spec = _POSTULATES[check_id]
-    outer = (tpos[0], tpos[1]) if spec.pair_outer else tpos[0]
+    tpos = tuple(parse_tpo(text, n_atoms) for text in witness.tpos)
+    outer = tpos[:2] if spec.pair_outer else tpos[0]
     return any(ctx.witness(*raw) == witness for raw in spec.gen(ctx, outer))
 
 
@@ -924,6 +960,17 @@ def _intransitive_triple(codes):
     return None
 
 
+def _g_diagram(ctx, t):
+    """Diagram scan; the diagram's table is the context's revision."""
+    for p in ctx.props:
+        triple = _intransitive_triple(_forced_codes(ctx.rev, t, p))
+        if triple is not None:
+            yield (t,), (p,), triple, "forced relations are intransitive on this triple"
+
+
+_DIAGRAM_SCAN = _PostulateDef(_g_diagram)
+
+
 def check_diagram(diagram, n_atoms: int = 2) -> CheckReport:
     """Search for an order the diagram cannot consistently revise.
 
@@ -932,50 +979,23 @@ def check_diagram(diagram, n_atoms: int = 2) -> CheckReport:
     minimal worlds); everything else is forced by success and by
     preservation within each side.  A configuration where the forced
     relations cannot form a transitive order is a violation: the witness
-    names a triple on which transitivity fails.
+    names a triple on which transitivity fails.  Such a triple needs
+    three worlds, so the check takes at least 2 atoms.
     """
     table = _diagram_table(diagram)
     _validate_scope(n_atoms, "exhaustive")
-    ctx = _Ctx(n_atoms)
-    label = diagram if isinstance(diagram, str) else "custom"
-    instances = 0
-    violations = 0
-    witnesses = []
-    for t in enumerate_tpos(n_atoms):
-        for p in ctx.props:
-            instances += 1
-            triple = _intransitive_triple(_forced_codes(table, t, p))
-            if triple is not None:
-                violations += 1
-                if len(witnesses) < WITNESS_CAP:
-                    witnesses.append(
-                        ctx.witness(
-                            (t,),
-                            (p,),
-                            triple,
-                            note="forced relations are intransitive on this triple",
-                        )
-                    )
+    if n_atoms < 2:
+        raise ScopeError("the diagram exclusions need at least three worlds (2 atoms)")
+    tally = _scan(_Ctx(n_atoms, table), _DIAGRAM_SCAN, enumerate_tpos(n_atoms))
     return CheckReport(
-        check_id=f"diagram {label}",
+        check_id=f"diagram {diagram if isinstance(diagram, str) else 'custom'}",
         revision=None,
         contraction=None,
         scope=CheckScope(n_atoms=n_atoms, mode="exhaustive"),
-        instances=instances,
-        violations=violations,
-        outcome="pass" if violations == 0 else "fail",
-        witnesses=tuple(witnesses),
+        instances=tally.instances,
+        violations=tally.violations,
+        witnesses=tuple(tally.witnesses),
     )
-
-
-def _scan_diagram_instance(diagram, n_atoms, t, witness) -> bool:
-    table = _diagram_table(diagram)
-    ctx = _Ctx(n_atoms)
-    p = models(parse_formula(witness.inputs[0], ctx.atoms), ctx.atoms)
-    triple = _intransitive_triple(_forced_codes(table, t, p))
-    if triple is None:
-        return False
-    return tuple(world_str(w, n_atoms) for w in triple) == witness.worlds
 
 
 # ---------------------------------------------------------------------------
@@ -1054,8 +1074,7 @@ def _yn(value: bool) -> str:
 
 
 def _verify_t1(n_atoms: int):
-    if n_atoms < 2:
-        raise ScopeError("the diagram exclusions need at least three worlds (2 atoms)")
+    diagrams = {d: check_diagram(d, n_atoms) for d in DIAGRAM_IDS}
     lines = []
     failures = 0
     for rev in _BUILTIN_REVISIONS:
@@ -1067,8 +1086,7 @@ def _verify_t1(n_atoms: int):
             f"{rev.value}: "
             + " ".join(f"{p}={_yn(v)}" for p, v in outcomes.items())
         )
-    for d in DIAGRAM_IDS:
-        report = check_diagram(d, n_atoms)
+    for d, report in diagrams.items():
         expect_fail = d in ("d", "e", "f")
         if report.passed == expect_fail:
             failures += 1
@@ -1088,43 +1106,30 @@ def _verify_t1(n_atoms: int):
     return instances, failures, "\n".join(lines), ()
 
 
-def _verify_t2(n_atoms: int):
-    lines = []
-    failures = 0
-    for row in pair_profile(n_atoms):
-        if row.nli != row.cr_all:
-            failures += 1
-        crs = " ".join(f"CR{i}={_yn(v)}" for i, v in enumerate(row.cr, start=1))
-        lines.append(
-            f"{row.revision.value} + {row.contraction.value}: NLI={_yn(row.nli)} {crs}"
-        )
-    return 9, failures, "\n".join(lines), ()
+def _verify_equivalence(left: tuple, right: tuple):
+    """T2, T3 and Cor1: on every built-in operator pair, all the left
+    columns of its profile hold iff all the right ones do."""
 
+    def verify(n_atoms: int):
+        rows = pair_profile(n_atoms)
+        lines = []
+        failures = 0
+        for row in rows:
+            columns = {
+                "NLI": row.nli,
+                **{f"CR{i}": v for i, v in enumerate(row.cr, start=1)},
+                "CR1-4": row.cr_all,
+                "SPU": row.spu,
+                "WPU": row.wpu,
+            }
+            failures += all(columns[c] for c in left) != all(columns[c] for c in right)
+            lines.append(
+                f"{row.revision.value} + {row.contraction.value}: "
+                + " ".join(f"{c}={_yn(columns[c])}" for c in left + right)
+            )
+        return len(rows), failures, "\n".join(lines), ()
 
-def _verify_t3(n_atoms: int):
-    lines = []
-    failures = 0
-    for row in pair_profile(n_atoms):
-        if row.cr_all != (row.spu and row.wpu):
-            failures += 1
-        lines.append(
-            f"{row.revision.value} + {row.contraction.value}: "
-            f"CR1-4={_yn(row.cr_all)} SPU={_yn(row.spu)} WPU={_yn(row.wpu)}"
-        )
-    return 9, failures, "\n".join(lines), ()
-
-
-def _verify_cor1(n_atoms: int):
-    lines = []
-    failures = 0
-    for row in pair_profile(n_atoms):
-        if row.nli != (row.spu and row.wpu):
-            failures += 1
-        lines.append(
-            f"{row.revision.value} + {row.contraction.value}: "
-            f"NLI={_yn(row.nli)} SPU={_yn(row.spu)} WPU={_yn(row.wpu)}"
-        )
-    return 9, failures, "\n".join(lines), ()
+    return verify
 
 
 def _verify_t4(n_atoms: int):
@@ -1137,49 +1142,37 @@ def _verify_t4(n_atoms: int):
     """
     ctx = _Ctx(n_atoms)
     pool = list(enumerate_tpos(n_atoms))
-    instances = 0
-    failures = 0
-    witnesses = []
-    resolved: dict = {}
+    tally = _Tally(ctx)
+    resolved: dict = {}  # (contracted, input): the instance's raw witnesses
     for con in _BUILTIN_CONTRACTIONS:
         for t in pool:
             for p in ctx.props:
-                instances += 1
+                tally.instances += 1
                 contracted = contract_by_negation(t, p, con)
                 key = (contracted, p)
-                verdict = resolved.get(key)
-                if verdict is None:
+                if key not in resolved:
                     brute = flattest_satisfier(
                         conditional_set(contracted).adding_plain(p), pool
                     )
                     fast = rational_closure_fast(contracted, p)
-                    verdict = (brute == fast, fast, brute)
-                    resolved[key] = verdict
-                if not verdict[0]:
-                    failures += 1
-                    if len(witnesses) < WITNESS_CAP:
-                        witnesses.append(
-                            ctx.witness(
-                                (contracted, verdict[1], verdict[2]),
-                                (p,),
-                                (),
-                                note="fast path, then brute-force flattest",
-                            )
-                        )
+                    resolved[key] = () if brute == fast else (
+                        ((contracted, fast, brute), (p,), (), "fast path, then brute-force flattest"),
+                    )
+                tally.add(resolved[key])
     detail = (
-        f"{instances} (contracted preorder, input) instances across the three "
+        f"{tally.instances} (contracted preorder, input) instances across the three "
         f"contraction methods ({len(resolved)} distinct); brute-force flattest "
         "satisfier equals the natural-revision fast path on all of them; the "
         "flattest element is checked against every satisfier before it is returned"
     )
-    return instances, failures, detail, tuple(witnesses)
+    return tally.instances, tally.violations, detail, tuple(tally.witnesses)
 
 
 def _verify_p1(n_atoms: int, operators: int = 100):
     pool = [(f"seed {seed}", make_random_dp_operator(seed, n_atoms)) for seed in range(operators)]
     # The three built-ins cover the branch where both sides hold.
     pool.extend((rev.value, rev) for rev in _BUILTIN_REVISIONS)
-    mismatched = []
+    tally = _Tally(_Ctx(n_atoms))
     both_hold = 0
     for label, op in pool:
         betas = postulate_holds("Beta1", op, n_atoms=n_atoms) and postulate_holds(
@@ -1187,19 +1180,15 @@ def _verify_p1(n_atoms: int, operators: int = 100):
         )
         iiai = postulate_holds("IIAI", op, n_atoms=n_atoms)
         if betas != iiai:
-            mismatched.append(label)
+            tally.add([((), (), (), label)])
         if betas:
             both_hold += 1
-    witnesses = tuple(
-        Witness(tpos=(), inputs=(), worlds=(), note=label)
-        for label in mismatched[:WITNESS_CAP]
-    )
     detail = (
         f"operators={len(pool)} ({operators} seeded random, 3 built-in); both "
         f"sides hold for {both_hold}, fail for {len(pool) - both_hold}; "
-        f"equivalence mismatches: {len(mismatched)}"
+        f"equivalence mismatches: {tally.violations}"
     )
-    return len(pool), len(mismatched), detail, witnesses
+    return len(pool), tally.violations, detail, tuple(tally.witnesses)
 
 
 def _verify_p2(n_atoms: int):
@@ -1210,16 +1199,14 @@ def _verify_p2(n_atoms: int):
         top_conditional[p] = Conditional(
             TOP, parse_formula(dnf_of_worlds(p, atoms), atoms)
         )
-    instances = 0
-    failures = 0
-    witnesses = []
+    tally = _Tally(ctx)
     for con in _BUILTIN_CONTRACTIONS:
         for t in enumerate_tpos(n_atoms):
             for p in ctx.props:
                 contracted = contract_by_negation(t, p, con)
                 if contracted.cells[0] <= p:
                     continue  # input believed after contraction: outside the hypothesis
-                instances += 1
+                tally.instances += 1
                 naive = conditional_set(contracted).adding_plain(p)
                 item = top_conditional[p]
                 omitted = not cn_extended_member(naive, item, atoms)
@@ -1230,18 +1217,14 @@ def _verify_p2(n_atoms: int):
                     contained = contained and cn_extended_member(revised_set, item, atoms)
                     identity_fails = identity_fails and naive != revised_set
                 if not (omitted and contained and identity_fails):
-                    failures += 1
-                    if len(witnesses) < WITNESS_CAP:
-                        witnesses.append(
-                            ctx.witness((t,), (p,), (), note=f"contraction {con.value}")
-                        )
+                    tally.add([((t,), (p,), (), f"contraction {con.value}")])
     detail = (
-        f"{instances} instances with the input not believed after contraction; "
+        f"{tally.instances} instances with the input not believed after contraction; "
         "the plain extended consequence omits the top-conditional for the input "
         "while every revision's conditional set contains it, so the naive "
         "identity fails on all of them"
     )
-    return instances, failures, detail, tuple(witnesses)
+    return tally.instances, tally.violations, detail, tuple(tally.witnesses)
 
 
 class _NliComposition:
@@ -1252,11 +1235,7 @@ class _NliComposition:
         self.rev = rev
 
     def posterior(self, t: Tpo, sentence_models: frozenset) -> Tpo:
-        return revise(
-            contract_by_negation(t, sentence_models, self.con),
-            sentence_models,
-            self.rev,
-        )
+        return nli_revise(t, sentence_models, self.con, self.rev)
 
     def __repr__(self) -> str:
         return f"{self.con.value} then {self.rev.value}"
@@ -1321,14 +1300,12 @@ def _verify_p5(n_atoms: int):
 def _verify_l_flattest(n_atoms: int):
     ctx = _Ctx(n_atoms)
     pool = list(enumerate_tpos(n_atoms))
-    instances = 0
-    failures = 0
-    witnesses = []
+    tally = _Tally(ctx)
     for t in pool:
         r = t.rank
         strict = tuple((x, y) for x, y in ctx.opairs if r[x] < r[y])
         for p in ctx.props:
-            instances += 1
+            tally.instances += 1
             flattest = revise(t, p, Revision.NATURAL)
             for s in pool:
                 if not s.cells[0] <= p:
@@ -1337,29 +1314,22 @@ def _verify_l_flattest(n_atoms: int):
                 if any(not rs[x] < rs[y] for x, y in strict):
                     continue
                 if not flatter_eq(flattest, s):
-                    failures += 1
-                    if len(witnesses) < WITNESS_CAP:
-                        witnesses.append(
-                            ctx.witness(
-                                (t, s, flattest),
-                                (p,),
-                                (),
-                                note="satisfier not below the natural revision",
-                            )
-                        )
+                    tally.add(
+                        [((t, s, flattest), (p,), (), "satisfier not below the natural revision")]
+                    )
     detail = (
-        f"{instances} instances; the natural revision of the contracted preorder "
+        f"{tally.instances} instances; the natural revision of the contracted preorder "
         "is at least as flat as every preorder preserving its strict "
         "preferences and believing the input"
     )
-    return instances, failures, detail, tuple(witnesses)
+    return tally.instances, tally.violations, detail, tuple(tally.witnesses)
 
 
 _CLAIMS = {
     "T1": _verify_t1,
-    "T2": _verify_t2,
-    "T3": _verify_t3,
-    "Cor1": _verify_cor1,
+    "T2": _verify_equivalence(("NLI",), ("CR1", "CR2", "CR3", "CR4")),
+    "T3": _verify_equivalence(("CR1-4",), ("SPU", "WPU")),
+    "Cor1": _verify_equivalence(("NLI",), ("SPU", "WPU")),
     "T4": _verify_t4,
     "P1": _verify_p1,
     "P2": _verify_p2,
@@ -1384,7 +1354,6 @@ def verify_claim(claim: str, n_atoms: int = 2, **kwargs) -> CheckReport:
         scope=CheckScope(n_atoms=n_atoms, mode="exhaustive"),
         instances=instances,
         violations=failures,
-        outcome="pass" if failures == 0 else "fail",
         witnesses=witnesses,
         detail=detail,
     )

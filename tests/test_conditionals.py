@@ -66,9 +66,7 @@ def test_plain_sentence_holds_when_minimal_worlds_support_it():
 
 
 def test_closure_of_a_rational_set_is_the_set_itself():
-    result = rational_closure(conditional_set(M0), 2)
-    assert result.tpo == M0
-    assert result.closure.cond_pairs == conditional_set(M0).cond_pairs
+    assert rational_closure(conditional_set(M0), 2) == M0
 
 
 def test_contradictory_top_conditionals_are_unsatisfiable():
@@ -82,8 +80,8 @@ def test_closure_of_contracted_set_plus_input():
     assert format_tpo(contracted) == "00 11 | 01 10"
     delta = conditional_set(contracted).adding_plain(mod("p"))
     result = rational_closure(delta, 2)
-    assert format_tpo(result.tpo) == "11 | 00 | 01 10"
-    assert result.tpo == revise(contracted, mod("p"), Revision.NATURAL)
+    assert format_tpo(result) == "11 | 00 | 01 10"
+    assert result == revise(contracted, mod("p"), Revision.NATURAL)
 
 
 def test_closure_result_satisfies_its_input():
@@ -94,7 +92,7 @@ def test_closure_result_satisfies_its_input():
             delta = conditional_set(contracted).adding_plain(p)
             result = flattest_satisfier(delta, pool)
             assert satisfies(result, delta)
-            assert rational_closure(delta, 2).tpo == result
+            assert rational_closure(delta, 2) == result
 
 
 def test_closure_is_idempotent():
@@ -106,8 +104,8 @@ def test_closure_is_idempotent():
             first = flattest_satisfier(delta, pool)
             again = flattest_satisfier(conditional_set(first), pool)
             assert again == first
-            assert rational_closure(delta, 2).tpo == first
-            assert rational_closure(conditional_set(first), 2).tpo == first
+            assert rational_closure(delta, 2) == first
+            assert rational_closure(conditional_set(first), 2) == first
 
 
 def test_closure_preserves_contracted_strict_preferences():
@@ -117,7 +115,7 @@ def test_closure_preserves_contracted_strict_preferences():
             contracted = contract_by_negation(t, p, Contraction.STQ_LEX)
             delta = conditional_set(contracted).adding_plain(p)
             result = flattest_satisfier(delta, pool)
-            assert rational_closure(delta, 2).tpo == result
+            assert rational_closure(delta, 2) == result
             rc, rr = contracted.rank, result.rank
             for x in range(4):
                 for y in range(4):
@@ -155,7 +153,7 @@ def _assert_z_is_the_flattest_satisfier(delta, pool):
         with pytest.raises(UnsatisfiableError):
             flattest_satisfier(delta, pool)
         return False
-    z = rational_closure(delta, 2).tpo
+    z = rational_closure(delta, 2)
     assert z in satisfiers, delta
     assert all(flatter_eq(z, t) for t in satisfiers), delta
     assert flattest_satisfier(delta, pool) == z
@@ -219,17 +217,17 @@ def test_system_z_equals_the_fast_path_at_three_atoms():
     rng = random.Random(11)
     for contracted, p in _contracted_instances(rng, 3, 30):
         delta = conditional_set(contracted).adding_plain(p)
-        assert rational_closure(delta, 3).tpo == rational_closure_fast(contracted, p)
+        assert rational_closure(delta, 3) == rational_closure_fast(contracted, p)
 
 
 def test_system_z_at_four_atoms():
     rng = random.Random(4)
     for _ in range(2):
         t = _random_tpo(rng, 4)
-        assert rational_closure(conditional_set(t), 4).tpo == t
+        assert rational_closure(conditional_set(t), 4) == t
     for contracted, p in _contracted_instances(rng, 4, 3):
         delta = conditional_set(contracted).adding_plain(p)
-        assert rational_closure(delta, 4).tpo == revise(contracted, p, Revision.NATURAL)
+        assert rational_closure(delta, 4) == revise(contracted, p, Revision.NATURAL)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +250,7 @@ def test_fast_path_agrees_with_brute_force_on_contracted_instances():
             delta = conditional_set(contracted).adding_plain(p)
             fast = rational_closure_fast(contracted, p)
             assert flattest_satisfier(delta, pool) == fast
-            assert rational_closure(delta, 2).tpo == fast
+            assert rational_closure(delta, 2) == fast
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from beliefchange.postulates import (
     _BUILTIN_REVISIONS,
     _POSTULATES,
     CLAIM_IDS,
+    DIAGRAM_IDS,
     POSTULATE_IDS,
     WITNESS_CAP,
     Witness,
@@ -102,6 +103,18 @@ def test_missing_contraction_is_rejected():
         check_postulate("nonsense", Revision.NATURAL, n_atoms=2)
     with pytest.raises(ValueError):
         check_postulate("DP1", None, n_atoms=2)
+
+
+def test_postulate_holds_and_replay_reject_bad_arguments_like_check_postulate():
+    witness = Witness(tpos=("00 | 01 | 10 | 11",), inputs=("p",), worlds=())
+    with pytest.raises(ValueError):
+        postulate_holds("nonsense", Revision.NATURAL, n_atoms=2)
+    with pytest.raises(ValueError):
+        postulate_holds("DP1", None, n_atoms=2)
+    with pytest.raises(MissingContractionError):
+        postulate_holds("SPU", Revision.NATURAL, n_atoms=2)
+    with pytest.raises(ValueError):
+        replay_witness("nonsense", witness, Revision.NATURAL, n_atoms=2)
 
 
 def test_scope_limits():
@@ -270,6 +283,25 @@ def test_diagram_witnesses_replay():
     report = check_diagram("d", 2)
     for witness in report.witnesses:
         assert replay_witness(report.check_id, witness, n_atoms=2)
+
+
+def test_custom_diagram_witnesses_replay_under_their_table():
+    table = {1: 1, 0: 0, -1: 0}
+    report = check_diagram(table, 2)
+    assert report.check_id == "diagram custom" and report.witnesses
+    for witness in report.witnesses:
+        assert replay_witness(report.check_id, witness, table, n_atoms=2)
+        # an admissible table forces no intransitive triple
+        assert not replay_witness(report.check_id, witness, {1: 1, 0: 1, -1: -1}, n_atoms=2)
+    with pytest.raises(MalformedDiagramError):
+        replay_witness(report.check_id, report.witnesses[0], n_atoms=2)
+
+
+def test_diagrams_need_two_atoms():
+    # Two worlds cannot form an intransitive triple: a pass would be vacuous.
+    for d in DIAGRAM_IDS:
+        with pytest.raises(ScopeError):
+            check_diagram(d, 1)
 
 
 def test_malformed_diagrams_are_rejected():
