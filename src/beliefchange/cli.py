@@ -5,7 +5,8 @@ Commands::
 
     beliefchange [--format text|machine] run <file>
     beliefchange [--format text|machine] check <postulate> <revision> [<contraction>]
-                 --n <k> --mode <exhaustive|sampled> [--seed S] [--sample N] [--workers W]
+                 --n <k> [--mode exhaustive | --mode sampled [--seed S] [--sample N]]
+                 [--workers W]
     beliefchange [--format text|machine] verify <claim> --n <k>
     beliefchange [--format text|machine] closure <file> --n <k> [--atoms ...]
 

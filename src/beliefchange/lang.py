@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 from .exceptions import FormulaSyntaxError, UnknownAtomError
@@ -150,6 +151,7 @@ def check_atoms(atoms: Sequence[str]) -> tuple[str, ...]:
     return atoms
 
 
+@lru_cache(maxsize=None)
 def all_worlds(n_atoms: int) -> WorldSet:
     return frozenset(range(1 << n_atoms))
 

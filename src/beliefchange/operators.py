@@ -18,6 +18,9 @@ The recurrence makes the contraction's first cell the union of the prior
 beliefs with the revised beliefs, and preserves any strict preference on
 which the two merged orders agree.
 
+The operators work on the preorders' cell masks (see ``tpo``) and build
+each result through the one validating mask constructor.
+
 All functions are pure; every value is immutable.
 """
 
@@ -29,7 +32,17 @@ from functools import lru_cache
 from typing import Union
 
 from .exceptions import AbsurdStateError, InconsistentInputError
-from .tpo import Absurd, State, Tpo, enumerate_tpos, min_worlds, propositions
+from .tpo import (
+    Absurd,
+    State,
+    Tpo,
+    _full_mask,
+    _input_mask,
+    _min_mask,
+    _tpo,
+    enumerate_tpos,
+    propositions,
+)
 
 
 class Revision(enum.Enum):
@@ -105,39 +118,54 @@ def revise(t: Tpo, sentence_models: frozenset, method: RevisionMethod) -> Tpo:
     composed operators used by the checker).
     """
     _require_consistent(sentence_models)
-    if not sentence_models <= t.world_set:
-        raise ValueError("input models outside this preorder's world set")
+    mask = _input_mask(sentence_models, t.n_atoms)
     if not isinstance(method, Revision):
         posterior = getattr(method, "posterior", None)
         if posterior is None:
             raise TypeError(f"not a revision method: {method!r}")
         return posterior(t, sentence_models)
-    minimal = min_worlds(t, sentence_models)
-    cells = [minimal]
+    return _tpo(_revision_masks(t.masks, mask, method), t.n_atoms)
+
+
+def _revision_masks(masks: tuple, s: int, method: Revision) -> tuple:
+    """Cell masks of a built-in revision of ``masks`` by the input mask ``s``."""
+    out = ~s
+    if method is Revision.LEXICOGRAPHIC:
+        inside = [c for m in masks if (c := m & s)]
+        return tuple(inside + [c for m in masks if (c := m & out)])
+    minimal = _min_mask(masks, s)
     if method is Revision.NATURAL:
-        for cell in t.cells:
-            rest = cell - minimal
-            if rest:
-                cells.append(rest)
-    elif method is Revision.RESTRAINED:
-        for cell in t.cells:
-            inside = (cell & sentence_models) - minimal
-            outside = cell - sentence_models
-            if inside:
-                cells.append(inside)
-            if outside:
-                cells.append(outside)
-    else:
-        cells = []
-        for cell in t.cells:
-            inside = cell & sentence_models
-            if inside:
-                cells.append(inside)
-        for cell in t.cells:
-            outside = cell - sentence_models
-            if outside:
-                cells.append(outside)
-    return Tpo(tuple(cells), t.n_atoms)
+        rest = ~minimal
+        return (minimal, *[c for m in masks if (c := m & rest)])
+    # restrained: each prior cell splits into its input and other worlds
+    inside = s & ~minimal
+    cells = [minimal]
+    for m in masks:
+        if m & inside:
+            cells.append(m & inside)
+        if m & out:
+            cells.append(m & out)
+    return tuple(cells)
+
+
+def _merge_masks(a: tuple, b: tuple, full: int) -> tuple:
+    """Cell masks of the synchronized-minima merge of two mask partitions.
+
+    Once a cell has no unassigned world left it never has one again, so
+    each side's current minimum only moves forward.
+    """
+    cells = []
+    remaining = full
+    i = j = 0
+    while remaining:
+        while not a[i] & remaining:
+            i += 1
+        while not b[j] & remaining:
+            j += 1
+        current = (a[i] | b[j]) & remaining
+        cells.append(current)
+        remaining &= ~current
+    return tuple(cells)
 
 
 def stq_merge(t1: Tpo, t2: Tpo) -> Tpo:
@@ -148,19 +176,16 @@ def stq_merge(t1: Tpo, t2: Tpo) -> Tpo:
     """
     if t1.n_atoms != t2.n_atoms:
         raise ValueError("cannot merge preorders over different atom counts")
-    remaining = set(t1.world_set)
-    cells = []
-    while remaining:
-        current: set = set()
-        for t in (t1, t2):
-            for cell in t.cells:
-                alive = cell & remaining
-                if alive:
-                    current |= alive
-                    break
-        cells.append(frozenset(current))
-        remaining -= current
-    return Tpo(tuple(cells), t1.n_atoms)
+    return _tpo(_merge_masks(t1.masks, t2.masks, _full_mask(t1.n_atoms)), t1.n_atoms)
+
+
+def _contraction(t: Tpo, mask: int, method: Contraction) -> Tpo:
+    """Contraction of a preorder by a consistent input mask."""
+    full = _full_mask(t.n_atoms)
+    if mask == full:
+        return t
+    revised = _revision_masks(t.masks, full & ~mask, method.base)
+    return _tpo(_merge_masks(t.masks, revised, full), t.n_atoms)
 
 
 def contract(state: State, sentence_models: frozenset, method: Contraction) -> Tpo:
@@ -173,11 +198,8 @@ def contract(state: State, sentence_models: frozenset, method: Contraction) -> T
     """
     _require_consistent(sentence_models)
     if isinstance(state, Absurd):
-        return Tpo((frozenset(range(1 << state.n_atoms)),), state.n_atoms)
-    if sentence_models == state.world_set:
-        return state
-    negated = state.world_set - sentence_models
-    return stq_merge(state, revise(state, negated, method.base))
+        return _tpo((_full_mask(state.n_atoms),), state.n_atoms)
+    return _contraction(state, _input_mask(sentence_models, state.n_atoms), method)
 
 
 def expand(state: State, sentence_models: frozenset, base: RevisionMethod) -> State:
@@ -188,7 +210,7 @@ def expand(state: State, sentence_models: frozenset, base: RevisionMethod) -> St
     if isinstance(state, Absurd):
         raise AbsurdStateError("expansion of the absurd state is undefined")
     _require_consistent(sentence_models)
-    if not state.cells[0] & sentence_models:
+    if not state.masks[0] & _input_mask(sentence_models, state.n_atoms):
         return Absurd(state.n_atoms)
     return revise(state, sentence_models, base)
 
@@ -215,10 +237,10 @@ def contract_by_negation(
 ) -> Tpo:
     """Contract by the input's negation, vacuously when that is inconsistent."""
     _require_consistent(sentence_models)
-    negated = t.world_set - sentence_models
+    negated = _full_mask(t.n_atoms) & ~_input_mask(sentence_models, t.n_atoms)
     if not negated:
         return t
-    return contract(t, negated, method)
+    return _contraction(t, negated, method)
 
 
 # ---------------------------------------------------------------------------

@@ -808,12 +808,15 @@ def check_postulate(
     """Quantify one postulate over its whole instance space and report.
 
     Exhaustive mode enumerates every preorder (or preorder pair);
-    sampled mode draws ``sample`` of them with a seeded generator.
+    sampled mode draws ``sample`` of them with a seeded generator, and
+    only sampled mode takes a ``seed`` or ``sample``.
     Violations are counted in full; the report keeps the first ten
     witnesses in enumeration order, whatever the worker count.
     """
     spec = _spec(postulate, revision, contraction)
     _validate_scope(n_atoms, mode)
+    if mode != "sampled" and (seed is not None or sample is not None):
+        raise ScopeError("a seed or sample size applies only to sampled mode")
     if sample is not None and sample < 1:
         raise ScopeError("the sample size must be at least 1")
     if workers < 1:
@@ -823,8 +826,6 @@ def check_postulate(
         sample = 10000 if sample is None else sample
         total = sample
     else:
-        seed = None
-        sample = None
         total = count_tpos(n_atoms)
         if spec.pair_outer:
             total *= total

@@ -5,6 +5,16 @@ the world set; cell index (1-based) is the rank, and lower rank means
 more plausible.  ``x`` is at least as plausible as ``y`` exactly when
 ``rank(x) <= rank(y)``.
 
+The working form of a cell is an int mask with bit ``w`` set for world
+``w``: a preorder's value is its tuple of cell masks plus its atom
+count, and the operators, ``min_worlds``, ``rank`` and the enumeration
+all work on masks.  ``Tpo.cells`` is a view of the same cells as
+frozensets, built on first use, for the text form, the tabular
+operators' keys and callers that work on world sets.  Tables between
+masks and world sets fill lazily, one entry per world set actually met.
+Every preorder, whether built from cells or from masks, is validated by
+the one ``Tpo.__post_init__``.
+
 The module also carries everything the checker quantifies over: the
 enumeration of all ordered partitions (with an index-based unranking so
 parallel workers and samplers can restart the stream anywhere), the
@@ -20,7 +30,7 @@ ascending within a cell, cells separated by ``|``, e.g.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator, Union
@@ -29,56 +39,193 @@ from .exceptions import EmptyModelSetError, PartitionError
 from .lang import MixedSet, Conditional, all_worlds, models, parse_world, world_str
 
 
-@dataclass(frozen=True)
-class Tpo:
-    """Ordered partition of the 2^n_atoms worlds; validates on construction."""
+# ---------------------------------------------------------------------------
+# Cell masks
 
-    cells: tuple
-    n_atoms: int
+@lru_cache(maxsize=None)
+def _full_mask(n_atoms: int) -> int:
+    return (1 << (1 << n_atoms)) - 1
+
+
+class _LazyTable(dict):
+    """A dict that computes and keeps the value of each key on its first
+    lookup, so it holds only the keys actually met."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
+def _mask_of(worlds: Iterable[int]) -> int:
+    mask = 0
+    for w in worlds:
+        mask |= 1 << w
+    return mask
+
+
+# mask -> its worlds ascending; mask -> frozenset; frozenset -> mask
+_WORLDS = _LazyTable(lambda mask: tuple(w for w in range(mask.bit_length()) if mask >> w & 1))
+_FROZEN = _LazyTable(lambda mask: frozenset(_WORLDS[mask]))
+_MASKS = _LazyTable(_mask_of)
+
+
+def _mask_set(worlds: Iterable[int]) -> int:
+    """Mask of a world set; a frozenset's mask is computed once."""
+    if type(worlds) is frozenset:
+        return _MASKS[worlds]
+    return _mask_of(worlds)
+
+
+def _input_mask(worlds: Iterable[int], n_atoms: int) -> int:
+    """Mask of an input world set; rejects worlds outside the world set."""
+    try:
+        mask = _mask_set(worlds)
+    except (TypeError, ValueError):  # an item that is no world index
+        mask = -1
+    if mask & ~_full_mask(n_atoms):
+        raise ValueError("input models outside this preorder's world set")
+    return mask
+
+
+def _min_mask(masks: tuple, mask: int) -> int:
+    """The rank-minimal part of a nonempty world mask."""
+    for cell in masks:
+        hit = cell & mask
+        if hit:
+            return hit
+    raise EmptyModelSetError("minimisation over an empty world set")
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+class Tpo:
+    """Ordered partition of the 2^n_atoms worlds; validates on construction.
+
+    ``masks`` holds one int per cell, bit ``w`` set for world ``w``; the
+    value of a preorder (equality, hash) is ``(masks, n_atoms)``.
+    ``cells`` is the same partition as a tuple of frozensets, built on
+    first use.  Instances are immutable.
+    """
+
+    __slots__ = ("masks", "n_atoms", "_hash", "_rank", "_cells")
+
+    def __init__(self, cells: Iterable[Iterable[int]], n_atoms: int):
+        masks = []
+        for cell in cells:
+            try:
+                masks.append(_mask_set(cell))
+            except (TypeError, ValueError):  # an item that is no world index
+                bad = sorted(w for w in cell if not (isinstance(w, int) and w >= 0))
+                raise PartitionError(f"unknown worlds {bad}") from None
+        _set(self, "masks", tuple(masks))
+        _set(self, "n_atoms", n_atoms)
+        self.__post_init__()
 
     def __post_init__(self):
-        worlds = all_worlds(self.n_atoms)
-        seen: set = set()
-        for cell in self.cells:
-            if not cell:
+        """Accept nonempty disjoint cells covering the world set, else raise."""
+        seen = 0
+        for mask in self.masks:
+            if not mask or mask & seen:
+                break
+            seen |= mask
+        else:
+            if seen == _full_mask(self.n_atoms):
+                return
+        self._reject()
+
+    def _reject(self):
+        """Raise the error for the first fault, in cell order."""
+        full = _full_mask(self.n_atoms)
+        seen = 0
+        for mask in self.masks:
+            if not mask:
                 raise PartitionError("empty cell")
-            if not cell <= worlds:
-                bad = sorted(cell - worlds)
-                raise PartitionError(f"unknown worlds {bad}")
-            if cell & seen:
-                overlap = sorted(cell & seen)
+            if mask & ~full:
+                raise PartitionError(f"unknown worlds {list(_WORLDS[mask & ~full])}")
+            if mask & seen:
+                overlap = list(_WORLDS[mask & seen])
                 raise PartitionError(f"worlds {overlap} appear in more than one cell")
-            seen |= cell
-        if seen != worlds:
-            missing = sorted(worlds - seen)
-            missing_text = ", ".join(world_str(w, self.n_atoms) for w in missing)
-            raise PartitionError(f"worlds not covered: {missing_text}")
+            seen |= mask
+        missing_text = ", ".join(world_str(w, self.n_atoms) for w in _WORLDS[full & ~seen])
+        raise PartitionError(f"worlds not covered: {missing_text}")
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _tpo, (self.masks, self.n_atoms)
+
+    def __eq__(self, other):
+        if other.__class__ is not Tpo:
+            return NotImplemented
+        return self.masks == other.masks and self.n_atoms == other.n_atoms
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.masks, self.n_atoms))
+            _set(self, "_hash", value)
+            return value
 
     @property
     def rank(self) -> tuple:
         """1-based rank of each world, indexed by world."""
-        cached = self.__dict__.get("_rank")
-        if cached is None:
+        try:
+            return self._rank
+        except AttributeError:
             ranks = [0] * (1 << self.n_atoms)
-            for index, cell in enumerate(self.cells, start=1):
-                for w in cell:
+            index = 0
+            for mask in self.masks:
+                index += 1
+                for w in _WORLDS[mask]:
                     ranks[w] = index
-            cached = tuple(ranks)
-            object.__setattr__(self, "_rank", cached)
-        return cached
+            ranks = tuple(ranks)
+            _set(self, "_rank", ranks)
+            return ranks
+
+    @property
+    def cells(self) -> tuple:
+        """The cells as frozensets of worlds, lowest rank first."""
+        try:
+            return self._cells
+        except AttributeError:
+            cells = tuple([_FROZEN[mask] for mask in self.masks])
+            _set(self, "_cells", cells)
+            return cells
 
     @property
     def world_set(self) -> frozenset:
         return all_worlds(self.n_atoms)
 
+    def __repr__(self) -> str:
+        return f"Tpo(cells={self.cells!r}, n_atoms={self.n_atoms!r})"
+
     def __str__(self) -> str:
         return format_tpo(self)
 
 
+def _tpo(masks: tuple, n_atoms: int) -> Tpo:
+    """The preorder with these cell masks, validated like any other."""
+    t = _new(Tpo)
+    _set(t, "masks", masks)
+    _set(t, "n_atoms", n_atoms)
+    t.__post_init__()
+    return t
+
+
 def format_tpo(t: Tpo) -> str:
-    return " | ".join(
-        " ".join(world_str(w, t.n_atoms) for w in sorted(cell)) for cell in t.cells
-    )
+    n = t.n_atoms
+    return " | ".join(" ".join(world_str(w, n) for w in _WORLDS[mask]) for mask in t.masks)
 
 
 def parse_tpo(text: str, n_atoms: int) -> Tpo:
@@ -121,13 +268,9 @@ def beliefs(state: State) -> frozenset:
 # Basic order operations
 
 def min_worlds(t: Tpo, s: Iterable[int]) -> frozenset:
-    """The rank-minimal elements of ``s``; rejects the empty selection."""
-    s = frozenset(s)
-    if not s:
-        raise EmptyModelSetError("minimisation over an empty world set")
-    rank = t.rank
-    best = min(rank[w] for w in s)
-    return frozenset(w for w in s if rank[w] == best)
+    """The rank-minimal elements of ``s``; rejects the empty selection and
+    worlds outside the preorder's world set."""
+    return _FROZEN[_min_mask(t.masks, _input_mask(s, t.n_atoms))]
 
 
 def flatter_eq(t1: Tpo, t2: Tpo) -> bool:
@@ -137,13 +280,12 @@ def flatter_eq(t1: Tpo, t2: Tpo) -> bool:
     partitions differ must be strictly larger in ``t1``.  Shorter
     partitions are padded with trailing empty cells for the comparison.
     """
-    length = max(len(t1.cells), len(t2.cells))
-    empty: frozenset = frozenset()
-    for i in range(length):
-        a = t1.cells[i] if i < len(t1.cells) else empty
-        b = t2.cells[i] if i < len(t2.cells) else empty
+    m1, m2 = t1.masks, t2.masks
+    for i in range(max(len(m1), len(m2))):
+        a = m1[i] if i < len(m1) else 0
+        b = m2[i] if i < len(m2) else 0
         if a != b:
-            return a > b
+            return a & b == b
     return True
 
 
@@ -165,23 +307,37 @@ def count_tpos(n_atoms: int) -> int:
     return count_ordered_partitions(1 << n_atoms)
 
 
-def _first_cells(worlds: tuple) -> Iterator[tuple]:
-    for size in range(1, len(worlds) + 1):
-        yield from itertools.combinations(worlds, size)
-
-
-def _ordered_partitions(worlds: tuple) -> Iterator[tuple]:
-    if not worlds:
+def _ordered_partitions(bits: tuple) -> Iterator[tuple]:
+    """Cell-mask tuples of every ordered partition of the worlds in
+    ``bits`` (one single-world mask each): first cells by increasing
+    size, lexicographically within a size, then the rest recursively."""
+    if not bits:
         yield ()
         return
-    for first in _first_cells(worlds):
-        chosen = frozenset(first)
-        rest = tuple(w for w in worlds if w not in chosen)
-        for tail in _ordered_partitions(rest):
-            yield (chosen,) + tail
+    for size in range(1, len(bits) + 1):
+        for chosen in itertools.combinations(bits, size):
+            first = sum(chosen)
+            rest = tuple(b for b in bits if not b & first)
+            tails = _kept_partitions(rest) if len(rest) <= 4 else _ordered_partitions(rest)
+            for tail in tails:
+                yield (first,) + tail
+
+
+@lru_cache(maxsize=None)
+def _kept_partitions(bits: tuple) -> tuple:
+    """``_ordered_partitions`` of at most four worlds, kept, since the same
+    small rest recurs in many branches; at three atoms the kept rests hold
+    6071 partitions in all."""
+    return tuple(_ordered_partitions(bits))
 
 
 MAX_ENUMERATION_ATOMS = 3
+
+
+def _world_bits(n_atoms: int) -> tuple:
+    if n_atoms > MAX_ENUMERATION_ATOMS:
+        raise ValueError(f"enumeration supports at most {MAX_ENUMERATION_ATOMS} atoms")
+    return tuple(1 << w for w in range(1 << n_atoms))
 
 
 def enumerate_tpos(n_atoms: int) -> Iterator[Tpo]:
@@ -192,32 +348,35 @@ def enumerate_tpos(n_atoms: int) -> Iterator[Tpo]:
     unranks the same order.  Capped at three atoms: beyond that the
     ordered-partition count is out of reach for any exhaustive use.
     """
-    if n_atoms > MAX_ENUMERATION_ATOMS:
-        raise ValueError(f"enumeration supports at most {MAX_ENUMERATION_ATOMS} atoms")
-    for cells in _ordered_partitions(tuple(range(1 << n_atoms))):
-        yield Tpo(cells, n_atoms)
+    bits = _world_bits(n_atoms)
+    for masks in _ordered_partitions(bits):
+        yield _tpo(masks, n_atoms)
 
 
-def _unrank(index: int, worlds: tuple) -> tuple:
-    if not worlds:
-        if index != 0:
+def _unrank(index: int, bits: tuple) -> tuple:
+    """Cell masks of the index-th ordered partition of ``_ordered_partitions``."""
+    if index < 0:
+        raise IndexError("ordered-partition index out of range")
+    masks = []
+    while bits:
+        for size in range(1, len(bits) + 1):
+            tail_count = count_ordered_partitions(len(bits) - size)
+            group = comb(len(bits), size) * tail_count
+            if index < group:
+                break
+            index -= group
+        else:
             raise IndexError("ordered-partition index out of range")
-        return ()
-    for first in _first_cells(worlds):
-        tail_count = count_ordered_partitions(len(worlds) - len(first))
-        if index < tail_count:
-            chosen = frozenset(first)
-            rest = tuple(w for w in worlds if w not in chosen)
-            return (chosen,) + _unrank(index, rest)
-        index -= tail_count
-    raise IndexError("ordered-partition index out of range")
+        position, index = divmod(index, tail_count)
+        first = sum(next(itertools.islice(itertools.combinations(bits, size), position, None)))
+        masks.append(first)
+        bits = tuple(b for b in bits if not b & first)
+    return tuple(masks)
 
 
 def tpo_at_index(index: int, n_atoms: int) -> Tpo:
     """The index-th Tpo of ``enumerate_tpos``; supports restartable streams."""
-    if n_atoms > MAX_ENUMERATION_ATOMS:
-        raise ValueError(f"enumeration supports at most {MAX_ENUMERATION_ATOMS} atoms")
-    return Tpo(_unrank(index, tuple(range(1 << n_atoms))), n_atoms)
+    return _tpo(_unrank(index, _world_bits(n_atoms)), n_atoms)
 
 
 @lru_cache(maxsize=8)
@@ -296,7 +455,11 @@ def conditional_set(t: Tpo) -> MixedSet:
     to its minimal-world set, and the plain part is the belief set.  Two
     preorders have equal conditional sets exactly when they are equal.
     """
-    pairs = frozenset((p, min_worlds(t, p)) for p in propositions(t.n_atoms))
+    masks = t.masks
+    pairs = frozenset(
+        (p, _FROZEN[_min_mask(masks, mask)])
+        for mask, p in enumerate(propositions(t.n_atoms), start=1)
+    )
     return MixedSet(
         plain_models=t.cells[0], cond_pairs=pairs, weakening_closed=True
     )

@@ -238,6 +238,8 @@ def test_check_usage_errors_exit_2(capsys):
         ["check", "DP1", "natural", "--n", "-1"],
         ["check", "DP1", "natural", "--n", "2", "--workers", "0"],
         ["check", "DP1", "natural", "--n", "2", "--workers", "-3"],
+        ["check", "DP1", "natural", "--n", "2", "--sample", "5", "--seed", "3"],
+        ["check", "DP1", "natural", "--n", "2", "--mode", "exhaustive", "--seed", "3"],
         ["verify", "T2", "--n", "0"],
         ["verify", "T1", "--n", "1"],
         ["verify", "T1", "--n", "0"],

@@ -1,6 +1,13 @@
+import pickle
+import random
+
 import pytest
 
-from beliefchange.exceptions import AbsurdStateError, InconsistentInputError
+from beliefchange.exceptions import (
+    AbsurdStateError,
+    EmptyModelSetError,
+    InconsistentInputError,
+)
 from beliefchange.lang import models, parse_formula
 from beliefchange.operators import (
     Contraction,
@@ -13,14 +20,17 @@ from beliefchange.operators import (
     revise,
     stq_merge,
 )
-from beliefchange.postulates import postulate_holds
+from beliefchange.postulates import _NliComposition, postulate_holds
 from beliefchange.tpo import (
     Absurd,
+    Tpo,
+    count_tpos,
     enumerate_tpos,
     format_tpo,
     min_worlds,
     parse_tpo,
     propositions,
+    tpo_at_index,
 )
 
 ATOMS = ("p", "q")
@@ -65,6 +75,14 @@ def test_revision_rejects_inconsistent_input():
 def test_revision_rejects_foreign_worlds():
     with pytest.raises(ValueError):
         revise(M0, frozenset({9}), Revision.NATURAL)
+
+
+def test_contraction_rejects_foreign_worlds():
+    for worlds in ({0, 9}, {-1}):
+        with pytest.raises(ValueError, match="outside this preorder's world set"):
+            contract(M0, frozenset(worlds), Contraction.NATURAL)
+        with pytest.raises(ValueError, match="outside this preorder's world set"):
+            contract_by_negation(M0, frozenset(worlds), Contraction.NATURAL)
 
 
 # ---------------------------------------------------------------------------
@@ -229,3 +247,148 @@ def test_tabular_operator_rejects_unknown_instances():
     op = make_random_dp_operator(0, 2)
     with pytest.raises(LookupError):
         op.posterior(parse_tpo("0 | 1", 1), frozenset({0}))
+
+
+# ---------------------------------------------------------------------------
+# The frozenset operators the mask core replaced, kept as the oracle
+
+
+def _oracle_min_worlds(t, s):
+    s = frozenset(s)
+    if not s:
+        raise EmptyModelSetError("minimisation over an empty world set")
+    rank = {w: i for i, cell in enumerate(t.cells) for w in cell}
+    best = min(rank[w] for w in s)
+    return frozenset(w for w in s if rank[w] == best)
+
+
+def _oracle_revise(t, sentence_models, method):
+    minimal = _oracle_min_worlds(t, sentence_models)
+    cells = [minimal]
+    if method is Revision.NATURAL:
+        for cell in t.cells:
+            rest = cell - minimal
+            if rest:
+                cells.append(rest)
+    elif method is Revision.RESTRAINED:
+        for cell in t.cells:
+            inside = (cell & sentence_models) - minimal
+            outside = cell - sentence_models
+            if inside:
+                cells.append(inside)
+            if outside:
+                cells.append(outside)
+    else:
+        cells = [cell & sentence_models for cell in t.cells if cell & sentence_models]
+        cells += [cell - sentence_models for cell in t.cells if cell - sentence_models]
+    return Tpo(tuple(cells), t.n_atoms)
+
+
+def _oracle_stq_merge(t1, t2):
+    remaining = set(t1.world_set)
+    cells = []
+    while remaining:
+        current = set()
+        for t in (t1, t2):
+            for cell in t.cells:
+                alive = cell & remaining
+                if alive:
+                    current |= alive
+                    break
+        cells.append(frozenset(current))
+        remaining -= current
+    return Tpo(tuple(cells), t1.n_atoms)
+
+
+def _oracle_contract(t, sentence_models, method):
+    if sentence_models == t.world_set:
+        return t
+    negated = t.world_set - sentence_models
+    return _oracle_stq_merge(t, _oracle_revise(t, negated, method.base))
+
+
+def _assert_matches_oracle(t, p):
+    assert min_worlds(t, p) == _oracle_min_worlds(t, p)
+    for method in Revision:
+        got, expected = revise(t, p, method), _oracle_revise(t, p, method)
+        assert got == expected and got.cells == expected.cells
+    for method in Contraction:
+        got, expected = contract(t, p, method), _oracle_contract(t, p, method)
+        assert got == expected and got.cells == expected.cells
+
+
+def test_mask_operators_match_the_oracle_on_every_two_atom_instance():
+    for t in enumerate_tpos(2):
+        for p in propositions(2):
+            _assert_matches_oracle(t, p)
+
+
+def test_mask_merge_matches_the_oracle_on_every_two_atom_pair():
+    pool = list(enumerate_tpos(2))
+    for t1 in pool:
+        for t2 in pool:
+            got, expected = stq_merge(t1, t2), _oracle_stq_merge(t1, t2)
+            assert got == expected and got.cells == expected.cells
+
+
+def test_mask_operators_match_the_oracle_on_three_atom_draws():
+    rng = random.Random(6)
+    props = propositions(3)
+    total = count_tpos(3)
+    for _ in range(2000):
+        t = tpo_at_index(rng.randrange(total), 3)
+        _assert_matches_oracle(t, rng.choice(props))
+        other = tpo_at_index(rng.randrange(total), 3)
+        assert stq_merge(t, other) == _oracle_stq_merge(t, other)
+
+
+def test_both_construction_routes_give_one_value():
+    rng = random.Random(6)
+    draws = [tpo_at_index(rng.randrange(count_tpos(3)), 3) for _ in range(200)]
+    for t in list(enumerate_tpos(2)) + draws:
+        from_cells = Tpo(tuple(frozenset(sorted(cell)) for cell in t.cells), t.n_atoms)
+        assert from_cells == t and hash(from_cells) == hash(t)
+        assert from_cells.cells == t.cells and str(from_cells) == str(t)
+        assert from_cells.rank == t.rank == tuple(
+            next(i for i, cell in enumerate(t.cells, 1) if w in cell)
+            for w in range(1 << t.n_atoms)
+        )
+        for u in (t, from_cells):
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                copy = pickle.loads(pickle.dumps(u, protocol))
+                assert copy == t and hash(copy) == hash(t)
+                assert copy.rank == t.rank and copy.cells == t.cells and str(copy) == str(t)
+
+
+def test_preorders_are_immutable():
+    with pytest.raises(AttributeError):
+        M0.masks = (15,)
+    with pytest.raises(AttributeError):
+        del M0.n_atoms
+
+
+# ---------------------------------------------------------------------------
+# Equivariance: the built-in operators commute with world permutations
+
+
+def _permuted(t, perm):
+    return Tpo(tuple(frozenset(perm[w] for w in cell) for cell in t.cells), t.n_atoms)
+
+
+def test_operators_commute_with_world_permutations():
+    rng = random.Random(6)
+    props = propositions(3)
+    total = count_tpos(3)
+    compositions = [_NliComposition(con, rev) for con in Contraction for rev in Revision]
+    for _ in range(2000):
+        t = tpo_at_index(rng.randrange(total), 3)
+        p = rng.choice(props)
+        perm = list(range(8))
+        rng.shuffle(perm)
+        pt, pp = _permuted(t, perm), frozenset(perm[w] for w in p)
+        for method in Revision:
+            assert revise(pt, pp, method) == _permuted(revise(t, p, method), perm)
+        for method in Contraction:
+            assert contract(pt, pp, method) == _permuted(contract(t, p, method), perm)
+        for composed in compositions:
+            assert composed.posterior(pt, pp) == _permuted(composed.posterior(t, p), perm)

@@ -11,6 +11,7 @@ from beliefchange.tpo import (
     beliefs,
     conditional_holds,
     conditional_set,
+    count_ordered_partitions,
     count_tpos,
     enumerate_a_preserving_isos,
     enumerate_tpos,
@@ -106,6 +107,12 @@ def test_min_worlds_rejects_empty_selection():
         min_worlds(M0, frozenset())
 
 
+def test_min_worlds_rejects_foreign_worlds():
+    for worlds in ({1, 9}, frozenset({1, 9}), {9}, [-1]):
+        with pytest.raises(ValueError, match="input models outside this preorder's world set"):
+            min_worlds(M0, worlds)
+
+
 def test_lexicographic_revision_breaks_agreement_on_tied_pair():
     revised = revise(M0, mod("p"), Revision.LEXICOGRAPHIC)
     assert format_tpo(revised) == "11 | 10 | 00 | 01"
@@ -177,6 +184,9 @@ def test_enumeration_has_no_duplicates():
 def test_three_atom_count():
     assert count_tpos(3) == 545835
     assert sum(1 for _ in enumerate_tpos(3)) == 545835
+    # Fubini numbers, OEIS A000670
+    fubini = [1, 1, 3, 13, 75, 541, 4683, 47293, 545835]
+    assert [count_ordered_partitions(k) for k in range(9)] == fubini
 
 
 def test_unranking_matches_enumeration():
@@ -184,10 +194,13 @@ def test_unranking_matches_enumeration():
         assert tpo_at_index(index, 2) == t
     with pytest.raises(IndexError):
         tpo_at_index(75, 2)
-    for index in (0, 1, 75, 12345, 545834):
-        tpo_at_index(index, 3)  # does not raise
-    with pytest.raises(IndexError):
-        tpo_at_index(545835, 3)
+    wanted = set(range(0, 545835, 997)) | {1, 75, 12345, 545834}
+    for index, t in enumerate(enumerate_tpos(3)):
+        if index in wanted:
+            assert tpo_at_index(index, 3) == t
+    for index in (-1, 545835):
+        with pytest.raises(IndexError):
+            tpo_at_index(index, 3)
 
 
 def test_propositions_are_all_nonempty_world_sets():
