@@ -38,6 +38,9 @@ from .lang import MixedSet
 from .operators import Revision, revise
 from .tpo import (
     Tpo,
+    _full_mask,
+    _mask_of,
+    _tpo,
     flatter_eq,
     min_worlds,
     propositions,
@@ -91,10 +94,6 @@ def flattest_satisfier(delta: MixedSet, pool: Iterable[Tpo]) -> Tpo:
     return flattest_maximum(satisfiers)
 
 
-def _mask(worlds: Iterable[int]) -> int:
-    return sum(1 << w for w in worlds)
-
-
 def rational_closure(delta: MixedSet, n_atoms: int) -> Tpo:
     """Flattest satisfying preorder of a mixed set, by System Z.
 
@@ -103,11 +102,10 @@ def rational_closure(delta: MixedSet, n_atoms: int) -> Tpo:
     """
     if n_atoms > MAX_CLOSURE_ATOMS:
         raise ScopeError(f"closure supports at most {MAX_CLOSURE_ATOMS} atoms")
-    n_worlds = 1 << n_atoms
-    full = (1 << n_worlds) - 1
-    rules = [(full, _mask(delta.plain_models))]
+    full = _full_mask(n_atoms)
+    rules = [(full, _mask_of(delta.plain_models))]
     rules.extend(
-        (_mask(a), _mask(b)) for a, b in delta.strongest_map().items() if a
+        (_mask_of(a), _mask_of(b)) for a, b in delta.strongest_map().items() if a
     )
     remaining = [(a & b, a & ~b) for a, b in rules]
     falsified = []  # per level, the worlds falsifying a rule of that level
@@ -126,15 +124,14 @@ def rational_closure(delta: MixedSet, n_atoms: int) -> Tpo:
             raise UnsatisfiableError("no total preorder satisfies the input set")
         falsified.append(level)
         remaining = rest
-    rank = [0] * n_worlds
-    for index, bad in enumerate(falsified, start=1):
-        for w in range(n_worlds):
-            if bad >> w & 1:
-                rank[w] = index
-    cells = tuple(
-        frozenset(w for w in range(n_worlds) if rank[w] == r) for r in sorted(set(rank))
-    )
-    return Tpo(cells, n_atoms)
+    # a world's cell is the highest level it falsifies, or the bottom cell
+    masks = []
+    above = 0  # the worlds falsifying a rule of a higher level
+    for level in reversed(falsified):
+        masks.append(level & ~above)
+        above |= level
+    masks.append(full & ~above)
+    return _tpo(tuple(mask for mask in reversed(masks) if mask), n_atoms)
 
 
 def rational_closure_fast(t_contracted: Tpo, sentence_models: frozenset) -> Tpo:

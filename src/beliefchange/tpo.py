@@ -318,17 +318,8 @@ def _ordered_partitions(bits: tuple) -> Iterator[tuple]:
         for chosen in itertools.combinations(bits, size):
             first = sum(chosen)
             rest = tuple(b for b in bits if not b & first)
-            tails = _kept_partitions(rest) if len(rest) <= 4 else _ordered_partitions(rest)
-            for tail in tails:
+            for tail in _ordered_partitions(rest):
                 yield (first,) + tail
-
-
-@lru_cache(maxsize=None)
-def _kept_partitions(bits: tuple) -> tuple:
-    """``_ordered_partitions`` of at most four worlds, kept, since the same
-    small rest recurs in many branches; at three atoms the kept rests hold
-    6071 partitions in all."""
-    return tuple(_ordered_partitions(bits))
 
 
 MAX_ENUMERATION_ATOMS = 3

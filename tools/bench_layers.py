@@ -9,16 +9,15 @@ Times, on the ``beliefchange`` package found on ``sys.path``:
 * 1000 calls of ``tpo_at_index(., 3)`` at seeded indices;
 * one full ``enumerate_tpos(3)``.
 
-Each layer is timed ``--runs`` times in this process after one warm-up
+Each layer is timed ``RUNS`` times in this process after one warm-up
 pass; the output gives every reading and their median.  Preorders are
 built before timing starts.  Run it once per source tree to compare::
 
-    PYTHONPATH=src python3 tools/bench_layers.py --runs 5
+    PYTHONPATH=src python3 tools/bench_layers.py
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import random
 import statistics
@@ -28,6 +27,7 @@ from beliefchange.operators import Contraction, Revision, contract, revise, stq_
 from beliefchange.tpo import count_tpos, enumerate_tpos, propositions, tpo_at_index
 
 DRAWS = 2000
+RUNS = 5
 
 
 def _per_call(fn, calls):
@@ -37,10 +37,6 @@ def _per_call(fn, calls):
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--runs", type=int, default=5)
-    args = parser.parse_args()
-
     rng = random.Random(2019)
     total = count_tpos(3)
     props = propositions(3)
@@ -81,7 +77,7 @@ def main() -> None:
     out = {}
     for name, (fn, calls, scale) in layers.items():
         fn()  # warm-up: fills the per-process tables and caches
-        readings = [_per_call(fn, calls) * scale for _ in range(args.runs)]
+        readings = [_per_call(fn, calls) * scale for _ in range(RUNS)]
         out[name] = {"median": statistics.median(readings), "runs": readings}
     print(json.dumps(out, indent=2))
 
