@@ -21,6 +21,12 @@ Groups:
   ``ReversedNatural``, a non-elementary operator that fails DP1-DP4,
   exhaustive at two atoms; it gives the DP scans failing reports with
   witnesses;
+* ``cross``: the postulates that compare outcomes across priors or
+  inputs (IIAP, IIAI, Beta1, Beta2, HI_beliefs and LI_beliefs, the last
+  two with ``contract-stq-lex``) under ``ReversedNatural``, exhaustive at
+  two atoms and sampled at three (seed 1; 4 samples for IIAI and Beta,
+  20 for the rest), plus Neut under ``make_random_dp_operator(0, 2)``
+  at two atoms; every one of them fails with witnesses;
 * ``closure``: ``closure`` queries on the conditional-set files stored
   beside the reports (``<name>.txt``), each report holding the exit code
   and the machine stdout: at two atoms a rational set, a contracted set
@@ -42,7 +48,12 @@ import sys
 from pathlib import Path
 
 from beliefchange import cli
-from beliefchange.operators import Contraction, Revision, revise
+from beliefchange.operators import (
+    Contraction,
+    Revision,
+    make_random_dp_operator,
+    revise,
+)
 from beliefchange.postulates import (
     _POSTULATES,
     CLAIM_IDS,
@@ -136,6 +147,27 @@ def custom_cases() -> list:
     ]
 
 
+CROSS_POSTULATES = ("IIAP", "IIAI", "Beta1", "Beta2", "HI_beliefs", "LI_beliefs")
+
+
+def cross_cases() -> list:
+    """(relative path, postulate, revision, check_postulate keywords) for
+    the cross-prior and cross-input cases."""
+    out = []
+    for postulate in CROSS_POSTULATES:
+        sample = 4 if postulate.startswith(("IIAI", "Beta")) else 20
+        for scope, kwargs in (
+            ("n2", {"n_atoms": 2}),
+            ("n3", {"n_atoms": 3, "mode": "sampled", "sample": sample, "seed": 1}),
+        ):
+            name = f"{postulate}.{ReversedNatural.value}.{scope}"
+            out.append((f"cross/{name}.json", postulate, ReversedNatural(), kwargs))
+    out.append(
+        ("cross/Neut.random-dp-0.n2.json", "Neut", make_random_dp_operator(0, 2), {"n_atoms": 2})
+    )
+    return out
+
+
 def render_cli(argv) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -153,9 +185,12 @@ def render_closure(stem: str, extra) -> str:
     return json.dumps({"exit": code, "stdout": out.getvalue()}, indent=2) + "\n"
 
 
-def render_custom(postulate: str) -> str:
+def render_custom(postulate: str, revision=None, **kwargs) -> str:
+    """A library check's machine report; ``ReversedNatural`` at two atoms
+    unless told otherwise, with ``contract-stq-lex`` where needed."""
     contraction = Contraction.STQ_LEX if _needs_con(postulate) else None
-    report = check_postulate(postulate, ReversedNatural(), contraction, n_atoms=2)
+    kwargs.setdefault("n_atoms", 2)
+    report = check_postulate(postulate, revision or ReversedNatural(), contraction, **kwargs)
     return render_machine(report)
 
 
@@ -163,6 +198,10 @@ def rendered() -> dict:
     """Every case's relative path mapped to its report text."""
     out = {path: render_cli(argv) for path, argv in cases()}
     out.update((path, render_custom(postulate)) for path, postulate in custom_cases())
+    out.update(
+        (path, render_custom(postulate, revision, **kwargs))
+        for path, postulate, revision, kwargs in cross_cases()
+    )
     out.update(
         (f"closure/{stem}.json", render_closure(stem, extra)) for stem, extra in CLOSURE_CASES
     )
