@@ -20,6 +20,12 @@ the reference; they run only for an outer preorder with a nonzero count
 while fewer than ten witnesses are held, so the report keeps the same
 witnesses in the same order.
 
+The scan context, ``_Ctx``, keeps one memo: ``rows``, a prior's minimal
+worlds and posterior rank on every input.  IIAP, IIAI, Beta1/Beta2 and
+Neut read it, so a count and its witness generator share one row, and
+an exhaustive pair scan revises each prior once per chunk.  Every other
+scan sees each (prior, input) once and calls the operators directly.
+
 The scans yield raw witnesses (preorders, input model sets, worlds and a
 note).  Every check, postulate scan, state diagram or claim sweep, counts
 them in one tally, ``_Tally``: instances and violations in full, and
@@ -251,7 +257,9 @@ def _world_pairs(n_atoms: int, ordered: bool) -> tuple:
 
 
 class _Ctx:
-    """Per-run caches shared by the postulate scans."""
+    """One run's instance space and operators, plus one memo: ``rows``,
+    each prior's outcome on every input.  Scans of a single prior call
+    the operators directly, since they see each (prior, input) once."""
 
     def __init__(self, n_atoms: int, rev=None, con: Contraction | None = None):
         self.n = n_atoms
@@ -264,47 +272,18 @@ class _Ctx:
         self.opairs = _world_pairs(n_atoms, ordered=True)
         self.rev = rev
         self.con = con
-        self._rev = {}
-        self._con = {}
-        self._conneg = {}
-        self._min = {}
+        self._rows = {}
 
     def clear(self):
-        self._rev.clear()
-        self._con.clear()
-        self._conneg.clear()
-        self._min.clear()
+        self._rows.clear()
 
-    def rev_tpo(self, t: Tpo, p: frozenset) -> Tpo:
-        key = (t, p)
-        out = self._rev.get(key)
+    def rows(self, t: Tpo) -> list:
+        """(input, its minimal worlds, posterior rank) for every input, in
+        input order; computed once per prior until ``clear``."""
+        out = self._rows.get(t)
         if out is None:
-            out = revise(t, p, self.rev)
-            self._rev[key] = out
-        return out
-
-    def con_tpo(self, t: Tpo, p: frozenset) -> Tpo:
-        key = (t, p)
-        out = self._con.get(key)
-        if out is None:
-            out = contract(t, p, self.con)
-            self._con[key] = out
-        return out
-
-    def conneg_tpo(self, t: Tpo, p: frozenset) -> Tpo:
-        key = (t, p)
-        out = self._conneg.get(key)
-        if out is None:
-            out = contract_by_negation(t, p, self.con)
-            self._conneg[key] = out
-        return out
-
-    def minset(self, t: Tpo, p: frozenset) -> frozenset:
-        key = (t, p)
-        out = self._min.get(key)
-        if out is None:
-            out = min_worlds(t, p)
-            self._min[key] = out
+            out = [(p, min_worlds(t, p), revise(t, p, self.rev).rank) for p in self.props]
+            self._rows[t] = out
         return out
 
     def witness(self, tpos, inputs, worlds, note="") -> Witness:
@@ -370,7 +349,7 @@ def _icode(p, x, y) -> int:
 
 def _g_success(ctx, t):
     for p in ctx.props:
-        stray = ctx.rev_tpo(t, p).cells[0] - p
+        stray = revise(t, p, ctx.rev).cells[0] - p
         if stray:
             yield (t,), (p,), (min(stray),), "minimal world outside input"
 
@@ -386,10 +365,10 @@ def _g_success(ctx, t):
 
 _ORDERS = {
     "prior": lambda ctx, t, p: t.rank,
-    "rev": lambda ctx, t, p: ctx.rev_tpo(t, p).rank,
-    "revneg": lambda ctx, t, p: ctx.rev_tpo(t, ctx.full - p).rank,
-    "con": lambda ctx, t, p: ctx.con_tpo(t, p).rank,
-    "conneg": lambda ctx, t, p: ctx.conneg_tpo(t, p).rank,
+    "rev": lambda ctx, t, p: revise(t, p, ctx.rev).rank,
+    "revneg": lambda ctx, t, p: revise(t, ctx.full - p, ctx.rev).rank,
+    "con": lambda ctx, t, p: contract(t, p, ctx.con).rank,
+    "conneg": lambda ctx, t, p: contract_by_negation(t, p, ctx.con).rank,
 }
 
 # region: (ordered pairs?, x in p, y in p), None leaving a side free.
@@ -441,10 +420,8 @@ _PAIR_RULES = {
 def _g_iiap(ctx, pair):
     t1, t2 = pair
     r1, r2 = t1.rank, t2.rank
-    for p in ctx.props:
-        blocked = ctx.minset(t1, p) | ctx.minset(t2, p)
-        r1q = ctx.rev_tpo(t1, p).rank
-        r2q = ctx.rev_tpo(t2, p).rank
+    for (p, min1, r1q), (_, min2, r2q) in zip(ctx.rows(t1), ctx.rows(t2)):
+        blocked = min1 | min2
         for x, y in ctx.pairs:
             if x in blocked or y in blocked:
                 continue
@@ -455,15 +432,10 @@ def _g_iiap(ctx, pair):
 
 
 def _g_iiai(ctx, t):
-    n_props = len(ctx.props)
-    for i in range(n_props):
-        p = ctx.props[i]
-        rp = ctx.rev_tpo(t, p).rank
-        min_p = ctx.minset(t, p)
-        for j in range(i + 1, n_props):
-            q = ctx.props[j]
-            blocked = min_p | ctx.minset(t, q)
-            rq = ctx.rev_tpo(t, q).rank
+    rows = ctx.rows(t)
+    for i, (p, min_p, rp) in enumerate(rows):
+        for q, min_q, rq in rows[i + 1 :]:
+            blocked = min_p | min_q
             for x, y in ctx.pairs:
                 if x in blocked or y in blocked:
                     continue
@@ -475,8 +447,8 @@ def _g_iiai(ctx, t):
 
 def _g_beta(strict: bool):
     def gen(ctx, t):
-        for a in ctx.props:
-            ra = ctx.rev_tpo(t, a).rank
+        rows = ctx.rows(t)
+        for a, _, ra in rows:
             for x in ctx.worlds:
                 if x not in a:
                     continue
@@ -490,10 +462,9 @@ def _g_beta(strict: bool):
                     else:
                         if not ra[y] <= ra[x]:
                             continue
-                    for c in ctx.props:
-                        if x in ctx.minset(t, c):
+                    for c, minimal, rc in rows:
+                        if x in minimal:
                             continue
-                        rc = ctx.rev_tpo(t, c).rank
                         if strict:
                             if not rc[y] < rc[x]:
                                 yield (t,), (a, c), (x, y), ""
@@ -512,11 +483,6 @@ _g_beta2 = _g_beta(True)
 # Violation counts grouped by world pair (same totals as the generators)
 
 
-def _outcomes(ctx, t):
-    """(input, its minimal worlds, posterior rank) for every input."""
-    return [(p, ctx.minset(t, p), ctx.rev_tpo(t, p).rank) for p in ctx.props]
-
-
 def _c2(m: int) -> int:
     return m * (m - 1) // 2
 
@@ -525,7 +491,7 @@ def _c_iiai(ctx, t):
     """IIAI violations: per world pair, the input pairs that order it alike,
     keep both worlds out of their minima, and order it differently after
     revision."""
-    rows = _outcomes(ctx, t)
+    rows = ctx.rows(t)
     count = 0
     for x, y in ctx.pairs:
         groups = [0] * 9  # (input code, posterior code), both in -1..1
@@ -546,7 +512,7 @@ def _c_beta(strict: bool):
     below = operator.lt if strict else operator.le
 
     def count(ctx, t):
-        rows = _outcomes(ctx, t)
+        rows = ctx.rows(t)
         total = 0
         for x, y in ctx.opairs:
             before = sum(
@@ -566,13 +532,8 @@ def _g_neut(ctx, pair):
     t1, t2 = pair
     if [len(c) for c in t1.cells] != [len(c) for c in t2.cells]:
         return
-    for p in ctx.props:
-        isos = enumerate_a_preserving_isos(t1, t2, p)
-        if not isos:
-            continue
-        r1q = ctx.rev_tpo(t1, p).rank
-        r2q = ctx.rev_tpo(t2, p).rank
-        for perm in isos:
+    for (p, _, r1q), (_, _, r2q) in zip(ctx.rows(t1), ctx.rows(t2)):
+        for perm in enumerate_a_preserving_isos(t1, t2, p):
             for x, y in ctx.pairs:
                 if _code(r1q, x, y) != _code(r2q, perm[x], perm[y]):
                     mapping = ",".join(
@@ -586,8 +547,7 @@ def _g_red(ctx, t):
     """Determinism check for custom operators: revising the same prior by
     the same input twice must give the same posterior.  The built-ins and
     tabular operators are pure, so it fails only for an operator object
-    whose ``posterior`` depends on hidden state; the revisions bypass the
-    cache on purpose."""
+    whose ``posterior`` depends on hidden state."""
     for p in ctx.props:
         first = revise(t, p, ctx.rev)
         second = revise(t, p, ctx.rev)
@@ -597,16 +557,16 @@ def _g_red(ctx, t):
 
 def _g_hi_beliefs(ctx, t):
     for p in ctx.props_proper:
-        got = ctx.con_tpo(t, p).cells[0]
-        expected = t.cells[0] | ctx.rev_tpo(t, ctx.full - p).cells[0]
+        got = contract(t, p, ctx.con).cells[0]
+        expected = t.cells[0] | revise(t, ctx.full - p, ctx.rev).cells[0]
         if got != expected:
             yield (t,), (p,), (), "contraction beliefs differ from union of minima"
 
 
 def _g_li_beliefs(ctx, t):
     for p in ctx.props:
-        got = ctx.rev_tpo(t, p).cells[0]
-        expected = min_worlds(ctx.conneg_tpo(t, p), p)
+        got = revise(t, p, ctx.rev).cells[0]
+        expected = min_worlds(contract_by_negation(t, p, ctx.con), p)
         if got != expected:
             yield (t,), (p,), (), "revision beliefs differ from post-contraction minima"
 
@@ -626,8 +586,8 @@ def _g_routed(final: Revision | None, route: str):
 
     def gen(ctx, t):
         for p in ctx.props:
-            direct = ctx.rev_tpo(t, p)
-            routed = revise(ctx.conneg_tpo(t, p), p, final or ctx.rev)
+            direct = revise(t, p, ctx.rev)
+            routed = revise(contract_by_negation(t, p, ctx.con), p, final or ctx.rev)
             if direct != routed:
                 pair = _first_diff_pair(ctx, direct, routed)
                 yield (t,), (p,), pair, ("direct ", direct, f"; {route} ", routed)
@@ -769,7 +729,9 @@ def _spec(postulate: str, revision, contraction) -> _PostulateDef:
 
 def _scan(ctx: _Ctx, spec: _PostulateDef, outers, clear: bool = False) -> _Tally:
     """Tally a scan over outers; a counted scan rebuilds witnesses only
-    for an outer that has some while there is room for them."""
+    for an outer that has some while there is room for them.  ``clear``
+    drops the context's rows after each outer: sampled outers seldom
+    share a prior, and at three atoms each row holds 255 inputs."""
     tally = _Tally(ctx)
     per_outer = spec.inputs_per_outer(ctx)
     for outer in outers:
@@ -882,13 +844,15 @@ def replay_witness(
 
     For ``diagram <name>`` the diagram's table takes the place of the
     revision: the built-in table of that name, unless a table is passed
-    as ``revision`` (as a ``diagram custom`` witness needs).
+    as ``revision`` (as a ``diagram custom`` witness needs).  Any scope a
+    check can report, 1 to 3 atoms, replays.
     """
     if check_id.startswith("diagram "):
         spec = _DIAGRAM_SCAN
         revision = _diagram_table(check_id.split()[-1] if revision is None else revision)
     else:
         spec = _spec(check_id, revision, contraction)
+    _validate_scope(n_atoms, "sampled")
     ctx = _Ctx(n_atoms, revision, contraction)
     tpos = tuple(parse_tpo(text, n_atoms) for text in witness.tpos)
     outer = tpos[:2] if spec.pair_outer else tpos[0]

@@ -155,16 +155,15 @@ def cross_cases() -> list:
     the cross-prior and cross-input cases."""
     out = []
     for postulate in CROSS_POSTULATES:
-        sample = 4 if postulate.startswith(("IIAI", "Beta")) else 20
+        sample = 4 if postulate in ("IIAI", "Beta1", "Beta2") else 20
         for scope, kwargs in (
             ("n2", {"n_atoms": 2}),
             ("n3", {"n_atoms": 3, "mode": "sampled", "sample": sample, "seed": 1}),
         ):
             name = f"{postulate}.{ReversedNatural.value}.{scope}"
             out.append((f"cross/{name}.json", postulate, ReversedNatural(), kwargs))
-    out.append(
-        ("cross/Neut.random-dp-0.n2.json", "Neut", make_random_dp_operator(0, 2), {"n_atoms": 2})
-    )
+    neut = make_random_dp_operator(0, 2)
+    out.append(("cross/Neut.random-dp-0.n2.json", "Neut", neut, {"n_atoms": 2}))
     return out
 
 
@@ -185,12 +184,13 @@ def render_closure(stem: str, extra) -> str:
     return json.dumps({"exit": code, "stdout": out.getvalue()}, indent=2) + "\n"
 
 
-def render_custom(postulate: str, revision=None, **kwargs) -> str:
-    """A library check's machine report; ``ReversedNatural`` at two atoms
-    unless told otherwise, with ``contract-stq-lex`` where needed."""
+def render_custom(postulate: str, revision=None, n_atoms: int = 2, **sampling) -> str:
+    """A library check's machine report, under ``ReversedNatural`` unless
+    another revision is given, with ``contract-stq-lex`` where needed."""
     contraction = Contraction.STQ_LEX if _needs_con(postulate) else None
-    kwargs.setdefault("n_atoms", 2)
-    report = check_postulate(postulate, revision or ReversedNatural(), contraction, **kwargs)
+    report = check_postulate(
+        postulate, revision or ReversedNatural(), contraction, n_atoms=n_atoms, **sampling
+    )
     return render_machine(report)
 
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from beliefchange import postulates
 from beliefchange.exceptions import (
     MalformedDiagramError,
     MissingContractionError,
@@ -30,7 +31,7 @@ from beliefchange.postulates import (
     replay_witness,
     verify_claim,
 )
-from beliefchange.tpo import count_tpos, enumerate_tpos, parse_tpo, tpo_at_index
+from beliefchange.tpo import Tpo, count_tpos, enumerate_tpos, parse_tpo, tpo_at_index
 
 ATOMS = ("p", "q")
 
@@ -154,6 +155,13 @@ def test_t1_needs_two_atoms():
 def test_workers_below_one_are_rejected(workers):
     with pytest.raises(ScopeError):
         check_postulate("DP1", Revision.NATURAL, n_atoms=2, workers=workers)
+
+
+@pytest.mark.parametrize("n_atoms", [0, -1, 4, 5])
+def test_replay_rejects_atom_counts_outside_every_check_scope(n_atoms):
+    witness = Witness(tpos=("00 | 01 | 10 | 11",), inputs=("p",), worlds=())
+    with pytest.raises(ScopeError):
+        replay_witness("DP1", witness, Revision.NATURAL, n_atoms=n_atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -467,3 +475,46 @@ def test_counted_reports_match_the_brute_force_reducer(postulate):
             assert report.violations == violations
             assert report.witnesses == witnesses
             assert len(witnesses) == WITNESS_CAP
+
+
+# ---------------------------------------------------------------------------
+# The scan context's memo: one outcome row per prior
+
+
+class _Reversed:
+    """Natural revision of the reversed prior: fails IIAI, so a counted
+    scan rebuilds its witnesses with the generator."""
+
+    def posterior(self, t, sentence_models):
+        return revise(Tpo(t.cells[::-1], t.n_atoms), sentence_models, Revision.NATURAL)
+
+
+@pytest.fixture
+def revisions(monkeypatch):
+    """The (prior, input, operator) arguments of every ``revise`` call a
+    scan makes."""
+    calls = []
+    real = postulates.revise
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(postulates, "revise", counted)
+    return calls
+
+
+def test_a_single_prior_scan_revises_each_instance_once(revisions):
+    check_postulate("DP1", Revision.NATURAL, n_atoms=2)
+    assert len(revisions) == 75 * 15
+
+
+def test_a_counted_scan_and_its_witnesses_share_one_row_per_prior(revisions):
+    report = check_postulate("IIAI", _Reversed(), n_atoms=2)
+    assert len(report.witnesses) == WITNESS_CAP
+    assert len(revisions) == 75 * 15
+
+
+def test_an_exhaustive_pair_scan_revises_each_prior_once_per_chunk(revisions):
+    check_postulate("IIAP", Revision.NATURAL, n_atoms=2)
+    assert len(revisions) <= 16 * 75 * 15

@@ -7,7 +7,12 @@ Times, on the ``beliefchange`` package found on ``sys.path``:
 * one ``contract`` call, the same way with the three contractions;
 * one ``stq_merge`` call (mean over 2000 seeded preorder pairs);
 * 1000 calls of ``tpo_at_index(., 3)`` at seeded indices;
-* one full ``enumerate_tpos(3)``.
+* one full ``enumerate_tpos(3)``;
+* one postulate scan of one outer at three atoms, as a sampled check
+  runs it: ``_scan(_Ctx(3, rev, con), _POSTULATES[id], [outer],
+  clear=True)``, mean over 20 seeded preorders (preorder pairs for
+  IIAP), for DP1 natural, NLI natural + ``contract-stq-lex``, IIAI
+  natural and IIAP natural.
 
 Each layer is timed ``RUNS`` times in this process after one warm-up
 pass; the output gives every reading and their median.  Preorders are
@@ -24,10 +29,12 @@ import statistics
 import time
 
 from beliefchange.operators import Contraction, Revision, contract, revise, stq_merge
+from beliefchange.postulates import _POSTULATES, _Ctx, _scan
 from beliefchange.tpo import count_tpos, enumerate_tpos, propositions, tpo_at_index
 
 DRAWS = 2000
 RUNS = 5
+SCANS = 20
 
 
 def _per_call(fn, calls):
@@ -44,6 +51,8 @@ def main() -> None:
     inputs = [(rng.choice(pool), rng.choice(props)) for _ in range(DRAWS)]
     pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(DRAWS)]
     indices = [rng.randrange(total) for _ in range(1000)]
+    outers = [tpo_at_index(rng.randrange(total), 3) for _ in range(SCANS)]
+    outer_pairs = [(rng.choice(outers), rng.choice(outers)) for _ in range(SCANS)]
 
     def revisions():
         for t, p in inputs:
@@ -67,12 +76,30 @@ def main() -> None:
         for _ in enumerate_tpos(3):
             pass
 
+    def scans(postulate, rev, con=None):
+        spec = _POSTULATES[postulate]
+        pool = outer_pairs if spec.pair_outer else outers
+
+        def run():
+            for outer in pool:
+                _scan(_Ctx(3, rev, con), spec, [outer], clear=True)
+
+        return run
+
     layers = {
         "revise_call_us": (revisions, 3 * DRAWS, 1e6),
         "contract_call_us": (contractions, 3 * DRAWS, 1e6),
         "stq_merge_call_us": (merges, DRAWS, 1e6),
         "tpo_at_index_x1000_ms": (unranks, 1, 1e3),
         "enumerate_tpos_3_s": (enumeration, 1, 1.0),
+        "scan_DP1_natural_ms": (scans("DP1", Revision.NATURAL), SCANS, 1e3),
+        "scan_NLI_natural_stq_lex_ms": (
+            scans("NLI", Revision.NATURAL, Contraction.STQ_LEX),
+            SCANS,
+            1e3,
+        ),
+        "scan_IIAI_natural_ms": (scans("IIAI", Revision.NATURAL), SCANS, 1e3),
+        "scan_IIAP_natural_ms": (scans("IIAP", Revision.NATURAL), SCANS, 1e3),
     }
     out = {}
     for name, (fn, calls, scale) in layers.items():
