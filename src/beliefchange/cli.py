@@ -208,7 +208,7 @@ def _answer_query(state: State, query: Query, atoms) -> bool:
         sentence = models(parse_formula(query.text, atoms), atoms)
         if isinstance(state, Absurd):
             return True  # the absurd belief set is the whole language
-        return beliefs(state) <= sentence
+        return not beliefs(state) & ~sentence
     antecedent_text, sep, consequent_text = query.text.partition("=>")
     if not sep:
         raise ScenarioError("conditional query must be written 'A => B'")
@@ -323,7 +323,7 @@ def closure_answer(delta: MixedSet, n_atoms: int) -> tuple:
     cross-checks the System Z answer.
     """
     base = rational_base(delta, n_atoms)
-    if base is not None and not delta.plain_models & base.cells[0]:
+    if base is not None and not delta.plain_models & base.masks[0]:
         raise UnsatisfiableError("no total preorder satisfies the input set")
     result = rational_closure(delta, n_atoms)
     if base is not None and rational_closure_fast(base, delta.plain_models) != result:

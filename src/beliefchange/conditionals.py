@@ -13,6 +13,9 @@ with empty ranks squeezed out, are the flattest satisfier: at least as
 flat as every other satisfying preorder under the first-difference cell
 containment order.  A satisfiable set therefore always has one.
 
+Model sets are world masks here as everywhere in the package, so the
+plain part and every rule enter the tolerance partition as they are.
+
 The brute-force route stays as the oracle at up to two atoms:
 ``flattest_satisfier`` scans a pool of preorders for the satisfiers and
 returns the one at least as flat as every other, raising
@@ -36,15 +39,8 @@ from .exceptions import (
 )
 from .lang import MixedSet
 from .operators import Revision, revise
-from .tpo import (
-    Tpo,
-    _full_mask,
-    _mask_of,
-    _tpo,
-    flatter_eq,
-    min_worlds,
-    propositions,
-)
+from .lang import all_worlds
+from .tpo import Tpo, flatter_eq, min_worlds, propositions
 
 MAX_CLOSURE_ATOMS = 4
 
@@ -57,10 +53,10 @@ def satisfies(t: Tpo, delta: MixedSet) -> bool:
     for inconsistent antecedents).  Only the strongest consequent per
     antecedent needs checking.
     """
-    if not t.cells[0] <= delta.plain_models:
+    if t.masks[0] & ~delta.plain_models:
         return False
     for antecedent, consequent in delta.strongest_map().items():
-        if antecedent and not min_worlds(t, antecedent) <= consequent:
+        if antecedent and min_worlds(t, antecedent) & ~consequent:
             return False
     return True
 
@@ -97,16 +93,14 @@ def flattest_satisfier(delta: MixedSet, pool: Iterable[Tpo]) -> Tpo:
 def rational_closure(delta: MixedSet, n_atoms: int) -> Tpo:
     """Flattest satisfying preorder of a mixed set, by System Z.
 
-    Worlds are bitmasks here; each rule is kept as the pair (worlds
-    verifying it, worlds falsifying it).
+    Each rule is kept as the pair (worlds verifying it, worlds
+    falsifying it).
     """
     if n_atoms > MAX_CLOSURE_ATOMS:
         raise ScopeError(f"closure supports at most {MAX_CLOSURE_ATOMS} atoms")
-    full = _full_mask(n_atoms)
-    rules = [(full, _mask_of(delta.plain_models))]
-    rules.extend(
-        (_mask_of(a), _mask_of(b)) for a, b in delta.strongest_map().items() if a
-    )
+    full = all_worlds(n_atoms)
+    rules = [(full, delta.plain_models)]
+    rules.extend((a, b) for a, b in delta.strongest_map().items() if a)
     remaining = [(a & b, a & ~b) for a, b in rules]
     falsified = []  # per level, the worlds falsifying a rule of that level
     while remaining:
@@ -131,10 +125,10 @@ def rational_closure(delta: MixedSet, n_atoms: int) -> Tpo:
         masks.append(level & ~above)
         above |= level
     masks.append(full & ~above)
-    return _tpo(tuple(mask for mask in reversed(masks) if mask), n_atoms)
+    return Tpo([mask for mask in reversed(masks) if mask], n_atoms)
 
 
-def rational_closure_fast(t_contracted: Tpo, sentence_models: frozenset) -> Tpo:
+def rational_closure_fast(t_contracted: Tpo, sentence_models: int) -> Tpo:
     """Closure of (conditional set of ``t_contracted``) plus the sentence.
 
     The natural-revision shortcut.  It agrees with the closure on every
@@ -171,13 +165,13 @@ def rational_base(delta: MixedSet, n_atoms: int) -> Tpo | None:
     for x in range(n_worlds):
         count = 0
         for y in range(n_worlds):
-            if y != x and strongest[frozenset((x, y))] == frozenset((y,)):
+            if y != x and strongest[(1 << x) | (1 << y)] == 1 << y:
                 count += 1
         below.append(count)
-    cells = []
+    masks = []
     for key in sorted(set(below)):
-        cells.append(frozenset(w for w in range(n_worlds) if below[w] == key))
-    candidate = Tpo(tuple(cells), n_atoms)
+        masks.append(sum(1 << w for w in range(n_worlds) if below[w] == key))
+    candidate = Tpo(masks, n_atoms)
     for p in required:
         if min_worlds(candidate, p) != strongest[p]:
             return None

@@ -12,6 +12,12 @@ semantic work (equivalence, entailment, operator inputs) goes through
 formulas are treated as the same sentence exactly when their model sets
 coincide.
 
+A set of worlds, here and in every other module, is an int mask with
+bit ``w`` set for world ``w``: ``all_worlds(n)`` has every bit of the
+2^n worlds set, intersection is ``&``, complement within the world set
+is ``all_worlds(n) & ~s``, and ``s`` is a subset of ``t`` exactly when
+``s & ~t`` is 0.
+
 Grammar, bit-exact::
 
     atom     := [a-zA-Z][a-zA-Z0-9_]*        ('true'/'false' reserved)
@@ -32,8 +38,6 @@ from typing import Iterable, Sequence, Union
 from .exceptions import FormulaSyntaxError, UnknownAtomError
 
 MAX_ATOMS = 4
-
-WorldSet = frozenset  # frozenset[int]
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +156,21 @@ def check_atoms(atoms: Sequence[str]) -> tuple[str, ...]:
 
 
 @lru_cache(maxsize=None)
-def all_worlds(n_atoms: int) -> WorldSet:
-    return frozenset(range(1 << n_atoms))
+def all_worlds(n_atoms: int) -> int:
+    """The mask of every world over ``n_atoms`` atoms."""
+    return (1 << (1 << n_atoms)) - 1
+
+
+class _AscendingWorlds(dict):
+    """mask -> its worlds in ascending order, computed on first lookup;
+    for ranks, text forms and error messages."""
+
+    def __missing__(self, mask: int) -> tuple:
+        worlds = self[mask] = tuple(w for w in range(mask.bit_length()) if mask >> w & 1)
+        return worlds
+
+
+_WORLDS = _AscendingWorlds()
 
 
 def world_str(world: int, n_atoms: int) -> str:
@@ -169,6 +186,16 @@ def parse_world(text: str, n_atoms: int) -> int:
 
 def atom_holds(world: int, index: int, n_atoms: int) -> bool:
     return bool((world >> (n_atoms - 1 - index)) & 1)
+
+
+@lru_cache(maxsize=None)
+def _atom_mask(index: int, n_atoms: int) -> int:
+    """The worlds where the index-th declared atom is true."""
+    mask = 0
+    for w in range(1 << n_atoms):
+        if atom_holds(w, index, n_atoms):
+            mask |= 1 << w
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -286,41 +313,40 @@ def parse_formula(text: str, atoms: Sequence[str]) -> Formula:
 # ---------------------------------------------------------------------------
 # Semantics
 
-def models(f: Formula, atoms: Sequence[str]) -> WorldSet:
-    """Exact model set of ``f``, by evaluation over all 2^n worlds."""
+def models(f: Formula, atoms: Sequence[str]) -> int:
+    """Exact model set of ``f`` as a world mask, by evaluation over all
+    2^n worlds at once."""
     atoms = check_atoms(atoms)
-    n = len(atoms)
-    full = all_worlds(n)
+    full = all_worlds(len(atoms))
 
-    def walk(g: Formula) -> frozenset:
+    def walk(g: Formula) -> int:
         if isinstance(g, Atom):
             try:
                 i = atoms.index(g.name)
             except ValueError:
                 raise UnknownAtomError(g.name, 0) from None
-            return frozenset(w for w in full if atom_holds(w, i, n))
+            return _atom_mask(i, len(atoms))
         if isinstance(g, Top):
             return full
         if isinstance(g, Bottom):
-            return frozenset()
+            return 0
         if isinstance(g, Not):
-            return full - walk(g.operand)
+            return full & ~walk(g.operand)
         if isinstance(g, And):
             return walk(g.left) & walk(g.right)
         if isinstance(g, Or):
             return walk(g.left) | walk(g.right)
         if isinstance(g, Implies):
-            return (full - walk(g.left)) | walk(g.right)
+            return (full & ~walk(g.left)) | walk(g.right)
         if isinstance(g, Iff):
-            left, right = walk(g.left), walk(g.right)
-            return (left & right) | (full - left - right)
+            return full & ~(walk(g.left) ^ walk(g.right))
         raise TypeError(f"not a formula: {g!r}")
 
     return walk(f)
 
 
-def dnf_of_worlds(worlds: Iterable[int], atoms: Sequence[str]) -> str:
-    """Canonical DNF naming a world set; terms sorted by bit-string.
+def dnf_of_worlds(worlds: int, atoms: Sequence[str]) -> str:
+    """Canonical DNF naming a world mask; terms sorted by bit-string.
 
     The empty set renders as ``false``.  This is the display form for
     belief sets and for input propositions in reports; it parses back to
@@ -328,11 +354,10 @@ def dnf_of_worlds(worlds: Iterable[int], atoms: Sequence[str]) -> str:
     """
     atoms = check_atoms(atoms)
     n = len(atoms)
-    ordered = sorted(set(worlds))
-    if not ordered:
+    if not worlds:
         return "false"
     terms = []
-    for w in ordered:
+    for w in _WORLDS[worlds]:
         literals = [name if atom_holds(w, i, n) else "~" + name for i, name in enumerate(atoms)]
         terms.append(" & ".join(literals))
     return " | ".join(terms)
@@ -341,16 +366,13 @@ def dnf_of_worlds(worlds: Iterable[int], atoms: Sequence[str]) -> str:
 # ---------------------------------------------------------------------------
 # Mixed sets of sentences and conditionals
 
-CondPair = tuple  # (antecedent models, consequent models)
-
-
 @dataclass(frozen=True)
 class MixedSet:
     """A set of plain sentences plus conditionals, in model-set form.
 
-    ``plain_models`` is the model set of the conjunction of the plain
+    ``plain_models`` is the world mask of the conjunction of the plain
     part (the whole world set when the plain part is empty).  Each entry
-    of ``cond_pairs`` is an (antecedent, consequent) pair of model sets.
+    of ``cond_pairs`` is an (antecedent, consequent) pair of world masks.
 
     ``weakening_closed`` marks sets produced from a total preorder, which
     denote *every* conditional the preorder validates: each stored pair
@@ -361,7 +383,7 @@ class MixedSet:
     operator too weak to reconstruct revision.
     """
 
-    plain_models: frozenset
+    plain_models: int
     cond_pairs: frozenset
     weakening_closed: bool = False
 
@@ -380,7 +402,7 @@ class MixedSet:
         )
         return MixedSet(plain_models=plain_models, cond_pairs=pairs)
 
-    def adding_plain(self, sentence_models: frozenset) -> "MixedSet":
+    def adding_plain(self, sentence_models: int) -> "MixedSet":
         """The set extended with one more plain sentence."""
         return MixedSet(
             plain_models=self.plain_models & sentence_models,
@@ -417,7 +439,7 @@ def cn_extended_member(delta: MixedSet, item: Item, atoms: Sequence[str]) -> boo
             if not antecedent:
                 return True
             return any(
-                p == antecedent and q <= consequent for p, q in delta.cond_pairs
+                p == antecedent and not q & ~consequent for p, q in delta.cond_pairs
             )
         return (antecedent, consequent) in delta.cond_pairs
-    return delta.plain_models <= models(item, atoms)
+    return not delta.plain_models & ~models(item, atoms)

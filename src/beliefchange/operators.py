@@ -1,9 +1,10 @@
 """Belief change operators on total preorders.
 
-Revision inputs are given by their model sets (sentences are
-canonicalised before they reach this layer).  All three built-in
-revisions promote exactly the minimal input-worlds to the bottom and
-differ in how they rearrange everything else:
+Revision inputs are given by their model sets, as world masks with bit
+``w`` set for world ``w`` (sentences are canonicalised before they
+reach this layer).  All three built-in revisions promote exactly the
+minimal input-worlds to the bottom and differ in how they rearrange
+everything else:
 
 * natural: everything else keeps its prior order;
 * restrained: prior strict order kept, prior ties broken in favour of
@@ -19,7 +20,10 @@ beliefs with the revised beliefs, and preserves any strict preference on
 which the two merged orders agree.
 
 The operators work on the preorders' cell masks (see ``tpo``) and build
-each result through the one validating mask constructor.
+each result through the one validating constructor ``Tpo(masks,
+n_atoms)``.  Every input mask is checked against the preorder's world
+set first: anything but a nonnegative int with no bit beyond it raises
+``ValueError``.
 
 All functions are pure; every value is immutable.
 """
@@ -32,14 +36,13 @@ from functools import lru_cache
 from typing import Union
 
 from .exceptions import AbsurdStateError, InconsistentInputError
+from .lang import all_worlds
 from .tpo import (
     Absurd,
     State,
     Tpo,
-    _full_mask,
     _input_mask,
     _min_mask,
-    _tpo,
     enumerate_tpos,
     propositions,
 )
@@ -72,7 +75,7 @@ class TabularRevision:
     """Revision given by an explicit (prior, input) -> posterior table.
 
     Used as a fuzzing substrate: tables are keyed by the prior's cell
-    list and the input's model set, so equal preorders always revise
+    masks and the input's world mask, so equal preorders always revise
     identically.  Tables built by ``make_random_dp_operator`` satisfy
     success and the four iterated-revision postulates by construction.
     """
@@ -82,9 +85,9 @@ class TabularRevision:
         self.table = table
         self.seed = seed
 
-    def posterior(self, t: Tpo, sentence_models: frozenset) -> Tpo:
+    def posterior(self, t: Tpo, sentence_models: int) -> Tpo:
         try:
-            return self.table[(t.cells, sentence_models)]
+            return self.table[(t.masks, sentence_models)]
         except KeyError:
             raise LookupError(
                 f"tabular operator has no entry for this prior/input at n={self.n_atoms}"
@@ -105,26 +108,28 @@ def method_name(method) -> str:
     return getattr(method, "value", repr(method))
 
 
-def _require_consistent(sentence_models: frozenset) -> None:
-    if not sentence_models:
+def _consistent_mask(sentence_models: int, n_atoms: int) -> int:
+    """A checked input mask with at least one model."""
+    mask = _input_mask(sentence_models, n_atoms)
+    if not mask:
         raise InconsistentInputError("input sentence has no models")
+    return mask
 
 
-def revise(t: Tpo, sentence_models: frozenset, method: RevisionMethod) -> Tpo:
-    """Revise a preorder by a consistent sentence (given as a model set).
+def revise(t: Tpo, sentence_models: int, method: RevisionMethod) -> Tpo:
+    """Revise a preorder by a consistent sentence (given as a world mask).
 
     Besides the three built-in methods, any object with a
     ``posterior(tpo, models)`` method is accepted (tabular operators,
-    composed operators used by the checker).
+    composed operators used by the checker); it receives the mask.
     """
-    _require_consistent(sentence_models)
-    mask = _input_mask(sentence_models, t.n_atoms)
+    mask = _consistent_mask(sentence_models, t.n_atoms)
     if not isinstance(method, Revision):
         posterior = getattr(method, "posterior", None)
         if posterior is None:
             raise TypeError(f"not a revision method: {method!r}")
-        return posterior(t, sentence_models)
-    return _tpo(_revision_masks(t.masks, mask, method), t.n_atoms)
+        return posterior(t, mask)
+    return Tpo(_revision_masks(t.masks, mask, method), t.n_atoms)
 
 
 def _revision_masks(masks: tuple, s: int, method: Revision) -> tuple:
@@ -176,19 +181,19 @@ def stq_merge(t1: Tpo, t2: Tpo) -> Tpo:
     """
     if t1.n_atoms != t2.n_atoms:
         raise ValueError("cannot merge preorders over different atom counts")
-    return _tpo(_merge_masks(t1.masks, t2.masks, _full_mask(t1.n_atoms)), t1.n_atoms)
+    return Tpo(_merge_masks(t1.masks, t2.masks, all_worlds(t1.n_atoms)), t1.n_atoms)
 
 
 def _contraction(t: Tpo, mask: int, method: Contraction) -> Tpo:
     """Contraction of a preorder by a consistent input mask."""
-    full = _full_mask(t.n_atoms)
+    full = all_worlds(t.n_atoms)
     if mask == full:
         return t
     revised = _revision_masks(t.masks, full & ~mask, method.base)
-    return _tpo(_merge_masks(t.masks, revised, full), t.n_atoms)
+    return Tpo(_merge_masks(t.masks, revised, full), t.n_atoms)
 
 
-def contract(state: State, sentence_models: frozenset, method: Contraction) -> Tpo:
+def contract(state: State, sentence_models: int, method: Contraction) -> Tpo:
     """Contract by a consistent sentence.
 
     Contracting the absurd state flattens it completely, whatever the
@@ -196,28 +201,27 @@ def contract(state: State, sentence_models: frozenset, method: Contraction) -> T
     negation has no models to revise by); otherwise the result is the
     TeamQueue merge of the prior with the revision by the negated input.
     """
-    _require_consistent(sentence_models)
+    mask = _consistent_mask(sentence_models, state.n_atoms)
     if isinstance(state, Absurd):
-        return _tpo((_full_mask(state.n_atoms),), state.n_atoms)
-    return _contraction(state, _input_mask(sentence_models, state.n_atoms), method)
+        return Tpo((all_worlds(state.n_atoms),), state.n_atoms)
+    return _contraction(state, mask, method)
 
 
-def expand(state: State, sentence_models: frozenset, base: RevisionMethod) -> State:
+def expand(state: State, sentence_models: int, base: RevisionMethod) -> State:
     """Iterable expansion: revision while consistent, absurd afterwards.
 
     Expansion of an already-absurd state is left undefined and rejected.
     """
     if isinstance(state, Absurd):
         raise AbsurdStateError("expansion of the absurd state is undefined")
-    _require_consistent(sentence_models)
-    if not state.masks[0] & _input_mask(sentence_models, state.n_atoms):
+    if not state.masks[0] & _consistent_mask(sentence_models, state.n_atoms):
         return Absurd(state.n_atoms)
     return revise(state, sentence_models, base)
 
 
 def nli_revise(
     t: Tpo,
-    sentence_models: frozenset,
+    sentence_models: int,
     contraction: Contraction,
     revision: RevisionMethod,
 ) -> Tpo:
@@ -227,17 +231,15 @@ def nli_revise(
     retracting an inconsistent sentence is vacuous, so the contraction
     step is skipped and only the final revision applies.
     """
-    _require_consistent(sentence_models)
     contracted = contract_by_negation(t, sentence_models, contraction)
     return revise(contracted, sentence_models, revision)
 
 
 def contract_by_negation(
-    t: Tpo, sentence_models: frozenset, method: Contraction
+    t: Tpo, sentence_models: int, method: Contraction
 ) -> Tpo:
     """Contract by the input's negation, vacuously when that is inconsistent."""
-    _require_consistent(sentence_models)
-    negated = _full_mask(t.n_atoms) & ~_input_mask(sentence_models, t.n_atoms)
+    negated = all_worlds(t.n_atoms) & ~_consistent_mask(sentence_models, t.n_atoms)
     if not negated:
         return t
     return _contraction(t, negated, method)
@@ -246,18 +248,18 @@ def contract_by_negation(
 # ---------------------------------------------------------------------------
 # Randomised operators satisfying the iterated-revision postulates
 
-def _success_and_dp(prior: Tpo, sentence_models: frozenset, post: Tpo) -> bool:
+def _success_and_dp(prior: Tpo, sentence_models: int, post: Tpo) -> bool:
     """Success plus the four iterated-revision postulates, one instance."""
-    if not post.cells[0] <= sentence_models:
+    if post.masks[0] & ~sentence_models:
         return False
     rp, rq = prior.rank, post.rank
-    worlds = sorted(prior.world_set)
+    worlds = range(1 << prior.n_atoms)
     for x in worlds:
-        xin = x in sentence_models
+        xin = sentence_models >> x & 1
         for y in worlds:
             if y <= x:
                 continue
-            yin = y in sentence_models
+            yin = sentence_models >> y & 1
             if xin == yin:
                 if (rp[x] <= rp[y]) != (rq[x] <= rq[y]) or (rp[y] <= rp[x]) != (
                     rq[y] <= rq[x]
@@ -284,7 +286,7 @@ def _dp_posterior_candidates(n_atoms: int) -> dict:
                 for post in all_tpos
                 if _success_and_dp(prior, sentence_models, post)
             )
-            candidates[(prior.cells, sentence_models)] = allowed
+            candidates[(prior.masks, sentence_models)] = allowed
     return candidates
 
 

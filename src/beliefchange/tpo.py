@@ -5,15 +5,12 @@ the world set; cell index (1-based) is the rank, and lower rank means
 more plausible.  ``x`` is at least as plausible as ``y`` exactly when
 ``rank(x) <= rank(y)``.
 
-The working form of a cell is an int mask with bit ``w`` set for world
-``w``: a preorder's value is its tuple of cell masks plus its atom
-count, and the operators, ``min_worlds``, ``rank`` and the enumeration
-all work on masks.  ``Tpo.cells`` is a view of the same cells as
-frozensets, built on first use, for the text form, the tabular
-operators' keys and callers that work on world sets.  Tables between
-masks and world sets fill lazily, one entry per world set actually met.
-Every preorder, whether built from cells or from masks, is validated by
-the one ``Tpo.__post_init__``.
+A cell, like every world set (see ``lang``), is an int mask with bit
+``w`` set for world ``w``: a preorder's value is its tuple of cell
+masks plus its atom count, built by the one constructor
+``Tpo(masks, n_atoms)`` and validated by ``Tpo.__post_init__``.  The
+operators, ``min_worlds``, ``rank`` and the enumeration all work on
+masks.
 
 The module also carries everything the checker quantifies over: the
 enumeration of all ordered partitions (with an index-based unranking so
@@ -36,57 +33,25 @@ from math import comb
 from typing import Iterable, Iterator, Union
 
 from .exceptions import EmptyModelSetError, PartitionError
-from .lang import MixedSet, Conditional, all_worlds, models, parse_world, world_str
+from .lang import (
+    _WORLDS,
+    Conditional,
+    MixedSet,
+    all_worlds,
+    models,
+    parse_world,
+    world_str,
+)
 
 
 # ---------------------------------------------------------------------------
 # Cell masks
 
-@lru_cache(maxsize=None)
-def _full_mask(n_atoms: int) -> int:
-    return (1 << (1 << n_atoms)) - 1
 
-
-class _LazyTable(dict):
-    """A dict that computes and keeps the value of each key on its first
-    lookup, so it holds only the keys actually met."""
-
-    def __init__(self, build):
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, key):
-        value = self[key] = self.build(key)
-        return value
-
-
-def _mask_of(worlds: Iterable[int]) -> int:
-    mask = 0
-    for w in worlds:
-        mask |= 1 << w
-    return mask
-
-
-# mask -> its worlds ascending; mask -> frozenset; frozenset -> mask
-_WORLDS = _LazyTable(lambda mask: tuple(w for w in range(mask.bit_length()) if mask >> w & 1))
-_FROZEN = _LazyTable(lambda mask: frozenset(_WORLDS[mask]))
-_MASKS = _LazyTable(_mask_of)
-
-
-def _mask_set(worlds: Iterable[int]) -> int:
-    """Mask of a world set; a frozenset's mask is computed once."""
-    if type(worlds) is frozenset:
-        return _MASKS[worlds]
-    return _mask_of(worlds)
-
-
-def _input_mask(worlds: Iterable[int], n_atoms: int) -> int:
-    """Mask of an input world set; rejects worlds outside the world set."""
-    try:
-        mask = _mask_set(worlds)
-    except (TypeError, ValueError):  # an item that is no world index
-        mask = -1
-    if mask & ~_full_mask(n_atoms):
+def _input_mask(mask: int, n_atoms: int) -> int:
+    """An input world mask, checked: a nonnegative int with no bit beyond
+    the world set."""
+    if type(mask) is not int or mask < 0 or mask & ~all_worlds(n_atoms):
         raise ValueError("input models outside this preorder's world set")
     return mask
 
@@ -100,29 +65,20 @@ def _min_mask(masks: tuple, mask: int) -> int:
     raise EmptyModelSetError("minimisation over an empty world set")
 
 
-_new = object.__new__
 _set = object.__setattr__
 
 
 class Tpo:
     """Ordered partition of the 2^n_atoms worlds; validates on construction.
 
-    ``masks`` holds one int per cell, bit ``w`` set for world ``w``; the
-    value of a preorder (equality, hash) is ``(masks, n_atoms)``.
-    ``cells`` is the same partition as a tuple of frozensets, built on
-    first use.  Instances are immutable.
+    ``masks`` holds one int per cell, lowest rank first, bit ``w`` set
+    for world ``w``; the value of a preorder (equality, hash) is
+    ``(masks, n_atoms)``.  Instances are immutable.
     """
 
-    __slots__ = ("masks", "n_atoms", "_hash", "_rank", "_cells")
+    __slots__ = ("masks", "n_atoms", "_hash", "_rank")
 
-    def __init__(self, cells: Iterable[Iterable[int]], n_atoms: int):
-        masks = []
-        for cell in cells:
-            try:
-                masks.append(_mask_set(cell))
-            except (TypeError, ValueError):  # an item that is no world index
-                bad = sorted(w for w in cell if not (isinstance(w, int) and w >= 0))
-                raise PartitionError(f"unknown worlds {bad}") from None
+    def __init__(self, masks: Iterable[int], n_atoms: int):
         _set(self, "masks", tuple(masks))
         _set(self, "n_atoms", n_atoms)
         self.__post_init__()
@@ -130,20 +86,25 @@ class Tpo:
     def __post_init__(self):
         """Accept nonempty disjoint cells covering the world set, else raise."""
         seen = 0
-        for mask in self.masks:
-            if not mask or mask & seen:
-                break
-            seen |= mask
-        else:
-            if seen == _full_mask(self.n_atoms):
-                return
+        try:
+            for mask in self.masks:
+                if not mask or mask & seen:
+                    break
+                seen |= mask
+            else:
+                if seen == all_worlds(self.n_atoms):
+                    return
+        except TypeError:  # a cell that is no int
+            pass
         self._reject()
 
     def _reject(self):
         """Raise the error for the first fault, in cell order."""
-        full = _full_mask(self.n_atoms)
+        full = all_worlds(self.n_atoms)
         seen = 0
         for mask in self.masks:
+            if type(mask) is not int or mask < 0:
+                raise PartitionError(f"cell {mask!r} is not a world mask")
             if not mask:
                 raise PartitionError("empty cell")
             if mask & ~full:
@@ -162,7 +123,7 @@ class Tpo:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return _tpo, (self.masks, self.n_atoms)
+        return Tpo, (self.masks, self.n_atoms)
 
     def __eq__(self, other):
         if other.__class__ is not Tpo:
@@ -193,34 +154,11 @@ class Tpo:
             _set(self, "_rank", ranks)
             return ranks
 
-    @property
-    def cells(self) -> tuple:
-        """The cells as frozensets of worlds, lowest rank first."""
-        try:
-            return self._cells
-        except AttributeError:
-            cells = tuple([_FROZEN[mask] for mask in self.masks])
-            _set(self, "_cells", cells)
-            return cells
-
-    @property
-    def world_set(self) -> frozenset:
-        return all_worlds(self.n_atoms)
-
     def __repr__(self) -> str:
-        return f"Tpo(cells={self.cells!r}, n_atoms={self.n_atoms!r})"
+        return f"Tpo(masks={self.masks!r}, n_atoms={self.n_atoms!r})"
 
     def __str__(self) -> str:
         return format_tpo(self)
-
-
-def _tpo(masks: tuple, n_atoms: int) -> Tpo:
-    """The preorder with these cell masks, validated like any other."""
-    t = _new(Tpo)
-    _set(t, "masks", masks)
-    _set(t, "n_atoms", n_atoms)
-    t.__post_init__()
-    return t
 
 
 def format_tpo(t: Tpo) -> str:
@@ -229,16 +167,19 @@ def format_tpo(t: Tpo) -> str:
 
 
 def parse_tpo(text: str, n_atoms: int) -> Tpo:
-    cells = []
+    masks = []
     for chunk in text.split("|"):
         names = chunk.split()
         if not names:
             raise PartitionError(f"empty cell in {text!r}")
-        try:
-            cells.append(frozenset(parse_world(name, n_atoms) for name in names))
-        except ValueError as exc:
-            raise PartitionError(str(exc)) from None
-    return Tpo(tuple(cells), n_atoms)
+        mask = 0
+        for name in names:
+            try:
+                mask |= 1 << parse_world(name, n_atoms)
+            except ValueError as exc:
+                raise PartitionError(str(exc)) from None
+        masks.append(mask)
+    return Tpo(masks, n_atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -257,20 +198,20 @@ class Absurd:
 State = Union[Tpo, Absurd]
 
 
-def beliefs(state: State) -> frozenset:
-    """Model set of the state's belief set; empty for the absurd state."""
+def beliefs(state: State) -> int:
+    """World mask of the state's belief set; empty for the absurd state."""
     if isinstance(state, Absurd):
-        return frozenset()
-    return state.cells[0]
+        return 0
+    return state.masks[0]
 
 
 # ---------------------------------------------------------------------------
 # Basic order operations
 
-def min_worlds(t: Tpo, s: Iterable[int]) -> frozenset:
-    """The rank-minimal elements of ``s``; rejects the empty selection and
-    worlds outside the preorder's world set."""
-    return _FROZEN[_min_mask(t.masks, _input_mask(s, t.n_atoms))]
+def min_worlds(t: Tpo, s: int) -> int:
+    """The rank-minimal worlds of the mask ``s``; rejects the empty
+    selection and anything but a mask of the preorder's world set."""
+    return _min_mask(t.masks, _input_mask(s, t.n_atoms))
 
 
 def flatter_eq(t1: Tpo, t2: Tpo) -> bool:
@@ -341,7 +282,7 @@ def enumerate_tpos(n_atoms: int) -> Iterator[Tpo]:
     """
     bits = _world_bits(n_atoms)
     for masks in _ordered_partitions(bits):
-        yield _tpo(masks, n_atoms)
+        yield Tpo(masks, n_atoms)
 
 
 def _unrank(index: int, bits: tuple) -> tuple:
@@ -367,23 +308,18 @@ def _unrank(index: int, bits: tuple) -> tuple:
 
 def tpo_at_index(index: int, n_atoms: int) -> Tpo:
     """The index-th Tpo of ``enumerate_tpos``; supports restartable streams."""
-    return _tpo(_unrank(index, _world_bits(n_atoms)), n_atoms)
+    return Tpo(_unrank(index, _world_bits(n_atoms)), n_atoms)
 
 
-@lru_cache(maxsize=8)
-def propositions(n_atoms: int) -> tuple:
-    """All nonempty world sets, as frozensets, in mask order."""
-    n_worlds = 1 << n_atoms
-    out = []
-    for mask in range(1, 1 << n_worlds):
-        out.append(frozenset(w for w in range(n_worlds) if (mask >> w) & 1))
-    return tuple(out)
+def propositions(n_atoms: int) -> range:
+    """All nonempty world masks, ascending."""
+    return range(1, all_worlds(n_atoms) + 1)
 
 
 # ---------------------------------------------------------------------------
 # Input-preserving order isomorphisms
 
-def enumerate_a_preserving_isos(t1: Tpo, t2: Tpo, sentence_models: frozenset) -> list:
+def enumerate_a_preserving_isos(t1: Tpo, t2: Tpo, sentence_models: int) -> list:
     """All bijections on W preserving both the preorders and the input order.
 
     A qualifying permutation must map the k-th cell of ``t1`` onto the
@@ -393,26 +329,21 @@ def enumerate_a_preserving_isos(t1: Tpo, t2: Tpo, sentence_models: frozenset) ->
     the image of ``x``, in a fixed deterministic order; empty when no
     isomorphism exists.
     """
-    if [len(c) for c in t1.cells] != [len(c) for c in t2.cells]:
+    if [m.bit_count() for m in t1.masks] != [m.bit_count() for m in t2.masks]:
         return []
-    full = t1.world_set
+    full = all_worlds(t1.n_atoms)
     trivial = sentence_models == full or not sentence_models
-    blocks = []  # (source worlds sorted, target worlds sorted)
-    for c1, c2 in zip(t1.cells, t2.cells):
-        if trivial:
-            parts = [(sorted(c1), sorted(c2))]
-        else:
-            parts = [
-                (sorted(c1 & sentence_models), sorted(c2 & sentence_models)),
-                (sorted(c1 - sentence_models), sorted(c2 - sentence_models)),
-            ]
-        for source, target in parts:
+    sides = (full,) if trivial else (sentence_models, full & ~sentence_models)
+    blocks = []  # (source worlds ascending, target worlds ascending)
+    for c1, c2 in zip(t1.masks, t2.masks):
+        for side in sides:
+            source, target = _WORLDS[c1 & side], _WORLDS[c2 & side]
             if len(source) != len(target):
                 return []
             if source:
                 blocks.append((source, target))
     perms = []
-    n_worlds = len(full)
+    n_worlds = 1 << t1.n_atoms
     for choice in itertools.product(
         *(itertools.permutations(target) for _, target in blocks)
     ):
@@ -436,7 +367,7 @@ def conditional_holds(t: Tpo, cond: Conditional, atoms) -> bool:
     antecedent = models(cond.antecedent, atoms)
     if not antecedent:
         return True
-    return min_worlds(t, antecedent) <= models(cond.consequent, atoms)
+    return not min_worlds(t, antecedent) & ~models(cond.consequent, atoms)
 
 
 def conditional_set(t: Tpo) -> MixedSet:
@@ -447,10 +378,5 @@ def conditional_set(t: Tpo) -> MixedSet:
     preorders have equal conditional sets exactly when they are equal.
     """
     masks = t.masks
-    pairs = frozenset(
-        (p, _FROZEN[_min_mask(masks, mask)])
-        for mask, p in enumerate(propositions(t.n_atoms), start=1)
-    )
-    return MixedSet(
-        plain_models=t.cells[0], cond_pairs=pairs, weakening_closed=True
-    )
+    pairs = frozenset((p, _min_mask(masks, p)) for p in propositions(t.n_atoms))
+    return MixedSet(plain_models=masks[0], cond_pairs=pairs, weakening_closed=True)

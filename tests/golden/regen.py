@@ -99,8 +99,8 @@ class ReversedNatural:
 
     value = "reversed-natural"
 
-    def posterior(self, t: Tpo, sentence_models: frozenset) -> Tpo:
-        return revise(Tpo(t.cells[::-1], t.n_atoms), sentence_models, Revision.NATURAL)
+    def posterior(self, t: Tpo, sentence_models: int) -> Tpo:
+        return revise(Tpo(t.masks[::-1], t.n_atoms), sentence_models, Revision.NATURAL)
 
 
 def _needs_con(postulate: str) -> bool:

@@ -80,8 +80,8 @@ def test_criterion_03_diagram_exclusion():
         t = parse_tpo(witness.tpos[0], 2)
         p = mod(witness.inputs[0])
         triple = [parse_world(name, 2) for name in witness.worlds]
-        inside = [w for w in triple if w in p]
-        outside = sorted((w for w in triple if w not in p), key=lambda w: t.rank[w])
+        inside = [w for w in triple if p >> w & 1]
+        outside = sorted((w for w in triple if not p >> w & 1), key=lambda w: t.rank[w])
         assert len(inside) == 1 and len(outside) == 2
         z, y = outside
         assert t.rank[z] < t.rank[y] < t.rank[inside[0]]
@@ -163,7 +163,7 @@ def test_criterion_08_impossibility_regression():
     expected = parse_tpo("11 | 10 | 01 | 00", 2)
     assert contracted == prior
     assert revised_r == expected and revised_l == expected
-    assert prior.cells[0] <= p
+    assert not prior.masks[0] & ~p
     assert conditional_set(contracted) != conditional_set(expected)
     assert elapsed < 0.001, f"operator calls took {elapsed * 1000:.3f} ms"
     assert verify_claim("P5").passed

@@ -29,14 +29,19 @@ query conditional p => q: true
 """
 
 
+def _worlds(mask):
+    """The worlds of a mask, ascending."""
+    return [w for w in range(mask.bit_length()) if mask >> w & 1]
+
+
 def conditional_set_lines(t, atoms=ATOMS):
     lines = [
         f"{dnf_of_worlds(p, atoms)} => {dnf_of_worlds(q, atoms)}"
         for p, q in sorted(
-            conditional_set(t).strongest_map().items(), key=lambda kv: sorted(kv[0])
+            conditional_set(t).strongest_map().items(), key=lambda kv: _worlds(kv[0])
         )
     ]
-    lines.append(dnf_of_worlds(t.cells[0], atoms))
+    lines.append(dnf_of_worlds(t.masks[0], atoms))
     return lines
 
 
@@ -195,7 +200,7 @@ def test_closure_at_four_atoms(tmp_path, capsys):
 def test_conditional_set_parser_ignores_comments_and_blanks():
     delta = parse_conditional_set("# comment\n\np => q\n~p\n", ATOMS)
     assert len(delta.cond_pairs) == 1
-    assert delta.plain_models == frozenset({0, 1})
+    assert delta.plain_models == 0b0011
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ from beliefchange.exceptions import (
     AbsurdStateError,
     EmptyModelSetError,
     InconsistentInputError,
+    PartitionError,
 )
-from beliefchange.lang import models, parse_formula
+from beliefchange.lang import all_worlds, models, parse_formula
 from beliefchange.operators import (
     Contraction,
     Revision,
@@ -42,6 +43,7 @@ def mod(text):
 
 M0 = parse_tpo("00 | 11 | 01 10", 2)
 P = mod("p")
+FULL = all_worlds(2)
 
 
 # ---------------------------------------------------------------------------
@@ -64,25 +66,54 @@ def test_revision_success_is_exact():
     for t in enumerate_tpos(2):
         for p in propositions(2):
             for method in Revision:
-                assert revise(t, p, method).cells[0] == min_worlds(t, p)
+                assert revise(t, p, method).masks[0] == min_worlds(t, p)
 
 
 def test_revision_rejects_inconsistent_input():
     with pytest.raises(InconsistentInputError):
-        revise(M0, frozenset(), Revision.NATURAL)
+        revise(M0, 0, Revision.NATURAL)
 
 
 def test_revision_rejects_foreign_worlds():
     with pytest.raises(ValueError):
-        revise(M0, frozenset({9}), Revision.NATURAL)
+        revise(M0, 1 << 9, Revision.NATURAL)
 
 
 def test_contraction_rejects_foreign_worlds():
-    for worlds in ({0, 9}, {-1}):
+    for worlds in (1 | 1 << 9, 1 << 4, -1):
         with pytest.raises(ValueError, match="outside this preorder's world set"):
-            contract(M0, frozenset(worlds), Contraction.NATURAL)
+            contract(M0, worlds, Contraction.NATURAL)
         with pytest.raises(ValueError, match="outside this preorder's world set"):
-            contract_by_negation(M0, frozenset(worlds), Contraction.NATURAL)
+            contract_by_negation(M0, worlds, Contraction.NATURAL)
+
+
+# not a world mask of two atoms: a world set in another form, no int, a
+# negative int, and bits beyond the four worlds
+OUTSIDE_INPUTS = (frozenset({1}), "1", 1.0, None, True, -1, 1 << 4, 0b11111)
+
+
+@pytest.mark.parametrize("bad", OUTSIDE_INPUTS, ids=repr)
+def test_operators_reject_anything_but_a_world_mask(bad):
+    calls = (
+        lambda: revise(M0, bad, Revision.NATURAL),
+        lambda: revise(M0, bad, _NliComposition(Contraction.NATURAL, Revision.NATURAL)),
+        lambda: contract(M0, bad, Contraction.NATURAL),
+        lambda: contract(Absurd(2), bad, Contraction.NATURAL),
+        lambda: contract_by_negation(M0, bad, Contraction.NATURAL),
+        lambda: expand(M0, bad, Revision.NATURAL),
+        lambda: nli_revise(M0, bad, Contraction.NATURAL, Revision.NATURAL),
+        lambda: min_worlds(M0, bad),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="input models outside this preorder's world set"):
+            call()
+
+
+@pytest.mark.parametrize("bad", OUTSIDE_INPUTS, ids=repr)
+def test_preorders_reject_cells_that_are_no_world_masks(bad):
+    for masks in ((bad, 0b1111), (0b1111, bad), (bad,)):
+        with pytest.raises(PartitionError):
+            Tpo(masks, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +169,11 @@ def test_stq_lex_contraction_fixed_point():
 def test_contraction_beliefs_are_union_of_minima():
     for t in enumerate_tpos(2):
         for p in propositions(2):
-            if p == t.world_set:
+            if p == FULL:
                 continue
             for method in Contraction:
-                got = contract(t, p, method).cells[0]
-                assert got == t.cells[0] | min_worlds(t, t.world_set - p)
+                got = contract(t, p, method).masks[0]
+                assert got == t.masks[0] | min_worlds(t, FULL & ~p)
 
 
 def test_contraction_by_tautology_is_identity():
@@ -151,7 +182,7 @@ def test_contraction_by_tautology_is_identity():
 
 def test_contraction_rejects_inconsistent_input():
     with pytest.raises(InconsistentInputError):
-        contract(M0, frozenset(), Contraction.NATURAL)
+        contract(M0, 0, Contraction.NATURAL)
 
 
 def test_contracting_the_absurd_state_flattens_everything():
@@ -176,7 +207,7 @@ def test_expansion_of_absurd_is_rejected():
     with pytest.raises(AbsurdStateError):
         expand(Absurd(2), P, Revision.NATURAL)
     with pytest.raises(InconsistentInputError):
-        expand(M0, frozenset(), Revision.NATURAL)
+        expand(M0, 0, Revision.NATURAL)
 
 
 def test_expansion_never_goes_absurd_after_making_room():
@@ -246,75 +277,92 @@ def test_seed_zero_operator_is_not_elementary():
 def test_tabular_operator_rejects_unknown_instances():
     op = make_random_dp_operator(0, 2)
     with pytest.raises(LookupError):
-        op.posterior(parse_tpo("0 | 1", 1), frozenset({0}))
+        op.posterior(parse_tpo("0 | 1", 1), 0b01)
 
 
 # ---------------------------------------------------------------------------
-# The frozenset operators the mask core replaced, kept as the oracle
+# The frozenset operators the mask core replaced, kept as the oracle.  Its
+# preorders are tuples of frozenset cells, converted at the edge.
 
 
-def _oracle_min_worlds(t, s):
-    s = frozenset(s)
+def _mask(worlds):
+    return sum(1 << w for w in set(worlds))
+
+
+def _set(mask):
+    return frozenset(w for w in range(mask.bit_length()) if mask >> w & 1)
+
+
+def _cells(t):
+    return tuple(_set(mask) for mask in t.masks)
+
+
+def _from_cells(cells, n_atoms):
+    return Tpo([_mask(cell) for cell in cells], n_atoms)
+
+
+def _oracle_min_worlds(cells, s):
     if not s:
         raise EmptyModelSetError("minimisation over an empty world set")
-    rank = {w: i for i, cell in enumerate(t.cells) for w in cell}
+    rank = {w: i for i, cell in enumerate(cells) for w in cell}
     best = min(rank[w] for w in s)
     return frozenset(w for w in s if rank[w] == best)
 
 
-def _oracle_revise(t, sentence_models, method):
-    minimal = _oracle_min_worlds(t, sentence_models)
-    cells = [minimal]
+def _oracle_revise(cells, sentence_models, method):
+    minimal = _oracle_min_worlds(cells, sentence_models)
+    out = [minimal]
     if method is Revision.NATURAL:
-        for cell in t.cells:
+        for cell in cells:
             rest = cell - minimal
             if rest:
-                cells.append(rest)
+                out.append(rest)
     elif method is Revision.RESTRAINED:
-        for cell in t.cells:
+        for cell in cells:
             inside = (cell & sentence_models) - minimal
             outside = cell - sentence_models
             if inside:
-                cells.append(inside)
+                out.append(inside)
             if outside:
-                cells.append(outside)
+                out.append(outside)
     else:
-        cells = [cell & sentence_models for cell in t.cells if cell & sentence_models]
-        cells += [cell - sentence_models for cell in t.cells if cell - sentence_models]
-    return Tpo(tuple(cells), t.n_atoms)
+        out = [cell & sentence_models for cell in cells if cell & sentence_models]
+        out += [cell - sentence_models for cell in cells if cell - sentence_models]
+    return tuple(out)
 
 
-def _oracle_stq_merge(t1, t2):
-    remaining = set(t1.world_set)
-    cells = []
+def _oracle_stq_merge(cells1, cells2):
+    remaining = set().union(*cells1)
+    out = []
     while remaining:
         current = set()
-        for t in (t1, t2):
-            for cell in t.cells:
+        for cells in (cells1, cells2):
+            for cell in cells:
                 alive = cell & remaining
                 if alive:
                     current |= alive
                     break
-        cells.append(frozenset(current))
+        out.append(frozenset(current))
         remaining -= current
-    return Tpo(tuple(cells), t1.n_atoms)
+    return tuple(out)
 
 
-def _oracle_contract(t, sentence_models, method):
-    if sentence_models == t.world_set:
-        return t
-    negated = t.world_set - sentence_models
-    return _oracle_stq_merge(t, _oracle_revise(t, negated, method.base))
+def _oracle_contract(cells, sentence_models, method):
+    world_set = frozenset().union(*cells)
+    if sentence_models == world_set:
+        return cells
+    negated = world_set - sentence_models
+    return _oracle_stq_merge(cells, _oracle_revise(cells, negated, method.base))
 
 
 def _assert_matches_oracle(t, p):
-    assert min_worlds(t, p) == _oracle_min_worlds(t, p)
+    cells, s = _cells(t), _set(p)
+    assert min_worlds(t, p) == _mask(_oracle_min_worlds(cells, s))
     for method in Revision:
-        got, expected = revise(t, p, method), _oracle_revise(t, p, method)
-        assert got == expected and got.cells == expected.cells
+        assert revise(t, p, method) == _from_cells(_oracle_revise(cells, s, method), t.n_atoms)
     for method in Contraction:
-        got, expected = contract(t, p, method), _oracle_contract(t, p, method)
-        assert got == expected and got.cells == expected.cells
+        expected = _from_cells(_oracle_contract(cells, s, method), t.n_atoms)
+        assert contract(t, p, method) == expected
 
 
 def test_mask_operators_match_the_oracle_on_every_two_atom_instance():
@@ -327,8 +375,8 @@ def test_mask_merge_matches_the_oracle_on_every_two_atom_pair():
     pool = list(enumerate_tpos(2))
     for t1 in pool:
         for t2 in pool:
-            got, expected = stq_merge(t1, t2), _oracle_stq_merge(t1, t2)
-            assert got == expected and got.cells == expected.cells
+            expected = _from_cells(_oracle_stq_merge(_cells(t1), _cells(t2)), 2)
+            assert stq_merge(t1, t2) == expected
 
 
 def test_mask_operators_match_the_oracle_on_three_atom_draws():
@@ -339,25 +387,28 @@ def test_mask_operators_match_the_oracle_on_three_atom_draws():
         t = tpo_at_index(rng.randrange(total), 3)
         _assert_matches_oracle(t, rng.choice(props))
         other = tpo_at_index(rng.randrange(total), 3)
-        assert stq_merge(t, other) == _oracle_stq_merge(t, other)
+        expected = _from_cells(_oracle_stq_merge(_cells(t), _cells(other)), 3)
+        assert stq_merge(t, other) == expected
 
 
-def test_both_construction_routes_give_one_value():
+def test_one_constructor_gives_one_value():
     rng = random.Random(6)
     draws = [tpo_at_index(rng.randrange(count_tpos(3)), 3) for _ in range(200)]
     for t in list(enumerate_tpos(2)) + draws:
-        from_cells = Tpo(tuple(frozenset(sorted(cell)) for cell in t.cells), t.n_atoms)
-        assert from_cells == t and hash(from_cells) == hash(t)
-        assert from_cells.cells == t.cells and str(from_cells) == str(t)
-        assert from_cells.rank == t.rank == tuple(
-            next(i for i, cell in enumerate(t.cells, 1) if w in cell)
-            for w in range(1 << t.n_atoms)
+        n, cells = t.n_atoms, _cells(t)
+        rebuilt = _from_cells(cells, n)
+        assert rebuilt == t and hash(rebuilt) == hash(t) and rebuilt.masks == t.masks
+        assert str(rebuilt) == str(t) == " | ".join(
+            " ".join(format(w, f"0{n}b") for w in sorted(cell)) for cell in cells
         )
-        for u in (t, from_cells):
+        assert rebuilt.rank == t.rank == tuple(
+            next(i for i, cell in enumerate(cells, 1) if w in cell) for w in range(1 << n)
+        )
+        for u in (t, rebuilt):
             for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
                 copy = pickle.loads(pickle.dumps(u, protocol))
                 assert copy == t and hash(copy) == hash(t)
-                assert copy.rank == t.rank and copy.cells == t.cells and str(copy) == str(t)
+                assert copy.rank == t.rank and copy.masks == t.masks and str(copy) == str(t)
 
 
 def test_preorders_are_immutable():
@@ -371,8 +422,12 @@ def test_preorders_are_immutable():
 # Equivariance: the built-in operators commute with world permutations
 
 
+def _permuted_mask(mask, perm):
+    return _mask(perm[w] for w in _set(mask))
+
+
 def _permuted(t, perm):
-    return Tpo(tuple(frozenset(perm[w] for w in cell) for cell in t.cells), t.n_atoms)
+    return Tpo([_permuted_mask(mask, perm) for mask in t.masks], t.n_atoms)
 
 
 def test_operators_commute_with_world_permutations():
@@ -385,7 +440,7 @@ def test_operators_commute_with_world_permutations():
         p = rng.choice(props)
         perm = list(range(8))
         rng.shuffle(perm)
-        pt, pp = _permuted(t, perm), frozenset(perm[w] for w in p)
+        pt, pp = _permuted(t, perm), _permuted_mask(p, perm)
         for method in Revision:
             assert revise(pt, pp, method) == _permuted(revise(t, p, method), perm)
         for method in Contraction:

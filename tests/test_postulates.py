@@ -164,6 +164,31 @@ def test_replay_rejects_atom_counts_outside_every_check_scope(n_atoms):
         replay_witness("DP1", witness, Revision.NATURAL, n_atoms=n_atoms)
 
 
+@pytest.mark.parametrize(
+    "postulate, sample, draws", [("DP1", 30, 30), ("IIAP", 24, 48), ("Neut", 256, 512)]
+)
+def test_a_sampled_check_draws_its_outers_once(monkeypatch, postulate, sample, draws):
+    # one randrange call per drawn preorder: sample for single outers, twice
+    # that for pairs, however many chunks the outers are split into
+    calls = []
+    randrange = random.Random.randrange
+
+    def counted(self, *args):
+        calls.append(args)
+        return randrange(self, *args)
+
+    monkeypatch.setattr(random.Random, "randrange", counted)
+    report = check_postulate(
+        postulate, Revision.NATURAL, n_atoms=3, mode="sampled", seed=1, sample=sample
+    )
+    assert len(calls) == draws
+    monkeypatch.undo()
+    again = check_postulate(
+        postulate, Revision.NATURAL, n_atoms=3, mode="sampled", seed=1, sample=sample, workers=2
+    )
+    assert render_machine(again) == render_machine(report)
+
+
 # ---------------------------------------------------------------------------
 # Custom operator objects (anything with a ``posterior`` method)
 
@@ -273,8 +298,8 @@ def _witness_has_chain_shape(witness):
     t = parse_tpo(witness.tpos[0], 2)
     p = mod(witness.inputs[0])
     triple = [parse_world(name, 2) for name in witness.worlds]
-    inside = [w for w in triple if w in p]
-    outside = sorted((w for w in triple if w not in p), key=lambda w: t.rank[w])
+    inside = [w for w in triple if p >> w & 1]
+    outside = sorted((w for w in triple if not p >> w & 1), key=lambda w: t.rank[w])
     if len(inside) != 1 or len(outside) != 2:
         return False
     z, y = outside
@@ -486,7 +511,7 @@ class _Reversed:
     scan rebuilds its witnesses with the generator."""
 
     def posterior(self, t, sentence_models):
-        return revise(Tpo(t.cells[::-1], t.n_atoms), sentence_models, Revision.NATURAL)
+        return revise(Tpo(t.masks[::-1], t.n_atoms), sentence_models, Revision.NATURAL)
 
 
 @pytest.fixture

@@ -12,7 +12,14 @@ Times, on the ``beliefchange`` package found on ``sys.path``:
   runs it: ``_scan(_Ctx(3, rev, con), _POSTULATES[id], [outer],
   clear=True)``, mean over 20 seeded preorders (preorder pairs for
   IIAP), for DP1 natural, NLI natural + ``contract-stq-lex``, IIAI
-  natural and IIAP natural.
+  natural and IIAP natural;
+* one claim: ``verify_claim("P2", 2)``, which contracts, builds
+  conditional sets and tests membership in them for every two-atom
+  preorder and input, and keeps no cache between calls;
+* one closure query at three atoms: ``parse_conditional_set`` plus
+  ``closure_answer`` on a fast-path file (a seeded preorder's full
+  conditional set, 255 ``A => B`` lines, plus its belief set as the
+  plain part), mean over 10 seeded files.
 
 Each layer is timed ``RUNS`` times in this process after one warm-up
 pass; the output gives every reading and their median.  Preorders are
@@ -28,19 +35,34 @@ import random
 import statistics
 import time
 
+from beliefchange.cli import closure_answer, parse_conditional_set
+from beliefchange.lang import dnf_of_worlds
 from beliefchange.operators import Contraction, Revision, contract, revise, stq_merge
-from beliefchange.postulates import _POSTULATES, _Ctx, _scan
-from beliefchange.tpo import count_tpos, enumerate_tpos, propositions, tpo_at_index
+from beliefchange.postulates import _POSTULATES, _Ctx, _scan, verify_claim
+from beliefchange.tpo import count_tpos, enumerate_tpos, min_worlds, propositions, tpo_at_index
 
 DRAWS = 2000
 RUNS = 5
 SCANS = 20
+CLOSURES = 10
+ATOMS = ("p", "q", "r")
 
 
 def _per_call(fn, calls):
     start = time.perf_counter()
     fn()
     return (time.perf_counter() - start) / calls
+
+
+def _fast_path_file(t) -> str:
+    """A preorder's full conditional set plus its belief set, as file text."""
+    props = propositions(3)
+    lines = [
+        f"{dnf_of_worlds(p, ATOMS)} => {dnf_of_worlds(min_worlds(t, p), ATOMS)}"
+        for p in props
+    ]
+    lines.append(dnf_of_worlds(min_worlds(t, props[-1]), ATOMS))  # the belief set
+    return "\n".join(lines) + "\n"
 
 
 def main() -> None:
@@ -53,6 +75,7 @@ def main() -> None:
     indices = [rng.randrange(total) for _ in range(1000)]
     outers = [tpo_at_index(rng.randrange(total), 3) for _ in range(SCANS)]
     outer_pairs = [(rng.choice(outers), rng.choice(outers)) for _ in range(SCANS)]
+    files = [_fast_path_file(tpo_at_index(rng.randrange(total), 3)) for _ in range(CLOSURES)]
 
     def revisions():
         for t, p in inputs:
@@ -86,6 +109,13 @@ def main() -> None:
 
         return run
 
+    def claim():
+        verify_claim("P2", 2)
+
+    def closures():
+        for text in files:
+            closure_answer(parse_conditional_set(text, ATOMS), 3)
+
     layers = {
         "revise_call_us": (revisions, 3 * DRAWS, 1e6),
         "contract_call_us": (contractions, 3 * DRAWS, 1e6),
@@ -100,6 +130,8 @@ def main() -> None:
         ),
         "scan_IIAI_natural_ms": (scans("IIAI", Revision.NATURAL), SCANS, 1e3),
         "scan_IIAP_natural_ms": (scans("IIAP", Revision.NATURAL), SCANS, 1e3),
+        "claim_P2_n2_s": (claim, 1, 1.0),
+        "closure_query_n3_ms": (closures, CLOSURES, 1e3),
     }
     out = {}
     for name, (fn, calls, scale) in layers.items():
