@@ -36,7 +36,15 @@ Groups:
 * ``diagram``: ``check_diagram`` at two atoms for each built-in state
   diagram a-f and for one custom table, ``CUSTOM_DIAGRAM``; the
   excluded diagrams give reports with witnesses, which the CLI shows
-  only as T1's outcome lines.
+  only as T1's outcome lines;
+* ``run``: ``run`` on the scenario files stored beside the reports
+  (``<name>.txt``), in text and machine format, each report holding the
+  exit code, stdout and stderr: every step kind (``revise``,
+  ``contract``, ``expand`` into the absurd state, ``nli-revise``),
+  queries with and without steps, exit 2 for a formula syntax error,
+  an unknown atom, an unknown method and a conditional query without
+  ``=>``, exit 3 with the partial transcript for revising by a
+  contradiction; plus ``closure`` on a file with a syntax error.
 """
 
 from __future__ import annotations
@@ -87,6 +95,22 @@ CLOSURE_CASES = (
     ("n3.small-2", ("--n", "3")),
     ("n3.small-3", ("--n", "3")),
     ("n3.unsatisfiable", ("--n", "3")),
+)
+
+RUN = GOLDEN / "run"
+RUN_CASES = (
+    # (input file stem, command)
+    ("revise", "run"),
+    ("contract", "run"),
+    ("expand-absurd", "run"),
+    ("nli-revise", "run"),
+    ("queries-only", "run"),
+    ("syntax-error", "run"),
+    ("unknown-atom", "run"),
+    ("unknown-method", "run"),
+    ("query-no-arrow", "run"),
+    ("inconsistent", "run"),
+    ("closure-syntax-error", "closure"),
 )
 
 # excluded, like the built-in diagram d it equals: reported as "custom"
@@ -184,6 +208,16 @@ def render_closure(stem: str, extra) -> str:
     return json.dumps({"exit": code, "stdout": out.getvalue()}, indent=2) + "\n"
 
 
+def render_run(stem: str, command: str, fmt: str) -> str:
+    """Exit code, stdout and stderr of one command on a stored file."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["--format", fmt, command, str(RUN / f"{stem}.txt")])
+    return json.dumps(
+        {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}, indent=2
+    ) + "\n"
+
+
 def render_custom(postulate: str, revision=None, n_atoms: int = 2, **sampling) -> str:
     """A library check's machine report, under ``ReversedNatural`` unless
     another revision is given, with ``contract-stq-lex`` where needed."""
@@ -209,6 +243,11 @@ def rendered() -> dict:
         (f"diagram/{d}.json", render_machine(check_diagram(d, 2))) for d in DIAGRAM_IDS
     )
     out["diagram/custom.json"] = render_machine(check_diagram(CUSTOM_DIAGRAM, 2))
+    out.update(
+        (f"run/{stem}.{fmt}.json", render_run(stem, command, fmt))
+        for stem, command in RUN_CASES
+        for fmt in ("text", "machine")
+    )
     return out
 
 
