@@ -31,13 +31,10 @@ from .exceptions import (
     UnsatisfiableError,
 )
 from .lang import (
-    Conditional,
-    Formula,
     MixedSet,
     cn_extended_member,
     dnf_of_worlds,
     models,
-    parse_formula,
     world_str,
 )
 from .operators import (

@@ -10,10 +10,16 @@ Commands::
     beliefchange [--format text|machine] verify <claim> --n <k>
     beliefchange [--format text|machine] closure <file> --n <k> [--atoms ...]
 
-Exit codes: ``run`` 0/2 (parse)/3 (semantic); ``check`` 0 pass, 1 fail,
-2 usage; ``verify`` 0 iff the claim's check passes; ``closure`` 0, 1
-unsatisfiable, 2 usage.  All output is a pure function of
-the inputs; transcripts and reports are byte-identical across runs.
+Exit codes: ``run`` 0/2 (parse)/3 (semantic, after the transcript up
+to the failure); ``check`` 0 pass, 1 fail, 2 usage; ``verify`` 0 iff
+the claim's check passes; ``closure`` 0, 1 unsatisfiable, 2 usage.  All
+output is a pure function of the inputs; transcripts and reports are
+byte-identical across runs.
+
+Files are read once: ``parse_scenario`` resolves every method name and
+parses every formula to its world mask (a conditional to its pair of
+masks), and ``parse_conditional_set`` builds a ``MixedSet`` from masks,
+so running a scenario or a closure query parses no formula again.
 """
 
 from __future__ import annotations
@@ -34,14 +40,7 @@ from .exceptions import (
     ScopeError,
     UnsatisfiableError,
 )
-from .lang import (
-    Conditional,
-    MixedSet,
-    check_atoms,
-    dnf_of_worlds,
-    models,
-    parse_formula,
-)
+from .lang import MixedSet, all_worlds, check_atoms, dnf_of_worlds, models
 from .operators import Contraction, Revision, contract, expand, nli_revise, revise
 from .postulates import (
     CLAIM_IDS,
@@ -56,6 +55,7 @@ from .tpo import Absurd, State, beliefs, conditional_holds, format_tpo, parse_tp
 
 _REVISIONS = {m.value: m for m in Revision}
 _CONTRACTIONS = {m.value: m for m in Contraction}
+_STEP_OPERATORS = {"revise": revise, "contract": contract, "expand": expand, "nli-revise": nli_revise}
 
 
 # ---------------------------------------------------------------------------
@@ -64,15 +64,16 @@ _CONTRACTIONS = {m.value: m for m in Contraction}
 
 @dataclass(frozen=True)
 class Step:
+    text: str  # as written, e.g. 'revise natural p'
     kind: str  # revise | contract | expand | nli-revise
-    methods: tuple
-    formula_text: str
+    methods: tuple  # the named operators, resolved
+    sentence: int  # the formula's world mask
 
 
 @dataclass(frozen=True)
 class Query:
-    kind: str  # belief | conditional
-    text: str
+    text: str  # as written, e.g. 'conditional p => q'
+    sentence: object  # a belief's world mask, or a conditional's mask pair
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,7 @@ def parse_scenario(text: str) -> Scenario:
                 table = _CONTRACTIONS if kind == "contract" else _REVISIONS
                 if parts[1] not in table:
                     raise ScenarioError(f"line {number}: unknown method {parts[1]!r}")
-                steps.append(Step(kind, (parts[1],), " ".join(parts[2:])))
+                steps.append((parts, (table[parts[1]],)))
             elif kind == "nli-revise":
                 if len(parts) < 4:
                     raise ScenarioError(
@@ -125,14 +126,14 @@ def parse_scenario(text: str) -> Scenario:
                     )
                 if parts[1] not in _CONTRACTIONS or parts[2] not in _REVISIONS:
                     raise ScenarioError(f"line {number}: unknown method in nli-revise step")
-                steps.append(Step(kind, (parts[1], parts[2]), " ".join(parts[3:])))
+                steps.append((parts, (_CONTRACTIONS[parts[1]], _REVISIONS[parts[2]])))
             else:
                 raise ScenarioError(f"line {number}: unknown step {kind!r}")
         elif section == "query":
             parts = content.split(None, 1)
             if len(parts) != 2 or parts[0] not in ("belief", "conditional"):
                 raise ScenarioError(f"line {number}: query must be 'belief F' or 'conditional A => B'")
-            queries.append(Query(parts[0], parts[1].strip()))
+            queries.append(parts)
         else:
             raise ScenarioError(f"line {number}: unknown section {section!r}")
     if atoms is None:
@@ -143,18 +144,28 @@ def parse_scenario(text: str) -> Scenario:
         check_atoms(atoms)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
-    for step in steps:
-        parse_formula(step.formula_text, atoms)
-    for query in queries:
-        if query.kind == "belief":
-            parse_formula(query.text, atoms)
-        else:
-            antecedent, sep, consequent = query.text.partition("=>")
-            if not sep:
-                raise ScenarioError("conditional query must be written 'A => B'")
-            parse_formula(antecedent.strip(), atoms)
-            parse_formula(consequent.strip(), atoms)
-    return Scenario(atoms=atoms, initial_text=initial, steps=tuple(steps), queries=tuple(queries))
+    steps = tuple(
+        Step(" ".join(parts), parts[0], methods, models(" ".join(parts[1 + len(methods):]), atoms))
+        for parts, methods in steps
+    )
+    queries = tuple(
+        Query(f"{kind} {rest}", _query_sentence(kind, rest, atoms)) for kind, rest in queries
+    )
+    return Scenario(atoms=atoms, initial_text=initial, steps=steps, queries=queries)
+
+
+def _conditional(text: str, atoms) -> tuple:
+    """The (antecedent, consequent) masks of a conditional 'A => B'."""
+    antecedent, _, consequent = text.partition("=>")
+    return models(antecedent.strip(), atoms), models(consequent.strip(), atoms)
+
+
+def _query_sentence(kind: str, text: str, atoms):
+    if kind == "belief":
+        return models(text, atoms)
+    if "=>" not in text:
+        raise ScenarioError("conditional query must be written 'A => B'")
+    return _conditional(text, atoms)
 
 
 def _parse_state(text: str, n_atoms: int) -> State:
@@ -171,54 +182,21 @@ def _beliefs_text(state: State, atoms) -> str:
     return dnf_of_worlds(beliefs(state), atoms)
 
 
-def _revision_method(name: str, where: str):
-    if name not in _REVISIONS:
-        raise ScenarioError(f"{where}: unknown revision method {name!r}")
-    return _REVISIONS[name]
+def _apply_step(state: State, step: Step) -> State:
+    if isinstance(state, Absurd) and step.kind in ("revise", "nli-revise"):
+        what = "revision" if step.kind == "revise" else "nli-revise"
+        raise BeliefChangeError(f"{what} of the absurd state is undefined")
+    return _STEP_OPERATORS[step.kind](state, step.sentence, *step.methods)
 
 
-def _contraction_method(name: str, where: str):
-    if name not in _CONTRACTIONS:
-        raise ScenarioError(f"{where}: unknown contraction method {name!r}")
-    return _CONTRACTIONS[name]
-
-
-def _apply_step(state: State, step: Step, atoms) -> State:
-    sentence = models(parse_formula(step.formula_text, atoms), atoms)
-    if step.kind == "revise":
+def _answer_query(state: State, query: Query) -> bool:
+    if isinstance(query.sentence, tuple):
         if isinstance(state, Absurd):
-            raise BeliefChangeError("revision of the absurd state is undefined")
-        return revise(state, sentence, _revision_method(step.methods[0], "step"))
-    if step.kind == "contract":
-        return contract(state, sentence, _contraction_method(step.methods[0], "step"))
-    if step.kind == "expand":
-        return expand(state, sentence, _revision_method(step.methods[0], "step"))
+            raise BeliefChangeError("conditional queries against the absurd state are undefined")
+        return conditional_holds(state, *query.sentence)
     if isinstance(state, Absurd):
-        raise BeliefChangeError("nli-revise of the absurd state is undefined")
-    return nli_revise(
-        state,
-        sentence,
-        _contraction_method(step.methods[0], "step"),
-        _revision_method(step.methods[1], "step"),
-    )
-
-
-def _answer_query(state: State, query: Query, atoms) -> bool:
-    if query.kind == "belief":
-        sentence = models(parse_formula(query.text, atoms), atoms)
-        if isinstance(state, Absurd):
-            return True  # the absurd belief set is the whole language
-        return not beliefs(state) & ~sentence
-    antecedent_text, sep, consequent_text = query.text.partition("=>")
-    if not sep:
-        raise ScenarioError("conditional query must be written 'A => B'")
-    if isinstance(state, Absurd):
-        raise BeliefChangeError("conditional queries against the absurd state are undefined")
-    cond = Conditional(
-        parse_formula(antecedent_text.strip(), atoms),
-        parse_formula(consequent_text.strip(), atoms),
-    )
-    return conditional_holds(state, cond, atoms)
+        return True  # the absurd belief set is the whole language
+    return not beliefs(state) & ~query.sentence
 
 
 def run_scenario(text: str, fmt: str = "text") -> tuple:
@@ -231,10 +209,7 @@ def run_scenario(text: str, fmt: str = "text") -> tuple:
         return 2, "", f"error: {exc}\n"
 
     def answers(current_state):
-        return [
-            (f"{q.kind} {q.text}", _answer_query(current_state, q, atoms))
-            for q in scenario.queries
-        ]
+        return [(q.text, _answer_query(current_state, q)) for q in scenario.queries]
 
     lines = [f"atoms: {' '.join(atoms)}", f"initial: {_state_text(state)}",
              f"beliefs: {_beliefs_text(state, atoms)}"]
@@ -243,40 +218,35 @@ def run_scenario(text: str, fmt: str = "text") -> tuple:
         "initial": {"state": _state_text(state), "beliefs": _beliefs_text(state, atoms)},
         "steps": [],
     }
-    try:
-        if not scenario.steps and scenario.queries:
-            for label, value in answers(state):
-                lines.append(f"query {label}: {str(value).lower()}")
-                record["initial"].setdefault("queries", []).append(
-                    {"query": label, "result": value}
-                )
-        for index, step in enumerate(scenario.steps, start=1):
-            described = " ".join((step.kind,) + step.methods + (step.formula_text,))
-            try:
-                state = _apply_step(state, step, atoms)
-                step_queries = answers(state)
-            except FormulaSyntaxError as exc:
-                return 2, "", f"error: step {index}: {exc}\n"
-            except BeliefChangeError as exc:
-                out = _render_run(fmt, lines, record)
-                return 3, out, f"error: step {index}: {exc}\n"
-            lines.append(f"step {index}: {described}")
-            lines.append(f"state: {_state_text(state)}")
-            lines.append(f"beliefs: {_beliefs_text(state, atoms)}")
-            entry = {
-                "index": index,
-                "step": described,
-                "state": _state_text(state),
-                "beliefs": _beliefs_text(state, atoms),
-                "queries": [],
-            }
-            for label, value in step_queries:
-                lines.append(f"query {label}: {str(value).lower()}")
-                entry["queries"].append({"query": label, "result": value})
-            record["steps"].append(entry)
-    except FormulaSyntaxError as exc:
-        return 2, "", f"error: {exc}\n"
+    if not scenario.steps and scenario.queries:
+        try:
+            answered = answers(state)
+        except BeliefChangeError as exc:
+            return 3, _render_run(fmt, lines, record), f"error: {exc}\n"
+        record["initial"]["queries"] = _add_answers(lines, answered)
+    for index, step in enumerate(scenario.steps, start=1):
+        try:
+            state = _apply_step(state, step)
+            step_queries = answers(state)
+        except BeliefChangeError as exc:
+            return 3, _render_run(fmt, lines, record), f"error: step {index}: {exc}\n"
+        lines.append(f"step {index}: {step.text}")
+        lines.append(f"state: {_state_text(state)}")
+        lines.append(f"beliefs: {_beliefs_text(state, atoms)}")
+        record["steps"].append({
+            "index": index,
+            "step": step.text,
+            "state": _state_text(state),
+            "beliefs": _beliefs_text(state, atoms),
+            "queries": _add_answers(lines, step_queries),
+        })
     return 0, _render_run(fmt, lines, record), ""
+
+
+def _add_answers(lines, answered) -> list:
+    """Append the answers to the transcript lines; their machine records."""
+    lines.extend(f"query {label}: {str(value).lower()}" for label, value in answered)
+    return [{"query": label, "result": value} for label, value in answered]
 
 
 def _render_run(fmt: str, lines, record) -> str:
@@ -291,26 +261,18 @@ def _render_run(fmt: str, lines, record) -> str:
 
 def parse_conditional_set(text: str, atoms) -> MixedSet:
     """One entry per line: plain formulas as-is, conditionals as A => B."""
-    plain = []
-    conds = []
+    atoms = check_atoms(atoms)
+    plain = all_worlds(len(atoms))
+    pairs = set()
     for number, line in _content_lines(text):
-        if "=>" in line:
-            antecedent, _, consequent = line.partition("=>")
-            try:
-                conds.append(
-                    Conditional(
-                        parse_formula(antecedent.strip(), atoms),
-                        parse_formula(consequent.strip(), atoms),
-                    )
-                )
-            except FormulaSyntaxError as exc:
-                raise ScenarioError(f"line {number}: {exc}") from None
-        else:
-            try:
-                plain.append(parse_formula(line, atoms))
-            except FormulaSyntaxError as exc:
-                raise ScenarioError(f"line {number}: {exc}") from None
-    return MixedSet.from_items(plain, conds, atoms)
+        try:
+            if "=>" in line:
+                pairs.add(_conditional(line, atoms))
+            else:
+                plain &= models(line, atoms)
+        except FormulaSyntaxError as exc:
+            raise ScenarioError(f"line {number}: {exc}") from None
+    return MixedSet(plain_models=plain, cond_pairs=frozenset(pairs))
 
 
 def closure_answer(delta: MixedSet, n_atoms: int) -> tuple:

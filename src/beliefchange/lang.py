@@ -1,4 +1,4 @@
-"""Propositional core: formulas, worlds, model sets, classical consequence.
+"""Propositional core: worlds, formulas as model sets, classical consequence.
 
 A session fixes an ordered list of atoms (at most four).  A *world* is a
 valuation of those atoms, encoded as an integer whose binary digits, most
@@ -6,11 +6,13 @@ significant first, give the truth values in declared order; ``world_str``
 renders exactly that bit-string, so over atoms ``[p, q]`` the world ``10``
 makes ``p`` true and ``q`` false.
 
-Formulas are plain ASTs and are kept only for parsing and display.  All
-semantic work (equivalence, entailment, operator inputs) goes through
-``models``, which canonicalises a formula to its set of worlds; two
-formulas are treated as the same sentence exactly when their model sets
-coincide.
+A formula is known only by its set of worlds: ``models`` parses formula
+text straight to that set, evaluating each connective on world masks as
+it goes, and no other form of a formula is built.  Two formulas are the
+same sentence exactly when their model sets coincide, which is all the
+operators and postulates ever ask (the extensionality postulate (K*6)
+of AGM).  ``dnf_of_worlds`` gives a model set back a text form.  A
+conditional ``A => B`` is an (antecedent, consequent) pair of masks.
 
 A set of worlds, here and in every other module, is an int mask with
 bit ``w`` set for world ``w``: ``all_worlds(n)`` has every bit of the
@@ -33,103 +35,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Sequence
 
 from .exceptions import FormulaSyntaxError, UnknownAtomError
 
 MAX_ATOMS = 4
-
-
-# ---------------------------------------------------------------------------
-# Formula AST
-
-
-class Formula:
-    """Base class; concrete nodes below.  Structural equality only."""
-
-    def __str__(self) -> str:
-        return _render(self, 0)
-
-
-@dataclass(frozen=True)
-class Atom(Formula):
-    name: str
-
-
-@dataclass(frozen=True)
-class Not(Formula):
-    operand: Formula
-
-
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Iff(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Top(Formula):
-    pass
-
-
-@dataclass(frozen=True)
-class Bottom(Formula):
-    pass
-
-
-TOP = Top()
-BOTTOM = Bottom()
-
-# Rendering precedence: higher binds tighter.
-_PREC = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5}
-_OP_TEXT = {And: " & ", Or: " | ", Implies: " -> ", Iff: " <-> "}
-
-
-def _render(f: Formula, min_prec: int) -> str:
-    """Render ``f``, parenthesising when its precedence is below ``min_prec``."""
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Top):
-        return "true"
-    if isinstance(f, Bottom):
-        return "false"
-    if isinstance(f, Not):
-        return "~" + _render(f.operand, _PREC[Not])
-    prec = _PREC[type(f)]
-    if isinstance(f, (And, Or)):
-        text = _render(f.left, prec) + _OP_TEXT[type(f)] + _render(f.right, prec + 1)
-    else:
-        text = _render(f.left, prec + 1) + _OP_TEXT[type(f)] + _render(f.right, prec)
-    return "(" + text + ")" if prec < min_prec else text
-
-
-@dataclass(frozen=True)
-class Conditional:
-    """A non-nested conditional sentence: antecedent => consequent."""
-
-    antecedent: Formula
-    consequent: Formula
-
-    def __str__(self) -> str:
-        return f"{self.antecedent} => {self.consequent}"
 
 
 # ---------------------------------------------------------------------------
@@ -189,13 +99,13 @@ def atom_holds(world: int, index: int, n_atoms: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _atom_mask(index: int, n_atoms: int) -> int:
-    """The worlds where the index-th declared atom is true."""
-    mask = 0
-    for w in range(1 << n_atoms):
-        if atom_holds(w, index, n_atoms):
-            mask |= 1 << w
-    return mask
+def _atom_masks(atoms: tuple) -> dict:
+    """Each declared atom mapped to the mask of the worlds where it is true."""
+    n = len(check_atoms(atoms))
+    return {
+        name: sum(1 << w for w in range(1 << n) if atom_holds(w, i, n))
+        for i, name in enumerate(atoms)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +134,13 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
 
 
 class _Parser:
+    """Recursive descent that evaluates as it goes: every rule returns
+    the world mask of the text it consumed."""
+
     def __init__(self, text: str, atoms: tuple[str, ...]):
         self.text = text
-        self.atoms = atoms
+        self.atom_masks = _atom_masks(atoms)
+        self.full = all_worlds(len(atoms))
         self.tokens = _tokenize(text)
         self.index = 0
 
@@ -245,47 +159,47 @@ class _Parser:
         self.index += 1
         return token
 
-    def parse(self) -> Formula:
-        formula = self.parse_iff()
+    def parse(self) -> int:
+        mask = self.parse_iff()
         if self.index != len(self.tokens):
             raise FormulaSyntaxError(f"unexpected token {self.peek()!r}", self.offset())
-        return formula
+        return mask
 
-    def parse_iff(self) -> Formula:
+    def parse_iff(self) -> int:
         left = self.parse_implies()
         if self.peek() == "<->":
             self.take()
-            return Iff(left, self.parse_iff())
+            return self.full & ~(left ^ self.parse_iff())
         return left
 
-    def parse_implies(self) -> Formula:
+    def parse_implies(self) -> int:
         left = self.parse_or()
         if self.peek() == "->":
             self.take()
-            return Implies(left, self.parse_implies())
+            return (self.full & ~left) | self.parse_implies()
         return left
 
-    def parse_or(self) -> Formula:
+    def parse_or(self) -> int:
         left = self.parse_and()
         while self.peek() == "|":
             self.take()
-            left = Or(left, self.parse_and())
+            left |= self.parse_and()
         return left
 
-    def parse_and(self) -> Formula:
+    def parse_and(self) -> int:
         left = self.parse_unary()
         while self.peek() == "&":
             self.take()
-            left = And(left, self.parse_unary())
+            left &= self.parse_unary()
         return left
 
-    def parse_unary(self) -> Formula:
+    def parse_unary(self) -> int:
         token = self.peek()
         if token is None:
             raise FormulaSyntaxError("unexpected end of input", self.offset())
         if token == "~":
             self.take()
-            return Not(self.parse_unary())
+            return self.full & ~self.parse_unary()
         if token == "(":
             self.take()
             inner = self.parse_iff()
@@ -297,52 +211,18 @@ class _Parser:
             raise FormulaSyntaxError(f"unexpected token {token!r}", self.offset())
         text, offset = self.take()
         if text == "true":
-            return TOP
+            return self.full
         if text == "false":
-            return BOTTOM
-        if text not in self.atoms:
-            raise UnknownAtomError(text, offset)
-        return Atom(text)
-
-
-def parse_formula(text: str, atoms: Sequence[str]) -> Formula:
-    """Parse a formula over the declared atoms; total on valid input."""
-    return _Parser(text, check_atoms(atoms)).parse()
-
-
-# ---------------------------------------------------------------------------
-# Semantics
-
-def models(f: Formula, atoms: Sequence[str]) -> int:
-    """Exact model set of ``f`` as a world mask, by evaluation over all
-    2^n worlds at once."""
-    atoms = check_atoms(atoms)
-    full = all_worlds(len(atoms))
-
-    def walk(g: Formula) -> int:
-        if isinstance(g, Atom):
-            try:
-                i = atoms.index(g.name)
-            except ValueError:
-                raise UnknownAtomError(g.name, 0) from None
-            return _atom_mask(i, len(atoms))
-        if isinstance(g, Top):
-            return full
-        if isinstance(g, Bottom):
             return 0
-        if isinstance(g, Not):
-            return full & ~walk(g.operand)
-        if isinstance(g, And):
-            return walk(g.left) & walk(g.right)
-        if isinstance(g, Or):
-            return walk(g.left) | walk(g.right)
-        if isinstance(g, Implies):
-            return (full & ~walk(g.left)) | walk(g.right)
-        if isinstance(g, Iff):
-            return full & ~(walk(g.left) ^ walk(g.right))
-        raise TypeError(f"not a formula: {g!r}")
+        if text not in self.atom_masks:
+            raise UnknownAtomError(text, offset)
+        return self.atom_masks[text]
 
-    return walk(f)
+
+def models(text: str, atoms: Sequence[str]) -> int:
+    """The model set, as a world mask, of a formula over the declared
+    atoms; raises ``FormulaSyntaxError`` on text outside the grammar."""
+    return _Parser(text, tuple(atoms)).parse()
 
 
 def dnf_of_worlds(worlds: int, atoms: Sequence[str]) -> str:
@@ -387,21 +267,6 @@ class MixedSet:
     cond_pairs: frozenset
     weakening_closed: bool = False
 
-    @staticmethod
-    def from_items(
-        plain: Iterable[Formula],
-        conds: Iterable[Conditional],
-        atoms: Sequence[str],
-    ) -> "MixedSet":
-        atoms = check_atoms(atoms)
-        plain_models = all_worlds(len(atoms))
-        for f in plain:
-            plain_models = plain_models & models(f, atoms)
-        pairs = frozenset(
-            (models(c.antecedent, atoms), models(c.consequent, atoms)) for c in conds
-        )
-        return MixedSet(plain_models=plain_models, cond_pairs=pairs)
-
     def adding_plain(self, sentence_models: int) -> "MixedSet":
         """The set extended with one more plain sentence."""
         return MixedSet(
@@ -421,25 +286,23 @@ class MixedSet:
         return out
 
 
-Item = Union[Formula, Conditional]
-
-
-def cn_extended_member(delta: MixedSet, item: Item, atoms: Sequence[str]) -> bool:
+def cn_extended_member(delta: MixedSet, item) -> bool:
     """Membership in Cn(delta) where conditionals contribute nothing.
 
-    A plain formula is a member iff it follows classically from the plain
-    part.  A conditional is a member iff it is in the set itself: listed
-    literally for listed sets, validated by the generating preorder for
-    weakening-closed sets.  No inference ever produces a new conditional.
+    ``item`` is a sentence's world mask or a conditional's (antecedent,
+    consequent) pair of masks.  A sentence is a member iff it follows
+    classically from the plain part.  A conditional is a member iff it
+    is in the set itself: listed literally for listed sets, validated by
+    the generating preorder for weakening-closed sets.  No inference
+    ever produces a new conditional.
     """
-    if isinstance(item, Conditional):
-        antecedent = models(item.antecedent, atoms)
-        consequent = models(item.consequent, atoms)
+    if isinstance(item, tuple):
+        antecedent, consequent = item
         if delta.weakening_closed:
             if not antecedent:
                 return True
             return any(
                 p == antecedent and not q & ~consequent for p, q in delta.cond_pairs
             )
-        return (antecedent, consequent) in delta.cond_pairs
-    return not delta.plain_models & ~models(item, atoms)
+        return item in delta.cond_pairs
+    return not delta.plain_models & ~item

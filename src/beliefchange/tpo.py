@@ -19,6 +19,10 @@ input-derived ordering that places the sentence's models strictly below
 its countermodels, the flatness order used by rational closure, and
 order isomorphisms that respect a given input sentence.
 
+Conditional beliefs take masks too: ``conditional_holds(t, a, b)`` is
+the Ramsey test of ``A => B`` for the model sets ``a`` and ``b``, and
+``conditional_set`` gives a preorder's conditionals as mask pairs.
+
 Text form, bit-exact: cells lowest first, worlds as bit-strings sorted
 ascending within a cell, cells separated by ``|``, e.g.
 ``00 | 11 | 01 10``.
@@ -33,15 +37,7 @@ from math import comb
 from typing import Iterable, Iterator, Union
 
 from .exceptions import EmptyModelSetError, PartitionError
-from .lang import (
-    _WORLDS,
-    Conditional,
-    MixedSet,
-    all_worlds,
-    models,
-    parse_world,
-    world_str,
-)
+from .lang import _WORLDS, MixedSet, all_worlds, parse_world, world_str
 
 
 # ---------------------------------------------------------------------------
@@ -358,16 +354,16 @@ def enumerate_a_preserving_isos(t1: Tpo, t2: Tpo, sentence_models: int) -> list:
 # ---------------------------------------------------------------------------
 # Conditional beliefs
 
-def conditional_holds(t: Tpo, cond: Conditional, atoms) -> bool:
+def conditional_holds(t: Tpo, antecedent: int, consequent: int) -> bool:
     """Ramsey test against the preorder's revision dispositions.
 
-    The conditional holds when the minimal antecedent worlds all satisfy
-    the consequent; an inconsistent antecedent holds vacuously.
+    The conditional ``antecedent => consequent``, given as world masks,
+    holds when the minimal antecedent worlds all satisfy the consequent;
+    an inconsistent antecedent holds vacuously.
     """
-    antecedent = models(cond.antecedent, atoms)
     if not antecedent:
         return True
-    return not min_worlds(t, antecedent) & ~models(cond.consequent, atoms)
+    return not min_worlds(t, antecedent) & ~consequent
 
 
 def conditional_set(t: Tpo) -> MixedSet:

@@ -8,7 +8,7 @@ budgets, asserted as measured.
 
 import time
 
-from beliefchange.lang import models, parse_formula
+from beliefchange.lang import models
 from beliefchange.operators import (
     Contraction,
     Revision,
@@ -32,7 +32,7 @@ ATOMS = ("p", "q")
 
 
 def mod(text):
-    return models(parse_formula(text, ATOMS), ATOMS)
+    return models(text, ATOMS)
 
 
 def report(number, text):

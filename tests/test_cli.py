@@ -114,6 +114,47 @@ def test_semantic_errors_exit_3_with_step_index():
     assert code == 3 and "step 1" in err
 
 
+def test_conditional_query_on_absurd_initial_state_exits_3_with_transcript():
+    text = "atoms: p q\ninitial: absurd\nquery: belief p\nquery: conditional p => q\n"
+    code, out, err = run_scenario(text)
+    assert code == 3
+    assert out == "atoms: p q\ninitial: absurd\nbeliefs: false\n"
+    assert err == "error: conditional queries against the absurd state are undefined\n"
+    code, out, err = run_scenario(text, fmt="machine")
+    assert code == 3
+    assert json.loads(out) == {
+        "atoms": ["p", "q"],
+        "initial": {"beliefs": "false", "state": "absurd"},
+        "steps": [],
+    }
+
+
+def test_conditional_query_on_absurd_initial_state_through_main(tmp_path, capsys):
+    path = tmp_path / "absurd.txt"
+    path.write_text("atoms: p q\ninitial: absurd\nquery: conditional p => q\n")
+    assert main(["run", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "atoms: p q\ninitial: absurd\nbeliefs: false\n"
+    assert "conditional queries against the absurd state" in captured.err
+
+
+def test_scenario_formulas_are_parsed_once(monkeypatch):
+    from beliefchange import cli
+
+    seen = []
+    real = cli.models
+
+    def counting(text, atoms):
+        seen.append(text)
+        return real(text, atoms)
+
+    monkeypatch.setattr(cli, "models", counting)
+    code, _, _ = run_scenario(FIGURE_SCENARIO)
+    assert code == 0
+    # one step formula, one belief query, one conditional's two sides
+    assert sorted(seen) == ["p", "p", "p", "q"]
+
+
 def test_queries_without_steps_run_against_initial():
     code, out, _ = run_scenario(
         "atoms: p q\ninitial: 00 | 11 | 01 10\nquery: belief ~p\n"

@@ -11,7 +11,7 @@ from beliefchange.conditionals import (
     satisfies,
 )
 from beliefchange.exceptions import NoMaximumError, ScopeError, UnsatisfiableError
-from beliefchange.lang import Conditional, MixedSet, models, parse_formula
+from beliefchange.lang import MixedSet, all_worlds, models
 from beliefchange.operators import Contraction, Revision, contract, contract_by_negation, revise
 from beliefchange.tpo import (
     Tpo,
@@ -30,11 +30,20 @@ ATOMS = ("p", "q")
 
 
 def mod(text):
-    return models(parse_formula(text, ATOMS), ATOMS)
+    return models(text, ATOMS)
 
 
 def cond(a, b):
-    return Conditional(parse_formula(a, ATOMS), parse_formula(b, ATOMS))
+    """The (antecedent, consequent) masks of the conditional a => b."""
+    return mod(a), mod(b)
+
+
+def listed(plain=(), conds=()):
+    """The listed set of the plain formula texts and the conditionals."""
+    plain_models = all_worlds(len(ATOMS))
+    for f in plain:
+        plain_models &= mod(f)
+    return MixedSet(plain_models=plain_models, cond_pairs=frozenset(conds))
 
 
 def _mask(worlds):
@@ -61,13 +70,13 @@ def test_every_preorder_satisfies_its_own_conditional_set():
 
 
 def test_flat_preorder_does_not_satisfy_top_conditional_for_p():
-    delta = MixedSet.from_items([], [cond("true", "p")], ATOMS)
+    delta = listed(conds=[cond("true", "p")])
     assert not satisfies(FLAT, delta)
 
 
 def test_plain_sentence_holds_when_minimal_worlds_support_it():
     t = parse_tpo("11 | 10 | 00 | 01", 2)
-    delta = MixedSet.from_items([parse_formula("p", ATOMS)], [], ATOMS)
+    delta = listed(["p"])
     assert satisfies(t, delta)
 
 
@@ -80,7 +89,7 @@ def test_closure_of_a_rational_set_is_the_set_itself():
 
 
 def test_contradictory_top_conditionals_are_unsatisfiable():
-    delta = MixedSet.from_items([], [cond("true", "p"), cond("true", "~p")], ATOMS)
+    delta = listed(conds=[cond("true", "p"), cond("true", "~p")])
     with pytest.raises(UnsatisfiableError):
         rational_closure(delta, 2)
 
@@ -290,7 +299,7 @@ def test_conditional_sets_are_rational():
 
 
 def test_single_conditional_is_not_rational():
-    delta = MixedSet.from_items([], [cond("p", "q")], ATOMS)
+    delta = listed(conds=[cond("p", "q")])
     assert rational_base(delta, 2) is None
 
 

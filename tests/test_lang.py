@@ -4,21 +4,11 @@ from hypothesis import strategies as st
 
 from beliefchange.exceptions import FormulaSyntaxError, UnknownAtomError
 from beliefchange.lang import (
-    BOTTOM,
-    TOP,
-    And,
-    Atom,
-    Conditional,
-    Iff,
-    Implies,
     MixedSet,
-    Not,
-    Or,
     all_worlds,
     cn_extended_member,
     dnf_of_worlds,
     models,
-    parse_formula,
     parse_world,
     world_str,
 )
@@ -28,7 +18,7 @@ FULL = all_worlds(2)
 
 
 def mod(text, atoms=ATOMS):
-    return models(parse_formula(text, atoms), atoms)
+    return models(text, atoms)
 
 
 def worlds(*names):
@@ -37,30 +27,84 @@ def worlds(*names):
 
 
 # ---------------------------------------------------------------------------
+# Formula trees, local to the tests: a name ('p', 'q', 'true', 'false'),
+# ('~', f), or (op, f, g) for op in '&', '|', '->', '<->'.  They are
+# rendered to text for ``models`` and evaluated world by world as its
+# reference.
+
+_PREC = {"<->": 1, "->": 2, "|": 3, "&": 4, "~": 5}
+
+
+def render(f, min_prec=0):
+    """Text of a tree with only the parentheses that precedence needs."""
+    if isinstance(f, str):
+        return f
+    if f[0] == "~":
+        return "~" + render(f[1], _PREC["~"])
+    op, left, right = f
+    prec = _PREC[op]
+    if op in ("&", "|"):
+        text = f"{render(left, prec)} {op} {render(right, prec + 1)}"
+    else:  # -> and <-> associate to the right
+        text = f"{render(left, prec + 1)} {op} {render(right, prec)}"
+    return f"({text})" if prec < min_prec else text
+
+
+def render_full(f):
+    """Text of a tree with every compound subformula parenthesised."""
+    if isinstance(f, str):
+        return f
+    if f[0] == "~":
+        return f"(~{render_full(f[1])})"
+    return f"({render_full(f[1])} {f[0]} {render_full(f[2])})"
+
+
+def truth(f, valuation):
+    """Truth value of a tree under a dict from atom name to bool."""
+    if isinstance(f, str):
+        return {"true": True, "false": False}[f] if f in ("true", "false") else valuation[f]
+    if f[0] == "~":
+        return not truth(f[1], valuation)
+    a, b = truth(f[1], valuation), truth(f[2], valuation)
+    return {"&": a and b, "|": a or b, "->": not a or b, "<->": a == b}[f[0]]
+
+
+def truth_table(f, atoms=ATOMS):
+    """Model mask of a tree: world w sets the i-th atom when bit n-1-i of
+    w is 1, the first declared atom being the most significant."""
+    n = len(atoms)
+    return sum(
+        1 << w
+        for w in range(1 << n)
+        if truth(f, {a: bool(w >> (n - 1 - i) & 1) for i, a in enumerate(atoms)})
+    )
+
+
+# ---------------------------------------------------------------------------
 # Parsing
 
 
 def test_parse_conjunction_of_literal_and_negation():
-    f = parse_formula("p & ~q", ATOMS)
-    assert f == And(Atom("p"), Not(Atom("q")))
+    assert mod("p & ~q") == worlds("10")
+    assert mod("p & ~q") == truth_table(("&", "p", ("~", "q")))
 
 
 def test_implication_equals_material_conditional():
-    assert parse_formula("p -> q", ATOMS) == Implies(Atom("p"), Atom("q"))
     assert mod("p -> q") == mod("~p | q")
 
 
 def test_unbalanced_parenthesis_reports_offset():
     with pytest.raises(FormulaSyntaxError) as err:
-        parse_formula("(p &", ATOMS)
+        mod("(p &")
     assert err.value.position == 4
 
 
 def test_unknown_atom_reports_name_and_offset():
     with pytest.raises(UnknownAtomError) as err:
-        parse_formula("p & r", ATOMS)
+        mod("p & r")
     assert err.value.name == "r"
     assert err.value.position == 4
+    assert str(err.value) == "unknown atom 'r' at offset 4"
 
 
 def test_precedence_and_associativity():
@@ -68,6 +112,24 @@ def test_precedence_and_associativity():
     assert mod("~p & q | p -> q <-> q") == mod("((((~p) & q) | p) -> q) <-> q")
     assert mod("p -> q -> false") == mod("p -> (q -> false)")
     assert mod("p <-> q <-> false") == mod("p <-> (q <-> false)")
+    # the groupings above are not equivalent to the other ones
+    assert mod("p -> q -> false") != mod("(p -> q) -> false")
+    assert mod("~p & q | p -> q <-> q") != mod("~p & (q | p -> q <-> q)")
+    # each binary connective against the next weaker one, both ways round
+    assert mod("p | q & ~p") == mod("p | (q & ~p)") != mod("(p | q) & ~p")
+    assert mod("~p & q | p") == mod("(~p & q) | p") != mod("~p & (q | p)")
+    assert mod("q -> p & q") == mod("q -> (p & q)") != mod("(q -> p) & q")
+    assert mod("~p | q -> p") == mod("(~p | q) -> p") != mod("~p | (q -> p)")
+    assert mod("p <-> ~q -> q") == mod("p <-> (~q -> q)") != mod("(p <-> ~q) -> q")
+    assert mod("p -> q <-> ~q") == mod("(p -> q) <-> ~q") != mod("p -> (q <-> ~q)")
+    # negation binds tightest and stacks
+    assert mod("~p -> q") == mod("(~p) -> q") != mod("~(p -> q)")
+    assert mod("~~p") == mod("p")
+    assert mod("~ ~(~p)") == FULL & ~mod("p")
+    # whitespace is optional between tokens
+    assert mod("~p&q|p->q<->q") == mod("~p & q | p -> q <-> q")
+    tree = ("<->", ("->", ("|", ("&", ("~", "p"), "q"), "p"), "q"), "q")
+    assert mod("~p & q | p -> q <-> q") == truth_table(tree)
 
 
 def test_constants_and_parens():
@@ -79,18 +141,18 @@ def test_constants_and_parens():
 @pytest.mark.parametrize("text", ["", "p q", "p &", "& p", "p -> -> q", "(p))", "p @ q"])
 def test_bad_inputs_raise_syntax_errors(text):
     with pytest.raises(FormulaSyntaxError):
-        parse_formula(text, ATOMS)
+        mod(text)
 
 
 def test_atom_list_validation():
     with pytest.raises(ValueError):
-        parse_formula("p", [])
+        models("p", [])
     with pytest.raises(ValueError):
-        parse_formula("p", ["p", "q", "r", "s", "t"])
+        models("p", ["p", "q", "r", "s", "t"])
     with pytest.raises(ValueError):
-        parse_formula("p", ["p", "p"])
+        models("p", ["p", "p"])
     with pytest.raises(ValueError):
-        parse_formula("p", ["true"])
+        models("p", ["true"])
 
 
 # ---------------------------------------------------------------------------
@@ -111,34 +173,37 @@ def test_models_of_disjunction():
 
 def entails(gamma, f):
     """Classical consequence from plain sentences, as the package decides it."""
-    return cn_extended_member(MixedSet.from_items(gamma, [], ATOMS), f, ATOMS)
+    plain = FULL
+    for g in gamma:
+        plain &= mod(g)
+    return cn_extended_member(MixedSet(plain_models=plain, cond_pairs=frozenset()), mod(f))
 
 
 def test_entails_modus_ponens():
-    gamma = [parse_formula("p", ATOMS), parse_formula("p -> q", ATOMS)]
-    assert entails(gamma, parse_formula("q", ATOMS))
+    assert entails(["p", "p -> q"], "q")
 
 
 def test_entails_tautology_from_nothing():
-    assert entails([], parse_formula("p | ~p", ATOMS))
+    assert entails([], "p | ~p")
 
 
 def test_entails_finds_countermodel():
-    assert not entails([parse_formula("p", ATOMS)], parse_formula("q", ATOMS))
+    assert not entails(["p"], "q")
 
 
 # ---------------------------------------------------------------------------
-# Formula algebra, exhaustively at depth <= 2 and sampled at depth <= 3
+# Formula algebra on text, exhaustively at depth <= 2 and sampled at
+# depth <= 3 over three atoms
 
-_DEPTH0 = (Atom("p"), Atom("q"), TOP, BOTTOM)
+_DEPTH0 = ("p", "q", "true", "false")
 
 
 def _grow(pool):
     grown = list(pool)
-    grown.extend(Not(f) for f in pool)
+    grown.extend(("~", f) for f in pool)
     for f in pool:
         for g in pool:
-            grown.extend((And(f, g), Or(f, g), Implies(f, g), Iff(f, g)))
+            grown.extend((op, f, g) for op in ("&", "|", "->", "<->"))
     return grown
 
 
@@ -147,49 +212,52 @@ _DEPTH1 = _grow(_DEPTH0)
 
 def test_negation_is_complement_for_all_depth2_formulas():
     for f in _grow(_DEPTH1):
-        assert models(Not(f), ATOMS) == FULL & ~models(f, ATOMS)
+        assert mod(render(("~", f))) == FULL & ~mod(render(f))
 
 
 def test_binary_connectives_are_set_algebra_on_depth1_pairs():
-    table = {f: models(f, ATOMS) for f in _DEPTH1}
+    table = {render(f, 5): mod(render(f)) for f in _DEPTH1}
     for f, mf in table.items():
         for g, mg in table.items():
-            assert models(And(f, g), ATOMS) == mf & mg
-            assert models(Or(f, g), ATOMS) == mf | mg
-            assert models(Implies(f, g), ATOMS) == (FULL & ~mf) | mg
-            assert models(Iff(f, g), ATOMS) == (mf & mg) | (FULL & ~mf & ~mg)
+            assert mod(f"{f} & {g}") == mf & mg
+            assert mod(f"{f} | {g}") == mf | mg
+            assert mod(f"{f} -> {g}") == (FULL & ~mf) | mg
+            assert mod(f"{f} <-> {g}") == (mf & mg) | (FULL & ~mf & ~mg)
 
 
-def _formula_strategy():
-    base = st.sampled_from(_DEPTH0)
+ATOMS3 = ("p", "q", "r")
+
+
+def _formula_strategy(atoms=ATOMS):
+    base = st.sampled_from(atoms + ("true", "false"))
     return st.recursive(
         base,
         lambda kids: st.one_of(
-            kids.map(Not),
-            st.tuples(kids, kids).map(lambda fg: And(*fg)),
-            st.tuples(kids, kids).map(lambda fg: Or(*fg)),
-            st.tuples(kids, kids).map(lambda fg: Implies(*fg)),
-            st.tuples(kids, kids).map(lambda fg: Iff(*fg)),
+            kids.map(lambda f: ("~", f)),
+            st.tuples(st.sampled_from(("&", "|", "->", "<->")), kids, kids),
         ),
         max_leaves=8,
     )
 
 
 @settings(max_examples=300, deadline=None)
-@given(_formula_strategy())
+@given(_formula_strategy(ATOMS3))
 def test_rendered_formula_reparses_to_same_models(f):
-    assert mod(str(f)) == models(f, ATOMS)
+    expected = truth_table(f, ATOMS3)
+    assert models(render(f), ATOMS3) == expected
+    assert models(render_full(f), ATOMS3) == expected
 
 
 @settings(max_examples=300, deadline=None)
 @given(_formula_strategy(), _formula_strategy())
 def test_de_morgan(f, g):
-    assert models(Not(And(f, g)), ATOMS) == models(Or(Not(f), Not(g)), ATOMS)
+    assert mod(render(("~", ("&", f, g)))) == mod(render(("|", ("~", f), ("~", g))))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_formula_strategy(), max_size=3), _formula_strategy(), _formula_strategy())
 def test_entails_is_reflexive_monotone_and_cuts(gamma, f, g):
+    gamma, f, g = [render(h) for h in gamma], render(f), render(g)
     assert entails(gamma + [f], f)
     if entails(gamma, f):
         assert entails(gamma + [g], f)
@@ -224,23 +292,30 @@ def test_world_str_round_trip():
 # Mixed sets and extended consequence
 
 
+def listed(plain=(), conds=()):
+    """A listed set: the conjunction of the plain texts, and the
+    conditionals as (antecedent, consequent) text pairs."""
+    plain_models = FULL
+    for f in plain:
+        plain_models &= mod(f)
+    return MixedSet(
+        plain_models=plain_models, cond_pairs=frozenset((mod(a), mod(b)) for a, b in conds)
+    )
+
+
 def test_plain_member_by_classical_consequence():
-    delta = MixedSet.from_items([parse_formula("p", ATOMS)], [], ATOMS)
-    assert cn_extended_member(delta, parse_formula("p | q", ATOMS), ATOMS)
+    assert cn_extended_member(listed(["p"]), mod("p | q"))
 
 
 def test_conditionals_contribute_nothing_to_plain_part():
-    cond = Conditional(parse_formula("p", ATOMS), parse_formula("q", ATOMS))
-    delta = MixedSet.from_items([], [cond], ATOMS)
-    assert not cn_extended_member(delta, parse_formula("q", ATOMS), ATOMS)
+    assert not cn_extended_member(listed(conds=[("p", "q")]), mod("q"))
 
 
 def test_listed_sets_do_not_contain_weakened_conditionals():
-    cond = Conditional(parse_formula("p", ATOMS), parse_formula("q", ATOMS))
-    delta = MixedSet.from_items([], [cond], ATOMS)
-    assert cn_extended_member(delta, cond, ATOMS)
-    weaker = Conditional(parse_formula("p", ATOMS), parse_formula("q | ~p", ATOMS))
-    assert not cn_extended_member(delta, weaker, ATOMS)
+    delta = listed(conds=[("p", "q")])
+    assert cn_extended_member(delta, (mod("p"), mod("q")))
+    assert cn_extended_member(delta, (mod("p"), mod("q & (p | ~p)")))  # same sentences
+    assert not cn_extended_member(delta, (mod("p"), mod("q | ~p")))
 
 
 def test_prop2_engine_example():
@@ -255,16 +330,13 @@ def test_prop2_engine_example():
     contracted = contract(m0, mod("~p"), Contraction.NATURAL)
     assert contracted.masks[0] & ~p  # input not believed after contraction
     naive = conditional_set(contracted).adding_plain(p)
-    top_p = Conditional(TOP, parse_formula("p", ATOMS))
-    assert not cn_extended_member(naive, top_p, ATOMS)
+    top_p = (FULL, p)
+    assert not cn_extended_member(naive, top_p)
     revised = conditional_set(revise(m0, p, Revision.LEXICOGRAPHIC))
-    assert cn_extended_member(revised, top_p, ATOMS)
+    assert cn_extended_member(revised, top_p)
+    assert cn_extended_member(revised, (0, 0))  # an inconsistent antecedent, vacuously
 
 
 def test_strongest_map_intersects_consequents():
-    conds = [
-        Conditional(parse_formula("p", ATOMS), parse_formula("q", ATOMS)),
-        Conditional(parse_formula("p", ATOMS), parse_formula("~q | ~p", ATOMS)),
-    ]
-    delta = MixedSet.from_items([], conds, ATOMS)
+    delta = listed(conds=[("p", "q"), ("p", "~q | ~p")])
     assert delta.strongest_map() == {mod("p"): mod("q") & mod("~q | ~p")}

@@ -9,7 +9,7 @@ from beliefchange.exceptions import (
     InconsistentInputError,
     PartitionError,
 )
-from beliefchange.lang import all_worlds, models, parse_formula
+from beliefchange.lang import all_worlds, models
 from beliefchange.operators import (
     Contraction,
     Revision,
@@ -38,7 +38,7 @@ ATOMS = ("p", "q")
 
 
 def mod(text):
-    return models(parse_formula(text, ATOMS), ATOMS)
+    return models(text, ATOMS)
 
 
 M0 = parse_tpo("00 | 11 | 01 10", 2)

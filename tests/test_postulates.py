@@ -9,7 +9,7 @@ from beliefchange.exceptions import (
     MissingContractionError,
     ScopeError,
 )
-from beliefchange.lang import models, parse_formula, parse_world
+from beliefchange.lang import models, parse_world
 from beliefchange.operators import Contraction, Revision, make_random_dp_operator, revise
 from beliefchange.postulates import (
     _BUILTIN_CONTRACTIONS,
@@ -37,7 +37,7 @@ ATOMS = ("p", "q")
 
 
 def mod(text):
-    return models(parse_formula(text, ATOMS), ATOMS)
+    return models(text, ATOMS)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +251,44 @@ def test_reports_are_deterministic_across_runs_and_workers():
     parallel = check_postulate("CR4", Revision.NATURAL, Contraction.STQ_LEX, workers=2)
     assert render_text(first) == render_text(again) == render_text(parallel)
     assert render_machine(first) == render_machine(parallel)
+
+
+def test_worker_pool_is_sized_by_the_jobs(monkeypatch):
+    """A pool gets no more processes than there are jobs, and none at all
+    for one job; the fake pool runs the jobs in process."""
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return [fn(job) for job in jobs]
+
+    monkeypatch.setattr(postulates.multiprocessing, "Pool", FakePool)
+    sampled = dict(n_atoms=3, mode="sampled", seed=1)
+    cases = [
+        (dict(n_atoms=2, workers=64), 16),  # 75 outers in 16 chunks
+        (dict(n_atoms=2, workers=3), 3),
+        (dict(sample=3, workers=64, **sampled), 3),
+        (dict(sample=1, workers=64, **sampled), None),
+        (dict(sample=2, workers=2, **sampled), 2),
+        (dict(sample=5, workers=1, **sampled), None),
+    ]
+    for kwargs, expected in cases:
+        del sizes[:]
+        serial = dict(kwargs, workers=1)
+        report = check_postulate("DP1", Revision.LEXICOGRAPHIC, **kwargs)
+        assert sizes == ([] if expected is None else [expected]), kwargs
+        assert render_machine(report) == render_machine(
+            check_postulate("DP1", Revision.LEXICOGRAPHIC, **serial)
+        )
 
 
 def test_sampled_reports_are_reproducible_under_a_seed():

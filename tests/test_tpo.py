@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from beliefchange.exceptions import EmptyModelSetError, PartitionError
-from beliefchange.lang import Conditional, all_worlds, models, parse_formula, parse_world
+from beliefchange.lang import all_worlds, cn_extended_member, models, parse_world
 from beliefchange.operators import Revision, revise
 from beliefchange.tpo import (
     Absurd,
@@ -27,7 +27,7 @@ ATOMS = ("p", "q")
 
 
 def mod(text):
-    return models(parse_formula(text, ATOMS), ATOMS)
+    return models(text, ATOMS)
 
 
 def w(name):
@@ -272,14 +272,16 @@ def test_beliefs_of_examples():
 
 
 def cond(a, b):
-    return Conditional(parse_formula(a, ATOMS), parse_formula(b, ATOMS))
+    """The (antecedent, consequent) masks of the conditional a => b."""
+    return mod(a), mod(b)
 
 
 def test_conditional_holds_examples():
-    assert conditional_holds(M0, cond("p", "q"), ATOMS)
-    assert conditional_holds(M0, cond("true", "~p & ~q"), ATOMS)
-    assert not conditional_holds(M0, cond("p", "~q"), ATOMS)
-    assert conditional_holds(M0, cond("false", "q"), ATOMS)  # vacuous
+    assert conditional_holds(M0, *cond("p", "q"))
+    assert conditional_holds(M0, *cond("true", "~p & ~q"))
+    assert not conditional_holds(M0, *cond("p", "~q"))
+    assert conditional_holds(M0, *cond("false", "q"))  # vacuous
+    assert conditional_holds(M0, mask("11", "10"), mask("11"))
 
 
 def test_conditional_set_determines_the_preorder():
@@ -299,12 +301,12 @@ def test_flat_conditional_set_maps_every_antecedent_to_itself():
 
 
 def test_m0_conditional_set_contains_expected_members():
-    from beliefchange.lang import cn_extended_member
-
     cs = conditional_set(M0)
-    assert cn_extended_member(cs, cond("true", "~p"), ATOMS)
-    assert cn_extended_member(cs, cond("p", "q"), ATOMS)
-    assert not cn_extended_member(cs, cond("p", "~q"), ATOMS)
+    assert cn_extended_member(cs, cond("true", "~p"))
+    assert cn_extended_member(cs, cond("p", "q"))
+    assert not cn_extended_member(cs, cond("p", "~q"))
+    assert cn_extended_member(cs, mod("~p"))  # a belief of M0
+    assert not cn_extended_member(cs, mod("q"))
 
 
 def test_minimal_input_worlds_survive_natural_revision():

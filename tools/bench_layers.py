@@ -19,7 +19,10 @@ Times, on the ``beliefchange`` package found on ``sys.path``:
 * one closure query at three atoms: ``parse_conditional_set`` plus
   ``closure_answer`` on a fast-path file (a seeded preorder's full
   conditional set, 255 ``A => B`` lines, plus its belief set as the
-  plain part), mean over 10 seeded files.
+  plain part), mean over 10 seeded files;
+* one parse at four atoms: ``parse_conditional_set`` on the first 3000
+  lines (``A => B``, in proposition order) of the full conditional set
+  of one seeded 4-atom preorder.
 
 Each layer is timed ``RUNS`` times in this process after one warm-up
 pass; the output gives every reading and their median.  Preorders are
@@ -39,13 +42,22 @@ from beliefchange.cli import closure_answer, parse_conditional_set
 from beliefchange.lang import dnf_of_worlds
 from beliefchange.operators import Contraction, Revision, contract, revise, stq_merge
 from beliefchange.postulates import _POSTULATES, _Ctx, _scan, verify_claim
-from beliefchange.tpo import count_tpos, enumerate_tpos, min_worlds, propositions, tpo_at_index
+from beliefchange.tpo import (
+    Tpo,
+    count_tpos,
+    enumerate_tpos,
+    min_worlds,
+    propositions,
+    tpo_at_index,
+)
 
 DRAWS = 2000
 RUNS = 5
 SCANS = 20
 CLOSURES = 10
 ATOMS = ("p", "q", "r")
+PARSE_LINES = 3000
+ATOMS4 = ("p", "q", "r", "s")
 
 
 def _per_call(fn, calls):
@@ -65,6 +77,15 @@ def _fast_path_file(t) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _conditional_lines(t, atoms, limit) -> str:
+    """The first ``limit`` lines of a preorder's full conditional set."""
+    lines = [
+        f"{dnf_of_worlds(p, atoms)} => {dnf_of_worlds(min_worlds(t, p), atoms)}"
+        for p in propositions(len(atoms))[:limit]
+    ]
+    return "\n".join(lines) + "\n"
+
+
 def main() -> None:
     rng = random.Random(2019)
     total = count_tpos(3)
@@ -76,6 +97,10 @@ def main() -> None:
     outers = [tpo_at_index(rng.randrange(total), 3) for _ in range(SCANS)]
     outer_pairs = [(rng.choice(outers), rng.choice(outers)) for _ in range(SCANS)]
     files = [_fast_path_file(tpo_at_index(rng.randrange(total), 3)) for _ in range(CLOSURES)]
+    rng4 = random.Random(4)
+    rank = [rng4.randrange(16) for _ in range(16)]  # a seeded rank per world
+    t4 = Tpo(tuple(sum(1 << w for w in range(16) if rank[w] == r) for r in sorted(set(rank))), 4)
+    parse_text = _conditional_lines(t4, ATOMS4, PARSE_LINES)
 
     def revisions():
         for t, p in inputs:
@@ -116,6 +141,9 @@ def main() -> None:
         for text in files:
             closure_answer(parse_conditional_set(text, ATOMS), 3)
 
+    def parse():
+        parse_conditional_set(parse_text, ATOMS4)
+
     layers = {
         "revise_call_us": (revisions, 3 * DRAWS, 1e6),
         "contract_call_us": (contractions, 3 * DRAWS, 1e6),
@@ -132,6 +160,7 @@ def main() -> None:
         "scan_IIAP_natural_ms": (scans("IIAP", Revision.NATURAL), SCANS, 1e3),
         "claim_P2_n2_s": (claim, 1, 1.0),
         "closure_query_n3_ms": (closures, CLOSURES, 1e3),
+        "parse_3000_lines_n4_ms": (parse, 1, 1e3),
     }
     out = {}
     for name, (fn, calls, scale) in layers.items():
