@@ -13,18 +13,29 @@ the conclusion must keep.  One generator, built from a row, scans them
 all.  NLI and iLIRC share one generator too; they differ only in the
 final revision of the contraction route.
 
-IIAI and Beta1/Beta2, whose scans are quadratic in the inputs, are
-counted per world pair instead: a closed-form count over the inputs
-grouped by their outcome on each pair.  Their witness generators stay
-the reference; they run only for an outer preorder with a nonzero count
-while fewer than ten witnesses are held, so the report keeps the same
-witnesses in the same order.
+The pair rules and IIAP are counted on bit matrices: a preorder's pair
+relations are two ints of W^2 bits for W worlds, ``lt`` with bit W*x+y
+set iff x ranks strictly below y and ``le`` iff at most as high, so an
+input's violations are the set bits of a few ands and xors over a
+region mask.  IIAI and Beta1/Beta2, quadratic in the inputs, are
+counted per world pair by a closed form over the inputs grouped by
+their outcome on the pair.  The generators stay the source of witnesses
+and the oracle of the counts; they run only for an outer with a
+nonzero count while fewer than ten witnesses are held, so the report
+keeps the same witnesses in the same order.
 
-The scan context, ``_Ctx``, keeps one memo: ``rows``, a prior's minimal
-worlds and posterior rank on every input.  IIAP, IIAI, Beta1/Beta2 and
-Neut read it, so a count and its witness generator share one row, and
-an exhaustive pair scan revises each prior once per chunk.  Every other
-scan sees each (prior, input) once and calls the operators directly.
+A boolean verdict takes one pass over the outers for every postulate
+of one operator pair that a claim asks about: each is dropped at its
+first violation, and each order they read (the revision, the
+contraction by the negated input, ...) is computed at most once per
+(outer, input).
+
+The scan context, ``_Ctx``, keeps one memo, keyed by (prior, input):
+the minimal worlds and the posterior.  IIAP, IIAI, Beta1/Beta2 and Neut
+read it, so a count and its witnesses share one revision, an exhaustive
+pair scan revises each (prior, input) once per chunk, and Neut revises
+only on the inputs it reads.  Every other scan sees each (prior, input)
+once and calls the operators directly.
 
 The scans yield raw witnesses (preorders, input masks, worlds and a
 note).  Every check, postulate scan, state diagram or claim sweep, counts
@@ -255,9 +266,11 @@ def _world_pairs(n_atoms: int, ordered: bool) -> tuple:
 
 
 class _Ctx:
-    """One run's instance space and operators, plus one memo: ``rows``,
-    each prior's outcome on every input.  Scans of a single prior call
-    the operators directly, since they see each (prior, input) once."""
+    """One run's instance space and operators, plus one memo: the outcome
+    of revising a prior by an input, keyed by (prior, input), and the
+    rows of a prior's outcomes, keyed by (kind, prior).  Scans of a
+    single prior call the operators directly, since they see each
+    (prior, input) once."""
 
     def __init__(self, n_atoms: int, rev=None, con: Contraction | None = None):
         self.n = n_atoms
@@ -270,18 +283,41 @@ class _Ctx:
         self.opairs = _world_pairs(n_atoms, ordered=True)
         self.rev = rev
         self.con = con
-        self._rows = {}
+        self._memo = {}
 
     def clear(self):
-        self._rows.clear()
+        self._memo.clear()
+
+    def outcome(self, t: Tpo, p: int) -> tuple:
+        """(minimal worlds, posterior) of revising t by p; computed once
+        until ``clear``."""
+        out = self._memo.get((t, p))
+        if out is None:
+            out = self._memo[t, p] = (min_worlds(t, p), revise(t, p, self.rev))
+        return out
 
     def rows(self, t: Tpo) -> list:
         """(input, its minimal worlds, posterior rank) for every input, in
-        input order; computed once per prior until ``clear``."""
-        out = self._rows.get(t)
+        input order."""
+        out = self._memo.get(("rows", t))
         if out is None:
-            out = [(p, min_worlds(t, p), revise(t, p, self.rev).rank) for p in self.props]
-            self._rows[t] = out
+            out = self._memo["rows", t] = [
+                (p, minimal, posterior.rank)
+                for p in self.props
+                for minimal, posterior in (self.outcome(t, p),)
+            ]
+        return out
+
+    def matrix_rows(self, t: Tpo) -> list:
+        """(minimal worlds, *posterior pair matrices) for every input, in
+        input order."""
+        out = self._memo.get(("matrices", t))
+        if out is None:
+            out = self._memo["matrices", t] = [
+                (minimal, *_relations(posterior))
+                for p in self.props
+                for minimal, posterior in (self.outcome(t, p),)
+            ]
         return out
 
     def witness(self, tpos, inputs, worlds, note="") -> Witness:
@@ -337,6 +373,59 @@ def _icode(p, x, y) -> int:
     return (p >> x & 1) - (p >> y & 1)
 
 
+@lru_cache(maxsize=None)
+def _spread(n_atoms: int) -> tuple:
+    """For each world mask c, the int with bit W*x set for every world x
+    of c (W worlds): times a world mask m, it sets row x of a pair matrix
+    to m for every x in c."""
+    width = 1 << n_atoms
+    table = [0] * (1 << width)
+    for c in range(1, 1 << width):
+        low = c & -c
+        table[c] = table[c ^ low] | 1 << width * (low.bit_length() - 1)
+    return tuple(table)
+
+
+def _relations(t: Tpo) -> tuple:
+    """A preorder's pair matrices (lt, le): bit W*x+y of ``lt`` is set iff
+    x ranks strictly below y, of ``le`` iff x ranks at most as high.  A
+    pair's relation code (see ``_code``) follows from its two bits."""
+    spread = _spread(t.n_atoms)
+    rest = all_worlds(t.n_atoms)
+    lt = le = 0
+    for c in t.masks:
+        row = spread[c]
+        le |= row * rest
+        rest &= ~c
+        lt |= row * rest
+    return lt, le
+
+
+class _Orders:
+    """The orders an outer's postulates read (see ``_ORDERS``), each
+    computed at most once per input, and their pair matrices."""
+
+    def __init__(self, ctx: _Ctx, outer):
+        self.ctx = ctx
+        self.outer = outer
+        self._orders = {}
+        self._matrices = {}
+
+    def order(self, name: str, p: int) -> Tpo:
+        out = self._orders.get((name, p))
+        if out is None:
+            out = self._orders[name, p] = _ORDERS[name](self.ctx, self.outer, p)
+        return out
+
+    def matrices(self, name: str, p: int) -> tuple:
+        if name == "prior":
+            p = 0  # the prior is the same for every input
+        out = self._matrices.get((name, p))
+        if out is None:
+            out = self._matrices[name, p] = _relations(self.order(name, p))
+        return out
+
+
 # ---------------------------------------------------------------------------
 # Postulate scans: generators of raw witnesses (preorders, input masks,
 # worlds, note), in a deterministic order
@@ -350,6 +439,10 @@ def _g_success(ctx, t):
             yield (t,), (p,), (lowest,), "minimal world outside input"
 
 
+def _f_success(outer) -> bool:
+    return any(outer.order("rev", p).masks[0] & ~p for p in outer.ctx.props)
+
+
 # The fourteen pair-relation postulates share one shape: for the world
 # pairs in a region of the input p, the conclusion order keeps the
 # relation that the premise orders give the pair.  Orders, for prior t:
@@ -360,11 +453,11 @@ def _g_success(ctx, t):
 # every premise order holds them.
 
 _ORDERS = {
-    "prior": lambda ctx, t, p: t.rank,
-    "rev": lambda ctx, t, p: revise(t, p, ctx.rev).rank,
-    "revneg": lambda ctx, t, p: revise(t, ctx.full & ~p, ctx.rev).rank,
-    "con": lambda ctx, t, p: contract(t, p, ctx.con).rank,
-    "conneg": lambda ctx, t, p: contract_by_negation(t, p, ctx.con).rank,
+    "prior": lambda ctx, t, p: t,
+    "rev": lambda ctx, t, p: revise(t, p, ctx.rev),
+    "revneg": lambda ctx, t, p: revise(t, ctx.full & ~p, ctx.rev),
+    "con": lambda ctx, t, p: contract(t, p, ctx.con),
+    "conneg": lambda ctx, t, p: contract_by_negation(t, p, ctx.con),
 }
 
 # region: (ordered pairs?, x in p, y in p), None leaving a side free.
@@ -389,10 +482,28 @@ def _region(name: str, p: int, n_atoms: int) -> tuple:
     )
 
 
+@lru_cache(maxsize=None)
+def _region_masks(name: str, n_atoms: int) -> tuple:
+    """The pairs of ``_region`` as pair-matrix masks, indexed by input."""
+    width = 1 << n_atoms
+    return tuple(
+        sum(1 << width * x + y for x, y in _region(name, p, n_atoms))
+        for p in range(1 << width)
+    )
+
+
 _RELATIONS = {
     "same": lambda a, b: (a > b) - (a < b),
     "strict": operator.lt,
     "weak": operator.le,
+}
+
+# The same relations on pair matrices (lt, le): the pairs whose relation
+# under a is not kept by b.
+_BROKEN = {
+    "same": lambda a, b: (a[0] ^ b[0]) | (a[1] ^ b[1]),
+    "strict": lambda a, b: a[0] & ~b[0],
+    "weak": lambda a, b: a[1] & ~b[1],
 }
 
 _PAIR_RULES = {
@@ -426,6 +537,21 @@ def _g_iiap(ctx, pair):
                 r2q, x, y
             ):
                 yield (t1, t2), (p,), (x, y), ""
+
+
+def _c_iiap(ctx, pair):
+    """IIAP violations: per input, the pairs x < y outside both minima
+    that the priors order alike and the posteriors do not."""
+    t1, t2 = pair
+    alike = ~_BROKEN["same"](_relations(t1), _relations(t2))
+    within = _region_masks("in", ctx.n)
+    full = ctx.full
+    return sum(
+        (within[full & ~(min1 | min2)] & alike & ((lt1 ^ lt2) | (le1 ^ le2))).bit_count()
+        for (min1, lt1, le1), (min2, lt2, le2) in zip(
+            ctx.matrix_rows(t1), ctx.matrix_rows(t2)
+        )
+    )
 
 
 def _g_iiai(ctx, t):
@@ -511,8 +637,11 @@ def _g_neut(ctx, pair):
     t1, t2 = pair
     if [m.bit_count() for m in t1.masks] != [m.bit_count() for m in t2.masks]:
         return
-    for (p, _, r1q), (_, _, r2q) in zip(ctx.rows(t1), ctx.rows(t2)):
-        for perm in enumerate_a_preserving_isos(t1, t2, p):
+    for p in ctx.props:
+        perms = enumerate_a_preserving_isos(t1, t2, p)
+        if perms:
+            r1q, r2q = (ctx.outcome(t, p)[1].rank for t in pair)
+        for perm in perms:
             for x, y, _ in ctx.pairs:
                 if _code(r1q, x, y) != _code(r2q, perm[x], perm[y]):
                     mapping = ",".join(
@@ -558,7 +687,7 @@ def _first_diff_pair(ctx, ta: Tpo, tb: Tpo):
     return ()
 
 
-def _g_routed(final: Revision | None, route: str):
+def _routed_rule(final: Revision | None, route: str):
     """NLI (``final`` None: the checked revision) and iLIRC (natural
     revision): revising directly equals contracting by the negated input,
     then revising by ``final``."""
@@ -571,17 +700,26 @@ def _g_routed(final: Revision | None, route: str):
                 pair = _first_diff_pair(ctx, direct, routed)
                 yield (t,), (p,), pair, ("direct ", direct, f"; {route} ", routed)
 
-    return gen
+    def fails(outer):
+        final_rev = final or outer.ctx.rev
+        return any(
+            outer.order("rev", p) != revise(outer.order("conneg", p), p, final_rev)
+            for p in outer.ctx.props
+        )
+
+    return _PostulateDef(gen, fails=fails, needs_con=True)
 
 
 @dataclass(frozen=True)
 class _PostulateDef:
     """One postulate, or the diagram scan: ``gen`` yields an outer's
     witnesses in order; the optional ``count`` returns how many it would
-    yield, without them."""
+    yield, without them, and the optional ``fails`` whether it would
+    yield any, given the outer's ``_Orders``."""
 
     gen: Callable
     count: Optional[Callable] = None
+    fails: Optional[Callable] = None
     pair_outer: bool = False
     needs_con: bool = False
     needs_rev: bool = True
@@ -601,9 +739,9 @@ def _pair_rule(premises, conclusion, region, relation) -> _PostulateDef:
 
     def gen(ctx, t):
         for p in getattr(ctx, inputs):
-            first = first_order(ctx, t, p)
-            second = second_order and second_order(ctx, t, p)
-            after = after_order(ctx, t, p)
+            first = first_order(ctx, t, p).rank
+            second = second_order and second_order(ctx, t, p).rank
+            after = after_order(ctx, t, p).rank
             for x, y in _region(region, p, ctx.n):
                 value = rel(first[x], first[y])
                 if (
@@ -613,8 +751,28 @@ def _pair_rule(premises, conclusion, region, relation) -> _PostulateDef:
                 ):
                     yield (t,), (p,), (x, y), ""
 
+    broken = _BROKEN[relation]
+
+    def violations(outer):
+        """Per input, the pair mask of the rule's violations."""
+        regions = _region_masks(region, outer.ctx.n)
+        for p in getattr(outer.ctx, inputs):
+            first = outer.matrices(premises[0], p)
+            bad = regions[p] & broken(first, outer.matrices(conclusion, p))
+            for name in premises[1:]:
+                bad &= ~broken(first, outer.matrices(name, p))
+            yield bad
+
+    def count(ctx, t):
+        return sum(bad.bit_count() for bad in violations(_Orders(ctx, t)))
+
+    def fails(outer):
+        return any(violations(outer))
+
     return _PostulateDef(
         gen,
+        count,
+        fails,
         needs_con=bool(orders & {"con", "conneg"}),
         needs_rev=bool(orders & {"rev", "revneg"}),
         inputs_per_outer=lambda ctx: len(getattr(ctx, inputs)),
@@ -622,9 +780,9 @@ def _pair_rule(premises, conclusion, region, relation) -> _PostulateDef:
 
 
 _POSTULATES = {
-    "Success": _PostulateDef(_g_success),
+    "Success": _PostulateDef(_g_success, fails=_f_success),
     **{name: _pair_rule(*row) for name, row in _PAIR_RULES.items()},
-    "IIAP": _PostulateDef(_g_iiap, pair_outer=True),
+    "IIAP": _PostulateDef(_g_iiap, count=_c_iiap, pair_outer=True),
     "IIAI": _PostulateDef(
         _g_iiai,
         count=_c_iiai,
@@ -648,8 +806,8 @@ _POSTULATES = {
         inputs_per_outer=lambda ctx: len(ctx.props_proper),
     ),
     "LI_beliefs": _PostulateDef(_g_li_beliefs, needs_con=True),
-    "NLI": _PostulateDef(_g_routed(None, "routed"), needs_con=True),
-    "iLIRC": _PostulateDef(_g_routed(Revision.NATURAL, "closure route"), needs_con=True),
+    "NLI": _routed_rule(None, "routed"),
+    "iLIRC": _routed_rule(Revision.NATURAL, "closure route"),
 }
 
 
@@ -806,16 +964,32 @@ def postulate_holds(
     n_atoms: int = 2,
 ) -> bool:
     """Exhaustive boolean check with early exit on the first violation."""
-    spec = _spec(postulate, revision, contraction)
+    return _holding((postulate,), revision, contraction, n_atoms)[postulate]
+
+
+def _holding(ids, revision, contraction, n_atoms: int) -> dict:
+    """Exhaustive verdicts of several postulates on one operator pair, in
+    one pass over the outers: a postulate is dropped at its first
+    violation, and the pass ends once every postulate has one.  The
+    postulates share each outer's ``_Orders``."""
+    specs = {postulate: _spec(postulate, revision, contraction) for postulate in ids}
     _validate_scope(n_atoms, "exhaustive")
+    (pair_outer,) = {spec.pair_outer for spec in specs.values()}  # one outer kind
     ctx = _Ctx(n_atoms, revision, contraction)
-    for outer in _outers(spec.pair_outer, n_atoms, slice(0, None)):
-        if spec.count is not None:
-            if spec.count(ctx, outer):
-                return False
-        elif next(spec.gen(ctx, outer), None) is not None:
-            return False
-    return True
+    for outer in _outers(pair_outer, n_atoms, slice(0, None)):
+        orders = _Orders(ctx, outer)
+        for postulate, spec in list(specs.items()):
+            if spec.fails is not None:
+                failed = spec.fails(orders)
+            elif spec.count is not None:
+                failed = spec.count(ctx, outer) > 0
+            else:
+                failed = next(spec.gen(ctx, outer), None) is not None
+            if failed:
+                del specs[postulate]
+        if not specs:
+            break
+    return {postulate: postulate in specs for postulate in ids}
 
 
 def replay_witness(
@@ -991,23 +1165,26 @@ class PairProfile:
         return all(self.cr)
 
 
+_PROFILE_IDS = ("NLI", "CR1", "CR2", "CR3", "CR4", "SPU", "WPU")
+_DP_IDS = ("DP1", "DP2", "DP3", "DP4")
+_CC_IDS = ("CC1", "CC2", "CC3", "CC4")
+
+
 @lru_cache(maxsize=None)
 def pair_profile(n_atoms: int = 2) -> tuple:
     """NLI / CR / SPU / WPU outcomes for all nine built-in operator pairs."""
     rows = []
     for rev in _BUILTIN_REVISIONS:
         for con in _BUILTIN_CONTRACTIONS:
+            holds = _holding(_PROFILE_IDS, rev, con, n_atoms)
             rows.append(
                 PairProfile(
                     revision=rev,
                     contraction=con,
-                    nli=postulate_holds("NLI", rev, con, n_atoms=n_atoms),
-                    cr=tuple(
-                        postulate_holds(f"CR{i}", rev, con, n_atoms=n_atoms)
-                        for i in (1, 2, 3, 4)
-                    ),
-                    spu=postulate_holds("SPU", rev, con, n_atoms=n_atoms),
-                    wpu=postulate_holds("WPU", rev, con, n_atoms=n_atoms),
+                    nli=holds["NLI"],
+                    cr=tuple(holds[f"CR{i}"] for i in (1, 2, 3, 4)),
+                    spu=holds["SPU"],
+                    wpu=holds["WPU"],
                 )
             )
     return tuple(rows)
@@ -1022,8 +1199,10 @@ def _verify_t1(n_atoms: int):
     lines = []
     failures = 0
     for rev in _BUILTIN_REVISIONS:
+        single = _holding(("Success", *_DP_IDS), rev, None, n_atoms)
         outcomes = {
-            p: postulate_holds(p, rev, n_atoms=n_atoms) for p in ELEMENTARY_POSTULATES
+            p: single[p] if p in single else postulate_holds(p, rev, n_atoms=n_atoms)
+            for p in ELEMENTARY_POSTULATES
         }
         failures += sum(1 for v in outcomes.values() if not v)
         lines.append(
@@ -1184,17 +1363,10 @@ def _verify_p3(n_atoms: int):
     failures = 0
     instances = 0
     for con in _BUILTIN_CONTRACTIONS:
-        cc_ok = all(
-            postulate_holds(f"CC{i}", None, con, n_atoms=n_atoms) for i in (1, 2, 3, 4)
-        )
+        cc_ok = all(_holding(_CC_IDS, None, con, n_atoms).values())
         for rev in _BUILTIN_REVISIONS:
-            composed = _NliComposition(con, rev)
-            outcomes = {}
-            for i in (1, 2, 3, 4):
-                instances += 1
-                outcomes[f"DP{i}"] = postulate_holds(
-                    f"DP{i}", composed, n_atoms=n_atoms
-                )
+            outcomes = _holding(_DP_IDS, _NliComposition(con, rev), None, n_atoms)
+            instances += len(outcomes)
             if not (cc_ok and all(outcomes.values())):
                 failures += 1
             lines.append(

@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import product
 
 import pytest
 
@@ -466,24 +467,36 @@ def test_cr_spu_wpu_equivalence_extends_to_tabular_operators():
 
 
 # ---------------------------------------------------------------------------
-# Per-world-pair violation counts against the witness generators
+# Violation counts against the witness generators
 
-COUNTED = ("IIAI", "Beta1", "Beta2")
+QUADRATIC = ("IIAI", "Beta1", "Beta2")
+PAIR_RULES = tuple(postulates._PAIR_RULES)
+COUNTED = QUADRATIC + PAIR_RULES
 
 
-def _assert_counts_match(ctx, t):
+class _Reversed:
+    """Natural revision of the reversed prior: fails IIAI, so a counted
+    scan rebuilds its witnesses with the generator."""
+
+    def posterior(self, t, sentence_models):
+        return revise(Tpo(t.masks[::-1], t.n_atoms), sentence_models, Revision.NATURAL)
+
+
+def _assert_counts_match(ctx, outer, counted=COUNTED):
     """Each counted postulate's count equals its generator's length."""
     counts = {}
-    for postulate in COUNTED:
+    for postulate in counted:
         spec = _POSTULATES[postulate]
-        counts[postulate] = spec.count(ctx, t)
-        assert counts[postulate] == sum(1 for _ in spec.gen(ctx, t)), (postulate, t)
+        counts[postulate] = spec.count(ctx, outer)
+        assert counts[postulate] == sum(1 for _ in spec.gen(ctx, outer)), (postulate, outer)
     return counts
 
 
-def test_counts_equal_generator_lengths_on_every_two_atom_preorder():
-    operators = (
+def _revisions():
+    """The built-in revisions, then operators that break what they keep."""
+    return (
         list(_BUILTIN_REVISIONS)
+        + [_Reversed()]
         + [make_random_dp_operator(seed, 2) for seed in range(10)]
         + [
             _NliComposition(con, rev)
@@ -491,11 +504,44 @@ def test_counts_equal_generator_lengths_on_every_two_atom_preorder():
             for rev in _BUILTIN_REVISIONS
         ]
     )
-    nonzero = 0
-    for op in operators:
-        ctx = _Ctx(2, op)  # shared, so each revision is computed once
+
+
+def _operator_pairs():
+    """The nine built-in pairs, then each other revision with a built-in
+    contraction in turn."""
+    others = _revisions()[len(_BUILTIN_REVISIONS) :]
+    return [(rev, con) for rev in _BUILTIN_REVISIONS for con in _BUILTIN_CONTRACTIONS] + [
+        (rev, _BUILTIN_CONTRACTIONS[i % 3]) for i, rev in enumerate(others)
+    ]
+
+
+def test_counts_equal_generator_lengths_on_every_two_atom_preorder():
+    nonzero = set()
+    seen = set()
+    for rev, con in _operator_pairs():
+        # a postulate that reads one operator is checked once per operator
+        counted = []
+        for postulate in COUNTED:
+            spec = _POSTULATES[postulate]
+            key = (postulate, spec.needs_rev and rev, spec.needs_con and con)
+            if key not in seen:
+                seen.add(key)
+                counted.append(postulate)
+        ctx = _Ctx(2, rev, con)  # shared, so each revision is computed once
         for t in enumerate_tpos(2):
-            nonzero += sum(1 for c in _assert_counts_match(ctx, t).values() if c)
+            counts = _assert_counts_match(ctx, t, counted)
+            nonzero.update(postulate for postulate, c in counts.items() if c)
+    # every built-in contraction keeps CC1-4, so only their zeros are tested
+    assert nonzero == set(COUNTED) - {"CC1", "CC2", "CC3", "CC4"}
+
+
+def test_iiap_counts_equal_generator_lengths_on_every_two_atom_preorder_pair():
+    pool = list(enumerate_tpos(2))
+    nonzero = 0
+    for rev in _revisions():
+        ctx = _Ctx(2, rev)
+        for pair in product(pool, repeat=2):
+            nonzero += _assert_counts_match(ctx, pair, ("IIAP",))["IIAP"] > 0
     assert nonzero > 0
 
 
@@ -508,9 +554,17 @@ def test_counts_equal_generator_lengths_on_every_two_atom_preorder():
     ],
 )
 def test_counts_equal_generator_lengths_on_three_atom_preorders(seed, rev, fails):
-    t = tpo_at_index(random.Random(seed).randrange(count_tpos(3)), 3)
-    counts = _assert_counts_match(_Ctx(3, _NliComposition(Contraction.STQ_LEX, rev)), t)
-    assert all(counts.values()) if fails else not any(counts.values())
+    rng = random.Random(seed)
+    t, u = (tpo_at_index(rng.randrange(count_tpos(3)), 3) for _ in range(2))
+    composed = _NliComposition(Contraction.STQ_LEX, rev)
+    counts = _assert_counts_match(_Ctx(3, composed, Contraction.STQ_LEX), t)
+    quadratic = [counts[postulate] for postulate in QUADRATIC]
+    assert all(quadratic) if fails else not any(quadratic)
+    # natural and restrained revision break CR3/CR4 with this contraction
+    counts = _assert_counts_match(_Ctx(3, rev, Contraction.STQ_LEX), t, PAIR_RULES)
+    assert bool(counts["CR4"]) is fails
+    for op in (rev, composed):
+        _assert_counts_match(_Ctx(3, op), (t, u), ("IIAP",))
 
 
 def _brute_report(postulate, op):
@@ -526,7 +580,7 @@ def _brute_report(postulate, op):
     return violations, tuple(witnesses)
 
 
-@pytest.mark.parametrize("postulate", COUNTED)
+@pytest.mark.parametrize("postulate", QUADRATIC)
 def test_counted_reports_match_the_brute_force_reducer(postulate):
     composed = _NliComposition(Contraction.STQ_LEX, Revision.NATURAL)
     for op in (make_random_dp_operator(0, 2), composed):
@@ -542,14 +596,6 @@ def test_counted_reports_match_the_brute_force_reducer(postulate):
 
 # ---------------------------------------------------------------------------
 # The scan context's memo: one outcome row per prior
-
-
-class _Reversed:
-    """Natural revision of the reversed prior: fails IIAI, so a counted
-    scan rebuilds its witnesses with the generator."""
-
-    def posterior(self, t, sentence_models):
-        return revise(Tpo(t.masks[::-1], t.n_atoms), sentence_models, Revision.NATURAL)
 
 
 @pytest.fixture
@@ -581,3 +627,61 @@ def test_a_counted_scan_and_its_witnesses_share_one_row_per_prior(revisions):
 def test_an_exhaustive_pair_scan_revises_each_prior_once_per_chunk(revisions):
     check_postulate("IIAP", Revision.NATURAL, n_atoms=2)
     assert len(revisions) <= 16 * 75 * 15
+
+
+def test_neutrality_revises_only_the_inputs_it_reads(revisions):
+    # the distinct (prior, input) pairs, summed over the chunks, that have
+    # an input-preserving isomorphism; revising every input takes 7740
+    check_postulate("Neut", Revision.NATURAL, n_atoms=2)
+    assert len(revisions) <= 3740
+
+
+# ---------------------------------------------------------------------------
+# One pass per operator pair: the verdicts the claims ask for
+
+
+def _claim_verdicts():
+    """(postulates, revision, contraction) of each one-pass verdict that
+    T1, T2, T3, Cor1 and P3 ask for."""
+    for rev in _BUILTIN_REVISIONS:
+        yield ("Success", "DP1", "DP2", "DP3", "DP4"), rev, None
+        for con in _BUILTIN_CONTRACTIONS:
+            yield ("NLI", "CR1", "CR2", "CR3", "CR4", "SPU", "WPU"), rev, con
+    for con in _BUILTIN_CONTRACTIONS:
+        yield ("CC1", "CC2", "CC3", "CC4"), None, con
+        for rev in _BUILTIN_REVISIONS:
+            yield ("DP1", "DP2", "DP3", "DP4"), _NliComposition(con, rev), None
+
+
+def _reduced_verdict(postulate, rev, con):
+    """Whether the postulate's generator yields nothing on any preorder."""
+    spec = _POSTULATES[postulate]
+    ctx = _Ctx(2, rev, con)
+    return all(next(spec.gen(ctx, t), None) is None for t in enumerate_tpos(2))
+
+
+def test_one_pass_verdicts_match_the_generators():
+    failing = 0
+    for ids, rev, con in _claim_verdicts():
+        verdicts = postulates._holding(ids, rev, con, 2)
+        assert verdicts == {p: _reduced_verdict(p, rev, con) for p in ids}, (ids, rev, con)
+        failing += not all(verdicts.values())
+    assert failing == 2  # NLI, CR3/4, SPU, WPU under natural and restrained + stq-lex
+
+
+def test_the_pair_profile_computes_each_order_once_per_instance(monkeypatch):
+    calls = {"revise": 0, "contract": 0, "contract_by_negation": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _real=getattr(postulates, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(postulates, name, counted)
+    pair_profile.cache_clear()
+    pair_profile(2)
+    instances = 9 * 75 * 15
+    assert calls["contract_by_negation"] <= instances
+    # the revision, its contraction, the revision by the negated input and
+    # NLI's routed revision
+    assert calls["revise"] + calls["contract"] <= 4 * instances

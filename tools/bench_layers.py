@@ -12,10 +12,15 @@ Times, on the ``beliefchange`` package found on ``sys.path``:
   runs it: ``_scan(_Ctx(3, rev, con), _POSTULATES[id], [outer],
   clear=True)``, mean over 20 seeded preorders (preorder pairs for
   IIAP), for DP1 natural, NLI natural + ``contract-stq-lex``, IIAI
-  natural and IIAP natural;
+  natural, IIAP natural and CR4 natural + ``contract-stq-lex``; CR4
+  fails on most preorders there, so its scan pays for the violation
+  count and for rebuilding the witnesses;
 * one claim: ``verify_claim("P2", 2)``, which contracts, builds
   conditional sets and tests membership in them for every two-atom
   preorder and input, and keeps no cache between calls;
+* one claim: ``verify_claim("T3", 2)`` with ``pair_profile``'s cache
+  cleared first, so it decides NLI, CR1-4, SPU and WPU for all nine
+  built-in operator pairs;
 * one closure query at three atoms: ``parse_conditional_set`` plus
   ``closure_answer`` on a fast-path file (a seeded preorder's full
   conditional set, 255 ``A => B`` lines, plus its belief set as the
@@ -41,7 +46,7 @@ import time
 from beliefchange.cli import closure_answer, parse_conditional_set
 from beliefchange.lang import dnf_of_worlds
 from beliefchange.operators import Contraction, Revision, contract, revise, stq_merge
-from beliefchange.postulates import _POSTULATES, _Ctx, _scan, verify_claim
+from beliefchange.postulates import _POSTULATES, _Ctx, _scan, pair_profile, verify_claim
 from beliefchange.tpo import (
     Tpo,
     count_tpos,
@@ -137,6 +142,10 @@ def main() -> None:
     def claim():
         verify_claim("P2", 2)
 
+    def equivalence():
+        pair_profile.cache_clear()
+        verify_claim("T3", 2)
+
     def closures():
         for text in files:
             closure_answer(parse_conditional_set(text, ATOMS), 3)
@@ -158,7 +167,13 @@ def main() -> None:
         ),
         "scan_IIAI_natural_ms": (scans("IIAI", Revision.NATURAL), SCANS, 1e3),
         "scan_IIAP_natural_ms": (scans("IIAP", Revision.NATURAL), SCANS, 1e3),
+        "scan_CR4_natural_stq_lex_ms": (
+            scans("CR4", Revision.NATURAL, Contraction.STQ_LEX),
+            SCANS,
+            1e3,
+        ),
         "claim_P2_n2_s": (claim, 1, 1.0),
+        "claim_T3_n2_s": (equivalence, 1, 1.0),
         "closure_query_n3_ms": (closures, CLOSURES, 1e3),
         "parse_3000_lines_n4_ms": (parse, 1, 1e3),
     }
