@@ -30,12 +30,13 @@ first violation, and each order they read (the revision, the
 contraction by the negated input, ...) is computed at most once per
 (outer, input).
 
-The scan context, ``_Ctx``, keeps one memo, keyed by (prior, input):
-the minimal worlds and the posterior.  IIAP, IIAI, Beta1/Beta2 and Neut
-read it, so a count and its witnesses share one revision, an exhaustive
-pair scan revises each (prior, input) once per chunk, and Neut revises
-only on the inputs it reads.  Every other scan sees each (prior, input)
-once and calls the operators directly.
+The scan context, ``_Ctx``, keeps one memo of revisions.  IIAP, IIAI
+and Beta1/Beta2 read a prior's outcomes on every input, so a count and
+its witnesses share one revision and an exhaustive pair scan revises
+each prior once per chunk; Neut reads one posterior at a time, keyed
+by (prior, input), so it revises only on the inputs it reads.  Every
+other scan sees each (prior, input) once and calls the operators
+directly.
 
 The scans yield raw witnesses (preorders, input masks, worlds and a
 note).  Every check, postulate scan, state diagram or claim sweep, counts
@@ -84,7 +85,7 @@ from .exceptions import (
     MissingContractionError,
     ScopeError,
 )
-from .lang import all_worlds, cn_extended_member, dnf_of_worlds, world_str
+from .lang import _WORLDS, all_worlds, cn_extended_member, dnf_of_worlds, world_str
 from .operators import (
     Contraction,
     Revision,
@@ -266,11 +267,11 @@ def _world_pairs(n_atoms: int, ordered: bool) -> tuple:
 
 
 class _Ctx:
-    """One run's instance space and operators, plus one memo: the outcome
-    of revising a prior by an input, keyed by (prior, input), and the
-    rows of a prior's outcomes, keyed by (kind, prior).  Scans of a
-    single prior call the operators directly, since they see each
-    (prior, input) once."""
+    """One run's instance space and operators, plus one memo of
+    revisions: a prior's outcomes on every input, keyed by the prior (and
+    the rows derived from them by (kind, prior)), or one posterior, keyed
+    by (prior, input).  Scans of a single prior call the operators
+    directly, since they see each (prior, input) once."""
 
     def __init__(self, n_atoms: int, rev=None, con: Contraction | None = None):
         self.n = n_atoms
@@ -288,36 +289,39 @@ class _Ctx:
     def clear(self):
         self._memo.clear()
 
-    def outcome(self, t: Tpo, p: int) -> tuple:
-        """(minimal worlds, posterior) of revising t by p; computed once
-        until ``clear``."""
-        out = self._memo.get((t, p))
+    def outcomes(self, t: Tpo) -> list:
+        """(input, its minimal worlds, posterior) for every input, in input
+        order; computed once per prior until ``clear``."""
+        out = self._memo.get(t)
         if out is None:
-            out = self._memo[t, p] = (min_worlds(t, p), revise(t, p, self.rev))
+            out = self._memo[t] = [
+                (p, min_worlds(t, p), revise(t, p, self.rev)) for p in self.props
+            ]
         return out
 
     def rows(self, t: Tpo) -> list:
-        """(input, its minimal worlds, posterior rank) for every input, in
-        input order."""
-        out = self._memo.get(("rows", t))
+        """``outcomes`` with the posterior's rank."""
+        out = self._memo.get(("rank", t))
         if out is None:
-            out = self._memo["rows", t] = [
-                (p, minimal, posterior.rank)
-                for p in self.props
-                for minimal, posterior in (self.outcome(t, p),)
+            out = self._memo["rank", t] = [
+                (p, minimal, posterior.rank) for p, minimal, posterior in self.outcomes(t)
             ]
         return out
 
     def matrix_rows(self, t: Tpo) -> list:
-        """(minimal worlds, *posterior pair matrices) for every input, in
-        input order."""
+        """(minimal worlds, *posterior pair matrices) for every input."""
         out = self._memo.get(("matrices", t))
         if out is None:
             out = self._memo["matrices", t] = [
-                (minimal, *_relations(posterior))
-                for p in self.props
-                for minimal, posterior in (self.outcome(t, p),)
+                (minimal, *_relations(posterior)) for _, minimal, posterior in self.outcomes(t)
             ]
+        return out
+
+    def posterior(self, t: Tpo, p: int) -> Tpo:
+        """t revised by p, for a scan that reads only some inputs."""
+        out = self._memo.get((t, p))
+        if out is None:
+            out = self._memo[t, p] = revise(t, p, self.rev)
         return out
 
     def witness(self, tpos, inputs, worlds, note="") -> Witness:
@@ -379,11 +383,7 @@ def _spread(n_atoms: int) -> tuple:
     of c (W worlds): times a world mask m, it sets row x of a pair matrix
     to m for every x in c."""
     width = 1 << n_atoms
-    table = [0] * (1 << width)
-    for c in range(1, 1 << width):
-        low = c & -c
-        table[c] = table[c ^ low] | 1 << width * (low.bit_length() - 1)
-    return tuple(table)
+    return tuple(sum(1 << width * x for x in _WORLDS[c]) for c in range(1 << width))
 
 
 def _relations(t: Tpo) -> tuple:
@@ -640,7 +640,7 @@ def _g_neut(ctx, pair):
     for p in ctx.props:
         perms = enumerate_a_preserving_isos(t1, t2, p)
         if perms:
-            r1q, r2q = (ctx.outcome(t, p)[1].rank for t in pair)
+            r1q, r2q = (ctx.posterior(t, p).rank for t in pair)
         for perm in perms:
             for x, y, _ in ctx.pairs:
                 if _code(r1q, x, y) != _code(r2q, perm[x], perm[y]):

@@ -595,7 +595,7 @@ def test_counted_reports_match_the_brute_force_reducer(postulate):
 
 
 # ---------------------------------------------------------------------------
-# The scan context's memo: one outcome row per prior
+# The scan context's memo: one outcome per (prior, input)
 
 
 @pytest.fixture
