@@ -969,26 +969,29 @@ def postulate_holds(
 
 def _holding(ids, revision, contraction, n_atoms: int) -> dict:
     """Exhaustive verdicts of several postulates on one operator pair, in
-    one pass over the outers: a postulate is dropped at its first
-    violation, and the pass ends once every postulate has one.  The
-    postulates share each outer's ``_Orders``."""
+    one pass over the preorders and one over the preorder pairs, as the
+    postulates need: a postulate is dropped at its first violation, and
+    a pass ends once every postulate of it has one.  The postulates share
+    one scan context and each outer's ``_Orders``."""
     specs = {postulate: _spec(postulate, revision, contraction) for postulate in ids}
     _validate_scope(n_atoms, "exhaustive")
-    (pair_outer,) = {spec.pair_outer for spec in specs.values()}  # one outer kind
     ctx = _Ctx(n_atoms, revision, contraction)
-    for outer in _outers(pair_outer, n_atoms, slice(0, None)):
-        orders = _Orders(ctx, outer)
-        for postulate, spec in list(specs.items()):
-            if spec.fails is not None:
-                failed = spec.fails(orders)
-            elif spec.count is not None:
-                failed = spec.count(ctx, outer) > 0
-            else:
-                failed = next(spec.gen(ctx, outer), None) is not None
-            if failed:
-                del specs[postulate]
-        if not specs:
-            break
+    for pair_outer in (False, True):
+        pending = {p: spec for p, spec in specs.items() if spec.pair_outer is pair_outer}
+        outers = _outers(pair_outer, n_atoms, slice(0, None)) if pending else ()
+        for outer in outers:
+            orders = _Orders(ctx, outer)
+            for postulate, spec in list(pending.items()):
+                if spec.fails is not None:
+                    failed = spec.fails(orders)
+                elif spec.count is not None:
+                    failed = spec.count(ctx, outer) > 0
+                else:
+                    failed = next(spec.gen(ctx, outer), None) is not None
+                if failed:
+                    del pending[postulate], specs[postulate]
+            if not pending:
+                break
     return {postulate: postulate in specs for postulate in ids}
 
 
@@ -1165,18 +1168,13 @@ class PairProfile:
         return all(self.cr)
 
 
-_PROFILE_IDS = ("NLI", "CR1", "CR2", "CR3", "CR4", "SPU", "WPU")
-_DP_IDS = ("DP1", "DP2", "DP3", "DP4")
-_CC_IDS = ("CC1", "CC2", "CC3", "CC4")
-
-
 @lru_cache(maxsize=None)
 def pair_profile(n_atoms: int = 2) -> tuple:
     """NLI / CR / SPU / WPU outcomes for all nine built-in operator pairs."""
     rows = []
     for rev in _BUILTIN_REVISIONS:
         for con in _BUILTIN_CONTRACTIONS:
-            holds = _holding(_PROFILE_IDS, rev, con, n_atoms)
+            holds = _holding(("NLI", "CR1", "CR2", "CR3", "CR4", "SPU", "WPU"), rev, con, n_atoms)
             rows.append(
                 PairProfile(
                     revision=rev,
@@ -1199,11 +1197,7 @@ def _verify_t1(n_atoms: int):
     lines = []
     failures = 0
     for rev in _BUILTIN_REVISIONS:
-        single = _holding(("Success", *_DP_IDS), rev, None, n_atoms)
-        outcomes = {
-            p: single[p] if p in single else postulate_holds(p, rev, n_atoms=n_atoms)
-            for p in ELEMENTARY_POSTULATES
-        }
+        outcomes = _holding(ELEMENTARY_POSTULATES, rev, None, n_atoms)
         failures += sum(1 for v in outcomes.values() if not v)
         lines.append(
             f"{rev.value}: "
@@ -1298,10 +1292,9 @@ def _verify_p1(n_atoms: int, operators: int = 100):
     tally = _Tally(_Ctx(n_atoms))
     both_hold = 0
     for label, op in pool:
-        betas = postulate_holds("Beta1", op, n_atoms=n_atoms) and postulate_holds(
-            "Beta2", op, n_atoms=n_atoms
-        )
-        iiai = postulate_holds("IIAI", op, n_atoms=n_atoms)
+        holds = _holding(("Beta1", "Beta2", "IIAI"), op, None, n_atoms)
+        betas = holds["Beta1"] and holds["Beta2"]
+        iiai = holds["IIAI"]
         if betas != iiai:
             tally.add([((), (), (), label)])
         if betas:
@@ -1363,9 +1356,10 @@ def _verify_p3(n_atoms: int):
     failures = 0
     instances = 0
     for con in _BUILTIN_CONTRACTIONS:
-        cc_ok = all(_holding(_CC_IDS, None, con, n_atoms).values())
+        cc_ok = all(_holding(("CC1", "CC2", "CC3", "CC4"), None, con, n_atoms).values())
         for rev in _BUILTIN_REVISIONS:
-            outcomes = _holding(_DP_IDS, _NliComposition(con, rev), None, n_atoms)
+            composed = _NliComposition(con, rev)
+            outcomes = _holding(("DP1", "DP2", "DP3", "DP4"), composed, None, n_atoms)
             instances += len(outcomes)
             if not (cc_ok and all(outcomes.values())):
                 failures += 1

@@ -644,7 +644,7 @@ def _claim_verdicts():
     """(postulates, revision, contraction) of each one-pass verdict that
     T1, T2, T3, Cor1 and P3 ask for."""
     for rev in _BUILTIN_REVISIONS:
-        yield ("Success", "DP1", "DP2", "DP3", "DP4"), rev, None
+        yield postulates.ELEMENTARY_POSTULATES, rev, None
         for con in _BUILTIN_CONTRACTIONS:
             yield ("NLI", "CR1", "CR2", "CR3", "CR4", "SPU", "WPU"), rev, con
     for con in _BUILTIN_CONTRACTIONS:
@@ -654,10 +654,12 @@ def _claim_verdicts():
 
 
 def _reduced_verdict(postulate, rev, con):
-    """Whether the postulate's generator yields nothing on any preorder."""
+    """Whether the postulate's generator yields nothing on any outer."""
     spec = _POSTULATES[postulate]
     ctx = _Ctx(2, rev, con)
-    return all(next(spec.gen(ctx, t), None) is None for t in enumerate_tpos(2))
+    pool = list(enumerate_tpos(2))
+    outers = product(pool, repeat=2) if spec.pair_outer else pool
+    return all(next(spec.gen(ctx, outer), None) is None for outer in outers)
 
 
 def test_one_pass_verdicts_match_the_generators():
