@@ -439,8 +439,8 @@ def _g_success(ctx, t):
             yield (t,), (p,), (lowest,), "minimal world outside input"
 
 
-def _f_success(outer) -> bool:
-    return any(outer.order("rev", p).masks[0] & ~p for p in outer.ctx.props)
+def _f_success(orders) -> bool:
+    return any(orders.order("rev", p).masks[0] & ~p for p in orders.ctx.props)
 
 
 # The fourteen pair-relation postulates share one shape: for the world
@@ -700,11 +700,11 @@ def _routed_rule(final: Revision | None, route: str):
                 pair = _first_diff_pair(ctx, direct, routed)
                 yield (t,), (p,), pair, ("direct ", direct, f"; {route} ", routed)
 
-    def fails(outer):
-        final_rev = final or outer.ctx.rev
+    def fails(orders):
+        final_rev = final or orders.ctx.rev
         return any(
-            outer.order("rev", p) != revise(outer.order("conneg", p), p, final_rev)
-            for p in outer.ctx.props
+            orders.order("rev", p) != revise(orders.order("conneg", p), p, final_rev)
+            for p in orders.ctx.props
         )
 
     return _PostulateDef(gen, fails=fails, needs_con=True)
@@ -753,21 +753,21 @@ def _pair_rule(premises, conclusion, region, relation) -> _PostulateDef:
 
     broken = _BROKEN[relation]
 
-    def violations(outer):
+    def violations(orders):
         """Per input, the pair mask of the rule's violations."""
-        regions = _region_masks(region, outer.ctx.n)
-        for p in getattr(outer.ctx, inputs):
-            first = outer.matrices(premises[0], p)
-            bad = regions[p] & broken(first, outer.matrices(conclusion, p))
+        regions = _region_masks(region, orders.ctx.n)
+        for p in getattr(orders.ctx, inputs):
+            first = orders.matrices(premises[0], p)
+            bad = regions[p] & broken(first, orders.matrices(conclusion, p))
             for name in premises[1:]:
-                bad &= ~broken(first, outer.matrices(name, p))
+                bad &= ~broken(first, orders.matrices(name, p))
             yield bad
 
     def count(ctx, t):
         return sum(bad.bit_count() for bad in violations(_Orders(ctx, t)))
 
-    def fails(outer):
-        return any(violations(outer))
+    def fails(orders):
+        return any(violations(orders))
 
     return _PostulateDef(
         gen,
