@@ -30,19 +30,35 @@ first violation, and each order they read (the revision, the
 contraction by the negated input, ...) is computed at most once per
 (outer, input).
 
+Orbits.  The built-in revisions and contractions, and compositions of
+them, are defined from the order and the input alone, so they commute
+with every permutation of the worlds (``_equivariant`` admits exactly
+these).  Under them a permutation maps a preorder's violations one to
+one onto those of the permuted preorder.  Preorders with the same
+composition (cell sizes, bottom first) are permutations of each other,
+so a single-outer scan finds as many violations on each of them.
+There are 8 compositions for the 75 preorders of two atoms, and 128
+for the 545,835 of three.  Under those operators ``_scan`` counts each
+composition once and adds that count for every later preorder of it,
+and ``_holding`` judges each composition once.  Witnesses still come
+from the generator run on the actual preorder, so a report keeps the
+same witnesses in the same order.  Pair outers and every other
+operator (a table, a random operator, a diagram) take the full scan.
+
 The scan context, ``_Ctx``, keeps one memo of revisions.  IIAP, IIAI
 and Beta1/Beta2 read a prior's outcomes on every input, so a count and
-its witnesses share one revision and an exhaustive pair scan revises
-each prior once per chunk; Neut reads one posterior at a time, keyed
-by (prior, input), so it revises only on the inputs it reads.  Every
-other scan sees each (prior, input) once and calls the operators
+its witnesses share one revision and an exhaustive pair scan at one
+worker revises each prior once; Neut reads one posterior at a time,
+keyed by (prior, input), so it revises only on the inputs it reads.
+Every other scan sees each (prior, input) once and calls the operators
 directly.
 
 The scans yield raw witnesses (preorders, input masks, worlds and a
 note).  Every check, postulate scan, state diagram or claim sweep, counts
 them in one tally, ``_Tally``: instances and violations in full, and
-the first ten raw witnesses in scan order, the only ones rendered as
-text.  A report's outcome follows from its violation count.
+the first ten raw witnesses in scan order.  A report renders those ten
+as text, in the calling process, and no other.  A report's outcome
+follows from its violation count.
 
 A state diagram is a scan too: its generator reads the diagram's table
 where a postulate scan reads the revision, so ``replay_witness`` takes
@@ -64,8 +80,9 @@ Quantification conventions, fixed once for the whole module:
 
 Exhaustive checks are supported for at most 2 atoms; sampled checks,
 drawing preorders uniformly via ordered-partition unranking, for at
-most 3.  A sampled check draws its preorder indices once, and each
-chunk scans its own slice of them.
+most 3.  A sampled check draws its preorder indices once.  One worker
+scans them, or the enumeration, in process as one job; with more
+workers each of at most ``_CHUNKS`` jobs scans its own slice.
 """
 
 from __future__ import annotations
@@ -99,9 +116,9 @@ from .operators import (
 )
 from .tpo import (
     Tpo,
+    _a_preserving_isos,
     conditional_set,
     count_tpos,
-    enumerate_a_preserving_isos,
     enumerate_tpos,
     flatter_eq,
     format_tpo,
@@ -341,28 +358,35 @@ class _Ctx:
 class _Tally:
     """One check's verdict: instances and violations counted in full, and
     the first ``WITNESS_CAP`` raw witnesses in scan order, rendered by
-    ``ctx.witness`` as they are kept."""
+    ``ctx.witness`` only when the report asks for them."""
 
     def __init__(self, ctx: _Ctx):
         self.ctx = ctx
         self.instances = 0
         self.violations = 0
-        self.witnesses = []
+        self.raws = []
 
     @property
     def room(self) -> int:
-        return WITNESS_CAP - len(self.witnesses)
+        return WITNESS_CAP - len(self.raws)
 
     def keep(self, raws) -> int:
-        """Render and keep raw witnesses while there is room; how many."""
-        before = len(self.witnesses)
-        self.witnesses.extend(self.ctx.witness(*raw) for raw in islice(raws, self.room))
-        return len(self.witnesses) - before
+        """Keep raw witnesses while there is room; how many."""
+        before = len(self.raws)
+        self.raws.extend(islice(raws, self.room))
+        return len(self.raws) - before
 
-    def add(self, raws) -> None:
-        """Count every raw witness; keep the first while there is room."""
+    def add(self, raws) -> int:
+        """Count every raw witness, keep the first while there is room;
+        how many."""
         raws = iter(raws)
-        self.violations += self.keep(raws) + sum(1 for _ in raws)
+        found = self.keep(raws) + sum(1 for _ in raws)
+        self.violations += found
+        return found
+
+    def witnesses(self) -> tuple:
+        """The kept witnesses, rendered."""
+        return tuple(self.ctx.witness(*raw) for raw in self.raws)
 
 
 def _code(r, x, y) -> int:
@@ -635,10 +659,11 @@ def _c_beta(below):
 
 def _g_neut(ctx, pair):
     t1, t2 = pair
-    if [m.bit_count() for m in t1.masks] != [m.bit_count() for m in t2.masks]:
+    if _composition(t1) != _composition(t2):
         return
+    n_worlds = len(ctx.worlds)
     for p in ctx.props:
-        perms = enumerate_a_preserving_isos(t1, t2, p)
+        perms = _a_preserving_isos(t1.masks, t2.masks, p, n_worlds)
         if perms:
             r1q, r2q = (ctx.posterior(t, p).rank for t in pair)
         for perm in perms:
@@ -700,14 +725,20 @@ def _routed_rule(final: Revision | None, route: str):
                 pair = _first_diff_pair(ctx, direct, routed)
                 yield (t,), (p,), pair, ("direct ", direct, f"; {route} ", routed)
 
-    def fails(orders):
+    def mismatches(orders):
+        """Per input, whether the two routes differ."""
         final_rev = final or orders.ctx.rev
-        return any(
+        return (
             orders.order("rev", p) != revise(orders.order("conneg", p), p, final_rev)
             for p in orders.ctx.props
         )
 
-    return _PostulateDef(gen, fails=fails, needs_con=True)
+    return _PostulateDef(
+        gen,
+        count=lambda ctx, t: sum(mismatches(_Orders(ctx, t))),
+        fails=lambda orders: any(mismatches(orders)),
+        needs_con=True,
+    )
 
 
 @dataclass(frozen=True)
@@ -869,22 +900,49 @@ def _spec(postulate: str, revision, contraction) -> _PostulateDef:
     return spec
 
 
+def _equivariant(rev, con) -> bool:
+    """Whether the operators commute with every permutation of the worlds:
+    the built-in revisions and contractions, and compositions of them
+    (``None`` is no operator).  Any other operator object, a table or a
+    random operator, need not."""
+    return all(
+        op is None
+        or isinstance(op, (Revision, Contraction))
+        or (isinstance(op, _NliComposition) and _equivariant(op.rev, op.con))
+        for op in (rev, con)
+    )
+
+
+def _composition(t: Tpo) -> tuple:
+    """The cell sizes of a preorder, bottom first: its orbit under the
+    permutations of the worlds."""
+    return tuple(m.bit_count() for m in t.masks)
+
+
 def _scan(ctx: _Ctx, spec: _PostulateDef, outers, clear: bool = False) -> _Tally:
     """Tally a scan over outers; a counted scan rebuilds witnesses only
-    for an outer that has some while there is room for them.  ``clear``
-    drops the context's rows after each outer: sampled outers seldom
-    share a prior, and at three atoms each row holds 255 inputs."""
+    for an outer that has some while there is room for them.  Under
+    equivariant operators a single outer's violation count is taken once
+    per composition.  ``clear`` drops the context's rows after each
+    outer: sampled outers seldom share a prior, and at three atoms each
+    row holds 255 inputs."""
     tally = _Tally(ctx)
     per_outer = spec.inputs_per_outer(ctx)
+    orbits = {} if not spec.pair_outer and _equivariant(ctx.rev, ctx.con) else None
     for outer in outers:
         tally.instances += per_outer
-        if spec.count is None:
-            tally.add(spec.gen(ctx, outer))
+        key = None if orbits is None else _composition(outer)
+        found = None if key is None else orbits.get(key)
+        if found is None and spec.count is None:
+            found = tally.add(spec.gen(ctx, outer))
         else:
-            found = spec.count(ctx, outer)
+            if found is None:
+                found = spec.count(ctx, outer)
             tally.violations += found
             if found and tally.room:
                 tally.keep(spec.gen(ctx, outer))
+        if key is not None:
+            orbits[key] = found
         if clear:
             ctx.clear()
     return tally
@@ -895,7 +953,7 @@ def _run_chunk(args):
     spec = _POSTULATES[postulate]
     outers = _outers(spec.pair_outer, n_atoms, part)
     tally = _scan(_Ctx(n_atoms, rev, con), spec, outers, clear=isinstance(part, list))
-    return tally.instances, tally.violations, tally.witnesses
+    return tally.instances, tally.violations, tally.raws
 
 
 def check_postulate(
@@ -915,9 +973,10 @@ def check_postulate(
     sampled mode draws ``sample`` of them with a seeded generator, and
     only sampled mode takes a ``seed`` or ``sample``.
     Violations are counted in full; the report keeps the first ten
-    witnesses in enumeration order, whatever the worker count.  The
-    outers are split into at most ``_CHUNKS`` jobs; a pool gets one
-    process per job at most, and a single job runs in process.
+    witnesses in enumeration order, whatever the worker count.  One
+    worker scans every outer in process, as one job; more workers split
+    the outers into at most ``_CHUNKS`` jobs, one process per job at
+    most.  Only the kept witnesses are rendered, in this process.
     """
     spec = _spec(postulate, revision, contraction)
     _validate_scope(n_atoms, mode)
@@ -931,28 +990,31 @@ def check_postulate(
         seed = 0 if seed is None else seed
         sample = 10000 if sample is None else sample
         draws = _draws(spec.pair_outer, n_atoms, seed, sample)
-        parts = [draws[start:stop] for start, stop in _chunk_bounds(sample)]
+        total, part = sample, lambda start, stop: draws[start:stop]
     else:
-        total = count_tpos(n_atoms)
-        if spec.pair_outer:
-            total *= total
-        parts = [slice(start, stop) for start, stop in _chunk_bounds(total)]
-    jobs = [(postulate, revision, contraction, n_atoms, part) for part in parts]
+        total = count_tpos(n_atoms) ** (2 if spec.pair_outer else 1)
+        part = slice
+    bounds = _chunk_bounds(total) if workers > 1 else [(0, total)]
+    jobs = [(postulate, revision, contraction, n_atoms, part(*b)) for b in bounds]
     workers = min(workers, len(jobs))
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
             results = pool.map(_run_chunk, jobs)
     else:
         results = [_run_chunk(job) for job in jobs]
-    witnesses = [w for _, _, chunk_witnesses in results for w in chunk_witnesses]
+    tally = _Tally(_Ctx(n_atoms, revision, contraction))
+    for instances, violations, raws in results:
+        tally.instances += instances
+        tally.violations += violations
+        tally.keep(raws)
     return CheckReport(
         check_id=postulate,
         revision=method_name(revision) if revision is not None else None,
         contraction=method_name(contraction) if contraction is not None else None,
         scope=CheckScope(n_atoms=n_atoms, mode=mode, sample=sample, seed=seed),
-        instances=sum(r[0] for r in results),
-        violations=sum(r[1] for r in results),
-        witnesses=tuple(witnesses[:WITNESS_CAP]),
+        instances=tally.instances,
+        violations=tally.violations,
+        witnesses=tally.witnesses(),
     )
 
 
@@ -972,14 +1034,21 @@ def _holding(ids, revision, contraction, n_atoms: int) -> dict:
     one pass over the preorders and one over the preorder pairs, as the
     postulates need: a postulate is dropped at its first violation, and
     a pass ends once every postulate of it has one.  The postulates share
-    one scan context and each outer's ``_Orders``."""
+    one scan context and each outer's ``_Orders``.  Under equivariant
+    operators a single preorder is judged once per composition."""
     specs = {postulate: _spec(postulate, revision, contraction) for postulate in ids}
     _validate_scope(n_atoms, "exhaustive")
     ctx = _Ctx(n_atoms, revision, contraction)
+    judged = set() if _equivariant(revision, contraction) else None
     for pair_outer in (False, True):
         pending = {p: spec for p, spec in specs.items() if spec.pair_outer is pair_outer}
         outers = _outers(pair_outer, n_atoms, slice(0, None)) if pending else ()
         for outer in outers:
+            if judged is not None and not pair_outer:
+                key = _composition(outer)
+                if key in judged:
+                    continue
+                judged.add(key)
             orders = _Orders(ctx, outer)
             for postulate, spec in list(pending.items()):
                 if spec.fails is not None:
@@ -1122,7 +1191,7 @@ def check_diagram(diagram, n_atoms: int = 2) -> CheckReport:
         scope=CheckScope(n_atoms=n_atoms, mode="exhaustive"),
         instances=tally.instances,
         violations=tally.violations,
-        witnesses=tuple(tally.witnesses),
+        witnesses=tally.witnesses(),
     )
 
 
@@ -1282,7 +1351,7 @@ def _verify_t4(n_atoms: int):
         "satisfier equals the natural-revision fast path on all of them; the "
         "flattest element is checked against every satisfier before it is returned"
     )
-    return tally.instances, tally.violations, detail, tuple(tally.witnesses)
+    return tally.instances, tally.violations, detail, tally.witnesses()
 
 
 def _verify_p1(n_atoms: int, operators: int = 100):
@@ -1304,7 +1373,7 @@ def _verify_p1(n_atoms: int, operators: int = 100):
         f"sides hold for {both_hold}, fail for {len(pool) - both_hold}; "
         f"equivalence mismatches: {tally.violations}"
     )
-    return len(pool), tally.violations, detail, tuple(tally.witnesses)
+    return len(pool), tally.violations, detail, tally.witnesses()
 
 
 def _verify_p2(n_atoms: int):
@@ -1334,7 +1403,7 @@ def _verify_p2(n_atoms: int):
         "while every revision's conditional set contains it, so the naive "
         "identity fails on all of them"
     )
-    return tally.instances, tally.violations, detail, tuple(tally.witnesses)
+    return tally.instances, tally.violations, detail, tally.witnesses()
 
 
 class _NliComposition:
@@ -1426,7 +1495,7 @@ def _verify_l_flattest(n_atoms: int):
         "is at least as flat as every preorder preserving its strict "
         "preferences and believing the input"
     )
-    return tally.instances, tally.violations, detail, tuple(tally.witnesses)
+    return tally.instances, tally.violations, detail, tally.witnesses()
 
 
 _CLAIMS = {

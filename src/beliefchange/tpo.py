@@ -327,19 +327,20 @@ def enumerate_a_preserving_isos(t1: Tpo, t2: Tpo, sentence_models: int) -> list:
     """
     if [m.bit_count() for m in t1.masks] != [m.bit_count() for m in t2.masks]:
         return []
-    full = all_worlds(t1.n_atoms)
-    trivial = sentence_models == full or not sentence_models
-    sides = (full,) if trivial else (sentence_models, full & ~sentence_models)
+    return _a_preserving_isos(t1.masks, t2.masks, sentence_models, 1 << t1.n_atoms)
+
+
+def _a_preserving_isos(masks1: tuple, masks2: tuple, sentence_models: int, n_worlds: int) -> list:
+    """``enumerate_a_preserving_isos`` for two cell lists of equal sizes."""
     blocks = []  # (source worlds ascending, target worlds ascending)
-    for c1, c2 in zip(t1.masks, t2.masks):
-        for side in sides:
-            source, target = _WORLDS[c1 & side], _WORLDS[c2 & side]
-            if len(source) != len(target):
-                return []
+    for c1, c2 in zip(masks1, masks2):
+        inside1, inside2 = c1 & sentence_models, c2 & sentence_models
+        if inside1.bit_count() != inside2.bit_count():
+            return []
+        for source, target in ((inside1, inside2), (c1 & ~sentence_models, c2 & ~sentence_models)):
             if source:
-                blocks.append((source, target))
+                blocks.append((_WORLDS[source], _WORLDS[target]))
     perms = []
-    n_worlds = 1 << t1.n_atoms
     for choice in itertools.product(
         *(itertools.permutations(target) for _, target in blocks)
     ):

@@ -21,7 +21,7 @@ from beliefchange.operators import (
     revise,
     stq_merge,
 )
-from beliefchange.postulates import _NliComposition, postulate_holds
+from beliefchange.postulates import _equivariant, _NliComposition, postulate_holds
 from beliefchange.tpo import (
     Absurd,
     Tpo,
@@ -430,20 +430,33 @@ def _permuted(t, perm):
     return Tpo([_permuted_mask(mask, perm) for mask in t.masks], t.n_atoms)
 
 
+def _equivariant_operators():
+    """Every operator the checker treats as equivariant (see
+    ``postulates._equivariant``): the built-in revisions, the built-in
+    contractions, and the nine compositions of the two."""
+    compositions = [_NliComposition(con, rev) for con in Contraction for rev in Revision]
+    revisions = list(Revision) + compositions
+    assert all(_equivariant(rev, None) for rev in revisions)
+    assert all(_equivariant(None, con) for con in Contraction)
+    return revisions, list(Contraction)
+
+
 def test_operators_commute_with_world_permutations():
     rng = random.Random(6)
-    props = propositions(3)
-    total = count_tpos(3)
-    compositions = [_NliComposition(con, rev) for con in Contraction for rev in Revision]
-    for _ in range(2000):
-        t = tpo_at_index(rng.randrange(total), 3)
-        p = rng.choice(props)
-        perm = list(range(8))
-        rng.shuffle(perm)
-        pt, pp = _permuted(t, perm), _permuted_mask(p, perm)
-        for method in Revision:
-            assert revise(pt, pp, method) == _permuted(revise(t, p, method), perm)
-        for method in Contraction:
-            assert contract(pt, pp, method) == _permuted(contract(t, p, method), perm)
-        for composed in compositions:
-            assert composed.posterior(pt, pp) == _permuted(composed.posterior(t, p), perm)
+    revisions, contractions = _equivariant_operators()
+    for n_atoms, draws in ((1, 100), (2, 500), (3, 2000)):
+        props = propositions(n_atoms)
+        total = count_tpos(n_atoms)
+        for _ in range(draws):
+            t = tpo_at_index(rng.randrange(total), n_atoms)
+            p = rng.choice(props)
+            perm = list(range(1 << n_atoms))
+            rng.shuffle(perm)
+            pt, pp = _permuted(t, perm), _permuted_mask(p, perm)
+            for method in revisions:
+                assert revise(pt, pp, method) == _permuted(revise(t, p, method), perm)
+            for method in contractions:
+                assert contract(pt, pp, method) == _permuted(contract(t, p, method), perm)
+                assert contract_by_negation(pt, pp, method) == _permuted(
+                    contract_by_negation(t, p, method), perm
+                )

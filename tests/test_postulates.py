@@ -11,7 +11,13 @@ from beliefchange.exceptions import (
     ScopeError,
 )
 from beliefchange.lang import models, parse_world
-from beliefchange.operators import Contraction, Revision, make_random_dp_operator, revise
+from beliefchange.operators import (
+    Contraction,
+    Revision,
+    TabularRevision,
+    make_random_dp_operator,
+    revise,
+)
 from beliefchange.postulates import (
     _BUILTIN_CONTRACTIONS,
     _BUILTIN_REVISIONS,
@@ -535,6 +541,16 @@ def test_counts_equal_generator_lengths_on_every_two_atom_preorder():
     assert nonzero == set(COUNTED) - {"CC1", "CC2", "CC3", "CC4"}
 
 
+def test_routed_counts_equal_generator_lengths_on_every_two_atom_preorder():
+    nonzero = set()
+    for rev, con in _operator_pairs():
+        ctx = _Ctx(2, rev, con)
+        for t in enumerate_tpos(2):
+            counts = _assert_counts_match(ctx, t, ("NLI", "iLIRC"))
+            nonzero.update(postulate for postulate, c in counts.items() if c)
+    assert nonzero == {"NLI", "iLIRC"}
+
+
 def test_iiap_counts_equal_generator_lengths_on_every_two_atom_preorder_pair():
     pool = list(enumerate_tpos(2))
     nonzero = 0
@@ -614,8 +630,10 @@ def revisions(monkeypatch):
 
 
 def test_a_single_prior_scan_revises_each_instance_once(revisions):
+    # one preorder per composition of the four worlds, each on every input
     check_postulate("DP1", Revision.NATURAL, n_atoms=2)
-    assert len(revisions) == 75 * 15
+    assert len(revisions) == 8 * 15
+    assert len(set(revisions)) == len(revisions)
 
 
 def test_a_counted_scan_and_its_witnesses_share_one_row_per_prior(revisions):
@@ -624,9 +642,9 @@ def test_a_counted_scan_and_its_witnesses_share_one_row_per_prior(revisions):
     assert len(revisions) == 75 * 15
 
 
-def test_an_exhaustive_pair_scan_revises_each_prior_once_per_chunk(revisions):
+def test_an_exhaustive_pair_scan_revises_each_prior_once(revisions):
     check_postulate("IIAP", Revision.NATURAL, n_atoms=2)
-    assert len(revisions) <= 16 * 75 * 15
+    assert len(revisions) == 75 * 15
 
 
 def test_neutrality_revises_only_the_inputs_it_reads(revisions):
@@ -687,3 +705,85 @@ def test_the_pair_profile_computes_each_order_once_per_instance(monkeypatch):
     # the revision, its contraction, the revision by the negated input and
     # NLI's routed revision
     assert calls["revise"] + calls["contract"] <= 4 * instances
+
+
+# ---------------------------------------------------------------------------
+# Orbits: under operators that commute with every permutation of the
+# worlds, a single-outer scan counts alike on preorders of one composition
+
+
+def _full_scan(monkeypatch):
+    """Scan every outer, as for an operator that is not equivariant."""
+    monkeypatch.setattr(postulates, "_equivariant", lambda rev, con: False)
+
+
+SINGLE_OUTER = tuple(p for p, spec in _POSTULATES.items() if not spec.pair_outer)
+
+ORBIT_SCOPES = (
+    {"n_atoms": 1},
+    {"n_atoms": 2},
+    *({"n_atoms": 3, "mode": "sampled", "seed": seed, "sample": 40} for seed in range(4)),
+)
+
+
+@pytest.mark.parametrize("postulate", SINGLE_OUTER)
+def test_orbit_reports_equal_the_full_scan(postulate, monkeypatch):
+    spec = _POSTULATES[postulate]
+    runs = [
+        (rev, con, scope)
+        for rev in (_BUILTIN_REVISIONS if spec.needs_rev else (None,))
+        for con in (_BUILTIN_CONTRACTIONS if spec.needs_con else (None,))
+        for scope in ORBIT_SCOPES
+    ]
+    orbit = [check_postulate(postulate, rev, con, **scope) for rev, con, scope in runs]
+    _full_scan(monkeypatch)
+    assert orbit == [check_postulate(postulate, rev, con, **scope) for rev, con, scope in runs]
+
+
+def test_orbit_verdicts_equal_the_full_scan(monkeypatch):
+    cases = list(_claim_verdicts())
+    orbit = [postulates._holding(ids, rev, con, 2) for ids, rev, con in cases]
+    _full_scan(monkeypatch)
+    assert orbit == [postulates._holding(ids, rev, con, 2) for ids, rev, con in cases]
+
+
+def test_only_equivariant_operators_take_the_orbit_route():
+    random_op = make_random_dp_operator(0, 2)
+    refused = [
+        TabularRevision(2, {}),
+        random_op,
+        _Reversed(),
+        _NliComposition(Contraction.NATURAL, random_op),
+        *postulates._DIAGRAMS.values(),
+        {1: 1, 0: 0, -1: 0},
+    ]
+    for op in refused:
+        assert not postulates._equivariant(op, None), op
+        assert not postulates._equivariant(op, Contraction.NATURAL), op
+    assert postulates._equivariant(Revision.NATURAL, Contraction.STQ_LEX)
+    assert postulates._equivariant(_NliComposition(Contraction.STQ_LEX, Revision.NATURAL), None)
+
+
+def test_a_failing_check_renders_only_the_kept_witnesses(monkeypatch):
+    calls = []
+    real = _Ctx.witness
+
+    def counted(self, *raw):
+        calls.append(raw)
+        return real(self, *raw)
+
+    monkeypatch.setattr(_Ctx, "witness", counted)
+    for workers in (1, 2):
+        calls.clear()
+        report = check_postulate(
+            "CR4",
+            Revision.NATURAL,
+            Contraction.STQ_LEX,
+            n_atoms=3,
+            mode="sampled",
+            sample=30,
+            seed=1,
+            workers=workers,
+        )
+        assert len(report.witnesses) == WITNESS_CAP
+        assert len(calls) == WITNESS_CAP, workers

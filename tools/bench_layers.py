@@ -21,6 +21,10 @@ Times, on the ``beliefchange`` package found on ``sys.path``:
 * one claim: ``verify_claim("T3", 2)`` with ``pair_profile``'s cache
   cleared first, so it decides NLI, CR1-4, SPU and WPU for all nine
   built-in operator pairs;
+* ``pair_profile(2)`` alone, its cache cleared first;
+* one full check: ``check_postulate("DP1", Revision.NATURAL, n_atoms=3,
+  mode="sampled")`` at the default 10000 samples and one worker, as
+  ``check DP1 natural --n 3 --mode sampled`` runs it;
 * one closure query at three atoms: ``parse_conditional_set`` plus
   ``closure_answer`` on a fast-path file (a seeded preorder's full
   conditional set, 255 ``A => B`` lines, plus its belief set as the
@@ -46,7 +50,14 @@ import time
 from beliefchange.cli import closure_answer, parse_conditional_set
 from beliefchange.lang import dnf_of_worlds
 from beliefchange.operators import Contraction, Revision, contract, revise, stq_merge
-from beliefchange.postulates import _POSTULATES, _Ctx, _scan, pair_profile, verify_claim
+from beliefchange.postulates import (
+    _POSTULATES,
+    _Ctx,
+    _scan,
+    check_postulate,
+    pair_profile,
+    verify_claim,
+)
 from beliefchange.tpo import (
     Tpo,
     count_tpos,
@@ -146,6 +157,13 @@ def main() -> None:
         pair_profile.cache_clear()
         verify_claim("T3", 2)
 
+    def profile():
+        pair_profile.cache_clear()
+        pair_profile(2)
+
+    def default_check():
+        check_postulate("DP1", Revision.NATURAL, n_atoms=3, mode="sampled")
+
     def closures():
         for text in files:
             closure_answer(parse_conditional_set(text, ATOMS), 3)
@@ -174,6 +192,8 @@ def main() -> None:
         ),
         "claim_P2_n2_s": (claim, 1, 1.0),
         "claim_T3_n2_s": (equivalence, 1, 1.0),
+        "pair_profile_n2_s": (profile, 1, 1.0),
+        "check_DP1_natural_n3_default_s": (default_check, 1, 1.0),
         "closure_query_n3_ms": (closures, CLOSURES, 1e3),
         "parse_3000_lines_n4_ms": (parse, 1, 1e3),
     }
