@@ -990,12 +990,13 @@ def check_postulate(
         seed = 0 if seed is None else seed
         sample = 10000 if sample is None else sample
         draws = _draws(spec.pair_outer, n_atoms, seed, sample)
-        total, part = sample, lambda start, stop: draws[start:stop]
+        total = sample
     else:
+        draws = None
         total = count_tpos(n_atoms) ** (2 if spec.pair_outer else 1)
-        part = slice
     bounds = _chunk_bounds(total) if workers > 1 else [(0, total)]
-    jobs = [(postulate, revision, contraction, n_atoms, part(*b)) for b in bounds]
+    parts = [slice(start, stop) if draws is None else draws[start:stop] for start, stop in bounds]
+    jobs = [(postulate, revision, contraction, n_atoms, part) for part in parts]
     workers = min(workers, len(jobs))
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
