@@ -9,20 +9,22 @@ worker count produce byte-identical reports.
 The fourteen pair-relation postulates (DP1-4, CC1-4, CR1-4, SPU, WPU)
 are rows of one table, ``_PAIR_RULES``: premise orders, a conclusion
 order, a region of world pairs relative to the input, and the relation
-the conclusion must keep.  One generator, built from a row, scans them
-all.  NLI and iLIRC share one generator too; they differ only in the
-final revision of the contraction route.
+the conclusion must keep.  NLI and iLIRC share one generator; they
+differ only in the final revision of the contraction route.
 
-The pair rules and IIAP are counted on bit matrices: a preorder's pair
+The pair rules and IIAP work on bit matrices: a preorder's pair
 relations are two ints of W^2 bits for W worlds, ``lt`` with bit W*x+y
 set iff x ranks strictly below y and ``le`` iff at most as high, so an
 input's violations are the set bits of a few ands and xors over a
-region mask.  IIAI and Beta1/Beta2, quadratic in the inputs, are
-counted per world pair by a closed form over the inputs grouped by
-their outcome on the pair.  The generators stay the source of witnesses
-and the oracle of the counts; they run only for an outer with a
-nonzero count while fewer than ten witnesses are held, so the report
-keeps the same witnesses in the same order.
+region mask.  That per-input mask is each such postulate's one route
+(``_masked``): its set bits, read in ascending order, are the
+witnesses in scan order, their number is the count, and any set bit is
+a failure.  IIAI and Beta1/Beta2, quadratic in the inputs, are counted
+per world pair by a closed form over the inputs grouped by their
+outcome on the pair; their witnesses come from generators that read
+ranks.  A counted scan rebuilds witnesses only for an outer with a
+nonzero count while fewer than ten are held, so the report keeps the
+same witnesses in the same order.
 
 A boolean verdict takes one pass over the outers for every postulate
 of one operator pair that a claim asks about: each is dropped at its
@@ -286,9 +288,10 @@ def _world_pairs(n_atoms: int, ordered: bool) -> tuple:
 class _Ctx:
     """One run's instance space and operators, plus one memo of
     revisions: a prior's outcomes on every input, keyed by the prior (and
-    the rows derived from them by (kind, prior)), or one posterior, keyed
-    by (prior, input).  Scans of a single prior call the operators
-    directly, since they see each (prior, input) once."""
+    the rows derived from them, and the prior's own pair matrices, by
+    (kind, prior)), or one posterior, keyed by (prior, input).  Scans of
+    a single prior call the operators directly, since they see each
+    (prior, input) once."""
 
     def __init__(self, n_atoms: int, rev=None, con: Contraction | None = None):
         self.n = n_atoms
@@ -332,6 +335,13 @@ class _Ctx:
             out = self._memo["matrices", t] = [
                 (minimal, *_relations(posterior)) for _, minimal, posterior in self.outcomes(t)
             ]
+        return out
+
+    def relations(self, t: Tpo) -> tuple:
+        """A prior's pair matrices, for a scan of preorder pairs."""
+        out = self._memo.get(("relations", t))
+        if out is None:
+            out = self._memo["relations", t] = _relations(t)
         return out
 
     def posterior(self, t: Tpo, p: int) -> Tpo:
@@ -496,34 +506,24 @@ _REGIONS = {
 
 
 @lru_cache(maxsize=None)
-def _region(name: str, p: int, n_atoms: int) -> tuple:
-    """The world pairs of one region of input p, in scan order."""
-    ordered, x_in, y_in = _REGIONS[name]
-    return tuple(
-        (x, y)
-        for x, y, _ in _world_pairs(n_atoms, ordered)
-        if x_in is None or (bool(p >> x & 1) is x_in and bool(p >> y & 1) is y_in)
-    )
-
-
-@lru_cache(maxsize=None)
 def _region_masks(name: str, n_atoms: int) -> tuple:
-    """The pairs of ``_region`` as pair-matrix masks, indexed by input."""
+    """The world pairs of one region as pair-matrix masks, indexed by
+    input."""
+    ordered, x_in, y_in = _REGIONS[name]
     width = 1 << n_atoms
+    pairs = _world_pairs(n_atoms, ordered)
     return tuple(
-        sum(1 << width * x + y for x, y in _region(name, p, n_atoms))
+        sum(
+            1 << width * x + y
+            for x, y, _ in pairs
+            if x_in is None or (bool(p >> x & 1) is x_in and bool(p >> y & 1) is y_in)
+        )
         for p in range(1 << width)
     )
 
 
-_RELATIONS = {
-    "same": lambda a, b: (a > b) - (a < b),
-    "strict": operator.lt,
-    "weak": operator.le,
-}
-
-# The same relations on pair matrices (lt, le): the pairs whose relation
-# under a is not kept by b.
+# The relations on pair matrices (lt, le): the pairs whose relation under
+# a is not kept by b.
 _BROKEN = {
     "same": lambda a, b: (a[0] ^ b[0]) | (a[1] ^ b[1]),
     "strict": lambda a, b: a[0] & ~b[0],
@@ -549,29 +549,16 @@ _PAIR_RULES = {
 }
 
 
-def _g_iiap(ctx, pair):
-    t1, t2 = pair
-    r1, r2 = t1.rank, t2.rank
-    for (p, min1, r1q), (_, min2, r2q) in zip(ctx.rows(t1), ctx.rows(t2)):
-        blocked = min1 | min2
-        for x, y, xy in ctx.pairs:
-            if blocked & xy:
-                continue
-            if _code(r1, x, y) == _code(r2, x, y) and _code(r1q, x, y) != _code(
-                r2q, x, y
-            ):
-                yield (t1, t2), (p,), (x, y), ""
-
-
-def _c_iiap(ctx, pair):
+def _iiap_masks(orders):
     """IIAP violations: per input, the pairs x < y outside both minima
     that the priors order alike and the posteriors do not."""
-    t1, t2 = pair
-    alike = ~_BROKEN["same"](_relations(t1), _relations(t2))
+    ctx = orders.ctx
+    t1, t2 = orders.outer
+    alike = ~_BROKEN["same"](ctx.relations(t1), ctx.relations(t2))
     within = _region_masks("in", ctx.n)
     full = ctx.full
-    return sum(
-        (within[full & ~(min1 | min2)] & alike & ((lt1 ^ lt2) | (le1 ^ le2))).bit_count()
+    return (
+        within[full & ~(min1 | min2)] & alike & ((lt1 ^ lt2) | (le1 ^ le2))
         for (min1, lt1, le1), (min2, lt2, le2) in zip(
             ctx.matrix_rows(t1), ctx.matrix_rows(t2)
         )
@@ -704,12 +691,15 @@ def _g_li_beliefs(ctx, t):
             yield (t,), (p,), (), "revision beliefs differ from post-contraction minima"
 
 
-def _first_diff_pair(ctx, ta: Tpo, tb: Tpo):
-    ra, rb = ta.rank, tb.rank
-    for x, y, _ in ctx.pairs:
-        if _code(ra, x, y) != _code(rb, x, y):
-            return (x, y)
-    return ()
+def _lowest_pair(mask: int, width: int) -> tuple:
+    """The world pair (x, y) of a pair matrix's lowest set bit, W*x+y."""
+    return divmod((mask & -mask).bit_length() - 1, width)
+
+
+def _first_diff_pair(ctx, ta: Tpo, tb: Tpo) -> tuple:
+    """The first pair x < y that two different orders relate differently:
+    their ``same`` mask is symmetric, so its lowest set bit has x < y."""
+    return _lowest_pair(_BROKEN["same"](_relations(ta), _relations(tb)), len(ctx.worlds))
 
 
 def _routed_rule(final: Revision | None, route: str):
@@ -746,7 +736,9 @@ class _PostulateDef:
     """One postulate, or the diagram scan: ``gen`` yields an outer's
     witnesses in order; the optional ``count`` returns how many it would
     yield, without them, and the optional ``fails`` whether it would
-    yield any, given the outer's ``_Orders``."""
+    yield any, given the outer's ``_Orders``.  The pair rules and IIAP
+    take all three from one stream of per-input violation masks (see
+    ``_masked``)."""
 
     gen: Callable
     count: Optional[Callable] = None
@@ -757,31 +749,36 @@ class _PostulateDef:
     inputs_per_outer: Callable = field(default=lambda ctx: len(ctx.props))
 
 
+def _masked(violations, inputs: str = "props", **kw) -> _PostulateDef:
+    """A postulate whose violations are, per input, the set bits of a pair
+    matrix: ``violations(orders)`` yields one mask for each of the
+    context's ``inputs`` (``props`` or ``props_proper``), in order.  Its
+    witnesses are the set bits in ascending order, bit W*x+y naming the
+    pair (x, y); its count is their number, and it fails if any is set."""
+    pair_outer = kw.get("pair_outer", False)
+
+    def gen(ctx, outer):
+        tpos = outer if pair_outer else (outer,)
+        for p, bad in zip(getattr(ctx, inputs), violations(_Orders(ctx, outer))):
+            while bad:
+                yield tpos, (p,), _lowest_pair(bad, len(ctx.worlds)), ""
+                bad &= bad - 1
+
+    return _PostulateDef(
+        gen,
+        count=lambda ctx, outer: sum(map(int.bit_count, violations(_Orders(ctx, outer)))),
+        fails=lambda orders: any(violations(orders)),
+        inputs_per_outer=lambda ctx: len(getattr(ctx, inputs)),
+        **kw,
+    )
+
+
 def _pair_rule(premises, conclusion, region, relation) -> _PostulateDef:
-    """One row of ``_PAIR_RULES``: its scan, operators and input count."""
+    """One row of ``_PAIR_RULES``: its violation masks, operators and
+    inputs."""
     orders = set(premises) | {conclusion}
     # revising by the complement skips the tautology (see the module doc)
     inputs = "props_proper" if "revneg" in orders else "props"
-    rel = _RELATIONS[relation]
-    every = relation == "same"  # a kept code need not be a holding one
-    first_order = _ORDERS[premises[0]]
-    second_order = _ORDERS[premises[1]] if len(premises) > 1 else None
-    after_order = _ORDERS[conclusion]
-
-    def gen(ctx, t):
-        for p in getattr(ctx, inputs):
-            first = first_order(ctx, t, p).rank
-            second = second_order and second_order(ctx, t, p).rank
-            after = after_order(ctx, t, p).rank
-            for x, y in _region(region, p, ctx.n):
-                value = rel(first[x], first[y])
-                if (
-                    (every or value)
-                    and rel(after[x], after[y]) != value
-                    and (second is None or rel(second[x], second[y]) == value)
-                ):
-                    yield (t,), (p,), (x, y), ""
-
     broken = _BROKEN[relation]
 
     def violations(orders):
@@ -794,26 +791,18 @@ def _pair_rule(premises, conclusion, region, relation) -> _PostulateDef:
                 bad &= ~broken(first, orders.matrices(name, p))
             yield bad
 
-    def count(ctx, t):
-        return sum(bad.bit_count() for bad in violations(_Orders(ctx, t)))
-
-    def fails(orders):
-        return any(violations(orders))
-
-    return _PostulateDef(
-        gen,
-        count,
-        fails,
+    return _masked(
+        violations,
+        inputs,
         needs_con=bool(orders & {"con", "conneg"}),
         needs_rev=bool(orders & {"rev", "revneg"}),
-        inputs_per_outer=lambda ctx: len(getattr(ctx, inputs)),
     )
 
 
 _POSTULATES = {
     "Success": _PostulateDef(_g_success, fails=_f_success),
     **{name: _pair_rule(*row) for name, row in _PAIR_RULES.items()},
-    "IIAP": _PostulateDef(_g_iiap, count=_c_iiap, pair_outer=True),
+    "IIAP": _masked(_iiap_masks, pair_outer=True),
     "IIAI": _PostulateDef(
         _g_iiai,
         count=_c_iiai,

@@ -1,4 +1,5 @@
 import json
+import operator
 import random
 from itertools import product
 
@@ -15,6 +16,7 @@ from beliefchange.operators import (
     Contraction,
     Revision,
     TabularRevision,
+    contract_by_negation,
     make_random_dp_operator,
     revise,
 )
@@ -85,6 +87,16 @@ def test_every_witness_of_a_failing_report_replays():
             assert replay_witness(
                 postulate, witness, Revision.NATURAL, Contraction.STQ_LEX, n_atoms=2
             ), (postulate, witness)
+
+
+def test_every_witness_of_a_failing_iiap_report_replays():
+    # no built-in revision fails IIAP; this random DP operator does
+    op = make_random_dp_operator(0, 2)
+    report = check_postulate("IIAP", op, n_atoms=2)
+    assert report.violations == 10700 and len(report.witnesses) == WITNESS_CAP
+    for witness in report.witnesses:
+        assert replay_witness("IIAP", witness, op, n_atoms=2), witness
+    assert check_postulate("IIAP", op, n_atoms=2, workers=2) == report
 
 
 def test_doctored_witness_does_not_replay():
@@ -473,11 +485,96 @@ def test_cr_spu_wpu_equivalence_extends_to_tabular_operators():
 
 
 # ---------------------------------------------------------------------------
-# Violation counts against the witness generators
+# Violation counts and witnesses against independent routes: the pair
+# rules, IIAP and NLI/iLIRC read pair masks, and these oracles read ranks
 
 QUADRATIC = ("IIAI", "Beta1", "Beta2")
 PAIR_RULES = tuple(postulates._PAIR_RULES)
 COUNTED = QUADRATIC + PAIR_RULES
+
+_RANK_RELATIONS = {
+    "same": lambda a, b: (a > b) - (a < b),
+    "strict": operator.lt,
+    "weak": operator.le,
+}
+
+
+def _rank_region(name, p, n_atoms):
+    """The world pairs of one region of input p, in scan order."""
+    ordered, x_in, y_in = postulates._REGIONS[name]
+    return [
+        (x, y)
+        for x, y, _ in postulates._world_pairs(n_atoms, ordered)
+        if x_in is None or (bool(p >> x & 1) is x_in and bool(p >> y & 1) is y_in)
+    ]
+
+
+def _rank_rule(premises, conclusion, region, relation):
+    """One row of ``_PAIR_RULES`` as a generator over rank tuples."""
+    orders = [postulates._ORDERS[name] for name in premises]
+    after_order = postulates._ORDERS[conclusion]
+    # revising by the complement skips the tautology (see the module doc)
+    inputs = "props_proper" if "revneg" in premises else "props"
+    rel = _RANK_RELATIONS[relation]
+    every = relation == "same"  # a kept code need not be a holding one
+
+    def gen(ctx, t):
+        for p in getattr(ctx, inputs):
+            first, *others = (order(ctx, t, p).rank for order in orders)
+            after = after_order(ctx, t, p).rank
+            for x, y in _rank_region(region, p, ctx.n):
+                value = rel(first[x], first[y])
+                if (
+                    (every or value)
+                    and rel(after[x], after[y]) != value
+                    and all(rel(r[x], r[y]) == value for r in others)
+                ):
+                    yield (t,), (p,), (x, y), ""
+
+    return gen
+
+
+def _rank_iiap(ctx, pair):
+    code = postulates._code
+    t1, t2 = pair
+    r1, r2 = t1.rank, t2.rank
+    for (p, min1, r1q), (_, min2, r2q) in zip(ctx.rows(t1), ctx.rows(t2)):
+        blocked = min1 | min2
+        for x, y, xy in ctx.pairs:
+            if not blocked & xy and (
+                code(r1, x, y) == code(r2, x, y) and code(r1q, x, y) != code(r2q, x, y)
+            ):
+                yield (t1, t2), (p,), (x, y), ""
+
+
+def _rank_first_diff_pair(ctx, ta, tb):
+    ra, rb = ta.rank, tb.rank
+    for x, y, _ in ctx.pairs:
+        if postulates._code(ra, x, y) != postulates._code(rb, x, y):
+            return (x, y)
+    return ()
+
+
+def _rank_routed(final, route):
+    """NLI (``final`` None) and iLIRC, naming the first pair by ranks."""
+
+    def gen(ctx, t):
+        for p in ctx.props:
+            direct = revise(t, p, ctx.rev)
+            routed = revise(contract_by_negation(t, p, ctx.con), p, final or ctx.rev)
+            if direct != routed:
+                pair = _rank_first_diff_pair(ctx, direct, routed)
+                yield (t,), (p,), pair, ("direct ", direct, f"; {route} ", routed)
+
+    return gen
+
+
+ORACLES = {
+    **{name: _rank_rule(*row) for name, row in postulates._PAIR_RULES.items()},
+    "IIAP": _rank_iiap,
+    "NLI": _rank_routed(None, "routed"),
+    "iLIRC": _rank_routed(Revision.NATURAL, "closure route"),
+}
 
 
 class _Reversed:
@@ -489,12 +586,20 @@ class _Reversed:
 
 
 def _assert_counts_match(ctx, outer, counted=COUNTED):
-    """Each counted postulate's count equals its generator's length."""
+    """Each counted postulate's count equals its oracle's length, and where
+    the postulate has a rank oracle, its witnesses equal the oracle's in
+    order; IIAI and Beta1/Beta2 count by a closed form, so their
+    generators are their oracles.  Raw witnesses are compared: a report
+    renders each from its raw form alone, so equal raw lists render
+    alike."""
     counts = {}
     for postulate in counted:
         spec = _POSTULATES[postulate]
+        expected = list(ORACLES.get(postulate, spec.gen)(ctx, outer))
         counts[postulate] = spec.count(ctx, outer)
-        assert counts[postulate] == sum(1 for _ in spec.gen(ctx, outer)), (postulate, outer)
+        assert counts[postulate] == len(expected), (postulate, outer)
+        if postulate in ORACLES:
+            assert list(spec.gen(ctx, outer)) == expected, (postulate, outer)
     return counts
 
 
@@ -672,12 +777,13 @@ def _claim_verdicts():
 
 
 def _reduced_verdict(postulate, rev, con):
-    """Whether the postulate's generator yields nothing on any outer."""
+    """Whether the postulate's oracle yields nothing on any outer."""
     spec = _POSTULATES[postulate]
+    gen = ORACLES.get(postulate, spec.gen)
     ctx = _Ctx(2, rev, con)
     pool = list(enumerate_tpos(2))
     outers = product(pool, repeat=2) if spec.pair_outer else pool
-    return all(next(spec.gen(ctx, outer), None) is None for outer in outers)
+    return all(next(gen(ctx, outer), None) is None for outer in outers)
 
 
 def test_one_pass_verdicts_match_the_generators():
