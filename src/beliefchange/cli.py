@@ -347,6 +347,12 @@ def _read_file(path: str) -> str:
         raise ScenarioError(f"cannot read {path}: {exc.strerror}") from None
 
 
+def _write_report(report, fmt: str) -> int:
+    """Write a check or claim report; exit 0 if it passed, else 1."""
+    sys.stdout.write(render_machine(report) if fmt == "machine" else render_text(report))
+    return 0 if report.passed else 1
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -370,16 +376,9 @@ def main(argv=None) -> int:
                 sample=args.sample,
                 workers=args.workers,
             )
-            sys.stdout.write(
-                render_machine(report) if args.format == "machine" else render_text(report)
-            )
-            return 0 if report.passed else 1
+            return _write_report(report, args.format)
         if args.command == "verify":
-            report = verify_claim(args.claim, n_atoms=args.n_atoms)
-            sys.stdout.write(
-                render_machine(report) if args.format == "machine" else render_text(report)
-            )
-            return 0 if report.passed else 1
+            return _write_report(verify_claim(args.claim, n_atoms=args.n_atoms), args.format)
         if args.command == "closure":
             if args.atoms:
                 atoms = tuple(args.atoms.replace(",", " ").split())
@@ -412,10 +411,15 @@ def main(argv=None) -> int:
                     "fast-path: applied (natural revision)\n" if fast else "fast-path: not applicable\n"
                 )
             return 0
-    except (ScenarioError, FormulaSyntaxError, PartitionError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (MissingContractionError, ScopeError, MalformedDiagramError, ValueError) as exc:
+    except (
+        ScenarioError,
+        FormulaSyntaxError,
+        PartitionError,
+        MissingContractionError,
+        ScopeError,
+        MalformedDiagramError,
+        ValueError,
+    ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except BeliefChangeError as exc:

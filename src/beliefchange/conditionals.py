@@ -37,9 +37,8 @@ from .exceptions import (
     ScopeError,
     UnsatisfiableError,
 )
-from .lang import MixedSet
+from .lang import MixedSet, all_worlds
 from .operators import Revision, revise
-from .lang import all_worlds
 from .tpo import Tpo, flatter_eq, min_worlds, propositions
 
 MAX_CLOSURE_ATOMS = 4

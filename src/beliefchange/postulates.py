@@ -22,15 +22,18 @@ witnesses in scan order, their number is the count, and any set bit is
 a failure.  IIAI and Beta1/Beta2, quadratic in the inputs, are counted
 per world pair by a closed form over the inputs grouped by their
 outcome on the pair; their witnesses come from generators that read
-ranks.  A counted scan rebuilds witnesses only for an outer with a
-nonzero count while fewer than ten are held, so the report keeps the
-same witnesses in the same order.
+ranks.
 
-A boolean verdict takes one pass over the outers for every postulate
-of one operator pair that a claim asks about: each is dropped at its
-first violation, and each order they read (the revision, the
-contraction by the negated input, ...) is computed at most once per
-(outer, input).
+Each postulate is a pair of callables on (context, outer): ``gen``
+yields the outer's witnesses in order, and ``count`` says how many it
+would yield, without them.  A scan without a cheaper count (Success,
+Neut, Red, HI/LI_beliefs, the diagram scan) counts by running ``gen``.
+Every verdict takes the count: ``_scan`` adds it to the tally and runs
+``gen`` again only while the tally has room for witnesses, so the
+report keeps the same witnesses in the same order.  A boolean verdict
+takes one pass over the outers for every postulate of one operator
+pair that a claim asks about, and drops each at its first outer with a
+nonzero count.
 
 Orbits.  The built-in revisions and contractions, and compositions of
 them, are defined from the order and the input alone, so they commute
@@ -47,13 +50,16 @@ from the generator run on the actual preorder, so a report keeps the
 same witnesses in the same order.  Pair outers and every other
 operator (a table, a random operator, a diagram) take the full scan.
 
-The scan context, ``_Ctx``, keeps one memo of revisions.  IIAP, IIAI
-and Beta1/Beta2 read a prior's outcomes on every input, so a count and
-its witnesses share one revision and an exhaustive pair scan at one
-worker revises each prior once; Neut reads one posterior at a time,
-keyed by (prior, input), so it revises only on the inputs it reads.
-Every other scan sees each (prior, input) once and calls the operators
-directly.
+The scan context, ``_Ctx``, keeps one memo: from a prior to its
+``_Orders``, the orders computed from it (the revision, the contraction
+by the negated input, ...), each at most once per input, with their
+pair matrices and the prior's outcome row on every input.  So a
+postulate's ``count`` and ``gen`` share one computation of each order,
+so do the postulates of one verdict pass, and an exhaustive pair scan at
+one worker revises each prior once.  Neut reads one revision at a
+time, so it revises only on the inputs it reads.  The scans that see
+each (prior, input) once (Success, Red, HI/LI_beliefs) call the
+operators directly.
 
 The scans yield raw witnesses (preorders, input masks, worlds and a
 note).  Every check, postulate scan, state diagram or claim sweep, counts
@@ -94,8 +100,8 @@ import multiprocessing
 import operator
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import islice, product
+from functools import cached_property, lru_cache, partial
+from itertools import filterfalse, islice, product
 from typing import Callable, Optional
 
 from .conditionals import flattest_satisfier, rational_closure_fast
@@ -286,12 +292,8 @@ def _world_pairs(n_atoms: int, ordered: bool) -> tuple:
 
 
 class _Ctx:
-    """One run's instance space and operators, plus one memo of
-    revisions: a prior's outcomes on every input, keyed by the prior (and
-    the rows derived from them, and the prior's own pair matrices, by
-    (kind, prior)), or one posterior, keyed by (prior, input).  Scans of
-    a single prior call the operators directly, since they see each
-    (prior, input) once."""
+    """One run's instance space and operators, plus one memo: each prior's
+    ``_Orders``, kept until ``clear``."""
 
     def __init__(self, n_atoms: int, rev=None, con: Contraction | None = None):
         self.n = n_atoms
@@ -309,46 +311,11 @@ class _Ctx:
     def clear(self):
         self._memo.clear()
 
-    def outcomes(self, t: Tpo) -> list:
-        """(input, its minimal worlds, posterior) for every input, in input
-        order; computed once per prior until ``clear``."""
+    def orders(self, t: Tpo) -> _Orders:
+        """The prior's orders, shared by every scan until ``clear``."""
         out = self._memo.get(t)
         if out is None:
-            out = self._memo[t] = [
-                (p, min_worlds(t, p), revise(t, p, self.rev)) for p in self.props
-            ]
-        return out
-
-    def rows(self, t: Tpo) -> list:
-        """``outcomes`` with the posterior's rank."""
-        out = self._memo.get(("rank", t))
-        if out is None:
-            out = self._memo["rank", t] = [
-                (p, minimal, posterior.rank) for p, minimal, posterior in self.outcomes(t)
-            ]
-        return out
-
-    def matrix_rows(self, t: Tpo) -> list:
-        """(minimal worlds, *posterior pair matrices) for every input."""
-        out = self._memo.get(("matrices", t))
-        if out is None:
-            out = self._memo["matrices", t] = [
-                (minimal, *_relations(posterior)) for _, minimal, posterior in self.outcomes(t)
-            ]
-        return out
-
-    def relations(self, t: Tpo) -> tuple:
-        """A prior's pair matrices, for a scan of preorder pairs."""
-        out = self._memo.get(("relations", t))
-        if out is None:
-            out = self._memo["relations", t] = _relations(t)
-        return out
-
-    def posterior(self, t: Tpo, p: int) -> Tpo:
-        """t revised by p, for a scan that reads only some inputs."""
-        out = self._memo.get((t, p))
-        if out is None:
-            out = self._memo[t, p] = revise(t, p, self.rev)
+            out = self._memo[t] = _Orders(self, t)
         return out
 
     def witness(self, tpos, inputs, worlds, note="") -> Witness:
@@ -436,28 +403,51 @@ def _relations(t: Tpo) -> tuple:
 
 
 class _Orders:
-    """The orders an outer's postulates read (see ``_ORDERS``), each
-    computed at most once per input, and their pair matrices."""
+    """The orders computed from one prior (see ``_ORDERS``), each at most
+    once per input; their pair matrices, the prior's own once; and the
+    prior's outcome rows."""
 
-    def __init__(self, ctx: _Ctx, outer):
+    def __init__(self, ctx: _Ctx, prior: Tpo):
         self.ctx = ctx
-        self.outer = outer
+        self.prior = prior
         self._orders = {}
         self._matrices = {}
+        self._rows = None
 
-    def order(self, name: str, p: int) -> Tpo:
-        out = self._orders.get((name, p))
-        if out is None:
-            out = self._orders[name, p] = _ORDERS[name](self.ctx, self.outer, p)
+    def order(self, name: str, inputs) -> dict:
+        """The named order by input, computed for at least ``inputs``."""
+        out = self._orders.setdefault(name, {})
+        missing = list(filterfalse(out.__contains__, inputs))
+        if missing:
+            out.update(zip(missing, map(partial(_ORDERS[name], self.ctx, self.prior), missing)))
         return out
 
-    def matrices(self, name: str, p: int) -> tuple:
-        if name == "prior":
-            p = 0  # the prior is the same for every input
-        out = self._matrices.get((name, p))
-        if out is None:
-            out = self._matrices[name, p] = _relations(self.order(name, p))
+    @cached_property
+    def own(self) -> tuple:
+        """The prior's own pair matrices."""
+        return _relations(self.prior)
+
+    def matrices(self, name: str, inputs: range) -> list:
+        """The named order's pair matrices in input order, entry i for
+        input i + 1, for at least ``inputs`` (``props`` or its prefix
+        ``props_proper``)."""
+        if name == "prior":  # the same for every input
+            return [self.own] * len(inputs)
+        out = self._matrices.setdefault(name, [])
+        if len(out) < len(inputs):
+            rest = inputs[len(out) :]
+            order = self.order(name, rest)
+            out += [_relations(order[p]) for p in rest]
         return out
+
+    def rows(self) -> list:
+        """(input, its minimal worlds, revision) for every input, in input
+        order."""
+        if self._rows is None:
+            t, props = self.prior, self.ctx.props
+            rev = self.order("rev", props)
+            self._rows = [(p, min_worlds(t, p), rev[p]) for p in props]
+        return self._rows
 
 
 # ---------------------------------------------------------------------------
@@ -471,10 +461,6 @@ def _g_success(ctx, t):
         if stray:
             lowest = (stray & -stray).bit_length() - 1
             yield (t,), (p,), (lowest,), "minimal world outside input"
-
-
-def _f_success(orders) -> bool:
-    return any(orders.order("rev", p).masks[0] & ~p for p in orders.ctx.props)
 
 
 # The fourteen pair-relation postulates share one shape: for the world
@@ -549,24 +535,26 @@ _PAIR_RULES = {
 }
 
 
-def _iiap_masks(orders):
+def _iiap_masks(ctx, pair):
     """IIAP violations: per input, the pairs x < y outside both minima
     that the priors order alike and the posteriors do not."""
-    ctx = orders.ctx
-    t1, t2 = orders.outer
-    alike = ~_BROKEN["same"](ctx.relations(t1), ctx.relations(t2))
+    o1, o2 = ctx.orders(pair[0]), ctx.orders(pair[1])
+    alike = ~_BROKEN["same"](o1.own, o2.own)
     within = _region_masks("in", ctx.n)
     full = ctx.full
-    return (
-        within[full & ~(min1 | min2)] & alike & ((lt1 ^ lt2) | (le1 ^ le2))
-        for (min1, lt1, le1), (min2, lt2, le2) in zip(
-            ctx.matrix_rows(t1), ctx.matrix_rows(t2)
-        )
-    )
+    for (_, min1, _), (_, min2, _), (lt1, le1), (lt2, le2) in zip(
+        o1.rows(), o2.rows(), o1.matrices("rev", ctx.props), o2.matrices("rev", ctx.props)
+    ):
+        yield within[full & ~(min1 | min2)] & alike & ((lt1 ^ lt2) | (le1 ^ le2))
+
+
+def _rank_rows(ctx, t) -> list:
+    """The prior's outcome rows, each with the revision's rank."""
+    return [(p, minimal, posterior.rank) for p, minimal, posterior in ctx.orders(t).rows()]
 
 
 def _g_iiai(ctx, t):
-    rows = ctx.rows(t)
+    rows = _rank_rows(ctx, t)
     for i, (p, min_p, rp) in enumerate(rows):
         for q, min_q, rq in rows[i + 1 :]:
             blocked = min_p | min_q
@@ -583,7 +571,7 @@ def _g_beta(below):
     """Beta1 (``below`` is ``operator.le``) and Beta2 (``operator.lt``)."""
 
     def gen(ctx, t):
-        rows = ctx.rows(t)
+        rows = _rank_rows(ctx, t)
         for a, _, ra in rows:
             for x, y, xy in ctx.opairs:
                 # x is strictly below y in the input order of a
@@ -608,7 +596,7 @@ def _c_iiai(ctx, t):
     """IIAI violations: per world pair, the input pairs that order it alike,
     keep both worlds out of their minima, and order it differently after
     revision."""
-    rows = ctx.rows(t)
+    rows = _rank_rows(ctx, t)
     count = 0
     for x, y, xy in ctx.pairs:
         groups = [0] * 9  # (input code, posterior code), both in -1..1
@@ -629,7 +617,7 @@ def _c_beta(below):
     their minima and do not rank y below x."""
 
     def count(ctx, t):
-        rows = ctx.rows(t)
+        rows = _rank_rows(ctx, t)
         total = 0
         for x, y, xy in ctx.opairs:
             bx = 1 << x
@@ -652,7 +640,7 @@ def _g_neut(ctx, pair):
     for p in ctx.props:
         perms = _a_preserving_isos(t1.masks, t2.masks, p, n_worlds)
         if perms:
-            r1q, r2q = (ctx.posterior(t, p).rank for t in pair)
+            r1q, r2q = (ctx.orders(t).order("rev", (p,))[p].rank for t in pair)
         for perm in perms:
             for x, y, _ in ctx.pairs:
                 if _code(r1q, x, y) != _code(r2q, perm[x], perm[y]):
@@ -707,67 +695,69 @@ def _routed_rule(final: Revision | None, route: str):
     revision): revising directly equals contracting by the negated input,
     then revising by ``final``."""
 
-    def gen(ctx, t):
+    def routes(ctx, t):
+        """Per input: the input, the direct and the routed revision."""
+        orders = ctx.orders(t)
+        direct, conneg = (orders.order(name, ctx.props) for name in ("rev", "conneg"))
+        final_rev = final or ctx.rev
         for p in ctx.props:
-            direct = revise(t, p, ctx.rev)
-            routed = revise(contract_by_negation(t, p, ctx.con), p, final or ctx.rev)
+            yield p, direct[p], revise(conneg[p], p, final_rev)
+
+    def gen(ctx, t):
+        for p, direct, routed in routes(ctx, t):
             if direct != routed:
                 pair = _first_diff_pair(ctx, direct, routed)
                 yield (t,), (p,), pair, ("direct ", direct, f"; {route} ", routed)
 
-    def mismatches(orders):
-        """Per input, whether the two routes differ."""
-        final_rev = final or orders.ctx.rev
-        return (
-            orders.order("rev", p) != revise(orders.order("conneg", p), p, final_rev)
-            for p in orders.ctx.props
-        )
-
     return _PostulateDef(
         gen,
-        count=lambda ctx, t: sum(mismatches(_Orders(ctx, t))),
-        fails=lambda orders: any(mismatches(orders)),
+        count=lambda ctx, t: sum(direct != routed for _, direct, routed in routes(ctx, t)),
         needs_con=True,
     )
 
 
 @dataclass(frozen=True)
 class _PostulateDef:
-    """One postulate, or the diagram scan: ``gen`` yields an outer's
-    witnesses in order; the optional ``count`` returns how many it would
-    yield, without them, and the optional ``fails`` whether it would
-    yield any, given the outer's ``_Orders``.  The pair rules and IIAP
-    take all three from one stream of per-input violation masks (see
-    ``_masked``)."""
+    """One postulate, or the diagram scan: ``gen(ctx, outer)`` yields the
+    outer's witnesses in order, and the optional ``count(ctx, outer)``
+    returns how many it would yield, without them.  Both read their
+    orders from ``ctx.orders``, so they share one computation of each.
+    The pair rules and IIAP take both from one stream of per-input
+    violation masks (see ``_masked``)."""
 
     gen: Callable
     count: Optional[Callable] = None
-    fails: Optional[Callable] = None
     pair_outer: bool = False
     needs_con: bool = False
     needs_rev: bool = True
     inputs_per_outer: Callable = field(default=lambda ctx: len(ctx.props))
 
+    def violations(self, ctx: _Ctx, outer) -> int:
+        """The outer's violation count: ``count``, or the length of
+        ``gen`` for a scan without one."""
+        if self.count is None:
+            return sum(1 for _ in self.gen(ctx, outer))
+        return self.count(ctx, outer)
 
-def _masked(violations, inputs: str = "props", **kw) -> _PostulateDef:
+
+def _masked(masks, inputs: str = "props", **kw) -> _PostulateDef:
     """A postulate whose violations are, per input, the set bits of a pair
-    matrix: ``violations(orders)`` yields one mask for each of the
+    matrix: ``masks(ctx, outer)`` yields one mask for each of the
     context's ``inputs`` (``props`` or ``props_proper``), in order.  Its
     witnesses are the set bits in ascending order, bit W*x+y naming the
-    pair (x, y); its count is their number, and it fails if any is set."""
+    pair (x, y), and its count is their number."""
     pair_outer = kw.get("pair_outer", False)
 
     def gen(ctx, outer):
         tpos = outer if pair_outer else (outer,)
-        for p, bad in zip(getattr(ctx, inputs), violations(_Orders(ctx, outer))):
+        for p, bad in zip(getattr(ctx, inputs), masks(ctx, outer)):
             while bad:
                 yield tpos, (p,), _lowest_pair(bad, len(ctx.worlds)), ""
                 bad &= bad - 1
 
     return _PostulateDef(
         gen,
-        count=lambda ctx, outer: sum(map(int.bit_count, violations(_Orders(ctx, outer)))),
-        fails=lambda orders: any(violations(orders)),
+        count=lambda ctx, outer: sum(map(int.bit_count, masks(ctx, outer))),
         inputs_per_outer=lambda ctx: len(getattr(ctx, inputs)),
         **kw,
     )
@@ -781,18 +771,21 @@ def _pair_rule(premises, conclusion, region, relation) -> _PostulateDef:
     inputs = "props_proper" if "revneg" in orders else "props"
     broken = _BROKEN[relation]
 
-    def violations(orders):
+    def masks(ctx, t):
         """Per input, the pair mask of the rule's violations."""
-        regions = _region_masks(region, orders.ctx.n)
-        for p in getattr(orders.ctx, inputs):
-            first = orders.matrices(premises[0], p)
-            bad = regions[p] & broken(first, orders.matrices(conclusion, p))
-            for name in premises[1:]:
-                bad &= ~broken(first, orders.matrices(name, p))
+        orders = ctx.orders(t)
+        ps = getattr(ctx, inputs)
+        first, *others = (orders.matrices(name, ps) for name in premises)
+        after = orders.matrices(conclusion, ps)
+        regions = _region_masks(region, ctx.n)
+        for i, p in enumerate(ps):
+            bad = regions[p] & broken(first[i], after[i])
+            for other in others:
+                bad &= ~broken(first[i], other[i])
             yield bad
 
     return _masked(
-        violations,
+        masks,
         inputs,
         needs_con=bool(orders & {"con", "conneg"}),
         needs_rev=bool(orders & {"rev", "revneg"}),
@@ -800,7 +793,7 @@ def _pair_rule(premises, conclusion, region, relation) -> _PostulateDef:
 
 
 _POSTULATES = {
-    "Success": _PostulateDef(_g_success, fails=_f_success),
+    "Success": _PostulateDef(_g_success),
     **{name: _pair_rule(*row) for name, row in _PAIR_RULES.items()},
     "IIAP": _masked(_iiap_masks, pair_outer=True),
     "IIAI": _PostulateDef(
@@ -909,12 +902,12 @@ def _composition(t: Tpo) -> tuple:
 
 
 def _scan(ctx: _Ctx, spec: _PostulateDef, outers, clear: bool = False) -> _Tally:
-    """Tally a scan over outers; a counted scan rebuilds witnesses only
-    for an outer that has some while there is room for them.  Under
+    """Tally a scan over outers: each outer's violation count, and its
+    witnesses from ``gen`` only while there is room for them.  Under
     equivariant operators a single outer's violation count is taken once
-    per composition.  ``clear`` drops the context's rows after each
+    per composition.  ``clear`` drops the context's memo after each
     outer: sampled outers seldom share a prior, and at three atoms each
-    row holds 255 inputs."""
+    prior's orders cover 255 inputs."""
     tally = _Tally(ctx)
     per_outer = spec.inputs_per_outer(ctx)
     orbits = {} if not spec.pair_outer and _equivariant(ctx.rev, ctx.con) else None
@@ -922,16 +915,13 @@ def _scan(ctx: _Ctx, spec: _PostulateDef, outers, clear: bool = False) -> _Tally
         tally.instances += per_outer
         key = None if orbits is None else _composition(outer)
         found = None if key is None else orbits.get(key)
-        if found is None and spec.count is None:
-            found = tally.add(spec.gen(ctx, outer))
-        else:
-            if found is None:
-                found = spec.count(ctx, outer)
-            tally.violations += found
-            if found and tally.room:
-                tally.keep(spec.gen(ctx, outer))
-        if key is not None:
-            orbits[key] = found
+        if found is None:
+            found = spec.violations(ctx, outer)
+            if key is not None:
+                orbits[key] = found
+        tally.violations += found
+        if found and tally.room:
+            tally.keep(spec.gen(ctx, outer))
         if clear:
             ctx.clear()
     return tally
@@ -1022,10 +1012,11 @@ def postulate_holds(
 def _holding(ids, revision, contraction, n_atoms: int) -> dict:
     """Exhaustive verdicts of several postulates on one operator pair, in
     one pass over the preorders and one over the preorder pairs, as the
-    postulates need: a postulate is dropped at its first violation, and
-    a pass ends once every postulate of it has one.  The postulates share
-    one scan context and each outer's ``_Orders``.  Under equivariant
-    operators a single preorder is judged once per composition."""
+    postulates need: a postulate is dropped at its first outer with a
+    violation, and a pass ends once every postulate of it has one.  The
+    postulates share one scan context, so each prior's orders are
+    computed once.  Under equivariant operators a single preorder is
+    judged once per composition."""
     specs = {postulate: _spec(postulate, revision, contraction) for postulate in ids}
     _validate_scope(n_atoms, "exhaustive")
     ctx = _Ctx(n_atoms, revision, contraction)
@@ -1039,15 +1030,8 @@ def _holding(ids, revision, contraction, n_atoms: int) -> dict:
                 if key in judged:
                     continue
                 judged.add(key)
-            orders = _Orders(ctx, outer)
             for postulate, spec in list(pending.items()):
-                if spec.fails is not None:
-                    failed = spec.fails(orders)
-                elif spec.count is not None:
-                    failed = spec.count(ctx, outer) > 0
-                else:
-                    failed = next(spec.gen(ctx, outer), None) is not None
-                if failed:
+                if spec.violations(ctx, outer):
                     del pending[postulate], specs[postulate]
             if not pending:
                 break

@@ -11,7 +11,7 @@ from beliefchange.exceptions import (
     MissingContractionError,
     ScopeError,
 )
-from beliefchange.lang import models, parse_world
+from beliefchange.lang import all_worlds, models, parse_world
 from beliefchange.operators import (
     Contraction,
     Revision,
@@ -538,8 +538,9 @@ def _rank_iiap(ctx, pair):
     code = postulates._code
     t1, t2 = pair
     r1, r2 = t1.rank, t2.rank
-    for (p, min1, r1q), (_, min2, r2q) in zip(ctx.rows(t1), ctx.rows(t2)):
+    for (p, min1, q1), (_, min2, q2) in zip(ctx.orders(t1).rows(), ctx.orders(t2).rows()):
         blocked = min1 | min2
+        r1q, r2q = q1.rank, q2.rank
         for x, y, xy in ctx.pairs:
             if not blocked & xy and (
                 code(r1, x, y) == code(r2, x, y) and code(r1q, x, y) != code(r2q, x, y)
@@ -626,7 +627,7 @@ def _operator_pairs():
     ]
 
 
-def test_counts_equal_generator_lengths_on_every_two_atom_preorder():
+def test_counts_equal_oracle_lengths_on_every_two_atom_preorder():
     nonzero = set()
     seen = set()
     for rev, con in _operator_pairs():
@@ -646,7 +647,7 @@ def test_counts_equal_generator_lengths_on_every_two_atom_preorder():
     assert nonzero == set(COUNTED) - {"CC1", "CC2", "CC3", "CC4"}
 
 
-def test_routed_counts_equal_generator_lengths_on_every_two_atom_preorder():
+def test_routed_counts_equal_oracle_lengths_on_every_two_atom_preorder():
     nonzero = set()
     for rev, con in _operator_pairs():
         ctx = _Ctx(2, rev, con)
@@ -656,7 +657,7 @@ def test_routed_counts_equal_generator_lengths_on_every_two_atom_preorder():
     assert nonzero == {"NLI", "iLIRC"}
 
 
-def test_iiap_counts_equal_generator_lengths_on_every_two_atom_preorder_pair():
+def test_iiap_counts_equal_oracle_lengths_on_every_two_atom_preorder_pair():
     pool = list(enumerate_tpos(2))
     nonzero = 0
     for rev in _revisions():
@@ -674,7 +675,7 @@ def test_iiap_counts_equal_generator_lengths_on_every_two_atom_preorder_pair():
         (1, Revision.RESTRAINED, True),
     ],
 )
-def test_counts_equal_generator_lengths_on_three_atom_preorders(seed, rev, fails):
+def test_counts_equal_oracle_lengths_on_three_atom_preorders(seed, rev, fails):
     rng = random.Random(seed)
     t, u = (tpo_at_index(rng.randrange(count_tpos(3)), 3) for _ in range(2))
     composed = _NliComposition(Contraction.STQ_LEX, rev)
@@ -716,21 +717,22 @@ def test_counted_reports_match_the_brute_force_reducer(postulate):
 
 
 # ---------------------------------------------------------------------------
-# The scan context's memo: one outcome per (prior, input)
+# The scan context's memo: each prior's orders, once per input
 
 
 @pytest.fixture
 def revisions(monkeypatch):
-    """The (prior, input, operator) arguments of every ``revise`` call a
-    scan makes."""
+    """The function name and (prior, input, operator) arguments of every
+    ``revise``, ``contract`` and ``contract_by_negation`` call a scan
+    makes."""
     calls = []
-    real = postulates.revise
+    for name in ("revise", "contract", "contract_by_negation"):
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+        def counted(*args, _name=name, _real=getattr(postulates, name)):
+            calls.append((_name, *args))
+            return _real(*args)
 
-    monkeypatch.setattr(postulates, "revise", counted)
+        monkeypatch.setattr(postulates, name, counted)
     return calls
 
 
@@ -757,6 +759,30 @@ def test_neutrality_revises_only_the_inputs_it_reads(revisions):
     # an input-preserving isomorphism; revising every input takes 7740
     check_postulate("Neut", Revision.NATURAL, n_atoms=2)
     assert len(revisions) <= 3740
+
+
+@pytest.mark.parametrize("postulate", ["CR4", "SPU"])
+def test_a_failing_counted_scan_and_its_witnesses_share_each_order(postulate, revisions):
+    # the witness outers read the orders their count computed
+    report = check_postulate(postulate, Revision.NATURAL, Contraction.STQ_LEX, n_atoms=2)
+    assert report.outcome == "fail"
+    assert len(set(revisions)) == len(revisions)
+
+
+def test_a_failing_routed_scan_and_its_witnesses_share_each_direct_order(revisions):
+    check_postulate("NLI", Revision.NATURAL, Contraction.STQ_LEX, n_atoms=2)
+    contracted = [call for call in revisions if call[0] == "contract_by_negation"]
+    assert len(set(contracted)) == len(contracted)
+    # a routed revision revises a fresh contracted preorder, except by the
+    # tautology, whose contraction by the negation is the prior itself
+    priors = {id(t) for _, t, _, _ in contracted}
+    full = all_worlds(2)
+    direct = [
+        call
+        for call in revisions
+        if call[0] == "revise" and id(call[1]) in priors and call[2] != full
+    ]
+    assert direct and len(set(direct)) == len(direct)
 
 
 # ---------------------------------------------------------------------------
@@ -786,7 +812,7 @@ def _reduced_verdict(postulate, rev, con):
     return all(next(gen(ctx, outer), None) is None for outer in outers)
 
 
-def test_one_pass_verdicts_match_the_generators():
+def test_one_pass_verdicts_match_the_oracles():
     failing = 0
     for ids, rev, con in _claim_verdicts():
         verdicts = postulates._holding(ids, rev, con, 2)

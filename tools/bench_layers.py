@@ -14,7 +14,11 @@ Times, on the ``beliefchange`` package found on ``sys.path``:
   IIAP), for DP1 natural, NLI natural + ``contract-stq-lex``, IIAI
   natural, IIAP natural and CR4 natural + ``contract-stq-lex``; CR4
   fails on most preorders there, so its scan pays for the violation
-  count and for rebuilding the witnesses;
+  count and for the witnesses, which ``gen`` reads from the orders the
+  count computed;
+* one exhaustive failing check at two atoms:
+  ``check_postulate("CR4", Revision.NATURAL, Contraction.STQ_LEX,
+  n_atoms=2)``, whose witness outers reuse the orders of their count;
 * one claim: ``verify_claim("P2", 2)``, which contracts, builds
   conditional sets and tests membership in them for every two-atom
   preorder and input, and keeps no cache between calls;
@@ -161,6 +165,9 @@ def main() -> None:
         pair_profile.cache_clear()
         pair_profile(2)
 
+    def failing_check():
+        check_postulate("CR4", Revision.NATURAL, Contraction.STQ_LEX, n_atoms=2)
+
     def default_check():
         check_postulate("DP1", Revision.NATURAL, n_atoms=3, mode="sampled")
 
@@ -190,6 +197,7 @@ def main() -> None:
             SCANS,
             1e3,
         ),
+        "check_CR4_natural_stq_lex_n2_ms": (failing_check, 1, 1e3),
         "claim_P2_n2_s": (claim, 1, 1.0),
         "claim_T3_n2_s": (equivalence, 1, 1.0),
         "pair_profile_n2_s": (profile, 1, 1.0),
