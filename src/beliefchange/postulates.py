@@ -28,12 +28,11 @@ Each postulate is a pair of callables on (context, outer): ``gen``
 yields the outer's witnesses in order, and ``count`` says how many it
 would yield, without them.  A scan without a cheaper count (Success,
 Neut, Red, HI/LI_beliefs, the diagram scan) counts by running ``gen``.
-Every verdict takes the count: ``_scan`` adds it to the tally and runs
-``gen`` again only while the tally has room for witnesses, so the
-report keeps the same witnesses in the same order.  A boolean verdict
-takes one pass over the outers for every postulate of one operator
-pair that a claim asks about, and drops each at its first outer with a
-nonzero count.
+Every verdict reads the counts from one helper, ``_counted``: ``_scan``
+adds each to the tally and runs ``gen`` again only while the tally has
+room for witnesses, so the report keeps the same witnesses in the same
+order, and a boolean verdict (``_holding``) stops at the first outer
+with a nonzero count.
 
 Orbits.  The built-in revisions and contractions, and compositions of
 them, are defined from the order and the input alone, so they commute
@@ -43,11 +42,11 @@ one onto those of the permuted preorder.  Preorders with the same
 composition (cell sizes, bottom first) are permutations of each other,
 so a single-outer scan finds as many violations on each of them.
 There are 8 compositions for the 75 preorders of two atoms, and 128
-for the 545,835 of three.  Under those operators ``_scan`` counts each
-composition once and adds that count for every later preorder of it,
-and ``_holding`` judges each composition once.  Witnesses still come
-from the generator run on the actual preorder, so a report keeps the
-same witnesses in the same order.  Pair outers and every other
+for the 545,835 of three.  Under those operators ``_counted`` takes
+each composition's count once and reads it back for every later
+preorder of it, for ``_scan`` and ``_holding`` alike.  Witnesses still
+come from the generator run on the actual preorder, so a report keeps
+the same witnesses in the same order.  Pair outers and every other
 operator (a table, a random operator, a diagram) take the full scan.
 
 The scan context, ``_Ctx``, keeps one memo: from a prior to its
@@ -55,11 +54,12 @@ The scan context, ``_Ctx``, keeps one memo: from a prior to its
 by the negated input, ...), each at most once per input, with their
 pair matrices and the prior's outcome row on every input.  So a
 postulate's ``count`` and ``gen`` share one computation of each order,
-so do the postulates of one verdict pass, and an exhaustive pair scan at
-one worker revises each prior once.  Neut reads one revision at a
-time, so it revises only on the inputs it reads.  The scans that see
-each (prior, input) once (Success, Red, HI/LI_beliefs) call the
-operators directly.
+so do the postulates of one claim's verdicts, and an exhaustive pair
+scan in one job revises each prior once.  NLI and iLIRC read their
+routed revision as the contracted preorder's own revision, so the memo
+shares it too.  Neut reads one revision at a time, so it revises only
+on the inputs it reads.  The scans that see each (prior, input) once
+(Red, HI/LI_beliefs) call the operators directly.
 
 The scans yield raw witnesses (preorders, input masks, worlds and a
 note).  Every check, postulate scan, state diagram or claim sweep, counts
@@ -88,9 +88,10 @@ Quantification conventions, fixed once for the whole module:
 
 Exhaustive checks are supported for at most 2 atoms; sampled checks,
 drawing preorders uniformly via ordered-partition unranking, for at
-most 3.  A sampled check draws its preorder indices once.  One worker
-scans them, or the enumeration, in process as one job; with more
-workers each of at most ``_CHUNKS`` jobs scans its own slice.
+most 3.  A sampled check draws its preorder indices once.  Its outers,
+those preorders or the enumeration, are split into one contiguous job
+per worker, at most ``_CHUNKS`` (16) processes: one job runs in
+process, more run in a pool of one process per job.
 """
 
 from __future__ import annotations
@@ -100,8 +101,8 @@ import multiprocessing
 import operator
 import random
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
-from itertools import filterfalse, islice, product
+from functools import cached_property, lru_cache
+from itertools import islice, product
 from typing import Callable, Optional
 
 from .conditionals import flattest_satisfier, rational_closure_fast
@@ -315,7 +316,7 @@ class _Ctx:
         """The prior's orders, shared by every scan until ``clear``."""
         out = self._memo.get(t)
         if out is None:
-            out = self._memo[t] = _Orders(self, t)
+            out = self._memo[t] = _Orders(t, self.rev, self.con, self.full, self.props)
         return out
 
     def witness(self, tpos, inputs, worlds, note="") -> Witness:
@@ -403,13 +404,17 @@ def _relations(t: Tpo) -> tuple:
 
 
 class _Orders:
-    """The orders computed from one prior (see ``_ORDERS``), each at most
-    once per input; their pair matrices, the prior's own once; and the
-    prior's outcome rows."""
+    """The orders computed from one prior (see ``_ORDERS``) under the
+    operators ``rev`` and ``con``, each at most once per input; their pair
+    matrices, the prior's own once; and the prior's outcome rows on every
+    input of ``props``.  ``full`` is the mask of every world."""
 
-    def __init__(self, ctx: _Ctx, prior: Tpo):
-        self.ctx = ctx
+    def __init__(self, prior: Tpo, rev, con, full: int, props: tuple):
         self.prior = prior
+        self.rev = rev
+        self.con = con
+        self.full = full
+        self.props = props
         self._orders = {}
         self._matrices = {}
         self._rows = None
@@ -417,9 +422,9 @@ class _Orders:
     def order(self, name: str, inputs) -> dict:
         """The named order by input, computed for at least ``inputs``."""
         out = self._orders.setdefault(name, {})
-        missing = list(filterfalse(out.__contains__, inputs))
-        if missing:
-            out.update(zip(missing, map(partial(_ORDERS[name], self.ctx, self.prior), missing)))
+        for p in inputs:
+            if p not in out:
+                out[p] = _ORDERS[name](self, self.prior, p)
         return out
 
     @cached_property
@@ -444,9 +449,8 @@ class _Orders:
         """(input, its minimal worlds, revision) for every input, in input
         order."""
         if self._rows is None:
-            t, props = self.prior, self.ctx.props
-            rev = self.order("rev", props)
-            self._rows = [(p, min_worlds(t, p), rev[p]) for p in props]
+            rev = self.order("rev", self.props)
+            self._rows = [(p, min_worlds(self.prior, p), rev[p]) for p in self.props]
         return self._rows
 
 
@@ -456,8 +460,9 @@ class _Orders:
 
 
 def _g_success(ctx, t):
+    rev = ctx.orders(t).order("rev", ctx.props)
     for p in ctx.props:
-        stray = revise(t, p, ctx.rev).masks[0] & ~p
+        stray = rev[p].masks[0] & ~p
         if stray:
             lowest = (stray & -stray).bit_length() - 1
             yield (t,), (p,), (lowest,), "minimal world outside input"
@@ -467,17 +472,21 @@ def _g_success(ctx, t):
 # pairs in a region of the input p, the conclusion order keeps the
 # relation that the premise orders give the pair.  Orders, for prior t:
 # ``prior`` is t; ``rev``/``con`` revise/contract t by p; ``revneg``
-# revises t by the complement of p; ``conneg`` contracts t by it.
+# revises t by the complement of p; ``conneg`` contracts t by it;
+# ``natural`` revises t by p with natural revision (iLIRC's route).  The
+# operators ``ops.rev`` and ``ops.con`` and the world mask ``ops.full``
+# come from the scan context or from the prior's ``_Orders``.
 # Relations: ``same`` keeps the pair's relation code, whatever it is;
 # ``strict`` ("x below y") and ``weak`` ("x at most y") are kept whenever
 # every premise order holds them.
 
 _ORDERS = {
-    "prior": lambda ctx, t, p: t,
-    "rev": lambda ctx, t, p: revise(t, p, ctx.rev),
-    "revneg": lambda ctx, t, p: revise(t, ctx.full & ~p, ctx.rev),
-    "con": lambda ctx, t, p: contract(t, p, ctx.con),
-    "conneg": lambda ctx, t, p: contract_by_negation(t, p, ctx.con),
+    "prior": lambda ops, t, p: t,
+    "rev": lambda ops, t, p: revise(t, p, ops.rev),
+    "revneg": lambda ops, t, p: revise(t, ops.full & ~p, ops.rev),
+    "con": lambda ops, t, p: contract(t, p, ops.con),
+    "conneg": lambda ops, t, p: contract_by_negation(t, p, ops.con),
+    "natural": lambda ops, t, p: revise(t, p, Revision.NATURAL),
 }
 
 # region: (ordered pairs?, x in p, y in p), None leaving a side free.
@@ -693,27 +702,30 @@ def _first_diff_pair(ctx, ta: Tpo, tb: Tpo) -> tuple:
 def _routed_rule(final: Revision | None, route: str):
     """NLI (``final`` None: the checked revision) and iLIRC (natural
     revision): revising directly equals contracting by the negated input,
-    then revising by ``final``."""
+    then revising by ``final``.  The routed revision is the contracted
+    preorder's own revision order, so the memo shares it with every prior
+    that contracts to that preorder, and with the direct revision on the
+    tautology, whose contraction by the negation is the prior itself."""
 
-    def routes(ctx, t):
-        """Per input: the input, the direct and the routed revision."""
+    def differing(ctx, t):
+        """The inputs whose direct and routed revisions differ, with both."""
         orders = ctx.orders(t)
         direct, conneg = (orders.order(name, ctx.props) for name in ("rev", "conneg"))
-        final_rev = final or ctx.rev
+        name = "rev" if final is None or final is ctx.rev else "natural"
         for p in ctx.props:
-            yield p, direct[p], revise(conneg[p], p, final_rev)
+            routed = ctx.orders(conneg[p]).order(name, (p,))[p]
+            if direct[p] != routed:
+                yield p, direct[p], routed
 
     def gen(ctx, t):
-        for p, direct, routed in routes(ctx, t):
-            if direct != routed:
-                pair = _first_diff_pair(ctx, direct, routed)
-                yield (t,), (p,), pair, ("direct ", direct, f"; {route} ", routed)
+        for p, direct, routed in differing(ctx, t):
+            pair = _first_diff_pair(ctx, direct, routed)
+            yield (t,), (p,), pair, ("direct ", direct, f"; {route} ", routed)
 
-    return _PostulateDef(
-        gen,
-        count=lambda ctx, t: sum(direct != routed for _, direct, routed in routes(ctx, t)),
-        needs_con=True,
-    )
+    def count(ctx, t):
+        return sum(1 for _ in differing(ctx, t))
+
+    return _PostulateDef(gen, count, needs_con=True)
 
 
 @dataclass(frozen=True)
@@ -853,21 +865,23 @@ def _draws(pair_outer, n_atoms, seed, sample) -> list:
     return [rng.randrange(total_tpos) for _ in range(sample)]
 
 
+@lru_cache(maxsize=None)
+def _enumeration(n_atoms: int) -> tuple:
+    """Every preorder in enumeration order, built once per process: the
+    exhaustive scans' outers, at most 2 atoms."""
+    return tuple(enumerate_tpos(n_atoms))
+
+
 def _outers(pair_outer, n_atoms, part):
     """One job's outers: the enumeration from ``part.start`` to
     ``part.stop`` (a slice; stop None runs to the end), or the preorders
     at a list of drawn indices."""
     if isinstance(part, slice):
-        pool = enumerate_tpos(n_atoms)
+        pool = _enumeration(n_atoms)
         return islice(product(pool, repeat=2) if pair_outer else pool, part.start, part.stop)
     if pair_outer:
         return ((tpo_at_index(i, n_atoms), tpo_at_index(j, n_atoms)) for i, j in part)
     return (tpo_at_index(i, n_atoms) for i in part)
-
-
-def _chunk_bounds(total: int) -> list:
-    chunks = min(_CHUNKS, total) or 1
-    return [(total * i // chunks, total * (i + 1) // chunks) for i in range(chunks)]
 
 
 def _spec(postulate: str, revision, contraction) -> _PostulateDef:
@@ -901,24 +915,32 @@ def _composition(t: Tpo) -> tuple:
     return tuple(m.bit_count() for m in t.masks)
 
 
+def _counted(ctx: _Ctx, spec: _PostulateDef, outers):
+    """Each outer with its violation count.  Under equivariant operators
+    a single outer's count is taken once per composition and read back
+    for every later preorder of that composition."""
+    if spec.pair_outer or not _equivariant(ctx.rev, ctx.con):
+        for outer in outers:
+            yield outer, spec.violations(ctx, outer)
+        return
+    orbits = {}
+    for outer in outers:
+        key = _composition(outer)
+        if key not in orbits:
+            orbits[key] = spec.violations(ctx, outer)
+        yield outer, orbits[key]
+
+
 def _scan(ctx: _Ctx, spec: _PostulateDef, outers, clear: bool = False) -> _Tally:
-    """Tally a scan over outers: each outer's violation count, and its
-    witnesses from ``gen`` only while there is room for them.  Under
-    equivariant operators a single outer's violation count is taken once
-    per composition.  ``clear`` drops the context's memo after each
-    outer: sampled outers seldom share a prior, and at three atoms each
-    prior's orders cover 255 inputs."""
+    """Tally a scan over outers: each outer's violation count (see
+    ``_counted``), and its witnesses from ``gen`` only while there is room
+    for them.  ``clear`` drops the context's memo after each outer:
+    sampled outers seldom share a prior, and at three atoms each prior's
+    orders cover 255 inputs."""
     tally = _Tally(ctx)
     per_outer = spec.inputs_per_outer(ctx)
-    orbits = {} if not spec.pair_outer and _equivariant(ctx.rev, ctx.con) else None
-    for outer in outers:
+    for outer, found in _counted(ctx, spec, outers):
         tally.instances += per_outer
-        key = None if orbits is None else _composition(outer)
-        found = None if key is None else orbits.get(key)
-        if found is None:
-            found = spec.violations(ctx, outer)
-            if key is not None:
-                orbits[key] = found
         tally.violations += found
         if found and tally.room:
             tally.keep(spec.gen(ctx, outer))
@@ -927,7 +949,7 @@ def _scan(ctx: _Ctx, spec: _PostulateDef, outers, clear: bool = False) -> _Tally
     return tally
 
 
-def _run_chunk(args):
+def _run_job(args):
     postulate, rev, con, n_atoms, part = args
     spec = _POSTULATES[postulate]
     outers = _outers(spec.pair_outer, n_atoms, part)
@@ -952,10 +974,11 @@ def check_postulate(
     sampled mode draws ``sample`` of them with a seeded generator, and
     only sampled mode takes a ``seed`` or ``sample``.
     Violations are counted in full; the report keeps the first ten
-    witnesses in enumeration order, whatever the worker count.  One
-    worker scans every outer in process, as one job; more workers split
-    the outers into at most ``_CHUNKS`` jobs, one process per job at
-    most.  Only the kept witnesses are rendered, in this process.
+    witnesses in enumeration order, whatever the worker count.  The
+    outers are split into one contiguous job per worker, at most
+    ``_CHUNKS`` (16) and at most one per outer; a single job runs in
+    process, more in a pool of one process per job.  Only the kept
+    witnesses are rendered, in this process.
     """
     spec = _spec(postulate, revision, contraction)
     _validate_scope(n_atoms, mode)
@@ -973,15 +996,15 @@ def check_postulate(
     else:
         draws = None
         total = count_tpos(n_atoms) ** (2 if spec.pair_outer else 1)
-    bounds = _chunk_bounds(total) if workers > 1 else [(0, total)]
+    jobs = min(workers, _CHUNKS, total)
+    bounds = [(total * i // jobs, total * (i + 1) // jobs) for i in range(jobs)]
     parts = [slice(start, stop) if draws is None else draws[start:stop] for start, stop in bounds]
-    jobs = [(postulate, revision, contraction, n_atoms, part) for part in parts]
-    workers = min(workers, len(jobs))
-    if workers > 1:
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_run_chunk, jobs)
+    args = [(postulate, revision, contraction, n_atoms, part) for part in parts]
+    if jobs > 1:
+        with multiprocessing.Pool(jobs) as pool:
+            results = pool.map(_run_job, args)
     else:
-        results = [_run_chunk(job) for job in jobs]
+        results = map(_run_job, args)
     tally = _Tally(_Ctx(n_atoms, revision, contraction))
     for instances, violations, raws in results:
         tally.instances += instances
@@ -1010,32 +1033,20 @@ def postulate_holds(
 
 
 def _holding(ids, revision, contraction, n_atoms: int) -> dict:
-    """Exhaustive verdicts of several postulates on one operator pair, in
-    one pass over the preorders and one over the preorder pairs, as the
-    postulates need: a postulate is dropped at its first outer with a
-    violation, and a pass ends once every postulate of it has one.  The
-    postulates share one scan context, so each prior's orders are
-    computed once.  Under equivariant operators a single preorder is
-    judged once per composition."""
+    """Exhaustive verdicts of several postulates on one operator pair: each
+    holds unless ``_counted`` finds an outer with a violation, and its scan
+    stops there.  The postulates share one scan context, so each prior's
+    orders are computed once for all of them."""
     specs = {postulate: _spec(postulate, revision, contraction) for postulate in ids}
     _validate_scope(n_atoms, "exhaustive")
     ctx = _Ctx(n_atoms, revision, contraction)
-    judged = set() if _equivariant(revision, contraction) else None
-    for pair_outer in (False, True):
-        pending = {p: spec for p, spec in specs.items() if spec.pair_outer is pair_outer}
-        outers = _outers(pair_outer, n_atoms, slice(0, None)) if pending else ()
-        for outer in outers:
-            if judged is not None and not pair_outer:
-                key = _composition(outer)
-                if key in judged:
-                    continue
-                judged.add(key)
-            for postulate, spec in list(pending.items()):
-                if spec.violations(ctx, outer):
-                    del pending[postulate], specs[postulate]
-            if not pending:
-                break
-    return {postulate: postulate in specs for postulate in ids}
+    return {
+        postulate: not any(
+            found
+            for _, found in _counted(ctx, spec, _outers(spec.pair_outer, n_atoms, slice(0, None)))
+        )
+        for postulate, spec in specs.items()
+    }
 
 
 def replay_witness(

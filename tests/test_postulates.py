@@ -1,6 +1,8 @@
+import gc
 import json
 import operator
 import random
+import weakref
 from itertools import product
 
 import pytest
@@ -308,6 +310,46 @@ def test_worker_pool_is_sized_by_the_jobs(monkeypatch):
         assert render_machine(report) == render_machine(
             check_postulate("DP1", Revision.LEXICOGRAPHIC, **serial)
         )
+
+
+class _InProcessPool:
+    """A stand-in for ``multiprocessing.Pool`` that runs its jobs in
+    process."""
+
+    def __init__(self, processes):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return [fn(job) for job in jobs]
+
+
+def test_each_worker_runs_one_job_that_counts_a_composition_once(monkeypatch):
+    jobs = []
+    counts = []  # (job, composition) of every violation count taken
+    run_job, violations = postulates._run_job, postulates._PostulateDef.violations
+
+    def counted_job(args):
+        jobs.append(args)
+        return run_job(args)
+
+    def counted(spec, ctx, outer):
+        counts.append((len(jobs), postulates._composition(outer)))
+        return violations(spec, ctx, outer)
+
+    monkeypatch.setattr(postulates.multiprocessing, "Pool", _InProcessPool)
+    monkeypatch.setattr(postulates, "_run_job", counted_job)
+    monkeypatch.setattr(postulates._PostulateDef, "violations", counted)
+    kwargs = dict(n_atoms=3, mode="sampled", sample=200, seed=1)
+    report = check_postulate("DP1", Revision.NATURAL, workers=2, **kwargs)
+    assert len(jobs) == 2
+    assert len(set(counts)) == len(counts)
+    assert report == check_postulate("DP1", Revision.NATURAL, **kwargs)
 
 
 def test_sampled_reports_are_reproducible_under_a_seed():
@@ -755,10 +797,12 @@ def test_an_exhaustive_pair_scan_revises_each_prior_once(revisions):
 
 
 def test_neutrality_revises_only_the_inputs_it_reads(revisions):
-    # the distinct (prior, input) pairs, summed over the chunks, that have
-    # an input-preserving isomorphism; revising every input takes 7740
+    # one job scans every preorder pair: each of the 75 priors is revised
+    # once on each of the 15 inputs that some input-preserving
+    # isomorphism reads, here every input
     check_postulate("Neut", Revision.NATURAL, n_atoms=2)
-    assert len(revisions) <= 3740
+    assert len(revisions) == 75 * 15
+    assert len(set(revisions)) == len(revisions)
 
 
 @pytest.mark.parametrize("postulate", ["CR4", "SPU"])
@@ -770,19 +814,26 @@ def test_a_failing_counted_scan_and_its_witnesses_share_each_order(postulate, re
 
 
 def test_a_failing_routed_scan_and_its_witnesses_share_each_direct_order(revisions):
-    check_postulate("NLI", Revision.NATURAL, Contraction.STQ_LEX, n_atoms=2)
-    contracted = [call for call in revisions if call[0] == "contract_by_negation"]
-    assert len(set(contracted)) == len(contracted)
-    # a routed revision revises a fresh contracted preorder, except by the
-    # tautology, whose contraction by the negation is the prior itself
-    priors = {id(t) for _, t, _, _ in contracted}
-    full = all_worlds(2)
-    direct = [
-        call
-        for call in revisions
-        if call[0] == "revise" and id(call[1]) in priors and call[2] != full
-    ]
-    assert direct and len(set(direct)) == len(direct)
+    # the routed revision is the contracted preorder's own revision, so
+    # the memo shares it with the direct revision of that preorder
+    report = check_postulate("NLI", Revision.NATURAL, Contraction.STQ_LEX, n_atoms=2)
+    assert report.outcome == "fail"
+    assert any(call[0] == "contract_by_negation" for call in revisions)
+    assert len(set(revisions)) == len(revisions)
+
+
+def test_a_finished_scan_context_is_freed_without_the_cycle_collector():
+    gc.disable()
+    try:
+        ctx = _Ctx(2, Revision.NATURAL, Contraction.STQ_LEX)
+        outers = postulates._outers(False, 2, slice(0, None))
+        tally = postulates._scan(ctx, _POSTULATES["CR4"], outers)
+        assert tally.violations
+        ref = weakref.ref(ctx)
+        del ctx, tally
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,9 @@ Times, on the ``beliefchange`` package found on ``sys.path``:
 * ``pair_profile(2)`` alone, its cache cleared first;
 * one full check: ``check_postulate("DP1", Revision.NATURAL, n_atoms=3,
   mode="sampled")`` at the default 10000 samples and one worker, as
-  ``check DP1 natural --n 3 --mode sampled`` runs it;
+  ``check DP1 natural --n 3 --mode sampled`` runs it, and the same check
+  at ``workers=2``, which starts a pool of two processes for its two
+  jobs;
 * one closure query at three atoms: ``parse_conditional_set`` plus
   ``closure_answer`` on a fast-path file (a seeded preorder's full
   conditional set, 255 ``A => B`` lines, plus its belief set as the
@@ -50,6 +52,7 @@ import json
 import random
 import statistics
 import time
+from functools import partial
 
 from beliefchange.cli import closure_answer, parse_conditional_set
 from beliefchange.lang import dnf_of_worlds
@@ -168,8 +171,8 @@ def main() -> None:
     def failing_check():
         check_postulate("CR4", Revision.NATURAL, Contraction.STQ_LEX, n_atoms=2)
 
-    def default_check():
-        check_postulate("DP1", Revision.NATURAL, n_atoms=3, mode="sampled")
+    def default_check(workers=1):
+        check_postulate("DP1", Revision.NATURAL, n_atoms=3, mode="sampled", workers=workers)
 
     def closures():
         for text in files:
@@ -202,6 +205,7 @@ def main() -> None:
         "claim_T3_n2_s": (equivalence, 1, 1.0),
         "pair_profile_n2_s": (profile, 1, 1.0),
         "check_DP1_natural_n3_default_s": (default_check, 1, 1.0),
+        "check_DP1_natural_n3_default_w2_s": (partial(default_check, 2), 1, 1.0),
         "closure_query_n3_ms": (closures, CLOSURES, 1e3),
         "parse_3000_lines_n4_ms": (parse, 1, 1e3),
     }
