@@ -44,10 +44,17 @@ so a single-outer scan finds as many violations on each of them.
 There are 8 compositions for the 75 preorders of two atoms, and 128
 for the 545,835 of three.  Under those operators ``_counted`` takes
 each composition's count once and reads it back for every later
-preorder of it, for ``_scan`` and ``_holding`` alike.  Witnesses still
-come from the generator run on the actual preorder, so a report keeps
-the same witnesses in the same order.  Pair outers and every other
-operator (a table, a random operator, a diagram) take the full scan.
+preorder of it, for ``_scan`` and ``_holding`` alike.  An exhaustive
+pair scan comes in rows, one first preorder with every second one; a
+permutation maps a row onto the row of the permuted first preorder, so
+whole rows whose first preorders share a composition find as many
+violations.  ``_counted`` counts the first whole row of each
+composition pair by pair, and reads every later one back as zeros when
+it found none.  Witnesses still come from the generator run on the
+actual outer, so a report keeps the same witnesses in the same order.
+Rows cut by a job's bounds, drawn pairs, rows with violations and every
+other operator (a table, a random operator, a diagram) take the full
+scan.
 
 The scan context, ``_Ctx``, keeps one memo: from a prior to its
 ``_Orders``, the orders computed from it (the revision, the contraction
@@ -55,11 +62,13 @@ by the negated input, ...), each at most once per input, with their
 pair matrices and the prior's outcome row on every input.  So a
 postulate's ``count`` and ``gen`` share one computation of each order,
 so do the postulates of one claim's verdicts, and an exhaustive pair
-scan in one job revises each prior once.  NLI and iLIRC read their
-routed revision as the contracted preorder's own revision, so the memo
-shares it too.  Neut reads one revision at a time, so it revises only
-on the inputs it reads.  The scans that see each (prior, input) once
-(Red, HI/LI_beliefs) call the operators directly.
+scan in one job revises each prior once.  The orders are stored under
+the operator they read, so ``pair_profile``'s nine operator pairs share
+them too: each revision serves every contraction.  NLI and iLIRC read
+their routed revision as the contracted preorder's own revision, so the
+memo shares it too.  Neut reads one revision at a time, so it revises
+only on the inputs it reads.  The scans that see each (prior, input)
+once (Red, HI/LI_beliefs) call the operators directly.
 
 The scans yield raw witnesses (preorders, input masks, worlds and a
 note).  Every check, postulate scan, state diagram or claim sweep, counts
@@ -102,7 +111,7 @@ import operator
 import random
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import islice, product
+from itertools import islice
 from typing import Callable, Optional
 
 from .conditionals import flattest_satisfier, rational_closure_fast
@@ -294,9 +303,12 @@ def _world_pairs(n_atoms: int, ordered: bool) -> tuple:
 
 class _Ctx:
     """One run's instance space and operators, plus one memo: each prior's
-    ``_Orders``, kept until ``clear``."""
+    ``_Orders``, kept until ``clear``.  The orders themselves are kept by
+    order name and prior (see ``_Orders``).  Contexts given one ``shared``
+    dict keep them there, under the operator each order reads, and so
+    compute each order once between them."""
 
-    def __init__(self, n_atoms: int, rev=None, con: Contraction | None = None):
+    def __init__(self, n_atoms: int, rev=None, con: Contraction | None = None, shared=None):
         self.n = n_atoms
         self.full = all_worlds(n_atoms)
         self.atoms = default_atoms(n_atoms)
@@ -308,15 +320,31 @@ class _Ctx:
         self.rev = rev
         self.con = con
         self._memo = {}
+        # ("order" or "matrices", order name): prior -> that prior's values
+        self._by_order = {
+            (kind, name): {}
+            if shared is None
+            else shared.setdefault((kind, name, self._reads(name)), {})
+            for name in _ORDERS
+            for kind in ("order", "matrices")
+        }
+
+    def _reads(self, name: str):
+        """The operator the named order reads (see ``_READS``)."""
+        return getattr(self, _READS[name]) if name in _READS else None
 
     def clear(self):
         self._memo.clear()
+        for memo in self._by_order.values():
+            memo.clear()
 
     def orders(self, t: Tpo) -> _Orders:
         """The prior's orders, shared by every scan until ``clear``."""
         out = self._memo.get(t)
         if out is None:
-            out = self._memo[t] = _Orders(t, self.rev, self.con, self.full, self.props)
+            out = self._memo[t] = _Orders(
+                t, self.rev, self.con, self.full, self.props, self._by_order
+            )
         return out
 
     def witness(self, tpos, inputs, worlds, note="") -> Witness:
@@ -407,21 +435,25 @@ class _Orders:
     """The orders computed from one prior (see ``_ORDERS``) under the
     operators ``rev`` and ``con``, each at most once per input; their pair
     matrices, the prior's own once; and the prior's outcome rows on every
-    input of ``props``.  ``full`` is the mask of every world."""
+    input of ``props``.  ``full`` is the mask of every world.  The orders
+    and their matrices are kept in the context's ``by_order``: for each
+    ("order" or "matrices", order name), a dict by prior."""
 
-    def __init__(self, prior: Tpo, rev, con, full: int, props: tuple):
+    def __init__(self, prior: Tpo, rev, con, full: int, props: tuple, by_order: dict):
         self.prior = prior
         self.rev = rev
         self.con = con
         self.full = full
         self.props = props
-        self._orders = {}
-        self._matrices = {}
+        self._by_order = by_order
+        self._orders = {}  # name: this prior's entry in by_order
         self._rows = None
 
     def order(self, name: str, inputs) -> dict:
         """The named order by input, computed for at least ``inputs``."""
-        out = self._orders.setdefault(name, {})
+        out = self._orders.get(name)
+        if out is None:
+            out = self._orders[name] = self._by_order["order", name].setdefault(self.prior, {})
         for p in inputs:
             if p not in out:
                 out[p] = _ORDERS[name](self, self.prior, p)
@@ -438,7 +470,10 @@ class _Orders:
         ``props_proper``)."""
         if name == "prior":  # the same for every input
             return [self.own] * len(inputs)
-        out = self._matrices.setdefault(name, [])
+        if name == "revneg":  # revising by the complement of p revises by full - p
+            rev = self.matrices("rev", range(1, self.full))
+            return [rev[self.full - p - 1] for p in inputs]
+        out = self._by_order["matrices", name].setdefault(self.prior, [])
         if len(out) < len(inputs):
             rest = inputs[len(out) :]
             order = self.order(name, rest)
@@ -488,6 +523,9 @@ _ORDERS = {
     "conneg": lambda ops, t, p: contract_by_negation(t, p, ops.con),
     "natural": lambda ops, t, p: revise(t, p, Revision.NATURAL),
 }
+
+# The operator each order reads; ``prior`` and ``natural`` read neither.
+_READS = {"rev": "rev", "revneg": "rev", "con": "con", "conneg": "con"}
 
 # region: (ordered pairs?, x in p, y in p), None leaving a side free.
 # The same-side regions take pairs x < y; the others take ordered pairs.
@@ -875,13 +913,27 @@ def _enumeration(n_atoms: int) -> tuple:
 def _outers(pair_outer, n_atoms, part):
     """One job's outers: the enumeration from ``part.start`` to
     ``part.stop`` (a slice; stop None runs to the end), or the preorders
-    at a list of drawn indices."""
+    at a list of drawn indices.  Pair outers come in rows (see
+    ``_counted``): the exhaustive ones as ``_rows`` of the enumeration's
+    pairs, a drawn pair as a row of its own."""
     if isinstance(part, slice):
         pool = _enumeration(n_atoms)
-        return islice(product(pool, repeat=2) if pair_outer else pool, part.start, part.stop)
+        if pair_outer:
+            return _rows(pool, part.start, len(pool) ** 2 if part.stop is None else part.stop)
+        return islice(pool, part.start, part.stop)
     if pair_outer:
-        return ((tpo_at_index(i, n_atoms), tpo_at_index(j, n_atoms)) for i, j in part)
+        return ((tpo_at_index(i, n_atoms), (tpo_at_index(j, n_atoms),), False) for i, j in part)
     return (tpo_at_index(i, n_atoms) for i in part)
+
+
+def _rows(pool: tuple, start: int, stop: int):
+    """The pairs of ``product(pool, repeat=2)`` from ``start`` to ``stop``,
+    row by row: (first preorder, the second preorders it meets there,
+    whether those are the whole pool)."""
+    width = len(pool)
+    for row in range(start // width, -(-stop // width)):
+        lo, hi = max(start - row * width, 0), min(stop - row * width, width)
+        yield pool[row], pool[lo:hi], hi - lo == width
 
 
 def _spec(postulate: str, revision, contraction) -> _PostulateDef:
@@ -916,10 +968,35 @@ def _composition(t: Tpo) -> tuple:
 
 
 def _counted(ctx: _Ctx, spec: _PostulateDef, outers):
-    """Each outer with its violation count.  Under equivariant operators
-    a single outer's count is taken once per composition and read back
-    for every later preorder of that composition."""
-    if spec.pair_outer or not _equivariant(ctx.rev, ctx.con):
+    """Each outer with its violation count.  Pair outers come in rows
+    (first preorder, second preorders, whether they are every preorder)
+    and leave as pairs.  Under equivariant operators a single outer's
+    count is taken once per composition and read back for every later
+    preorder of that composition.  A whole row, a first preorder with
+    every preorder, finds as many violations as any other whole row whose
+    first preorder has that composition: a permutation maps the one row
+    onto the other.  So the first whole row of each composition is
+    counted pair by pair, and if it finds no violation every later whole
+    row of that composition is read back as zeros.  Every other row (cut
+    by a job's bounds, drawn, with violations, or under other operators)
+    is counted pair by pair."""
+    equivariant = _equivariant(ctx.rev, ctx.con)
+    if spec.pair_outer:
+        clean = set()  # compositions of whole rows without a violation
+        for first, seconds, whole in outers:
+            key = _composition(first) if whole and equivariant else None
+            if key in clean:
+                yield from (((first, second), 0) for second in seconds)
+                continue
+            total = 0
+            for second in seconds:
+                found = spec.violations(ctx, (first, second))
+                total += found
+                yield (first, second), found
+            if key is not None and not total:
+                clean.add(key)
+        return
+    if not equivariant:
         for outer in outers:
             yield outer, spec.violations(ctx, outer)
         return
@@ -932,9 +1009,10 @@ def _counted(ctx: _Ctx, spec: _PostulateDef, outers):
 
 
 def _scan(ctx: _Ctx, spec: _PostulateDef, outers, clear: bool = False) -> _Tally:
-    """Tally a scan over outers: each outer's violation count (see
-    ``_counted``), and its witnesses from ``gen`` only while there is room
-    for them.  ``clear`` drops the context's memo after each outer:
+    """Tally a scan over outers (rows of pairs for a pair outer): each
+    outer's violation count (see ``_counted``), and its witnesses from
+    ``gen`` only while there is room for them.  ``clear`` drops the
+    context's memo after each outer:
     sampled outers seldom share a prior, and at three atoms each prior's
     orders cover 255 inputs."""
     tally = _Tally(ctx)
@@ -1032,14 +1110,15 @@ def postulate_holds(
     return _holding((postulate,), revision, contraction, n_atoms)[postulate]
 
 
-def _holding(ids, revision, contraction, n_atoms: int) -> dict:
+def _holding(ids, revision, contraction, n_atoms: int, shared=None) -> dict:
     """Exhaustive verdicts of several postulates on one operator pair: each
     holds unless ``_counted`` finds an outer with a violation, and its scan
     stops there.  The postulates share one scan context, so each prior's
-    orders are computed once for all of them."""
+    orders are computed once for all of them; ``shared`` (see ``_Ctx``)
+    extends that to other operator pairs."""
     specs = {postulate: _spec(postulate, revision, contraction) for postulate in ids}
     _validate_scope(n_atoms, "exhaustive")
-    ctx = _Ctx(n_atoms, revision, contraction)
+    ctx = _Ctx(n_atoms, revision, contraction, shared)
     return {
         postulate: not any(
             found
@@ -1224,11 +1303,15 @@ class PairProfile:
 
 @lru_cache(maxsize=None)
 def pair_profile(n_atoms: int = 2) -> tuple:
-    """NLI / CR / SPU / WPU outcomes for all nine built-in operator pairs."""
+    """NLI / CR / SPU / WPU outcomes for all nine built-in operator pairs.
+    The pairs share their orders: each revision's for every contraction,
+    and each contraction's for every revision."""
     rows = []
+    shared = {}
     for rev in _BUILTIN_REVISIONS:
         for con in _BUILTIN_CONTRACTIONS:
-            holds = _holding(("NLI", "CR1", "CR2", "CR3", "CR4", "SPU", "WPU"), rev, con, n_atoms)
+            ids = ("NLI", "CR1", "CR2", "CR3", "CR4", "SPU", "WPU")
+            holds = _holding(ids, rev, con, n_atoms, shared)
             rows.append(
                 PairProfile(
                     revision=rev,

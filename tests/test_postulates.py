@@ -20,6 +20,7 @@ from beliefchange.operators import (
     TabularRevision,
     contract_by_negation,
     make_random_dp_operator,
+    method_name,
     revise,
 )
 from beliefchange.postulates import (
@@ -797,11 +798,12 @@ def test_an_exhaustive_pair_scan_revises_each_prior_once(revisions):
 
 
 def test_neutrality_revises_only_the_inputs_it_reads(revisions):
-    # one job scans every preorder pair: each of the 75 priors is revised
-    # once on each of the 15 inputs that some input-preserving
-    # isomorphism reads, here every input
+    # one job scans the whole row of each composition's first preorder,
+    # the other rows read back as zeros: each prior of those 8 x 75 pairs
+    # is revised once on each input that some input-preserving
+    # isomorphism of the pair reads
     check_postulate("Neut", Revision.NATURAL, n_atoms=2)
-    assert len(revisions) == 75 * 15
+    assert len(revisions) == 435
     assert len(set(revisions)) == len(revisions)
 
 
@@ -872,22 +874,14 @@ def test_one_pass_verdicts_match_the_oracles():
     assert failing == 2  # NLI, CR3/4, SPU, WPU under natural and restrained + stq-lex
 
 
-def test_the_pair_profile_computes_each_order_once_per_instance(monkeypatch):
-    calls = {"revise": 0, "contract": 0, "contract_by_negation": 0}
-    for name in calls:
-
-        def counted(*args, _name=name, _real=getattr(postulates, name)):
-            calls[_name] += 1
-            return _real(*args)
-
-        monkeypatch.setattr(postulates, name, counted)
+def test_the_pair_profile_computes_each_order_once_per_instance(revisions):
+    # the nine operator pairs share their orders: each revision serves
+    # every contraction and each contraction every revision; revising by
+    # the negated input is revising by its complement
     pair_profile.cache_clear()
     pair_profile(2)
-    instances = 9 * 75 * 15
-    assert calls["contract_by_negation"] <= instances
-    # the revision, its contraction, the revision by the negated input and
-    # NLI's routed revision
-    assert calls["revise"] + calls["contract"] <= 4 * instances
+    assert len(revisions) == 1086
+    assert len(set(revisions)) == len(revisions)
 
 
 # ---------------------------------------------------------------------------
@@ -928,6 +922,38 @@ def test_orbit_verdicts_equal_the_full_scan(monkeypatch):
     orbit = [postulates._holding(ids, rev, con, 2) for ids, rev, con in cases]
     _full_scan(monkeypatch)
     assert orbit == [postulates._holding(ids, rev, con, 2) for ids, rev, con in cases]
+
+
+EQUIVARIANT = (
+    *_BUILTIN_REVISIONS,
+    *(_NliComposition(con, rev) for con in _BUILTIN_CONTRACTIONS for rev in _BUILTIN_REVISIONS),
+)
+
+
+@pytest.mark.parametrize("op", EQUIVARIANT, ids=method_name)
+@pytest.mark.parametrize("postulate", ["IIAP", "Neut"])
+def test_row_reports_equal_the_full_scan(postulate, op, monkeypatch):
+    # sixteen jobs cut most rows; a failing scan (IIAP under stq-lex then
+    # natural or restrained) reads no row back
+    monkeypatch.setattr(postulates.multiprocessing, "Pool", _InProcessPool)
+    rows = [check_postulate(postulate, op, n_atoms=2, workers=w) for w in (1, 2, 3, 16)]
+    _full_scan(monkeypatch)
+    assert rows == [check_postulate(postulate, op, n_atoms=2)] * 4
+
+
+def test_a_pair_scan_counts_one_whole_row_per_composition(monkeypatch):
+    counted = []
+    violations = postulates._PostulateDef.violations
+
+    def counting(spec, ctx, outer):
+        counted.append(outer)
+        return violations(spec, ctx, outer)
+
+    monkeypatch.setattr(postulates._PostulateDef, "violations", counting)
+    report = check_postulate("IIAP", Revision.NATURAL, n_atoms=2)
+    assert report.instances == 75 * 75 * 15
+    assert len(counted) == 8 * 75  # 75 * 75 in the full scan
+    assert len({postulates._composition(t) for t, _ in counted}) == 8
 
 
 def test_only_equivariant_operators_take_the_orbit_route():

@@ -11,14 +11,19 @@ Times, on the ``beliefchange`` package found on ``sys.path``:
 * one postulate scan of one outer at three atoms, as a sampled check
   runs it: ``_scan(_Ctx(3, rev, con), _POSTULATES[id], [outer],
   clear=True)``, mean over 20 seeded preorders (preorder pairs for
-  IIAP), for DP1 natural, NLI natural + ``contract-stq-lex``, IIAI
-  natural, IIAP natural and CR4 natural + ``contract-stq-lex``; CR4
-  fails on most preorders there, so its scan pays for the violation
-  count and for the witnesses, which ``gen`` reads from the orders the
-  count computed;
+  IIAP, each a row of its own), for DP1 natural, NLI natural +
+  ``contract-stq-lex``, IIAI natural, IIAP natural and CR4 natural +
+  ``contract-stq-lex``; CR4 fails on most preorders there, so its scan
+  pays for the violation count and for the witnesses, which ``gen``
+  reads from the orders the count computed;
 * one exhaustive failing check at two atoms:
   ``check_postulate("CR4", Revision.NATURAL, Contraction.STQ_LEX,
   n_atoms=2)``, whose witness outers reuse the orders of their count;
+* the exhaustive pair scans at two atoms, ``check_postulate("IIAP",
+  Revision.NATURAL, n_atoms=2)`` and the same for Neut, which count one
+  whole row of preorder pairs per composition;
+* one claim: ``verify_claim("T1", 2)``, the ten elementarity postulates
+  for the three built-in revisions and the six diagram scans;
 * one claim: ``verify_claim("P2", 2)``, which contracts, builds
   conditional sets and tests membership in them for every two-atom
   preorder and input, and keeps no cache between calls;
@@ -149,7 +154,7 @@ def main() -> None:
 
     def scans(postulate, rev, con=None):
         spec = _POSTULATES[postulate]
-        pool = outer_pairs if spec.pair_outer else outers
+        pool = [(t, (u,), False) for t, u in outer_pairs] if spec.pair_outer else outers
 
         def run():
             for outer in pool:
@@ -157,8 +162,8 @@ def main() -> None:
 
         return run
 
-    def claim():
-        verify_claim("P2", 2)
+    def claim(name="P2"):
+        verify_claim(name, 2)
 
     def equivalence():
         pair_profile.cache_clear()
@@ -170,6 +175,9 @@ def main() -> None:
 
     def failing_check():
         check_postulate("CR4", Revision.NATURAL, Contraction.STQ_LEX, n_atoms=2)
+
+    def pair_check(postulate):
+        check_postulate(postulate, Revision.NATURAL, n_atoms=2)
 
     def default_check(workers=1):
         check_postulate("DP1", Revision.NATURAL, n_atoms=3, mode="sampled", workers=workers)
@@ -201,7 +209,10 @@ def main() -> None:
             1e3,
         ),
         "check_CR4_natural_stq_lex_n2_ms": (failing_check, 1, 1e3),
+        "check_IIAP_natural_n2_ms": (partial(pair_check, "IIAP"), 1, 1e3),
+        "check_Neut_natural_n2_ms": (partial(pair_check, "Neut"), 1, 1e3),
         "claim_P2_n2_s": (claim, 1, 1.0),
+        "claim_T1_n2_s": (partial(claim, "T1"), 1, 1.0),
         "claim_T3_n2_s": (equivalence, 1, 1.0),
         "pair_profile_n2_s": (profile, 1, 1.0),
         "check_DP1_natural_n3_default_s": (default_check, 1, 1.0),
