@@ -47,7 +47,6 @@ from .operators import (
     make_random_dp_operator,
     nli_revise,
     revise,
-    stq_merge,
 )
 from .postulates import (
     CheckReport,
@@ -55,7 +54,6 @@ from .postulates import (
     check_diagram,
     check_postulate,
     pair_profile,
-    postulate_holds,
     render_machine,
     render_text,
     replay_witness,
@@ -69,7 +67,6 @@ from .tpo import (
     conditional_holds,
     conditional_set,
     count_tpos,
-    enumerate_a_preserving_isos,
     enumerate_tpos,
     flatter_eq,
     format_tpo,

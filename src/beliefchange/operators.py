@@ -173,17 +173,6 @@ def _merge_masks(a: tuple, b: tuple, full: int) -> tuple:
     return tuple(cells)
 
 
-def stq_merge(t1: Tpo, t2: Tpo) -> Tpo:
-    """Synchronized-minima merge of two preorders over the same worlds.
-
-    Next cell = union of the two orders' minimal still-unassigned worlds,
-    until the world set is exhausted.
-    """
-    if t1.n_atoms != t2.n_atoms:
-        raise ValueError("cannot merge preorders over different atom counts")
-    return Tpo(_merge_masks(t1.masks, t2.masks, all_worlds(t1.n_atoms)), t1.n_atoms)
-
-
 def _contraction(t: Tpo, mask: int, method: Contraction) -> Tpo:
     """Contraction of a preorder by a consistent input mask."""
     full = all_worlds(t.n_atoms)

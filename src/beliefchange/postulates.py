@@ -34,13 +34,14 @@ room for witnesses, so the report keeps the same witnesses in the same
 order, and a boolean verdict (``_holding``) stops at the first outer
 with a nonzero count.
 
-Orbits.  The built-in revisions and contractions, and compositions of
-them, are defined from the order and the input alone, so they commute
-with every permutation of the worlds (``_equivariant`` admits exactly
-these).  Under them a permutation maps a preorder's violations one to
-one onto those of the permuted preorder.  Preorders with the same
-composition (cell sizes, bottom first) are permutations of each other,
-so a single-outer scan finds as many violations on each of them.
+Orbits.  The built-in revisions and contractions, compositions of them
+and the state diagrams' tables are defined from the order and the input
+alone, so they commute with every permutation of the worlds
+(``_equivariant`` admits exactly these).  Under them a permutation maps
+a preorder's violations one to one onto those of the permuted preorder.
+Preorders with the same composition (cell sizes, bottom first) are
+permutations of each other, so a single-outer scan finds as many
+violations on each of them.
 There are 8 compositions for the 75 preorders of two atoms, and 128
 for the 545,835 of three.  Under those operators ``_counted`` takes
 each composition's count once and reads it back for every later
@@ -52,14 +53,15 @@ violations.  ``_counted`` counts the first whole row of each
 composition pair by pair, and reads every later one back as zeros when
 it found none.  Witnesses still come from the generator run on the
 actual outer, so a report keeps the same witnesses in the same order.
+A diagram scan takes the per-composition rule like a postulate scan.
 Rows cut by a job's bounds, drawn pairs, rows with violations and every
-other operator (a table, a random operator, a diagram) take the full
-scan.
+other operator (a tabular or a random operator) take the full scan.
 
-The scan context, ``_Ctx``, keeps one memo: from a prior to its
-``_Orders``, the orders computed from it (the revision, the contraction
-by the negated input, ...), each at most once per input, with their
-pair matrices and the prior's outcome row on every input.  So a
+The scan context, ``_Ctx``, keeps one memo, by prior: the orders
+computed from it (the revision, the contraction by the negated input,
+...), each at most once per input, with their pair matrices; the
+prior's own pair matrices; and its outcome row on every input
+(``ctx.order``, ``ctx.matrices``, ``ctx.own`` and ``ctx.rows``).  So a
 postulate's ``count`` and ``gen`` share one computation of each order,
 so do the postulates of one claim's verdicts, and an exhaustive pair
 scan in one job revises each prior once.  The orders are stored under
@@ -110,7 +112,7 @@ import multiprocessing
 import operator
 import random
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import islice
 from typing import Callable, Optional
 
@@ -302,11 +304,14 @@ def _world_pairs(n_atoms: int, ordered: bool) -> tuple:
 
 
 class _Ctx:
-    """One run's instance space and operators, plus one memo: each prior's
-    ``_Orders``, kept until ``clear``.  The orders themselves are kept by
-    order name and prior (see ``_Orders``).  Contexts given one ``shared``
-    dict keep them there, under the operator each order reads, and so
-    compute each order once between them."""
+    """One run's instance space and operators, plus one memo, kept until
+    ``clear``: the orders computed from each prior (see ``_ORDERS``), each
+    at most once per input, with their pair matrices; the prior's own
+    matrices; and its outcome row on every input.  Orders and their
+    matrices are kept in one dict per ("order" or "matrices", order name),
+    by prior.  Contexts given one ``shared`` dict keep those dicts there,
+    under the operator each order reads, and so compute each order once
+    between them."""
 
     def __init__(self, n_atoms: int, rev=None, con: Contraction | None = None, shared=None):
         self.n = n_atoms
@@ -319,7 +324,8 @@ class _Ctx:
         self.opairs = _world_pairs(n_atoms, ordered=True)
         self.rev = rev
         self.con = con
-        self._memo = {}
+        self._own = {}  # prior: its pair matrices
+        self._rows = {}  # prior: its outcome rows
         # ("order" or "matrices", order name): prior -> that prior's values
         self._by_order = {
             (kind, name): {}
@@ -334,17 +340,56 @@ class _Ctx:
         return getattr(self, _READS[name]) if name in _READS else None
 
     def clear(self):
-        self._memo.clear()
+        self._own.clear()
+        self._rows.clear()
         for memo in self._by_order.values():
             memo.clear()
 
-    def orders(self, t: Tpo) -> _Orders:
-        """The prior's orders, shared by every scan until ``clear``."""
-        out = self._memo.get(t)
+    def order(self, name: str, t: Tpo, inputs) -> dict:
+        """The named order of prior t by input, computed for at least
+        ``inputs``."""
+        memo = self._by_order["order", name]
+        out = memo.get(t)
         if out is None:
-            out = self._memo[t] = _Orders(
-                t, self.rev, self.con, self.full, self.props, self._by_order
-            )
+            out = memo[t] = {}
+        for p in inputs:
+            if p not in out:
+                out[p] = _ORDERS[name](self, t, p)
+        return out
+
+    def own(self, t: Tpo) -> tuple:
+        """The prior's own pair matrices."""
+        out = self._own.get(t)
+        if out is None:
+            out = self._own[t] = _relations(t)
+        return out
+
+    def matrices(self, name: str, t: Tpo, inputs: range) -> list:
+        """The named order's pair matrices in input order, entry i for
+        input i + 1, for at least ``inputs`` (``props`` or its prefix
+        ``props_proper``)."""
+        if name == "prior":  # the same for every input
+            return [self.own(t)] * len(inputs)
+        if name == "revneg":  # revising by the complement of p revises by full - p
+            rev = self.matrices("rev", t, self.props_proper)
+            return [rev[self.full - p - 1] for p in inputs]
+        memo = self._by_order["matrices", name]
+        out = memo.get(t)
+        if out is None:
+            out = memo[t] = []
+        if len(out) < len(inputs):
+            rest = inputs[len(out) :]
+            order = self.order(name, t, rest)
+            out += [_relations(order[p]) for p in rest]
+        return out
+
+    def rows(self, t: Tpo) -> list:
+        """(input, its minimal worlds, revision) for every input, in input
+        order."""
+        out = self._rows.get(t)
+        if out is None:
+            rev = self.order("rev", t, self.props)
+            out = self._rows[t] = [(p, min_worlds(t, p), rev[p]) for p in self.props]
         return out
 
     def witness(self, tpos, inputs, worlds, note="") -> Witness:
@@ -431,71 +476,13 @@ def _relations(t: Tpo) -> tuple:
     return lt, le
 
 
-class _Orders:
-    """The orders computed from one prior (see ``_ORDERS``) under the
-    operators ``rev`` and ``con``, each at most once per input; their pair
-    matrices, the prior's own once; and the prior's outcome rows on every
-    input of ``props``.  ``full`` is the mask of every world.  The orders
-    and their matrices are kept in the context's ``by_order``: for each
-    ("order" or "matrices", order name), a dict by prior."""
-
-    def __init__(self, prior: Tpo, rev, con, full: int, props: tuple, by_order: dict):
-        self.prior = prior
-        self.rev = rev
-        self.con = con
-        self.full = full
-        self.props = props
-        self._by_order = by_order
-        self._orders = {}  # name: this prior's entry in by_order
-        self._rows = None
-
-    def order(self, name: str, inputs) -> dict:
-        """The named order by input, computed for at least ``inputs``."""
-        out = self._orders.get(name)
-        if out is None:
-            out = self._orders[name] = self._by_order["order", name].setdefault(self.prior, {})
-        for p in inputs:
-            if p not in out:
-                out[p] = _ORDERS[name](self, self.prior, p)
-        return out
-
-    @cached_property
-    def own(self) -> tuple:
-        """The prior's own pair matrices."""
-        return _relations(self.prior)
-
-    def matrices(self, name: str, inputs: range) -> list:
-        """The named order's pair matrices in input order, entry i for
-        input i + 1, for at least ``inputs`` (``props`` or its prefix
-        ``props_proper``)."""
-        if name == "prior":  # the same for every input
-            return [self.own] * len(inputs)
-        if name == "revneg":  # revising by the complement of p revises by full - p
-            rev = self.matrices("rev", range(1, self.full))
-            return [rev[self.full - p - 1] for p in inputs]
-        out = self._by_order["matrices", name].setdefault(self.prior, [])
-        if len(out) < len(inputs):
-            rest = inputs[len(out) :]
-            order = self.order(name, rest)
-            out += [_relations(order[p]) for p in rest]
-        return out
-
-    def rows(self) -> list:
-        """(input, its minimal worlds, revision) for every input, in input
-        order."""
-        if self._rows is None:
-            rev = self.order("rev", self.props)
-            self._rows = [(p, min_worlds(self.prior, p), rev[p]) for p in self.props]
-        return self._rows
-
-
 # ---------------------------------------------------------------------------
 # Postulate scans: generators of raw witnesses (preorders, input masks,
 # worlds, note), in a deterministic order
 
 
 def _g_success(ctx, t):
-    rev = ctx.orders(t).order("rev", ctx.props)
+    rev = ctx.order("rev", t, ctx.props)
     for p in ctx.props:
         stray = rev[p].masks[0] & ~p
         if stray:
@@ -510,7 +497,7 @@ def _g_success(ctx, t):
 # revises t by the complement of p; ``conneg`` contracts t by it;
 # ``natural`` revises t by p with natural revision (iLIRC's route).  The
 # operators ``ops.rev`` and ``ops.con`` and the world mask ``ops.full``
-# come from the scan context or from the prior's ``_Orders``.
+# come from the scan context, which keeps each order it computes.
 # Relations: ``same`` keeps the pair's relation code, whatever it is;
 # ``strict`` ("x below y") and ``weak`` ("x at most y") are kept whenever
 # every premise order holds them.
@@ -585,19 +572,20 @@ _PAIR_RULES = {
 def _iiap_masks(ctx, pair):
     """IIAP violations: per input, the pairs x < y outside both minima
     that the priors order alike and the posteriors do not."""
-    o1, o2 = ctx.orders(pair[0]), ctx.orders(pair[1])
-    alike = ~_BROKEN["same"](o1.own, o2.own)
+    t1, t2 = pair
+    alike = ~_BROKEN["same"](ctx.own(t1), ctx.own(t2))
     within = _region_masks("in", ctx.n)
     full = ctx.full
+    rev1, rev2 = (ctx.matrices("rev", t, ctx.props) for t in pair)
     for (_, min1, _), (_, min2, _), (lt1, le1), (lt2, le2) in zip(
-        o1.rows(), o2.rows(), o1.matrices("rev", ctx.props), o2.matrices("rev", ctx.props)
+        ctx.rows(t1), ctx.rows(t2), rev1, rev2
     ):
         yield within[full & ~(min1 | min2)] & alike & ((lt1 ^ lt2) | (le1 ^ le2))
 
 
 def _rank_rows(ctx, t) -> list:
     """The prior's outcome rows, each with the revision's rank."""
-    return [(p, minimal, posterior.rank) for p, minimal, posterior in ctx.orders(t).rows()]
+    return [(p, minimal, posterior.rank) for p, minimal, posterior in ctx.rows(t)]
 
 
 def _g_iiai(ctx, t):
@@ -687,7 +675,7 @@ def _g_neut(ctx, pair):
     for p in ctx.props:
         perms = _a_preserving_isos(t1.masks, t2.masks, p, n_worlds)
         if perms:
-            r1q, r2q = (ctx.orders(t).order("rev", (p,))[p].rank for t in pair)
+            r1q, r2q = (ctx.order("rev", t, (p,))[p].rank for t in pair)
         for perm in perms:
             for x, y, _ in ctx.pairs:
                 if _code(r1q, x, y) != _code(r2q, perm[x], perm[y]):
@@ -747,11 +735,10 @@ def _routed_rule(final: Revision | None, route: str):
 
     def differing(ctx, t):
         """The inputs whose direct and routed revisions differ, with both."""
-        orders = ctx.orders(t)
-        direct, conneg = (orders.order(name, ctx.props) for name in ("rev", "conneg"))
+        direct, conneg = (ctx.order(name, t, ctx.props) for name in ("rev", "conneg"))
         name = "rev" if final is None or final is ctx.rev else "natural"
         for p in ctx.props:
-            routed = ctx.orders(conneg[p]).order(name, (p,))[p]
+            routed = ctx.order(name, conneg[p], (p,))[p]
             if direct[p] != routed:
                 yield p, direct[p], routed
 
@@ -771,7 +758,7 @@ class _PostulateDef:
     """One postulate, or the diagram scan: ``gen(ctx, outer)`` yields the
     outer's witnesses in order, and the optional ``count(ctx, outer)``
     returns how many it would yield, without them.  Both read their
-    orders from ``ctx.orders``, so they share one computation of each.
+    orders from the context's memo, so they share one computation of each.
     The pair rules and IIAP take both from one stream of per-input
     violation masks (see ``_masked``)."""
 
@@ -823,10 +810,9 @@ def _pair_rule(premises, conclusion, region, relation) -> _PostulateDef:
 
     def masks(ctx, t):
         """Per input, the pair mask of the rule's violations."""
-        orders = ctx.orders(t)
         ps = getattr(ctx, inputs)
-        first, *others = (orders.matrices(name, ps) for name in premises)
-        after = orders.matrices(conclusion, ps)
+        first, *others = (ctx.matrices(name, t, ps) for name in premises)
+        after = ctx.matrices(conclusion, t, ps)
         regions = _region_masks(region, ctx.n)
         for i, p in enumerate(ps):
             bad = regions[p] & broken(first[i], after[i])
@@ -950,12 +936,15 @@ def _spec(postulate: str, revision, contraction) -> _PostulateDef:
 
 def _equivariant(rev, con) -> bool:
     """Whether the operators commute with every permutation of the worlds:
-    the built-in revisions and contractions, and compositions of them
-    (``None`` is no operator).  Any other operator object, a table or a
-    random operator, need not."""
+    the built-in revisions and contractions, compositions of them, and a
+    diagram's table, a ``dict``, which fixes each posterior relation from
+    the prior's order and the input alone (``None`` is no operator).  Any
+    other operator object, a tabular or a random operator, need not.  A
+    ``dict`` is no revision: ``revise`` refuses an object without
+    ``posterior``."""
     return all(
         op is None
-        or isinstance(op, (Revision, Contraction))
+        or isinstance(op, (Revision, Contraction, dict))
         or (isinstance(op, _NliComposition) and _equivariant(op.rev, op.con))
         for op in (rev, con)
     )
@@ -970,12 +959,12 @@ def _composition(t: Tpo) -> tuple:
 def _counted(ctx: _Ctx, spec: _PostulateDef, outers):
     """Each outer with its violation count.  Pair outers come in rows
     (first preorder, second preorders, whether they are every preorder)
-    and leave as pairs.  Under equivariant operators a single outer's
-    count is taken once per composition and read back for every later
-    preorder of that composition.  A whole row, a first preorder with
-    every preorder, finds as many violations as any other whole row whose
-    first preorder has that composition: a permutation maps the one row
-    onto the other.  So the first whole row of each composition is
+    and leave as pairs.  Under equivariant operators (see
+    ``_equivariant``; a diagram's table is one) a single outer's count is
+    taken once per composition and read back for every later preorder of
+    that composition.  A whole row, a first preorder with every preorder,
+    finds as many violations as any other whole row whose first preorder
+    has that composition: a permutation maps the one row onto the other.  So the first whole row of each composition is
     counted pair by pair, and if it finds no violation every later whole
     row of that composition is read back as zeros.  Every other row (cut
     by a job's bounds, drawn, with violations, or under other operators)
@@ -1099,17 +1088,6 @@ def check_postulate(
     )
 
 
-def postulate_holds(
-    postulate: str,
-    revision: RevisionMethod | None = None,
-    contraction: Contraction | None = None,
-    *,
-    n_atoms: int = 2,
-) -> bool:
-    """Exhaustive boolean check with early exit on the first violation."""
-    return _holding((postulate,), revision, contraction, n_atoms)[postulate]
-
-
 def _holding(ids, revision, contraction, n_atoms: int, shared=None) -> dict:
     """Exhaustive verdicts of several postulates on one operator pair: each
     holds unless ``_counted`` finds an outer with a violation, and its scan
@@ -1182,49 +1160,51 @@ def _diagram_table(diagram) -> dict:
     return table
 
 
-def _forced_codes(table, t: Tpo, p: int):
-    """Posterior pair relations forced by a diagram on one instance."""
+def _forced_rows(table, t: Tpo, p: int, own: tuple) -> list:
+    """The posterior relation a diagram forces on one instance, from the
+    prior's pair matrices ``own``, as one W-bit row per world: bit y of
+    row x is set iff x ends at most as high as y.  The minimal input
+    worlds sit below every world.  Within one side of the input, the
+    prior's ``le`` is kept.  A model over a countermodel keeps ``le``, or
+    every pair when ``table[-1] >= 0``.  A countermodel over a model keeps
+    ``lt`` when ``table[-1] <= 0``, plus ties when ``table[0] == 0``."""
+    lt, le = own
+    width = 1 << t.n_atoms
+    full = (1 << width) - 1
+    spread = _spread(t.n_atoms)
     minimal = min_worlds(t, p)
-    r = t.rank
-    n_worlds = len(t.rank)
-
-    def code(x, y):
-        if x == y:
-            return 0
-        xmin, ymin = minimal >> x & 1, minimal >> y & 1
-        if xmin and ymin:
-            return 0
-        if xmin:
-            return 1
-        if ymin:
-            return -1
-        xin, yin = p >> x & 1, p >> y & 1
-        prior = _code(r, x, y)
-        if xin == yin:
-            return prior
-        if xin:
-            return table[prior]
-        return -table[-prior]
-
-    return [[code(x, y) for y in range(n_worlds)] for x in range(n_worlds)]
+    models, countermodels = p & ~minimal, full & ~p
+    up = le if table[-1] < 0 else -1
+    down = (lt if table[-1] <= 0 else 0) | (le & ~lt if table[0] == 0 else 0)
+    forced = (
+        spread[minimal] * full
+        | le & (spread[models] * models | spread[countermodels] * countermodels)
+        | up & spread[models] * countermodels
+        | down & spread[countermodels] * models
+    )
+    return [forced >> width * x & full for x in range(width)]
 
 
-def _intransitive_triple(codes):
-    n_worlds = len(codes)
-    for x in range(n_worlds):
-        for y in range(n_worlds):
-            if codes[x][y] < 0:
-                continue
-            for z in range(n_worlds):
-                if codes[y][z] >= 0 and codes[x][z] < 0:
-                    return (x, y, z)
+def _intransitive_triple(rows):
+    """The first (x, y, z) with x at most y and y at most z but not x at
+    most z: for x ascending and y ascending in row x, the lowest z of
+    ``rows[y] & ~rows[x]``."""
+    for x, row in enumerate(rows):
+        ys = row
+        while ys:
+            y = (ys & -ys).bit_length() - 1
+            bad = rows[y] & ~row
+            if bad:
+                return x, y, (bad & -bad).bit_length() - 1
+            ys &= ys - 1
     return None
 
 
 def _g_diagram(ctx, t):
     """Diagram scan; the diagram's table is the context's revision."""
+    own = ctx.own(t)
     for p in ctx.props:
-        triple = _intransitive_triple(_forced_codes(ctx.rev, t, p))
+        triple = _intransitive_triple(_forced_rows(ctx.rev, t, p, own))
         if triple is not None:
             yield (t,), (p,), triple, "forced relations are intransitive on this triple"
 
@@ -1242,12 +1222,18 @@ def check_diagram(diagram, n_atoms: int = 2) -> CheckReport:
     relations cannot form a transitive order is a violation: the witness
     names a triple on which transitivity fails.  Such a triple needs
     three worlds, so the check takes at least 2 atoms.
+
+    The forced relation is one bit row per world (see ``_forced_rows``).
+    It follows from the prior's order and the input alone, so preorders of
+    one composition fail alike: the scan counts each composition once (see
+    ``_counted``) and takes witnesses from the preorders in enumeration
+    order.
     """
     table = _diagram_table(diagram)
     _validate_scope(n_atoms, "exhaustive")
     if n_atoms < 2:
         raise ScopeError("the diagram exclusions need at least three worlds (2 atoms)")
-    tally = _scan(_Ctx(n_atoms, table), _DIAGRAM_SCAN, enumerate_tpos(n_atoms))
+    tally = _scan(_Ctx(n_atoms, table), _DIAGRAM_SCAN, _enumeration(n_atoms))
     return CheckReport(
         check_id=f"diagram {diagram if isinstance(diagram, str) else 'custom'}",
         revision=None,
@@ -1395,7 +1381,7 @@ def _verify_t4(n_atoms: int):
     contracted preorder through each contraction method.
     """
     ctx = _Ctx(n_atoms)
-    pool = list(enumerate_tpos(n_atoms))
+    pool = _enumeration(n_atoms)
     tally = _Tally(ctx)
     resolved: dict = {}  # (contracted, input): the instance's raw witnesses
     for con in _BUILTIN_CONTRACTIONS:
@@ -1448,7 +1434,7 @@ def _verify_p2(n_atoms: int):
     ctx = _Ctx(n_atoms)
     tally = _Tally(ctx)
     for con in _BUILTIN_CONTRACTIONS:
-        for t in enumerate_tpos(n_atoms):
+        for t in _enumeration(n_atoms):
             for p in ctx.props:
                 contracted = contract_by_negation(t, p, con)
                 if not contracted.masks[0] & ~p:
@@ -1540,7 +1526,7 @@ def _verify_p5(n_atoms: int):
 
 def _verify_l_flattest(n_atoms: int):
     ctx = _Ctx(n_atoms)
-    pool = list(enumerate_tpos(n_atoms))
+    pool = _enumeration(n_atoms)
     tally = _Tally(ctx)
     for t in pool:
         r = t.rank

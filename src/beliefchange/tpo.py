@@ -315,23 +315,17 @@ def propositions(n_atoms: int) -> range:
 # ---------------------------------------------------------------------------
 # Input-preserving order isomorphisms
 
-def enumerate_a_preserving_isos(t1: Tpo, t2: Tpo, sentence_models: int) -> list:
-    """All bijections on W preserving both the preorders and the input order.
+def _a_preserving_isos(masks1: tuple, masks2: tuple, sentence_models: int, n_worlds: int) -> list:
+    """All bijections on W preserving both preorders, given as cell lists
+    of equal sizes, and the input order.
 
-    A qualifying permutation must map the k-th cell of ``t1`` onto the
-    k-th cell of ``t2`` and may not move a model of the sentence onto a
-    countermodel or vice versa (unless the sentence is trivial).  The
-    result lists each permutation as a tuple ``perm`` with ``perm[x]``
+    A qualifying permutation must map the k-th cell of ``masks1`` onto
+    the k-th cell of ``masks2`` and may not move a model of the sentence
+    onto a countermodel or vice versa (unless the sentence is trivial).
+    The result lists each permutation as a tuple ``perm`` with ``perm[x]``
     the image of ``x``, in a fixed deterministic order; empty when no
     isomorphism exists.
     """
-    if [m.bit_count() for m in t1.masks] != [m.bit_count() for m in t2.masks]:
-        return []
-    return _a_preserving_isos(t1.masks, t2.masks, sentence_models, 1 << t1.n_atoms)
-
-
-def _a_preserving_isos(masks1: tuple, masks2: tuple, sentence_models: int, n_worlds: int) -> list:
-    """``enumerate_a_preserving_isos`` for two cell lists of equal sizes."""
     blocks = []  # (source worlds ascending, target worlds ascending)
     for c1, c2 in zip(masks1, masks2):
         inside1, inside2 = c1 & sentence_models, c2 & sentence_models

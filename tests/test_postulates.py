@@ -37,19 +37,31 @@ from beliefchange.postulates import (
     check_diagram,
     check_postulate,
     pair_profile,
-    postulate_holds,
     render_machine,
     render_text,
     replay_witness,
     verify_claim,
 )
-from beliefchange.tpo import Tpo, count_tpos, enumerate_tpos, parse_tpo, tpo_at_index
+from beliefchange.tpo import (
+    Tpo,
+    count_tpos,
+    enumerate_tpos,
+    min_worlds,
+    parse_tpo,
+    propositions,
+    tpo_at_index,
+)
 
 ATOMS = ("p", "q")
 
 
 def mod(text):
     return models(text, ATOMS)
+
+
+def holds(postulate, revision=None, contraction=None, n_atoms=2):
+    """The exhaustive verdict of one postulate."""
+    return postulates._holding((postulate,), revision, contraction, n_atoms)[postulate]
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +128,7 @@ def test_doctored_witness_does_not_replay():
 def test_contraction_postulates_hold_for_all_built_ins():
     for con in Contraction:
         for i in (1, 2, 3, 4):
-            assert postulate_holds(f"CC{i}", None, con, n_atoms=2)
+            assert holds(f"CC{i}", None, con)
 
 
 def test_missing_contraction_is_rejected():
@@ -128,14 +140,14 @@ def test_missing_contraction_is_rejected():
         check_postulate("DP1", None, n_atoms=2)
 
 
-def test_postulate_holds_and_replay_reject_bad_arguments_like_check_postulate():
+def test_holding_and_replay_reject_bad_arguments_like_check_postulate():
     witness = Witness(tpos=("00 | 01 | 10 | 11",), inputs=("p",), worlds=())
     with pytest.raises(ValueError):
-        postulate_holds("nonsense", Revision.NATURAL, n_atoms=2)
+        holds("nonsense", Revision.NATURAL)
     with pytest.raises(ValueError):
-        postulate_holds("DP1", None, n_atoms=2)
+        holds("DP1", None)
     with pytest.raises(MissingContractionError):
-        postulate_holds("SPU", Revision.NATURAL, n_atoms=2)
+        holds("SPU", Revision.NATURAL)
     with pytest.raises(ValueError):
         replay_witness("nonsense", witness, Revision.NATURAL, n_atoms=2)
 
@@ -161,7 +173,7 @@ def test_atom_count_below_one_is_rejected(n_atoms):
         with pytest.raises(ScopeError):
             check_postulate("DP1", Revision.NATURAL, n_atoms=n_atoms, mode=mode, sample=5)
     with pytest.raises(ScopeError):
-        postulate_holds("DP1", Revision.NATURAL, n_atoms=n_atoms)
+        holds("DP1", Revision.NATURAL, n_atoms=n_atoms)
     with pytest.raises(ScopeError):
         verify_claim("T2", n_atoms=n_atoms)
 
@@ -455,6 +467,82 @@ def test_custom_diagram_equal_to_builtin_behaves_identically():
     assert builtin.violations == custom.violations
 
 
+def _oracle_forced_codes(table, t, p):
+    """Posterior pair relations forced by a diagram on one instance, as
+    relation codes by ranks: 1 below, 0 tied, -1 above."""
+    minimal = min_worlds(t, p)
+    r = t.rank
+
+    def code(x, y):
+        if x == y:
+            return 0
+        xmin, ymin = minimal >> x & 1, minimal >> y & 1
+        if xmin and ymin:
+            return 0
+        if xmin:
+            return 1
+        if ymin:
+            return -1
+        xin, yin = p >> x & 1, p >> y & 1
+        prior = postulates._code(r, x, y)
+        if xin == yin:
+            return prior
+        if xin:
+            return table[prior]
+        return -table[-prior]
+
+    worlds = range(len(r))
+    return [[code(x, y) for y in worlds] for x in worlds]
+
+
+def _oracle_intransitive_triple(codes):
+    worlds = range(len(codes))
+    for x in worlds:
+        for y in worlds:
+            if codes[x][y] < 0:
+                continue
+            for z in worlds:
+                if codes[y][z] >= 0 and codes[x][z] < 0:
+                    return (x, y, z)
+    return None
+
+
+def _codes_of_rows(rows):
+    """Relation codes from ``at most`` rows: x below y iff x is at most y
+    and y is not at most x."""
+    worlds = range(len(rows))
+    return [[(rows[x] >> y & 1) - (rows[y] >> x & 1) for y in worlds] for x in worlds]
+
+
+def _assert_forced_rows_match(t):
+    own = postulates._relations(t)
+    for table in postulates._DIAGRAMS.values():
+        for p in propositions(t.n_atoms):
+            rows = postulates._forced_rows(table, t, p, own)
+            codes = _oracle_forced_codes(table, t, p)
+            assert _codes_of_rows(rows) == codes, (table, t, p)
+            expected = _oracle_intransitive_triple(codes)
+            assert postulates._intransitive_triple(rows) == expected, (table, t, p)
+
+
+def test_the_named_diagrams_are_every_legal_table():
+    # a table may not send a prior relation downwards (see _diagram_table)
+    legal = {(1, tie, above) for tie in (1, 0) for above in (1, 0, -1)}
+    named = {(table[1], table[0], table[-1]) for table in postulates._DIAGRAMS.values()}
+    assert named == legal and len(postulates._DIAGRAMS) == 6
+
+
+def test_forced_rows_and_triples_match_the_relation_codes_on_every_two_atom_instance():
+    for t in enumerate_tpos(2):
+        _assert_forced_rows_match(t)
+
+
+def test_forced_rows_and_triples_match_the_relation_codes_on_three_atom_preorders():
+    rng = random.Random(16)
+    for _ in range(12):
+        _assert_forced_rows_match(tpo_at_index(rng.randrange(count_tpos(3)), 3))
+
+
 # ---------------------------------------------------------------------------
 # Claims
 
@@ -520,10 +608,8 @@ def test_cr_spu_wpu_equivalence_extends_to_tabular_operators():
     for seed in range(4):
         op = make_random_dp_operator(seed, 2)
         for con in Contraction:
-            cr = all(postulate_holds(f"CR{i}", op, con, n_atoms=2) for i in (1, 2, 3, 4))
-            spu_wpu = postulate_holds("SPU", op, con, n_atoms=2) and postulate_holds(
-                "WPU", op, con, n_atoms=2
-            )
+            cr = all(holds(f"CR{i}", op, con) for i in (1, 2, 3, 4))
+            spu_wpu = holds("SPU", op, con) and holds("WPU", op, con)
             assert cr == spu_wpu
 
 
@@ -581,7 +667,7 @@ def _rank_iiap(ctx, pair):
     code = postulates._code
     t1, t2 = pair
     r1, r2 = t1.rank, t2.rank
-    for (p, min1, q1), (_, min2, q2) in zip(ctx.orders(t1).rows(), ctx.orders(t2).rows()):
+    for (p, min1, q1), (_, min2, q2) in zip(ctx.rows(t1), ctx.rows(t2)):
         blocked = min1 | min2
         r1q, r2q = q1.rank, q2.rank
         for x, y, xy in ctx.pairs:
@@ -924,6 +1010,14 @@ def test_orbit_verdicts_equal_the_full_scan(monkeypatch):
     assert orbit == [postulates._holding(ids, rev, con, 2) for ids, rev, con in cases]
 
 
+def test_diagram_reports_equal_the_full_scan(monkeypatch):
+    diagrams = [*DIAGRAM_IDS, {1: 1, 0: 0, -1: 0}, {1: 1, 0: 1, -1: 1}]
+    orbit = [check_diagram(d, 2) for d in diagrams]
+    assert [r.violations for r in orbit[:6]] == [0, 0, 0, 288, 192, 96]
+    _full_scan(monkeypatch)
+    assert orbit == [check_diagram(d, 2) for d in diagrams]
+
+
 EQUIVARIANT = (
     *_BUILTIN_REVISIONS,
     *(_NliComposition(con, rev) for con in _BUILTIN_CONTRACTIONS for rev in _BUILTIN_REVISIONS),
@@ -963,14 +1057,18 @@ def test_only_equivariant_operators_take_the_orbit_route():
         random_op,
         _Reversed(),
         _NliComposition(Contraction.NATURAL, random_op),
-        *postulates._DIAGRAMS.values(),
-        {1: 1, 0: 0, -1: 0},
     ]
     for op in refused:
         assert not postulates._equivariant(op, None), op
         assert not postulates._equivariant(op, Contraction.NATURAL), op
     assert postulates._equivariant(Revision.NATURAL, Contraction.STQ_LEX)
     assert postulates._equivariant(_NliComposition(Contraction.STQ_LEX, Revision.NATURAL), None)
+    # a diagram's table fixes each posterior relation from the prior's
+    # order and the input alone; as a revision ``revise`` refuses it
+    for table in (*postulates._DIAGRAMS.values(), {1: 1, 0: 0, -1: 0}):
+        assert postulates._equivariant(table, None), table
+        with pytest.raises(TypeError):
+            revise(parse_tpo("00 | 01 | 10 | 11", 2), mod("p"), table)
 
 
 def test_a_failing_check_renders_only_the_kept_witnesses(monkeypatch):

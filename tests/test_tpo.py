@@ -8,12 +8,12 @@ from beliefchange.operators import Revision, revise
 from beliefchange.tpo import (
     Absurd,
     Tpo,
+    _a_preserving_isos,
     beliefs,
     conditional_holds,
     conditional_set,
     count_ordered_partitions,
     count_tpos,
-    enumerate_a_preserving_isos,
     enumerate_tpos,
     flatter_eq,
     format_tpo,
@@ -236,6 +236,14 @@ def _brute_force_isos(t1, t2, sentence):
         ):
             out.append(perm)
     return out
+
+
+def enumerate_a_preserving_isos(t1, t2, sentence_models):
+    """Every input-preserving isomorphism from t1 to t2, as ``_g_neut``
+    asks for them: none unless the cell sizes agree."""
+    if [m.bit_count() for m in t1.masks] != [m.bit_count() for m in t2.masks]:
+        return []
+    return _a_preserving_isos(t1.masks, t2.masks, sentence_models, 1 << t1.n_atoms)
 
 
 def test_identity_is_always_an_isomorphism_for_tautology():

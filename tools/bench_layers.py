@@ -5,7 +5,9 @@ Times, on the ``beliefchange`` package found on ``sys.path``:
 * one ``revise`` call at three atoms (mean over 2000 seeded (preorder,
   input) draws, each revised by all three built-in revisions);
 * one ``contract`` call, the same way with the three contractions;
-* one ``stq_merge`` call (mean over 2000 seeded preorder pairs);
+* one ``_merge_masks`` call, the synchronized-minima merge that
+  ``contract`` runs on cell masks (mean over 2000 seeded preorder
+  pairs);
 * 1000 calls of ``tpo_at_index(., 3)`` at seeded indices;
 * one full ``enumerate_tpos(3)``;
 * one postulate scan of one outer at three atoms, as a sampled check
@@ -24,6 +26,8 @@ Times, on the ``beliefchange`` package found on ``sys.path``:
   whole row of preorder pairs per composition;
 * one claim: ``verify_claim("T1", 2)``, the ten elementarity postulates
   for the three built-in revisions and the six diagram scans;
+* the six diagram scans alone, ``check_diagram(d, 2)`` for d in a-f,
+  which count one preorder per composition;
 * one claim: ``verify_claim("P2", 2)``, which contracts, builds
   conditional sets and tests membership in them for every two-atom
   preorder and input, and keeps no cache between calls;
@@ -60,12 +64,14 @@ import time
 from functools import partial
 
 from beliefchange.cli import closure_answer, parse_conditional_set
-from beliefchange.lang import dnf_of_worlds
-from beliefchange.operators import Contraction, Revision, contract, revise, stq_merge
+from beliefchange.lang import all_worlds, dnf_of_worlds
+from beliefchange.operators import Contraction, Revision, _merge_masks, contract, revise
 from beliefchange.postulates import (
     _POSTULATES,
+    DIAGRAM_IDS,
     _Ctx,
     _scan,
+    check_diagram,
     check_postulate,
     pair_profile,
     verify_claim,
@@ -120,7 +126,7 @@ def main() -> None:
     props = propositions(3)
     pool = [tpo_at_index(rng.randrange(total), 3) for _ in range(200)]
     inputs = [(rng.choice(pool), rng.choice(props)) for _ in range(DRAWS)]
-    pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(DRAWS)]
+    pairs = [(rng.choice(pool).masks, rng.choice(pool).masks) for _ in range(DRAWS)]
     indices = [rng.randrange(total) for _ in range(1000)]
     outers = [tpo_at_index(rng.randrange(total), 3) for _ in range(SCANS)]
     outer_pairs = [(rng.choice(outers), rng.choice(outers)) for _ in range(SCANS)]
@@ -141,8 +147,9 @@ def main() -> None:
                 contract(t, p, method)
 
     def merges():
-        for t1, t2 in pairs:
-            stq_merge(t1, t2)
+        full = all_worlds(3)
+        for a, b in pairs:
+            _merge_masks(a, b, full)
 
     def unranks():
         for index in indices:
@@ -161,6 +168,10 @@ def main() -> None:
                 _scan(_Ctx(3, rev, con), spec, [outer], clear=True)
 
         return run
+
+    def diagrams():
+        for d in DIAGRAM_IDS:
+            check_diagram(d, 2)
 
     def claim(name="P2"):
         verify_claim(name, 2)
@@ -192,7 +203,7 @@ def main() -> None:
     layers = {
         "revise_call_us": (revisions, 3 * DRAWS, 1e6),
         "contract_call_us": (contractions, 3 * DRAWS, 1e6),
-        "stq_merge_call_us": (merges, DRAWS, 1e6),
+        "merge_masks_call_us": (merges, DRAWS, 1e6),
         "tpo_at_index_x1000_ms": (unranks, 1, 1e3),
         "enumerate_tpos_3_s": (enumeration, 1, 1.0),
         "scan_DP1_natural_ms": (scans("DP1", Revision.NATURAL), SCANS, 1e3),
@@ -213,6 +224,7 @@ def main() -> None:
         "check_Neut_natural_n2_ms": (partial(pair_check, "Neut"), 1, 1e3),
         "claim_P2_n2_s": (claim, 1, 1.0),
         "claim_T1_n2_s": (partial(claim, "T1"), 1, 1.0),
+        "diagrams_n2_ms": (diagrams, 1, 1e3),
         "claim_T3_n2_s": (equivalence, 1, 1.0),
         "pair_profile_n2_s": (profile, 1, 1.0),
         "check_DP1_natural_n3_default_s": (default_check, 1, 1.0),
