@@ -1170,7 +1170,7 @@ def _forced_rows(table, t: Tpo, p: int, own: tuple) -> list:
     ``lt`` when ``table[-1] <= 0``, plus ties when ``table[0] == 0``."""
     lt, le = own
     width = 1 << t.n_atoms
-    full = (1 << width) - 1
+    full = all_worlds(t.n_atoms)
     spread = _spread(t.n_atoms)
     minimal = min_worlds(t, p)
     models, countermodels = p & ~minimal, full & ~p
