@@ -44,7 +44,6 @@ from .operators import (
     contract,
     contract_by_negation,
     expand,
-    make_random_dp_operator,
     nli_revise,
     revise,
 )
@@ -53,6 +52,7 @@ from .postulates import (
     Witness,
     check_diagram,
     check_postulate,
+    make_random_dp_operator,
     pair_profile,
     render_machine,
     render_text,

@@ -40,7 +40,7 @@ from .exceptions import (
     ScopeError,
     UnsatisfiableError,
 )
-from .lang import MixedSet, all_worlds, check_atoms, dnf_of_worlds, models
+from .lang import MAX_ATOMS, MixedSet, all_worlds, check_atoms, dnf_of_worlds, models
 from .operators import Contraction, Revision, contract, expand, nli_revise, revise
 from .postulates import (
     CLAIM_IDS,
@@ -380,6 +380,8 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _write_report(verify_claim(args.claim, n_atoms=args.n_atoms), args.format)
         if args.command == "closure":
+            if not 1 <= args.n_atoms <= MAX_ATOMS:
+                parser.error(f"--n must be 1 to {MAX_ATOMS}, got {args.n_atoms}")
             if args.atoms:
                 atoms = tuple(args.atoms.replace(",", " ").split())
             else:

@@ -37,11 +37,9 @@ from .exceptions import (
     ScopeError,
     UnsatisfiableError,
 )
-from .lang import MixedSet, all_worlds
+from .lang import MAX_ATOMS, MixedSet, all_worlds
 from .operators import Revision, revise
 from .tpo import Tpo, flatter_eq, min_worlds, propositions
-
-MAX_CLOSURE_ATOMS = 4
 
 
 def satisfies(t: Tpo, delta: MixedSet) -> bool:
@@ -95,8 +93,8 @@ def rational_closure(delta: MixedSet, n_atoms: int) -> Tpo:
     Each rule is kept as the pair (worlds verifying it, worlds
     falsifying it).
     """
-    if n_atoms > MAX_CLOSURE_ATOMS:
-        raise ScopeError(f"closure supports at most {MAX_CLOSURE_ATOMS} atoms")
+    if n_atoms > MAX_ATOMS:
+        raise ScopeError(f"closure supports at most {MAX_ATOMS} atoms")
     full = all_worlds(n_atoms)
     rules = [(full, delta.plain_models)]
     rules.extend((a, b) for a, b in delta.strongest_map().items() if a)

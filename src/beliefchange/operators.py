@@ -25,27 +25,22 @@ n_atoms)``.  Every input mask is checked against the preorder's world
 set first: anything but a nonnegative int with no bit beyond it raises
 ``ValueError``.
 
+Any object with a ``posterior`` method revises too, e.g. a
+``TabularRevision``.  Its seeded random instances, which pass Success
+and DP1-DP4 by construction, are built by
+``postulates.make_random_dp_operator`` from the checker's own DP rules.
+
 All functions are pure; every value is immutable.
 """
 
 from __future__ import annotations
 
 import enum
-import random
-from functools import lru_cache
 from typing import Union
 
 from .exceptions import AbsurdStateError, InconsistentInputError
 from .lang import all_worlds
-from .tpo import (
-    Absurd,
-    State,
-    Tpo,
-    _input_mask,
-    _min_mask,
-    enumerate_tpos,
-    propositions,
-)
+from .tpo import Absurd, State, Tpo, _input_mask, _min_mask
 
 
 class Revision(enum.Enum):
@@ -76,8 +71,9 @@ class TabularRevision:
 
     Used as a fuzzing substrate: tables are keyed by the prior's cell
     masks and the input's world mask, so equal preorders always revise
-    identically.  Tables built by ``make_random_dp_operator`` satisfy
-    success and the four iterated-revision postulates by construction.
+    identically.  Tables built by ``postulates.make_random_dp_operator``
+    satisfy success and the four iterated-revision postulates by
+    construction.
     """
 
     def __init__(self, n_atoms: int, table: dict, seed: int | None = None):
@@ -232,68 +228,3 @@ def contract_by_negation(
     if not negated:
         return t
     return _contraction(t, negated, method)
-
-
-# ---------------------------------------------------------------------------
-# Randomised operators satisfying the iterated-revision postulates
-
-def _success_and_dp(prior: Tpo, sentence_models: int, post: Tpo) -> bool:
-    """Success plus the four iterated-revision postulates, one instance."""
-    if post.masks[0] & ~sentence_models:
-        return False
-    rp, rq = prior.rank, post.rank
-    worlds = range(1 << prior.n_atoms)
-    for x in worlds:
-        xin = sentence_models >> x & 1
-        for y in worlds:
-            if y <= x:
-                continue
-            yin = sentence_models >> y & 1
-            if xin == yin:
-                if (rp[x] <= rp[y]) != (rq[x] <= rq[y]) or (rp[y] <= rp[x]) != (
-                    rq[y] <= rq[x]
-                ):
-                    return False
-            else:
-                inside, outside = (x, y) if xin else (y, x)
-                if rp[inside] < rp[outside] and not rq[inside] < rq[outside]:
-                    return False
-                if rp[inside] <= rp[outside] and not rq[inside] <= rq[outside]:
-                    return False
-    return True
-
-
-@lru_cache(maxsize=4)
-def _dp_posterior_candidates(n_atoms: int) -> dict:
-    """For each (prior, input), every posterior passing ``_success_and_dp``."""
-    all_tpos = list(enumerate_tpos(n_atoms))
-    candidates: dict = {}
-    for prior in all_tpos:
-        for sentence_models in propositions(n_atoms):
-            allowed = tuple(
-                post
-                for post in all_tpos
-                if _success_and_dp(prior, sentence_models, post)
-            )
-            candidates[(prior.masks, sentence_models)] = allowed
-    return candidates
-
-
-def make_random_dp_operator(seed: int, n_atoms: int) -> TabularRevision:
-    """Seeded uniform choice of a posterior per (prior, input).
-
-    Every entry independently picks one of the posteriors satisfying
-    success and the iterated-revision postulates relative to its prior,
-    so the operator passes those checks by construction while being free
-    to break any cross-prior or cross-input coherence.
-    """
-    if n_atoms > 2:
-        raise ValueError("random tabular operators are supported for at most 2 atoms")
-    rng = random.Random(seed)
-    candidates = _dp_posterior_candidates(n_atoms)
-    table = {}
-    # Insertion order of the candidate map is the enumeration order of
-    # (prior, input) pairs, so the draws line up identically per seed.
-    for key, allowed in candidates.items():
-        table[key] = allowed[rng.randrange(len(allowed))]
-    return TabularRevision(n_atoms, table, seed=seed)

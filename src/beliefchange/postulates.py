@@ -9,7 +9,9 @@ worker count produce byte-identical reports.
 The fourteen pair-relation postulates (DP1-4, CC1-4, CR1-4, SPU, WPU)
 are rows of one table, ``_PAIR_RULES``: premise orders, a conclusion
 order, a region of world pairs relative to the input, and the relation
-the conclusion must keep.  NLI and iLIRC share one generator; they
+the conclusion must keep.  The seeded random revisions of claim P1
+(``make_random_dp_operator``) pick each posterior among those that pass
+Success and the DP1-DP4 rows.  NLI and iLIRC share one generator; they
 differ only in the final revision of the contraction route.
 
 The pair rules and IIAP work on bit matrices: a preorder's pair
@@ -127,9 +129,9 @@ from .operators import (
     Contraction,
     Revision,
     RevisionMethod,
+    TabularRevision,
     contract,
     contract_by_negation,
-    make_random_dp_operator,
     method_name,
     nli_revise,
     revise,
@@ -150,6 +152,7 @@ from .tpo import (
 
 WITNESS_CAP = 10
 _CHUNKS = 16
+_P1_OPERATORS = 100  # seeded random DP revisions in claim P1
 
 POSTULATE_IDS = (
     "Success",
@@ -367,10 +370,12 @@ class _Ctx:
     def matrices(self, name: str, t: Tpo, inputs: range) -> list:
         """The named order's pair matrices in input order, entry i for
         input i + 1, for at least ``inputs`` (``props`` or its prefix
-        ``props_proper``)."""
-        if name == "prior":  # the same for every input
+        ``props_proper``).  Two names have no entry in ``_ORDERS``:
+        ``prior`` is t itself on every input, and ``revneg`` revises t by
+        the complement of p, which is the revision by full - p."""
+        if name == "prior":
             return [self.own(t)] * len(inputs)
-        if name == "revneg":  # revising by the complement of p revises by full - p
+        if name == "revneg":
             rev = self.matrices("rev", t, self.props_proper)
             return [rev[self.full - p - 1] for p in inputs]
         memo = self._by_order["matrices", name]
@@ -493,26 +498,25 @@ def _g_success(ctx, t):
 # The fourteen pair-relation postulates share one shape: for the world
 # pairs in a region of the input p, the conclusion order keeps the
 # relation that the premise orders give the pair.  Orders, for prior t:
-# ``prior`` is t; ``rev``/``con`` revise/contract t by p; ``revneg``
-# revises t by the complement of p; ``conneg`` contracts t by it;
-# ``natural`` revises t by p with natural revision (iLIRC's route).  The
-# operators ``ops.rev`` and ``ops.con`` and the world mask ``ops.full``
-# come from the scan context, which keeps each order it computes.
+# ``rev``/``con`` revise/contract t by p; ``conneg`` contracts t by the
+# complement of p; ``natural`` revises t by p with natural revision
+# (iLIRC's route).  The rules also read ``prior`` and ``revneg``, whose
+# matrices ``_Ctx.matrices`` gives without an order of their own.  The
+# operators ``ops.rev`` and ``ops.con`` come from the scan context, which
+# keeps each order it computes.
 # Relations: ``same`` keeps the pair's relation code, whatever it is;
 # ``strict`` ("x below y") and ``weak`` ("x at most y") are kept whenever
 # every premise order holds them.
 
 _ORDERS = {
-    "prior": lambda ops, t, p: t,
     "rev": lambda ops, t, p: revise(t, p, ops.rev),
-    "revneg": lambda ops, t, p: revise(t, ops.full & ~p, ops.rev),
     "con": lambda ops, t, p: contract(t, p, ops.con),
     "conneg": lambda ops, t, p: contract_by_negation(t, p, ops.con),
     "natural": lambda ops, t, p: revise(t, p, Revision.NATURAL),
 }
 
-# The operator each order reads; ``prior`` and ``natural`` read neither.
-_READS = {"rev": "rev", "revneg": "rev", "con": "con", "conneg": "con"}
+# The operator each order reads; ``natural`` reads neither.
+_READS = {"rev": "rev", "con": "con", "conneg": "con"}
 
 # region: (ordered pairs?, x in p, y in p), None leaving a side free.
 # The same-side regions take pairs x < y; the others take ordered pairs.
@@ -567,6 +571,50 @@ _PAIR_RULES = {
     "SPU": (("prior", "revneg"), "con", "all", "strict"),
     "WPU": (("prior", "revneg"), "con", "all", "weak"),
 }
+
+
+@lru_cache(maxsize=4)
+def _dp_posterior_candidates(n_atoms: int) -> dict:
+    """For each (prior, input), in enumeration and input order, every
+    preorder of the enumeration, in its order, that may revise it: its
+    first cell lies inside the input (Success), and no rule DP1-DP4 of
+    ``_PAIR_RULES`` finds a broken pair from the prior to it."""
+    pool = _enumeration(n_atoms)
+    matrices = [_relations(t) for t in pool]
+    rules = [
+        (_region_masks(region, n_atoms), _BROKEN[relation])
+        for _, _, region, relation in (_PAIR_RULES[f"DP{i}"] for i in (1, 2, 3, 4))
+    ]
+    candidates = {}
+    for prior, own in zip(pool, matrices):
+        for p in propositions(n_atoms):
+            checks = [(regions[p], broken) for regions, broken in rules]
+            candidates[prior.masks, p] = tuple(
+                post
+                for post, after in zip(pool, matrices)
+                if not post.masks[0] & ~p
+                and not any(region & broken(own, after) for region, broken in checks)
+            )
+    return candidates
+
+
+def make_random_dp_operator(seed: int, n_atoms: int) -> TabularRevision:
+    """Seeded uniform choice of a posterior per (prior, input).
+
+    Every entry independently picks one of the posteriors satisfying
+    success and the iterated-revision postulates relative to its prior,
+    so the operator passes those checks by construction while being free
+    to break any cross-prior or cross-input coherence.
+    """
+    if n_atoms > 2:
+        raise ValueError("random tabular operators are supported for at most 2 atoms")
+    rng = random.Random(seed)
+    table = {}
+    # Insertion order of the candidate map is the enumeration order of
+    # (prior, input) pairs, so the draws line up identically per seed.
+    for key, allowed in _dp_posterior_candidates(n_atoms).items():
+        table[key] = allowed[rng.randrange(len(allowed))]
+    return TabularRevision(n_atoms, table, seed=seed)
 
 
 def _iiap_masks(ctx, pair):
@@ -1408,8 +1456,10 @@ def _verify_t4(n_atoms: int):
     return tally.instances, tally.violations, detail, tally.witnesses()
 
 
-def _verify_p1(n_atoms: int, operators: int = 100):
-    pool = [(f"seed {seed}", make_random_dp_operator(seed, n_atoms)) for seed in range(operators)]
+def _verify_p1(n_atoms: int):
+    pool = [
+        (f"seed {seed}", make_random_dp_operator(seed, n_atoms)) for seed in range(_P1_OPERATORS)
+    ]
     # The three built-ins cover the branch where both sides hold.
     pool.extend((rev.value, rev) for rev in _BUILTIN_REVISIONS)
     tally = _Tally(_Ctx(n_atoms))
@@ -1423,7 +1473,7 @@ def _verify_p1(n_atoms: int, operators: int = 100):
         if betas:
             both_hold += 1
     detail = (
-        f"operators={len(pool)} ({operators} seeded random, 3 built-in); both "
+        f"operators={len(pool)} ({_P1_OPERATORS} seeded random, 3 built-in); both "
         f"sides hold for {both_hold}, fail for {len(pool) - both_hold}; "
         f"equivalence mismatches: {tally.violations}"
     )
@@ -1528,17 +1578,14 @@ def _verify_l_flattest(n_atoms: int):
     ctx = _Ctx(n_atoms)
     pool = _enumeration(n_atoms)
     tally = _Tally(ctx)
+    dropped = _BROKEN["strict"]  # t's strict preferences that s does not keep
     for t in pool:
-        r = t.rank
-        strict = tuple((x, y) for x, y, _ in ctx.opairs if r[x] < r[y])
+        own = ctx.own(t)
         for p in ctx.props:
             tally.instances += 1
             flattest = revise(t, p, Revision.NATURAL)
             for s in pool:
-                if s.masks[0] & ~p:
-                    continue
-                rs = s.rank
-                if any(not rs[x] < rs[y] for x, y in strict):
+                if s.masks[0] & ~p or dropped(own, ctx.own(s)):
                     continue
                 if not flatter_eq(flattest, s):
                     tally.add(
@@ -1566,14 +1613,14 @@ _CLAIMS = {
 }
 
 
-def verify_claim(claim: str, n_atoms: int = 2, **kwargs) -> CheckReport:
+def verify_claim(claim: str, n_atoms: int = 2) -> CheckReport:
     """Compile one named claim to its exhaustive check and report on it."""
     if claim not in _CLAIMS:
         raise ValueError(f"unknown claim {claim!r}")
     _validate_atoms(n_atoms)
     if n_atoms > 2:
         raise ScopeError("claim verification is exhaustive and supports at most 2 atoms")
-    instances, failures, detail, witnesses = _CLAIMS[claim](n_atoms, **kwargs)
+    instances, failures, detail, witnesses = _CLAIMS[claim](n_atoms)
     return CheckReport(
         check_id=claim,
         revision=None,

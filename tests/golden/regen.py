@@ -56,12 +56,7 @@ import sys
 from pathlib import Path
 
 from beliefchange import cli
-from beliefchange.operators import (
-    Contraction,
-    Revision,
-    make_random_dp_operator,
-    revise,
-)
+from beliefchange.operators import Contraction, Revision, revise
 from beliefchange.postulates import (
     _POSTULATES,
     CLAIM_IDS,
@@ -69,6 +64,7 @@ from beliefchange.postulates import (
     POSTULATE_IDS,
     check_diagram,
     check_postulate,
+    make_random_dp_operator,
     render_machine,
 )
 from beliefchange.tpo import Tpo

@@ -172,7 +172,7 @@ def test_criterion_08_impossibility_regression():
 
 def test_criterion_09_beta_iiai_equivalence_on_random_operators():
     start = time.perf_counter()
-    result = verify_claim("P1", operators=100)
+    result = verify_claim("P1")
     assert result.passed and result.violations == 0
     assert result.instances >= 100
     elapsed = time.perf_counter() - start

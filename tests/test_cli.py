@@ -224,6 +224,19 @@ def test_closure_custom_atoms(tmp_path, capsys):
     assert main(["closure", str(path), "--n", "2"]) == 2  # unknown atoms
 
 
+@pytest.mark.parametrize("n_atoms", ["-1", "0", "5"])
+def test_closure_atom_count_out_of_range_is_a_usage_error(n_atoms, tmp_path, capsys):
+    # checked before any default atom names are taken from --n
+    path = tmp_path / "set.txt"
+    path.write_text("p\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["closure", str(path), "--n", n_atoms])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--n must be 1 to 4, got {n_atoms}" in err
+    assert "--atoms" not in err
+
+
 def test_closure_at_four_atoms(tmp_path, capsys):
     path = tmp_path / "set.txt"
     path.write_text("true => ~p\np => q\np => ~q | r\n")

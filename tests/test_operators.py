@@ -16,12 +16,16 @@ from beliefchange.operators import (
     contract,
     contract_by_negation,
     expand,
-    make_random_dp_operator,
     nli_revise,
     revise,
 )
 from beliefchange.operators import _merge_masks
-from beliefchange.postulates import _equivariant, _holding, _NliComposition
+from beliefchange.postulates import (
+    _equivariant,
+    _holding,
+    _NliComposition,
+    make_random_dp_operator,
+)
 from beliefchange.tpo import (
     Absurd,
     Tpo,

@@ -19,7 +19,6 @@ from beliefchange.operators import (
     Revision,
     TabularRevision,
     contract_by_negation,
-    make_random_dp_operator,
     method_name,
     revise,
 )
@@ -36,6 +35,7 @@ from beliefchange.postulates import (
     _NliComposition,
     check_diagram,
     check_postulate,
+    make_random_dp_operator,
     pair_profile,
     render_machine,
     render_text,
@@ -570,9 +570,9 @@ def test_pair_profile_shape():
 
 
 def test_small_p1_claim_runs():
-    report = verify_claim("P1", operators=5)
+    report = verify_claim("P1")
     assert report.passed
-    assert report.instances == 8  # 5 seeded + 3 built-in
+    assert report.instances == 103  # 100 seeded + 3 built-in
 
 
 def test_exhaustive_outer_sizes():
@@ -585,26 +585,84 @@ def test_exhaustive_outer_sizes():
 # Cross-validation against independent routes
 
 
-def test_checker_dp_scans_agree_with_construction_filter():
-    # The candidate filter in the operators module is an independently
-    # written success+DP predicate; the three built-ins must pass it on
-    # every instance, exactly as the scan-based checks say they do.
-    from beliefchange.operators import _success_and_dp
-    from beliefchange.tpo import enumerate_tpos, propositions
-    from beliefchange.operators import revise
+def _success_and_dp(prior, sentence_models, post):
+    """Success plus the four iterated-revision postulates, one instance,
+    read on ranks: the oracle for the pair-matrix rows."""
+    if post.masks[0] & ~sentence_models:
+        return False
+    rp, rq = prior.rank, post.rank
+    worlds = range(1 << prior.n_atoms)
+    for x in worlds:
+        xin = sentence_models >> x & 1
+        for y in worlds:
+            if y <= x:
+                continue
+            yin = sentence_models >> y & 1
+            if xin == yin:
+                if (rp[x] <= rp[y]) != (rq[x] <= rq[y]) or (rp[y] <= rp[x]) != (
+                    rq[y] <= rq[x]
+                ):
+                    return False
+            else:
+                inside, outside = (x, y) if xin else (y, x)
+                if rp[inside] < rp[outside] and not rq[inside] < rq[outside]:
+                    return False
+                if rp[inside] <= rp[outside] and not rq[inside] <= rq[outside]:
+                    return False
+    return True
 
+
+def test_checker_dp_scans_agree_with_construction_filter():
+    # ``_success_and_dp`` is an independently written success+DP
+    # predicate; the three built-ins must pass it on every instance,
+    # exactly as the scan-based checks say they do.
     for method in Revision:
         for t in enumerate_tpos(2):
             for p in propositions(2):
                 assert _success_and_dp(t, p, revise(t, p, method))
 
 
+@pytest.mark.parametrize("n_atoms", [1, 2])
+def test_dp_candidates_equal_the_rank_filter(n_atoms):
+    # the random operators draw from this table, so its keys, their order
+    # and each tuple of posteriors in enumeration order must equal the
+    # rank oracle's
+    postulates._dp_posterior_candidates.cache_clear()
+    got = postulates._dp_posterior_candidates(n_atoms)
+    pool = list(enumerate_tpos(n_atoms))
+    expected = {
+        (prior.masks, p): tuple(post for post in pool if _success_and_dp(prior, p, post))
+        for prior in pool
+        for p in propositions(n_atoms)
+    }
+    assert list(got) == list(expected)
+    assert got == expected
+
+
+def test_strict_relation_matches_rank_preferences():
+    # L_flattest reads "s keeps every strict preference of t" as no
+    # ``strict`` bit broken; it passes with no violation, so its report
+    # would not show a predicate that drops satisfiers
+    pool = list(enumerate_tpos(2))
+    kept = 0
+    for t in pool:
+        rt = t.rank
+        strict = [(x, y) for x in range(4) for y in range(4) if rt[x] < rt[y]]
+        for s in pool:
+            rs = s.rank
+            keeps = all(rs[x] < rs[y] for x, y in strict)
+            broken = postulates._BROKEN["strict"](
+                postulates._relations(t), postulates._relations(s)
+            )
+            assert (broken == 0) == keeps, (t, s)
+            kept += keeps
+    assert 75 < kept < 75 * 75
+
+
 def test_cr_spu_wpu_equivalence_extends_to_tabular_operators():
     # The equivalence only assumes the revision satisfies DP1-4 and the
     # contraction CC1-4, so it must survive random non-elementary
     # tabular revisions paired with any built-in contraction.
-    from beliefchange.operators import make_random_dp_operator
-
     for seed in range(4):
         op = make_random_dp_operator(seed, 2)
         for con in Contraction:
@@ -638,10 +696,19 @@ def _rank_region(name, p, n_atoms):
     ]
 
 
+# The orders of ``_PAIR_RULES`` as preorders, with the two that the scan
+# context reads only as matrices
+_RANK_ORDERS = {
+    **postulates._ORDERS,
+    "prior": lambda ops, t, p: t,
+    "revneg": lambda ops, t, p: revise(t, ops.full & ~p, ops.rev),
+}
+
+
 def _rank_rule(premises, conclusion, region, relation):
     """One row of ``_PAIR_RULES`` as a generator over rank tuples."""
-    orders = [postulates._ORDERS[name] for name in premises]
-    after_order = postulates._ORDERS[conclusion]
+    orders = [_RANK_ORDERS[name] for name in premises]
+    after_order = _RANK_ORDERS[conclusion]
     # revising by the complement skips the tautology (see the module doc)
     inputs = "props_proper" if "revneg" in premises else "props"
     rel = _RANK_RELATIONS[relation]

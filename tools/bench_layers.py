@@ -35,6 +35,11 @@ Times, on the ``beliefchange`` package found on ``sys.path``:
   cleared first, so it decides NLI, CR1-4, SPU and WPU for all nine
   built-in operator pairs;
 * ``pair_profile(2)`` alone, its cache cleared first;
+* the candidate table of the random DP revisions,
+  ``_dp_posterior_candidates(2)``, its cache cleared first;
+* one claim: ``verify_claim("L_flattest", 2)``, which compares each
+  natural revision with every satisfier that keeps the prior's strict
+  preferences;
 * one full check: ``check_postulate("DP1", Revision.NATURAL, n_atoms=3,
   mode="sampled")`` at the default 10000 samples and one worker, as
   ``check DP1 natural --n 3 --mode sampled`` runs it, and the same check
@@ -50,7 +55,12 @@ Times, on the ``beliefchange`` package found on ``sys.path``:
 
 Each layer is timed ``RUNS`` times in this process after one warm-up
 pass; the output gives every reading and their median.  Preorders are
-built before timing starts.  Run it once per source tree to compare::
+built before timing starts.  Before each reading a fixed pure-Python
+loop of int, tuple and dict work is timed too (``reference_loop_ms``),
+and each layer also gives its median time per call divided by that
+loop's median time (``per_reference``).  The host's speed drifts
+between processes, so two source trees compare by that ratio.  Run it
+once per source tree::
 
     PYTHONPATH=src python3 tools/bench_layers.py
 """
@@ -70,6 +80,7 @@ from beliefchange.postulates import (
     _POSTULATES,
     DIAGRAM_IDS,
     _Ctx,
+    _dp_posterior_candidates,
     _scan,
     check_diagram,
     check_postulate,
@@ -98,6 +109,17 @@ def _per_call(fn, calls):
     start = time.perf_counter()
     fn()
     return (time.perf_counter() - start) / calls
+
+
+def _reference_loop() -> int:
+    """Fixed pure-Python work that no source tree changes."""
+    memo = {}
+    total = 0
+    for i in range(100_000):
+        key = (i & 1023, i >> 10)
+        memo[key] = memo.get(key, 0) + (i * 2654435761 & 0xFFFF).bit_count()
+        total += len(memo)
+    return total
 
 
 def _fast_path_file(t) -> str:
@@ -184,6 +206,10 @@ def main() -> None:
         pair_profile.cache_clear()
         pair_profile(2)
 
+    def dp_candidates():
+        _dp_posterior_candidates.cache_clear()
+        _dp_posterior_candidates(2)
+
     def failing_check():
         check_postulate("CR4", Revision.NATURAL, Contraction.STQ_LEX, n_atoms=2)
 
@@ -227,16 +253,27 @@ def main() -> None:
         "diagrams_n2_ms": (diagrams, 1, 1e3),
         "claim_T3_n2_s": (equivalence, 1, 1.0),
         "pair_profile_n2_s": (profile, 1, 1.0),
+        "dp_candidates_n2_ms": (dp_candidates, 1, 1e3),
+        "l_flattest_n2_ms": (partial(claim, "L_flattest"), 1, 1e3),
         "check_DP1_natural_n3_default_s": (default_check, 1, 1.0),
         "check_DP1_natural_n3_default_w2_s": (partial(default_check, 2), 1, 1.0),
         "closure_query_n3_ms": (closures, CLOSURES, 1e3),
         "parse_3000_lines_n4_ms": (parse, 1, 1e3),
     }
     out = {}
+    reference = []
+    _reference_loop()
     for name, (fn, calls, scale) in layers.items():
         fn()  # warm-up: fills the per-process tables and caches
-        readings = [_per_call(fn, calls) * scale for _ in range(RUNS)]
+        readings = []
+        for _ in range(RUNS):
+            reference.append(_per_call(_reference_loop, 1) * 1e3)
+            readings.append(_per_call(fn, calls) * scale)
         out[name] = {"median": statistics.median(readings), "runs": readings}
+    loop = statistics.median(reference)
+    for name, (_, _, scale) in layers.items():
+        out[name]["per_reference"] = out[name]["median"] / scale * 1e3 / loop
+    out["reference_loop_ms"] = {"median": loop, "runs": reference}
     print(json.dumps(out, indent=2))
 
 
