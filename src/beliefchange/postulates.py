@@ -21,10 +21,13 @@ input's violations are the set bits of a few ands and xors over a
 region mask.  That per-input mask is each such postulate's one route
 (``_masked``): its set bits, read in ascending order, are the
 witnesses in scan order, their number is the count, and any set bit is
-a failure.  IIAI and Beta1/Beta2, quadratic in the inputs, are counted
-per world pair by a closed form over the inputs grouped by their
-outcome on the pair; their witnesses come from generators that read
-ranks.
+a failure.  IIAI, Beta1/Beta2 and Neut read the same matrices, the
+revisions' from the prior's row on every input (``ctx.rows``).  IIAI
+and Beta1/Beta2, quadratic in the inputs, are counted per world pair by
+a closed form over the inputs grouped by their outcome on the pair,
+taken for every pair at once on bit-sliced counts (``_bit_counts``).
+Their witnesses, like Neut's, are the set bits of pair masks, read in
+ascending order.
 
 Each postulate is a pair of callables on (context, outer): ``gen``
 yields the outer's witnesses in order, and ``count`` says how many it
@@ -62,8 +65,9 @@ other operator (a tabular or a random operator) take the full scan.
 The scan context, ``_Ctx``, keeps one memo, by prior: the orders
 computed from it (the revision, the contraction by the negated input,
 ...), each at most once per input, with their pair matrices; the
-prior's own pair matrices; and its outcome row on every input
-(``ctx.order``, ``ctx.matrices``, ``ctx.own`` and ``ctx.rows``).  So a
+prior's own pair matrices; and its outcome row on every input: the
+input, its minimal worlds and the revision's matrices (``ctx.order``,
+``ctx.matrices``, ``ctx.own`` and ``ctx.rows``).  So a
 postulate's ``count`` and ``gen`` share one computation of each order,
 so do the postulates of one claim's verdicts, and an exhaustive pair
 scan in one job revises each prior once.  The orders are stored under
@@ -111,7 +115,6 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import operator
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -293,19 +296,6 @@ def render_machine(report: CheckReport) -> str:
 # Scan context
 
 
-@lru_cache(maxsize=None)
-def _world_pairs(n_atoms: int, ordered: bool) -> tuple:
-    """World pairs x < y, or every ordered pair x != y, x outer, each with
-    its pair mask: (x, y, mask of x and y)."""
-    worlds = range(1 << n_atoms)
-    return tuple(
-        (x, y, (1 << x) | (1 << y))
-        for x in worlds
-        for y in worlds
-        if (x != y if ordered else x < y)
-    )
-
-
 class _Ctx:
     """One run's instance space and operators, plus one memo, kept until
     ``clear``: the orders computed from each prior (see ``_ORDERS``), each
@@ -323,8 +313,6 @@ class _Ctx:
         self.props = propositions(n_atoms)
         self.props_proper = range(1, self.full)
         self.worlds = tuple(range(1 << n_atoms))
-        self.pairs = _world_pairs(n_atoms, ordered=False)
-        self.opairs = _world_pairs(n_atoms, ordered=True)
         self.rev = rev
         self.con = con
         self._own = {}  # prior: its pair matrices
@@ -389,12 +377,12 @@ class _Ctx:
         return out
 
     def rows(self, t: Tpo) -> list:
-        """(input, its minimal worlds, revision) for every input, in input
-        order."""
+        """(input, its minimal worlds, the revision's pair matrices) for
+        every input, in input order."""
         out = self._rows.get(t)
         if out is None:
-            rev = self.order("rev", t, self.props)
-            out = self._rows[t] = [(p, min_worlds(t, p), rev[p]) for p in self.props]
+            rev = self.matrices("rev", t, self.props)
+            out = self._rows[t] = [(p, min_worlds(t, p), m) for p, m in zip(self.props, rev)]
         return out
 
     def witness(self, tpos, inputs, worlds, note="") -> Witness:
@@ -445,31 +433,23 @@ class _Tally:
         return tuple(self.ctx.witness(*raw) for raw in self.raws)
 
 
-def _code(r, x, y) -> int:
-    """Relation of (x, y) under a rank map: 1 below, 0 tied, -1 above."""
-    if r[x] <= r[y]:
-        return 1 if r[y] > r[x] else 0
-    return -1
-
-
-def _icode(p, x, y) -> int:
-    """Relation of (x, y) under the input order of proposition p."""
-    return (p >> x & 1) - (p >> y & 1)
-
-
 @lru_cache(maxsize=None)
 def _spread(n_atoms: int) -> tuple:
     """For each world mask c, the int with bit W*x set for every world x
     of c (W worlds): times a world mask m, it sets row x of a pair matrix
     to m for every x in c."""
     width = 1 << n_atoms
-    return tuple(sum(1 << width * x for x in _WORLDS[c]) for c in range(1 << width))
+    out = [0]
+    for x in range(width):  # the masks with world x follow those without it
+        out += [s | 1 << width * x for s in out]
+    return tuple(out)
 
 
 def _relations(t: Tpo) -> tuple:
     """A preorder's pair matrices (lt, le): bit W*x+y of ``lt`` is set iff
-    x ranks strictly below y, of ``le`` iff x ranks at most as high.  A
-    pair's relation code (see ``_code``) follows from its two bits."""
+    x ranks strictly below y, of ``le`` iff x ranks at most as high.  The
+    two bits of a pair sum to 2 if x is below y, 1 if they tie and 0 if x
+    is above y."""
     spread = _spread(t.n_atoms)
     rest = all_worlds(t.n_atoms)
     lt = le = 0
@@ -479,6 +459,14 @@ def _relations(t: Tpo) -> tuple:
         rest &= ~c
         lt |= row * rest
     return lt, le
+
+
+def _bit_pairs(mask: int, width: int):
+    """The world pairs (x, y) of a pair matrix's set bits, bit W*x+y, in
+    ascending order."""
+    while mask:
+        yield divmod((mask & -mask).bit_length() - 1, width)
+        mask &= mask - 1
 
 
 # ---------------------------------------------------------------------------
@@ -532,18 +520,22 @@ _REGIONS = {
 @lru_cache(maxsize=None)
 def _region_masks(name: str, n_atoms: int) -> tuple:
     """The world pairs of one region as pair-matrix masks, indexed by
-    input."""
+    input: the rows of the worlds x may take, each holding the worlds y
+    may take (see ``_spread``), cut to the region's pairs."""
     ordered, x_in, y_in = _REGIONS[name]
-    width = 1 << n_atoms
-    pairs = _world_pairs(n_atoms, ordered)
-    return tuple(
-        sum(
-            1 << width * x + y
-            for x, y, _ in pairs
-            if x_in is None or (bool(p >> x & 1) is x_in and bool(p >> y & 1) is y_in)
-        )
-        for p in range(1 << width)
+    width, full, spread = 1 << n_atoms, all_worlds(n_atoms), _spread(n_atoms)
+    pairs = sum(
+        1 << width * x + y
+        for x in range(width)
+        for y in range(width)
+        if (x != y if ordered else x < y)
     )
+
+    def side(inside, p):
+        """The worlds of a free side, or of one inside or outside p."""
+        return full if inside is None else p if inside else full & ~p
+
+    return tuple(spread[side(x_in, p)] * side(y_in, p) & pairs for p in range(full + 1))
 
 
 # The relations on pair matrices (lt, le): the pairs whose relation under
@@ -606,6 +598,7 @@ def make_random_dp_operator(seed: int, n_atoms: int) -> TabularRevision:
     so the operator passes those checks by construction while being free
     to break any cross-prior or cross-input coherence.
     """
+    _validate_atoms(n_atoms)
     if n_atoms > 2:
         raise ValueError("random tabular operators are supported for at most 2 atoms")
     rng = random.Random(seed)
@@ -621,47 +614,46 @@ def _iiap_masks(ctx, pair):
     """IIAP violations: per input, the pairs x < y outside both minima
     that the priors order alike and the posteriors do not."""
     t1, t2 = pair
-    alike = ~_BROKEN["same"](ctx.own(t1), ctx.own(t2))
+    same = _BROKEN["same"]
+    alike = ~same(ctx.own(t1), ctx.own(t2))
     within = _region_masks("in", ctx.n)
     full = ctx.full
-    rev1, rev2 = (ctx.matrices("rev", t, ctx.props) for t in pair)
-    for (_, min1, _), (_, min2, _), (lt1, le1), (lt2, le2) in zip(
-        ctx.rows(t1), ctx.rows(t2), rev1, rev2
-    ):
-        yield within[full & ~(min1 | min2)] & alike & ((lt1 ^ lt2) | (le1 ^ le2))
-
-
-def _rank_rows(ctx, t) -> list:
-    """The prior's outcome rows, each with the revision's rank."""
-    return [(p, minimal, posterior.rank) for p, minimal, posterior in ctx.rows(t)]
+    for (_, min1, rev1), (_, min2, rev2) in zip(ctx.rows(t1), ctx.rows(t2)):
+        yield within[full & ~(min1 | min2)] & alike & same(rev1, rev2)
 
 
 def _g_iiai(ctx, t):
-    rows = _rank_rows(ctx, t)
-    for i, (p, min_p, rp) in enumerate(rows):
-        for q, min_q, rq in rows[i + 1 :]:
-            blocked = min_p | min_q
-            for x, y, xy in ctx.pairs:
-                if blocked & xy:
-                    continue
-                if _icode(p, x, y) == _icode(q, x, y) and _code(rp, x, y) != _code(
-                    rq, x, y
-                ):
-                    yield (t,), (p, q), (x, y), ""
+    """For inputs p < q, the pairs x < y outside both minima that the
+    inputs order alike and their revisions do not.  Two inputs order a
+    pair alike iff they agree on both worlds, or differ on both and put
+    them on one side."""
+    rows = ctx.rows(t)
+    within = _region_masks("in", ctx.n)
+    same = _BROKEN["same"]
+    full, width = ctx.full, len(ctx.worlds)
+    for i, (p, min_p, rev_p) in enumerate(rows):
+        for q, min_q, rev_q in rows[i + 1 :]:
+            free, differ = full & ~(min_p | min_q), p ^ q
+            alike = within[free & ~differ] | within[free & differ & p] | within[free & differ & q]
+            for xy in _bit_pairs(alike & same(rev_p, rev_q), width):
+                yield (t,), (p, q), xy, ""
 
 
-def _g_beta(below):
-    """Beta1 (``below`` is ``operator.le``) and Beta2 (``operator.lt``)."""
+def _g_beta(i):
+    """Beta1 (``i`` 0: the revisions' ``lt``) and Beta2 (``i`` 1: ``le``):
+    for each input a, the ordered pairs (x, y) with x in a and y out whose
+    bit a's revision lacks, each with every input c that leaves x out of
+    its minima and whose revision has it."""
 
     def gen(ctx, t):
-        rows = _rank_rows(ctx, t)
-        for a, _, ra in rows:
-            for x, y, xy in ctx.opairs:
-                # x is strictly below y in the input order of a
-                if (a & xy) != 1 << x or not below(ra[y], ra[x]):
-                    continue
-                for c, minimal, rc in rows:
-                    if not minimal >> x & 1 and not below(rc[y], rc[x]):
+        rows = ctx.rows(t)
+        in_out = _region_masks("in-out", ctx.n)
+        width = len(ctx.worlds)
+        for a, _, rev_a in rows:
+            for x, y in _bit_pairs(in_out[a] & ~rev_a[i], width):
+                bit = width * x + y
+                for c, minimal, rev_c in rows:
+                    if not minimal >> x & 1 and rev_c[i] >> bit & 1:
                         yield (t,), (a, c), (x, y), ""
 
     return gen
@@ -671,67 +663,91 @@ def _g_beta(below):
 # Violation counts grouped by world pair (same totals as the generators)
 
 
-def _c2(m: int) -> int:
-    return m * (m - 1) // 2
+def _bit_counts(masks) -> list:
+    """How many of the masks set each bit, bit-sliced: bit b of entry j
+    is bit j of the number of masks with bit b set."""
+    planes = []
+    for m in masks:
+        for j, plane in enumerate(planes):
+            planes[j], m = plane ^ m, plane & m
+            if not m:
+                break
+        else:
+            planes.append(m)
+    return planes
+
+
+def _bit_dot(a: list, b: list) -> int:
+    """The sum over bits of the products of two bit-sliced counts."""
+    return sum((x & y).bit_count() << j + k for j, x in enumerate(a) for k, y in enumerate(b))
 
 
 def _c_iiai(ctx, t):
-    """IIAI violations: per world pair, the input pairs that order it alike,
-    keep both worlds out of their minima, and order it differently after
-    revision."""
-    rows = _rank_rows(ctx, t)
-    count = 0
-    for x, y, xy in ctx.pairs:
-        groups = [0] * 9  # (input code, posterior code), both in -1..1
-        for p, minimal, r in rows:
-            if minimal & xy:
-                continue
-            icode = (p >> x & 1) - (p >> y & 1)  # _icode(p, x, y), inlined
-            groups[3 * icode + _code(r, x, y) + 4] += 1
-        for i in (0, 3, 6):
-            same_input = groups[i : i + 3]
-            count += _c2(sum(same_input)) - sum(_c2(m) for m in same_input)
-    return count
+    """IIAI violations: per world pair x < y and group of inputs that
+    order it alike, the input pairs of the group that leave both worlds
+    out of their minima and whose revisions order it differently.  The
+    groups put x and y on one side, x in and y out, or x out and y in;
+    an input's pairs sit in the first, second or third W^2 bits by its
+    group, so one bit-sliced count per relation of the revisions (below,
+    tied, above) counts every pair of every group at once."""
+    within, in_out = _region_masks("in", ctx.n), _region_masks("in-out", ctx.n)
+    full, size = ctx.full, len(ctx.worlds) ** 2
+    copies = 1 | 1 << size | 1 << 2 * size
+    below, tied, above = [], [], []
+    for p, minimal, (lt, le) in ctx.rows(t):
+        free = full & ~minimal
+        pairs = within[free]
+        grouped = within[free & p] | within[free & ~p] | (pairs & in_out[p]) << size
+        grouped |= (pairs & in_out[full & ~p]) << 2 * size
+        below.append(grouped & lt * copies)
+        tied.append(grouped & (le & ~lt) * copies)
+        above.append(grouped & ~(le * copies))
+    below, tied, above = (_bit_counts(m) for m in (below, tied, above))
+    return _bit_dot(below, tied) + _bit_dot(below, above) + _bit_dot(tied, above)
 
 
-def _c_beta(below):
-    """Beta1/Beta2 violations: per ordered pair (x, y), inputs a that put
-    x in and y out yet rank y below x, times inputs c that leave x out of
-    their minima and do not rank y below x."""
+def _c_beta(i):
+    """Beta1/Beta2 violations: per ordered pair (x, y), the inputs a whose
+    violation pairs (see ``_g_beta``) hold it, times the inputs c that
+    leave x out of their minima and whose revision's matrix ``i`` holds
+    it."""
 
     def count(ctx, t):
-        rows = _rank_rows(ctx, t)
-        total = 0
-        for x, y, xy in ctx.opairs:
-            bx = 1 << x
-            before = sum(1 for a, _, r in rows if (a & xy) == bx and below(r[y], r[x]))
-            if before:
-                total += before * sum(
-                    1 for _, minimal, r in rows
-                    if not minimal & bx and not below(r[y], r[x])
-                )
-        return total
+        rows = ctx.rows(t)
+        in_out, spread, full = _region_masks("in-out", ctx.n), _spread(ctx.n), ctx.full
+        before = _bit_counts(in_out[a] & ~rev[i] for a, _, rev in rows)
+        # spread[m] * full: the pairs (x, y) with x in m
+        after = _bit_counts(spread[full & ~minimal] * full & rev[i] for _, minimal, rev in rows)
+        return _bit_dot(before, after)
 
     return count
 
 
 def _g_neut(ctx, pair):
+    """For each input and each isomorphism of the priors that keeps it,
+    the pairs x < y that the first prior's revision orders unlike the
+    second's pulled back along the isomorphism: none if the isomorphism
+    maps each cell of the first revision onto that of the second."""
     t1, t2 = pair
     if _composition(t1) != _composition(t2):
         return
-    n_worlds = len(ctx.worlds)
+    upper = _region_masks("in", ctx.n)[ctx.full]
+    width = len(ctx.worlds)
     for p in ctx.props:
-        perms = _a_preserving_isos(t1.masks, t2.masks, p, n_worlds)
+        perms = _a_preserving_isos(t1.masks, t2.masks, p, width)
         if perms:
-            r1q, r2q = (ctx.order("rev", t, (p,))[p].rank for t in pair)
+            rev1, rev2 = (ctx.order("rev", t, (p,))[p] for t in pair)
         for perm in perms:
-            for x, y, _ in ctx.pairs:
-                if _code(r1q, x, y) != _code(r2q, perm[x], perm[y]):
-                    mapping = ",".join(
-                        f"{world_str(w, ctx.n)}->{world_str(perm[w], ctx.n)}"
-                        for w in ctx.worlds
-                    )
-                    yield (t1, t2), (p,), (x, y), f"isomorphism {mapping}"
+            if tuple(sum(1 << perm[x] for x in _WORLDS[c]) for c in rev1.masks) == rev2.masks:
+                continue
+            inverse = sorted(ctx.worlds, key=perm.__getitem__)
+            pulled = Tpo(tuple(sum(1 << inverse[w] for w in _WORLDS[c]) for c in rev2.masks), ctx.n)
+            bad = upper & _BROKEN["same"](_relations(rev1), _relations(pulled))
+            mapping = ",".join(
+                f"{world_str(w, ctx.n)}->{world_str(perm[w], ctx.n)}" for w in ctx.worlds
+            )
+            for xy in _bit_pairs(bad, width):
+                yield (t1, t2), (p,), xy, f"isomorphism {mapping}"
 
 
 def _g_red(ctx, t):
@@ -762,15 +778,10 @@ def _g_li_beliefs(ctx, t):
             yield (t,), (p,), (), "revision beliefs differ from post-contraction minima"
 
 
-def _lowest_pair(mask: int, width: int) -> tuple:
-    """The world pair (x, y) of a pair matrix's lowest set bit, W*x+y."""
-    return divmod((mask & -mask).bit_length() - 1, width)
-
-
 def _first_diff_pair(ctx, ta: Tpo, tb: Tpo) -> tuple:
     """The first pair x < y that two different orders relate differently:
     their ``same`` mask is symmetric, so its lowest set bit has x < y."""
-    return _lowest_pair(_BROKEN["same"](_relations(ta), _relations(tb)), len(ctx.worlds))
+    return next(_bit_pairs(_BROKEN["same"](_relations(ta), _relations(tb)), len(ctx.worlds)))
 
 
 def _routed_rule(final: Revision | None, route: str):
@@ -836,9 +847,8 @@ def _masked(masks, inputs: str = "props", **kw) -> _PostulateDef:
     def gen(ctx, outer):
         tpos = outer if pair_outer else (outer,)
         for p, bad in zip(getattr(ctx, inputs), masks(ctx, outer)):
-            while bad:
-                yield tpos, (p,), _lowest_pair(bad, len(ctx.worlds)), ""
-                bad &= bad - 1
+            for xy in _bit_pairs(bad, len(ctx.worlds)):
+                yield tpos, (p,), xy, ""
 
     return _PostulateDef(
         gen,
@@ -886,13 +896,13 @@ _POSTULATES = {
         inputs_per_outer=lambda ctx: len(ctx.props) * (len(ctx.props) - 1) // 2,
     ),
     "Beta1": _PostulateDef(
-        _g_beta(operator.le),
-        count=_c_beta(operator.le),
+        _g_beta(0),
+        count=_c_beta(0),
         inputs_per_outer=lambda ctx: len(ctx.props) ** 2,
     ),
     "Beta2": _PostulateDef(
-        _g_beta(operator.lt),
-        count=_c_beta(operator.lt),
+        _g_beta(1),
+        count=_c_beta(1),
         inputs_per_outer=lambda ctx: len(ctx.props) ** 2,
     ),
     "Neut": _PostulateDef(_g_neut, pair_outer=True),
@@ -1012,11 +1022,12 @@ def _counted(ctx: _Ctx, spec: _PostulateDef, outers):
     taken once per composition and read back for every later preorder of
     that composition.  A whole row, a first preorder with every preorder,
     finds as many violations as any other whole row whose first preorder
-    has that composition: a permutation maps the one row onto the other.  So the first whole row of each composition is
-    counted pair by pair, and if it finds no violation every later whole
-    row of that composition is read back as zeros.  Every other row (cut
-    by a job's bounds, drawn, with violations, or under other operators)
-    is counted pair by pair."""
+    has that composition: a permutation maps the one row onto the other.
+    So the first whole row of each composition is counted pair by pair,
+    and if it finds no violation every later whole row of that
+    composition is read back as zeros.  Every other row (cut by a job's
+    bounds, drawn, with violations, or under other operators) is counted
+    pair by pair."""
     equivariant = _equivariant(ctx.rev, ctx.con)
     if spec.pair_outer:
         clean = set()  # compositions of whole rows without a violation

@@ -3,6 +3,7 @@ import json
 import operator
 import random
 import weakref
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -13,7 +14,7 @@ from beliefchange.exceptions import (
     MissingContractionError,
     ScopeError,
 )
-from beliefchange.lang import all_worlds, models, parse_world
+from beliefchange.lang import all_worlds, models, parse_world, world_str
 from beliefchange.operators import (
     Contraction,
     Revision,
@@ -44,6 +45,7 @@ from beliefchange.postulates import (
 )
 from beliefchange.tpo import (
     Tpo,
+    _a_preserving_isos,
     count_tpos,
     enumerate_tpos,
     min_worlds,
@@ -114,6 +116,33 @@ def test_every_witness_of_a_failing_iiap_report_replays():
     assert check_postulate("IIAP", op, n_atoms=2, workers=2) == report
 
 
+@pytest.mark.parametrize(
+    "make_op, scope, expected",
+    [
+        (
+            lambda: make_random_dp_operator(0, 2),
+            {"n_atoms": 2},
+            {"IIAI": 454, "Beta1": 326, "Beta2": 297, "Neut": 1974},
+        ),
+        (
+            lambda: _NliComposition(Contraction.STQ_LEX, Revision.NATURAL),
+            {"n_atoms": 3, "mode": "sampled", "seed": 1, "sample": 3},
+            {"IIAI": 56919, "Beta1": 32844, "Beta2": 31108},
+        ),
+    ],
+    ids=["random-dp", "stq-lex-then-natural"],
+)
+def test_every_witness_of_a_failing_quadratic_or_neutrality_report_replays(
+    make_op, scope, expected
+):
+    op = make_op()
+    for postulate, violations in expected.items():
+        report = check_postulate(postulate, op, **scope)
+        assert report.violations == violations and len(report.witnesses) == WITNESS_CAP
+        for witness in report.witnesses:
+            assert replay_witness(postulate, witness, op, n_atoms=scope["n_atoms"]), witness
+
+
 def test_doctored_witness_does_not_replay():
     witness = Witness(
         tpos=("00 | 01 | 10 | 11",),
@@ -176,6 +205,12 @@ def test_atom_count_below_one_is_rejected(n_atoms):
         holds("DP1", Revision.NATURAL, n_atoms=n_atoms)
     with pytest.raises(ScopeError):
         verify_claim("T2", n_atoms=n_atoms)
+
+
+@pytest.mark.parametrize("n_atoms", [0, -1])
+def test_random_dp_operators_reject_atom_counts_below_one(n_atoms):
+    with pytest.raises(ScopeError, match="at least 1 atom is required"):
+        make_random_dp_operator(1, n_atoms)
 
 
 def test_t1_needs_two_atoms():
@@ -467,6 +502,13 @@ def test_custom_diagram_equal_to_builtin_behaves_identically():
     assert builtin.violations == custom.violations
 
 
+def _code(r, x, y):
+    """Relation of (x, y) under a rank map: 1 below, 0 tied, -1 above."""
+    if r[x] <= r[y]:
+        return 1 if r[y] > r[x] else 0
+    return -1
+
+
 def _oracle_forced_codes(table, t, p):
     """Posterior pair relations forced by a diagram on one instance, as
     relation codes by ranks: 1 below, 0 tied, -1 above."""
@@ -484,7 +526,7 @@ def _oracle_forced_codes(table, t, p):
         if ymin:
             return -1
         xin, yin = p >> x & 1, p >> y & 1
-        prior = postulates._code(r, x, y)
+        prior = _code(r, x, y)
         if xin == yin:
             return prior
         if xin:
@@ -672,8 +714,8 @@ def test_cr_spu_wpu_equivalence_extends_to_tabular_operators():
 
 
 # ---------------------------------------------------------------------------
-# Violation counts and witnesses against independent routes: the pair
-# rules, IIAP and NLI/iLIRC read pair masks, and these oracles read ranks
+# Violation counts and witnesses against independent routes: the scans
+# read pair matrices, and these oracles read ranks
 
 QUADRATIC = ("IIAI", "Beta1", "Beta2")
 PAIR_RULES = tuple(postulates._PAIR_RULES)
@@ -686,12 +728,22 @@ _RANK_RELATIONS = {
 }
 
 
+@lru_cache(maxsize=None)
+def _world_pairs(n_atoms, ordered):
+    """World pairs x < y, or every ordered pair x != y, x outer, each with
+    its pair mask: (x, y, mask of x and y)."""
+    worlds = range(1 << n_atoms)
+    return tuple(
+        (x, y, 1 << x | 1 << y) for x in worlds for y in worlds if (x != y if ordered else x < y)
+    )
+
+
 def _rank_region(name, p, n_atoms):
     """The world pairs of one region of input p, in scan order."""
     ordered, x_in, y_in = postulates._REGIONS[name]
     return [
         (x, y)
-        for x, y, _ in postulates._world_pairs(n_atoms, ordered)
+        for x, y, _ in _world_pairs(n_atoms, ordered)
         if x_in is None or (bool(p >> x & 1) is x_in and bool(p >> y & 1) is y_in)
     ]
 
@@ -730,24 +782,81 @@ def _rank_rule(premises, conclusion, region, relation):
     return gen
 
 
+def _icode(p, x, y):
+    """Relation of (x, y) under the input order of proposition p."""
+    return (p >> x & 1) - (p >> y & 1)
+
+
+def _rank_rows(ctx, t):
+    """(input, its minimal worlds, the revision's rank) for every input."""
+    rev = ctx.order("rev", t, ctx.props)
+    return [(p, min_worlds(t, p), rev[p].rank) for p in ctx.props]
+
+
 def _rank_iiap(ctx, pair):
-    code = postulates._code
     t1, t2 = pair
     r1, r2 = t1.rank, t2.rank
-    for (p, min1, q1), (_, min2, q2) in zip(ctx.rows(t1), ctx.rows(t2)):
+    for (p, min1, r1q), (_, min2, r2q) in zip(_rank_rows(ctx, t1), _rank_rows(ctx, t2)):
         blocked = min1 | min2
-        r1q, r2q = q1.rank, q2.rank
-        for x, y, xy in ctx.pairs:
+        for x, y, xy in _world_pairs(ctx.n, False):
             if not blocked & xy and (
-                code(r1, x, y) == code(r2, x, y) and code(r1q, x, y) != code(r2q, x, y)
+                _code(r1, x, y) == _code(r2, x, y) and _code(r1q, x, y) != _code(r2q, x, y)
             ):
                 yield (t1, t2), (p,), (x, y), ""
 
 
+def _rank_iiai(ctx, t):
+    rows = _rank_rows(ctx, t)
+    for i, (p, min_p, rp) in enumerate(rows):
+        for q, min_q, rq in rows[i + 1 :]:
+            blocked = min_p | min_q
+            for x, y, xy in _world_pairs(ctx.n, False):
+                if blocked & xy:
+                    continue
+                if _icode(p, x, y) == _icode(q, x, y) and _code(rp, x, y) != _code(rq, x, y):
+                    yield (t,), (p, q), (x, y), ""
+
+
+def _rank_beta(below):
+    """Beta1 (``below`` is ``operator.le``) and Beta2 (``operator.lt``)."""
+
+    def gen(ctx, t):
+        rows = _rank_rows(ctx, t)
+        for a, _, ra in rows:
+            for x, y, xy in _world_pairs(ctx.n, True):
+                # x is strictly below y in the input order of a
+                if (a & xy) != 1 << x or not below(ra[y], ra[x]):
+                    continue
+                for c, minimal, rc in rows:
+                    if not minimal >> x & 1 and not below(rc[y], rc[x]):
+                        yield (t,), (a, c), (x, y), ""
+
+    return gen
+
+
+def _rank_neut(ctx, pair):
+    t1, t2 = pair
+    if postulates._composition(t1) != postulates._composition(t2):
+        return
+    n_worlds = len(ctx.worlds)
+    for p in ctx.props:
+        perms = _a_preserving_isos(t1.masks, t2.masks, p, n_worlds)
+        if perms:
+            r1q, r2q = (revise(t, p, ctx.rev).rank for t in pair)
+        for perm in perms:
+            for x, y, _ in _world_pairs(ctx.n, False):
+                if _code(r1q, x, y) != _code(r2q, perm[x], perm[y]):
+                    mapping = ",".join(
+                        f"{world_str(w, ctx.n)}->{world_str(perm[w], ctx.n)}"
+                        for w in ctx.worlds
+                    )
+                    yield (t1, t2), (p,), (x, y), f"isomorphism {mapping}"
+
+
 def _rank_first_diff_pair(ctx, ta, tb):
     ra, rb = ta.rank, tb.rank
-    for x, y, _ in ctx.pairs:
-        if postulates._code(ra, x, y) != postulates._code(rb, x, y):
+    for x, y, _ in _world_pairs(ctx.n, False):
+        if _code(ra, x, y) != _code(rb, x, y):
             return (x, y)
     return ()
 
@@ -769,6 +878,10 @@ def _rank_routed(final, route):
 ORACLES = {
     **{name: _rank_rule(*row) for name, row in postulates._PAIR_RULES.items()},
     "IIAP": _rank_iiap,
+    "IIAI": _rank_iiai,
+    "Beta1": _rank_beta(operator.le),
+    "Beta2": _rank_beta(operator.lt),
+    "Neut": _rank_neut,
     "NLI": _rank_routed(None, "routed"),
     "iLIRC": _rank_routed(Revision.NATURAL, "closure route"),
 }
@@ -783,20 +896,17 @@ class _Reversed:
 
 
 def _assert_counts_match(ctx, outer, counted=COUNTED):
-    """Each counted postulate's count equals its oracle's length, and where
-    the postulate has a rank oracle, its witnesses equal the oracle's in
-    order; IIAI and Beta1/Beta2 count by a closed form, so their
-    generators are their oracles.  Raw witnesses are compared: a report
-    renders each from its raw form alone, so equal raw lists render
-    alike."""
+    """Each postulate's count equals its rank oracle's length, and its
+    witnesses equal the oracle's in order.  Raw witnesses are compared: a
+    report renders each from its raw form alone, so equal raw lists
+    render alike."""
     counts = {}
     for postulate in counted:
         spec = _POSTULATES[postulate]
-        expected = list(ORACLES.get(postulate, spec.gen)(ctx, outer))
-        counts[postulate] = spec.count(ctx, outer)
+        expected = list(ORACLES[postulate](ctx, outer))
+        counts[postulate] = spec.violations(ctx, outer)
         assert counts[postulate] == len(expected), (postulate, outer)
-        if postulate in ORACLES:
-            assert list(spec.gen(ctx, outer)) == expected, (postulate, outer)
+        assert list(spec.gen(ctx, outer)) == expected, (postulate, outer)
     return counts
 
 
@@ -860,6 +970,16 @@ def test_iiap_counts_equal_oracle_lengths_on_every_two_atom_preorder_pair():
         ctx = _Ctx(2, rev)
         for pair in product(pool, repeat=2):
             nonzero += _assert_counts_match(ctx, pair, ("IIAP",))["IIAP"] > 0
+    assert nonzero > 0
+
+
+def test_neutrality_witnesses_equal_the_oracle_on_every_two_atom_preorder_pair():
+    pool = list(enumerate_tpos(2))
+    nonzero = 0
+    for rev in _revisions():
+        ctx = _Ctx(2, rev)
+        for pair in product(pool, repeat=2):
+            nonzero += _assert_counts_match(ctx, pair, ("Neut",))["Neut"] > 0
     assert nonzero > 0
 
 

@@ -13,11 +13,15 @@ Times, on the ``beliefchange`` package found on ``sys.path``:
 * one postulate scan of one outer at three atoms, as a sampled check
   runs it: ``_scan(_Ctx(3, rev, con), _POSTULATES[id], [outer],
   clear=True)``, mean over 20 seeded preorders (preorder pairs for
-  IIAP, each a row of its own), for DP1 natural, NLI natural +
-  ``contract-stq-lex``, IIAI natural, IIAP natural and CR4 natural +
-  ``contract-stq-lex``; CR4 fails on most preorders there, so its scan
-  pays for the violation count and for the witnesses, which ``gen``
-  reads from the orders the count computed;
+  IIAP and Neut, each a row of its own), for DP1 natural, NLI natural +
+  ``contract-stq-lex``, IIAI natural, IIAP natural, Beta1 natural, Neut
+  natural, IIAI under ``contract-stq-lex`` then natural revision, and CR4
+  natural + ``contract-stq-lex``; Neut's pairs are each preorder with a
+  seeded permutation of its worlds, so the two share a composition and
+  the isomorphism path runs; IIAI under the composition and CR4 fail on
+  most preorders there, so their scans pay for the violation count and
+  for the witnesses, which ``gen`` reads from the orders the count
+  computed;
 * one exhaustive failing check at two atoms:
   ``check_postulate("CR4", Revision.NATURAL, Contraction.STQ_LEX,
   n_atoms=2)``, whose witness outers reuse the orders of their count;
@@ -80,6 +84,7 @@ from beliefchange.postulates import (
     _POSTULATES,
     DIAGRAM_IDS,
     _Ctx,
+    _NliComposition,
     _dp_posterior_candidates,
     _scan,
     check_diagram,
@@ -122,6 +127,14 @@ def _reference_loop() -> int:
     return total
 
 
+def _permuted(t, rng) -> Tpo:
+    """The preorder with its worlds moved by a seeded permutation."""
+    image = list(range(1 << t.n_atoms))
+    rng.shuffle(image)
+    moved = (sum(1 << image[w] for w in range(len(image)) if c >> w & 1) for c in t.masks)
+    return Tpo(tuple(moved), t.n_atoms)
+
+
 def _fast_path_file(t) -> str:
     """A preorder's full conditional set plus its belief set, as file text."""
     props = propositions(3)
@@ -153,6 +166,7 @@ def main() -> None:
     outers = [tpo_at_index(rng.randrange(total), 3) for _ in range(SCANS)]
     outer_pairs = [(rng.choice(outers), rng.choice(outers)) for _ in range(SCANS)]
     files = [_fast_path_file(tpo_at_index(rng.randrange(total), 3)) for _ in range(CLOSURES)]
+    isomorphic_pairs = [(t, _permuted(t, rng)) for t in outers]
     rng4 = random.Random(4)
     rank = [rng4.randrange(16) for _ in range(16)]  # a seeded rank per world
     t4 = Tpo(tuple(sum(1 << w for w in range(16) if rank[w] == r) for r in sorted(set(rank))), 4)
@@ -181,9 +195,9 @@ def main() -> None:
         for _ in enumerate_tpos(3):
             pass
 
-    def scans(postulate, rev, con=None):
+    def scans(postulate, rev, con=None, pairs=outer_pairs):
         spec = _POSTULATES[postulate]
-        pool = [(t, (u,), False) for t, u in outer_pairs] if spec.pair_outer else outers
+        pool = [(t, (u,), False) for t, u in pairs] if spec.pair_outer else outers
 
         def run():
             for outer in pool:
@@ -240,6 +254,17 @@ def main() -> None:
         ),
         "scan_IIAI_natural_ms": (scans("IIAI", Revision.NATURAL), SCANS, 1e3),
         "scan_IIAP_natural_ms": (scans("IIAP", Revision.NATURAL), SCANS, 1e3),
+        "scan_Beta1_natural_ms": (scans("Beta1", Revision.NATURAL), SCANS, 1e3),
+        "scan_Neut_natural_ms": (
+            scans("Neut", Revision.NATURAL, pairs=isomorphic_pairs),
+            SCANS,
+            1e3,
+        ),
+        "scan_IIAI_stq_lex_then_natural_ms": (
+            scans("IIAI", _NliComposition(Contraction.STQ_LEX, Revision.NATURAL)),
+            SCANS,
+            1e3,
+        ),
         "scan_CR4_natural_stq_lex_ms": (
             scans("CR4", Revision.NATURAL, Contraction.STQ_LEX),
             SCANS,
