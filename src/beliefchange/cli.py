@@ -279,14 +279,10 @@ def closure_answer(delta: MixedSet, n_atoms: int) -> tuple:
     """Closure result plus whether the natural-revision fast path applied.
 
     The fast path applies when the conditional part is exactly some
-    preorder's conditional set; the conditional part then pins the
-    belief set, so a plain part excluding all its minimal worlds is
-    unsatisfiable outright.  Where it applies, the fast path
+    preorder's conditional set.  Where it applies, the fast path
     cross-checks the System Z answer.
     """
     base = rational_base(delta, n_atoms)
-    if base is not None and not delta.plain_models & base.masks[0]:
-        raise UnsatisfiableError("no total preorder satisfies the input set")
     result = rational_closure(delta, n_atoms)
     if base is not None and rational_closure_fast(base, delta.plain_models) != result:
         raise BeliefChangeError(

@@ -28,6 +28,15 @@ Grammar, bit-exact::
     parens   := '(' ... ')'
 
 ``->`` and ``<->`` associate to the right.
+
+``models`` scans the text once with one pattern, which yields each
+token with its offset, and raises at the first character that starts
+no token.  It then parses by precedence climbing over one table,
+``_BINARY``, which gives each binary connective its precedence, its
+associativity and the mask of the compound; negation, parentheses,
+constants and atoms are read by one function below it.  A formula
+nested deeper than Python's recursion limit allows is a syntax error at
+offset 0.
 """
 
 from __future__ import annotations
@@ -111,118 +120,76 @@ def _atom_masks(atoms: tuple) -> dict:
 # ---------------------------------------------------------------------------
 # Parsing
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<op><->|->|[~&|()]))")
+# One scan: group 1 is a token; group 2 is the first character that
+# starts none, which is an error.
+_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z][A-Za-z0-9_]*|<->|->|[~&|()])|(\S))")
 
-
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None or match.end() == pos:
-            # Skip leading whitespace manually to report the right offset.
-            stripped = pos
-            while stripped < len(text) and text[stripped].isspace():
-                stripped += 1
-            if stripped == len(text):
-                break
-            raise FormulaSyntaxError(f"unexpected character {text[stripped]!r}", stripped)
-        token = match.group("ident") or match.group("op")
-        tokens.append((token, match.end() - len(token)))
-        pos = match.end()
-    return tokens
-
-
-class _Parser:
-    """Recursive descent that evaluates as it goes: every rule returns
-    the world mask of the text it consumed."""
-
-    def __init__(self, text: str, atoms: tuple[str, ...]):
-        self.text = text
-        self.atom_masks = _atom_masks(atoms)
-        self.full = all_worlds(len(atoms))
-        self.tokens = _tokenize(text)
-        self.index = 0
-
-    def peek(self) -> str | None:
-        if self.index < len(self.tokens):
-            return self.tokens[self.index][0]
-        return None
-
-    def offset(self) -> int:
-        if self.index < len(self.tokens):
-            return self.tokens[self.index][1]
-        return len(self.text)
-
-    def take(self) -> tuple[str, int]:
-        token = self.tokens[self.index]
-        self.index += 1
-        return token
-
-    def parse(self) -> int:
-        mask = self.parse_iff()
-        if self.index != len(self.tokens):
-            raise FormulaSyntaxError(f"unexpected token {self.peek()!r}", self.offset())
-        return mask
-
-    def parse_iff(self) -> int:
-        left = self.parse_implies()
-        if self.peek() == "<->":
-            self.take()
-            return self.full & ~(left ^ self.parse_iff())
-        return left
-
-    def parse_implies(self) -> int:
-        left = self.parse_or()
-        if self.peek() == "->":
-            self.take()
-            return (self.full & ~left) | self.parse_implies()
-        return left
-
-    def parse_or(self) -> int:
-        left = self.parse_and()
-        while self.peek() == "|":
-            self.take()
-            left |= self.parse_and()
-        return left
-
-    def parse_and(self) -> int:
-        left = self.parse_unary()
-        while self.peek() == "&":
-            self.take()
-            left &= self.parse_unary()
-        return left
-
-    def parse_unary(self) -> int:
-        token = self.peek()
-        if token is None:
-            raise FormulaSyntaxError("unexpected end of input", self.offset())
-        if token == "~":
-            self.take()
-            return self.full & ~self.parse_unary()
-        if token == "(":
-            self.take()
-            inner = self.parse_iff()
-            if self.peek() != ")":
-                raise FormulaSyntaxError("expected ')'", self.offset())
-            self.take()
-            return inner
-        if token in ("&", "|", "->", "<->", ")"):
-            raise FormulaSyntaxError(f"unexpected token {token!r}", self.offset())
-        text, offset = self.take()
-        if text == "true":
-            return self.full
-        if text == "false":
-            return 0
-        if text not in self.atom_masks:
-            raise UnknownAtomError(text, offset)
-        return self.atom_masks[text]
+# Binary connective -> (precedence, associates to the right, the mask of
+# the compound from its operands' masks a, b and the full mask).
+_BINARY = {
+    "<->": (1, True, lambda a, b, full: full & ~(a ^ b)),
+    "->": (2, True, lambda a, b, full: full & ~a | b),
+    "|": (3, False, lambda a, b, full: a | b),
+    "&": (4, False, lambda a, b, full: a & b),
+}
 
 
 def models(text: str, atoms: Sequence[str]) -> int:
     """The model set, as a world mask, of a formula over the declared
     atoms; raises ``FormulaSyntaxError`` on text outside the grammar."""
-    return _Parser(text, tuple(atoms)).parse()
+    atom_masks = _atom_masks(tuple(atoms))
+    full = all_worlds(len(atom_masks))
+    tokens = []
+    for match in _TOKEN_RE.finditer(text):
+        token, stray = match.groups()
+        if stray is not None:
+            raise FormulaSyntaxError(f"unexpected character {stray!r}", match.start(2))
+        tokens.append((token, match.start(1)))
+    tokens.append((None, len(text)))
+    tokens.reverse()  # a stack: the next token is last, the sentinel first
+
+    def binary(floor: int) -> int:
+        """The mask of the longest formula ahead whose connectives all
+        bind tighter than ``floor``."""
+        left = unary()
+        while True:
+            entry = _BINARY.get(tokens[-1][0])
+            if entry is None or entry[0] <= floor:
+                return left
+            tokens.pop()
+            precedence, right, mask = entry
+            left = mask(left, binary(precedence - 1 if right else precedence), full)
+
+    def unary() -> int:
+        token, offset = tokens.pop()
+        if token is None:
+            raise FormulaSyntaxError("unexpected end of input", offset)
+        if token == "~":
+            return full & ~unary()
+        if token == "(":
+            inner = binary(0)
+            token, offset = tokens.pop()
+            if token != ")":
+                raise FormulaSyntaxError("expected ')'", offset)
+            return inner
+        if token in _BINARY or token == ")":
+            raise FormulaSyntaxError(f"unexpected token {token!r}", offset)
+        if token == "true":
+            return full
+        if token == "false":
+            return 0
+        if token not in atom_masks:
+            raise UnknownAtomError(token, offset)
+        return atom_masks[token]
+
+    try:
+        mask = binary(0)
+    except RecursionError:
+        raise FormulaSyntaxError("formula nested too deeply", 0) from None
+    token, offset = tokens[-1]
+    if token is not None:
+        raise FormulaSyntaxError(f"unexpected token {token!r}", offset)
+    return mask
 
 
 def dnf_of_worlds(worlds: int, atoms: Sequence[str]) -> str:

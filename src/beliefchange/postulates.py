@@ -157,39 +157,6 @@ WITNESS_CAP = 10
 _CHUNKS = 16
 _P1_OPERATORS = 100  # seeded random DP revisions in claim P1
 
-POSTULATE_IDS = (
-    "Success",
-    "DP1",
-    "DP2",
-    "DP3",
-    "DP4",
-    "CC1",
-    "CC2",
-    "CC3",
-    "CC4",
-    "CR1",
-    "CR2",
-    "CR3",
-    "CR4",
-    "SPU",
-    "WPU",
-    "IIAP",
-    "IIAI",
-    "Beta1",
-    "Beta2",
-    "Neut",
-    "Red",
-    "HI_beliefs",
-    "LI_beliefs",
-    "NLI",
-    "iLIRC",
-)
-
-CLAIM_IDS = ("T1", "T2", "T3", "Cor1", "T4", "P1", "P2", "P3", "P5", "L_flattest")
-
-DIAGRAM_IDS = ("a", "b", "c", "d", "e", "f")
-
-
 def default_atoms(n_atoms: int) -> tuple:
     return ("p", "q", "r", "s")[:n_atoms]
 
@@ -917,6 +884,8 @@ _POSTULATES = {
     "iLIRC": _routed_rule(Revision.NATURAL, "closure route"),
 }
 
+POSTULATE_IDS = tuple(_POSTULATES)
+
 
 # ---------------------------------------------------------------------------
 # Check driver
@@ -1203,6 +1172,8 @@ _DIAGRAMS = {
     "e": {1: 1, 0: 1, -1: 0},
     "f": {1: 1, 0: 0, -1: 1},
 }
+
+DIAGRAM_IDS = tuple(_DIAGRAMS)
 
 
 def _diagram_table(diagram) -> dict:
@@ -1622,6 +1593,8 @@ _CLAIMS = {
     "P5": _verify_p5,
     "L_flattest": _verify_l_flattest,
 }
+
+CLAIM_IDS = tuple(_CLAIMS)
 
 
 def verify_claim(claim: str, n_atoms: int = 2) -> CheckReport:

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
-from beliefchange.cli import main, parse_conditional_set, run_scenario
-from beliefchange.lang import dnf_of_worlds
-from beliefchange.tpo import conditional_set, parse_tpo
+from beliefchange.cli import closure_answer, main, parse_conditional_set, run_scenario
+from beliefchange.conditionals import rational_base
+from beliefchange.exceptions import UnsatisfiableError
+from beliefchange.lang import MixedSet, all_worlds, dnf_of_worlds
+from beliefchange.tpo import conditional_set, enumerate_tpos, parse_tpo
 
 ATOMS = ("p", "q")
 
@@ -155,6 +157,23 @@ def test_scenario_formulas_are_parsed_once(monkeypatch):
     assert sorted(seen) == ["p", "p", "p", "q"]
 
 
+def test_deeply_nested_step_formula_runs(tmp_path, capsys):
+    path = tmp_path / "deep.txt"
+    formula = "(" * 400 + "p" + ")" * 400
+    path.write_text(f"atoms: p q\ninitial: 00 | 11 | 01 10\nstep: revise natural {formula}\n")
+    assert main(["run", str(path)]) == 0
+    assert capsys.readouterr().out.endswith("state: 11 | 00 | 01 10\nbeliefs: p & q\n")
+
+
+def test_formula_nested_past_the_recursion_limit_is_a_syntax_error(tmp_path, capsys):
+    path = tmp_path / "set.txt"
+    path.write_text("p => " + "~" * 2000 + "p\n")
+    assert main(["closure", str(path), "--n", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 1: formula nested too deeply at offset 0\n"
+
+
 def test_queries_without_steps_run_against_initial():
     code, out, _ = run_scenario(
         "atoms: p q\ninitial: 00 | 11 | 01 10\nquery: belief ~p\n"
@@ -249,6 +268,35 @@ def test_closure_at_four_atoms(tmp_path, capsys):
         "tpo": "0000 0001 0010 0011 0100 0101 0110 0111 | 1110 1111"
         " | 1000 1001 1010 1011 1100 1101",
     }
+
+
+def _submasks(mask):
+    """Every submask of a mask, the mask itself first and 0 last."""
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
+def test_closure_answer_on_a_plain_part_missing_every_belief_is_unsatisfiable():
+    # A preorder's conditional set plus a plain part false in all its
+    # minimal worlds: the two rules with antecedent true (the plain part,
+    # and true => the beliefs) are never tolerated together, so System Z
+    # finds the set unsatisfiable although the fast path applies.
+    cases = 0
+    for n in (1, 2):
+        for t in enumerate_tpos(n):
+            pairs = conditional_set(t).cond_pairs
+            for plain in _submasks(all_worlds(n) & ~t.masks[0]):
+                delta = MixedSet(plain_models=plain, cond_pairs=pairs)
+                assert rational_base(delta, n) == t
+                with pytest.raises(UnsatisfiableError) as err:
+                    closure_answer(delta, n)
+                assert str(err.value) == "no total preorder satisfies the input set"
+                cases += 1
+    assert cases == 502
 
 
 def test_conditional_set_parser_ignores_comments_and_blanks():

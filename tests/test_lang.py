@@ -1,3 +1,6 @@
+import random
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 from beliefchange.exceptions import FormulaSyntaxError, UnknownAtomError
 from beliefchange.lang import (
     MixedSet,
+    _atom_masks,
     all_worlds,
     cn_extended_member,
     dnf_of_worlds,
@@ -144,15 +148,160 @@ def test_bad_inputs_raise_syntax_errors(text):
         mod(text)
 
 
+# ---------------------------------------------------------------------------
+# The recursive-descent parser that ``models`` replaced, kept as its
+# oracle: a separate tokenizer, then one method per precedence level.
+
+_TOKEN_RE = re.compile(r"\s*(?:(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<op><->|->|[~&|()]))")
+
+
+def _tokenize(text: str) -> list[tuple[str, int]]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        match = _TOKEN_RE.match(text, pos)
+        if match is None or match.end() == pos:
+            # Skip leading whitespace manually to report the right offset.
+            stripped = pos
+            while stripped < len(text) and text[stripped].isspace():
+                stripped += 1
+            if stripped == len(text):
+                break
+            raise FormulaSyntaxError(f"unexpected character {text[stripped]!r}", stripped)
+        token = match.group("ident") or match.group("op")
+        tokens.append((token, match.end() - len(token)))
+        pos = match.end()
+    return tokens
+
+
+class _Parser:
+    """Recursive descent that evaluates as it goes: every rule returns
+    the world mask of the text it consumed."""
+
+    def __init__(self, text: str, atoms: tuple[str, ...]):
+        self.text = text
+        self.atom_masks = _atom_masks(atoms)
+        self.full = all_worlds(len(atoms))
+        self.tokens = _tokenize(text)
+        self.index = 0
+
+    def peek(self) -> str | None:
+        if self.index < len(self.tokens):
+            return self.tokens[self.index][0]
+        return None
+
+    def offset(self) -> int:
+        if self.index < len(self.tokens):
+            return self.tokens[self.index][1]
+        return len(self.text)
+
+    def take(self) -> tuple[str, int]:
+        token = self.tokens[self.index]
+        self.index += 1
+        return token
+
+    def parse(self) -> int:
+        mask = self.parse_iff()
+        if self.index != len(self.tokens):
+            raise FormulaSyntaxError(f"unexpected token {self.peek()!r}", self.offset())
+        return mask
+
+    def parse_iff(self) -> int:
+        left = self.parse_implies()
+        if self.peek() == "<->":
+            self.take()
+            return self.full & ~(left ^ self.parse_iff())
+        return left
+
+    def parse_implies(self) -> int:
+        left = self.parse_or()
+        if self.peek() == "->":
+            self.take()
+            return (self.full & ~left) | self.parse_implies()
+        return left
+
+    def parse_or(self) -> int:
+        left = self.parse_and()
+        while self.peek() == "|":
+            self.take()
+            left |= self.parse_and()
+        return left
+
+    def parse_and(self) -> int:
+        left = self.parse_unary()
+        while self.peek() == "&":
+            self.take()
+            left &= self.parse_unary()
+        return left
+
+    def parse_unary(self) -> int:
+        token = self.peek()
+        if token is None:
+            raise FormulaSyntaxError("unexpected end of input", self.offset())
+        if token == "~":
+            self.take()
+            return self.full & ~self.parse_unary()
+        if token == "(":
+            self.take()
+            inner = self.parse_iff()
+            if self.peek() != ")":
+                raise FormulaSyntaxError("expected ')'", self.offset())
+            self.take()
+            return inner
+        if token in ("&", "|", "->", "<->", ")"):
+            raise FormulaSyntaxError(f"unexpected token {token!r}", self.offset())
+        text, offset = self.take()
+        if text == "true":
+            return self.full
+        if text == "false":
+            return 0
+        if text not in self.atom_masks:
+            raise UnknownAtomError(text, offset)
+        return self.atom_masks[text]
+
+
+def _oracle_models(text, atoms):
+    return _Parser(text, tuple(atoms)).parse()
+
+
+def _outcome(parse, text, atoms):
+    """The mask a parse gives, or its exception's type, text and offset."""
+    try:
+        return parse(text, atoms)
+    except (FormulaSyntaxError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+# Tokens only, so that more strings parse; then also atoms never
+# declared, a tab, and the characters that start no token or only part
+# of one.
+_TOKENS = ("p", "q", "true", "false", "~", "&", "|", "->", "<->", "(", ")", " ")
+_PIECES = _TOKENS + ("r", "s", "t", "pq", "p1", "\t", "<", "-", ">", "1", "_", "@")
+
+
+def test_models_equals_the_recursive_descent_oracle_on_random_text():
+    rng = random.Random(19)
+    atom_lists = (("p",), ("p", "q"), ("p", "q", "r"))
+    for _ in range(100_000):
+        pieces = rng.choice((_TOKENS, _PIECES))
+        text = "".join(rng.choice(pieces) for _ in range(rng.randrange(12)))
+        atoms = rng.choice(atom_lists)
+        assert _outcome(models, text, atoms) == _outcome(_oracle_models, text, atoms), text
+
+
 def test_atom_list_validation():
-    with pytest.raises(ValueError):
-        models("p", [])
-    with pytest.raises(ValueError):
-        models("p", ["p", "q", "r", "s", "t"])
-    with pytest.raises(ValueError):
-        models("p", ["p", "p"])
-    with pytest.raises(ValueError):
-        models("p", ["true"])
+    # a bad atom list raises before the text is read, as in the oracle
+    for atoms, message in [
+        ([], "atom list must be nonempty"),
+        (["p", "q", "r", "s", "t"], "at most 4 atoms supported, got 5"),
+        (["p", "p"], "duplicate atom 'p'"),
+        (["true"], "invalid atom name 'true'"),
+    ]:
+        for text in ("p", "p @", "(p", "x"):
+            with pytest.raises(ValueError) as err:
+                models(text, atoms)
+            assert str(err.value) == message
+            assert _outcome(models, text, atoms) == _outcome(_oracle_models, text, atoms)
 
 
 # ---------------------------------------------------------------------------
