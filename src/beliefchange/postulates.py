@@ -116,7 +116,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from itertools import islice
 from typing import Callable, Optional
@@ -232,30 +232,9 @@ def render_text(report: CheckReport) -> str:
 
 
 def render_machine(report: CheckReport) -> str:
-    payload = {
-        "check": report.check_id,
-        "revision": report.revision,
-        "contraction": report.contraction,
-        "scope": {
-            "n_atoms": report.scope.n_atoms,
-            "mode": report.scope.mode,
-            "sample": report.scope.sample,
-            "seed": report.scope.seed,
-        },
-        "instances": report.instances,
-        "violations": report.violations,
-        "outcome": report.outcome,
-        "witnesses": [
-            {
-                "tpos": list(w.tpos),
-                "inputs": list(w.inputs),
-                "worlds": list(w.worlds),
-                "note": w.note,
-            }
-            for w in report.witnesses
-        ],
-        "detail": report.detail,
-    }
+    payload = asdict(report)
+    payload["check"] = payload.pop("check_id")
+    payload["outcome"] = report.outcome
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -1303,42 +1282,20 @@ ELEMENTARY_POSTULATES = (
 )
 
 
-@dataclass(frozen=True)
-class PairProfile:
-    revision: Revision
-    contraction: Contraction
-    nli: bool
-    cr: tuple
-    spu: bool
-    wpu: bool
-
-    @property
-    def cr_all(self) -> bool:
-        return all(self.cr)
-
-
 @lru_cache(maxsize=None)
 def pair_profile(n_atoms: int = 2) -> tuple:
-    """NLI / CR / SPU / WPU outcomes for all nine built-in operator pairs.
-    The pairs share their orders: each revision's for every contraction,
-    and each contraction's for every revision."""
-    rows = []
+    """``(revision, contraction, verdicts)`` for all nine built-in
+    operator pairs, ``verdicts`` mapping each of NLI, CR1-CR4, SPU and
+    WPU to whether it holds.  The pairs share their orders: each
+    revision's for every contraction, and each contraction's for every
+    revision."""
+    ids = ("NLI", "CR1", "CR2", "CR3", "CR4", "SPU", "WPU")
     shared = {}
-    for rev in _BUILTIN_REVISIONS:
-        for con in _BUILTIN_CONTRACTIONS:
-            ids = ("NLI", "CR1", "CR2", "CR3", "CR4", "SPU", "WPU")
-            holds = _holding(ids, rev, con, n_atoms, shared)
-            rows.append(
-                PairProfile(
-                    revision=rev,
-                    contraction=con,
-                    nli=holds["NLI"],
-                    cr=tuple(holds[f"CR{i}"] for i in (1, 2, 3, 4)),
-                    spu=holds["SPU"],
-                    wpu=holds["WPU"],
-                )
-            )
-    return tuple(rows)
+    return tuple(
+        (rev, con, _holding(ids, rev, con, n_atoms, shared))
+        for rev in _BUILTIN_REVISIONS
+        for con in _BUILTIN_CONTRACTIONS
+    )
 
 
 def _yn(value: bool) -> str:
@@ -1384,17 +1341,11 @@ def _verify_equivalence(left: tuple, right: tuple):
         rows = pair_profile(n_atoms)
         lines = []
         failures = 0
-        for row in rows:
-            columns = {
-                "NLI": row.nli,
-                **{f"CR{i}": v for i, v in enumerate(row.cr, start=1)},
-                "CR1-4": row.cr_all,
-                "SPU": row.spu,
-                "WPU": row.wpu,
-            }
+        for rev, con, verdicts in rows:
+            columns = {**verdicts, "CR1-4": all(verdicts[f"CR{i}"] for i in (1, 2, 3, 4))}
             failures += all(columns[c] for c in left) != all(columns[c] for c in right)
             lines.append(
-                f"{row.revision.value} + {row.contraction.value}: "
+                f"{rev.value} + {con.value}: "
                 + " ".join(f"{c}={_yn(columns[c])}" for c in left + right)
             )
         return len(rows), failures, "\n".join(lines), ()

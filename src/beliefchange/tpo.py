@@ -6,11 +6,14 @@ more plausible.  ``x`` is at least as plausible as ``y`` exactly when
 ``rank(x) <= rank(y)``.
 
 A cell, like every world set (see ``lang``), is an int mask with bit
-``w`` set for world ``w``: a preorder's value is its tuple of cell
-masks plus its atom count, built by the one constructor
-``Tpo(masks, n_atoms)`` and validated by ``Tpo.__post_init__``.  The
-operators, ``min_worlds``, ``rank`` and the enumeration all work on
-masks.
+``w`` set for world ``w``.  A preorder is the validated pair
+``(masks, n_atoms)``: a named tuple of its cell masks and its atom
+count, 1 to 4, built by ``Tpo(masks, n_atoms)`` and checked by
+``Tpo.__post_init__`` on every route to an instance (``_make``,
+``_replace``, ``copy`` and unpickling included), so there is no
+unchecked one.  It equals the plain tuple ``(masks, n_atoms)``, hashes
+like it, iterates as that pair and orders lexicographically.  The
+operators, ``min_worlds`` and the enumeration all work on masks.
 
 The module also carries everything the checker quantifies over: the
 enumeration of all ordered partitions (with an index-based unranking so
@@ -31,13 +34,14 @@ ascending within a cell, cells separated by ``|``, e.g.
 from __future__ import annotations
 
 import itertools
-from dataclasses import FrozenInstanceError, dataclass
+from collections import namedtuple
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator, Union
 
 from .exceptions import EmptyModelSetError, PartitionError
-from .lang import _WORLDS, MixedSet, all_worlds, parse_world, world_str
+from .lang import _WORLDS, MAX_ATOMS, MixedSet, all_worlds, parse_world, world_str
 
 
 # ---------------------------------------------------------------------------
@@ -61,42 +65,59 @@ def _min_mask(masks: tuple, mask: int) -> int:
     raise EmptyModelSetError("minimisation over an empty world set")
 
 
-_set = object.__setattr__
+_FULL = {n: all_worlds(n) for n in range(1, MAX_ATOMS + 1)}  # atom count: its world mask
 
 
-class Tpo:
+class Tpo(namedtuple("Tpo", "masks n_atoms")):
     """Ordered partition of the 2^n_atoms worlds; validates on construction.
 
-    ``masks`` holds one int per cell, lowest rank first, bit ``w`` set
-    for world ``w``; the value of a preorder (equality, hash) is
-    ``(masks, n_atoms)``.  Instances are immutable.
+    A preorder is the validated pair ``(masks, n_atoms)``: ``masks`` holds
+    one int per cell, lowest rank first, bit ``w`` set for world ``w``,
+    and ``n_atoms`` is 1 to 4.  Equality, hash, order, repr and the
+    refusal of assignment are the tuple's, so a ``Tpo`` equals the plain
+    tuple ``(masks, n_atoms)``.  Every route to an instance (the
+    constructor, ``_make``, ``_replace``, ``copy``, unpickling) runs
+    ``__post_init__``; there is no unchecked one.
     """
 
-    __slots__ = ("masks", "n_atoms", "_hash", "_rank")
+    __slots__ = ()
 
-    def __init__(self, masks: Iterable[int], n_atoms: int):
-        _set(self, "masks", tuple(masks))
-        _set(self, "n_atoms", n_atoms)
+    def __new__(cls, masks: Iterable[int], n_atoms: int):
+        self = tuple.__new__(cls, (tuple(masks), n_atoms))
         self.__post_init__()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, and so _replace, would skip the check
+        return cls(*iterable)
+
+    def __reduce__(self):
+        # pickle protocols 0 and 1 would rebuild through tuple.__new__ and skip the check
+        return Tpo, tuple(self)
 
     def __post_init__(self):
         """Accept nonempty disjoint cells covering the world set, else raise."""
+        masks, n_atoms = self
         seen = 0
         try:
-            for mask in self.masks:
+            for mask in masks:
                 if not mask or mask & seen:
                     break
                 seen |= mask
             else:
-                if seen == all_worlds(self.n_atoms):
+                if seen == _FULL.get(n_atoms) and type(n_atoms) is int:  # not True or 2.0
                     return
-        except TypeError:  # a cell that is no int
+        except TypeError:  # a cell that is no int, or an unhashable atom count
             pass
         self._reject()
 
     def _reject(self):
         """Raise the error for the first fault, in cell order."""
-        full = all_worlds(self.n_atoms)
+        n_atoms = self.n_atoms
+        if type(n_atoms) is not int or n_atoms not in _FULL:
+            raise PartitionError(f"atom count {n_atoms!r} is not 1 to {MAX_ATOMS}")
+        full = _FULL[n_atoms]
         seen = 0
         for mask in self.masks:
             if type(mask) is not int or mask < 0:
@@ -109,49 +130,8 @@ class Tpo:
                 overlap = list(_WORLDS[mask & seen])
                 raise PartitionError(f"worlds {overlap} appear in more than one cell")
             seen |= mask
-        missing_text = ", ".join(world_str(w, self.n_atoms) for w in _WORLDS[full & ~seen])
+        missing_text = ", ".join(world_str(w, n_atoms) for w in _WORLDS[full & ~seen])
         raise PartitionError(f"worlds not covered: {missing_text}")
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return Tpo, (self.masks, self.n_atoms)
-
-    def __eq__(self, other):
-        if other.__class__ is not Tpo:
-            return NotImplemented
-        return self.masks == other.masks and self.n_atoms == other.n_atoms
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            value = hash((self.masks, self.n_atoms))
-            _set(self, "_hash", value)
-            return value
-
-    @property
-    def rank(self) -> tuple:
-        """1-based rank of each world, indexed by world."""
-        try:
-            return self._rank
-        except AttributeError:
-            ranks = [0] * (1 << self.n_atoms)
-            index = 0
-            for mask in self.masks:
-                index += 1
-                for w in _WORLDS[mask]:
-                    ranks[w] = index
-            ranks = tuple(ranks)
-            _set(self, "_rank", ranks)
-            return ranks
-
-    def __repr__(self) -> str:
-        return f"Tpo(masks={self.masks!r}, n_atoms={self.n_atoms!r})"
 
     def __str__(self) -> str:
         return format_tpo(self)

@@ -28,6 +28,8 @@ from beliefchange.postulates import (
 )
 from beliefchange.tpo import conditional_set, format_tpo, parse_tpo, parse_world
 
+from ranks import rank
+
 ATOMS = ("p", "q")
 
 
@@ -77,14 +79,14 @@ def test_criterion_03_diagram_exclusion():
         assert not result.passed
         witness_shapes.append(result.witnesses[0])
     for witness in witness_shapes[:2]:  # the two-countermodel construction
-        t = parse_tpo(witness.tpos[0], 2)
+        r = rank(parse_tpo(witness.tpos[0], 2))
         p = mod(witness.inputs[0])
         triple = [parse_world(name, 2) for name in witness.worlds]
         inside = [w for w in triple if p >> w & 1]
-        outside = sorted((w for w in triple if not p >> w & 1), key=lambda w: t.rank[w])
+        outside = sorted((w for w in triple if not p >> w & 1), key=lambda w: r[w])
         assert len(inside) == 1 and len(outside) == 2
         z, y = outside
-        assert t.rank[z] < t.rank[y] < t.rank[inside[0]]
+        assert r[z] < r[y] < r[inside[0]]
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"diagram checks took {elapsed:.2f} s"
     report(3, f"diagrams a-c admissible, d-f excluded with chain-shaped witnesses in {elapsed:.2f} s")
@@ -94,17 +96,23 @@ def test_criterion_04_nli_cr_spu_wpu_equivalence():
     start = time.perf_counter()
     rows = pair_profile(2)
     assert len(rows) == 9
-    for row in rows:
-        properties = (row.nli, row.cr_all, row.spu and row.wpu)
-        assert len(set(properties)) == 1, f"{row.revision}/{row.contraction}: {properties}"
+    for rev, con, verdicts in rows:
+        properties = (
+            verdicts["NLI"],
+            all(verdicts[f"CR{i}"] for i in (1, 2, 3, 4)),
+            verdicts["SPU"] and verdicts["WPU"],
+        )
+        assert len(set(properties)) == 1, f"{rev}/{con}: {properties}"
     assert verify_claim("T2").passed
     assert verify_claim("T3").passed
     assert verify_claim("Cor1").passed
-    by_pair = {(r.revision, r.contraction): r for r in rows}
+    by_pair = {(rev, con): verdicts for rev, con, verdicts in rows}
     all_pass = by_pair[(Revision.LEXICOGRAPHIC, Contraction.STQ_LEX)]
-    assert all_pass.nli and all_pass.cr_all and all_pass.spu and all_pass.wpu
+    assert set(all_pass) == {"NLI", "CR1", "CR2", "CR3", "CR4", "SPU", "WPU"}
+    assert all(all_pass.values())
     all_fail = by_pair[(Revision.NATURAL, Contraction.STQ_LEX)]
-    assert not all_fail.nli and not all_fail.cr_all and not (all_fail.spu and all_fail.wpu)
+    assert not all_fail["NLI"] and not all(all_fail[f"CR{i}"] for i in (1, 2, 3, 4))
+    assert not (all_fail["SPU"] and all_fail["WPU"])
     named = Witness(
         tpos=("00 | 01 | 10 | 11",),
         inputs=("p & ~q | p & q",),

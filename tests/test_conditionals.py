@@ -26,6 +26,8 @@ from beliefchange.tpo import (
     tpo_at_index,
 )
 
+from ranks import rank
+
 ATOMS = ("p", "q")
 
 
@@ -135,7 +137,7 @@ def test_closure_preserves_contracted_strict_preferences():
             delta = conditional_set(contracted).adding_plain(p)
             result = flattest_satisfier(delta, pool)
             assert rational_closure(delta, 2) == result
-            rc, rr = contracted.rank, result.rank
+            rc, rr = rank(contracted), rank(result)
             for x in range(4):
                 for y in range(4):
                     if rc[x] < rc[y]:

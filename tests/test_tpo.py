@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 
@@ -22,6 +24,8 @@ from beliefchange.tpo import (
     propositions,
     tpo_at_index,
 )
+
+from ranks import rank
 
 ATOMS = ("p", "q")
 
@@ -49,10 +53,10 @@ CHAIN = parse_tpo("00 | 01 | 10 | 11", 2)
 
 
 def test_partition_ranks():
-    t = Tpo((mask("00"), mask("11"), mask("01", "10")), 2)
-    assert t.rank[w("00")] == 1
-    assert t.rank[w("11")] == 2
-    assert t.rank[w("01")] == 3 and t.rank[w("10")] == 3
+    r = rank(Tpo((mask("00"), mask("11"), mask("01", "10")), 2))
+    assert r[w("00")] == 1
+    assert r[w("11")] == 2
+    assert r[w("01")] == 3 and r[w("10")] == 3
 
 
 def test_overlapping_cells_rejected():
@@ -80,6 +84,81 @@ def test_empty_cell_and_unknown_world_rejected():
         Tpo((0b11111,), 2)
 
 
+@pytest.mark.parametrize(
+    "n_atoms, masks",
+    [
+        (0, (1,)),  # would be a one-world preorder printed as "0"
+        (5, ((1 << 32) - 1,)),  # beyond lang.MAX_ATOMS
+        (-1, (1,)),
+        ("2", (1,)),
+        (True, (0b01, 0b10)),  # equal to 1, but no int
+        (2.0, (0b1111,)),
+        ([2], (0b1111,)),
+    ],
+)
+def test_atom_count_outside_1_to_4_rejected(n_atoms, masks):
+    with pytest.raises(PartitionError, match=r"atom count .* is not 1 to 4"):
+        Tpo(masks, n_atoms)
+
+
+def test_a_preorder_is_the_validated_pair():
+    t = Tpo([0b0001, 0b1000, 0b0110], 2)
+    assert t == ((1, 8, 6), 2) and tuple(t) == ((1, 8, 6), 2)
+    assert hash(t) == hash((t.masks, t.n_atoms))
+    assert repr(t) == "Tpo(masks=(1, 8, 6), n_atoms=2)"
+    assert str(t) == "00 | 11 | 01 10"
+    masks, n_atoms = t
+    assert masks is t.masks and n_atoms == 2
+
+
+def _counting_checks(monkeypatch) -> list:
+    """Record every ``Tpo.__post_init__`` call from here on."""
+    calls = []
+    check = Tpo.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        check(self)
+
+    monkeypatch.setattr(Tpo, "__post_init__", counted)
+    return calls
+
+
+def test_every_route_to_a_preorder_validates(monkeypatch):
+    t = parse_tpo("00 | 11 | 01 10", 2)
+    routes = {
+        "_make": lambda: Tpo._make(((1, 8, 6), 2)),
+        "_replace": lambda: t._replace(masks=(8, 1, 6)),
+        "copy": lambda: copy.copy(t),
+        "deepcopy": lambda: copy.deepcopy(t),
+    }
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        routes[f"pickle {protocol}"] = lambda p=protocol: pickle.loads(pickle.dumps(t, p))
+    calls = _counting_checks(monkeypatch)
+    for name, route in routes.items():
+        calls.clear()
+        made = route()
+        assert type(made) is Tpo, name
+        assert calls == [made], name
+        assert made.n_atoms == 2 and sorted(made.masks) == [1, 6, 8], name
+
+
+def test_no_route_builds_an_invalid_preorder():
+    t = Tpo((0b0001, 0b1000, 0b0110), 2)
+    with pytest.raises(PartitionError):
+        t._replace(masks=(1, 2))
+    with pytest.raises(PartitionError):
+        Tpo._make(((1, 9, 6), 2))
+    with pytest.raises(PartitionError):
+        t._replace(n_atoms=3)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        data = pickle.dumps(t, protocol)
+        cell = b"I8\n" if protocol == 0 else b"K\x08"  # the pickled cell 0b1000
+        assert data.count(cell) == 1
+        with pytest.raises(PartitionError, match="more than one cell"):
+            pickle.loads(data.replace(cell, b"I9\n" if protocol == 0 else b"K\x09"))
+
+
 def test_text_form_round_trips_every_tpo():
     for t in enumerate_tpos(2):
         assert parse_tpo(format_tpo(t), 2) == t
@@ -91,7 +170,7 @@ def test_text_form_sorts_worlds_ascending():
 
 def test_rank_is_surjective_onto_cell_indices():
     for t in enumerate_tpos(2):
-        assert set(t.rank) == set(range(1, len(t.masks) + 1))
+        assert set(rank(t)) == set(range(1, len(t.masks) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +200,8 @@ def test_min_worlds_rejects_foreign_worlds():
 def test_lexicographic_revision_breaks_agreement_on_tied_pair():
     revised = revise(M0, mod("p"), Revision.LEXICOGRAPHIC)
     assert format_tpo(revised) == "11 | 10 | 00 | 01"
-    assert M0.rank[w("01")] == M0.rank[w("10")]
-    assert revised.rank[w("10")] < revised.rank[w("01")]
+    assert rank(M0)[w("01")] == rank(M0)[w("10")]
+    assert rank(revised)[w("10")] < rank(revised)[w("01")]
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +301,11 @@ def test_propositions_are_all_nonempty_world_sets():
 def _brute_force_isos(t1, t2, sentence):
     out = []
     worlds = range(4)
+    r1, r2 = rank(t1), rank(t2)
     sentence = {x for x in worlds if sentence >> x & 1}
     for perm in itertools.permutations(worlds):
         if all(
-            (t1.rank[x] <= t1.rank[y]) == (t2.rank[perm[x]] <= t2.rank[perm[y]])
+            (r1[x] <= r1[y]) == (r2[perm[x]] <= r2[perm[y]])
             for x in worlds
             for y in worlds
         ) and all(
