@@ -119,6 +119,7 @@ import random
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from itertools import islice
+from types import MappingProxyType
 from typing import Callable, Optional
 
 from .conditionals import flattest_satisfier, rational_closure_fast
@@ -1285,14 +1286,15 @@ ELEMENTARY_POSTULATES = (
 @lru_cache(maxsize=None)
 def pair_profile(n_atoms: int = 2) -> tuple:
     """``(revision, contraction, verdicts)`` for all nine built-in
-    operator pairs, ``verdicts`` mapping each of NLI, CR1-CR4, SPU and
-    WPU to whether it holds.  The pairs share their orders: each
+    operator pairs, ``verdicts`` a read-only map from each of NLI,
+    CR1-CR4, SPU and WPU to whether it holds (the rows are cached, so
+    the claims read them too).  The pairs share their orders: each
     revision's for every contraction, and each contraction's for every
     revision."""
     ids = ("NLI", "CR1", "CR2", "CR3", "CR4", "SPU", "WPU")
     shared = {}
     return tuple(
-        (rev, con, _holding(ids, rev, con, n_atoms, shared))
+        (rev, con, MappingProxyType(_holding(ids, rev, con, n_atoms, shared)))
         for rev in _BUILTIN_REVISIONS
         for con in _BUILTIN_CONTRACTIONS
     )

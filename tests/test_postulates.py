@@ -608,6 +608,8 @@ def test_pair_profile_shape():
     assert len(rows) == 9
     by_pair = {(rev, con): verdicts for rev, con, verdicts in rows}
     assert all(len(verdicts) == 7 for verdicts in by_pair.values())
+    with pytest.raises(TypeError):  # cached rows, read by T2, T3 and Cor1
+        rows[0][2]["NLI"] = False
     lex_stql = by_pair[(Revision.LEXICOGRAPHIC, Contraction.STQ_LEX)]
     assert all(lex_stql.values())
     nat_stql = by_pair[(Revision.NATURAL, Contraction.STQ_LEX)]

@@ -106,22 +106,8 @@ def test_a_preorder_is_the_validated_pair():
     assert t == ((1, 8, 6), 2) and tuple(t) == ((1, 8, 6), 2)
     assert hash(t) == hash((t.masks, t.n_atoms))
     assert repr(t) == "Tpo(masks=(1, 8, 6), n_atoms=2)"
-    assert str(t) == "00 | 11 | 01 10"
     masks, n_atoms = t
     assert masks is t.masks and n_atoms == 2
-
-
-def _counting_checks(monkeypatch) -> list:
-    """Record every ``Tpo.__post_init__`` call from here on."""
-    calls = []
-    check = Tpo.__post_init__
-
-    def counted(self):
-        calls.append(self)
-        check(self)
-
-    monkeypatch.setattr(Tpo, "__post_init__", counted)
-    return calls
 
 
 def test_every_route_to_a_preorder_validates(monkeypatch):
@@ -134,7 +120,8 @@ def test_every_route_to_a_preorder_validates(monkeypatch):
     }
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         routes[f"pickle {protocol}"] = lambda p=protocol: pickle.loads(pickle.dumps(t, p))
-    calls = _counting_checks(monkeypatch)
+    calls, check = [], Tpo.__post_init__
+    monkeypatch.setattr(Tpo, "__post_init__", lambda self: calls.append(self) or check(self))
     for name, route in routes.items():
         calls.clear()
         made = route()
