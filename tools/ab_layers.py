@@ -7,7 +7,8 @@ Usage::
 Each ``SRC`` is a directory holding a ``beliefchange`` package; both are
 loaded under aliases.  Every round times each op once per tree, the
 tree that goes first alternating between rounds, so the host's drift
-falls on both sides alike.  The ops: building 2000 seeded three-atom
+falls on both sides alike; the garbage collector runs before each
+reading, not during it.  The ops: building 2000 seeded three-atom
 preorders from their cell masks; revising each by its seeded input under
 the three built-in revisions; contracting each the same way under the
 three contractions; ``tpo_at_index`` at the 2000 indices; one sampled
@@ -17,6 +18,7 @@ tree's median milliseconds, the change/parent ratio's median and
 quartiles, and the rounds in which the change was faster.
 """
 
+import gc
 import importlib.util
 import json
 import random
@@ -68,12 +70,15 @@ def main(parent_src, change_src):
     times = {op: ([], []) for op in sides[0]}
     for op in times:  # warm-up, untimed
         sides[0][op](), sides[1][op]()
+    gc.disable()  # as timeit does: a collection would land on one side only
     for r in range(ROUNDS):
         for op, readings in times.items():
             for side in ((0, 1) if r % 2 == 0 else (1, 0)):
+                gc.collect()
                 start = time.perf_counter()
                 sides[side][op]()
                 readings[side].append((time.perf_counter() - start) * 1e3)
+    gc.enable()
     out = {}
     for op, (parent, change) in times.items():
         ratios = [c / p for p, c in zip(parent, change)]
