@@ -107,14 +107,16 @@ Exhaustive checks are supported for at most 2 atoms; sampled checks,
 drawing preorders uniformly via ordered-partition unranking, for at
 most 3.  A sampled check draws its preorder indices once.  Its outers,
 those preorders or the enumeration, are split into one contiguous job
-per worker, at most ``_CHUNKS`` (16) processes: one job runs in
-process, more run in a pool of one process per job.
+per worker, at most ``_CHUNKS`` (16): the first job runs in process and
+each other one, at most 15, in a forked child (``_run_jobs``).  Without
+``os.fork`` (Windows) every job runs in process.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
+import os
+import pickle
 import random
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
@@ -1032,6 +1034,69 @@ def _run_job(args):
     return tally.instances, tally.violations, tally.raws
 
 
+def _run_jobs(args) -> list:
+    """``_run_job`` of every job's arguments, in job order.  Job 0 runs in
+    this process and each other job in a forked child, which pickles
+    ``(ok, result or exception)`` back through a pipe and leaves with
+    ``os._exit``: it flushes none of this process's stdio buffers and runs
+    no exit hook.  A child's exception is raised again here.  Every child
+    is reaped before this returns or raises; on an error the read ends are
+    closed first, so no child stays blocked on its write.  The checker
+    starts no thread, so forking is safe.  Without ``os.fork`` (Windows)
+    every job runs in process."""
+    if not hasattr(os, "fork"):
+        return [_run_job(job) for job in args]
+    children = []  # (pid, read end) per forked job
+    try:
+        for job in args[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _child(job, read, write, children)
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        results = [_run_job(args[0])]
+        for index, (_, pipe) in enumerate(children, 1):
+            try:
+                ok, value = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                raise ChildProcessError(f"job {index} ended without a result") from None
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for _, pipe in children:
+            pipe.close()
+        for pid, _ in children:
+            os.waitpid(pid, 0)
+
+
+def _child(job, read: int, write: int, siblings) -> None:
+    """The body of a forked job: run it, send the pickled outcome through
+    ``write`` and leave without returning, exit status 0 once it is sent."""
+    code = 1
+    try:
+        os.close(read)
+        for _, pipe in siblings:
+            pipe.close()
+        try:
+            payload = (True, _run_job(job))
+        except BaseException as exc:  # not swallowed: the parent raises it
+            payload = (False, exc)
+        data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+        with open(write, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def check_postulate(
     postulate: str,
     revision: RevisionMethod | None = None,
@@ -1051,9 +1116,10 @@ def check_postulate(
     Violations are counted in full; the report keeps the first ten
     witnesses in enumeration order, whatever the worker count.  The
     outers are split into one contiguous job per worker, at most
-    ``_CHUNKS`` (16) and at most one per outer; a single job runs in
-    process, more in a pool of one process per job.  Only the kept
-    witnesses are rendered, in this process.
+    ``_CHUNKS`` (16) and at most one per outer; the first job runs in
+    process and every other one, at most 15, in a forked child (see
+    ``_run_jobs``).  Only the kept witnesses are rendered, in this
+    process.
     """
     spec = _spec(postulate, revision, contraction)
     _validate_scope(n_atoms, mode)
@@ -1075,13 +1141,8 @@ def check_postulate(
     bounds = [(total * i // jobs, total * (i + 1) // jobs) for i in range(jobs)]
     parts = [slice(start, stop) if draws is None else draws[start:stop] for start, stop in bounds]
     args = [(postulate, revision, contraction, n_atoms, part) for part in parts]
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(_run_job, args)
-    else:
-        results = map(_run_job, args)
     tally = _Tally(_Ctx(n_atoms, revision, contraction))
-    for instances, violations, raws in results:
+    for instances, violations, raws in _run_jobs(args):
         tally.instances += instances
         tally.violations += violations
         tally.keep(raws)

@@ -1,7 +1,11 @@
 import gc
 import json
 import operator
+import os
 import random
+import signal
+import subprocess
+import sys
 import weakref
 from functools import lru_cache
 from itertools import product
@@ -325,58 +329,117 @@ def test_reports_are_deterministic_across_runs_and_workers():
 
 
 def test_worker_pool_is_sized_by_the_jobs(monkeypatch):
-    """A pool gets no more processes than there are jobs, and none at all
-    for one job; the fake pool runs the jobs in process."""
+    """A check runs one job per worker, at most 16 and at most one per
+    outer; the stand-in runner runs them in process."""
     sizes = []
 
-    class FakePool:
-        def __init__(self, processes):
-            sizes.append(processes)
+    def sized_jobs(args):
+        sizes.append(len(args))
+        return _in_process_jobs(args)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return [fn(job) for job in jobs]
-
-    monkeypatch.setattr(postulates.multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(postulates, "_run_jobs", sized_jobs)
     sampled = dict(n_atoms=3, mode="sampled", seed=1)
     cases = [
         (dict(n_atoms=2, workers=64), 16),  # 75 outers in 16 chunks
         (dict(n_atoms=2, workers=3), 3),
         (dict(sample=3, workers=64, **sampled), 3),
-        (dict(sample=1, workers=64, **sampled), None),
+        (dict(sample=1, workers=64, **sampled), 1),
         (dict(sample=2, workers=2, **sampled), 2),
-        (dict(sample=5, workers=1, **sampled), None),
+        (dict(sample=5, workers=1, **sampled), 1),
     ]
     for kwargs, expected in cases:
         del sizes[:]
         serial = dict(kwargs, workers=1)
         report = check_postulate("DP1", Revision.LEXICOGRAPHIC, **kwargs)
-        assert sizes == ([] if expected is None else [expected]), kwargs
+        assert sizes == [expected], kwargs
         assert render_machine(report) == render_machine(
             check_postulate("DP1", Revision.LEXICOGRAPHIC, **serial)
         )
 
 
-class _InProcessPool:
-    """A stand-in for ``multiprocessing.Pool`` that runs its jobs in
+def _in_process_jobs(args):
+    """A stand-in for ``postulates._run_jobs`` that runs every job in
     process."""
+    return [postulates._run_job(job) for job in args]
 
-    def __init__(self, processes):
-        pass
 
-    def __enter__(self):
-        return self
+def _echo_job(job):
+    """A job for the runner tests: ``(raise, payload)`` raises a
+    ValueError when ``raise`` is set, else returns the payload."""
+    fail, payload = job
+    if fail:
+        raise ValueError(f"job failed: {payload}")
+    return payload
 
-    def __exit__(self, *exc):
-        return False
 
-    def map(self, fn, jobs):
-        return [fn(job) for job in jobs]
+@pytest.fixture
+def reaped(monkeypatch):
+    """Runs the runner tests' jobs with a 30 s alarm against a hang, and
+    checks afterwards that this process has no child left."""
+    monkeypatch.setattr(postulates, "_run_job", _echo_job)
+
+    def hung(signum, frame):
+        raise TimeoutError("the runner hung")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="forks its jobs")
+def test_forked_jobs_return_their_results_in_job_order(reaped):
+    big = bytes(range(256)) * 1024  # larger than a pipe's buffer
+    jobs = [(False, ("first", os.getpid())), (False, big), (False, 3), (False, None)]
+    assert postulates._run_jobs(jobs) == [("first", os.getpid()), big, 3, None]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="forks its jobs")
+def test_a_child_job_error_is_raised_again_in_the_parent(reaped):
+    jobs = [(False, 0), (False, 1), (True, "second child"), (False, 3)]
+    with pytest.raises(ValueError, match=r"^job failed: second child$"):
+        postulates._run_jobs(jobs)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="forks its jobs")
+def test_an_error_in_the_parent_job_still_reaps_every_child(reaped):
+    # each child's result outgrows the pipe's buffer, so a child stays
+    # blocked on its write unless the parent closes the read end first
+    big = b"x" * (1 << 20)
+    jobs = [(True, "parent"), *[(False, big)] * 3]
+    with pytest.raises(ValueError, match=r"^job failed: parent$"):
+        postulates._run_jobs(jobs)
+
+
+def test_a_single_job_forks_no_child(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked for a single job")
+
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    kwargs = dict(n_atoms=3, mode="sampled", seed=1)
+    for scope in (dict(sample=5, workers=1), dict(sample=1, workers=4)):
+        assert check_postulate("DP1", Revision.NATURAL, **scope, **kwargs).instances
+
+
+def test_without_fork_every_job_runs_in_process(monkeypatch):
+    serial = check_postulate("IIAP", Revision.NATURAL, n_atoms=2)
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert check_postulate("IIAP", Revision.NATURAL, n_atoms=2, workers=3) == serial
+
+
+def test_importing_the_cli_leaves_multiprocessing_out():
+    src = os.path.dirname(os.path.dirname(postulates.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, beliefchange.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (out.returncode, out.stdout) == (0, "False\n"), out.stderr
 
 
 def test_each_worker_runs_one_job_that_counts_a_composition_once(monkeypatch):
@@ -392,7 +455,7 @@ def test_each_worker_runs_one_job_that_counts_a_composition_once(monkeypatch):
         counts.append((len(jobs), postulates._composition(outer)))
         return violations(spec, ctx, outer)
 
-    monkeypatch.setattr(postulates.multiprocessing, "Pool", _InProcessPool)
+    monkeypatch.setattr(postulates, "_run_jobs", _in_process_jobs)
     monkeypatch.setattr(postulates, "_run_job", counted_job)
     monkeypatch.setattr(postulates._PostulateDef, "violations", counted)
     kwargs = dict(n_atoms=3, mode="sampled", sample=200, seed=1)
@@ -1222,7 +1285,7 @@ EQUIVARIANT = (
 def test_row_reports_equal_the_full_scan(postulate, op, monkeypatch):
     # sixteen jobs cut most rows; a failing scan (IIAP under stq-lex then
     # natural or restrained) reads no row back
-    monkeypatch.setattr(postulates.multiprocessing, "Pool", _InProcessPool)
+    monkeypatch.setattr(postulates, "_run_jobs", _in_process_jobs)
     rows = [check_postulate(postulate, op, n_atoms=2, workers=w) for w in (1, 2, 3, 16)]
     _full_scan(monkeypatch)
     assert rows == [check_postulate(postulate, op, n_atoms=2)] * 4
