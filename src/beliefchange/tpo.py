@@ -68,6 +68,13 @@ def _min_mask(masks: tuple, mask: int) -> int:
 _FULL = {n: all_worlds(n) for n in range(1, MAX_ATOMS + 1)}  # atom count: its world mask
 
 
+def _atom_count(n_atoms) -> int:
+    """An atom count, checked: an int from 1 to 4."""
+    if type(n_atoms) is not int or n_atoms not in _FULL:  # not True or 2.0
+        raise PartitionError(f"atom count {n_atoms!r} is not 1 to {MAX_ATOMS}")
+    return n_atoms
+
+
 class Tpo(namedtuple("Tpo", "masks n_atoms")):
     """Ordered partition of the 2^n_atoms worlds; validates on construction.
 
@@ -114,9 +121,7 @@ class Tpo(namedtuple("Tpo", "masks n_atoms")):
 
     def _reject(self):
         """Raise the error for the first fault, in cell order."""
-        n_atoms = self.n_atoms
-        if type(n_atoms) is not int or n_atoms not in _FULL:
-            raise PartitionError(f"atom count {n_atoms!r} is not 1 to {MAX_ATOMS}")
+        n_atoms = _atom_count(self.n_atoms)
         full = _FULL[n_atoms]
         seen = 0
         for mask in self.masks:
@@ -163,9 +168,13 @@ def parse_tpo(text: str, n_atoms: int) -> Tpo:
 
 @dataclass(frozen=True)
 class Absurd:
-    """The state whose belief set is the whole language."""
+    """The state whose belief set is the whole language; its atom count
+    is checked like a preorder's."""
 
     n_atoms: int
+
+    def __post_init__(self):
+        _atom_count(self.n_atoms)
 
     def __str__(self) -> str:
         return "absurd"

@@ -99,6 +99,8 @@ def test_empty_cell_and_unknown_world_rejected():
 def test_atom_count_outside_1_to_4_rejected(n_atoms, masks):
     with pytest.raises(PartitionError, match=r"atom count .* is not 1 to 4"):
         Tpo(masks, n_atoms)
+    with pytest.raises(PartitionError, match=r"atom count .* is not 1 to 4"):
+        Absurd(n_atoms)
 
 
 def test_a_preorder_is_the_validated_pair():
@@ -343,7 +345,7 @@ def test_isomorphisms_match_brute_force_oracle():
 def test_beliefs_of_examples():
     assert beliefs(M0) == mask("00")
     assert beliefs(FLAT) == all_worlds(2)
-    assert beliefs(Absurd(2)) == 0
+    assert [beliefs(Absurd(n)) for n in range(1, 5)] == [0] * 4
 
 
 def cond(a, b):
