@@ -1083,13 +1083,13 @@ def _child(job, read: int, write: int, siblings) -> None:
     code = 1
     try:
         os.close(read)
-        for _, pipe in siblings:
+        for _, pipe in siblings:  # held here, a read end would keep its writer blocked
             pipe.close()
         try:
             payload = (True, _run_job(job))
         except BaseException as exc:  # not swallowed: the parent raises it
             payload = (False, exc)
-        data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+        data = pickle.dumps(payload)
         with open(write, "wb") as pipe:
             pipe.write(data)
         code = 0

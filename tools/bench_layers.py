@@ -47,8 +47,12 @@ Times, on the ``beliefchange`` package found on ``sys.path``:
 * one full check: ``check_postulate("DP1", Revision.NATURAL, n_atoms=3,
   mode="sampled")`` at the default 10000 samples and one worker, as
   ``check DP1 natural --n 3 --mode sampled`` runs it, and the same check
-  at ``workers=2``, which starts a pool of two processes for its two
-  jobs;
+  at ``workers=2``, which runs its first job in process and forks one
+  child for the second;
+* one check the size of a ``sampled-cross`` benchmark op:
+  ``check_postulate("IIAI", Revision.NATURAL, n_atoms=3,
+  mode="sampled", seed=1, sample=6)`` at ``workers=1`` and at
+  ``workers=2``, where the fixed cost of starting the second job shows;
 * one closure query at three atoms: ``parse_conditional_set`` plus
   ``closure_answer`` on a fast-path file (a seeded preorder's full
   conditional set, 255 ``A => B`` lines, plus its belief set as the
@@ -233,6 +237,12 @@ def main() -> None:
     def default_check(workers=1):
         check_postulate("DP1", Revision.NATURAL, n_atoms=3, mode="sampled", workers=workers)
 
+    def small_check(workers):
+        check_postulate(
+            "IIAI", Revision.NATURAL, n_atoms=3, mode="sampled", seed=1, sample=6,
+            workers=workers,
+        )
+
     def closures():
         for text in files:
             closure_answer(parse_conditional_set(text, ATOMS), 3)
@@ -282,6 +292,8 @@ def main() -> None:
         "l_flattest_n2_ms": (partial(claim, "L_flattest"), 1, 1e3),
         "check_DP1_natural_n3_default_s": (default_check, 1, 1.0),
         "check_DP1_natural_n3_default_w2_s": (partial(default_check, 2), 1, 1.0),
+        "check_IIAI_natural_n3_sample6_ms": (partial(small_check, 1), 1, 1e3),
+        "check_IIAI_natural_n3_sample6_w2_ms": (partial(small_check, 2), 1, 1e3),
         "closure_query_n3_ms": (closures, CLOSURES, 1e3),
         "parse_3000_lines_n4_ms": (parse, 1, 1e3),
     }
