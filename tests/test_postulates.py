@@ -364,12 +364,12 @@ def _in_process_jobs(args):
 
 
 def _echo_job(job):
-    """A job for the runner tests: ``(raise, payload)`` raises a
-    ValueError when ``raise`` is set, else returns the payload."""
+    """A job for the runner tests: ``(fail, payload)`` raises a ValueError
+    when ``fail`` is set, else returns the payload and the process id."""
     fail, payload = job
     if fail:
         raise ValueError(f"job failed: {payload}")
-    return payload
+    return payload, os.getpid()
 
 
 @pytest.fixture
@@ -395,8 +395,11 @@ def reaped(monkeypatch):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="forks its jobs")
 def test_forked_jobs_return_their_results_in_job_order(reaped):
     big = bytes(range(256)) * 1024  # larger than a pipe's buffer
-    jobs = [(False, ("first", os.getpid())), (False, big), (False, 3), (False, None)]
-    assert postulates._run_jobs(jobs) == [("first", os.getpid()), big, 3, None]
+    payloads = ["first", big, 3, None]
+    results = postulates._run_jobs([(False, payload) for payload in payloads])
+    assert [payload for payload, _ in results] == payloads
+    pids = [pid for _, pid in results]
+    assert pids[0] == os.getpid() and len(set(pids)) == 4  # job 0 in process
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="forks its jobs")
