@@ -1,0 +1,36 @@
+"""Smoke test of the layer-timing tool ``tools/ab_layers.py``.
+
+The tool reaches into private names of the package (``_merge_masks``,
+``_scan``, ``_Ctx``, ``_NliComposition``, ``_dp_posterior_candidates``);
+running every layer once here catches a refactor that removes one.
+"""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_SPEC = importlib.util.spec_from_file_location("ab_layers", ROOT / "tools" / "ab_layers.py")
+ab_layers = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(ab_layers)
+
+# The layer names of earlier BENCH_*.json readings, kept so they stay comparable.
+EARLIER_LAYERS = (
+    "revise_call_us", "contract_call_us", "merge_masks_call_us", "tpo_at_index_x1000_ms",
+    "enumerate_tpos_3_s", "scan_DP1_natural_ms", "scan_NLI_natural_stq_lex_ms",
+    "scan_IIAI_natural_ms", "scan_IIAP_natural_ms", "scan_Beta1_natural_ms",
+    "scan_Neut_natural_ms", "scan_IIAI_stq_lex_then_natural_ms",
+    "scan_CR4_natural_stq_lex_ms", "check_CR4_natural_stq_lex_n2_ms",
+    "check_IIAP_natural_n2_ms", "check_Neut_natural_n2_ms", "claim_P2_n2_s",
+    "claim_T1_n2_s", "diagrams_n2_ms", "claim_T3_n2_s", "pair_profile_n2_s",
+    "dp_candidates_n2_ms", "l_flattest_n2_ms", "check_DP1_natural_n3_default_s",
+    "check_DP1_natural_n3_default_w2_s", "check_IIAI_natural_n3_sample6_ms",
+    "check_IIAI_natural_n3_sample6_w2_ms", "closure_query_n3_ms", "parse_3000_lines_n4_ms",
+)
+
+
+def test_every_layer_runs_once_on_this_tree():
+    bc = ab_layers._load("ab_layers_smoke", ROOT / "src")
+    table = ab_layers.layers(bc, ab_layers.draws())
+    assert set(EARLIER_LAYERS) <= set(table)
+    for run, _, _ in table.values():
+        run()

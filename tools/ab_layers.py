@@ -1,21 +1,42 @@
-"""Time two source trees of ``beliefchange`` in one process, as JSON.
+"""Per-layer timings of two source trees of ``beliefchange`` in one process, as JSON.
 
 Usage::
 
     python3 tools/ab_layers.py PARENT_SRC CHANGE_SRC
+    python3 tools/ab_layers.py SRC SRC
 
 Each ``SRC`` is a directory holding a ``beliefchange`` package; both are
-loaded under aliases.  Every round times each op once per tree, the
-tree that goes first alternating between rounds, so the host's drift
-falls on both sides alike; the garbage collector runs before each
-reading, not during it.  The ops: building 2000 seeded three-atom
-preorders from their cell masks; revising each by its seeded input under
-the three built-in revisions; contracting each the same way under the
-three contractions; ``tpo_at_index`` at the 2000 indices; one sampled
-DP1 natural check at n=3 (10000 samples); one exhaustive Neut natural
-check at n=2; ``verify_claim("T4")``.  Per op the output gives each
-tree's median milliseconds, the change/parent ratio's median and
-quartiles, and the rounds in which the change was faster.
+loaded under aliases.  The second form times one tree against itself:
+its ratio quartiles are then that tree's noise floor.
+
+The layers are built by ``layers(bc, drawn)`` for each loaded package
+from one set of seeded preorder indices, inputs and masks
+(``draws()``), so both trees time the same instances.  Each layer's name
+ends in its unit, per call of the layer (``_call_us`` is microseconds
+per operator call, ``_x1000_ms`` milliseconds per 1000 calls, a bare
+``_ms`` or ``_s`` per run of the whole layer).  The layers, at three
+atoms unless the name says otherwise: building a preorder from its cell
+masks; ``revise`` and ``contract`` under every built-in method;
+``_merge_masks``, the synchronized-minima merge of ``contract``;
+``tpo_at_index``; a full ``enumerate_tpos(3)``; one postulate scan of
+one outer, as a sampled check runs it (Neut's outers pair each preorder
+with a permutation of its worlds, so the isomorphism path runs); the
+exhaustive checks at two atoms of CR4 (which fails), IIAP and Neut; the
+claims P2, T1, T3 (its ``pair_profile`` cache cleared), L_flattest and
+T4 at two atoms; the six diagram scans; ``pair_profile(2)`` and
+``_dp_posterior_candidates(2)`` with their caches cleared; the default
+sampled DP1 check (10000 samples) and a six-sample IIAI check, at one
+and at two workers; a closure query (``parse_conditional_set`` plus
+``closure_answer``) on a preorder's full conditional set plus its belief
+set; and parsing the first 3000 lines of a four-atom preorder's full
+conditional set.
+
+Every round times each layer once per tree, the tree that goes first
+alternating between rounds, so the host's drift falls on both sides
+alike; the garbage collector runs before each reading, not during it.
+Per layer the output gives each tree's median, the change/parent
+ratio's median and quartiles, and the rounds in which the change was
+faster.
 """
 
 import gc
@@ -28,7 +49,14 @@ import time
 from pathlib import Path
 
 ROUNDS = 21
+TPOS3 = 545835  # count_tpos(3)
+INPUTS3 = range(1, 256)  # propositions(3)
 DRAWS = 2000
+SCANS = 20
+CLOSURES = 10
+ATOMS = ("p", "q", "r")
+PARSE_LINES = 3000
+ATOMS4 = ("p", "q", "r", "s")
 
 
 def _load(alias, src):
@@ -41,57 +69,216 @@ def _load(alias, src):
     return module
 
 
-def _ops(bc, draws):
-    tpo, ops, post = bc.tpo, bc.operators, bc.postulates
-    built = [(tpo.tpo_at_index(i, 3), p) for i, p in draws]
-    masks = [t.masks for t, _ in built]
+def draws():
+    """The seeded preorder indices, inputs and masks that both trees use."""
+    rng = random.Random(2019)
+    pool = [rng.randrange(TPOS3) for _ in range(200)]
+    inputs = [(rng.choice(pool), rng.choice(INPUTS3)) for _ in range(DRAWS)]
+    pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(DRAWS)]
+    indices = [rng.randrange(TPOS3) for _ in range(1000)]
+    outers = [rng.randrange(TPOS3) for _ in range(SCANS)]
+    outer_pairs = [(rng.choice(outers), rng.choice(outers)) for _ in range(SCANS)]
+    files = [rng.randrange(TPOS3) for _ in range(CLOSURES)]
+    images = []  # a seeded permutation of the worlds per outer
+    for _ in outers:
+        images.append(list(range(8)))
+        rng.shuffle(images[-1])
+    rng4 = random.Random(4)
+    rank = [rng4.randrange(16) for _ in range(16)]  # a seeded rank per world
+    masks4 = tuple(
+        sum(1 << w for w in range(16) if rank[w] == r) for r in sorted(set(rank))
+    )
     return {
-        "construct": lambda: [tpo.Tpo(m, 3) for m in masks],
-        "revise": lambda: [ops.revise(t, p, r) for t, p in built for r in ops.Revision],
-        "contract": lambda: [ops.contract(t, p, c) for t, p in built for c in ops.Contraction],
-        "tpo_at_index": lambda: [tpo.tpo_at_index(i, 3) for i, _ in draws],
-        "DP1_n3_sampled": lambda: post.check_postulate(
-            "DP1", ops.Revision.NATURAL, n_atoms=3, mode="sampled"
+        "inputs": inputs,
+        "pairs": pairs,
+        "indices": indices,
+        "outers": outers,
+        "outer_pairs": outer_pairs,
+        "files": files,
+        "images": images,
+        "masks4": masks4,
+    }
+
+
+def _permuted(bc, t, image):
+    """The preorder with world w moved to ``image[w]``."""
+    moved = (sum(1 << image[w] for w in range(len(image)) if c >> w & 1) for c in t.masks)
+    return bc.tpo.Tpo(tuple(moved), t.n_atoms)
+
+
+def _conditional_lines(bc, t, atoms, propositions):
+    """A preorder's conditional 'A => B' lines for the given inputs."""
+    return [
+        f"{bc.lang.dnf_of_worlds(p, atoms)} => "
+        f"{bc.lang.dnf_of_worlds(bc.tpo.min_worlds(t, p), atoms)}"
+        for p in propositions
+    ]
+
+
+def _fast_path_file(bc, t):
+    """A preorder's full conditional set plus its belief set, as file text."""
+    lines = _conditional_lines(bc, t, ATOMS, INPUTS3)
+    lines.append(bc.lang.dnf_of_worlds(bc.tpo.min_worlds(t, INPUTS3[-1]), ATOMS))
+    return "\n".join(lines) + "\n"
+
+
+def layers(bc, drawn):
+    """Each layer's name -> (one run of it, the calls in that run, the
+    unit's scale from seconds), for the loaded package ``bc``."""
+    tpo, ops, post = bc.tpo, bc.operators, bc.postulates
+    cli = importlib.import_module(bc.__name__ + ".cli")
+    natural, stq_lex = ops.Revision.NATURAL, ops.Contraction.STQ_LEX
+
+    def unrank(index):
+        return tpo.tpo_at_index(index, 3)
+
+    inputs = [(unrank(i), p) for i, p in drawn["inputs"]]
+    pairs = [(unrank(a).masks, unrank(b).masks) for a, b in drawn["pairs"]]
+    outers = [unrank(i) for i in drawn["outers"]]
+    outer_pairs = [(unrank(a), unrank(b)) for a, b in drawn["outer_pairs"]]
+    isomorphic_pairs = [
+        (t, _permuted(bc, t, image)) for t, image in zip(outers, drawn["images"])
+    ]
+    files = [_fast_path_file(bc, unrank(i)) for i in drawn["files"]]
+    t4 = tpo.Tpo(drawn["masks4"], 4)
+    parse_text = "\n".join(_conditional_lines(bc, t4, ATOMS4, range(1, PARSE_LINES + 1))) + "\n"
+
+    def construct():
+        for t, _ in inputs:
+            tpo.Tpo(t.masks, 3)
+
+    def revisions():
+        for t, p in inputs:
+            for method in ops.Revision:
+                ops.revise(t, p, method)
+
+    def contractions():
+        for t, p in inputs:
+            for method in ops.Contraction:
+                ops.contract(t, p, method)
+
+    def merges():
+        full = bc.lang.all_worlds(3)
+        for a, b in pairs:
+            ops._merge_masks(a, b, full)
+
+    def unranks():
+        for index in drawn["indices"]:
+            unrank(index)
+
+    def enumeration():
+        for _ in tpo.enumerate_tpos(3):
+            pass
+
+    def scans(postulate, rev, con=None, pairs=outer_pairs):
+        spec = post._POSTULATES[postulate]
+        pool = [(t, (u,), False) for t, u in pairs] if spec.pair_outer else outers
+
+        def run():
+            for outer in pool:
+                post._scan(post._Ctx(3, rev, con), spec, [outer], clear=True)
+
+        return run
+
+    def check(postulate, rev=natural, con=None, **scope):
+        return lambda: post.check_postulate(postulate, rev, con, **scope)
+
+    def claim(name):
+        return lambda: post.verify_claim(name, 2)
+
+    def equivalence():
+        post.pair_profile.cache_clear()
+        post.verify_claim("T3", 2)
+
+    def profile():
+        post.pair_profile.cache_clear()
+        post.pair_profile(2)
+
+    def dp_candidates():
+        post._dp_posterior_candidates.cache_clear()
+        post._dp_posterior_candidates(2)
+
+    def diagrams():
+        for d in post.DIAGRAM_IDS:
+            post.check_diagram(d, 2)
+
+    def closures():
+        for text in files:
+            cli.closure_answer(cli.parse_conditional_set(text, ATOMS), 3)
+
+    default = {"n_atoms": 3, "mode": "sampled"}
+    small = {"n_atoms": 3, "mode": "sampled", "seed": 1, "sample": 6}
+    composed = post._NliComposition(stq_lex, natural)
+    return {
+        "construct_call_us": (construct, DRAWS, 1e6),
+        "revise_call_us": (revisions, 3 * DRAWS, 1e6),
+        "contract_call_us": (contractions, 3 * DRAWS, 1e6),
+        "merge_masks_call_us": (merges, DRAWS, 1e6),
+        "tpo_at_index_x1000_ms": (unranks, 1, 1e3),
+        "enumerate_tpos_3_s": (enumeration, 1, 1.0),
+        "scan_DP1_natural_ms": (scans("DP1", natural), SCANS, 1e3),
+        "scan_NLI_natural_stq_lex_ms": (scans("NLI", natural, stq_lex), SCANS, 1e3),
+        "scan_IIAI_natural_ms": (scans("IIAI", natural), SCANS, 1e3),
+        "scan_IIAP_natural_ms": (scans("IIAP", natural), SCANS, 1e3),
+        "scan_Beta1_natural_ms": (scans("Beta1", natural), SCANS, 1e3),
+        "scan_Neut_natural_ms": (scans("Neut", natural, pairs=isomorphic_pairs), SCANS, 1e3),
+        "scan_IIAI_stq_lex_then_natural_ms": (scans("IIAI", composed), SCANS, 1e3),
+        "scan_CR4_natural_stq_lex_ms": (scans("CR4", natural, stq_lex), SCANS, 1e3),
+        "check_CR4_natural_stq_lex_n2_ms": (check("CR4", con=stq_lex, n_atoms=2), 1, 1e3),
+        "check_IIAP_natural_n2_ms": (check("IIAP", n_atoms=2), 1, 1e3),
+        "check_Neut_natural_n2_ms": (check("Neut", n_atoms=2), 1, 1e3),
+        "claim_P2_n2_s": (claim("P2"), 1, 1.0),
+        "claim_T1_n2_s": (claim("T1"), 1, 1.0),
+        "diagrams_n2_ms": (diagrams, 1, 1e3),
+        "claim_T3_n2_s": (equivalence, 1, 1.0),
+        "pair_profile_n2_s": (profile, 1, 1.0),
+        "dp_candidates_n2_ms": (dp_candidates, 1, 1e3),
+        "l_flattest_n2_ms": (claim("L_flattest"), 1, 1e3),
+        "claim_T4_n2_ms": (claim("T4"), 1, 1e3),
+        "check_DP1_natural_n3_default_s": (check("DP1", **default), 1, 1.0),
+        "check_DP1_natural_n3_default_w2_s": (check("DP1", **default, workers=2), 1, 1.0),
+        "check_IIAI_natural_n3_sample6_ms": (check("IIAI", **small), 1, 1e3),
+        "check_IIAI_natural_n3_sample6_w2_ms": (check("IIAI", **small, workers=2), 1, 1e3),
+        "closure_query_n3_ms": (closures, CLOSURES, 1e3),
+        "parse_3000_lines_n4_ms": (
+            lambda: cli.parse_conditional_set(parse_text, ATOMS4), 1, 1e3
         ),
-        "Neut_n2_exhaustive": lambda: post.check_postulate(
-            "Neut", ops.Revision.NATURAL, n_atoms=2
-        ),
-        "T4": lambda: post.verify_claim("T4"),
     }
 
 
 def main(parent_src, change_src):
-    rng = random.Random(20)
-    draws = [(rng.randrange(545835), rng.randrange(1, 255)) for _ in range(DRAWS)]
+    drawn = draws()
     sides = [
-        _ops(_load(alias, src), draws)
+        layers(_load(alias, src), drawn)
         for alias, src in (("ab_parent", parent_src), ("ab_change", change_src))
     ]
-    times = {op: ([], []) for op in sides[0]}
-    for op in times:  # warm-up, untimed
-        sides[0][op](), sides[1][op]()
+    for side in sides:  # warm-up, untimed: fills the per-process tables and caches
+        for run, _, _ in side.values():
+            run()
+    times = {name: ([], []) for name in sides[0]}
     gc.disable()  # as timeit does: a collection would land on one side only
     for r in range(ROUNDS):
-        for op, readings in times.items():
+        for name, readings in times.items():
             for side in ((0, 1) if r % 2 == 0 else (1, 0)):
+                run, calls, scale = sides[side][name]
                 gc.collect()
                 start = time.perf_counter()
-                sides[side][op]()
-                readings[side].append((time.perf_counter() - start) * 1e3)
+                run()
+                readings[side].append((time.perf_counter() - start) / calls * scale)
     gc.enable()
     out = {}
-    for op, (parent, change) in times.items():
+    for name, (parent, change) in times.items():
         ratios = [c / p for p, c in zip(parent, change)]
         q1, median, q3 = statistics.quantiles(ratios, n=4)
-        out[op] = {
-            "parent_ms": round(statistics.median(parent), 3),
-            "change_ms": round(statistics.median(change), 3),
+        out[name] = {
+            "parent": round(statistics.median(parent), 4),
+            "change": round(statistics.median(change), 4),
             "ratio_median": round(median, 3),
             "ratio_q1": round(q1, 3),
             "ratio_q3": round(q3, 3),
             "rounds_won": sum(c < p for p, c in zip(parent, change)),
         }
-    print(json.dumps({"rounds": ROUNDS, "ops": out}, indent=2))
+    print(json.dumps({"rounds": ROUNDS, "layers": out}, indent=2))
 
 
 if __name__ == "__main__":
