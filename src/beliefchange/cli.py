@@ -19,7 +19,9 @@ byte-identical across runs.
 Files are read once: ``parse_scenario`` resolves every method name and
 parses every formula to its world mask (a conditional to its pair of
 masks), and ``parse_conditional_set`` builds a ``MixedSet`` from masks,
-so running a scenario or a closure query parses no formula again.
+so running a scenario or a closure query parses no formula again.  A
+formula error in a file names its line and its offset in the line,
+counted from the line's first non-blank character.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 from .conditionals import rational_base, rational_closure, rational_closure_fast
 from .exceptions import (
     BeliefChangeError,
+    FormulaNestingError,
     FormulaSyntaxError,
     MalformedDiagramError,
     MissingContractionError,
@@ -118,7 +121,7 @@ def parse_scenario(text: str) -> Scenario:
                 table = _CONTRACTIONS if kind == "contract" else _REVISIONS
                 if parts[1] not in table:
                     raise ScenarioError(f"line {number}: unknown method {parts[1]!r}")
-                steps.append((parts, (table[parts[1]],)))
+                methods = (table[parts[1]],)
             elif kind == "nli-revise":
                 if len(parts) < 4:
                     raise ScenarioError(
@@ -126,14 +129,16 @@ def parse_scenario(text: str) -> Scenario:
                     )
                 if parts[1] not in _CONTRACTIONS or parts[2] not in _REVISIONS:
                     raise ScenarioError(f"line {number}: unknown method in nli-revise step")
-                steps.append((parts, (_CONTRACTIONS[parts[1]], _REVISIONS[parts[2]])))
+                methods = (_CONTRACTIONS[parts[1]], _REVISIONS[parts[2]])
             else:
                 raise ScenarioError(f"line {number}: unknown step {kind!r}")
+            formula = content.split(None, len(methods) + 1)[-1]  # the raw rest of the line
+            steps.append((number, line, len(line) - len(formula), parts, methods))
         elif section == "query":
             parts = content.split(None, 1)
             if len(parts) != 2 or parts[0] not in ("belief", "conditional"):
                 raise ScenarioError(f"line {number}: query must be 'belief F' or 'conditional A => B'")
-            queries.append(parts)
+            queries.append((number, line, len(line) - len(parts[1]), parts[0]))
         else:
             raise ScenarioError(f"line {number}: unknown section {section!r}")
     if atoms is None:
@@ -145,27 +150,46 @@ def parse_scenario(text: str) -> Scenario:
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
     steps = tuple(
-        Step(" ".join(parts), parts[0], methods, models(" ".join(parts[1 + len(methods):]), atoms))
-        for parts, methods in steps
+        Step(" ".join(parts), parts[0], methods, _models_at(number, line, atoms, start))
+        for number, line, start, parts, methods in steps
     )
     queries = tuple(
-        Query(f"{kind} {rest}", _query_sentence(kind, rest, atoms)) for kind, rest in queries
+        Query(f"{kind} {line[start:]}", _query_sentence(number, kind, line, start, atoms))
+        for number, line, start, kind in queries
     )
     return Scenario(atoms=atoms, initial_text=initial, steps=steps, queries=queries)
 
 
-def _conditional(text: str, atoms) -> tuple:
-    """The (antecedent, consequent) masks of a conditional 'A => B'."""
-    antecedent, _, consequent = text.partition("=>")
-    return models(antecedent.strip(), atoms), models(consequent.strip(), atoms)
+def _models_at(number: int, line: str, atoms, start: int = 0, end: int | None = None) -> int:
+    """The mask of the formula ``line[start:end]`` of file line ``number``
+    (a line stripped of its blanks); a syntax error names the line and
+    its offset in the line."""
+    text = line[start:end]
+    try:
+        return models(text.strip(), atoms)
+    except FormulaNestingError as exc:
+        raise ScenarioError(f"line {number}: {exc}") from None
+    except FormulaSyntaxError as exc:
+        offset = start + len(text) - len(text.lstrip()) + exc.position
+        raise ScenarioError(f"line {number}: {exc.reason} at offset {offset}") from None
 
 
-def _query_sentence(kind: str, text: str, atoms):
+def _conditional(number: int, line: str, atoms, start: int = 0) -> tuple:
+    """The (antecedent, consequent) masks of the conditional 'A => B'
+    written from offset ``start`` of file line ``number``."""
+    arrow = line.index("=>", start)
+    return (
+        _models_at(number, line, atoms, start, arrow),
+        _models_at(number, line, atoms, arrow + 2),
+    )
+
+
+def _query_sentence(number: int, kind: str, line: str, start: int, atoms):
     if kind == "belief":
-        return models(text, atoms)
-    if "=>" not in text:
+        return _models_at(number, line, atoms, start)
+    if "=>" not in line[start:]:
         raise ScenarioError("conditional query must be written 'A => B'")
-    return _conditional(text, atoms)
+    return _conditional(number, line, atoms, start)
 
 
 def _parse_state(text: str, n_atoms: int) -> State:
@@ -205,7 +229,7 @@ def run_scenario(text: str, fmt: str = "text") -> tuple:
         scenario = parse_scenario(text)
         atoms = scenario.atoms
         state = _parse_state(scenario.initial_text, len(atoms))
-    except (ScenarioError, FormulaSyntaxError, PartitionError) as exc:
+    except (ScenarioError, PartitionError) as exc:
         return 2, "", f"error: {exc}\n"
 
     def answers(current_state):
@@ -265,13 +289,10 @@ def parse_conditional_set(text: str, atoms) -> MixedSet:
     plain = all_worlds(len(atoms))
     pairs = set()
     for number, line in _content_lines(text):
-        try:
-            if "=>" in line:
-                pairs.add(_conditional(line, atoms))
-            else:
-                plain &= models(line, atoms)
-        except FormulaSyntaxError as exc:
-            raise ScenarioError(f"line {number}: {exc}") from None
+        if "=>" in line:
+            pairs.add(_conditional(number, line, atoms))
+        else:
+            plain &= _models_at(number, line, atoms)
     return MixedSet(plain_models=plain, cond_pairs=frozenset(pairs))
 
 

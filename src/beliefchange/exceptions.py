@@ -18,7 +18,16 @@ class FormulaSyntaxError(BeliefChangeError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} at offset {position}")
+        self.reason = message
         self.position = position
+
+
+class FormulaNestingError(FormulaSyntaxError):
+    """Formula nested deeper than the parser's recursion allows.  It names
+    no token, so it is reported at offset 0 of whatever text holds it."""
+
+    def __init__(self):
+        super().__init__("formula nested too deeply", 0)
 
 
 class UnknownAtomError(FormulaSyntaxError):

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .exceptions import FormulaSyntaxError, UnknownAtomError
+from .exceptions import FormulaNestingError, FormulaSyntaxError, UnknownAtomError
 
 MAX_ATOMS = 4
 
@@ -185,7 +185,7 @@ def models(text: str, atoms: Sequence[str]) -> int:
     try:
         mask = binary(0)
     except RecursionError:
-        raise FormulaSyntaxError("formula nested too deeply", 0) from None
+        raise FormulaNestingError() from None
     token, offset = tokens[-1]
     if token is not None:
         raise FormulaSyntaxError(f"unexpected token {token!r}", offset)

@@ -4,7 +4,7 @@ import pytest
 
 from beliefchange.cli import closure_answer, main, parse_conditional_set, run_scenario
 from beliefchange.conditionals import rational_base
-from beliefchange.exceptions import UnsatisfiableError
+from beliefchange.exceptions import ScenarioError, UnsatisfiableError
 from beliefchange.lang import MixedSet, all_worlds, dnf_of_worlds
 from beliefchange.tpo import conditional_set, enumerate_tpos, parse_tpo
 
@@ -172,6 +172,28 @@ def test_formula_nested_past_the_recursion_limit_is_a_syntax_error(tmp_path, cap
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: line 1: formula nested too deeply at offset 0\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p => q => r\n", "line 1: unexpected character '=' at offset 7"),
+        ("p\nq =>   (p   &  q\n", "line 2: expected ')' at offset 16"),
+        ("  p & => q\n", "line 1: unexpected end of input at offset 3"),  # from the first non-blank
+    ],
+)
+def test_closure_formula_errors_give_their_offset_in_the_line(text, message):
+    with pytest.raises(ScenarioError) as err:
+        parse_conditional_set(text, ("p", "q", "r"))
+    assert str(err.value) == message
+
+
+def test_run_formula_errors_give_their_line_and_offset_in_it():
+    code, out, err = run_scenario(
+        "atoms: p q\ninitial: 00 | 11 | 01 10\n\nstep: revise natural p    &\n"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: line 4: unexpected end of input at offset 27\n"
 
 
 def test_queries_without_steps_run_against_initial():
