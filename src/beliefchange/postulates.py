@@ -32,7 +32,7 @@ ascending order.
 Each postulate is a pair of callables on (context, outer): ``gen``
 yields the outer's witnesses in order, and ``count`` says how many it
 would yield, without them.  A scan without a cheaper count (Success,
-Neut, Red, HI/LI_beliefs, the diagram scan) counts by running ``gen``.
+Neut, Red, HI/LI_beliefs, the diagram scan) counts its witnesses.
 Every verdict reads the counts from one helper, ``_counted``: ``_scan``
 adds each to the tally and runs ``gen`` again only while the tally has
 room for witnesses, so the report keeps the same witnesses in the same
@@ -50,7 +50,17 @@ violations on each of them.
 There are 8 compositions for the 75 preorders of two atoms, and 128
 for the 545,835 of three.  Under those operators ``_counted`` takes
 each composition's count once and reads it back for every later
-preorder of it, for ``_scan`` and ``_holding`` alike.  An exhaustive
+preorder of it, for ``_scan`` and ``_holding`` alike.  The same holds
+one level down, for the inputs of one preorder: a permutation that
+fixes each of its cells maps its violations on one input onto those on
+the image.  An input's orbit under those permutations is fixed by how
+many worlds it takes from each cell, so a scan whose count is a sum over
+single inputs (``_by_input``: Success, the 14 pair rules, HI/LI_beliefs,
+NLI, iLIRC, Red and the diagram scan) counts each orbit once, at the
+input taking the lowest worlds of each cell, times the orbit's size
+(``_input_orbits``): prod(s_i + 1) - 1 inputs for cells of sizes s_i, in
+place of 2^W - 1.  IIAI and Beta1/Beta2, which count pairs of inputs,
+count the composition's first preorder on every input.  An exhaustive
 pair scan comes in rows, one first preorder with every second one; a
 permutation maps a row onto the row of the permuted first preorder, so
 whole rows whose first preorders share a composition find as many
@@ -75,8 +85,8 @@ the operator they read, so ``pair_profile``'s nine operator pairs share
 them too: each revision serves every contraction.  NLI and iLIRC read
 their routed revision as the contracted preorder's own revision, so the
 memo shares it too.  Neut reads one revision at a time, so it revises
-only on the inputs it reads.  The scans that see each (prior, input)
-once (Red, HI/LI_beliefs) call the operators directly.
+only on the inputs it reads.  Red, which checks that revising twice
+gives one posterior, calls the operator directly.
 
 The scans yield raw witnesses (preorders, input masks, worlds and a
 note).  Every check, postulate scan, state diagram or claim sweep, counts
@@ -118,9 +128,12 @@ import json
 import os
 import pickle
 import random
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from itertools import islice
+from math import comb
+from operator import mul
 from types import MappingProxyType
 from typing import Callable, Optional
 
@@ -158,6 +171,10 @@ from .tpo import (
 
 WITNESS_CAP = 10
 _CHUNKS = 16
+# Inputs per step of a single-input scan's generator (``_by_input``).  At
+# three atoms a failing scan's first ten witnesses mostly lie within its
+# first 20 inputs, so the generator seldom computes orders past them.
+_GEN_CHUNK = 16
 _P1_OPERATORS = 100  # seeded random DP revisions in claim P1
 
 def default_atoms(n_atoms: int) -> tuple:
@@ -304,26 +321,25 @@ class _Ctx:
             out = self._own[t] = _relations(t)
         return out
 
-    def matrices(self, name: str, t: Tpo, inputs: range) -> list:
-        """The named order's pair matrices in input order, entry i for
-        input i + 1, for at least ``inputs`` (``props`` or its prefix
-        ``props_proper``).  Two names have no entry in ``_ORDERS``:
+    def matrices(self, name: str, t: Tpo, inputs) -> list:
+        """The named order's pair matrices on each of ``inputs``, in their
+        order, kept by input.  Two names have no entry in ``_ORDERS``:
         ``prior`` is t itself on every input, and ``revneg`` revises t by
         the complement of p, which is the revision by full - p."""
         if name == "prior":
             return [self.own(t)] * len(inputs)
         if name == "revneg":
-            rev = self.matrices("rev", t, self.props_proper)
-            return [rev[self.full - p - 1] for p in inputs]
+            return self.matrices("rev", t, [self.full - p for p in inputs])
         memo = self._by_order["matrices", name]
         out = memo.get(t)
         if out is None:
-            out = memo[t] = []
-        if len(out) < len(inputs):
-            rest = inputs[len(out) :]
+            out = memo[t] = {}
+        rest = [p for p in inputs if p not in out]
+        if rest:
             order = self.order(name, t, rest)
-            out += [_relations(order[p]) for p in rest]
-        return out
+            for p in rest:
+                out[p] = _relations(order[p])
+        return [out[p] for p in inputs]
 
     def rows(self, t: Tpo) -> list:
         """(input, its minimal worlds, the revision's pair matrices) for
@@ -423,9 +439,9 @@ def _bit_pairs(mask: int, width: int):
 # worlds, note), in a deterministic order
 
 
-def _g_success(ctx, t):
-    rev = ctx.order("rev", t, ctx.props)
-    for p in ctx.props:
+def _g_success(ctx, t, ps):
+    rev = ctx.order("rev", t, ps)
+    for p in ps:
         stray = rev[p].masks[0] & ~p
         if stray:
             lowest = (stray & -stray).bit_length() - 1
@@ -559,15 +575,17 @@ def make_random_dp_operator(seed: int, n_atoms: int) -> TabularRevision:
     return TabularRevision(n_atoms, table, seed=seed)
 
 
-def _iiap_masks(ctx, pair):
-    """IIAP violations: per input, the pairs x < y outside both minima
-    that the priors order alike and the posteriors do not."""
+def _iiap_masks(ctx, pair, ps):
+    """IIAP violations: per input of ps, consecutive inputs, the pairs
+    x < y outside both minima that the priors order alike and the
+    posteriors do not."""
     t1, t2 = pair
     same = _BROKEN["same"]
     alike = ~same(ctx.own(t1), ctx.own(t2))
     within = _region_masks("in", ctx.n)
     full = ctx.full
-    for (_, min1, rev1), (_, min2, rev2) in zip(ctx.rows(t1), ctx.rows(t2)):
+    lo, hi = ps[0] - 1, ps[-1]  # the rows hold input p at index p - 1
+    for (_, min1, rev1), (_, min2, rev2) in zip(ctx.rows(t1)[lo:hi], ctx.rows(t2)[lo:hi]):
         yield within[full & ~(min1 | min2)] & alike & same(rev1, rev2)
 
 
@@ -699,31 +717,31 @@ def _g_neut(ctx, pair):
                 yield (t1, t2), (p,), xy, f"isomorphism {mapping}"
 
 
-def _g_red(ctx, t):
+def _g_red(ctx, t, ps):
     """Determinism check for custom operators: revising the same prior by
     the same input twice must give the same posterior.  The built-ins and
     tabular operators are pure, so it fails only for an operator object
     whose ``posterior`` depends on hidden state."""
-    for p in ctx.props:
+    for p in ps:
         first = revise(t, p, ctx.rev)
         second = revise(t, p, ctx.rev)
         if first != second:
             yield (t,), (p,), (), "revision not a function of (tpo, input)"
 
 
-def _g_hi_beliefs(ctx, t):
-    for p in ctx.props_proper:
-        got = contract(t, p, ctx.con).masks[0]
-        expected = t.masks[0] | revise(t, ctx.full & ~p, ctx.rev).masks[0]
-        if got != expected:
+def _g_hi_beliefs(ctx, t, ps):
+    con = ctx.order("con", t, ps)
+    rev = ctx.order("rev", t, [ctx.full & ~p for p in ps])
+    for p in ps:
+        expected = t.masks[0] | rev[ctx.full & ~p].masks[0]
+        if con[p].masks[0] != expected:
             yield (t,), (p,), (), "contraction beliefs differ from union of minima"
 
 
-def _g_li_beliefs(ctx, t):
-    for p in ctx.props:
-        got = revise(t, p, ctx.rev).masks[0]
-        expected = min_worlds(contract_by_negation(t, p, ctx.con), p)
-        if got != expected:
+def _g_li_beliefs(ctx, t, ps):
+    rev, conneg = (ctx.order(name, t, ps) for name in ("rev", "conneg"))
+    for p in ps:
+        if rev[p].masks[0] != min_worlds(conneg[p], p):
             yield (t,), (p,), (), "revision beliefs differ from post-contraction minima"
 
 
@@ -741,24 +759,25 @@ def _routed_rule(final: Revision | None, route: str):
     that contracts to that preorder, and with the direct revision on the
     tautology, whose contraction by the negation is the prior itself."""
 
-    def differing(ctx, t):
-        """The inputs whose direct and routed revisions differ, with both."""
-        direct, conneg = (ctx.order(name, t, ctx.props) for name in ("rev", "conneg"))
+    def differing(ctx, t, ps):
+        """Per input of ps, whether its direct and routed revisions
+        differ, with both."""
+        direct, conneg = (ctx.order(name, t, ps) for name in ("rev", "conneg"))
         name = "rev" if final is None or final is ctx.rev else "natural"
-        for p in ctx.props:
+        for p in ps:
             routed = ctx.order(name, conneg[p], (p,))[p]
-            if direct[p] != routed:
-                yield p, direct[p], routed
+            yield direct[p] != routed, p, direct[p], routed
 
-    def gen(ctx, t):
-        for p, direct, routed in differing(ctx, t):
-            pair = _first_diff_pair(ctx, direct, routed)
-            yield (t,), (p,), pair, ("direct ", direct, f"; {route} ", routed)
+    def body(ctx, t, ps):
+        for differs, p, direct, routed in differing(ctx, t, ps):
+            if differs:
+                pair = _first_diff_pair(ctx, direct, routed)
+                yield (t,), (p,), pair, ("direct ", direct, f"; {route} ", routed)
 
-    def count(ctx, t):
-        return sum(1 for _ in differing(ctx, t))
+    def counts(ctx, t, ps):
+        return (differs for differs, *_ in differing(ctx, t, ps))
 
-    return _PostulateDef(gen, count, needs_con=True)
+    return _by_input(body, counts=counts, needs_con=True)
 
 
 @dataclass(frozen=True)
@@ -767,8 +786,8 @@ class _PostulateDef:
     outer's witnesses in order, and the optional ``count(ctx, outer)``
     returns how many it would yield, without them.  Both read their
     orders from the context's memo, so they share one computation of each.
-    The pair rules and IIAP take both from one stream of per-input
-    violation masks (see ``_masked``)."""
+    A scan that sums over single inputs (see ``_by_input``) also has
+    ``counts(ctx, outer, ps)``, each input's count on the inputs ps."""
 
     gen: Callable
     count: Optional[Callable] = None
@@ -776,6 +795,8 @@ class _PostulateDef:
     needs_con: bool = False
     needs_rev: bool = True
     inputs_per_outer: Callable = field(default=lambda ctx: len(ctx.props))
+    counts: Optional[Callable] = None
+    inputs: str = "props"
 
     def violations(self, ctx: _Ctx, outer) -> int:
         """The outer's violation count: ``count``, or the length of
@@ -785,26 +806,53 @@ class _PostulateDef:
         return self.count(ctx, outer)
 
 
-def _masked(masks, inputs: str = "props", **kw) -> _PostulateDef:
-    """A postulate whose violations are, per input, the set bits of a pair
-    matrix: ``masks(ctx, outer)`` yields one mask for each of the
-    context's ``inputs`` (``props`` or ``props_proper``), in order.  Its
-    witnesses are the set bits in ascending order, bit W*x+y naming the
-    pair (x, y), and its count is their number."""
-    pair_outer = kw.get("pair_outer", False)
+def _by_input(body, inputs: str = "props", counts=None, **kw) -> _PostulateDef:
+    """A scan that sums over single inputs: ``body(ctx, outer, ps)``
+    yields the outer's raw witnesses on the inputs ps, in order, and
+    ``counts(ctx, outer, ps)`` each input's number of them (by default
+    counted from ``body``).  The scan runs both on the context's
+    ``inputs`` (``props`` or ``props_proper``); ``_counted`` may run
+    ``counts`` on fewer (see ``_orbit_count``).  Its generator runs
+    ``body`` on ``_GEN_CHUNK`` inputs at a time, so a report that keeps
+    its first witnesses computes the orders of the inputs it reaches."""
+    if counts is None:
+
+        def counts(ctx, outer, ps):
+            found = Counter(raw[1][0] for raw in body(ctx, outer, ps))
+            return (found[p] for p in ps)
 
     def gen(ctx, outer):
-        tpos = outer if pair_outer else (outer,)
-        for p, bad in zip(getattr(ctx, inputs), masks(ctx, outer)):
-            for xy in _bit_pairs(bad, len(ctx.worlds)):
-                yield tpos, (p,), xy, ""
+        ps = getattr(ctx, inputs)
+        for start in range(0, len(ps), _GEN_CHUNK):
+            yield from body(ctx, outer, ps[start : start + _GEN_CHUNK])
 
     return _PostulateDef(
         gen,
-        count=lambda ctx, outer: sum(map(int.bit_count, masks(ctx, outer))),
+        count=lambda ctx, outer: sum(counts(ctx, outer, getattr(ctx, inputs))),
         inputs_per_outer=lambda ctx: len(getattr(ctx, inputs)),
+        counts=counts,
+        inputs=inputs,
         **kw,
     )
+
+
+def _masked(masks, inputs: str = "props", **kw) -> _PostulateDef:
+    """A postulate whose violations are, per input, the set bits of a pair
+    matrix: ``masks(ctx, outer, ps)`` yields one mask for each input of
+    ps, in order.  Its witnesses are the set bits in ascending order, bit
+    W*x+y naming the pair (x, y), and its count is their number."""
+    pair_outer = kw.get("pair_outer", False)
+
+    def body(ctx, outer, ps):
+        tpos = outer if pair_outer else (outer,)
+        for p, bad in zip(ps, masks(ctx, outer, ps)):
+            for xy in _bit_pairs(bad, len(ctx.worlds)):
+                yield tpos, (p,), xy, ""
+
+    def counts(ctx, outer, ps):
+        return map(int.bit_count, masks(ctx, outer, ps))
+
+    return _by_input(body, inputs, counts, **kw)
 
 
 def _pair_rule(premises, conclusion, region, relation) -> _PostulateDef:
@@ -815,9 +863,8 @@ def _pair_rule(premises, conclusion, region, relation) -> _PostulateDef:
     inputs = "props_proper" if "revneg" in orders else "props"
     broken = _BROKEN[relation]
 
-    def masks(ctx, t):
-        """Per input, the pair mask of the rule's violations."""
-        ps = getattr(ctx, inputs)
+    def masks(ctx, t, ps):
+        """Per input of ps, the pair mask of the rule's violations."""
         first, *others = (ctx.matrices(name, t, ps) for name in premises)
         after = ctx.matrices(conclusion, t, ps)
         regions = _region_masks(region, ctx.n)
@@ -836,7 +883,7 @@ def _pair_rule(premises, conclusion, region, relation) -> _PostulateDef:
 
 
 _POSTULATES = {
-    "Success": _PostulateDef(_g_success),
+    "Success": _by_input(_g_success),
     **{name: _pair_rule(*row) for name, row in _PAIR_RULES.items()},
     "IIAP": _masked(_iiap_masks, pair_outer=True),
     "IIAI": _PostulateDef(
@@ -855,13 +902,9 @@ _POSTULATES = {
         inputs_per_outer=lambda ctx: len(ctx.props) ** 2,
     ),
     "Neut": _PostulateDef(_g_neut, pair_outer=True),
-    "Red": _PostulateDef(_g_red),
-    "HI_beliefs": _PostulateDef(
-        _g_hi_beliefs,
-        needs_con=True,
-        inputs_per_outer=lambda ctx: len(ctx.props_proper),
-    ),
-    "LI_beliefs": _PostulateDef(_g_li_beliefs, needs_con=True),
+    "Red": _by_input(_g_red),
+    "HI_beliefs": _by_input(_g_hi_beliefs, "props_proper", needs_con=True),
+    "LI_beliefs": _by_input(_g_li_beliefs, needs_con=True),
     "NLI": _routed_rule(None, "routed"),
     "iLIRC": _routed_rule(Revision.NATURAL, "closure route"),
 }
@@ -965,13 +1008,51 @@ def _composition(t: Tpo) -> tuple:
     return tuple(m.bit_count() for m in t.masks)
 
 
+@lru_cache(maxsize=256)
+def _input_orbits(t: Tpo, proper: bool = False) -> tuple:
+    """The orbits of the inputs under the permutations that fix each cell
+    of t, as (representatives, weights), kept for the latest 256 calls:
+    a check asks for those of each composition's first preorder once per
+    postulate and operator pair.  An input's orbit is fixed by
+    how many worlds k_i it takes from each cell i of size s_i: its
+    representative takes the k_i lowest worlds of each cell, and its
+    weight is the orbit's size, the product of C(s_i, k_i).  Every choice
+    of the k_i but all zeros, and all s_i too if ``proper`` (no
+    tautology), gives prod(s_i + 1) - 1 (or - 2) inputs in place of
+    2^W - 1 (or - 2)."""
+    reps, weights = [0], [1]
+    for c in t.masks:
+        size, prefixes, prefix = c.bit_count(), [0], 0
+        while c:
+            prefix |= c & -c
+            c &= c - 1
+            prefixes.append(prefix)
+        reps = [r | q for r in reps for q in prefixes]
+        weights = [w * comb(size, k) for w in weights for k in range(size + 1)]
+    stop = -1 if proper else None
+    return tuple(reps[1:stop]), tuple(weights[1:stop])
+
+
+def _orbit_count(ctx: _Ctx, spec: _PostulateDef, t: Tpo) -> int:
+    """A single-input scan's count on prior t, under equivariant
+    operators: a permutation fixing each cell of t maps t's violations on
+    one input one to one onto those on its image, so each orbit of the
+    inputs is counted once at its representative, times its size (see
+    ``_input_orbits``)."""
+    reps, weights = _input_orbits(t, spec.inputs == "props_proper")
+    return sum(map(mul, weights, spec.counts(ctx, t, reps)))
+
+
 def _counted(ctx: _Ctx, spec: _PostulateDef, outers):
     """Each outer with its violation count.  Pair outers come in rows
     (first preorder, second preorders, whether they are every preorder)
     and leave as pairs.  Under equivariant operators (see
     ``_equivariant``; a diagram's table is one) a single outer's count is
     taken once per composition and read back for every later preorder of
-    that composition.  A whole row, a first preorder with every preorder,
+    that composition.  A scan that sums over single inputs takes that
+    count on one input per orbit of the first preorder's cells, weighted
+    by the orbit's size (``_orbit_count``); IIAI and Beta1/Beta2 take it
+    on every input.  A whole row, a first preorder with every preorder,
     finds as many violations as any other whole row whose first preorder
     has that composition: a permutation maps the one row onto the other.
     So the first whole row of each composition is counted pair by pair,
@@ -1003,7 +1084,11 @@ def _counted(ctx: _Ctx, spec: _PostulateDef, outers):
     for outer in outers:
         key = _composition(outer)
         if key not in orbits:
-            orbits[key] = spec.violations(ctx, outer)
+            orbits[key] = (
+                spec.violations(ctx, outer)
+                if spec.counts is None
+                else _orbit_count(ctx, spec, outer)
+            )
         yield outer, orbits[key]
 
 
@@ -1271,16 +1356,16 @@ def _intransitive_triple(rows):
     return None
 
 
-def _g_diagram(ctx, t):
+def _g_diagram(ctx, t, ps):
     """Diagram scan; the diagram's table is the context's revision."""
     own = ctx.own(t)
-    for p in ctx.props:
+    for p in ps:
         triple = _intransitive_triple(_forced_rows(ctx.rev, t, p, own))
         if triple is not None:
             yield (t,), (p,), triple, "forced relations are intransitive on this triple"
 
 
-_DIAGRAM_SCAN = _PostulateDef(_g_diagram)
+_DIAGRAM_SCAN = _by_input(_g_diagram)
 
 
 def check_diagram(diagram, n_atoms: int = 2) -> CheckReport:
@@ -1296,9 +1381,9 @@ def check_diagram(diagram, n_atoms: int = 2) -> CheckReport:
 
     The forced relation is one bit row per world (see ``_forced_rows``).
     It follows from the prior's order and the input alone, so preorders of
-    one composition fail alike: the scan counts each composition once (see
-    ``_counted``) and takes witnesses from the preorders in enumeration
-    order.
+    one composition fail alike: the scan counts each composition once, on
+    one input per orbit of its cells (see ``_counted``), and takes
+    witnesses from the preorders in enumeration order.
     """
     table = _diagram_table(diagram)
     _validate_scope(n_atoms, "exhaustive")

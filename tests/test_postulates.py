@@ -8,7 +8,8 @@ import subprocess
 import sys
 import weakref
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
+from math import prod
 
 import pytest
 
@@ -1125,9 +1126,10 @@ def revisions(monkeypatch):
 
 
 def test_a_single_prior_scan_revises_each_instance_once(revisions):
-    # one preorder per composition of the four worlds, each on every input
+    # one preorder per composition of the four worlds, each on one input
+    # per orbit of its cells: the product of (cell size + 1), less one
     check_postulate("DP1", Revision.NATURAL, n_atoms=2)
-    assert len(revisions) == 8 * 15
+    assert len(revisions) == 74
     assert len(set(revisions)) == len(revisions)
 
 
@@ -1158,6 +1160,16 @@ def test_a_failing_counted_scan_and_its_witnesses_share_each_order(postulate, re
     report = check_postulate(postulate, Revision.NATURAL, Contraction.STQ_LEX, n_atoms=2)
     assert report.outcome == "fail"
     assert len(set(revisions)) == len(revisions)
+
+
+def test_a_generator_computes_the_orders_of_the_inputs_it_reaches(revisions):
+    # a report keeps the first ten witnesses, and a single-input scan's
+    # generator takes the inputs a chunk at a time: here the tenth
+    # witness lies on input 17, in the second chunk
+    ctx = _Ctx(3, Revision.NATURAL, Contraction.STQ_LEX)
+    raws = list(islice(_POSTULATES["CR4"].gen(ctx, tpo_at_index(0, 3)), WITNESS_CAP))
+    assert len(raws) == WITNESS_CAP and raws[-1][1] == (17,)
+    assert {call[2] for call in revisions} == set(range(1, 2 * postulates._GEN_CHUNK + 1))
 
 
 def test_a_failing_routed_scan_and_its_witnesses_share_each_direct_order(revisions):
@@ -1222,10 +1234,12 @@ def test_one_pass_verdicts_match_the_oracles():
 def test_the_pair_profile_computes_each_order_once_per_instance(revisions):
     # the nine operator pairs share their orders: each revision serves
     # every contraction and each contraction every revision; revising by
-    # the negated input is revising by its complement
+    # the negated input is revising by its complement; each prior is
+    # counted on one input per orbit of its cells, and the failing pairs'
+    # witnesses read the rest
     pair_profile.cache_clear()
     pair_profile(2)
-    assert len(revisions) == 1086
+    assert len(revisions) == 754
     assert len(set(revisions)) == len(revisions)
 
 
@@ -1328,6 +1342,117 @@ def test_only_equivariant_operators_take_the_orbit_route():
         assert postulates._equivariant(table, None), table
         with pytest.raises(TypeError):
             revise(parse_tpo("00 | 01 | 10 | 11", 2), mod("p"), table)
+
+
+# ---------------------------------------------------------------------------
+# Input orbits: under the same operators, a permutation that fixes each
+# cell of a prior maps its violations on one input onto those on the
+# image, so a single-input scan counts one input per orbit, times its size
+
+
+def _one_per_composition(n_atoms):
+    """One preorder of each composition of the worlds, its cells cut from
+    a seeded order of the worlds, so a cell's worlds need not be
+    consecutive."""
+    width = 1 << n_atoms
+    worlds = random.Random(n_atoms).sample(range(width), width)
+    for cuts in range(1 << width - 1):  # bit i set: a cell ends at worlds[i]
+        cells, cell = [], 0
+        for i, w in enumerate(worlds):
+            cell |= 1 << w
+            if i == width - 1 or cuts >> i & 1:
+                cells.append(cell)
+                cell = 0
+        yield Tpo(tuple(cells), n_atoms)
+
+
+def test_input_orbits_weigh_every_input_once():
+    for n_atoms in (1, 2, 3):
+        tpos = list(_one_per_composition(n_atoms))
+        assert len({postulates._composition(t) for t in tpos}) == len(tpos)
+        assert len(tpos) == 2 ** (2**n_atoms - 1)
+        inputs = 2 ** 2**n_atoms - 1
+        for t in tpos:
+            sizes = [c.bit_count() for c in t.masks]
+            for proper in (False, True):
+                reps, weights = postulates._input_orbits(t, proper)
+                assert len(set(reps)) == len(reps) == prod(s + 1 for s in sizes) - 1 - proper
+                assert 0 not in reps and (all_worlds(n_atoms) in reps) != proper
+                assert sum(weights) == inputs - proper
+
+
+# The scans whose count is a sum over single inputs (see ``_by_input``)
+INPUT_ADDITIVE = tuple(
+    p for p, spec in _POSTULATES.items() if spec.counts is not None and not spec.pair_outer
+)
+
+# The scans that no equivariant operator pair below fails at one to three
+# atoms; among the built-in pairs the others fail exactly on FAILING_PAIRS
+NEVER_FAILING = (
+    "Success", "DP1", "DP2", "DP3", "DP4", "CC1", "CC2", "CC3", "CC4", "CR1", "CR2", "Red",
+    "HI_beliefs", "LI_beliefs",
+)
+
+_STQ_LEX_FAILS = {(rev, Contraction.STQ_LEX) for rev in (Revision.NATURAL, Revision.RESTRAINED)}
+FAILING_PAIRS = {
+    **dict.fromkeys(("CR3", "CR4", "SPU", "WPU", "NLI"), _STQ_LEX_FAILS),
+    "iLIRC": set(product(_BUILTIN_REVISIONS, _BUILTIN_CONTRACTIONS))
+    - {(Revision.NATURAL, Contraction.NATURAL), (Revision.NATURAL, Contraction.STQ_RESTRAINED)},
+    **{f"diagram {d}": {(d, None)} for d in ("d", "e", "f")},
+}
+
+
+def _additive_cases(n_atoms, revisions):
+    """((scan, revision, contraction), scan, context) for every
+    input-additive scan on every operator pair it takes, and for the six
+    diagram scans (named by their table); the scans of one operator pair
+    share a context, and every postulate context shares its orders."""
+    shared, contexts = {}, {}
+    for postulate in INPUT_ADDITIVE:
+        spec = _POSTULATES[postulate]
+        for rev in revisions if spec.needs_rev else (None,):
+            for con in _BUILTIN_CONTRACTIONS if spec.needs_con else (None,):
+                if (rev, con) not in contexts:
+                    contexts[rev, con] = _Ctx(n_atoms, rev, con, shared)
+                yield (postulate, rev, con), spec, contexts[rev, con]
+    for d, table in postulates._DIAGRAMS.items():
+        yield (f"diagram {d}", d, None), postulates._DIAGRAM_SCAN, _Ctx(n_atoms, table)
+
+
+def _failing_cases(n_atoms, tpos, revisions):
+    """The cases with a violation on some preorder of tpos, once the
+    orbit-weighted count is asserted equal to the full count on each."""
+    cases = list(_additive_cases(n_atoms, revisions))
+    failing = set()
+    for t in tpos:
+        for case, spec, ctx in cases:
+            full = spec.count(ctx, t)
+            assert postulates._orbit_count(ctx, spec, t) == full, (case, t)
+            if full:
+                failing.add(case)
+        for _, _, ctx in cases:
+            ctx.clear()
+    return failing
+
+
+@pytest.mark.parametrize(
+    "n_atoms, tpos, revisions",
+    [
+        (1, lambda: enumerate_tpos(1), EQUIVARIANT),
+        (2, lambda: enumerate_tpos(2), EQUIVARIANT),
+        (3, lambda: _one_per_composition(3), _BUILTIN_REVISIONS),
+    ],
+    ids=["n1-every-tpo", "n2-every-tpo", "n3-one-tpo-per-composition"],
+)
+def test_input_orbit_counts_equal_the_full_counts(n_atoms, tpos, revisions):
+    failing = _failing_cases(n_atoms, tpos(), revisions)
+    if n_atoms == 1:  # two worlds: no violation, and no triple for a diagram
+        assert not failing
+        return
+    assert {scan for scan, _, _ in failing}.isdisjoint(NEVER_FAILING)
+    assert set(INPUT_ADDITIVE) - {scan for scan, _, _ in failing} == set(NEVER_FAILING)
+    builtin = {case for case in failing if case[1] not in EQUIVARIANT[3:]}
+    assert builtin == {(scan, *pair) for scan, pairs in FAILING_PAIRS.items() for pair in pairs}
 
 
 def test_a_failing_check_renders_only_the_kept_witnesses(monkeypatch):

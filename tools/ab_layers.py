@@ -5,9 +5,11 @@ Usage::
     python3 tools/ab_layers.py PARENT_SRC CHANGE_SRC
     python3 tools/ab_layers.py SRC SRC
 
-Each ``SRC`` is a directory holding a ``beliefchange`` package; both are
-loaded under aliases.  The second form times one tree against itself:
-its ratio quartiles are then that tree's noise floor.
+Each ``SRC`` is a directory holding a ``beliefchange`` package.  Each
+tree is loaded twice under aliases, in the order parent, change, change,
+parent, so a lean that grows with load order falls on both trees
+alike.  The second form times one tree against itself: its ratio
+quartiles are then that tree's noise floor.
 
 The layers are built by ``layers(bc, drawn)`` for each loaded package
 from one set of seeded preorder indices, inputs and masks
@@ -21,9 +23,12 @@ masks; ``revise`` and ``contract`` under every built-in method;
 ``tpo_at_index``; a full ``enumerate_tpos(3)``; one postulate scan of
 one outer, as a sampled check runs it (Neut's outers pair each preorder
 with a permutation of its worlds, so the isomorphism path runs); the
-exhaustive checks at two atoms of CR4 (which fails), IIAP and Neut; the
-claims P2, T1, T3 (its ``pair_profile`` cache cleared), L_flattest and
-T4 at two atoms; the six diagram scans; ``pair_profile(2)`` and
+counts of DP3 natural and of CR4 natural + ``contract-stq-lex`` on one
+preorder of each of the 128 compositions of the eight worlds, cut from
+a seeded order of the worlds, without witnesses; the exhaustive checks
+at two atoms of CR4 (which fails), IIAP and Neut; the claims P2, T1, T3
+(its ``pair_profile`` cache cleared), L_flattest and T4 at two atoms;
+the six diagram scans; ``pair_profile(2)`` and
 ``_dp_posterior_candidates(2)`` with their caches cleared; the default
 sampled DP1 check (10000 samples) and a six-sample IIAI check, at one
 and at two workers; a closure query (``parse_conditional_set`` plus
@@ -31,12 +36,13 @@ and at two workers; a closure query (``parse_conditional_set`` plus
 set; and parsing the first 3000 lines of a four-atom preorder's full
 conditional set.
 
-Every round times each layer once per tree, the tree that goes first
-alternating between rounds, so the host's drift falls on both sides
-alike; the garbage collector runs before each reading, not during it.
-Per layer the output gives each tree's median, the change/parent
-ratio's median and quartiles, and the rounds in which the change was
-faster.
+Every round times each layer once per loaded copy, in load order or in
+its reverse, alternating between rounds, so the host's drift falls on
+both trees alike; the garbage collector runs before each reading, not
+during it.  A round's reading of a tree is the mean of its two copies,
+and its ratio is the change's reading over the parent's.  Per layer the
+output gives each tree's median reading, the ratio's median and
+quartiles, and the rounds in which the change was faster.
 """
 
 import gc
@@ -83,6 +89,7 @@ def draws():
     for _ in outers:
         images.append(list(range(8)))
         rng.shuffle(images[-1])
+    worlds = rng.sample(range(8), 8)  # the order the composition layers cut
     rng4 = random.Random(4)
     rank = [rng4.randrange(16) for _ in range(16)]  # a seeded rank per world
     masks4 = tuple(
@@ -96,8 +103,23 @@ def draws():
         "outer_pairs": outer_pairs,
         "files": files,
         "images": images,
+        "worlds": worlds,
         "masks4": masks4,
     }
+
+
+def _one_per_composition(bc, worlds):
+    """One preorder of each composition of the worlds, its cells cut from
+    ``worlds`` in order: cut bit i ends a cell at ``worlds[i]``."""
+    width = len(worlds)
+    for cuts in range(1 << width - 1):
+        cells, cell = [], 0
+        for i, w in enumerate(worlds):
+            cell |= 1 << w
+            if i == width - 1 or cuts >> i & 1:
+                cells.append(cell)
+                cell = 0
+        yield bc.tpo.Tpo(tuple(cells), 3)
 
 
 def _permuted(bc, t, image):
@@ -139,6 +161,7 @@ def layers(bc, drawn):
     isomorphic_pairs = [
         (t, _permuted(bc, t, image)) for t, image in zip(outers, drawn["images"])
     ]
+    compositions = list(_one_per_composition(bc, drawn["worlds"]))
     files = [_fast_path_file(bc, unrank(i)) for i in drawn["files"]]
     t4 = tpo.Tpo(drawn["masks4"], 4)
     parse_text = "\n".join(_conditional_lines(bc, t4, ATOMS4, range(1, PARSE_LINES + 1))) + "\n"
@@ -177,6 +200,16 @@ def layers(bc, drawn):
         def run():
             for outer in pool:
                 post._scan(post._Ctx(3, rev, con), spec, [outer], clear=True)
+
+        return run
+
+    def counts(postulate, rev, con=None):
+        spec = post._POSTULATES[postulate]
+
+        def run():
+            for t in compositions:
+                for _ in post._counted(post._Ctx(3, rev, con), spec, [t]):
+                    pass
 
         return run
 
@@ -224,6 +257,10 @@ def layers(bc, drawn):
         "scan_Neut_natural_ms": (scans("Neut", natural, pairs=isomorphic_pairs), SCANS, 1e3),
         "scan_IIAI_stq_lex_then_natural_ms": (scans("IIAI", composed), SCANS, 1e3),
         "scan_CR4_natural_stq_lex_ms": (scans("CR4", natural, stq_lex), SCANS, 1e3),
+        "compositions_DP3_natural_ms": (counts("DP3", natural), len(compositions), 1e3),
+        "compositions_CR4_natural_stq_lex_ms": (
+            counts("CR4", natural, stq_lex), len(compositions), 1e3
+        ),
         "check_CR4_natural_stq_lex_n2_ms": (check("CR4", con=stq_lex, n_atoms=2), 1, 1e3),
         "check_IIAP_natural_n2_ms": (check("IIAP", n_atoms=2), 1, 1e3),
         "check_Neut_natural_n2_ms": (check("Neut", n_atoms=2), 1, 1e3),
@@ -246,12 +283,13 @@ def layers(bc, drawn):
     }
 
 
+# The loaded copies in load order, and the tree each one is: 0 parent, 1 change.
+COPIES = (("ab_parent", 0), ("ab_change", 1), ("ab_change_2", 1), ("ab_parent_2", 0))
+
+
 def main(parent_src, change_src):
     drawn = draws()
-    sides = [
-        layers(_load(alias, src), drawn)
-        for alias, src in (("ab_parent", parent_src), ("ab_change", change_src))
-    ]
+    sides = [layers(_load(alias, (parent_src, change_src)[tree]), drawn) for alias, tree in COPIES]
     for side in sides:  # warm-up, untimed: fills the per-process tables and caches
         for run, _, _ in side.values():
             run()
@@ -259,12 +297,16 @@ def main(parent_src, change_src):
     gc.disable()  # as timeit does: a collection would land on one side only
     for r in range(ROUNDS):
         for name, readings in times.items():
-            for side in ((0, 1) if r % 2 == 0 else (1, 0)):
-                run, calls, scale = sides[side][name]
+            order = range(len(COPIES)) if r % 2 == 0 else reversed(range(len(COPIES)))
+            sums = [0.0, 0.0]
+            for copy in order:
+                run, calls, scale = sides[copy][name]
                 gc.collect()
                 start = time.perf_counter()
                 run()
-                readings[side].append((time.perf_counter() - start) / calls * scale)
+                sums[COPIES[copy][1]] += (time.perf_counter() - start) / calls * scale / 2
+            for tree in (0, 1):
+                readings[tree].append(sums[tree])
     gc.enable()
     out = {}
     for name, (parent, change) in times.items():
