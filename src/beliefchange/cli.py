@@ -160,27 +160,37 @@ def parse_scenario(text: str) -> Scenario:
     return Scenario(atoms=atoms, initial_text=initial, steps=steps, queries=queries)
 
 
-def _models_at(number: int, line: str, atoms, start: int = 0, end: int | None = None) -> int:
+def _models_at(
+    number: int, line: str, atoms, start: int = 0, end: int | None = None, memo=None
+) -> int:
     """The mask of the formula ``line[start:end]`` of file line ``number``
     (a line stripped of its blanks); a syntax error names the line and
-    its offset in the line."""
+    its offset in the line.  ``memo``, if given, is a dict from stripped
+    formula text to mask that the call reads and fills; an error is never
+    stored, so a bad formula raises at its own line and offset."""
     text = line[start:end]
+    formula = text.strip()
+    if memo is not None and formula in memo:
+        return memo[formula]
     try:
-        return models(text.strip(), atoms)
+        mask = models(formula, atoms)
     except FormulaNestingError as exc:
         raise ScenarioError(f"line {number}: {exc}") from None
     except FormulaSyntaxError as exc:
         offset = start + len(text) - len(text.lstrip()) + exc.position
         raise ScenarioError(f"line {number}: {exc.reason} at offset {offset}") from None
+    if memo is not None:
+        memo[formula] = mask
+    return mask
 
 
-def _conditional(number: int, line: str, atoms, start: int = 0) -> tuple:
+def _conditional(number: int, line: str, atoms, start: int = 0, memo=None) -> tuple:
     """The (antecedent, consequent) masks of the conditional 'A => B'
     written from offset ``start`` of file line ``number``."""
     arrow = line.index("=>", start)
     return (
-        _models_at(number, line, atoms, start, arrow),
-        _models_at(number, line, atoms, arrow + 2),
+        _models_at(number, line, atoms, start, arrow, memo),
+        _models_at(number, line, atoms, arrow + 2, memo=memo),
     )
 
 
@@ -284,15 +294,18 @@ def _render_run(fmt: str, lines, record) -> str:
 
 
 def parse_conditional_set(text: str, atoms) -> MixedSet:
-    """One entry per line: plain formulas as-is, conditionals as A => B."""
+    """One entry per line: plain formulas as-is, conditionals as A => B.
+    Each distinct formula text is parsed once per call: a file's
+    consequents repeat, since a preorder has few distinct minimal sets."""
     atoms = check_atoms(atoms)
     plain = all_worlds(len(atoms))
     pairs = set()
+    memo: dict = {}
     for number, line in _content_lines(text):
         if "=>" in line:
-            pairs.add(_conditional(number, line, atoms))
+            pairs.add(_conditional(number, line, atoms, memo=memo))
         else:
-            plain &= _models_at(number, line, atoms)
+            plain &= _models_at(number, line, atoms, memo=memo)
     return MixedSet(plain_models=plain, cond_pairs=frozenset(pairs))
 
 

@@ -23,8 +23,9 @@ class FormulaSyntaxError(BeliefChangeError):
 
 
 class FormulaNestingError(FormulaSyntaxError):
-    """Formula nested deeper than the parser's recursion allows.  It names
-    no token, so it is reported at offset 0 of whatever text holds it."""
+    """Formula with more than ``lang._MAX_NESTING`` (1000) ``~``, ``(``
+    and binary connectives pending at once.  It names no token, so it is
+    reported at offset 0 of whatever text holds it."""
 
     def __init__(self):
         super().__init__("formula nested too deeply", 0)

@@ -29,14 +29,18 @@ Grammar, bit-exact::
 
 ``->`` and ``<->`` associate to the right.
 
-``models`` scans the text once with one pattern, which yields each
-token with its offset, and raises at the first character that starts
-no token.  It then parses by precedence climbing over one table,
-``_BINARY``, which gives each binary connective its precedence, its
-associativity and the mask of the compound; negation, parentheses,
-constants and atoms are read by one function below it.  A formula
-nested deeper than Python's recursion limit allows is a syntax error at
-offset 0.
+``models`` splits the text into tokens with one ``findall`` and parses
+them in one loop over an explicit operator stack, in the manner of
+Dijkstra's shunting-yard algorithm: the pending ``~``, ``(`` and binary
+connectives wait on the stack, and each compound's mask is computed once
+its right operand is known to be complete.  One table, ``_BINARY``,
+gives each binary connective its precedence, its associativity and the
+mask of the compound.  Token offsets are computed only for an error:
+the text is then scanned again, and a character that starts no token is
+reported first, at its own offset.  At most ``_MAX_NESTING`` (1000)
+``~``, ``(`` and binary connectives may be pending at once; a formula
+nested deeper is a syntax error at offset 0, whatever the caller's
+stack depth.
 """
 
 from __future__ import annotations
@@ -120,8 +124,12 @@ def _atom_masks(atoms: tuple) -> dict:
 # ---------------------------------------------------------------------------
 # Parsing
 
-# One scan: group 1 is a token; group 2 is the first character that
-# starts none, which is an error.
+# The tokens of a text, and each character that starts none as a token
+# of its own: one ``findall``, no offsets.
+_WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*|<->|->|[~&|()]|\S")
+
+# The same scan with offsets, run only to build an error: group 1 is a
+# token; group 2 is the first character that starts none.
 _TOKEN_RE = re.compile(r"\s*(?:([A-Za-z][A-Za-z0-9_]*|<->|->|[~&|()])|(\S))")
 
 # Binary connective -> (precedence, associates to the right, the mask of
@@ -133,63 +141,94 @@ _BINARY = {
     "&": (4, False, lambda a, b, full: a & b),
 }
 
+# The most '~', '(' and binary connectives a parse keeps pending.
+_MAX_NESTING = 1000
+
+# Operator-stack entries: a pending binary connective is (precedence,
+# mask, left operand's mask); these three rank below every connective.
+_BOTTOM = (0, None, None)
+_OPEN = (0, "(", None)
+_NOT = (0, "~", None)
+
+
+@lru_cache(maxsize=None)
+def _operands(atoms: tuple) -> dict:
+    """Each token that is a whole formula, the constants and the declared
+    atoms, mapped to its mask."""
+    full = all_worlds(len(atoms))
+    return {**_atom_masks(atoms), "true": full, "false": 0}
+
 
 def models(text: str, atoms: Sequence[str]) -> int:
     """The model set, as a world mask, of a formula over the declared
     atoms; raises ``FormulaSyntaxError`` on text outside the grammar."""
-    atom_masks = _atom_masks(tuple(atoms))
-    full = all_worlds(len(atom_masks))
-    tokens = []
+    operands = _operands(tuple(atoms))
+    full = operands["true"]
+    stack = [_BOTTOM]
+    value = None  # the mask of the operand just read; None where one starts
+    tokens = _WORD_RE.findall(text)
+    tokens.append(None)  # the end of the text, where the loop returns or raises
+    for index, token in enumerate(tokens):
+        if value is None:
+            value = operands.get(token)
+            if value is None:
+                if token != "~" and token != "(":
+                    if token is None:
+                        raise _error(text, index, "unexpected end of input")
+                    if token in _BINARY or token == ")":
+                        raise _error(text, index, f"unexpected token {token!r}")
+                    raise _error(text, index)
+                if len(stack) > _MAX_NESTING:
+                    raise _error(text, None)
+                stack.append(_NOT if token == "~" else _OPEN)
+                continue
+        else:
+            entry = _BINARY.get(token)
+            if entry is not None:
+                precedence, right, mask = entry
+                floor = precedence if right else precedence - 1
+                while stack[-1][0] > floor:
+                    _, compound, left = stack.pop()
+                    value = compound(left, value, full)
+                if len(stack) > _MAX_NESTING:
+                    raise _error(text, None)
+                stack.append((precedence, mask, value))
+                value = None
+                continue
+            while stack[-1][0]:
+                _, compound, left = stack.pop()
+                value = compound(left, value, full)
+            if token is None and stack[-1] is _BOTTOM:
+                return value
+            if stack[-1] is not _OPEN:
+                raise _error(text, index, f"unexpected token {token!r}")
+            if token != ")":
+                raise _error(text, index, "expected ')'")
+            stack.pop()
+        while stack[-1] is _NOT:
+            stack.pop()
+            value = full & ~value
+
+
+def _error(text: str, index: int | None, reason: str | None = None) -> FormulaSyntaxError:
+    """The error a parse of ``text`` raises at its token ``index`` (one
+    past the last token for the end of the text, None past the nesting
+    limit): the first character that starts no token if the text holds
+    one; else ``reason`` at the token's offset, or, with no reason, the
+    token as an unknown atom."""
+    found = []
     for match in _TOKEN_RE.finditer(text):
         token, stray = match.groups()
         if stray is not None:
-            raise FormulaSyntaxError(f"unexpected character {stray!r}", match.start(2))
-        tokens.append((token, match.start(1)))
-    tokens.append((None, len(text)))
-    tokens.reverse()  # a stack: the next token is last, the sentinel first
-
-    def binary(floor: int) -> int:
-        """The mask of the longest formula ahead whose connectives all
-        bind tighter than ``floor``."""
-        left = unary()
-        while True:
-            entry = _BINARY.get(tokens[-1][0])
-            if entry is None or entry[0] <= floor:
-                return left
-            tokens.pop()
-            precedence, right, mask = entry
-            left = mask(left, binary(precedence - 1 if right else precedence), full)
-
-    def unary() -> int:
-        token, offset = tokens.pop()
-        if token is None:
-            raise FormulaSyntaxError("unexpected end of input", offset)
-        if token == "~":
-            return full & ~unary()
-        if token == "(":
-            inner = binary(0)
-            token, offset = tokens.pop()
-            if token != ")":
-                raise FormulaSyntaxError("expected ')'", offset)
-            return inner
-        if token in _BINARY or token == ")":
-            raise FormulaSyntaxError(f"unexpected token {token!r}", offset)
-        if token == "true":
-            return full
-        if token == "false":
-            return 0
-        if token not in atom_masks:
-            raise UnknownAtomError(token, offset)
-        return atom_masks[token]
-
-    try:
-        mask = binary(0)
-    except RecursionError:
-        raise FormulaNestingError() from None
-    token, offset = tokens[-1]
-    if token is not None:
-        raise FormulaSyntaxError(f"unexpected token {token!r}", offset)
-    return mask
+            return FormulaSyntaxError(f"unexpected character {stray!r}", match.start(2))
+        found.append((token, match.start(1)))
+    if index is None:
+        return FormulaNestingError()
+    found.append((None, len(text)))
+    token, offset = found[index]
+    if reason is None:
+        return UnknownAtomError(token, offset)
+    return FormulaSyntaxError(reason, offset)
 
 
 def dnf_of_worlds(worlds: int, atoms: Sequence[str]) -> str:

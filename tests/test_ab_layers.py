@@ -26,6 +26,7 @@ EARLIER_LAYERS = (
     "check_DP1_natural_n3_default_w2_s", "check_IIAI_natural_n3_sample6_ms",
     "check_IIAI_natural_n3_sample6_w2_ms", "closure_query_n3_ms", "parse_3000_lines_n4_ms",
     "compositions_DP3_natural_ms", "compositions_CR4_natural_stq_lex_ms",
+    "parse_closure_n3_ms",
 )
 
 

@@ -174,6 +174,30 @@ def test_formula_nested_past_the_recursion_limit_is_a_syntax_error(tmp_path, cap
     assert captured.err == "error: line 1: formula nested too deeply at offset 0\n"
 
 
+def test_closure_formulas_are_parsed_once_per_distinct_text(monkeypatch):
+    from beliefchange import cli
+
+    seen = []
+    real = cli.models
+
+    def counting(text, atoms):
+        seen.append(text)
+        return real(text, atoms)
+
+    monkeypatch.setattr(cli, "models", counting)
+    text = "p => q\n  p   =>q\nq => p & q\n# p | q\np & q\n(p) => p&q\np => q  \n"
+    delta = parse_conditional_set(text, ("p", "q"))
+    assert sorted(seen) == ["(p)", "p", "p & q", "p&q", "q"]
+    p, q = real("p", ("p", "q")), real("q", ("p", "q"))
+    assert delta == MixedSet(p & q, frozenset({(p, q), (q, p & q), (p, p & q)}))
+
+    seen.clear()
+    with pytest.raises(ScenarioError) as err:
+        parse_conditional_set("p => q\n(p) => q\n  p =>   (q\n", ("p", "q"))
+    assert str(err.value) == "line 3: expected ')' at offset 9"
+    assert seen == ["p", "q", "(p)", "(q"]  # the repeated 'p' of line 3 is not parsed again
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

@@ -1,12 +1,14 @@
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beliefchange.exceptions import FormulaSyntaxError, UnknownAtomError
+from beliefchange.exceptions import FormulaNestingError, FormulaSyntaxError, UnknownAtomError
 from beliefchange.lang import (
+    _MAX_NESTING,
     MixedSet,
     _atom_masks,
     all_worlds,
@@ -287,6 +289,78 @@ def test_models_equals_the_recursive_descent_oracle_on_random_text():
         text = "".join(rng.choice(pieces) for _ in range(rng.randrange(12)))
         atoms = rng.choice(atom_lists)
         assert _outcome(models, text, atoms) == _outcome(_oracle_models, text, atoms), text
+
+
+def _mostly_formula(rng, length, atoms):
+    """A text of at most ``length`` pieces that is a formula over
+    ``atoms`` but for about one piece in a hundred, drawn from
+    ``_PIECES``; so a fair share of the texts parse, through nested
+    parentheses and chains of connectives."""
+    pieces, depth, starting = [], 0, True
+    while len(pieces) + depth + starting < length:
+        if rng.random() < 0.01:
+            piece = rng.choice(_PIECES)
+        elif starting:
+            piece = rng.choice(atoms + ("true", "false", "~", "("))
+        else:
+            piece = rng.choice(("&", "|", "->", "<->") + (")",) * (depth > 0))
+        depth += (piece == "(") - (piece == ")")
+        if piece != " ":
+            starting = piece in ("~", "(", "&", "|", "->", "<->")
+        pieces.append(piece)
+    pieces += [atoms[0]] * starting + [")"] * max(depth, 0)
+    return " ".join(pieces) if rng.random() < 0.5 else "".join(pieces)
+
+
+def test_models_equals_the_oracle_on_longer_text_over_up_to_four_atoms():
+    rng = random.Random(24)
+    atom_lists = (("p",), ("p", "q"), ("p", "q", "r"), ("p", "q", "r", "s"))
+    parsed = 0
+    for _ in range(20_000):
+        length = rng.randrange(41)
+        atoms = rng.choice(atom_lists)
+        if rng.random() < 0.5:
+            text = "".join(rng.choice(rng.choice((_TOKENS, _PIECES))) for _ in range(length))
+        else:
+            text = _mostly_formula(rng, length, atoms)
+        outcome = _outcome(models, text, atoms)
+        assert outcome == _outcome(_oracle_models, text, atoms), text
+        parsed += isinstance(outcome, int)
+    assert parsed > 2000
+
+
+@pytest.mark.parametrize(
+    "nest, formula",
+    [
+        (lambda k: "(" * k + "p" + ")" * k, "p"),
+        (lambda k: "~" * k + "p", "p"),  # an even number of them
+        (lambda k: "p -> " * k + "p", "true"),  # each '->' waits for its right side
+    ],
+    ids=["parentheses", "negations", "implications"],
+)
+def test_nesting_limit_is_fixed(nest, formula):
+    assert mod(nest(_MAX_NESTING)) == mod(formula)
+    with pytest.raises(FormulaNestingError) as err:
+        mod(nest(_MAX_NESTING + 1))
+    assert err.value.position == 0
+    assert str(err.value) == "formula nested too deeply at offset 0"
+
+
+def test_left_associated_chains_never_reach_the_nesting_limit():
+    assert mod(" & ".join(["p"] * (3 * _MAX_NESTING))) == mod("p")
+    assert mod(" | ".join(["p", "~q"] * _MAX_NESTING)) == mod("p | ~q")
+
+
+def test_nested_formula_parses_deep_in_the_callers_stack():
+    formula = "(" * 400 + "p" + ")" * 400
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+
+    def deeper(frames):
+        return deeper(frames - 1) if frames else mod(formula)
+
+    assert deeper(900 - depth) == mod("p")  # parsed about 900 frames deep
 
 
 def test_atom_list_validation():

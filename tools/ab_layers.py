@@ -33,8 +33,8 @@ the six diagram scans; ``pair_profile(2)`` and
 sampled DP1 check (10000 samples) and a six-sample IIAI check, at one
 and at two workers; a closure query (``parse_conditional_set`` plus
 ``closure_answer``) on a preorder's full conditional set plus its belief
-set; and parsing the first 3000 lines of a four-atom preorder's full
-conditional set.
+set, and the ``parse_conditional_set`` part of it alone; and parsing the
+first 3000 lines of a four-atom preorder's full conditional set.
 
 Every round times each layer once per loaded copy, in load order or in
 its reverse, alternating between rounds, so the host's drift falls on
@@ -239,6 +239,10 @@ def layers(bc, drawn):
         for text in files:
             cli.closure_answer(cli.parse_conditional_set(text, ATOMS), 3)
 
+    def closure_parses():
+        for text in files:
+            cli.parse_conditional_set(text, ATOMS)
+
     default = {"n_atoms": 3, "mode": "sampled"}
     small = {"n_atoms": 3, "mode": "sampled", "seed": 1, "sample": 6}
     composed = post._NliComposition(stq_lex, natural)
@@ -277,6 +281,7 @@ def layers(bc, drawn):
         "check_IIAI_natural_n3_sample6_ms": (check("IIAI", **small), 1, 1e3),
         "check_IIAI_natural_n3_sample6_w2_ms": (check("IIAI", **small, workers=2), 1, 1e3),
         "closure_query_n3_ms": (closures, CLOSURES, 1e3),
+        "parse_closure_n3_ms": (closure_parses, CLOSURES, 1e3),
         "parse_3000_lines_n4_ms": (
             lambda: cli.parse_conditional_set(parse_text, ATOMS4), 1, 1e3
         ),
