@@ -19,13 +19,14 @@ relations are two ints of W^2 bits for W worlds, ``lt`` with bit W*x+y
 set iff x ranks strictly below y and ``le`` iff at most as high, so an
 input's violations are the set bits of a few ands and xors over a
 region mask.  That per-input mask is each such postulate's one route
-(``_masked``): its set bits, read in ascending order, are the
-witnesses in scan order, their number is the count, and any set bit is
-a failure.  IIAI, Beta1/Beta2 and Neut read the same matrices, the
-revisions' from the prior's row on every input (``ctx.rows``).  IIAI
-and Beta1/Beta2, quadratic in the inputs, are counted per world pair by
-a closed form over the inputs grouped by their outcome on the pair,
-taken for every pair at once on bit-sliced counts (``_bit_counts``).
+(``_masked`` for the pair rules, ``_iiap_masks`` for IIAP): its set
+bits, read in ascending order, are the witnesses in scan order, their
+number is the count, and any set bit is a failure.  IIAI, Beta1/Beta2
+and Neut read the same matrices, the revisions' from the prior's row on
+every input (``ctx.rows``).  IIAI and Beta1/Beta2, quadratic in the
+inputs, are counted per world pair by a closed form over the inputs
+grouped by their outcome on the pair, taken for every pair at once on
+bit-sliced counts (``_bit_counts``).
 Their witnesses, like Neut's, are the set bits of pair masks, read in
 ascending order.
 
@@ -72,21 +73,26 @@ A diagram scan takes the per-composition rule like a postulate scan.
 Rows cut by a job's bounds, drawn pairs, rows with violations and every
 other operator (a tabular or a random operator) take the full scan.
 
-The scan context, ``_Ctx``, keeps one memo, by prior: the orders
-computed from it (the revision, the contraction by the negated input,
-...), each at most once per input, with their pair matrices; the
-prior's own pair matrices; and its outcome row on every input: the
-input, its minimal worlds and the revision's matrices (``ctx.order``,
-``ctx.matrices``, ``ctx.own`` and ``ctx.rows``).  So a
+The scan context, ``_Ctx``, keeps the orders computed from each prior
+(the revision, the contraction by the negated input, ...) by prior and
+input, each at most once (``ctx.order``), with the prior's outcome row
+on every input: the input, its minimal worlds and the revision's
+matrices (``ctx.rows``).  It keeps pair matrices by order, prior or
+posterior, each computed on its first read (``ctx.relations``);
+``ctx.matrices`` reads a named order's through that memo, and every
+scan that needs an order's matrices reads them there.  Posteriors repeat across inputs and
+priors (the natural revision of t by p depends only on t's minimal
+worlds of p), so the orders outnumber the matrices they need.  So a
 postulate's ``count`` and ``gen`` share one computation of each order,
 so do the postulates of one claim's verdicts, and an exhaustive pair
 scan in one job revises each prior once.  The orders are stored under
-the operator they read, so ``pair_profile``'s nine operator pairs share
-them too: each revision serves every contraction.  NLI and iLIRC read
-their routed revision as the contracted preorder's own revision, so the
-memo shares it too.  Neut reads one revision at a time, so it revises
-only on the inputs it reads.  Red, which checks that revising twice
-gives one posterior, calls the operator directly.
+the operator they read, and the matrices under none, so
+``pair_profile``'s nine operator pairs share both: each revision serves
+every contraction.  NLI and iLIRC read their routed revision as the
+contracted preorder's own revision, so the memo shares it too.  Neut
+reads one revision at a time, so it revises only on the inputs it
+reads.  Red, which checks that revising twice gives one posterior,
+calls the operator directly.
 
 The scans yield raw witnesses (preorders, input masks, worlds and a
 note).  Every check, postulate scan, state diagram or claim sweep, counts
@@ -262,15 +268,25 @@ def render_machine(report: CheckReport) -> str:
 # Scan context
 
 
+class _Matrices(dict):
+    """Pair matrices by order (see ``_relations``), each computed on its
+    first read."""
+
+    def __missing__(self, t: Tpo) -> tuple:
+        out = self[t] = _relations(t)
+        return out
+
+
 class _Ctx:
-    """One run's instance space and operators, plus one memo, kept until
-    ``clear``: the orders computed from each prior (see ``_ORDERS``), each
-    at most once per input, with their pair matrices; the prior's own
-    matrices; and its outcome row on every input.  Orders and their
-    matrices are kept in one dict per ("order" or "matrices", order name),
-    by prior.  Contexts given one ``shared`` dict keep those dicts there,
-    under the operator each order reads, and so compute each order once
-    between them."""
+    """One run's instance space and operators, plus its memos, kept until
+    ``clear``: the orders computed from each prior (see ``_ORDERS``), by
+    prior and input, each at most once, with the prior's outcome row on
+    every input; and ``relations``, the pair matrices of every order
+    read, prior or posterior, by order.  Orders are kept in one dict per
+    order name.  Contexts given one ``shared`` dict keep those dicts
+    there, under the operator each order reads, and the matrices under
+    ``"matrices"``, since they read no operator; so they compute each
+    order and its matrices once between them."""
 
     def __init__(self, n_atoms: int, rev=None, con: Contraction | None = None, shared=None):
         self.n = n_atoms
@@ -281,15 +297,15 @@ class _Ctx:
         self.worlds = tuple(range(1 << n_atoms))
         self.rev = rev
         self.con = con
-        self._own = {}  # prior: its pair matrices
         self._rows = {}  # prior: its outcome rows
-        # ("order" or "matrices", order name): prior -> that prior's values
+        # order: its pair matrices
+        self.relations = (
+            _Matrices() if shared is None else shared.setdefault("matrices", _Matrices())
+        )
+        # order name: prior -> input -> that order
         self._by_order = {
-            (kind, name): {}
-            if shared is None
-            else shared.setdefault((kind, name, self._reads(name)), {})
+            name: {} if shared is None else shared.setdefault((name, self._reads(name)), {})
             for name in _ORDERS
-            for kind in ("order", "matrices")
         }
 
     def _reads(self, name: str):
@@ -297,15 +313,15 @@ class _Ctx:
         return getattr(self, _READS[name]) if name in _READS else None
 
     def clear(self):
-        self._own.clear()
         self._rows.clear()
+        self.relations.clear()
         for memo in self._by_order.values():
             memo.clear()
 
     def order(self, name: str, t: Tpo, inputs) -> dict:
         """The named order of prior t by input, computed for at least
         ``inputs``."""
-        memo = self._by_order["order", name]
+        memo = self._by_order[name]
         out = memo.get(t)
         if out is None:
             out = memo[t] = {}
@@ -314,32 +330,17 @@ class _Ctx:
                 out[p] = _ORDERS[name](self, t, p)
         return out
 
-    def own(self, t: Tpo) -> tuple:
-        """The prior's own pair matrices."""
-        out = self._own.get(t)
-        if out is None:
-            out = self._own[t] = _relations(t)
-        return out
-
     def matrices(self, name: str, t: Tpo, inputs) -> list:
         """The named order's pair matrices on each of ``inputs``, in their
-        order, kept by input.  Two names have no entry in ``_ORDERS``:
-        ``prior`` is t itself on every input, and ``revneg`` revises t by
-        the complement of p, which is the revision by full - p."""
+        order.  Two names have no entry in ``_ORDERS``: ``prior`` is t
+        itself on every input, and ``revneg`` revises t by the complement
+        of p, which is the revision by full - p."""
         if name == "prior":
-            return [self.own(t)] * len(inputs)
+            return [self.relations[t]] * len(inputs)
         if name == "revneg":
             return self.matrices("rev", t, [self.full - p for p in inputs])
-        memo = self._by_order["matrices", name]
-        out = memo.get(t)
-        if out is None:
-            out = memo[t] = {}
-        rest = [p for p in inputs if p not in out]
-        if rest:
-            order = self.order(name, t, rest)
-            for p in rest:
-                out[p] = _relations(order[p])
-        return [out[p] for p in inputs]
+        order = self.order(name, t, inputs)
+        return [self.relations[order[p]] for p in inputs]
 
     def rows(self, t: Tpo) -> list:
         """(input, its minimal worlds, the revision's pair matrices) for
@@ -575,18 +576,22 @@ def make_random_dp_operator(seed: int, n_atoms: int) -> TabularRevision:
     return TabularRevision(n_atoms, table, seed=seed)
 
 
-def _iiap_masks(ctx, pair, ps):
-    """IIAP violations: per input of ps, consecutive inputs, the pairs
-    x < y outside both minima that the priors order alike and the
-    posteriors do not."""
+def _iiap_masks(ctx, pair):
+    """IIAP violations: per input, in input order, the pairs x < y outside
+    both minima that the priors order alike and the posteriors do not."""
     t1, t2 = pair
     same = _BROKEN["same"]
-    alike = ~same(ctx.own(t1), ctx.own(t2))
+    alike = ~same(ctx.relations[t1], ctx.relations[t2])
     within = _region_masks("in", ctx.n)
-    full = ctx.full
-    lo, hi = ps[0] - 1, ps[-1]  # the rows hold input p at index p - 1
-    for (_, min1, rev1), (_, min2, rev2) in zip(ctx.rows(t1)[lo:hi], ctx.rows(t2)[lo:hi]):
-        yield within[full & ~(min1 | min2)] & alike & same(rev1, rev2)
+    for (_, min1, rev1), (_, min2, rev2) in zip(ctx.rows(t1), ctx.rows(t2)):
+        yield within[ctx.full & ~(min1 | min2)] & alike & same(rev1, rev2)
+
+
+def _g_iiap(ctx, pair):
+    """The set bits of each input's IIAP mask, in ascending order."""
+    for p, bad in zip(ctx.props, _iiap_masks(ctx, pair)):
+        for xy in _bit_pairs(bad, len(ctx.worlds)):
+            yield pair, (p,), xy, ""
 
 
 def _g_iiai(ctx, t):
@@ -709,7 +714,7 @@ def _g_neut(ctx, pair):
                 continue
             inverse = sorted(ctx.worlds, key=perm.__getitem__)
             pulled = Tpo(tuple(sum(1 << inverse[w] for w in _WORLDS[c]) for c in rev2.masks), ctx.n)
-            bad = upper & _BROKEN["same"](_relations(rev1), _relations(pulled))
+            bad = upper & _BROKEN["same"](ctx.relations[rev1], ctx.relations[pulled])
             mapping = ",".join(
                 f"{world_str(w, ctx.n)}->{world_str(perm[w], ctx.n)}" for w in ctx.worlds
             )
@@ -748,7 +753,8 @@ def _g_li_beliefs(ctx, t, ps):
 def _first_diff_pair(ctx, ta: Tpo, tb: Tpo) -> tuple:
     """The first pair x < y that two different orders relate differently:
     their ``same`` mask is symmetric, so its lowest set bit has x < y."""
-    return next(_bit_pairs(_BROKEN["same"](_relations(ta), _relations(tb)), len(ctx.worlds)))
+    bad = _BROKEN["same"](ctx.relations[ta], ctx.relations[tb])
+    return next(_bit_pairs(bad, len(ctx.worlds)))
 
 
 def _routed_rule(final: Revision | None, route: str):
@@ -838,19 +844,18 @@ def _by_input(body, inputs: str = "props", counts=None, **kw) -> _PostulateDef:
 
 def _masked(masks, inputs: str = "props", **kw) -> _PostulateDef:
     """A postulate whose violations are, per input, the set bits of a pair
-    matrix: ``masks(ctx, outer, ps)`` yields one mask for each input of
-    ps, in order.  Its witnesses are the set bits in ascending order, bit
-    W*x+y naming the pair (x, y), and its count is their number."""
-    pair_outer = kw.get("pair_outer", False)
+    matrix: ``masks(ctx, t, ps)`` yields one mask for each input of ps, in
+    order, for prior t.  Its witnesses are the set bits in ascending
+    order, bit W*x+y naming the pair (x, y), and its count is their
+    number."""
 
-    def body(ctx, outer, ps):
-        tpos = outer if pair_outer else (outer,)
-        for p, bad in zip(ps, masks(ctx, outer, ps)):
+    def body(ctx, t, ps):
+        for p, bad in zip(ps, masks(ctx, t, ps)):
             for xy in _bit_pairs(bad, len(ctx.worlds)):
-                yield tpos, (p,), xy, ""
+                yield (t,), (p,), xy, ""
 
-    def counts(ctx, outer, ps):
-        return map(int.bit_count, masks(ctx, outer, ps))
+    def counts(ctx, t, ps):
+        return map(int.bit_count, masks(ctx, t, ps))
 
     return _by_input(body, inputs, counts, **kw)
 
@@ -885,7 +890,11 @@ def _pair_rule(premises, conclusion, region, relation) -> _PostulateDef:
 _POSTULATES = {
     "Success": _by_input(_g_success),
     **{name: _pair_rule(*row) for name, row in _PAIR_RULES.items()},
-    "IIAP": _masked(_iiap_masks, pair_outer=True),
+    "IIAP": _PostulateDef(
+        _g_iiap,
+        count=lambda ctx, pair: sum(map(int.bit_count, _iiap_masks(ctx, pair))),
+        pair_outer=True,
+    ),
     "IIAI": _PostulateDef(
         _g_iiai,
         count=_c_iiai,
@@ -1358,7 +1367,7 @@ def _intransitive_triple(rows):
 
 def _g_diagram(ctx, t, ps):
     """Diagram scan; the diagram's table is the context's revision."""
-    own = ctx.own(t)
+    own = ctx.relations[t]
     for p in ps:
         triple = _intransitive_triple(_forced_rows(ctx.rev, t, p, own))
         if triple is not None:
@@ -1661,12 +1670,12 @@ def _verify_l_flattest(n_atoms: int):
     tally = _Tally(ctx)
     dropped = _BROKEN["strict"]  # t's strict preferences that s does not keep
     for t in pool:
-        own = ctx.own(t)
+        own = ctx.relations[t]
         for p in ctx.props:
             tally.instances += 1
             flattest = revise(t, p, Revision.NATURAL)
             for s in pool:
-                if s.masks[0] & ~p or dropped(own, ctx.own(s)):
+                if s.masks[0] & ~p or dropped(own, ctx.relations[s]):
                     continue
                 if not flatter_eq(flattest, s):
                     tally.add(

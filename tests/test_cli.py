@@ -165,7 +165,7 @@ def test_deeply_nested_step_formula_runs(tmp_path, capsys):
     assert capsys.readouterr().out.endswith("state: 11 | 00 | 01 10\nbeliefs: p & q\n")
 
 
-def test_formula_nested_past_the_recursion_limit_is_a_syntax_error(tmp_path, capsys):
+def test_formula_nested_past_the_nesting_limit_is_a_syntax_error(tmp_path, capsys):
     path = tmp_path / "set.txt"
     path.write_text("p => " + "~" * 2000 + "p\n")
     assert main(["closure", str(path), "--n", "2"]) == 2

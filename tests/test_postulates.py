@@ -1243,6 +1243,27 @@ def test_the_pair_profile_computes_each_order_once_per_instance(revisions):
     assert len(set(revisions)) == len(revisions)
 
 
+def test_a_scan_computes_the_pair_matrices_of_each_order_once(monkeypatch):
+    # the context keeps pair matrices by order, so a posterior that several
+    # inputs or priors share, or that is a prior too, is read once; the
+    # pair profile's contexts share that memo across operator pairs
+    calls = []
+
+    def counted(t, _real=postulates._relations):
+        calls.append(t)
+        return _real(t)
+
+    monkeypatch.setattr(postulates, "_relations", counted)
+    for run in (
+        lambda: check_postulate("DP1", Revision.NATURAL, n_atoms=2),
+        lambda: (pair_profile.cache_clear(), pair_profile(2)),
+    ):
+        calls.clear()
+        run()
+        assert calls
+        assert len(set(calls)) == len(calls)
+
+
 # ---------------------------------------------------------------------------
 # Orbits: under operators that commute with every permutation of the
 # worlds, a single-outer scan counts alike on preorders of one composition
