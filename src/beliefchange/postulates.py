@@ -62,37 +62,47 @@ input taking the lowest worlds of each cell, times the orbit's size
 (``_input_orbits``): prod(s_i + 1) - 1 inputs for cells of sizes s_i, in
 place of 2^W - 1.  IIAI and Beta1/Beta2, which count pairs of inputs,
 count the composition's first preorder on every input.  An exhaustive
-pair scan comes in rows, one first preorder with every second one; a
+pair scan comes in rows, one first preorder with every second one, and
+its jobs split the first preorders, so every row is whole.  A
 permutation maps a row onto the row of the permuted first preorder, so
-whole rows whose first preorders share a composition find as many
-violations.  ``_counted`` counts the first whole row of each
-composition pair by pair, and reads every later one back as zeros when
-it found none.  Witnesses still come from the generator run on the
-actual outer, so a report keeps the same witnesses in the same order.
-A diagram scan takes the per-composition rule like a postulate scan.
-Rows cut by a job's bounds, drawn pairs, rows with violations and every
-other operator (a tabular or a random operator) take the full scan.
+rows whose first preorders share a composition find as many
+violations.  ``_counted`` counts the first row of each composition
+pair by pair, and reads every later one back as zeros when it found
+none.  Witnesses still come from the generator run on the actual
+outer, so a report keeps the same witnesses in the same order.  A
+diagram scan takes the per-composition rule like a postulate scan.
+Drawn pairs, rows with violations and every other operator (a tabular
+or a random operator) take the full scan.
 
-The scan context, ``_Ctx``, keeps the orders computed from each prior
-(the revision, the contraction by the negated input, ...) by prior and
-input, each at most once (``ctx.order``), with the prior's outcome row
-on every input: the input, its minimal worlds and the revision's
-matrices (``ctx.rows``).  It keeps pair matrices by order, prior or
-posterior, each computed on its first read (``ctx.relations``);
-``ctx.matrices`` reads a named order's through that memo, and every
-scan that needs an order's matrices reads them there.  Posteriors repeat across inputs and
-priors (the natural revision of t by p depends only on t's minimal
-worlds of p), so the orders outnumber the matrices they need.  So a
-postulate's ``count`` and ``gen`` share one computation of each order,
-so do the postulates of one claim's verdicts, and an exhaustive pair
-scan in one job revises each prior once.  The orders are stored under
-the operator they read, and the matrices under none, so
-``pair_profile``'s nine operator pairs share both: each revision serves
-every contraction.  NLI and iLIRC read their routed revision as the
-contracted preorder's own revision, so the memo shares it too.  Neut
-reads one revision at a time, so it revises only on the inputs it
-reads.  Red, which checks that revising twice gives one posterior,
-calls the operator directly.
+The scan context, ``_Ctx``, keeps one memo of orders (``ctx.orders``).
+An order is ``revise`` or ``contract`` of a prior by one input mask
+under one operator; the memo keeps it by (function, operator), then
+prior, then mask, and computes it on its first read (``ctx.memo``).
+The scans name the orders they read, for prior t and input p
+(``_NAMED``, read by ``ctx.order``): ``rev`` and ``con`` apply the
+context's revision or contraction by p, ``revneg`` and ``conneg`` apply
+them by p's complement (``conneg`` is t itself on the tautology), and
+``prior`` is t.  A route under another operator reads the same memo
+under that operator: NLI and iLIRC revise the contracted preorder under
+the checked revision and under natural revision.  So contracting by q
+and contracting by the negation of q's complement are one entry, and a
+contracted preorder's revision is one entry whether a scan reaches it
+as a prior or along a route.  The context also keeps pair matrices by
+order, prior or posterior, each computed on its first read
+(``ctx.relations``; ``ctx.matrices`` for a named order), and each
+prior's outcome row on every input: the input, its minimal worlds and
+the revision's matrices (``ctx.rows``).  Posteriors repeat across
+inputs and priors (the natural revision of t by p depends only on t's
+minimal worlds of p), so the orders outnumber the matrices they need.
+So a postulate's ``count`` and ``gen`` share one computation of each
+order, so do the postulates of one claim's verdicts, and an exhaustive
+pair scan in one job revises each prior once.  Contexts given one
+``shared`` dict share both memos, so ``pair_profile``'s nine operator
+pairs compute each order and its matrices once between them: each
+revision serves every contraction, and each contraction every
+revision.  Neut revises only on the inputs that an isomorphism of its
+pair keeps.  Red, which checks that revising twice gives one
+posterior, calls the operator directly.
 
 The scans yield raw witnesses (preorders, input masks, worlds and a
 note).  Every check, postulate scan, state diagram or claim sweep, counts
@@ -277,16 +287,51 @@ class _Matrices(dict):
         return out
 
 
+class _Orders(dict):
+    """prior -> input mask -> ``function(prior, mask, operator)``, for one
+    function and operator: the orders computed so far (see ``at``).  At
+    the empty mask each prior's orders hold the prior itself, as
+    contracting by an inconsistent sentence changes nothing."""
+
+    __slots__ = ("function", "operator")
+
+    def __init__(self, function, operator):
+        self.function, self.operator = function, operator
+
+    def at(self, t: Tpo, qs) -> dict:
+        """Prior t's orders, computed for at least the masks qs."""
+        out = self.get(t) or self.setdefault(t, {0: t})
+        function, operator = self.function, self.operator
+        for q in qs:
+            if q not in out:
+                out[q] = function(t, q, operator)
+        return out
+
+
+# The orders the scans name, for prior t and input p: the context's memo
+# that keeps them (``None``: t itself), and whether they are read at p's
+# complement, where the tautology's is the empty mask (see ``_Orders``)
+_NAMED = {
+    "prior": (None, False),
+    "rev": ("revisions", False),
+    "revneg": ("revisions", True),
+    "con": ("contractions", False),
+    "conneg": ("contractions", True),
+}
+
+
 class _Ctx:
     """One run's instance space and operators, plus its memos, kept until
-    ``clear``: the orders computed from each prior (see ``_ORDERS``), by
-    prior and input, each at most once, with the prior's outcome row on
-    every input; and ``relations``, the pair matrices of every order
-    read, prior or posterior, by order.  Orders are kept in one dict per
-    order name.  Contexts given one ``shared`` dict keep those dicts
-    there, under the operator each order reads, and the matrices under
-    ``"matrices"``, since they read no operator; so they compute each
-    order and its matrices once between them."""
+    ``clear``.  ``orders`` is the one order memo: for each function,
+    ``revise`` or ``contract``, and operator, the orders it has given so
+    far (``memo``; see ``_Orders``), each computed once.  ``revisions``
+    and ``contractions`` are its entries under the context's own
+    operators, which ``order`` reads by name (see ``_NAMED``); a route
+    under another operator reads ``memo`` directly.  ``relations`` maps
+    every order read, prior or posterior, to its pair matrices, and
+    ``rows`` keeps each prior's outcome row on every input.  Contexts
+    given one ``shared`` dict keep ``orders`` and ``relations`` there, so
+    they compute each order and its matrices once between them."""
 
     def __init__(self, n_atoms: int, rev=None, con: Contraction | None = None, shared=None):
         self.n = n_atoms
@@ -297,58 +342,58 @@ class _Ctx:
         self.worlds = tuple(range(1 << n_atoms))
         self.rev = rev
         self.con = con
-        self._rows = {}  # prior: its outcome rows
-        # order: its pair matrices
-        self.relations = (
-            _Matrices() if shared is None else shared.setdefault("matrices", _Matrices())
-        )
-        # order name: prior -> input -> that order
-        self._by_order = {
-            name: {} if shared is None else shared.setdefault((name, self._reads(name)), {})
-            for name in _ORDERS
-        }
-
-    def _reads(self, name: str):
-        """The operator the named order reads (see ``_READS``)."""
-        return getattr(self, _READS[name]) if name in _READS else None
+        self._outcomes = {}  # prior: its outcome rows
+        shared = {} if shared is None else shared
+        self.relations = shared.setdefault("matrices", _Matrices())
+        self.orders = shared.setdefault("orders", {})  # see ``memo``
+        self.revisions = self.memo(revise, rev)
+        self.contractions = self.memo(contract, con)
 
     def clear(self):
-        self._rows.clear()
+        self._outcomes.clear()
         self.relations.clear()
-        for memo in self._by_order.values():
+        for memo in self.orders.values():
             memo.clear()
 
-    def order(self, name: str, t: Tpo, inputs) -> dict:
-        """The named order of prior t by input, computed for at least
-        ``inputs``."""
-        memo = self._by_order[name]
-        out = memo.get(t)
+    def memo(self, function, operator) -> _Orders:
+        """The orders of ``function`` under ``operator``.  They are kept by
+        the operator's identity, as an operator object need not be
+        hashable (a diagram's table is a dict); the entry holds the
+        operator, so no other object takes its id while it is kept."""
+        out = self.orders.get((function, id(operator)))
         if out is None:
-            out = memo[t] = {}
-        for p in inputs:
-            if p not in out:
-                out[p] = _ORDERS[name](self, t, p)
+            out = self.orders[function, id(operator)] = _Orders(function, operator)
         return out
 
-    def matrices(self, name: str, t: Tpo, inputs) -> list:
-        """The named order's pair matrices on each of ``inputs``, in their
-        order.  Two names have no entry in ``_ORDERS``: ``prior`` is t
-        itself on every input, and ``revneg`` revises t by the complement
-        of p, which is the revision by full - p."""
-        if name == "prior":
-            return [self.relations[t]] * len(inputs)
-        if name == "revneg":
-            return self.matrices("rev", t, [self.full - p for p in inputs])
-        order = self.order(name, t, inputs)
-        return [self.relations[order[p]] for p in inputs]
+    def order(self, name: str, t: Tpo, ps) -> list:
+        """The named order (see ``_NAMED``) of prior t by each input of
+        ps, in their order."""
+        memo, complement = _NAMED[name]
+        if memo is None:
+            return [t] * len(ps)
+        qs = [self.full - p for p in ps] if complement else ps
+        orders = getattr(self, memo).at(t, qs)
+        return [orders[q] for q in qs]
+
+    def matrices(self, name: str, t: Tpo, ps) -> list:
+        """The named order's pair matrices on each input of ps, in their
+        order: ``order``'s, read without its list, and for the prior
+        itself one lookup, not one per input."""
+        memo, complement = _NAMED[name]
+        relations = self.relations
+        if memo is None:
+            return [relations[t]] * len(ps)
+        qs = [self.full - p for p in ps] if complement else ps
+        orders = getattr(self, memo).at(t, qs)
+        return [relations[orders[q]] for q in qs]
 
     def rows(self, t: Tpo) -> list:
         """(input, its minimal worlds, the revision's pair matrices) for
         every input, in input order."""
-        out = self._rows.get(t)
+        out = self._outcomes.get(t)
         if out is None:
             rev = self.matrices("rev", t, self.props)
-            out = self._rows[t] = [(p, min_worlds(t, p), m) for p, m in zip(self.props, rev)]
+            out = self._outcomes[t] = [(p, min_worlds(t, p), m) for p, m in zip(self.props, rev)]
         return out
 
     def witness(self, tpos, inputs, worlds, note="") -> Witness:
@@ -441,9 +486,8 @@ def _bit_pairs(mask: int, width: int):
 
 
 def _g_success(ctx, t, ps):
-    rev = ctx.order("rev", t, ps)
-    for p in ps:
-        stray = rev[p].masks[0] & ~p
+    for p, rev in zip(ps, ctx.order("rev", t, ps)):
+        stray = rev.masks[0] & ~p
         if stray:
             lowest = (stray & -stray).bit_length() - 1
             yield (t,), (p,), (lowest,), "minimal world outside input"
@@ -451,26 +495,14 @@ def _g_success(ctx, t, ps):
 
 # The fourteen pair-relation postulates share one shape: for the world
 # pairs in a region of the input p, the conclusion order keeps the
-# relation that the premise orders give the pair.  Orders, for prior t:
-# ``rev``/``con`` revise/contract t by p; ``conneg`` contracts t by the
-# complement of p; ``natural`` revises t by p with natural revision
-# (iLIRC's route).  The rules also read ``prior`` and ``revneg``, whose
-# matrices ``_Ctx.matrices`` gives without an order of their own.  The
-# operators ``ops.rev`` and ``ops.con`` come from the scan context, which
-# keeps each order it computes.
+# relation that the premise orders give the pair.  The orders are the
+# scan context's named orders of prior t (see ``_NAMED``): ``prior`` is
+# t, ``rev``/``con`` revise/contract t by p under the context's
+# operators, and ``revneg``/``conneg`` revise/contract it by the
+# complement of p.
 # Relations: ``same`` keeps the pair's relation code, whatever it is;
 # ``strict`` ("x below y") and ``weak`` ("x at most y") are kept whenever
 # every premise order holds them.
-
-_ORDERS = {
-    "rev": lambda ops, t, p: revise(t, p, ops.rev),
-    "con": lambda ops, t, p: contract(t, p, ops.con),
-    "conneg": lambda ops, t, p: contract_by_negation(t, p, ops.con),
-    "natural": lambda ops, t, p: revise(t, p, Revision.NATURAL),
-}
-
-# The operator each order reads; ``natural`` reads neither.
-_READS = {"rev": "rev", "con": "con", "conneg": "con"}
 
 # region: (ordered pairs?, x in p, y in p), None leaving a side free.
 # The same-side regions take pairs x < y; the others take ordered pairs.
@@ -705,11 +737,10 @@ def _g_neut(ctx, pair):
         return
     upper = _region_masks("in", ctx.n)[ctx.full]
     width = len(ctx.worlds)
-    for p in ctx.props:
-        perms = _a_preserving_isos(t1.masks, t2.masks, p, width)
-        if perms:
-            rev1, rev2 = (ctx.order("rev", t, (p,))[p] for t in pair)
-        for perm in perms:
+    isos = {p: _a_preserving_isos(t1.masks, t2.masks, p, width) for p in ctx.props}
+    ps = [p for p in ctx.props if isos[p]]
+    for p, rev1, rev2 in zip(ps, ctx.order("rev", t1, ps), ctx.order("rev", t2, ps)):
+        for perm in isos[p]:
             if tuple(sum(1 << perm[x] for x in _WORLDS[c]) for c in rev1.masks) == rev2.masks:
                 continue
             inverse = sorted(ctx.worlds, key=perm.__getitem__)
@@ -735,18 +766,14 @@ def _g_red(ctx, t, ps):
 
 
 def _g_hi_beliefs(ctx, t, ps):
-    con = ctx.order("con", t, ps)
-    rev = ctx.order("rev", t, [ctx.full & ~p for p in ps])
-    for p in ps:
-        expected = t.masks[0] | rev[ctx.full & ~p].masks[0]
-        if con[p].masks[0] != expected:
+    for p, con, revneg in zip(ps, ctx.order("con", t, ps), ctx.order("revneg", t, ps)):
+        if con.masks[0] != t.masks[0] | revneg.masks[0]:
             yield (t,), (p,), (), "contraction beliefs differ from union of minima"
 
 
 def _g_li_beliefs(ctx, t, ps):
-    rev, conneg = (ctx.order(name, t, ps) for name in ("rev", "conneg"))
-    for p in ps:
-        if rev[p].masks[0] != min_worlds(conneg[p], p):
+    for p, rev, conneg in zip(ps, ctx.order("rev", t, ps), ctx.order("conneg", t, ps)):
+        if rev.masks[0] != min_worlds(conneg, p):
             yield (t,), (p,), (), "revision beliefs differ from post-contraction minima"
 
 
@@ -760,19 +787,19 @@ def _first_diff_pair(ctx, ta: Tpo, tb: Tpo) -> tuple:
 def _routed_rule(final: Revision | None, route: str):
     """NLI (``final`` None: the checked revision) and iLIRC (natural
     revision): revising directly equals contracting by the negated input,
-    then revising by ``final``.  The routed revision is the contracted
-    preorder's own revision order, so the memo shares it with every prior
-    that contracts to that preorder, and with the direct revision on the
-    tautology, whose contraction by the negation is the prior itself."""
+    then revising by ``final``.  The routed revision is read from the
+    context's memo under ``final``: one entry with the contracted
+    preorder's revision as a prior, with every prior that contracts to
+    that preorder, and with the direct revision on the tautology, whose
+    contraction by the negation is the prior itself."""
 
     def differing(ctx, t, ps):
         """Per input of ps, whether its direct and routed revisions
         differ, with both."""
-        direct, conneg = (ctx.order(name, t, ps) for name in ("rev", "conneg"))
-        name = "rev" if final is None or final is ctx.rev else "natural"
-        for p in ps:
-            routed = ctx.order(name, conneg[p], (p,))[p]
-            yield direct[p] != routed, p, direct[p], routed
+        routes = ctx.memo(revise, ctx.rev if final is None else final)
+        for p, direct, contracted in zip(ps, ctx.order("rev", t, ps), ctx.order("conneg", t, ps)):
+            routed = routes.at(contracted, (p,))[p]
+            yield direct != routed, p, direct, routed
 
     def body(ctx, t, ps):
         for differs, p, direct, routed in differing(ctx, t, ps):
@@ -961,26 +988,16 @@ def _outers(pair_outer, n_atoms, part):
     """One job's outers: the enumeration from ``part.start`` to
     ``part.stop`` (a slice; stop None runs to the end), or the preorders
     at a list of drawn indices.  Pair outers come in rows (see
-    ``_counted``): the exhaustive ones as ``_rows`` of the enumeration's
-    pairs, a drawn pair as a row of its own."""
+    ``_counted``): (first preorder, second preorders, whether those are
+    the whole enumeration).  An exhaustive row pairs each preorder of the
+    slice with the whole enumeration; a drawn pair is a row of its own."""
     if isinstance(part, slice):
         pool = _enumeration(n_atoms)
-        if pair_outer:
-            return _rows(pool, part.start, len(pool) ** 2 if part.stop is None else part.stop)
-        return islice(pool, part.start, part.stop)
+        firsts = islice(pool, part.start, part.stop)
+        return ((first, pool, True) for first in firsts) if pair_outer else firsts
     if pair_outer:
         return ((tpo_at_index(i, n_atoms), (tpo_at_index(j, n_atoms),), False) for i, j in part)
     return (tpo_at_index(i, n_atoms) for i in part)
-
-
-def _rows(pool: tuple, start: int, stop: int):
-    """The pairs of ``product(pool, repeat=2)`` from ``start`` to ``stop``,
-    row by row: (first preorder, the second preorders it meets there,
-    whether those are the whole pool)."""
-    width = len(pool)
-    for row in range(start // width, -(-stop // width)):
-        lo, hi = max(start - row * width, 0), min(stop - row * width, width)
-        yield pool[row], pool[lo:hi], hi - lo == width
 
 
 def _spec(postulate: str, revision, contraction) -> _PostulateDef:
@@ -1066,9 +1083,8 @@ def _counted(ctx: _Ctx, spec: _PostulateDef, outers):
     has that composition: a permutation maps the one row onto the other.
     So the first whole row of each composition is counted pair by pair,
     and if it finds no violation every later whole row of that
-    composition is read back as zeros.  Every other row (cut by a job's
-    bounds, drawn, with violations, or under other operators) is counted
-    pair by pair."""
+    composition is read back as zeros.  Every other row (drawn, with
+    violations, or under other operators) is counted pair by pair."""
     equivariant = _equivariant(ctx.rev, ctx.con)
     if spec.pair_outer:
         clean = set()  # compositions of whole rows without a violation
@@ -1209,8 +1225,9 @@ def check_postulate(
     only sampled mode takes a ``seed`` or ``sample``.
     Violations are counted in full; the report keeps the first ten
     witnesses in enumeration order, whatever the worker count.  The
-    outers are split into one contiguous job per worker, at most
-    ``_CHUNKS`` (16) and at most one per outer; the first job runs in
+    outers (an exhaustive pair scan's first preorders) are split into
+    one contiguous job per worker, at most ``_CHUNKS`` (16) and at most
+    one per outer, so every exhaustive row is whole; the first job runs in
     process and every other one, at most 15, in a forked child (see
     ``_run_jobs``).  Only the kept witnesses are rendered, in this
     process.
@@ -1230,7 +1247,7 @@ def check_postulate(
         total = sample
     else:
         draws = None
-        total = count_tpos(n_atoms) ** (2 if spec.pair_outer else 1)
+        total = count_tpos(n_atoms)  # first preorders, for a pair scan
     jobs = min(workers, _CHUNKS, total)
     bounds = [(total * i // jobs, total * (i + 1) // jobs) for i in range(jobs)]
     parts = [slice(start, stop) if draws is None else draws[start:stop] for start, stop in bounds]

@@ -1,8 +1,11 @@
 """Smoke test of the layer-timing tool ``tools/ab_layers.py``.
 
 The tool reaches into private names of the package (``_merge_masks``,
-``_scan``, ``_Ctx``, ``_NliComposition``, ``_dp_posterior_candidates``);
-running every layer once here catches a refactor that removes one.
+``_POSTULATES``, ``_scan``, ``_counted``, ``_Ctx``, ``_NliComposition``,
+``_dp_posterior_candidates``), builds drawn pair rows as ``_outers``
+does, and counts orders by wrapping the ``revise``, ``contract`` and
+``contract_by_negation`` that ``postulates`` calls; running every layer
+and count once here catches a refactor that removes one.
 """
 
 import importlib.util
@@ -36,3 +39,10 @@ def test_every_layer_runs_once_on_this_tree():
     assert set(EARLIER_LAYERS) <= set(table)
     for run, _, _ in table.values():
         run()
+
+
+def test_the_order_counts_are_ints_on_this_tree():
+    bc = ab_layers._load("ab_layers_counts", ROOT / "src")
+    counts = ab_layers.order_counts(bc)
+    assert set(counts) == {"pair_profile_n2_orders", "check_Neut_natural_n2_orders"}
+    assert all(type(found) is int and found > 0 for found in counts.values())

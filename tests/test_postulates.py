@@ -24,6 +24,7 @@ from beliefchange.operators import (
     Contraction,
     Revision,
     TabularRevision,
+    contract,
     contract_by_negation,
     method_name,
     revise,
@@ -821,12 +822,14 @@ def _rank_region(name, p, n_atoms):
     ]
 
 
-# The orders of ``_PAIR_RULES`` as preorders, with the two that the scan
-# context reads only as matrices
+# The orders of ``_PAIR_RULES`` as preorders, built from the operators
+# directly, not from the scan context's memo
 _RANK_ORDERS = {
-    **postulates._ORDERS,
-    "prior": lambda ops, t, p: t,
-    "revneg": lambda ops, t, p: revise(t, ops.full & ~p, ops.rev),
+    "prior": lambda ctx, t, p: t,
+    "rev": lambda ctx, t, p: revise(t, p, ctx.rev),
+    "revneg": lambda ctx, t, p: revise(t, ctx.full & ~p, ctx.rev),
+    "con": lambda ctx, t, p: contract(t, p, ctx.con),
+    "conneg": lambda ctx, t, p: contract_by_negation(t, p, ctx.con),
 }
 
 
@@ -863,7 +866,7 @@ def _icode(p, x, y):
 def _rank_rows(ctx, t):
     """(input, its minimal worlds, the revision's rank) for every input."""
     rev = ctx.order("rev", t, ctx.props)
-    return [(p, min_worlds(t, p), rank(rev[p])) for p in ctx.props]
+    return [(p, min_worlds(t, p), rank(r)) for p, r in zip(ctx.props, rev)]
 
 
 def _rank_iiap(ctx, pair):
@@ -1165,19 +1168,46 @@ def test_a_failing_counted_scan_and_its_witnesses_share_each_order(postulate, re
 def test_a_generator_computes_the_orders_of_the_inputs_it_reaches(revisions):
     # a report keeps the first ten witnesses, and a single-input scan's
     # generator takes the inputs a chunk at a time: here the tenth
-    # witness lies on input 17, in the second chunk
+    # witness lies on input 17, in the second chunk; CR4 revises by each
+    # input and contracts by its complement
     ctx = _Ctx(3, Revision.NATURAL, Contraction.STQ_LEX)
     raws = list(islice(_POSTULATES["CR4"].gen(ctx, tpo_at_index(0, 3)), WITNESS_CAP))
     assert len(raws) == WITNESS_CAP and raws[-1][1] == (17,)
-    assert {call[2] for call in revisions} == set(range(1, 2 * postulates._GEN_CHUNK + 1))
+    reached = {p if name == "revise" else ctx.full - p for name, _, p, _ in revisions}
+    assert {name for name, *_ in revisions} == {"revise", "contract"}
+    assert reached == set(range(1, 2 * postulates._GEN_CHUNK + 1))
 
 
 def test_a_failing_routed_scan_and_its_witnesses_share_each_direct_order(revisions):
     # the routed revision is the contracted preorder's own revision, so
-    # the memo shares it with the direct revision of that preorder
+    # the memo shares it with the direct revision of that preorder; the
+    # contraction by the negated input is the contraction by the input's
+    # complement
     report = check_postulate("NLI", Revision.NATURAL, Contraction.STQ_LEX, n_atoms=2)
     assert report.outcome == "fail"
-    assert any(call[0] == "contract_by_negation" for call in revisions)
+    assert {name for name, *_ in revisions} == {"revise", "contract"}
+    assert len(set(revisions)) == len(revisions)
+
+
+def test_one_memo_entry_serves_every_route_to_an_order(revisions):
+    # contracting by q (CC1's ``con``) and by the negation of its
+    # complement (CR1's ``conneg``) is one entry, so each contraction is
+    # computed once between the two scans
+    ctx = _Ctx(2, Revision.NATURAL, Contraction.STQ_LEX)
+    t = parse_tpo("11 | 10 01 | 00", 2)
+    _POSTULATES["CC1"].count(ctx, t)
+    _POSTULATES["CR1"].count(ctx, t)
+    contractions = [call for call in revisions if call[0] != "revise"]
+    assert [(name, q) for name, _, q, _ in contractions] == [("contract", q) for q in ctx.props]
+    # iLIRC under natural revision reads the contractions back, and its
+    # routed revisions are the ``rev`` entries of the contracted preorders
+    revisions.clear()
+    _POSTULATES["iLIRC"].count(ctx, t)
+    assert revisions and {call[0] for call in revisions} == {"revise"}
+    routed = len(revisions)
+    for p, contracted in zip(ctx.props, ctx.order("conneg", t, ctx.props)):
+        ctx.order("rev", contracted, (p,))
+    assert len(revisions) == routed
     assert len(set(revisions)) == len(revisions)
 
 
@@ -1233,13 +1263,13 @@ def test_one_pass_verdicts_match_the_oracles():
 
 def test_the_pair_profile_computes_each_order_once_per_instance(revisions):
     # the nine operator pairs share their orders: each revision serves
-    # every contraction and each contraction every revision; revising by
-    # the negated input is revising by its complement; each prior is
-    # counted on one input per orbit of its cells, and the failing pairs'
-    # witnesses read the rest
+    # every contraction and each contraction every revision; revising or
+    # contracting by the negated input is revising or contracting by its
+    # complement; each prior is counted on one input per orbit of its
+    # cells, and the failing pairs' witnesses read the rest
     pair_profile.cache_clear()
     pair_profile(2)
-    assert len(revisions) == 754
+    assert len(revisions) == 616
     assert len(set(revisions)) == len(revisions)
 
 
@@ -1321,8 +1351,8 @@ EQUIVARIANT = (
 @pytest.mark.parametrize("op", EQUIVARIANT, ids=method_name)
 @pytest.mark.parametrize("postulate", ["IIAP", "Neut"])
 def test_row_reports_equal_the_full_scan(postulate, op, monkeypatch):
-    # sixteen jobs cut most rows; a failing scan (IIAP under stq-lex then
-    # natural or restrained) reads no row back
+    # every job takes whole rows, whatever the worker count; a failing
+    # scan (IIAP under stq-lex then natural or restrained) reads no row back
     monkeypatch.setattr(postulates, "_run_jobs", _in_process_jobs)
     rows = [check_postulate(postulate, op, n_atoms=2, workers=w) for w in (1, 2, 3, 16)]
     _full_scan(monkeypatch)

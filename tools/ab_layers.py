@@ -43,6 +43,13 @@ during it.  A round's reading of a tree is the mean of its two copies,
 and its ratio is the change's reading over the parent's.  Per layer the
 output gives each tree's median reading, the ratio's median and
 quartiles, and the rounds in which the change was faster.
+
+Beside the timings, ``counts`` gives each tree's exact number of orders
+computed by ``pair_profile(2)`` (its cache cleared) and by the
+exhaustive Neut check under natural revision at two atoms
+(``order_counts``): how often the scan context's memo computes an order
+rather than reusing one.  A count repeats exactly, so it carries none
+of the timings' noise floor.
 """
 
 import gc
@@ -288,13 +295,53 @@ def layers(bc, drawn):
     }
 
 
+def order_counts(bc):
+    """Each count's name -> the orders its run computes in the loaded
+    package ``bc``: the calls of ``revise``, ``contract`` and
+    ``contract_by_negation`` that ``postulates`` makes, counted by
+    wrapping them in its namespace for the run."""
+    post = bc.postulates
+    natural = bc.operators.Revision.NATURAL
+    runs = {
+        "pair_profile_n2_orders": lambda: (post.pair_profile.cache_clear(), post.pair_profile(2)),
+        "check_Neut_natural_n2_orders": lambda: post.check_postulate("Neut", natural, n_atoms=2),
+    }
+    real = {name: getattr(post, name) for name in ("revise", "contract", "contract_by_negation")}
+    calls = []
+
+    def counted(function):
+        def wrapper(*args):
+            calls.append(None)
+            return function(*args)
+
+        return wrapper
+
+    out = {}
+    try:
+        for name, function in real.items():
+            setattr(post, name, counted(function))
+        for name, run in runs.items():
+            calls.clear()
+            run()
+            out[name] = len(calls)
+    finally:
+        for name, function in real.items():
+            setattr(post, name, function)
+    return out
+
+
 # The loaded copies in load order, and the tree each one is: 0 parent, 1 change.
 COPIES = (("ab_parent", 0), ("ab_change", 1), ("ab_change_2", 1), ("ab_parent_2", 0))
 
 
 def main(parent_src, change_src):
     drawn = draws()
-    sides = [layers(_load(alias, (parent_src, change_src)[tree]), drawn) for alias, tree in COPIES]
+    packages = [_load(alias, (parent_src, change_src)[tree]) for alias, tree in COPIES]
+    counts = {}
+    for (_, tree), bc in zip(COPIES[:2], packages):
+        for name, found in order_counts(bc).items():
+            counts.setdefault(name, {})[("parent", "change")[tree]] = found
+    sides = [layers(bc, drawn) for bc in packages]
     for side in sides:  # warm-up, untimed: fills the per-process tables and caches
         for run, _, _ in side.values():
             run()
@@ -325,7 +372,7 @@ def main(parent_src, change_src):
             "ratio_q3": round(q3, 3),
             "rounds_won": sum(c < p for p, c in zip(parent, change)),
         }
-    print(json.dumps({"rounds": ROUNDS, "layers": out}, indent=2))
+    print(json.dumps({"rounds": ROUNDS, "counts": counts, "layers": out}, indent=2))
 
 
 if __name__ == "__main__":
