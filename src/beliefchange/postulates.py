@@ -19,7 +19,7 @@ relations are two ints of W^2 bits for W worlds, ``lt`` with bit W*x+y
 set iff x ranks strictly below y and ``le`` iff at most as high, so an
 input's violations are the set bits of a few ands and xors over a
 region mask.  That per-input mask is each such postulate's one route
-(``_masked`` for the pair rules, ``_iiap_masks`` for IIAP): its set
+(``_pair_rule`` for the pair rules, ``_iiap_masks`` for IIAP): its set
 bits, read in ascending order, are the witnesses in scan order, their
 number is the count, and any set bit is a failure.  IIAI, Beta1/Beta2
 and Neut read the same matrices, the revisions' from the prior's row on
@@ -40,10 +40,11 @@ room for witnesses, so the report keeps the same witnesses in the same
 order, and a boolean verdict (``_holding``) stops at the first outer
 with a nonzero count.
 
-Orbits.  The built-in revisions and contractions, compositions of them
-and the state diagrams' tables are defined from the order and the input
-alone, so they commute with every permutation of the worlds
-(``_equivariant`` admits exactly these).  Under them a permutation maps
+Orbits.  The built-in revisions and contractions and compositions of
+them are defined from the order and the input alone, so they commute
+with every permutation of the worlds (``_equivariant`` admits exactly
+these); so does the relation a state diagram's table forces, whose scan
+runs with no operator.  Under them a permutation maps
 a preorder's violations one to one onto those of the permuted preorder.
 Preorders with the same composition (cell sizes, bottom first) are
 permutations of each other, so a single-outer scan finds as many
@@ -105,17 +106,18 @@ pair keeps.  Red, which checks that revising twice gives one
 posterior, calls the operator directly.
 
 The scans yield raw witnesses (preorders, input masks, worlds and a
-note).  Every check, postulate scan, state diagram or claim sweep, counts
-them in one tally, ``_Tally``: instances and violations in full, and
-the first ten raw witnesses in scan order.  A report renders those ten
-as text, in the calling process, and no other.  A report's outcome
-follows from its violation count.
+note).  Every check, state diagram and claim counts into one tally,
+``_Tally``: instances and violations in full, and the first ten raw
+witnesses in scan order.  One method, ``_Tally.report``, builds the
+report: it renders those ten as text, in the calling process, and no
+other.  A report's outcome follows from its violation count.
 
-A state diagram is a scan too: its generator reads the diagram's table
-where a postulate scan reads the revision, so ``replay_witness`` takes
-one route for both.  A witness of ``diagram <name>`` replays under the
-built-in table of that name; one of ``diagram custom`` under the table
-passed as the revision.
+A state diagram is a scan too: ``_diagram_scan(table)`` sums over single
+inputs like Success, and its body closes over the diagram's table, so
+it runs on a context with no operators and no table is a revision.  A
+witness of ``diagram <name>`` replays under the built-in table of that
+name; one of ``diagram custom`` under the table passed to
+``replay_witness`` as the revision.
 
 Quantification conventions, fixed once for the whole module:
 
@@ -357,9 +359,9 @@ class _Ctx:
 
     def memo(self, function, operator) -> _Orders:
         """The orders of ``function`` under ``operator``.  They are kept by
-        the operator's identity, as an operator object need not be
-        hashable (a diagram's table is a dict); the entry holds the
-        operator, so no other object takes its id while it is kept."""
+        the operator's identity, so no lookup runs the Python-level
+        ``Enum.__hash__``; the entry holds the operator, so no other
+        object takes its id while it is kept."""
         out = self.orders.get((function, id(operator)))
         if out is None:
             out = self.orders[function, id(operator)] = _Orders(function, operator)
@@ -411,9 +413,10 @@ class _Ctx:
 
 
 class _Tally:
-    """One check's verdict: instances and violations counted in full, and
-    the first ``WITNESS_CAP`` raw witnesses in scan order, rendered by
-    ``ctx.witness`` only when the report asks for them."""
+    """One verdict, of a check, a diagram or a claim: instances and
+    violations counted in full, and the first ``WITNESS_CAP`` raw
+    witnesses in scan order, rendered by ``ctx.witness`` only when
+    ``report`` builds the report."""
 
     def __init__(self, ctx: _Ctx):
         self.ctx = ctx
@@ -439,9 +442,18 @@ class _Tally:
         self.violations += found
         return found
 
-    def witnesses(self) -> tuple:
-        """The kept witnesses, rendered."""
-        return tuple(self.ctx.witness(*raw) for raw in self.raws)
+    def report(self, check_id, scope, revision=None, contraction=None, detail="") -> CheckReport:
+        """The verdict's report, with the kept witnesses rendered."""
+        return CheckReport(
+            check_id=check_id,
+            revision=None if revision is None else method_name(revision),
+            contraction=None if contraction is None else method_name(contraction),
+            scope=scope,
+            instances=self.instances,
+            violations=self.violations,
+            witnesses=tuple(self.ctx.witness(*raw) for raw in self.raws),
+            detail=detail,
+        )
 
 
 @lru_cache(maxsize=None)
@@ -869,27 +881,11 @@ def _by_input(body, inputs: str = "props", counts=None, **kw) -> _PostulateDef:
     )
 
 
-def _masked(masks, inputs: str = "props", **kw) -> _PostulateDef:
-    """A postulate whose violations are, per input, the set bits of a pair
-    matrix: ``masks(ctx, t, ps)`` yields one mask for each input of ps, in
-    order, for prior t.  Its witnesses are the set bits in ascending
-    order, bit W*x+y naming the pair (x, y), and its count is their
-    number."""
-
-    def body(ctx, t, ps):
-        for p, bad in zip(ps, masks(ctx, t, ps)):
-            for xy in _bit_pairs(bad, len(ctx.worlds)):
-                yield (t,), (p,), xy, ""
-
-    def counts(ctx, t, ps):
-        return map(int.bit_count, masks(ctx, t, ps))
-
-    return _by_input(body, inputs, counts, **kw)
-
-
 def _pair_rule(premises, conclusion, region, relation) -> _PostulateDef:
-    """One row of ``_PAIR_RULES``: its violation masks, operators and
-    inputs."""
+    """One row of ``_PAIR_RULES``.  Its violations are, per input, the set
+    bits of a pair mask (``masks``); its witnesses are those bits in
+    ascending order, bit W*x+y naming the pair (x, y), and its count is
+    their number."""
     orders = set(premises) | {conclusion}
     # revising by the complement skips the tautology (see the module doc)
     inputs = "props_proper" if "revneg" in orders else "props"
@@ -906,9 +902,18 @@ def _pair_rule(premises, conclusion, region, relation) -> _PostulateDef:
                 bad &= ~broken(first[i], other[i])
             yield bad
 
-    return _masked(
-        masks,
+    def body(ctx, t, ps):
+        for p, bad in zip(ps, masks(ctx, t, ps)):
+            for xy in _bit_pairs(bad, len(ctx.worlds)):
+                yield (t,), (p,), xy, ""
+
+    def counts(ctx, t, ps):
+        return map(int.bit_count, masks(ctx, t, ps))
+
+    return _by_input(
+        body,
         inputs,
+        counts,
         needs_con=bool(orders & {"con", "conneg"}),
         needs_rev=bool(orders & {"rev", "revneg"}),
     )
@@ -1014,15 +1019,12 @@ def _spec(postulate: str, revision, contraction) -> _PostulateDef:
 
 def _equivariant(rev, con) -> bool:
     """Whether the operators commute with every permutation of the worlds:
-    the built-in revisions and contractions, compositions of them, and a
-    diagram's table, a ``dict``, which fixes each posterior relation from
-    the prior's order and the input alone (``None`` is no operator).  Any
-    other operator object, a tabular or a random operator, need not.  A
-    ``dict`` is no revision: ``revise`` refuses an object without
-    ``posterior``."""
+    the built-in revisions and contractions and compositions of them
+    (``None`` is no operator).  Any other operator object, a tabular or a
+    random operator, need not."""
     return all(
         op is None
-        or isinstance(op, (Revision, Contraction, dict))
+        or isinstance(op, (Revision, Contraction))
         or (isinstance(op, _NliComposition) and _equivariant(op.rev, op.con))
         for op in (rev, con)
     )
@@ -1073,9 +1075,9 @@ def _counted(ctx: _Ctx, spec: _PostulateDef, outers):
     """Each outer with its violation count.  Pair outers come in rows
     (first preorder, second preorders, whether they are every preorder)
     and leave as pairs.  Under equivariant operators (see
-    ``_equivariant``; a diagram's table is one) a single outer's count is
-    taken once per composition and read back for every later preorder of
-    that composition.  A scan that sums over single inputs takes that
+    ``_equivariant``) a single outer's count is taken once per
+    composition and read back for every later preorder of that
+    composition.  A scan that sums over single inputs takes that
     count on one input per orbit of the first preorder's cells, weighted
     by the orbit's size (``_orbit_count``); IIAI and Beta1/Beta2 take it
     on every input.  A whole row, a first preorder with every preorder,
@@ -1238,6 +1240,8 @@ def check_postulate(
         raise ScopeError("a seed or sample size applies only to sampled mode")
     if sample is not None and sample < 1:
         raise ScopeError("the sample size must be at least 1")
+    if sample is not None and sample > 1_000_000:
+        raise ScopeError("the sample size must be at most 1000000")
     if workers < 1:
         raise ScopeError("the worker count must be at least 1")
     if mode == "sampled":
@@ -1257,15 +1261,7 @@ def check_postulate(
         tally.instances += instances
         tally.violations += violations
         tally.keep(raws)
-    return CheckReport(
-        check_id=postulate,
-        revision=method_name(revision) if revision is not None else None,
-        contraction=method_name(contraction) if contraction is not None else None,
-        scope=CheckScope(n_atoms=n_atoms, mode=mode, sample=sample, seed=seed),
-        instances=tally.instances,
-        violations=tally.violations,
-        witnesses=tally.witnesses(),
-    )
+    return tally.report(postulate, CheckScope(n_atoms, mode, sample, seed), revision, contraction)
 
 
 def _holding(ids, revision, contraction, n_atoms: int, shared=None) -> dict:
@@ -1296,18 +1292,20 @@ def replay_witness(
 ) -> bool:
     """Re-run the instance named by a witness; True iff it reproduces.
 
-    For ``diagram <name>`` the diagram's table takes the place of the
-    revision: the built-in table of that name, unless a table is passed
-    as ``revision`` (as a ``diagram custom`` witness needs).  Any scope a
-    check can report, 1 to 3 atoms, replays.
+    For ``diagram <name>`` the scan is that of the built-in table of that
+    name, unless a table is passed as ``revision`` (as a ``diagram
+    custom`` witness needs).  Any scope a check can report, 1 to 3 atoms,
+    replays.  Claim witnesses have no replay route yet.
     """
-    if check_id.startswith("diagram "):
-        spec = _DIAGRAM_SCAN
-        revision = _diagram_table(check_id.split()[-1] if revision is None else revision)
+    diagram = check_id.startswith("diagram ")
+    if diagram:
+        spec = _diagram_scan(_diagram_table(check_id.split()[-1] if revision is None else revision))
+    elif check_id in _CLAIMS:
+        raise ValueError(f"{check_id} is a claim: claim witnesses have no replay route yet")
     else:
         spec = _spec(check_id, revision, contraction)
     _validate_scope(n_atoms, "sampled")
-    ctx = _Ctx(n_atoms, revision, contraction)
+    ctx = _Ctx(n_atoms) if diagram else _Ctx(n_atoms, revision, contraction)
     tpos = tuple(parse_tpo(text, n_atoms) for text in witness.tpos)
     outer = tpos[:2] if spec.pair_outer else tpos[0]
     return any(ctx.witness(*raw) == witness for raw in spec.gen(ctx, outer))
@@ -1382,16 +1380,19 @@ def _intransitive_triple(rows):
     return None
 
 
-def _g_diagram(ctx, t, ps):
-    """Diagram scan; the diagram's table is the context's revision."""
-    own = ctx.relations[t]
-    for p in ps:
-        triple = _intransitive_triple(_forced_rows(ctx.rev, t, p, own))
-        if triple is not None:
-            yield (t,), (p,), triple, "forced relations are intransitive on this triple"
+def _diagram_scan(table) -> _PostulateDef:
+    """The scan of a diagram's table: per input, the first triple on which
+    the relations the table forces are intransitive.  It reads no
+    operator, so it runs on a context without one."""
 
+    def body(ctx, t, ps):
+        own = ctx.relations[t]
+        for p in ps:
+            triple = _intransitive_triple(_forced_rows(table, t, p, own))
+            if triple is not None:
+                yield (t,), (p,), triple, "forced relations are intransitive on this triple"
 
-_DIAGRAM_SCAN = _by_input(_g_diagram)
+    return _by_input(body)
 
 
 def check_diagram(diagram, n_atoms: int = 2) -> CheckReport:
@@ -1415,16 +1416,9 @@ def check_diagram(diagram, n_atoms: int = 2) -> CheckReport:
     _validate_scope(n_atoms, "exhaustive")
     if n_atoms < 2:
         raise ScopeError("the diagram exclusions need at least three worlds (2 atoms)")
-    tally = _scan(_Ctx(n_atoms, table), _DIAGRAM_SCAN, _enumeration(n_atoms))
-    return CheckReport(
-        check_id=f"diagram {diagram if isinstance(diagram, str) else 'custom'}",
-        revision=None,
-        contraction=None,
-        scope=CheckScope(n_atoms=n_atoms, mode="exhaustive"),
-        instances=tally.instances,
-        violations=tally.violations,
-        witnesses=tally.witnesses(),
-    )
+    tally = _scan(_Ctx(n_atoms), _diagram_scan(table), _enumeration(n_atoms))
+    name = diagram if isinstance(diagram, str) else "custom"
+    return tally.report(f"diagram {name}", CheckScope(n_atoms, "exhaustive"))
 
 
 # ---------------------------------------------------------------------------
@@ -1476,21 +1470,26 @@ def _yn(value: bool) -> str:
     return "yes" if value else "no"
 
 
-def _verify_t1(n_atoms: int):
-    diagrams = {d: check_diagram(d, n_atoms) for d in DIAGRAM_IDS}
+# Each claim counts into the tally that ``verify_claim`` gives it, on a
+# context with no operators, and returns its report's detail text.
+
+
+def _verify_t1(tally: _Tally) -> str:
+    n_atoms = tally.ctx.n
     lines = []
-    failures = 0
     for rev in _BUILTIN_REVISIONS:
         outcomes = _holding(ELEMENTARY_POSTULATES, rev, None, n_atoms)
-        failures += sum(1 for v in outcomes.values() if not v)
+        tally.instances += len(outcomes)
+        tally.violations += sum(1 for v in outcomes.values() if not v)
         lines.append(
             f"{rev.value}: "
             + " ".join(f"{p}={_yn(v)}" for p, v in outcomes.items())
         )
-    for d, report in diagrams.items():
+    for d in DIAGRAM_IDS:
+        report = check_diagram(d, n_atoms)
         expect_fail = d in ("d", "e", "f")
-        if report.passed == expect_fail:
-            failures += 1
+        tally.instances += 1
+        tally.violations += report.passed == expect_fail
         lines.append(
             f"diagram {d}: {report.outcome} (expected {'fail' if expect_fail else 'pass'})"
         )
@@ -1503,31 +1502,29 @@ def _verify_t1(n_atoms: int):
     lines.append(
         "operators defined on every total preorder (restricted domains not addressed)."
     )
-    instances = len(_BUILTIN_REVISIONS) * len(ELEMENTARY_POSTULATES) + len(DIAGRAM_IDS)
-    return instances, failures, "\n".join(lines), ()
+    return "\n".join(lines)
 
 
 def _verify_equivalence(left: tuple, right: tuple):
     """T2, T3 and Cor1: on every built-in operator pair, all the left
     columns of its profile hold iff all the right ones do."""
 
-    def verify(n_atoms: int):
-        rows = pair_profile(n_atoms)
+    def verify(tally: _Tally) -> str:
         lines = []
-        failures = 0
-        for rev, con, verdicts in rows:
+        for rev, con, verdicts in pair_profile(tally.ctx.n):
             columns = {**verdicts, "CR1-4": all(verdicts[f"CR{i}"] for i in (1, 2, 3, 4))}
-            failures += all(columns[c] for c in left) != all(columns[c] for c in right)
+            tally.instances += 1
+            tally.violations += all(columns[c] for c in left) != all(columns[c] for c in right)
             lines.append(
                 f"{rev.value} + {con.value}: "
                 + " ".join(f"{c}={_yn(columns[c])}" for c in left + right)
             )
-        return len(rows), failures, "\n".join(lines), ()
+        return "\n".join(lines)
 
     return verify
 
 
-def _verify_t4(n_atoms: int):
+def _verify_t4(tally: _Tally) -> str:
     """Fast path against brute force on every contraction-generated instance.
 
     The closure input is only guaranteed satisfiable when the added
@@ -1535,13 +1532,11 @@ def _verify_t4(n_atoms: int):
     by its negation always ensures; so the sweep instantiates the
     contracted preorder through each contraction method.
     """
-    ctx = _Ctx(n_atoms)
-    pool = _enumeration(n_atoms)
-    tally = _Tally(ctx)
+    pool = _enumeration(tally.ctx.n)
     resolved: dict = {}  # (contracted, input): the instance's raw witnesses
     for con in _BUILTIN_CONTRACTIONS:
         for t in pool:
-            for p in ctx.props:
+            for p in tally.ctx.props:
                 tally.instances += 1
                 contracted = contract_by_negation(t, p, con)
                 key = (contracted, p)
@@ -1554,44 +1549,41 @@ def _verify_t4(n_atoms: int):
                         ((contracted, fast, brute), (p,), (), "fast path, then brute-force flattest"),
                     )
                 tally.add(resolved[key])
-    detail = (
+    return (
         f"{tally.instances} (contracted preorder, input) instances across the three "
         f"contraction methods ({len(resolved)} distinct); brute-force flattest "
         "satisfier equals the natural-revision fast path on all of them; the "
         "flattest element is checked against every satisfier before it is returned"
     )
-    return tally.instances, tally.violations, detail, tally.witnesses()
 
 
-def _verify_p1(n_atoms: int):
+def _verify_p1(tally: _Tally) -> str:
+    n_atoms = tally.ctx.n
     pool = [
         (f"seed {seed}", make_random_dp_operator(seed, n_atoms)) for seed in range(_P1_OPERATORS)
     ]
     # The three built-ins cover the branch where both sides hold.
     pool.extend((rev.value, rev) for rev in _BUILTIN_REVISIONS)
-    tally = _Tally(_Ctx(n_atoms))
     both_hold = 0
     for label, op in pool:
         holds = _holding(("Beta1", "Beta2", "IIAI"), op, None, n_atoms)
         betas = holds["Beta1"] and holds["Beta2"]
-        iiai = holds["IIAI"]
-        if betas != iiai:
+        tally.instances += 1
+        if betas != holds["IIAI"]:
             tally.add([((), (), (), label)])
         if betas:
             both_hold += 1
-    detail = (
+    return (
         f"operators={len(pool)} ({_P1_OPERATORS} seeded random, 3 built-in); both "
         f"sides hold for {both_hold}, fail for {len(pool) - both_hold}; "
         f"equivalence mismatches: {tally.violations}"
     )
-    return len(pool), tally.violations, detail, tally.witnesses()
 
 
-def _verify_p2(n_atoms: int):
-    ctx = _Ctx(n_atoms)
-    tally = _Tally(ctx)
+def _verify_p2(tally: _Tally) -> str:
+    ctx = tally.ctx
     for con in _BUILTIN_CONTRACTIONS:
-        for t in _enumeration(n_atoms):
+        for t in _enumeration(ctx.n):
             for p in ctx.props:
                 contracted = contract_by_negation(t, p, con)
                 if not contracted.masks[0] & ~p:
@@ -1608,13 +1600,12 @@ def _verify_p2(n_atoms: int):
                     identity_fails = identity_fails and naive != revised_set
                 if not (omitted and contained and identity_fails):
                     tally.add([((t,), (p,), (), f"contraction {con.value}")])
-    detail = (
+    return (
         f"{tally.instances} instances with the input not believed after contraction; "
         "the plain extended consequence omits the top-conditional for the input "
         "while every revision's conditional set contains it, so the naive "
         "identity fails on all of them"
     )
-    return tally.instances, tally.violations, detail, tally.witnesses()
 
 
 class _NliComposition:
@@ -1631,26 +1622,25 @@ class _NliComposition:
         return f"{self.con.value} then {self.rev.value}"
 
 
-def _verify_p3(n_atoms: int):
+def _verify_p3(tally: _Tally) -> str:
+    n_atoms = tally.ctx.n
     lines = []
-    failures = 0
-    instances = 0
     for con in _BUILTIN_CONTRACTIONS:
         cc_ok = all(_holding(("CC1", "CC2", "CC3", "CC4"), None, con, n_atoms).values())
         for rev in _BUILTIN_REVISIONS:
             composed = _NliComposition(con, rev)
             outcomes = _holding(("DP1", "DP2", "DP3", "DP4"), composed, None, n_atoms)
-            instances += len(outcomes)
-            if not (cc_ok and all(outcomes.values())):
-                failures += 1
+            tally.instances += len(outcomes)
+            tally.violations += not (cc_ok and all(outcomes.values()))
             lines.append(
                 f"{con.value} then {rev.value}: CC1-4={_yn(cc_ok)} "
                 + " ".join(f"{k}={_yn(v)}" for k, v in outcomes.items())
             )
-    return instances, failures, "\n".join(lines), ()
+    return "\n".join(lines)
 
 
-def _verify_p5(n_atoms: int):
+def _verify_p5(tally: _Tally) -> str:
+    n_atoms = tally.ctx.n
     if n_atoms != 2:
         raise ScopeError("the impossibility regression is a four-world model")
     prior = parse_tpo("11 | 10 01 | 00", n_atoms)
@@ -1669,7 +1659,8 @@ def _verify_p5(n_atoms: int):
         )
         != conditional_set(expected),
     }
-    failures = sum(1 for v in checks.values() if not v)
+    tally.instances += len(checks)
+    tally.violations += sum(1 for v in checks.values() if not v)
     lines = [f"{name}: {_yn(value)}" for name, value in checks.items()]
     lines.append(f"prior: {format_tpo(prior)}")
     lines.append(f"contracted: {format_tpo(contracted)}")
@@ -1678,13 +1669,12 @@ def _verify_p5(n_atoms: int):
         "with identity of rational sets under closure, revision would have to "
         "leave the conditional set unchanged here; it does not"
     )
-    return len(checks), failures, "\n".join(lines), ()
+    return "\n".join(lines)
 
 
-def _verify_l_flattest(n_atoms: int):
-    ctx = _Ctx(n_atoms)
-    pool = _enumeration(n_atoms)
-    tally = _Tally(ctx)
+def _verify_l_flattest(tally: _Tally) -> str:
+    ctx = tally.ctx
+    pool = _enumeration(ctx.n)
     dropped = _BROKEN["strict"]  # t's strict preferences that s does not keep
     for t in pool:
         own = ctx.relations[t]
@@ -1698,12 +1688,11 @@ def _verify_l_flattest(n_atoms: int):
                     tally.add(
                         [((t, s, flattest), (p,), (), "satisfier not below the natural revision")]
                     )
-    detail = (
+    return (
         f"{tally.instances} instances; the natural revision of the contracted preorder "
         "is at least as flat as every preorder preserving its strict "
         "preferences and believing the input"
     )
-    return tally.instances, tally.violations, detail, tally.witnesses()
 
 
 _CLAIMS = {
@@ -1729,14 +1718,6 @@ def verify_claim(claim: str, n_atoms: int = 2) -> CheckReport:
     _validate_atoms(n_atoms)
     if n_atoms > 2:
         raise ScopeError("claim verification is exhaustive and supports at most 2 atoms")
-    instances, failures, detail, witnesses = _CLAIMS[claim](n_atoms)
-    return CheckReport(
-        check_id=claim,
-        revision=None,
-        contraction=None,
-        scope=CheckScope(n_atoms=n_atoms, mode="exhaustive"),
-        instances=instances,
-        violations=failures,
-        witnesses=witnesses,
-        detail=detail,
-    )
+    tally = _Tally(_Ctx(n_atoms))
+    detail = _CLAIMS[claim](tally)
+    return tally.report(claim, CheckScope(n_atoms, "exhaustive"), detail=detail)

@@ -406,6 +406,15 @@ def test_bad_scope_values_exit_2(argv, capsys):
     assert "shift" not in captured.err
 
 
+def test_a_sample_above_a_million_is_a_usage_error(capsys):
+    # rejected before any draw: the check never builds the sample
+    argv = ["check", "DP1", "natural", "--n", "2", "--mode", "sampled", "--seed", "1"]
+    assert main([*argv, "--sample", str(10**20)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the sample size must be at most 1000000\n"
+
+
 def test_verify_subcommand(capsys):
     assert main(["verify", "P5", "--n", "2"]) == 0
     out = capsys.readouterr().out

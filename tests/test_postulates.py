@@ -19,7 +19,8 @@ from beliefchange.exceptions import (
     MissingContractionError,
     ScopeError,
 )
-from beliefchange.lang import all_worlds, models, parse_world, world_str
+from beliefchange.conditionals import flattest_satisfier
+from beliefchange.lang import all_worlds, dnf_of_worlds, models, parse_world, world_str
 from beliefchange.operators import (
     Contraction,
     Revision,
@@ -52,8 +53,10 @@ from beliefchange.postulates import (
 from beliefchange.tpo import (
     Tpo,
     _a_preserving_isos,
+    conditional_set,
     count_tpos,
     enumerate_tpos,
+    format_tpo,
     min_worlds,
     parse_tpo,
     propositions,
@@ -187,6 +190,14 @@ def test_holding_and_replay_reject_bad_arguments_like_check_postulate():
         holds("SPU", Revision.NATURAL)
     with pytest.raises(ValueError):
         replay_witness("nonsense", witness, Revision.NATURAL, n_atoms=2)
+
+
+def test_replay_names_a_claim_as_a_claim():
+    witness = Witness(tpos=("00 | 01 | 10 | 11",), inputs=("p",), worlds=())
+    with pytest.raises(ValueError, match="claim witnesses have no replay route yet"):
+        replay_witness("P2", witness, n_atoms=2)
+    with pytest.raises(ValueError, match="unknown postulate 'P9'"):
+        replay_witness("P9", witness, Revision.NATURAL, n_atoms=2)
 
 
 def test_scope_limits():
@@ -689,6 +700,59 @@ def test_small_p1_claim_runs():
     report = verify_claim("P1")
     assert report.passed
     assert report.instances == 103  # 100 seeded + 3 built-in
+
+
+def _claim_witness(tpos, p, note):
+    return Witness(tuple(map(format_tpo, tpos)), (dnf_of_worlds(p, ATOMS),), (), note)
+
+
+def _assert_failing_claim(report, expected):
+    """The report counts every expected witness and keeps the first
+    ``WITNESS_CAP`` of them, in order."""
+    assert len(expected) > WITNESS_CAP
+    assert report.outcome == "fail"
+    assert report.violations == len(expected)
+    assert len(report.witnesses) == WITNESS_CAP
+    assert report.witnesses == tuple(expected[:WITNESS_CAP])
+
+
+def test_a_failing_t4_counts_and_keeps_its_witnesses(monkeypatch):
+    # a fast path that returns the contracted preorder unchanged is wrong
+    # wherever the brute-force flattest satisfier differs from it
+    monkeypatch.setattr(postulates, "rational_closure_fast", lambda contracted, p: contracted)
+    pool = list(enumerate_tpos(2))
+    expected = []
+    for con in _BUILTIN_CONTRACTIONS:
+        for t in pool:
+            for p in propositions(2):
+                contracted = contract_by_negation(t, p, con)
+                brute = flattest_satisfier(conditional_set(contracted).adding_plain(p), pool)
+                if brute != contracted:
+                    tpos = (contracted, contracted, brute)
+                    expected.append(_claim_witness(tpos, p, "fast path, then brute-force flattest"))
+    report = verify_claim("T4")
+    _assert_failing_claim(report, expected)
+    assert all(len(w.tpos) == 3 and len(w.inputs) == 1 for w in report.witnesses)
+
+
+def test_a_failing_l_flattest_counts_and_keeps_its_witnesses(monkeypatch):
+    # with "at least as flat" read as equality, every satisfier but the
+    # natural revision itself is a violation
+    monkeypatch.setattr(postulates, "flatter_eq", operator.eq)
+    pool = list(enumerate_tpos(2))
+    worlds = range(4)
+    expected = []
+    for t in pool:
+        rt = rank(t)
+        for p in propositions(2):
+            flattest = revise(t, p, Revision.NATURAL)
+            for s in pool:
+                rs = rank(s)
+                keeps = all(rs[x] < rs[y] for x in worlds for y in worlds if rt[x] < rt[y])
+                if keeps and not s.masks[0] & ~p and s != flattest:
+                    note = "satisfier not below the natural revision"
+                    expected.append(_claim_witness((t, s, flattest), p, note))
+    _assert_failing_claim(verify_claim("L_flattest"), expected)
 
 
 def test_exhaustive_outer_sizes():
@@ -1387,10 +1451,8 @@ def test_only_equivariant_operators_take_the_orbit_route():
         assert not postulates._equivariant(op, Contraction.NATURAL), op
     assert postulates._equivariant(Revision.NATURAL, Contraction.STQ_LEX)
     assert postulates._equivariant(_NliComposition(Contraction.STQ_LEX, Revision.NATURAL), None)
-    # a diagram's table fixes each posterior relation from the prior's
-    # order and the input alone; as a revision ``revise`` refuses it
+    # a diagram's table is no revision: ``revise`` refuses it
     for table in (*postulates._DIAGRAMS.values(), {1: 1, 0: 0, -1: 0}):
-        assert postulates._equivariant(table, None), table
         with pytest.raises(TypeError):
             revise(parse_tpo("00 | 01 | 10 | 11", 2), mod("p"), table)
 
@@ -1467,7 +1529,7 @@ def _additive_cases(n_atoms, revisions):
                     contexts[rev, con] = _Ctx(n_atoms, rev, con, shared)
                 yield (postulate, rev, con), spec, contexts[rev, con]
     for d, table in postulates._DIAGRAMS.items():
-        yield (f"diagram {d}", d, None), postulates._DIAGRAM_SCAN, _Ctx(n_atoms, table)
+        yield (f"diagram {d}", d, None), postulates._diagram_scan(table), _Ctx(n_atoms)
 
 
 def _failing_cases(n_atoms, tpos, revisions):

@@ -27,7 +27,9 @@ counts of DP3 natural and of CR4 natural + ``contract-stq-lex`` on one
 preorder of each of the 128 compositions of the eight worlds, cut from
 a seeded order of the worlds, without witnesses; the exhaustive checks
 at two atoms of CR4 (which fails), IIAP and Neut; the claims P2, T1, T3
-(its ``pair_profile`` cache cleared), L_flattest and T4 at two atoms;
+(its ``pair_profile`` cache cleared), L_flattest, T4, P1 (its
+``_dp_posterior_candidates`` cache cleared, as in a fresh ``verify P1``
+process) and P3 at two atoms;
 the six diagram scans; ``pair_profile(2)`` and
 ``_dp_posterior_candidates(2)`` with their caches cleared; the default
 sampled DP1 check (10000 samples) and a six-sample IIAI check, at one
@@ -230,6 +232,10 @@ def layers(bc, drawn):
         post.pair_profile.cache_clear()
         post.verify_claim("T3", 2)
 
+    def random_operators():
+        post._dp_posterior_candidates.cache_clear()
+        post.verify_claim("P1", 2)
+
     def profile():
         post.pair_profile.cache_clear()
         post.pair_profile(2)
@@ -283,6 +289,8 @@ def layers(bc, drawn):
         "dp_candidates_n2_ms": (dp_candidates, 1, 1e3),
         "l_flattest_n2_ms": (claim("L_flattest"), 1, 1e3),
         "claim_T4_n2_ms": (claim("T4"), 1, 1e3),
+        "claim_P1_n2_s": (random_operators, 1, 1.0),
+        "claim_P3_n2_ms": (claim("P3"), 1, 1e3),
         "check_DP1_natural_n3_default_s": (check("DP1", **default), 1, 1.0),
         "check_DP1_natural_n3_default_w2_s": (check("DP1", **default, workers=2), 1, 1.0),
         "check_IIAI_natural_n3_sample6_ms": (check("IIAI", **small), 1, 1e3),
