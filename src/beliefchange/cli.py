@@ -208,12 +208,10 @@ def _parse_state(text: str, n_atoms: int) -> State:
     return parse_tpo(text, n_atoms)
 
 
-def _state_text(state: State) -> str:
-    return "absurd" if isinstance(state, Absurd) else format_tpo(state)
-
-
-def _beliefs_text(state: State, atoms) -> str:
-    return dnf_of_worlds(beliefs(state), atoms)
+def _state_record(state: State, atoms) -> dict:
+    """A state as a run records it: its text and its beliefs' text."""
+    text = "absurd" if isinstance(state, Absurd) else format_tpo(state)
+    return {"state": text, "beliefs": dnf_of_worlds(beliefs(state), atoms)}
 
 
 def _apply_step(state: State, step: Step) -> State:
@@ -234,7 +232,9 @@ def _answer_query(state: State, query: Query) -> bool:
 
 
 def run_scenario(text: str, fmt: str = "text") -> tuple:
-    """Execute a scenario; returns (exit_code, stdout_text, stderr_text)."""
+    """Execute a scenario; returns (exit_code, stdout_text, stderr_text).
+    The run is recorded once, and its transcript rendered from the record
+    (``_render_run``), up to the failure if a step fails."""
     try:
         scenario = parse_scenario(text)
         atoms = scenario.atoms
@@ -242,50 +242,40 @@ def run_scenario(text: str, fmt: str = "text") -> tuple:
     except (ScenarioError, PartitionError) as exc:
         return 2, "", f"error: {exc}\n"
 
-    def answers(current_state):
-        return [(q.text, _answer_query(current_state, q)) for q in scenario.queries]
+    def answers(now):
+        return [{"query": q.text, "result": _answer_query(now, q)} for q in scenario.queries]
 
-    lines = [f"atoms: {' '.join(atoms)}", f"initial: {_state_text(state)}",
-             f"beliefs: {_beliefs_text(state, atoms)}"]
-    record = {
-        "atoms": list(atoms),
-        "initial": {"state": _state_text(state), "beliefs": _beliefs_text(state, atoms)},
-        "steps": [],
-    }
+    record = {"atoms": list(atoms), "initial": _state_record(state, atoms), "steps": []}
     if not scenario.steps and scenario.queries:
         try:
-            answered = answers(state)
+            record["initial"]["queries"] = answers(state)
         except BeliefChangeError as exc:
-            return 3, _render_run(fmt, lines, record), f"error: {exc}\n"
-        record["initial"]["queries"] = _add_answers(lines, answered)
+            return 3, _render_run(fmt, record), f"error: {exc}\n"
     for index, step in enumerate(scenario.steps, start=1):
         try:
             state = _apply_step(state, step)
-            step_queries = answers(state)
+            queries = answers(state)
         except BeliefChangeError as exc:
-            return 3, _render_run(fmt, lines, record), f"error: step {index}: {exc}\n"
-        lines.append(f"step {index}: {step.text}")
-        lines.append(f"state: {_state_text(state)}")
-        lines.append(f"beliefs: {_beliefs_text(state, atoms)}")
-        record["steps"].append({
-            "index": index,
-            "step": step.text,
-            "state": _state_text(state),
-            "beliefs": _beliefs_text(state, atoms),
-            "queries": _add_answers(lines, step_queries),
-        })
-    return 0, _render_run(fmt, lines, record), ""
+            return 3, _render_run(fmt, record), f"error: step {index}: {exc}\n"
+        record["steps"].append(
+            {"index": index, "step": step.text, **_state_record(state, atoms), "queries": queries}
+        )
+    return 0, _render_run(fmt, record), ""
 
 
-def _add_answers(lines, answered) -> list:
-    """Append the answers to the transcript lines; their machine records."""
-    lines.extend(f"query {label}: {str(value).lower()}" for label, value in answered)
-    return [{"query": label, "result": value} for label, value in answered]
-
-
-def _render_run(fmt: str, lines, record) -> str:
+def _render_run(fmt: str, record) -> str:
+    """A run's transcript from its record: the record as JSON in machine
+    format; in text, the atoms, then the initial state and each step's
+    state, each with its beliefs and query answers."""
     if fmt == "machine":
         return json.dumps(record, sort_keys=True, indent=2) + "\n"
+    lines = [f"atoms: {' '.join(record['atoms'])}", f"initial: {record['initial']['state']}"]
+    for entry in (record["initial"], *record["steps"]):
+        if "index" in entry:
+            lines += [f"step {entry['index']}: {entry['step']}", f"state: {entry['state']}"]
+        lines.append(f"beliefs: {entry['beliefs']}")
+        queries = entry.get("queries", ())
+        lines += (f"query {q['query']}: {str(q['result']).lower()}" for q in queries)
     return "\n".join(lines) + "\n"
 
 

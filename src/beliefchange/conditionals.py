@@ -32,7 +32,6 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .exceptions import (
-    InconsistentInputError,
     NoMaximumError,
     ScopeError,
     UnsatisfiableError,
@@ -133,10 +132,9 @@ def rational_closure_fast(t_contracted: Tpo, sentence_models: int) -> Tpo:
     minimal world of ``t_contracted`` satisfies the sentence; when none
     does, the closure input is unsatisfiable (the conditional set pins
     the belief set, which the added sentence contradicts) and no
-    shortcut applies.
+    shortcut applies.  An empty sentence raises ``revise``'s
+    ``InconsistentInputError``.
     """
-    if not sentence_models:
-        raise InconsistentInputError("input sentence has no models")
     return revise(t_contracted, sentence_models, Revision.NATURAL)
 
 

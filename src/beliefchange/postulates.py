@@ -19,26 +19,29 @@ relations are two ints of W^2 bits for W worlds, ``lt`` with bit W*x+y
 set iff x ranks strictly below y and ``le`` iff at most as high, so an
 input's violations are the set bits of a few ands and xors over a
 region mask.  That per-input mask is each such postulate's one route
-(``_pair_rule`` for the pair rules, ``_iiap_masks`` for IIAP): its set
-bits, read in ascending order, are the witnesses in scan order, their
-number is the count, and any set bit is a failure.  IIAI, Beta1/Beta2
-and Neut read the same matrices, the revisions' from the prior's row on
-every input (``ctx.rows``).  IIAI and Beta1/Beta2, quadratic in the
-inputs, are counted per world pair by a closed form over the inputs
-grouped by their outcome on the pair, taken for every pair at once on
-bit-sliced counts (``_bit_counts``).
+(``_pair_rule`` for the pair rules, ``_iiap_masks`` for IIAP, both read
+by ``_mask_scan``): its set bits, read in ascending order, are the
+witnesses in scan order, their number is the count, and any set bit is
+a failure.  IIAI, Beta1/Beta2 and Neut read the same matrices, the
+revisions' from the prior's row on every input (``ctx.rows``).  IIAI
+and Beta1/Beta2, quadratic in the inputs, are counted per world pair by
+a closed form over the inputs grouped by their outcome on the pair,
+taken for every pair at once on bit-sliced counts (``_bit_counts``).
 Their witnesses, like Neut's, are the set bits of pair masks, read in
 ascending order.
 
 Each postulate is a pair of callables on (context, outer): ``gen``
 yields the outer's witnesses in order, and ``count`` says how many it
-would yield, without them.  A scan without a cheaper count (Success,
-Neut, Red, HI/LI_beliefs, the diagram scan) counts its witnesses.
-Every verdict reads the counts from one helper, ``_counted``: ``_scan``
-adds each to the tally and runs ``gen`` again only while the tally has
-room for witnesses, so the report keeps the same witnesses in the same
-order, and a boolean verdict (``_holding``) stops at the first outer
-with a nonzero count.
+would yield, without them.  Every scan has a ``count``: the pair rules
+and IIAP count the set bits of their per-input masks, IIAI and
+Beta1/Beta2 take their closed forms, NLI and iLIRC count the inputs
+whose two routes differ, Neut's count is its generator's length, and
+Success, Red, HI/LI_beliefs and the diagram scan count their
+witnesses input by input.  Every verdict reads the counts from one
+helper, ``_counted``: ``_scan`` adds each to the tally and runs ``gen``
+again only while the tally has room for witnesses, so the report keeps
+the same witnesses in the same order, and a boolean verdict
+(``_holding``) stops at the first outer with a nonzero count.
 
 Orbits.  The built-in revisions and contractions and compositions of
 them are defined from the order and the input alone, so they commute
@@ -56,13 +59,15 @@ preorder of it, for ``_scan`` and ``_holding`` alike.  The same holds
 one level down, for the inputs of one preorder: a permutation that
 fixes each of its cells maps its violations on one input onto those on
 the image.  An input's orbit under those permutations is fixed by how
-many worlds it takes from each cell, so a scan whose count is a sum over
-single inputs (``_by_input``: Success, the 14 pair rules, HI/LI_beliefs,
-NLI, iLIRC, Red and the diagram scan) counts each orbit once, at the
-input taking the lowest worlds of each cell, times the orbit's size
-(``_input_orbits``): prod(s_i + 1) - 1 inputs for cells of sizes s_i, in
-place of 2^W - 1.  IIAI and Beta1/Beta2, which count pairs of inputs,
-count the composition's first preorder on every input.  An exhaustive
+many worlds it takes from each cell, so a single-preorder scan whose
+count is a sum over single inputs (``_by_input``: Success, the 14 pair
+rules, HI/LI_beliefs, NLI, iLIRC, Red and the diagram scan) counts each
+orbit once, at the input taking the lowest worlds of each cell, times
+the orbit's size (``_input_orbits``): prod(s_i + 1) - 1 inputs for
+cells of sizes s_i, in place of 2^W - 1.  IIAI and Beta1/Beta2, which
+count pairs of inputs, count the composition's first preorder on every
+input.  IIAP sums over single inputs too, but of a pair of preorders,
+which takes the row rule that follows.  An exhaustive
 pair scan comes in rows, one first preorder with every second one, and
 its jobs split the first preorders, so every row is whole.  A
 permutation maps a row onto the row of the permuted first preorder, so
@@ -135,9 +140,10 @@ Exhaustive checks are supported for at most 2 atoms; sampled checks,
 drawing preorders uniformly via ordered-partition unranking, for at
 most 3.  A sampled check draws its preorder indices once.  Its outers,
 those preorders or the enumeration, are split into one contiguous job
-per worker, at most ``_CHUNKS`` (16): the first job runs in process and
-each other one, at most 15, in a forked child (``_run_jobs``).  Without
-``os.fork`` (Windows) every job runs in process.
+per worker, at most ``_CHUNKS`` (16).  A job is a closure over its scan
+and outers: the first runs in process and each other one, at most 15,
+in a forked child, which pipes back only its result (``_run_jobs``).
+Without ``os.fork`` (Windows) every job runs in process.
 """
 
 from __future__ import annotations
@@ -148,7 +154,7 @@ import pickle
 import random
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import islice
 from math import comb
 from operator import mul
@@ -620,22 +626,18 @@ def make_random_dp_operator(seed: int, n_atoms: int) -> TabularRevision:
     return TabularRevision(n_atoms, table, seed=seed)
 
 
-def _iiap_masks(ctx, pair):
-    """IIAP violations: per input, in input order, the pairs x < y outside
-    both minima that the priors order alike and the posteriors do not."""
+def _iiap_masks(ctx, pair, ps):
+    """IIAP violations: per input of ps, the pairs x < y outside both
+    minima that the priors order alike and the posteriors do not.  The
+    rows are in input order, so input p is entry p - 1."""
     t1, t2 = pair
     same = _BROKEN["same"]
     alike = ~same(ctx.relations[t1], ctx.relations[t2])
     within = _region_masks("in", ctx.n)
-    for (_, min1, rev1), (_, min2, rev2) in zip(ctx.rows(t1), ctx.rows(t2)):
+    rows1, rows2 = ctx.rows(t1), ctx.rows(t2)
+    for p in ps:
+        (_, min1, rev1), (_, min2, rev2) = rows1[p - 1], rows2[p - 1]
         yield within[ctx.full & ~(min1 | min2)] & alike & same(rev1, rev2)
-
-
-def _g_iiap(ctx, pair):
-    """The set bits of each input's IIAP mask, in ascending order."""
-    for p, bad in zip(ctx.props, _iiap_masks(ctx, pair)):
-        for xy in _bit_pairs(bad, len(ctx.worlds)):
-            yield pair, (p,), xy, ""
 
 
 def _g_iiai(ctx, t):
@@ -828,27 +830,22 @@ def _routed_rule(final: Revision | None, route: str):
 @dataclass(frozen=True)
 class _PostulateDef:
     """One postulate, or the diagram scan: ``gen(ctx, outer)`` yields the
-    outer's witnesses in order, and the optional ``count(ctx, outer)``
-    returns how many it would yield, without them.  Both read their
-    orders from the context's memo, so they share one computation of each.
-    A scan that sums over single inputs (see ``_by_input``) also has
-    ``counts(ctx, outer, ps)``, each input's count on the inputs ps."""
+    outer's witnesses in order, and ``count(ctx, outer)`` returns how many
+    it would yield, without them.  Both read their orders from the
+    context's memo, so they share one computation of each.  A scan that
+    sums over single inputs (see ``_by_input``) also has ``counts(ctx,
+    outer, ps)``, each input's count on the inputs ps.  The scan is held
+    by a check job's closure (see ``_run_jobs``), so it never crosses a
+    pipe."""
 
     gen: Callable
-    count: Optional[Callable] = None
+    count: Callable
     pair_outer: bool = False
     needs_con: bool = False
     needs_rev: bool = True
     inputs_per_outer: Callable = field(default=lambda ctx: len(ctx.props))
     counts: Optional[Callable] = None
     inputs: str = "props"
-
-    def violations(self, ctx: _Ctx, outer) -> int:
-        """The outer's violation count: ``count``, or the length of
-        ``gen`` for a scan without one."""
-        if self.count is None:
-            return sum(1 for _ in self.gen(ctx, outer))
-        return self.count(ctx, outer)
 
 
 def _by_input(body, inputs: str = "props", counts=None, **kw) -> _PostulateDef:
@@ -881,11 +878,27 @@ def _by_input(body, inputs: str = "props", counts=None, **kw) -> _PostulateDef:
     )
 
 
+def _mask_scan(masks, inputs: str = "props", pair_outer: bool = False, **kw) -> _PostulateDef:
+    """A ``_by_input`` scan whose violations are, per input, the set bits
+    of a pair mask: ``masks(ctx, outer, ps)`` yields one per input of ps.
+    Its witnesses are those bits in ascending order, bit W*x+y naming the
+    pair (x, y), and its count is their number."""
+
+    def body(ctx, outer, ps):
+        tpos = outer if pair_outer else (outer,)
+        for p, bad in zip(ps, masks(ctx, outer, ps)):
+            for xy in _bit_pairs(bad, len(ctx.worlds)):
+                yield tpos, (p,), xy, ""
+
+    def counts(ctx, outer, ps):
+        return map(int.bit_count, masks(ctx, outer, ps))
+
+    return _by_input(body, inputs, counts, pair_outer=pair_outer, **kw)
+
+
 def _pair_rule(premises, conclusion, region, relation) -> _PostulateDef:
-    """One row of ``_PAIR_RULES``.  Its violations are, per input, the set
-    bits of a pair mask (``masks``); its witnesses are those bits in
-    ascending order, bit W*x+y naming the pair (x, y), and its count is
-    their number."""
+    """One row of ``_PAIR_RULES``, a ``_mask_scan`` of the pairs in its
+    region whose relation the conclusion order does not keep."""
     orders = set(premises) | {conclusion}
     # revising by the complement skips the tautology (see the module doc)
     inputs = "props_proper" if "revneg" in orders else "props"
@@ -902,18 +915,9 @@ def _pair_rule(premises, conclusion, region, relation) -> _PostulateDef:
                 bad &= ~broken(first[i], other[i])
             yield bad
 
-    def body(ctx, t, ps):
-        for p, bad in zip(ps, masks(ctx, t, ps)):
-            for xy in _bit_pairs(bad, len(ctx.worlds)):
-                yield (t,), (p,), xy, ""
-
-    def counts(ctx, t, ps):
-        return map(int.bit_count, masks(ctx, t, ps))
-
-    return _by_input(
-        body,
+    return _mask_scan(
+        masks,
         inputs,
-        counts,
         needs_con=bool(orders & {"con", "conneg"}),
         needs_rev=bool(orders & {"rev", "revneg"}),
     )
@@ -922,11 +926,7 @@ def _pair_rule(premises, conclusion, region, relation) -> _PostulateDef:
 _POSTULATES = {
     "Success": _by_input(_g_success),
     **{name: _pair_rule(*row) for name, row in _PAIR_RULES.items()},
-    "IIAP": _PostulateDef(
-        _g_iiap,
-        count=lambda ctx, pair: sum(map(int.bit_count, _iiap_masks(ctx, pair))),
-        pair_outer=True,
-    ),
+    "IIAP": _mask_scan(_iiap_masks, pair_outer=True),
     "IIAI": _PostulateDef(
         _g_iiai,
         count=_c_iiai,
@@ -942,7 +942,9 @@ _POSTULATES = {
         count=_c_beta(1),
         inputs_per_outer=lambda ctx: len(ctx.props) ** 2,
     ),
-    "Neut": _PostulateDef(_g_neut, pair_outer=True),
+    "Neut": _PostulateDef(
+        _g_neut, count=lambda ctx, pair: sum(1 for _ in _g_neut(ctx, pair)), pair_outer=True
+    ),
     "Red": _by_input(_g_red),
     "HI_beliefs": _by_input(_g_hi_beliefs, "props_proper", needs_con=True),
     "LI_beliefs": _by_input(_g_li_beliefs, needs_con=True),
@@ -1097,7 +1099,7 @@ def _counted(ctx: _Ctx, spec: _PostulateDef, outers):
                 continue
             total = 0
             for second in seconds:
-                found = spec.violations(ctx, (first, second))
+                found = spec.count(ctx, (first, second))
                 total += found
                 yield (first, second), found
             if key is not None and not total:
@@ -1105,16 +1107,14 @@ def _counted(ctx: _Ctx, spec: _PostulateDef, outers):
         return
     if not equivariant:
         for outer in outers:
-            yield outer, spec.violations(ctx, outer)
+            yield outer, spec.count(ctx, outer)
         return
     orbits = {}
     for outer in outers:
         key = _composition(outer)
         if key not in orbits:
             orbits[key] = (
-                spec.violations(ctx, outer)
-                if spec.counts is None
-                else _orbit_count(ctx, spec, outer)
+                spec.count(ctx, outer) if spec.counts is None else _orbit_count(ctx, spec, outer)
             )
         yield outer, orbits[key]
 
@@ -1138,18 +1138,19 @@ def _scan(ctx: _Ctx, spec: _PostulateDef, outers, clear: bool = False) -> _Tally
     return tally
 
 
-def _run_job(args):
-    postulate, rev, con, n_atoms, part = args
-    spec = _POSTULATES[postulate]
+def _run_job(spec: _PostulateDef, rev, con, n_atoms: int, part) -> tuple:
+    """One check job: the scan's tally on its part of the outers, as
+    (instances, violations, raw witnesses)."""
     outers = _outers(spec.pair_outer, n_atoms, part)
     tally = _scan(_Ctx(n_atoms, rev, con), spec, outers, clear=isinstance(part, list))
     return tally.instances, tally.violations, tally.raws
 
 
-def _run_jobs(args) -> list:
-    """``_run_job`` of every job's arguments, in job order.  Job 0 runs in
-    this process and each other job in a forked child, which pickles
-    ``(ok, result or exception)`` back through a pipe and leaves with
+def _run_jobs(jobs) -> list:
+    """The result of every job, a closure taking no argument, in job
+    order.  Job 0 runs in this process and each other job in a forked
+    child, which inherits the closure, so only ``(ok, result or
+    exception)`` is pickled, back through a pipe; the child leaves with
     ``os._exit``: it flushes none of this process's stdio buffers and runs
     no exit hook.  A child's exception is raised again here.  Every child
     is reaped before this returns or raises; on an error the read ends are
@@ -1157,10 +1158,10 @@ def _run_jobs(args) -> list:
     starts no thread, so forking is safe.  Without ``os.fork`` (Windows)
     every job runs in process."""
     if not hasattr(os, "fork"):
-        return [_run_job(job) for job in args]
+        return [job() for job in jobs]
     children = []  # (pid, read end) per forked job
     try:
-        for job in args[1:]:
+        for job in jobs[1:]:
             read, write = os.pipe()
             try:
                 pid = os.fork()
@@ -1172,7 +1173,7 @@ def _run_jobs(args) -> list:
                 _child(job, read, write, children)
             os.close(write)
             children.append((pid, open(read, "rb")))
-        results = [_run_job(args[0])]
+        results = [jobs[0]()]
         for index, (_, pipe) in enumerate(children, 1):
             try:
                 ok, value = pickle.load(pipe)
@@ -1190,7 +1191,7 @@ def _run_jobs(args) -> list:
 
 
 def _child(job, read: int, write: int, siblings) -> None:
-    """The body of a forked job: run it, send the pickled outcome through
+    """The body of a forked job: call it, send the pickled outcome through
     ``write`` and leave without returning, exit status 0 once it is sent."""
     code = 1
     try:
@@ -1198,7 +1199,7 @@ def _child(job, read: int, write: int, siblings) -> None:
         for _, pipe in siblings:  # held here, a read end would keep its writer blocked
             pipe.close()
         try:
-            payload = (True, _run_job(job))
+            payload = (True, job())
         except BaseException as exc:  # not swallowed: the parent raises it
             payload = (False, exc)
         data = pickle.dumps(payload)
@@ -1229,10 +1230,11 @@ def check_postulate(
     witnesses in enumeration order, whatever the worker count.  The
     outers (an exhaustive pair scan's first preorders) are split into
     one contiguous job per worker, at most ``_CHUNKS`` (16) and at most
-    one per outer, so every exhaustive row is whole; the first job runs in
-    process and every other one, at most 15, in a forked child (see
-    ``_run_jobs``).  Only the kept witnesses are rendered, in this
-    process.
+    one per outer, so every exhaustive row is whole.  Each job is a
+    closure over the scan, the operators and its outers: the first runs
+    in process and every other one, at most 15, in a forked child, and
+    only its result crosses the pipe (see ``_run_jobs``).  Only the kept
+    witnesses are rendered, in this process.
     """
     spec = _spec(postulate, revision, contraction)
     _validate_scope(n_atoms, mode)
@@ -1252,12 +1254,12 @@ def check_postulate(
     else:
         draws = None
         total = count_tpos(n_atoms)  # first preorders, for a pair scan
-    jobs = min(workers, _CHUNKS, total)
-    bounds = [(total * i // jobs, total * (i + 1) // jobs) for i in range(jobs)]
+    n_jobs = min(workers, _CHUNKS, total)
+    bounds = [(total * i // n_jobs, total * (i + 1) // n_jobs) for i in range(n_jobs)]
     parts = [slice(start, stop) if draws is None else draws[start:stop] for start, stop in bounds]
-    args = [(postulate, revision, contraction, n_atoms, part) for part in parts]
-    tally = _Tally(_Ctx(n_atoms, revision, contraction))
-    for instances, violations, raws in _run_jobs(args):
+    jobs = [partial(_run_job, spec, revision, contraction, n_atoms, part) for part in parts]
+    tally = _Tally(_Ctx(n_atoms))
+    for instances, violations, raws in _run_jobs(jobs):
         tally.instances += instances
         tally.violations += violations
         tally.keep(raws)

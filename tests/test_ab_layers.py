@@ -41,6 +41,15 @@ def test_every_layer_runs_once_on_this_tree():
         run()
 
 
+def test_the_scenario_layer_runs_every_step_on_this_tree():
+    bc = ab_layers._load("ab_layers_scenario", ROOT / "src")
+    assert "run_scenario_n2_ms" in ab_layers.layers(bc, ab_layers.draws())
+    cli = importlib.import_module(bc.__name__ + ".cli")
+    code, out, err = cli.run_scenario(ab_layers.SCENARIO)
+    assert (code, err) == (0, "")
+    assert out.count("\nstep ") == 36 and out.count("\nquery ") == 36 * 4
+
+
 def test_the_order_counts_are_ints_on_this_tree():
     bc = ab_layers._load("ab_layers_counts", ROOT / "src")
     counts = ab_layers.order_counts(bc)

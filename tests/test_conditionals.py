@@ -10,7 +10,12 @@ from beliefchange.conditionals import (
     rational_closure_fast,
     satisfies,
 )
-from beliefchange.exceptions import NoMaximumError, ScopeError, UnsatisfiableError
+from beliefchange.exceptions import (
+    InconsistentInputError,
+    NoMaximumError,
+    ScopeError,
+    UnsatisfiableError,
+)
 from beliefchange.lang import MixedSet, all_worlds, models
 from beliefchange.operators import Contraction, Revision, contract, contract_by_negation, revise
 from beliefchange.tpo import (
@@ -261,6 +266,11 @@ def test_fast_path_from_flat_preorder():
 
 def test_fast_path_fixed_point():
     assert rational_closure_fast(M0, mod("~p | ~q")) == M0
+
+
+def test_fast_path_refuses_a_sentence_without_models():
+    with pytest.raises(InconsistentInputError, match=r"^input sentence has no models$"):
+        rational_closure_fast(M0, 0)
 
 
 def test_fast_path_agrees_with_brute_force_on_contracted_instances():

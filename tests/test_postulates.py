@@ -7,7 +7,8 @@ import signal
 import subprocess
 import sys
 import weakref
-from functools import lru_cache
+from dataclasses import replace
+from functools import lru_cache, partial
 from itertools import islice, product
 from math import prod
 
@@ -346,9 +347,9 @@ def test_worker_pool_is_sized_by_the_jobs(monkeypatch):
     outer; the stand-in runner runs them in process."""
     sizes = []
 
-    def sized_jobs(args):
-        sizes.append(len(args))
-        return _in_process_jobs(args)
+    def sized_jobs(jobs):
+        sizes.append(len(jobs))
+        return _in_process_jobs(jobs)
 
     monkeypatch.setattr(postulates, "_run_jobs", sized_jobs)
     sampled = dict(n_atoms=3, mode="sampled", seed=1)
@@ -370,26 +371,29 @@ def test_worker_pool_is_sized_by_the_jobs(monkeypatch):
         )
 
 
-def _in_process_jobs(args):
+def _in_process_jobs(jobs):
     """A stand-in for ``postulates._run_jobs`` that runs every job in
     process."""
-    return [postulates._run_job(job) for job in args]
+    return [job() for job in jobs]
 
 
-def _echo_job(job):
-    """A job for the runner tests: ``(fail, payload)`` raises a ValueError
-    when ``fail`` is set, else returns the payload and the process id."""
-    fail, payload = job
+def _echo_job(fail, payload):
+    """The body of a job for the runner tests: raises a ValueError when
+    ``fail`` is set, else returns the payload and the process id."""
     if fail:
         raise ValueError(f"job failed: {payload}")
     return payload, os.getpid()
 
 
+def _echo_jobs(*jobs):
+    """A runner test's jobs, one closure per ``(fail, payload)``."""
+    return [partial(_echo_job, fail, payload) for fail, payload in jobs]
+
+
 @pytest.fixture
-def reaped(monkeypatch):
+def reaped():
     """Runs the runner tests' jobs with a 30 s alarm against a hang, and
     checks afterwards that this process has no child left."""
-    monkeypatch.setattr(postulates, "_run_job", _echo_job)
 
     def hung(signum, frame):
         raise TimeoutError("the runner hung")
@@ -409,7 +413,7 @@ def reaped(monkeypatch):
 def test_forked_jobs_return_their_results_in_job_order(reaped):
     big = bytes(range(256)) * 1024  # larger than a pipe's buffer
     payloads = ["first", big, 3, None]
-    results = postulates._run_jobs([(False, payload) for payload in payloads])
+    results = postulates._run_jobs(_echo_jobs(*((False, payload) for payload in payloads)))
     assert [payload for payload, _ in results] == payloads
     pids = [pid for _, pid in results]
     assert pids[0] == os.getpid() and len(set(pids)) == 4  # job 0 in process
@@ -417,7 +421,7 @@ def test_forked_jobs_return_their_results_in_job_order(reaped):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="forks its jobs")
 def test_a_child_job_error_is_raised_again_in_the_parent(reaped):
-    jobs = [(False, 0), (False, 1), (True, "second child"), (False, 3)]
+    jobs = _echo_jobs((False, 0), (False, 1), (True, "second child"), (False, 3))
     with pytest.raises(ValueError, match=r"^job failed: second child$"):
         postulates._run_jobs(jobs)
 
@@ -427,7 +431,7 @@ def test_an_error_in_the_parent_job_still_reaps_every_child(reaped):
     # each child's result outgrows the pipe's buffer, so a child stays
     # blocked on its write unless the parent closes the read end first
     big = b"x" * (1 << 20)
-    jobs = [(True, "parent"), *[(False, big)] * 3]
+    jobs = _echo_jobs((True, "parent"), *[(False, big)] * 3)
     with pytest.raises(ValueError, match=r"^job failed: parent$"):
         postulates._run_jobs(jobs)
 
@@ -459,24 +463,26 @@ def test_importing_the_cli_leaves_multiprocessing_out():
 
 
 def test_each_worker_runs_one_job_that_counts_a_composition_once(monkeypatch):
-    jobs = []
-    counts = []  # (job, composition) of every violation count taken
-    run_job, violations = postulates._run_job, postulates._PostulateDef.violations
+    running = []  # the index of the job that runs
+    counts = []  # (job, composition) of every orbit count taken
+    orbit_count = postulates._orbit_count
 
-    def counted_job(args):
-        jobs.append(args)
-        return run_job(args)
+    def jobs_in_turn(jobs):
+        results = []
+        for index, job in enumerate(jobs):
+            running[:] = [index]
+            results.append(job())
+        return results
 
-    def counted(spec, ctx, outer):
-        counts.append((len(jobs), postulates._composition(outer)))
-        return violations(spec, ctx, outer)
+    def counted(ctx, spec, t):
+        counts.append((running[0], postulates._composition(t)))
+        return orbit_count(ctx, spec, t)
 
-    monkeypatch.setattr(postulates, "_run_jobs", _in_process_jobs)
-    monkeypatch.setattr(postulates, "_run_job", counted_job)
-    monkeypatch.setattr(postulates._PostulateDef, "violations", counted)
+    monkeypatch.setattr(postulates, "_run_jobs", jobs_in_turn)
+    monkeypatch.setattr(postulates, "_orbit_count", counted)
     kwargs = dict(n_atoms=3, mode="sampled", sample=200, seed=1)
     report = check_postulate("DP1", Revision.NATURAL, workers=2, **kwargs)
-    assert len(jobs) == 2
+    assert {job for job, _ in counts} == {0, 1}
     assert len(set(counts)) == len(counts)
     assert report == check_postulate("DP1", Revision.NATURAL, **kwargs)
 
@@ -1044,7 +1050,7 @@ def _assert_counts_match(ctx, outer, counted=COUNTED):
     for postulate in counted:
         spec = _POSTULATES[postulate]
         expected = list(ORACLES[postulate](ctx, outer))
-        counts[postulate] = spec.violations(ctx, outer)
+        counts[postulate] = spec.count(ctx, outer)
         assert counts[postulate] == len(expected), (postulate, outer)
         assert list(spec.gen(ctx, outer)) == expected, (postulate, outer)
     return counts
@@ -1425,13 +1431,13 @@ def test_row_reports_equal_the_full_scan(postulate, op, monkeypatch):
 
 def test_a_pair_scan_counts_one_whole_row_per_composition(monkeypatch):
     counted = []
-    violations = postulates._PostulateDef.violations
+    spec = _POSTULATES["IIAP"]
 
-    def counting(spec, ctx, outer):
+    def counting(ctx, outer):
         counted.append(outer)
-        return violations(spec, ctx, outer)
+        return spec.count(ctx, outer)
 
-    monkeypatch.setattr(postulates._PostulateDef, "violations", counting)
+    monkeypatch.setitem(_POSTULATES, "IIAP", replace(spec, count=counting))
     report = check_postulate("IIAP", Revision.NATURAL, n_atoms=2)
     assert report.instances == 75 * 75 * 15
     assert len(counted) == 8 * 75  # 75 * 75 in the full scan

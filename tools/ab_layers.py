@@ -35,16 +35,20 @@ the six diagram scans; ``pair_profile(2)`` and
 sampled DP1 check (10000 samples) and a six-sample IIAI check, at one
 and at two workers; a closure query (``parse_conditional_set`` plus
 ``closure_answer``) on a preorder's full conditional set plus its belief
-set, and the ``parse_conditional_set`` part of it alone; and parsing the
-first 3000 lines of a four-atom preorder's full conditional set.
+set, and the ``parse_conditional_set`` part of it alone; parsing the
+first 3000 lines of a four-atom preorder's full conditional set; and
+``run_scenario`` on a two-atom scenario of 36 steps that cycles through
+the four step kinds, with belief and conditional queries, rendered as
+text and as machine output (``SCENARIO``).
 
 Every round times each layer once per loaded copy, in load order or in
 its reverse, alternating between rounds, so the host's drift falls on
 both trees alike; the garbage collector runs before each reading, not
 during it.  A round's reading of a tree is the mean of its two copies,
 and its ratio is the change's reading over the parent's.  Per layer the
-output gives each tree's median reading, the ratio's median and
-quartiles, and the rounds in which the change was faster.
+output gives each tree's median reading, to four significant digits,
+the ratio's median and quartiles, taken from the unrounded readings,
+and the rounds in which the change was faster.
 
 Beside the timings, ``counts`` gives each tree's exact number of orders
 computed by ``pair_profile(2)`` (its cache cleared) and by the
@@ -72,6 +76,32 @@ CLOSURES = 10
 ATOMS = ("p", "q", "r")
 PARSE_LINES = 3000
 ATOMS4 = ("p", "q", "r", "s")
+
+
+def _scenario():
+    """A two-atom scenario: each of nine cycles revises by a formula,
+    expands by a weaker one (consistent with the beliefs it follows),
+    contracts and revises through contraction, so no state is absurd;
+    four queries follow every step."""
+    formulas = ("p", "q", "~p", "p & q", "p | ~q", "~q", "~p & q", "q | p", "~(p & q)")
+    revisions = ("natural", "restrained", "lexicographic")
+    contractions = ("contract-natural", "contract-stq-restrained", "contract-stq-lex")
+    lines = ["atoms: p q", "initial: 00 | 01 10 | 11"]
+    for i in range(9):
+        f, g = formulas[i % len(formulas)], formulas[(i + 4) % len(formulas)]
+        rev, con = revisions[i % 3], contractions[(i + 1) % 3]
+        lines += [
+            f"step: revise {rev} {f}",
+            f"step: expand {rev} ({f}) | ({g})",
+            f"step: contract {con} {g}",
+            f"step: nli-revise {con} {revisions[(i + 2) % 3]} {g}",
+        ]
+    lines += ["query: belief p", "query: belief p | q", "query: conditional p => q"]
+    lines.append("query: conditional ~q => p")
+    return "\n".join(lines) + "\n"
+
+
+SCENARIO = _scenario()
 
 
 def _load(alias, src):
@@ -256,6 +286,10 @@ def layers(bc, drawn):
         for text in files:
             cli.parse_conditional_set(text, ATOMS)
 
+    def scenario_runs():
+        for fmt in ("text", "machine"):
+            cli.run_scenario(SCENARIO, fmt)
+
     default = {"n_atoms": 3, "mode": "sampled"}
     small = {"n_atoms": 3, "mode": "sampled", "seed": 1, "sample": 6}
     composed = post._NliComposition(stq_lex, natural)
@@ -300,6 +334,7 @@ def layers(bc, drawn):
         "parse_3000_lines_n4_ms": (
             lambda: cli.parse_conditional_set(parse_text, ATOMS4), 1, 1e3
         ),
+        "run_scenario_n2_ms": (scenario_runs, 1, 1e3),
     }
 
 
@@ -373,8 +408,8 @@ def main(parent_src, change_src):
         ratios = [c / p for p, c in zip(parent, change)]
         q1, median, q3 = statistics.quantiles(ratios, n=4)
         out[name] = {
-            "parent": round(statistics.median(parent), 4),
-            "change": round(statistics.median(change), 4),
+            "parent": float(f"{statistics.median(parent):.4g}"),
+            "change": float(f"{statistics.median(change):.4g}"),
             "ratio_median": round(median, 3),
             "ratio_q1": round(q1, 3),
             "ratio_q3": round(q3, 3),
