@@ -29,7 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .conditionals import rational_base, rational_closure, rational_closure_fast
 from .exceptions import (
@@ -65,26 +65,23 @@ _STEP_OPERATORS = {"revise": revise, "contract": contract, "expand": expand, "nl
 # Scenario files
 
 
-@dataclass(frozen=True)
-class Step:
-    text: str  # as written, e.g. 'revise natural p'
-    kind: str  # revise | contract | expand | nli-revise
-    methods: tuple  # the named operators, resolved
-    sentence: int  # the formula's world mask
+class Step(namedtuple("Step", "text kind methods sentence")):
+    """A step as written (e.g. 'revise natural p'), its kind (revise |
+    contract | expand | nli-revise), its named operators, resolved, and
+    its formula's world mask."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Query:
-    text: str  # as written, e.g. 'conditional p => q'
-    sentence: object  # a belief's world mask, or a conditional's mask pair
+class Query(namedtuple("Query", "text sentence")):
+    """A query as written (e.g. 'conditional p => q') and its sentence: a
+    belief's world mask, or a conditional's mask pair."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Scenario:
-    atoms: tuple
-    initial_text: str
-    steps: tuple
-    queries: tuple
+class Scenario(namedtuple("Scenario", "atoms initial_text steps queries")):
+    __slots__ = ()
 
 
 def _content_lines(text: str):

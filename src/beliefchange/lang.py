@@ -46,7 +46,7 @@ stack depth.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from typing import Sequence
 
@@ -252,8 +252,7 @@ def dnf_of_worlds(worlds: int, atoms: Sequence[str]) -> str:
 # ---------------------------------------------------------------------------
 # Mixed sets of sentences and conditionals
 
-@dataclass(frozen=True)
-class MixedSet:
+class MixedSet(namedtuple("MixedSet", "plain_models cond_pairs weakening_closed", defaults=(False,))):
     """A set of plain sentences plus conditionals, in model-set form.
 
     ``plain_models`` is the world mask of the conjunction of the plain
@@ -269,17 +268,11 @@ class MixedSet:
     operator too weak to reconstruct revision.
     """
 
-    plain_models: int
-    cond_pairs: frozenset
-    weakening_closed: bool = False
+    __slots__ = ()
 
     def adding_plain(self, sentence_models: int) -> "MixedSet":
         """The set extended with one more plain sentence."""
-        return MixedSet(
-            plain_models=self.plain_models & sentence_models,
-            cond_pairs=self.cond_pairs,
-            weakening_closed=self.weakening_closed,
-        )
+        return self._replace(plain_models=self.plain_models & sentence_models)
 
     def strongest_map(self) -> dict:
         """Per antecedent, the intersection of all listed consequents."""

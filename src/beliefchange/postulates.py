@@ -152,14 +152,12 @@ import json
 import os
 import pickle
 import random
-from collections import Counter
-from dataclasses import asdict, dataclass, field
+from collections import Counter, namedtuple
 from functools import lru_cache, partial
 from itertools import islice
 from math import comb
 from operator import mul
 from types import MappingProxyType
-from typing import Callable, Optional
 
 from .conditionals import flattest_satisfier, rational_closure_fast
 from .exceptions import (
@@ -209,32 +207,22 @@ def default_atoms(n_atoms: int) -> tuple:
 # Reports
 
 
-@dataclass(frozen=True)
-class CheckScope:
-    n_atoms: int
-    mode: str
-    sample: Optional[int] = None
-    seed: Optional[int] = None
+class CheckScope(namedtuple("CheckScope", "n_atoms mode sample seed", defaults=(None, None))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Witness:
-    tpos: tuple
-    inputs: tuple
-    worlds: tuple
-    note: str = ""
+class Witness(namedtuple("Witness", "tpos inputs worlds note", defaults=("",))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    check_id: str
-    revision: Optional[str]
-    contraction: Optional[str]
-    scope: CheckScope
-    instances: int
-    violations: int
-    witnesses: tuple = ()
-    detail: str = ""
+class CheckReport(
+    namedtuple(
+        "CheckReport",
+        "check_id revision contraction scope instances violations witnesses detail",
+        defaults=((), ""),
+    )
+):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -276,8 +264,10 @@ def render_text(report: CheckReport) -> str:
 
 
 def render_machine(report: CheckReport) -> str:
-    payload = asdict(report)
+    payload = report._asdict()
     payload["check"] = payload.pop("check_id")
+    payload["scope"] = report.scope._asdict()
+    payload["witnesses"] = [w._asdict() for w in report.witnesses]
     payload["outcome"] = report.outcome
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
@@ -827,8 +817,13 @@ def _routed_rule(final: Revision | None, route: str):
     return _by_input(body, counts=counts, needs_con=True)
 
 
-@dataclass(frozen=True)
-class _PostulateDef:
+class _PostulateDef(
+    namedtuple(
+        "_PostulateDef",
+        "gen count pair_outer needs_con needs_rev inputs_per_outer counts inputs",
+        defaults=(False, False, True, lambda ctx: len(ctx.props), None, "props"),
+    )
+):
     """One postulate, or the diagram scan: ``gen(ctx, outer)`` yields the
     outer's witnesses in order, and ``count(ctx, outer)`` returns how many
     it would yield, without them.  Both read their orders from the
@@ -838,14 +833,7 @@ class _PostulateDef:
     by a check job's closure (see ``_run_jobs``), so it never crosses a
     pipe."""
 
-    gen: Callable
-    count: Callable
-    pair_outer: bool = False
-    needs_con: bool = False
-    needs_rev: bool = True
-    inputs_per_outer: Callable = field(default=lambda ctx: len(ctx.props))
-    counts: Optional[Callable] = None
-    inputs: str = "props"
+    __slots__ = ()
 
 
 def _by_input(body, inputs: str = "props", counts=None, **kw) -> _PostulateDef:
@@ -1035,7 +1023,7 @@ def _equivariant(rev, con) -> bool:
 def _composition(t: Tpo) -> tuple:
     """The cell sizes of a preorder, bottom first: its orbit under the
     permutations of the worlds."""
-    return tuple(m.bit_count() for m in t.masks)
+    return tuple(map(int.bit_count, t.masks))
 
 
 @lru_cache(maxsize=256)

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator, Union
@@ -166,15 +165,23 @@ def parse_tpo(text: str, n_atoms: int) -> Tpo:
 # ---------------------------------------------------------------------------
 # States
 
-@dataclass(frozen=True)
-class Absurd:
+class Absurd(namedtuple("Absurd", "n_atoms")):
     """The state whose belief set is the whole language; its atom count
-    is checked like a preorder's."""
+    is checked like a preorder's, on every route to an instance: as in
+    ``Tpo``, ``_make`` (so ``_replace``) and ``__reduce__`` (so ``copy``
+    and every pickle protocol) rebuild through the constructor."""
 
-    n_atoms: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        _atom_count(self.n_atoms)
+    def __new__(cls, n_atoms: int):
+        return tuple.__new__(cls, (_atom_count(n_atoms),))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return Absurd, tuple(self)
 
     def __str__(self) -> str:
         return "absurd"

@@ -55,3 +55,12 @@ def test_the_order_counts_are_ints_on_this_tree():
     counts = ab_layers.order_counts(bc)
     assert set(counts) == {"pair_profile_n2_orders", "check_Neut_natural_n2_orders"}
     assert all(type(found) is int and found > 0 for found in counts.values())
+
+
+def test_the_import_layer_and_count_run_on_this_tree():
+    bc = ab_layers._load("ab_layers_import", ROOT / "src")
+    run, calls, _ = ab_layers.layers(bc, ab_layers.draws())["import_cli_ms"]
+    run()
+    counts = ab_layers.import_counts(bc)
+    assert calls == 1 and set(counts) == {"cli_import_modules"}
+    assert type(counts["cli_import_modules"]) is int and counts["cli_import_modules"] > 0

@@ -7,21 +7,20 @@ import signal
 import subprocess
 import sys
 import weakref
-from dataclasses import replace
 from functools import lru_cache, partial
 from itertools import islice, product
 from math import prod
 
 import pytest
 
-from beliefchange import postulates
+from beliefchange import cli, postulates
 from beliefchange.exceptions import (
     MalformedDiagramError,
     MissingContractionError,
     ScopeError,
 )
 from beliefchange.conditionals import flattest_satisfier
-from beliefchange.lang import all_worlds, dnf_of_worlds, models, parse_world, world_str
+from beliefchange.lang import MixedSet, all_worlds, dnf_of_worlds, models, parse_world, world_str
 from beliefchange.operators import (
     Contraction,
     Revision,
@@ -52,6 +51,7 @@ from beliefchange.postulates import (
     verify_claim,
 )
 from beliefchange.tpo import (
+    Absurd,
     Tpo,
     _a_preserving_isos,
     conditional_set,
@@ -452,14 +452,61 @@ def test_without_fork_every_job_runs_in_process(monkeypatch):
     assert check_postulate("IIAP", Revision.NATURAL, n_atoms=2, workers=3) == serial
 
 
-def test_importing_the_cli_leaves_multiprocessing_out():
+def _loaded_by_importing_the_cli(*names):
+    """Which of the named modules a fresh ``python -B`` has loaded once it
+    has imported ``beliefchange.cli`` from this tree."""
     src = os.path.dirname(os.path.dirname(postulates.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, beliefchange.cli; print('multiprocessing' in sys.modules)"
+    code = f"import sys, beliefchange.cli; print(sorted(set({names!r}) & set(sys.modules)))"
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-B", "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
-    assert (out.returncode, out.stdout) == (0, "False\n"), out.stderr
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+def test_importing_the_cli_leaves_multiprocessing_out():
+    assert _loaded_by_importing_the_cli("multiprocessing") == "[]\n"
+
+
+def test_importing_the_cli_leaves_dataclasses_and_inspect_out():
+    # the records are named tuples; dataclasses would pull in inspect, ast and dis
+    assert _loaded_by_importing_the_cli("dataclasses", "inspect") == "[]\n"
+
+
+RECORDS = {
+    "Absurd(n_atoms=2)": Absurd(2),
+    "MixedSet(plain_models=1, cond_pairs=frozenset(), weakening_closed=False)": MixedSet(
+        1, frozenset()
+    ),
+    "CheckScope(n_atoms=2, mode='exhaustive', sample=None, seed=None)": postulates.CheckScope(
+        2, "exhaustive"
+    ),
+    "Witness(tpos=('00 | 01 10 | 11',), inputs=('p',), worlds=(), note='')": Witness(
+        ("00 | 01 10 | 11",), ("p",), ()
+    ),
+    "CheckReport(check_id='DP1', revision='natural', contraction=None, scope=CheckScope("
+    "n_atoms=2, mode='exhaustive', sample=None, seed=None), instances=1125, violations=0, "
+    "witnesses=(), detail='')": postulates.CheckReport(
+        "DP1", "natural", None, postulates.CheckScope(2, "exhaustive"), 1125, 0
+    ),
+    "Step(text='revise natural p', kind='revise', methods=(<Revision.NATURAL: 'natural'>,), "
+    "sentence=12)": cli.Step("revise natural p", "revise", (Revision.NATURAL,), 12),
+    "Query(text='belief p', sentence=12)": cli.Query("belief p", 12),
+    "Scenario(atoms=('p', 'q'), initial_text='absurd', steps=(), queries=())": cli.Scenario(
+        ("p", "q"), "absurd", (), ()
+    ),
+}
+
+
+def test_records_keep_their_reprs_and_refuse_assignment():
+    for text, record in RECORDS.items():
+        assert repr(record) == text
+    for record in (*RECORDS.values(), _POSTULATES["DP1"]):
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+        with pytest.raises(AttributeError):
+            record.extra = None
 
 
 def test_each_worker_runs_one_job_that_counts_a_composition_once(monkeypatch):
@@ -1437,7 +1484,7 @@ def test_a_pair_scan_counts_one_whole_row_per_composition(monkeypatch):
         counted.append(outer)
         return spec.count(ctx, outer)
 
-    monkeypatch.setitem(_POSTULATES, "IIAP", replace(spec, count=counting))
+    monkeypatch.setitem(_POSTULATES, "IIAP", spec._replace(count=counting))
     report = check_postulate("IIAP", Revision.NATURAL, n_atoms=2)
     assert report.instances == 75 * 75 * 15
     assert len(counted) == 8 * 75  # 75 * 75 in the full scan

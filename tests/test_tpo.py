@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from beliefchange import tpo
 from beliefchange.exceptions import EmptyModelSetError, PartitionError
 from beliefchange.lang import all_worlds, cn_extended_member, models, parse_world
 from beliefchange.operators import Revision, revise
@@ -146,6 +147,39 @@ def test_no_route_builds_an_invalid_preorder():
         assert data.count(cell) == 1
         with pytest.raises(PartitionError, match="more than one cell"):
             pickle.loads(data.replace(cell, b"I9\n" if protocol == 0 else b"K\x09"))
+
+
+def test_every_route_to_an_absurd_state_checks_its_atom_count(monkeypatch):
+    a = Absurd(2)
+    routes = {
+        "_make": lambda: Absurd._make((2,)),
+        "_replace": lambda: a._replace(n_atoms=2),
+        "copy": lambda: copy.copy(a),
+        "deepcopy": lambda: copy.deepcopy(a),
+    }
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        routes[f"pickle {protocol}"] = lambda p=protocol: pickle.loads(pickle.dumps(a, p))
+    calls, check = [], tpo._atom_count
+    monkeypatch.setattr(tpo, "_atom_count", lambda n: calls.append(n) or check(n))
+    for name, route in routes.items():
+        calls.clear()
+        made = route()
+        assert type(made) is Absurd, name
+        assert calls == [2] and made.n_atoms == 2, name
+
+
+def test_no_route_builds_an_invalid_absurd_state():
+    a = Absurd(2)
+    with pytest.raises(PartitionError):
+        a._replace(n_atoms=5)
+    with pytest.raises(PartitionError):
+        Absurd._make((0,))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        data = pickle.dumps(a, protocol)
+        count = b"I2\n" if protocol == 0 else b"K\x02"  # the pickled atom count 2
+        assert data.count(count) == 1
+        with pytest.raises(PartitionError, match="atom count 5 is not 1 to 4"):
+            pickle.loads(data.replace(count, b"I5\n" if protocol == 0 else b"K\x05"))
 
 
 def test_text_form_round_trips_every_tpo():

@@ -39,7 +39,11 @@ set, and the ``parse_conditional_set`` part of it alone; parsing the
 first 3000 lines of a four-atom preorder's full conditional set; and
 ``run_scenario`` on a two-atom scenario of 36 steps that cycles through
 the four step kinds, with belief and conditional queries, rendered as
-text and as machine output (``SCENARIO``).
+text and as machine output (``SCENARIO``); and a fresh ``python -B -c
+"import beliefchange.cli"`` on a copy of the package's sources without
+bytecode, timed from spawn to exit (``import_cli_ms``): it compiles the
+package from source and reads the standard library's bytecode, as a
+benchmark op on a fresh checkout does when no bytecode is written.
 
 Every round times each layer once per loaded copy, in load order or in
 its reverse, alternating between rounds, so the host's drift falls on
@@ -54,16 +58,22 @@ Beside the timings, ``counts`` gives each tree's exact number of orders
 computed by ``pair_profile(2)`` (its cache cleared) and by the
 exhaustive Neut check under natural revision at two atoms
 (``order_counts``): how often the scan context's memo computes an order
-rather than reusing one.  A count repeats exactly, so it carries none
-of the timings' noise floor.
+rather than reusing one.  ``cli_import_modules`` is the number of
+modules that ``import beliefchange.cli`` adds in a fresh interpreter
+(``import_counts``).  A count repeats exactly, so it carries none of the
+timings' noise floor.
 """
 
 import gc
 import importlib.util
 import json
+import os
 import random
+import shutil
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -112,6 +122,14 @@ def _load(alias, src):
     module = sys.modules[alias] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _python(src, *args):
+    """Run a fresh ``python -B`` on ``args`` with the tree ``src`` on its
+    path; return what it printed."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-B", *args]
+    return subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout
 
 
 def draws():
@@ -290,6 +308,16 @@ def layers(bc, drawn):
         for fmt in ("text", "machine"):
             cli.run_scenario(SCENARIO, fmt)
 
+    fresh = tempfile.TemporaryDirectory()  # the package's sources alone: no bytecode to read
+    shutil.copytree(
+        Path(bc.__file__).parent,
+        Path(fresh.name) / "beliefchange",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+
+    def import_cli():
+        _python(fresh.name, "-c", "import beliefchange.cli")
+
     default = {"n_atoms": 3, "mode": "sampled"}
     small = {"n_atoms": 3, "mode": "sampled", "seed": 1, "sample": 6}
     composed = post._NliComposition(stq_lex, natural)
@@ -335,7 +363,18 @@ def layers(bc, drawn):
             lambda: cli.parse_conditional_set(parse_text, ATOMS4), 1, 1e3
         ),
         "run_scenario_n2_ms": (scenario_runs, 1, 1e3),
+        "import_cli_ms": (import_cli, 1, 1e3),
     }
+
+
+def import_counts(bc):
+    """The number of modules that ``import beliefchange.cli`` adds in a
+    fresh interpreter, from the loaded package ``bc``'s tree."""
+    code = (
+        "import sys; before = set(sys.modules); import beliefchange.cli; "
+        "print(len(set(sys.modules) - before))"
+    )
+    return {"cli_import_modules": int(_python(Path(bc.__file__).parent.parent, "-c", code))}
 
 
 def order_counts(bc):
@@ -382,7 +421,7 @@ def main(parent_src, change_src):
     packages = [_load(alias, (parent_src, change_src)[tree]) for alias, tree in COPIES]
     counts = {}
     for (_, tree), bc in zip(COPIES[:2], packages):
-        for name, found in order_counts(bc).items():
+        for name, found in {**order_counts(bc), **import_counts(bc)}.items():
             counts.setdefault(name, {})[("parent", "change")[tree]] = found
     sides = [layers(bc, drawn) for bc in packages]
     for side in sides:  # warm-up, untimed: fills the per-process tables and caches
