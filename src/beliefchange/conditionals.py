@@ -49,9 +49,14 @@ def satisfies(t: Tpo, delta: MixedSet) -> bool:
     for inconsistent antecedents).  Only the strongest consequent per
     antecedent needs checking.
     """
-    if t.masks[0] & ~delta.plain_models:
+    return _satisfies(t, delta.plain_models, delta.strongest_map())
+
+
+def _satisfies(t: Tpo, plain: int, strongest: dict) -> bool:
+    """``satisfies`` on the set's plain models and strongest map."""
+    if t.masks[0] & ~plain:
         return False
-    for antecedent, consequent in delta.strongest_map().items():
+    for antecedent, consequent in strongest.items():
         if antecedent and min_worlds(t, antecedent) & ~consequent:
             return False
     return True
@@ -80,7 +85,8 @@ def flattest_satisfier(delta: MixedSet, pool: Iterable[Tpo]) -> Tpo:
     The oracle for ``rational_closure``; the answer is the closure only
     when ``pool`` holds every preorder over the atoms.
     """
-    satisfiers = [t for t in pool if satisfies(t, delta)]
+    plain, strongest = delta.plain_models, delta.strongest_map()
+    satisfiers = [t for t in pool if _satisfies(t, plain, strongest)]
     if not satisfiers:
         raise UnsatisfiableError("no total preorder satisfies the input set")
     return flattest_maximum(satisfiers)

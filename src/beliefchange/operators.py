@@ -19,11 +19,12 @@ The recurrence makes the contraction's first cell the union of the prior
 beliefs with the revised beliefs, and preserves any strict preference on
 which the two merged orders agree.
 
-The operators work on the preorders' cell masks (see ``tpo``) and build
-each result through the one validating constructor ``Tpo(masks,
-n_atoms)``.  Every input mask is checked against the preorder's world
-set first: anything but a nonnegative int with no bit beyond it raises
-``ValueError``.
+The operators work on the preorders' cell masks (see ``tpo``), in one
+kernel, ``_posteriors``, that takes one prior and a batch of input masks
+(``revise`` and ``contract`` pass one).  It builds each result through
+the one validating constructor ``Tpo(masks, n_atoms)``, after checking
+every input mask against the preorder's world set: anything but a
+nonnegative int with no bit beyond it raises ``ValueError``.
 
 Any object with a ``posterior`` method revises too, e.g. a
 ``TabularRevision``.  Its seeded random instances, which pass Success
@@ -64,6 +65,7 @@ _CONTRACTION_BASE = {
     Contraction.STQ_RESTRAINED: Revision.RESTRAINED,
     Contraction.STQ_LEX: Revision.LEXICOGRAPHIC,
 }
+_LEXICOGRAPHIC = (Revision.LEXICOGRAPHIC, Contraction.STQ_LEX)  # tested by identity: no Enum lookup
 
 
 class TabularRevision:
@@ -119,34 +121,59 @@ def revise(t: Tpo, sentence_models: int, method: RevisionMethod) -> Tpo:
     ``posterior(tpo, models)`` method is accepted (tabular operators,
     composed operators used by the checker); it receives the mask.
     """
+    if type(method) is Revision:
+        return _posteriors(revise, t, (sentence_models,), method)[0]
     mask = _consistent_mask(sentence_models, t.n_atoms)
-    if not isinstance(method, Revision):
-        posterior = getattr(method, "posterior", None)
-        if posterior is None:
-            raise TypeError(f"not a revision method: {method!r}")
-        return posterior(t, mask)
-    return Tpo(_revision_masks(t.masks, mask, method), t.n_atoms)
+    posterior = getattr(method, "posterior", None)
+    if posterior is None:
+        raise TypeError(f"not a revision method: {method!r}")
+    return posterior(t, mask)
 
 
-def _revision_masks(masks: tuple, s: int, method: Revision) -> tuple:
-    """Cell masks of a built-in revision of ``masks`` by the input mask ``s``."""
-    out = ~s
-    if method is Revision.LEXICOGRAPHIC:
-        inside = [c for m in masks if (c := m & s)]
-        return tuple(inside + [c for m in masks if (c := m & out)])
-    minimal = _min_mask(masks, s)
-    if method is Revision.NATURAL:
-        rest = ~minimal
-        return (minimal, *[c for m in masks if (c := m & rest)])
-    # restrained: each prior cell splits into its input and other worlds
-    inside = s & ~minimal
-    cells = [minimal]
-    for m in masks:
-        if m & inside:
-            cells.append(m & inside)
-        if m & out:
-            cells.append(m & out)
-    return tuple(cells)
+def _posteriors(function, t: State, qs, method) -> list:
+    """``function(t, q, method)`` for each input mask q of qs, in order: one
+    pass for a built-in ``revise`` or ``contract``, else one call per mask.
+    Under natural or restrained revision, the merge that contracts t by q
+    is t with the minimal worlds m of q's complement joined to its first
+    cell and taken out of the others: the two contractions are one."""
+    contracting = function is contract and type(method) is Contraction
+    if not contracting and (function is not revise or type(method) is not Revision):
+        return [function(t, q, method) for q in qs]
+    n = t.n_atoms
+    full = all_worlds(n)
+    for q in qs:
+        if type(q) is not int or q <= 0 or q & ~full:
+            _consistent_mask(q, n)
+    if contracting and isinstance(t, Absurd):
+        return [Tpo((full,), n)] * len(qs)
+    masks, out, built = t.masks, [], {}
+    lex = method in _LEXICOGRAPHIC
+    split = method is Revision.RESTRAINED
+    for q in qs:
+        s = full & ~q if contracting else q
+        if not s:  # contracting by the tautology
+            out.append(t)
+        elif lex:
+            cells = (*[c for m in masks if (c := m & s)], *[c for m in masks if (c := m & ~s)])
+            out.append(Tpo(_merge_masks(masks, cells, full) if contracting else cells, n))
+        elif split:  # each prior cell splits into its input and other worlds
+            minimal = _min_mask(masks, s)
+            inside, cells = s & ~minimal, [minimal]
+            for m in masks:
+                if m & inside:
+                    cells.append(m & inside)
+                if m & ~s:
+                    cells.append(m & ~s)
+            out.append(Tpo(cells, n))
+        else:  # the posterior depends on the minimal worlds alone
+            minimal = _min_mask(masks, s)
+            posterior = built.get(minimal)
+            if posterior is None:
+                rest = ~minimal
+                first, others = (masks[0] | minimal, masks[1:]) if contracting else (minimal, masks)
+                posterior = built[minimal] = Tpo((first, *[c for m in others if (c := m & rest)]), n)
+            out.append(posterior)
+    return out
 
 
 def _merge_masks(a: tuple, b: tuple, full: int) -> tuple:
@@ -169,15 +196,6 @@ def _merge_masks(a: tuple, b: tuple, full: int) -> tuple:
     return tuple(cells)
 
 
-def _contraction(t: Tpo, mask: int, method: Contraction) -> Tpo:
-    """Contraction of a preorder by a consistent input mask."""
-    full = all_worlds(t.n_atoms)
-    if mask == full:
-        return t
-    revised = _revision_masks(t.masks, full & ~mask, method.base)
-    return Tpo(_merge_masks(t.masks, revised, full), t.n_atoms)
-
-
 def contract(state: State, sentence_models: int, method: Contraction) -> Tpo:
     """Contract by a consistent sentence.
 
@@ -186,10 +204,9 @@ def contract(state: State, sentence_models: int, method: Contraction) -> Tpo:
     negation has no models to revise by); otherwise the result is the
     TeamQueue merge of the prior with the revision by the negated input.
     """
-    mask = _consistent_mask(sentence_models, state.n_atoms)
-    if isinstance(state, Absurd):
-        return Tpo((all_worlds(state.n_atoms),), state.n_atoms)
-    return _contraction(state, mask, method)
+    if type(method) is not Contraction:
+        raise TypeError(f"not a contraction method: {method!r}")
+    return _posteriors(contract, state, (sentence_models,), method)[0]
 
 
 def expand(state: State, sentence_models: int, base: RevisionMethod) -> State:
@@ -225,6 +242,4 @@ def contract_by_negation(
 ) -> Tpo:
     """Contract by the input's negation, vacuously when that is inconsistent."""
     negated = all_worlds(t.n_atoms) & ~_consistent_mask(sentence_models, t.n_atoms)
-    if not negated:
-        return t
-    return _contraction(t, negated, method)
+    return contract(t, negated, method) if negated else t

@@ -83,7 +83,8 @@ or a random operator) take the full scan.
 The scan context, ``_Ctx``, keeps one memo of orders (``ctx.orders``).
 An order is ``revise`` or ``contract`` of a prior by one input mask
 under one operator; the memo keeps it by (function, operator), then
-prior, then mask, and computes it on its first read (``ctx.memo``).
+prior, then mask, and a read computes the masks it lacks in one batch
+(``ctx.memo``; ``operators._posteriors``).
 The scans name the orders they read, for prior t and input p
 (``_NAMED``, read by ``ctx.order``): ``rev`` and ``con`` apply the
 context's revision or contraction by p, ``revneg`` and ``conneg`` apply
@@ -171,6 +172,7 @@ from .operators import (
     Revision,
     RevisionMethod,
     TabularRevision,
+    _posteriors,
     contract,
     contract_by_negation,
     method_name,
@@ -297,12 +299,11 @@ class _Orders(dict):
         self.function, self.operator = function, operator
 
     def at(self, t: Tpo, qs) -> dict:
-        """Prior t's orders, computed for at least the masks qs."""
+        """Prior t's orders, computed for at least the masks qs, in one batch."""
         out = self.get(t) or self.setdefault(t, {0: t})
-        function, operator = self.function, self.operator
-        for q in qs:
-            if q not in out:
-                out[q] = function(t, q, operator)
+        missing = [q for q in qs if q not in out]
+        if missing:
+            out.update(zip(missing, _posteriors(self.function, t, missing, self.operator)))
         return out
 
 
@@ -1031,24 +1032,32 @@ def _input_orbits(t: Tpo, proper: bool = False) -> tuple:
     """The orbits of the inputs under the permutations that fix each cell
     of t, as (representatives, weights), kept for the latest 256 calls:
     a check asks for those of each composition's first preorder once per
-    postulate and operator pair.  An input's orbit is fixed by
-    how many worlds k_i it takes from each cell i of size s_i: its
-    representative takes the k_i lowest worlds of each cell, and its
-    weight is the orbit's size, the product of C(s_i, k_i).  Every choice
+    postulate and operator pair.  An input's orbit is fixed by how many
+    worlds k_i it takes from each cell i of size s_i: its representative
+    takes the k_i lowest worlds of each cell, and its weight is the
+    orbit's size, the product of C(s_i, k_i) (``_orbit_weights``).  Every choice
     of the k_i but all zeros, and all s_i too if ``proper`` (no
     tautology), gives prod(s_i + 1) - 1 (or - 2) inputs in place of
     2^W - 1 (or - 2)."""
-    reps, weights = [0], [1]
+    reps = [0]
     for c in t.masks:
-        size, prefixes, prefix = c.bit_count(), [0], 0
+        prefixes, prefix = [0], 0
         while c:
             prefix |= c & -c
             c &= c - 1
             prefixes.append(prefix)
         reps = [r | q for r in reps for q in prefixes]
-        weights = [w * comb(size, k) for w in weights for k in range(size + 1)]
     stop = -1 if proper else None
-    return tuple(reps[1:stop]), tuple(weights[1:stop])
+    return tuple(reps[1:stop]), _orbit_weights(_composition(t))[1:stop]
+
+
+@lru_cache(maxsize=256)
+def _orbit_weights(sizes: tuple) -> tuple:
+    """``_input_orbits``'s weights for cells of these sizes, all zeros first."""
+    weights = [1]
+    for size in sizes:
+        weights = [w * comb(size, k) for w in weights for k in range(size + 1)]
+    return tuple(weights)
 
 
 def _orbit_count(ctx: _Ctx, spec: _PostulateDef, t: Tpo) -> int:

@@ -2,7 +2,7 @@
 
 The tool reaches into private names of the package (``_merge_masks``,
 ``_POSTULATES``, ``_scan``, ``_counted``, ``_Ctx``, ``_NliComposition``,
-``_dp_posterior_candidates``), builds drawn pair rows as ``_outers``
+``_dp_posterior_candidates``, ``_Ctx.memo``), builds drawn pair rows as ``_outers``
 does, and counts orders by wrapping the ``revise``, ``contract`` and
 ``contract_by_negation`` that ``postulates`` calls; running every layer
 and count once here catches a refactor that removes one.
@@ -64,3 +64,19 @@ def test_the_import_layer_and_count_run_on_this_tree():
     counts = ab_layers.import_counts(bc)
     assert calls == 1 and set(counts) == {"cli_import_modules"}
     assert type(counts["cli_import_modules"]) is int and counts["cli_import_modules"] > 0
+
+
+def test_the_memo_layer_fills_every_order_of_each_prior_on_this_tree():
+    bc = ab_layers._load("ab_layers_memo", ROOT / "src")
+    drawn = ab_layers.draws()
+    run, calls, _ = ab_layers.layers(bc, drawn)["memo_all_inputs_n3_call_us"]
+    assert calls == 6 * len(drawn["outers"])
+    run()
+    post, ops = bc.postulates, bc.operators
+    ctx = post._Ctx(3)
+    t = bc.tpo.tpo_at_index(drawn["outers"][0], 3)
+    for function, methods in ((post.revise, ops.Revision), (post.contract, ops.Contraction)):
+        for method in methods:
+            orders = ctx.memo(function, method).at(t, ctx.props)
+            assert set(orders) == {0, *ctx.props}
+            assert all(orders[p] == function(t, p, method) for p in ctx.props)

@@ -19,7 +19,7 @@ from beliefchange.operators import (
     nli_revise,
     revise,
 )
-from beliefchange.operators import _merge_masks
+from beliefchange.operators import _merge_masks, _posteriors
 from beliefchange.postulates import (
     _equivariant,
     _holding,
@@ -476,3 +476,94 @@ def test_operators_commute_with_world_permutations():
                 assert contract_by_negation(pt, pp, method) == _permuted(
                     contract_by_negation(t, p, method), perm
                 )
+
+
+# ---------------------------------------------------------------------------
+# The batch kernel: each built-in revision and contraction of one prior by
+# many inputs in one pass, against the frozenset oracle above and against
+# the Harper merge (``_merge_masks``) of the prior with the oracle's
+# revision by each input's complement
+
+
+def _assert_kernel_matches_the_oracles(t, qs):
+    n, cells, full = t.n_atoms, _cells(t), all_worlds(t.n_atoms)
+    for method in Revision:
+        got = _posteriors(revise, t, qs, method)
+        assert got == [_from_cells(_oracle_revise(cells, _set(q), method), n) for q in qs]
+        assert _posteriors(revise, t, qs[::-1], method) == got[::-1]
+    for method in Contraction:
+        got = _posteriors(contract, t, qs, method)
+        assert got == [_from_cells(_oracle_contract(cells, _set(q), method), n) for q in qs]
+        merged = [
+            _from_cells(_oracle_revise(cells, _set(full & ~q), method.base), n) if q != full else t
+            for q in qs
+        ]
+        assert got == [u if u is t else stq_merge(t, u) for u in merged]
+        assert _posteriors(contract, t, qs[::-1], method) == got[::-1]
+
+
+def test_the_kernel_matches_the_oracles_on_every_instance_up_to_two_atoms():
+    for n_atoms in (1, 2):
+        for t in enumerate_tpos(n_atoms):
+            _assert_kernel_matches_the_oracles(t, list(propositions(n_atoms)))
+
+
+def test_the_kernel_matches_the_oracles_on_each_three_atom_composition():
+    # one preorder per composition of the eight worlds, its cells cut from
+    # a seeded order of the worlds, on all 255 inputs
+    rng = random.Random(30)
+    props = list(propositions(3))
+    for cuts in range(1 << 7):
+        worlds = rng.sample(range(8), 8)
+        cells, cell = [], 0
+        for i, w in enumerate(worlds):
+            cell |= 1 << w
+            if i == 7 or cuts >> i & 1:
+                cells.append(cell)
+                cell = 0
+        _assert_kernel_matches_the_oracles(Tpo(cells, 3), props)
+
+
+def _outcome(call):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except Exception as error:  # noqa: BLE001 -- the error is the outcome
+        return type(error), str(error)
+
+
+@pytest.mark.parametrize("bad", (0, -1, 1 << 4, 0b11111, True))
+def test_the_kernel_rejects_a_bad_mask_as_revise_and_contract_do(bad):
+    for function, methods in ((revise, Revision), (contract, Contraction)):
+        for method in methods:
+            for prior in (M0, Absurd(2)):
+                expected = _outcome(lambda: function(prior, bad, method))
+                assert isinstance(expected, tuple) and issubclass(expected[0], Exception)
+                assert _outcome(lambda: _posteriors(function, prior, [P, bad, FULL], method)) == expected
+
+
+def test_the_kernel_treats_an_absurd_prior_as_revise_and_contract_do():
+    absurd, props = Absurd(2), list(propositions(2))
+    for method in Revision:
+        expected = _outcome(lambda: revise(absurd, P, method))
+        assert expected[0] is AttributeError
+        assert _outcome(lambda: _posteriors(revise, absurd, props, method)) == expected
+    for method in Contraction:
+        flat = [contract(absurd, p, method) for p in props]
+        assert flat == [Tpo((FULL,), 2)] * len(props)
+        assert _posteriors(contract, absurd, props, method) == flat
+
+
+def test_the_kernel_calls_any_other_operator_once_per_mask():
+    props = list(propositions(2))
+    others = (make_random_dp_operator(0, 2), _NliComposition(Contraction.STQ_LEX, Revision.NATURAL))
+    for t in enumerate_tpos(2):
+        for op in others:
+            assert _posteriors(revise, t, props, op) == [revise(t, p, op) for p in props]
+        for method in Contraction:
+            expected = [contract_by_negation(t, p, method) for p in props]
+            assert _posteriors(contract_by_negation, t, props, method) == expected
+    with pytest.raises(TypeError, match="not a contraction method"):
+        contract(M0, P, Revision.NATURAL)
+    with pytest.raises(TypeError, match="not a revision method"):
+        _posteriors(revise, M0, props, Contraction.NATURAL)

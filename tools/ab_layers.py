@@ -19,7 +19,10 @@ per operator call, ``_x1000_ms`` milliseconds per 1000 calls, a bare
 ``_ms`` or ``_s`` per run of the whole layer).  The layers, at three
 atoms unless the name says otherwise: building a preorder from its cell
 masks; ``revise`` and ``contract`` under every built-in method;
-``_merge_masks``, the synchronized-minima merge of ``contract``;
+``_merge_masks``, the synchronized-minima merge of ``contract``; the
+scan context's order memo filling one prior's orders on all 255 inputs
+(``_Ctx(3).memo(revise | contract, method).at(t, ctx.props)``, a fresh
+context per call) for each built-in method on the drawn outer preorders;
 ``tpo_at_index``; a full ``enumerate_tpos(3)``; one postulate scan of
 one outer, as a sampled check runs it (Neut's outers pair each preorder
 with a permutation of its worlds, so the isomorphism path runs); the
@@ -237,6 +240,13 @@ def layers(bc, drawn):
             for method in ops.Contraction:
                 ops.contract(t, p, method)
 
+    def memo_orders():
+        for t in outers:
+            for function, methods in ((post.revise, ops.Revision), (post.contract, ops.Contraction)):
+                for method in methods:
+                    ctx = post._Ctx(3)
+                    ctx.memo(function, method).at(t, ctx.props)
+
     def merges():
         full = bc.lang.all_worlds(3)
         for a, b in pairs:
@@ -326,6 +336,7 @@ def layers(bc, drawn):
         "revise_call_us": (revisions, 3 * DRAWS, 1e6),
         "contract_call_us": (contractions, 3 * DRAWS, 1e6),
         "merge_masks_call_us": (merges, DRAWS, 1e6),
+        "memo_all_inputs_n3_call_us": (memo_orders, 6 * SCANS, 1e6),
         "tpo_at_index_x1000_ms": (unranks, 1, 1e3),
         "enumerate_tpos_3_s": (enumeration, 1, 1.0),
         "scan_DP1_natural_ms": (scans("DP1", natural), SCANS, 1e3),
