@@ -29,18 +29,27 @@ Grammar, bit-exact::
 
 ``->`` and ``<->`` associate to the right.
 
-``models`` splits the text into tokens with one ``findall`` and parses
-them in one loop over an explicit operator stack, in the manner of
-Dijkstra's shunting-yard algorithm: the pending ``~``, ``(`` and binary
-connectives wait on the stack, and each compound's mask is computed once
-its right operand is known to be complete.  One table, ``_BINARY``,
-gives each binary connective its precedence, its associativity and the
-mask of the compound.  Token offsets are computed only for an error:
-the text is then scanned again, and a character that starts no token is
-reported first, at its own offset.  At most ``_MAX_NESTING`` (1000)
-``~``, ``(`` and binary connectives may be pending at once; a formula
-nested deeper is a syntax error at offset 0, whatever the caller's
-stack depth.
+``models`` first tries one split pass, for text that is a disjunction of
+conjunctions of literals (an atom or a constant, with or without one
+leading ``~``), the shape ``dnf_of_worlds`` writes: it splits the text
+on ``|``, each part on ``&``, and looks each stripped piece up in one
+table of literals.  It declines at the first piece that is no literal
+(an empty piece, parentheses, an arrow, ``~~p``, ``~ p``, an unknown
+word or a stray character); as ``&`` binds tighter than ``|``, a text
+it accepts has exactly the mask the full parse gives.  A declined text,
+and a text that is not a ``str``, goes to the full parse, the only
+source of every error.  That parse splits the text into tokens with one
+``findall`` and parses them in one loop over an explicit operator stack,
+in the manner of Dijkstra's shunting-yard algorithm: the pending ``~``,
+``(`` and binary connectives wait on the stack, and each compound's mask
+is computed once its right operand is known to be complete.  One table,
+``_BINARY``, gives each binary connective its precedence, its
+associativity and the mask of the compound.  Token offsets are computed
+only for an error: the text is then scanned again, and a character that
+starts no token is reported first, at its own offset.  At most
+``_MAX_NESTING`` (1000) ``~``, ``(`` and binary connectives may be
+pending at once; a formula nested deeper is a syntax error at offset 0,
+whatever the caller's stack depth.
 """
 
 from __future__ import annotations
@@ -153,16 +162,38 @@ _NOT = (0, "~", None)
 
 @lru_cache(maxsize=None)
 def _operands(atoms: tuple) -> dict:
-    """Each token that is a whole formula, the constants and the declared
-    atoms, mapped to its mask."""
+    """Each literal, a constant or declared atom with or without one
+    leading '~', mapped to its mask.  The shunting-yard loop looks up only
+    the unnegated ones, the tokens that are a whole formula."""
     full = all_worlds(len(atoms))
-    return {**_atom_masks(atoms), "true": full, "false": 0}
+    plain = {**_atom_masks(atoms), "true": full, "false": 0}
+    return {**plain, **{"~" + name: full & ~mask for name, mask in plain.items()}}
+
+
+def _split_models(text: str, operands: dict) -> int | None:
+    """The mask of ``text`` if it is a disjunction of conjunctions of
+    literals, else None: split on '|', each part on '&', and look up each
+    stripped piece."""
+    value = 0
+    try:
+        for part in text.split("|"):
+            term = -1
+            for piece in part.split("&"):
+                term &= operands[piece.strip()]
+            value |= term
+    except KeyError:
+        return None
+    return value
 
 
 def models(text: str, atoms: Sequence[str]) -> int:
     """The model set, as a world mask, of a formula over the declared
     atoms; raises ``FormulaSyntaxError`` on text outside the grammar."""
     operands = _operands(tuple(atoms))
+    if isinstance(text, str):
+        value = _split_models(text, operands)
+        if value is not None:
+            return value
     full = operands["true"]
     stack = [_BOTTOM]
     value = None  # the mask of the operand just read; None where one starts

@@ -155,9 +155,12 @@ def parse_tpo(text: str, n_atoms: int) -> Tpo:
         mask = 0
         for name in names:
             try:
-                mask |= 1 << parse_world(name, n_atoms)
+                world = 1 << parse_world(name, n_atoms)
             except ValueError as exc:
                 raise PartitionError(str(exc)) from None
+            if mask & world:
+                raise PartitionError(f"world {name} listed twice in one cell")
+            mask |= world
         masks.append(mask)
     return Tpo(masks, n_atoms)
 

@@ -92,6 +92,7 @@ def test_scenario_parse_errors_exit_2():
         "initial: 00 | 11 | 01 10\n",  # missing atoms
         "atoms: p q\n",  # missing initial
         "atoms: p q\ninitial: 00 | 11\n",  # bad partition
+        "atoms: p q\ninitial: 00 00 | 01 10 11\n",  # a world twice in one cell
         "atoms: p q\ninitial: 00 | 11 | 01 10\nstep: revise sideways p\n",
         "atoms: p q\ninitial: 00 | 11 | 01 10\nstep: revise natural p &\n",
         "atoms: p q\ninitial: 00 | 11 | 01 10\nnonsense: 1\n",

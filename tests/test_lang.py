@@ -11,6 +11,8 @@ from beliefchange.lang import (
     _MAX_NESTING,
     MixedSet,
     _atom_masks,
+    _operands,
+    _split_models,
     all_worlds,
     cn_extended_member,
     dnf_of_worlds,
@@ -147,6 +149,12 @@ def test_constants_and_parens():
 @pytest.mark.parametrize("text", ["", "p q", "p &", "& p", "p -> -> q", "(p))", "p @ q"])
 def test_bad_inputs_raise_syntax_errors(text):
     with pytest.raises(FormulaSyntaxError):
+        mod(text)
+
+
+@pytest.mark.parametrize("text", [None, b"p & q", 3])
+def test_text_that_is_not_a_str_raises_type_error(text):
+    with pytest.raises(TypeError):
         mod(text)
 
 
@@ -312,21 +320,54 @@ def _mostly_formula(rng, length, atoms):
     return " ".join(pieces) if rng.random() < 0.5 else "".join(pieces)
 
 
+# Blanks that ``str.strip`` and the tokenizer both skip, the common ones
+# weighted up; and pieces that make a DNF-shaped text no disjunction of
+# conjunctions of literals, among them a zero-width space, which is no
+# blank.
+_BLANKS = ("", " ") * 10 + ("  ", "\t", "\n", "\x1c", "\xa0")
+_NEAR_MISSES = (
+    "~~p", "~ p", "~~", "p||q", "&&", "p &", "& p", "p |", "r", "pq", "~x", "@",
+    "\u200bp", "(p)", "(p", "p)", "p -> q", "p <-> q", "~(p)",
+)
+
+
+def _dnf_shaped(rng, atoms):
+    """A disjunction of conjunctions of literals over ``atoms`` and the
+    constants, the shape ``dnf_of_worlds`` writes, with a blank drawn
+    from ``_BLANKS`` on each side of each literal; in about one text in
+    twenty, one literal is replaced by a piece from ``_NEAR_MISSES``."""
+    literals = [sign + name for sign in ("", "~") for name in atoms + ("true", "false")]
+    terms = [
+        [rng.choice(literals) for _ in range(rng.randint(1, 4))] for _ in range(rng.randint(1, 6))
+    ]
+    if rng.random() < 0.05:
+        term = rng.choice(terms)
+        term[rng.randrange(len(term))] = rng.choice(_NEAR_MISSES)
+    return "|".join(
+        "&".join(rng.choice(_BLANKS) + literal + rng.choice(_BLANKS) for literal in term)
+        for term in terms
+    )
+
+
 def test_models_equals_the_oracle_on_longer_text_over_up_to_four_atoms():
     rng = random.Random(24)
     atom_lists = (("p",), ("p", "q"), ("p", "q", "r"), ("p", "q", "r", "s"))
-    parsed = 0
-    for _ in range(20_000):
+    parsed = {"pieces": 0, "formula": 0, "dnf": 0}
+    for _ in range(30_000):
         length = rng.randrange(41)
         atoms = rng.choice(atom_lists)
-        if rng.random() < 0.5:
+        shape = rng.choice(tuple(parsed))
+        if shape == "pieces":
             text = "".join(rng.choice(rng.choice((_TOKENS, _PIECES))) for _ in range(length))
-        else:
+        elif shape == "formula":
             text = _mostly_formula(rng, length, atoms)
+        else:
+            text = _dnf_shaped(rng, atoms)
         outcome = _outcome(models, text, atoms)
         assert outcome == _outcome(_oracle_models, text, atoms), text
-        parsed += isinstance(outcome, int)
-    assert parsed > 2000
+        parsed[shape] += isinstance(outcome, int)
+    assert parsed["formula"] > 2000
+    assert 9000 < parsed["dnf"] < 9900  # some near misses fail, the rest parse in full
 
 
 @pytest.mark.parametrize(
@@ -347,8 +388,9 @@ def test_nesting_limit_is_fixed(nest, formula):
 
 
 def test_left_associated_chains_never_reach_the_nesting_limit():
-    assert mod(" & ".join(["p"] * (3 * _MAX_NESTING))) == mod("p")
-    assert mod(" | ".join(["p", "~q"] * _MAX_NESTING)) == mod("p | ~q")
+    # the leading '(p)' sends each chain past the split pass to the loop
+    assert mod(" & ".join(["(p)"] + ["p"] * (3 * _MAX_NESTING))) == mod("p")
+    assert mod(" | ".join(["(p)", "~q"] * _MAX_NESTING)) == mod("p | ~q")
 
 
 def test_nested_formula_parses_deep_in_the_callers_stack():
@@ -495,6 +537,14 @@ def test_entails_is_reflexive_monotone_and_cuts(gamma, f, g):
 def test_dnf_round_trips_every_proposition():
     for prop in range(16):
         assert mod(dnf_of_worlds(prop, ATOMS)) == prop
+
+
+def test_every_dnf_text_is_decided_by_the_split_pass():
+    # None from the split pass would send the text on to the full parse
+    for atoms in (("p",), ("p", "q"), ("p", "q", "r")):
+        operands = _operands(atoms)
+        for prop in range(1 << (1 << len(atoms))):
+            assert _split_models(dnf_of_worlds(prop, atoms), operands) == prop
 
 
 def test_dnf_terms_sorted_by_bit_string():

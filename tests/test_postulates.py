@@ -6,6 +6,7 @@ import random
 import signal
 import subprocess
 import sys
+import types
 import weakref
 from functools import lru_cache, partial
 from itertools import islice, product
@@ -472,6 +473,16 @@ def test_importing_the_cli_leaves_multiprocessing_out():
 def test_importing_the_cli_leaves_dataclasses_and_inspect_out():
     # the records are named tuples; dataclasses would pull in inspect, ast and dis
     assert _loaded_by_importing_the_cli("dataclasses", "inspect") == "[]\n"
+
+
+def test_the_package_exports_api_names_and_no_module():
+    import beliefchange
+
+    exported = {}
+    exec("from beliefchange import *", exported)
+    del exported["__builtins__"]
+    assert sorted(exported) == sorted(beliefchange.__all__)
+    assert not [name for name, value in exported.items() if isinstance(value, types.ModuleType)]
 
 
 RECORDS = {

@@ -63,6 +63,8 @@ def test_partition_ranks():
 def test_overlapping_cells_rejected():
     with pytest.raises(PartitionError):
         parse_tpo("00 | 00 11 | 01 10", 2)
+    with pytest.raises(PartitionError, match="world 00 listed twice in one cell"):
+        parse_tpo("00 00 | 01 10 11", 2)
     with pytest.raises(PartitionError):
         Tpo((0b0001, 0b1001, 0b0110), 2)
 
