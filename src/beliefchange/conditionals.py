@@ -150,9 +150,11 @@ def rational_base(delta: MixedSet, n_atoms: int) -> Tpo | None:
     The conditional part must map every nonempty antecedent proposition
     to that preorder's minimal worlds; the plain part is not consulted,
     so the set is exactly the preorder's conditional set iff the plain
-    part is also its belief set.  Direct construction, O(4^n): a world's
-    rank follows from how many worlds the two-world antecedents put
-    strictly below it, and the candidate is then checked on every
+    part is also its belief set.  Direct construction by peeling minima:
+    the bottom cell is the strongest consequent of the whole world set,
+    the next cell that of the worlds left, and so on, at most W lookups
+    for W worlds; a consequent that is empty or leaves the worlds left
+    names no preorder.  The candidate is then checked on every
     antecedent.
     """
     strongest = delta.strongest_map()
@@ -162,16 +164,13 @@ def rational_base(delta: MixedSet, n_atoms: int) -> Tpo | None:
     required = propositions(n_atoms)
     if set(strongest) != set(required):
         return None
-    below = []
-    for x in range(n_worlds):
-        count = 0
-        for y in range(n_worlds):
-            if y != x and strongest[(1 << x) | (1 << y)] == 1 << y:
-                count += 1
-        below.append(count)
-    masks = []
-    for key in sorted(set(below)):
-        masks.append(sum(1 << w for w in range(n_worlds) if below[w] == key))
+    masks, left = [], all_worlds(n_atoms)
+    while left:
+        cell = strongest[left]
+        if not cell or cell & ~left:
+            return None
+        masks.append(cell)
+        left &= ~cell
     candidate = Tpo(masks, n_atoms)
     for p in required:
         if min_worlds(candidate, p) != strongest[p]:

@@ -267,10 +267,13 @@ def dnf_of_worlds(worlds: int, atoms: Sequence[str]) -> str:
 
     The empty set renders as ``false``.  This is the display form for
     belief sets and for input propositions in reports; it parses back to
-    the same model set.
+    the same model set.  A mask that is no nonnegative int, or that has a
+    bit beyond the world set, raises ``ValueError``.
     """
     atoms = check_atoms(atoms)
     n = len(atoms)
+    if type(worlds) is not int or worlds < 0 or worlds & ~all_worlds(n):
+        raise ValueError(f"world mask {worlds!r} is outside the world set of {n} atoms")
     if not worlds:
         return "false"
     terms = []

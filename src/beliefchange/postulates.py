@@ -47,38 +47,39 @@ Orbits.  The built-in revisions and contractions and compositions of
 them are defined from the order and the input alone, so they commute
 with every permutation of the worlds (``_equivariant`` admits exactly
 these); so does the relation a state diagram's table forces, whose scan
-runs with no operator.  Under them a permutation maps
-a preorder's violations one to one onto those of the permuted preorder.
-Preorders with the same composition (cell sizes, bottom first) are
-permutations of each other, so a single-outer scan finds as many
-violations on each of them.
-There are 8 compositions for the 75 preorders of two atoms, and 128
-for the 545,835 of three.  Under those operators ``_counted`` takes
-each composition's count once and reads it back for every later
-preorder of it, for ``_scan`` and ``_holding`` alike.  The same holds
-one level down, for the inputs of one preorder: a permutation that
-fixes each of its cells maps its violations on one input onto those on
-the image.  An input's orbit under those permutations is fixed by how
-many worlds it takes from each cell, so a single-preorder scan whose
-count is a sum over single inputs (``_by_input``: Success, the 14 pair
-rules, HI/LI_beliefs, NLI, iLIRC, Red and the diagram scan) counts each
-orbit once, at the input taking the lowest worlds of each cell, times
-the orbit's size (``_input_orbits``): prod(s_i + 1) - 1 inputs for
-cells of sizes s_i, in place of 2^W - 1.  IIAI and Beta1/Beta2, which
-count pairs of inputs, count the composition's first preorder on every
-input.  IIAP sums over single inputs too, but of a pair of preorders,
-which takes the row rule that follows.  An exhaustive
-pair scan comes in rows, one first preorder with every second one, and
-its jobs split the first preorders, so every row is whole.  A
-permutation maps a row onto the row of the permuted first preorder, so
-rows whose first preorders share a composition find as many
-violations.  ``_counted`` counts the first row of each composition
-pair by pair, and reads every later one back as zeros when it found
-none.  Witnesses still come from the generator run on the actual
-outer, so a report keeps the same witnesses in the same order.  A
+runs with no operator.  Under them a permutation maps an outer's
+violations one to one onto those of the permuted outer.  Preorders with
+the same composition (cell sizes, bottom first) are permutations of
+each other, so a single-outer scan finds as many violations on each of
+them.  There are 8 compositions for the 75 preorders of two atoms, and
+128 for the 545,835 of three.  A pair scan (IIAP, Neut) takes its
+outers in rows, one first preorder with its second ones; an exhaustive
+row pairs it with every preorder, and the jobs split the first
+preorders, so every such row is whole.  A permutation maps a whole row
+onto the whole row of the permuted first preorder, so whole rows whose
+first preorders share a composition find as many violations too.  So
+one rule serves both: under those operators ``_counted`` takes the
+count of a preorder, or of a whole row, once per composition (of the
+row's first preorder) and reads it back for every later outer of it,
+for ``_scan`` and ``_holding`` alike.  Witnesses still come from the
+generator run on the actual outer, so a report keeps the same
+witnesses in the same order.  Drawn rows, and every outer under other
+operators (a tabular or a random operator), are counted in full.  A
 diagram scan takes the per-composition rule like a postulate scan.
-Drawn pairs, rows with violations and every other operator (a tabular
-or a random operator) take the full scan.
+
+The same holds one level down, for the inputs of one preorder: a
+permutation that fixes each of its cells maps its violations on one
+input onto those on the image.  An input's orbit under those
+permutations is fixed by how many worlds it takes from each cell, so a
+single-preorder scan whose count is a sum over single inputs
+(``_by_input``: Success, the 14 pair rules, HI/LI_beliefs, NLI, iLIRC,
+Red and the diagram scan) counts each orbit once, at the input taking
+the lowest worlds of each cell, times the orbit's size
+(``_input_orbits``): prod(s_i + 1) - 1 inputs for cells of sizes s_i,
+in place of 2^W - 1.  IIAI and Beta1/Beta2, which count pairs of
+inputs, count the composition's first preorder on every input, and
+IIAP, which sums over single inputs of a pair of preorders, counts each
+pair of its first row of a composition on every input.
 
 The scan context, ``_Ctx``, keeps one memo of orders (``ctx.orders``).
 An order is ``revise`` or ``contract`` of a prior by one input mask
@@ -375,16 +376,13 @@ class _Ctx:
         return [orders[q] for q in qs]
 
     def matrices(self, name: str, t: Tpo, ps) -> list:
-        """The named order's pair matrices on each input of ps, in their
-        order: ``order``'s, read without its list, and for the prior
-        itself one lookup, not one per input."""
-        memo, complement = _NAMED[name]
+        """The pair matrices of ``order``'s orders, in their order; for
+        the prior itself one lookup, not one per input, as each lookup
+        hashes the preorder."""
         relations = self.relations
-        if memo is None:
+        if name == "prior":
             return [relations[t]] * len(ps)
-        qs = [self.full - p for p in ps] if complement else ps
-        orders = getattr(self, memo).at(t, qs)
-        return [relations[orders[q]] for q in qs]
+        return [relations[order] for order in self.order(name, t, ps)]
 
     def rows(self, t: Tpo) -> list:
         """(input, its minimal worlds, the revision's pair matrices) for
@@ -948,7 +946,14 @@ POSTULATE_IDS = tuple(_POSTULATES)
 # Check driver
 
 
+def _scope_int(value, name: str) -> None:
+    """A scope value, checked: an int, not True or 2.0."""
+    if type(value) is not int:
+        raise ScopeError(f"the {name} must be an int, not {value!r}")
+
+
 def _validate_atoms(n_atoms: int) -> None:
+    _scope_int(n_atoms, "atom count")
     if n_atoms < 1:
         raise ScopeError("at least 1 atom is required")
 
@@ -1070,66 +1075,63 @@ def _orbit_count(ctx: _Ctx, spec: _PostulateDef, t: Tpo) -> int:
     return sum(map(mul, weights, spec.counts(ctx, t, reps)))
 
 
+def _pairs(spec: _PostulateDef, outer) -> list:
+    """The outers ``gen`` and ``count`` take for one outer of a scan: a
+    pair scan's row (see ``_outers``) gives its pairs, in order, and any
+    other outer itself."""
+    return [(outer[0], second) for second in outer[1]] if spec.pair_outer else [outer]
+
+
 def _counted(ctx: _Ctx, spec: _PostulateDef, outers):
-    """Each outer with its violation count.  Pair outers come in rows
-    (first preorder, second preorders, whether they are every preorder)
-    and leave as pairs.  Under equivariant operators (see
-    ``_equivariant``) a single outer's count is taken once per
-    composition and read back for every later preorder of that
-    composition.  A scan that sums over single inputs takes that
-    count on one input per orbit of the first preorder's cells, weighted
-    by the orbit's size (``_orbit_count``); IIAI and Beta1/Beta2 take it
-    on every input.  A whole row, a first preorder with every preorder,
-    finds as many violations as any other whole row whose first preorder
-    has that composition: a permutation maps the one row onto the other.
-    So the first whole row of each composition is counted pair by pair,
-    and if it finds no violation every later whole row of that
-    composition is read back as zeros.  Every other row (drawn, with
-    violations, or under other operators) is counted pair by pair."""
+    """Each outer, a preorder or a pair scan's row (see ``_outers``), with
+    its violation count, a row's summed over its pairs.  Under
+    equivariant operators (see ``_equivariant``) a permutation maps an
+    outer's violations one to one onto those of the permuted outer, and
+    a whole row onto the whole row of the permuted first preorder.  So
+    the count of a preorder or of a whole row is taken once per
+    composition, of the preorder or of the row's first preorder, and
+    read back for every later outer of that composition.  A single
+    preorder's scan that sums over single inputs takes it on one input
+    per orbit of the preorder's cells, weighted by the orbit's size
+    (``_orbit_count``).  Drawn rows, and every outer under other
+    operators (a tabular or a random operator), are counted in full."""
     equivariant = _equivariant(ctx.rev, ctx.con)
-    if spec.pair_outer:
-        clean = set()  # compositions of whole rows without a violation
-        for first, seconds, whole in outers:
-            key = _composition(first) if whole and equivariant else None
-            if key in clean:
-                yield from (((first, second), 0) for second in seconds)
-                continue
-            total = 0
-            for second in seconds:
-                found = spec.count(ctx, (first, second))
-                total += found
-                yield (first, second), found
-            if key is not None and not total:
-                clean.add(key)
-        return
-    if not equivariant:
-        for outer in outers:
-            yield outer, spec.count(ctx, outer)
-        return
+    by_orbits = equivariant and spec.counts is not None and not spec.pair_outer
+
+    def count(outer):
+        if by_orbits:
+            return _orbit_count(ctx, spec, outer)
+        return sum(spec.count(ctx, pair) for pair in _pairs(spec, outer))
+
     orbits = {}
     for outer in outers:
-        key = _composition(outer)
+        first, whole = (outer[0], outer[2]) if spec.pair_outer else (outer, True)
+        if not (equivariant and whole):
+            yield outer, count(outer)
+            continue
+        key = _composition(first)
         if key not in orbits:
-            orbits[key] = (
-                spec.count(ctx, outer) if spec.counts is None else _orbit_count(ctx, spec, outer)
-            )
+            orbits[key] = count(outer)
         yield outer, orbits[key]
 
 
 def _scan(ctx: _Ctx, spec: _PostulateDef, outers, clear: bool = False) -> _Tally:
-    """Tally a scan over outers (rows of pairs for a pair outer): each
-    outer's violation count (see ``_counted``), and its witnesses from
-    ``gen`` only while there is room for them.  ``clear`` drops the
-    context's memo after each outer:
-    sampled outers seldom share a prior, and at three atoms each prior's
-    orders cover 255 inputs."""
+    """Tally a scan over outers (rows for a pair scan): each outer's
+    violation count (see ``_counted``), its instances (a row's for each
+    of its pairs), and its witnesses from ``gen``, pair by pair in a row,
+    only while there is room for them.  ``clear`` drops the context's
+    memo after each outer: sampled outers seldom share a prior, and at
+    three atoms each prior's orders cover 255 inputs."""
     tally = _Tally(ctx)
     per_outer = spec.inputs_per_outer(ctx)
     for outer, found in _counted(ctx, spec, outers):
-        tally.instances += per_outer
+        pairs = _pairs(spec, outer)
+        tally.instances += per_outer * len(pairs)
         tally.violations += found
-        if found and tally.room:
-            tally.keep(spec.gen(ctx, outer))
+        for pair in pairs if found else ():
+            if not tally.room:
+                break
+            tally.keep(spec.gen(ctx, pair))
         if clear:
             ctx.clear()
     return tally
@@ -1237,6 +1239,10 @@ def check_postulate(
     _validate_scope(n_atoms, mode)
     if mode != "sampled" and (seed is not None or sample is not None):
         raise ScopeError("a seed or sample size applies only to sampled mode")
+    for value, name in ((sample, "sample size"), (seed, "seed")):
+        if value is not None:
+            _scope_int(value, name)
+    _scope_int(workers, "worker count")
     if sample is not None and sample < 1:
         raise ScopeError("the sample size must be at least 1")
     if sample is not None and sample > 1_000_000:

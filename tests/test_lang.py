@@ -552,6 +552,13 @@ def test_dnf_terms_sorted_by_bit_string():
     assert dnf_of_worlds(0, ATOMS) == "false"
 
 
+@pytest.mark.parametrize("mask", [1 << 4, 1 << 10, -3, -1, 2.0, True, None, "3"])
+def test_dnf_of_worlds_rejects_a_mask_outside_the_world_set(mask):
+    # before, 1 << 10 rendered as "p & ~q" and -3 as "~p & ~q"
+    with pytest.raises(ValueError):
+        dnf_of_worlds(mask, ATOMS)
+
+
 def test_world_str_round_trip():
     for w in range(4):
         assert parse_world(world_str(w, 2), 2) == w

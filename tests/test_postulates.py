@@ -211,13 +211,13 @@ def test_scope_limits():
         check_postulate("DP1", Revision.NATURAL, mode="quick")
 
 
-@pytest.mark.parametrize("sample", [0, -5])
+@pytest.mark.parametrize("sample", [0, -5, True, 2.5, "5"])
 def test_sample_below_one_is_rejected(sample):
     with pytest.raises(ScopeError):
         check_postulate("DP1", Revision.NATURAL, n_atoms=3, mode="sampled", sample=sample)
 
 
-@pytest.mark.parametrize("n_atoms", [0, -1])
+@pytest.mark.parametrize("n_atoms", [0, -1, True, 2.0, "2"])
 def test_atom_count_below_one_is_rejected(n_atoms):
     for mode in ("exhaustive", "sampled"):
         with pytest.raises(ScopeError):
@@ -226,6 +226,12 @@ def test_atom_count_below_one_is_rejected(n_atoms):
         holds("DP1", Revision.NATURAL, n_atoms=n_atoms)
     with pytest.raises(ScopeError):
         verify_claim("T2", n_atoms=n_atoms)
+
+
+@pytest.mark.parametrize("seed", [True, 1.0, "7"])
+def test_a_seed_that_is_no_int_is_rejected(seed):
+    with pytest.raises(ScopeError):
+        check_postulate("DP1", Revision.NATURAL, n_atoms=3, mode="sampled", seed=seed, sample=5)
 
 
 @pytest.mark.parametrize("n_atoms", [0, -1])
@@ -241,7 +247,7 @@ def test_t1_needs_two_atoms():
         verify_claim("T1", n_atoms=1)
 
 
-@pytest.mark.parametrize("workers", [0, -3])
+@pytest.mark.parametrize("workers", [0, -3, True, 2.5, None])
 def test_workers_below_one_are_rejected(workers):
     with pytest.raises(ScopeError):
         check_postulate("DP1", Revision.NATURAL, n_atoms=2, workers=workers)
@@ -1480,7 +1486,8 @@ EQUIVARIANT = (
 @pytest.mark.parametrize("postulate", ["IIAP", "Neut"])
 def test_row_reports_equal_the_full_scan(postulate, op, monkeypatch):
     # every job takes whole rows, whatever the worker count; a failing
-    # scan (IIAP under stq-lex then natural or restrained) reads no row back
+    # scan (IIAP under stq-lex then natural or restrained) reads its later
+    # rows of each composition back with their violations
     monkeypatch.setattr(postulates, "_run_jobs", _in_process_jobs)
     rows = [check_postulate(postulate, op, n_atoms=2, workers=w) for w in (1, 2, 3, 16)]
     _full_scan(monkeypatch)
@@ -1488,6 +1495,7 @@ def test_row_reports_equal_the_full_scan(postulate, op, monkeypatch):
 
 
 def test_a_pair_scan_counts_one_whole_row_per_composition(monkeypatch):
+    # a failing row is read back too, with its violations
     counted = []
     spec = _POSTULATES["IIAP"]
 
@@ -1496,10 +1504,14 @@ def test_a_pair_scan_counts_one_whole_row_per_composition(monkeypatch):
         return spec.count(ctx, outer)
 
     monkeypatch.setitem(_POSTULATES, "IIAP", spec._replace(count=counting))
-    report = check_postulate("IIAP", Revision.NATURAL, n_atoms=2)
-    assert report.instances == 75 * 75 * 15
-    assert len(counted) == 8 * 75  # 75 * 75 in the full scan
-    assert len({postulates._composition(t) for t, _ in counted}) == 8
+    composed = _NliComposition(Contraction.STQ_LEX, Revision.NATURAL)
+    for op, outcome in ((Revision.NATURAL, "pass"), (composed, "fail")):
+        counted.clear()
+        report = check_postulate("IIAP", op, n_atoms=2)
+        assert report.outcome == outcome
+        assert report.instances == 75 * 75 * 15
+        assert len(counted) == 8 * 75  # 75 * 75 in the full scan
+        assert len({postulates._composition(t) for t, _ in counted}) == 8
 
 
 def test_only_equivariant_operators_take_the_orbit_route():
