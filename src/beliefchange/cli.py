@@ -22,14 +22,23 @@ masks), and ``parse_conditional_set`` builds a ``MixedSet`` from masks,
 so running a scenario or a closure query parses no formula again.  A
 formula error in a file names its line and its offset in the line,
 counted from the line's first non-blank character.
+
+The command surface is described once, in one table (``_COMMANDS``, with
+``_FORMAT``).  ``main`` reads a well-formed argv from it directly
+(``_read_argv``): ``--format`` first, then one subcommand, its
+positionals, then its options by full name, each at most once.  Any
+other argv (help, an abbreviation, a repeated option, a bad value) goes
+unchanged to argparse, built from the same table only then
+(``_build_parser``), so argparse writes every help, usage and error
+message, and a well-formed call imports no argparse.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from collections import namedtuple
+from types import SimpleNamespace
 
 from .conditionals import rational_base, rational_closure, rational_closure_fast
 from .exceptions import (
@@ -316,44 +325,131 @@ def closure_answer(delta: MixedSet, n_atoms: int) -> tuple:
 # Entry point
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# The CLI surface, once.  An option is (flag, dest, int or its choices
+# or None for any text, default, help); a subcommand has its help, its
+# positionals (dest, choices or None, required, help) and its options.
+# ``_build_parser`` builds argparse from it, and ``_read_argv`` reads a
+# well-formed argv from it without argparse.
+_FORMAT = ("--format", "format", ("text", "machine"), "text", "report format (default: text)")
+_N_ATOMS = ("--n", "n_atoms", int, 2, None)
+_COMMANDS = {
+    "run": ("execute a scenario file", (("file", None, True, None),), ()),
+    "check": (
+        "check one postulate",
+        (
+            ("postulate", None, True, ", ".join(POSTULATE_IDS)),
+            ("revision", sorted(_REVISIONS), True, None),
+            ("contraction", sorted(_CONTRACTIONS), False, None),
+        ),
+        (
+            _N_ATOMS,
+            ("--mode", "mode", ("exhaustive", "sampled"), "exhaustive", None),
+            ("--seed", "seed", int, None, None),
+            ("--sample", "sample", int, None, None),
+            ("--workers", "workers", int, 1, None),
+        ),
+    ),
+    "verify": ("verify a named claim", (("claim", CLAIM_IDS, True, None),), (_N_ATOMS,)),
+    "closure": (
+        "rational closure of a conditional-set file",
+        (("file", None, True, None),),
+        (
+            _N_ATOMS,
+            (
+                "--atoms", "atoms", None, None,
+                "atom names, comma or space separated (default: p q r ... per --n)",
+            ),
+        ),
+    ),
+}
+
+
+def _build_parser():
+    """The argparse parser of the CLI surface: every help, usage and
+    error message comes from it."""
+    import argparse
+
+    def add_option(parser, option):
+        flag, dest, kind, default, text = option
+        kwargs = {"type": kind} if kind is int else {"choices": kind}
+        parser.add_argument(flag, dest=dest, default=default, help=text, **kwargs)
+
     parser = argparse.ArgumentParser(
         prog="beliefchange",
         description="Iterated belief change over finite total preorders.",
     )
-    parser.add_argument(
-        "--format", choices=("text", "machine"), default="text",
-        help="report format (default: text)",
-    )
+    add_option(parser, _FORMAT)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run_parser = sub.add_parser("run", help="execute a scenario file")
-    run_parser.add_argument("file")
-
-    check_parser = sub.add_parser("check", help="check one postulate")
-    check_parser.add_argument("postulate", metavar="postulate",
-                              help=", ".join(POSTULATE_IDS))
-    check_parser.add_argument("revision", choices=sorted(_REVISIONS))
-    check_parser.add_argument("contraction", nargs="?", choices=sorted(_CONTRACTIONS))
-    check_parser.add_argument("--n", type=int, default=2, dest="n_atoms")
-    check_parser.add_argument("--mode", choices=("exhaustive", "sampled"),
-                              default="exhaustive")
-    check_parser.add_argument("--seed", type=int, default=None)
-    check_parser.add_argument("--sample", type=int, default=None)
-    check_parser.add_argument("--workers", type=int, default=1)
-
-    verify_parser = sub.add_parser("verify", help="verify a named claim")
-    verify_parser.add_argument("claim", choices=CLAIM_IDS)
-    verify_parser.add_argument("--n", type=int, default=2, dest="n_atoms")
-
-    closure_parser = sub.add_parser("closure", help="rational closure of a conditional-set file")
-    closure_parser.add_argument("file")
-    closure_parser.add_argument("--n", type=int, default=2, dest="n_atoms")
-    closure_parser.add_argument(
-        "--atoms", default=None,
-        help="atom names, comma or space separated (default: p q r ... per --n)",
-    )
+    for name, (text, positionals, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=text)
+        for dest, choices, required, help_text in positionals:
+            command.add_argument(
+                dest, nargs=None if required else "?", choices=choices, help=help_text
+            )
+        for option in options:
+            add_option(command, option)
     return parser
+
+
+def _read_options(args, options, into) -> bool:
+    """Read ``args`` into the dict ``into`` as full-name options of
+    ``options``, each ``--flag value`` or ``--flag=value`` and given at
+    most once; a value must be nonempty and not start with '-', and is
+    converted by ``int`` or checked against the choices as argparse
+    does.  False at the first token that is none of these."""
+    table = {option[0]: option for option in options}
+    tokens = iter(args)
+    for token in tokens:
+        flag, equals, value = token.partition("=")
+        if not equals:
+            value = next(tokens, "")
+        if flag not in table or not value or value[0] == "-":
+            return False
+        _, dest, kind, _, _ = table[flag]
+        if dest in into:
+            return False
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return False
+        elif kind is not None and value not in kind:
+            return False
+        into[dest] = value
+    return True
+
+
+def _read_argv(argv):
+    """What argparse would read from ``argv``, as the dict of its
+    namespace, when ``argv`` is in the canonical form: top-level options,
+    one subcommand, its positionals, then its options (``_read_options``).
+    None for any other argv (a list), which is left to argparse."""
+    if not all(isinstance(arg, str) for arg in argv):
+        return None
+    head = next((i for i, arg in enumerate(argv) if arg in _COMMANDS), None)
+    if head is None:
+        return None
+    command = argv[head]
+    _, positionals, options = _COMMANDS[command]
+    read = {"command": command}
+    if not _read_options(argv[:head], (_FORMAT,), read):
+        return None
+    rest = argv[head + 1:]
+    for dest, choices, required, _ in positionals:
+        if rest and rest[0] and rest[0][0] != "-":
+            value = rest.pop(0)
+            if choices is not None and value not in choices:
+                return None
+        elif required:
+            return None
+        else:
+            value = None
+        read[dest] = value
+    if not _read_options(rest, options, read):
+        return None
+    for _, dest, _, default, _ in (_FORMAT, *options):
+        read.setdefault(dest, default)
+    return read
 
 
 def _read_file(path: str) -> str:
@@ -371,8 +467,9 @@ def _write_report(report, fmt: str) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    read = _read_argv(argv)
+    args = _build_parser().parse_args(argv) if read is None else SimpleNamespace(**read)
     try:
         if args.command == "run":
             code, out, err = run_scenario(_read_file(args.file), args.format)
@@ -398,17 +495,17 @@ def main(argv=None) -> int:
             return _write_report(verify_claim(args.claim, n_atoms=args.n_atoms), args.format)
         if args.command == "closure":
             if not 1 <= args.n_atoms <= MAX_ATOMS:
-                parser.error(f"--n must be 1 to {MAX_ATOMS}, got {args.n_atoms}")
+                _build_parser().error(f"--n must be 1 to {MAX_ATOMS}, got {args.n_atoms}")
             if args.atoms:
                 atoms = tuple(args.atoms.replace(",", " ").split())
             else:
                 atoms = default_atoms(args.n_atoms)
             if len(atoms) != args.n_atoms:
-                parser.error(f"--atoms names {len(atoms)} atoms but --n is {args.n_atoms}")
+                _build_parser().error(f"--atoms names {len(atoms)} atoms but --n is {args.n_atoms}")
             try:
                 check_atoms(atoms)
             except ValueError as exc:
-                parser.error(str(exc))
+                _build_parser().error(str(exc))
             delta = parse_conditional_set(_read_file(args.file), atoms)
             try:
                 tpo, fast = closure_answer(delta, args.n_atoms)

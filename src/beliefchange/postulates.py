@@ -604,6 +604,7 @@ def make_random_dp_operator(seed: int, n_atoms: int) -> TabularRevision:
     to break any cross-prior or cross-input coherence.
     """
     _validate_atoms(n_atoms)
+    _scope_int(seed, "seed")
     if n_atoms > 2:
         raise ValueError("random tabular operators are supported for at most 2 atoms")
     rng = random.Random(seed)

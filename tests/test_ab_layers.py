@@ -9,6 +9,7 @@ and count once here catches a refactor that removes one.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -80,3 +81,10 @@ def test_the_memo_layer_fills_every_order_of_each_prior_on_this_tree():
             orders = ctx.memo(function, method).at(t, ctx.props)
             assert set(orders) == {0, *ctx.props}
             assert all(orders[p] == function(t, p, method) for p in ctx.props)
+
+
+def test_the_closure_op_layer_runs_one_fresh_closure_op_on_this_tree():
+    bc = ab_layers._load("ab_layers_closure_op", ROOT / "src")
+    run, calls, _ = ab_layers.layers(bc, ab_layers.draws())["closure_op_n3_ms"]
+    assert calls == 1
+    assert json.loads(run())["fast_path"] is True

@@ -1,8 +1,22 @@
+import contextlib
+import io
 import json
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
-from beliefchange.cli import closure_answer, main, parse_conditional_set, run_scenario
+import beliefchange
+from beliefchange.cli import (
+    _build_parser,
+    _read_argv,
+    closure_answer,
+    main,
+    parse_conditional_set,
+    run_scenario,
+)
 from beliefchange.conditionals import rational_base
 from beliefchange.exceptions import ScenarioError, UnsatisfiableError
 from beliefchange.lang import MixedSet, all_worlds, dnf_of_worlds
@@ -445,3 +459,188 @@ def test_run_subcommand_reads_files(tmp_path, capsys):
     assert capsys.readouterr().out == FIGURE_TRANSCRIPT
     assert main(["run", str(tmp_path / "missing.txt")]) == 2
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# The argv reader against argparse
+
+_INTS = ("2", "3", "0", " 4", "+2", "1_0", "\u0663", "x", "-1", "")
+_CHECK_OPTIONS = (
+    ("--n", _INTS),
+    ("--mode", ("sampled", "exhaustive", "x")),
+    ("--seed", _INTS),
+    ("--sample", _INTS),
+    ("--workers", _INTS),
+)
+# (subcommand, positionals, options with values to draw): the canonical shapes
+_SHAPES = (
+    ("run", ["s.txt"], ()),
+    ("check", ["DP1", "natural"], _CHECK_OPTIONS),
+    ("check", ["SPU", "restrained", "contract-natural"], _CHECK_OPTIONS),
+    ("verify", ["T1"], (("--n", _INTS),)),
+    ("closure", ["s.txt"], (("--n", _INTS), ("--atoms", ("p,q", "a b", "p", "-h")))),
+)
+_NEAR_MISSES = (
+    "--form", "--se", "--s", "-h", "--help", "--", "--n=", "--n", "-1", "--format", "machine",
+    " 4", "+2", "1_0", "\u0663", "", "sideways", "contract-stq-lex", "P5", "Bogus",
+    "--atoms", "--mode", "--seed", "--mode=x", "--format=text", "check", "verify", "s.txt",
+)
+
+_PARSER = _build_parser()
+
+
+def _parsed(argv):
+    """argparse's namespace for ``argv`` as a dict, or None where it
+    exits (a usage error, or help)."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(_PARSER.parse_args(argv))
+    except SystemExit:
+        return None
+
+
+def _canonical(rng):
+    """A random argv in the reader's canonical form, values not always valid."""
+    front = rng.choice(([], ["--format", "machine"], ["--format=text"]))
+    command, positionals, options = rng.choice(_SHAPES)
+    argv = [*front, command, *positionals]
+    for flag, values in rng.sample(options, rng.randrange(len(options) + 1)):
+        value = rng.choice(values)
+        argv += rng.choice(([flag, value], [f"{flag}={value}"]))
+    return argv
+
+
+def _near_valid(rng):
+    """A canonical argv with up to three edits: a near miss inserted or
+    put in place of a token, a token dropped, two swapped, the last two
+    repeated, moved before the positionals, or ``--format`` appended."""
+    argv = _canonical(rng)
+    for _ in range(rng.randrange(4)):
+        i = rng.randrange(len(argv) + 1)
+        edit = rng.randrange(6)
+        if edit == 0:
+            argv.insert(i, rng.choice(_NEAR_MISSES))
+        elif edit == 1 and i < len(argv):
+            argv[i] = rng.choice(_NEAR_MISSES)
+        elif edit == 2 and i < len(argv):
+            del argv[i]
+        elif edit == 3 and i + 1 < len(argv):
+            argv[i], argv[i + 1] = argv[i + 1], argv[i]
+        elif edit == 4:
+            argv += argv[-2:]
+        elif edit == 5 and i < len(argv):
+            argv[i:i] = rng.choice((argv[-2:], ["--format", "machine"]))
+    return argv
+
+
+def _typed(namespace):
+    return {key: (type(value), value) for key, value in namespace.items()}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_the_argv_reader_agrees_with_argparse_on_near_valid_argv(seed):
+    rng = random.Random(seed)
+    accepted = set()
+    for _ in range(3000):
+        argv = _near_valid(rng)
+        read = _read_argv(argv)
+        if read is not None:
+            assert _typed(read) == _typed(_parsed(argv) or {}), argv
+            accepted.update(argv)
+        elif _parsed(argv) is not None:
+            accepted.add("declined but parsed")
+    # the draw reaches both sides, and the reader takes what int() takes
+    assert {" 4", "+2", "1_0", "\u0663", "declined but parsed"} <= accepted
+
+
+def _with_each_option(command, positionals, options):
+    """The shape with no option, with each option in both forms, and with all of them."""
+    base = [command, *positionals]
+    yield base
+    for flag, values in options:
+        yield [*base, flag, values[0]]
+        yield [*base, f"{flag}={values[0]}"]
+    yield [*base, *(token for flag, values in options for token in (flag, values[0]))]
+
+
+@pytest.mark.parametrize("front", [[], ["--format", "machine"], ["--format=text"]])
+def test_the_argv_reader_takes_every_canonical_shape(front):
+    for shape in _SHAPES:
+        for argv in _with_each_option(*shape):
+            read = _read_argv([*front, *argv])
+            assert read is not None, argv
+            assert _typed(read) == _typed(_parsed([*front, *argv]))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--form", "machine", "verify", "T1"],  # an abbreviation
+        ["check", "DP1", "natural", "--se", "3"],
+        ["check", "DP1", "natural", "--n", "-1"],  # a value starting with '-'
+        ["closure", "s.txt", "--atoms=-p"],
+        ["check", "DP1", "natural", "--n", "2", "--n", "3"],  # a repeated option
+        ["check", "DP1", "--n", "2", "natural"],  # an option before a positional
+        ["verify", "T1", "--format", "machine"],  # --format after the subcommand
+        ["verify", "T1", "--n="],
+        ["verify", "T1", "-h"],
+        ["--", "verify", "T1"],
+        ["verify", "", "T1"],
+    ],
+)
+def test_the_argv_reader_leaves_other_argv_to_argparse(argv):
+    assert _read_argv(argv) is None
+
+
+# ---------------------------------------------------------------------------
+# main() with no argv, as the console script calls it
+
+SRC = os.path.dirname(os.path.dirname(beliefchange.__file__))
+
+
+def _fresh_python(args, cwd):
+    """stdout, stderr and exit code of a fresh ``python -B`` on ``args``,
+    at a help width of 80 columns, with this tree's package."""
+    env = dict(os.environ, PYTHONPATH=SRC, COLUMNS="80")
+    out = subprocess.run(
+        [sys.executable, "-B", *args], env=env, cwd=cwd, capture_output=True, text=True,
+        timeout=120,
+    )
+    return out.stdout, out.stderr, out.returncode
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "DP3", "restrained", "--n", "2"],
+        ["--format", "machine", "closure", "set.txt", "--n", "3"],
+        ["check", "DP1", "sideways"],
+        ["closure", "set.txt", "--n", "5"],
+        ["--help"],
+    ],
+)
+def test_the_module_entry_point_writes_what_main_writes(argv, tmp_path, capsys, monkeypatch):
+    (tmp_path / "set.txt").write_text("p => q\nr\n")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert _fresh_python(["-m", "beliefchange.cli", *argv], tmp_path) == (
+        captured.out, captured.err, code
+    )
+
+
+def test_a_canonical_closure_op_loads_no_argparse(tmp_path):
+    (tmp_path / "set.txt").write_text("p => q\n")
+    code = (
+        "import sys; from beliefchange.cli import main; "
+        "sys.argv = ['beliefchange', '--format', 'machine', 'closure', 'set.txt', '--n', '3']; "
+        "code = main(); "
+        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)), code, file=sys.stderr)"
+    )
+    out, err, returncode = _fresh_python(["-c", code], tmp_path)
+    assert (err, returncode) == ("[] 0\n", 0)
+    assert json.loads(out)["tpo"]

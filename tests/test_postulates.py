@@ -228,10 +228,12 @@ def test_atom_count_below_one_is_rejected(n_atoms):
         verify_claim("T2", n_atoms=n_atoms)
 
 
-@pytest.mark.parametrize("seed", [True, 1.0, "7"])
+@pytest.mark.parametrize("seed", [True, 1.0, "7", "x"])
 def test_a_seed_that_is_no_int_is_rejected(seed):
     with pytest.raises(ScopeError):
         check_postulate("DP1", Revision.NATURAL, n_atoms=3, mode="sampled", seed=seed, sample=5)
+    with pytest.raises(ScopeError, match="the seed must be an int"):
+        make_random_dp_operator(seed, 2)  # True would draw seed 1's table under another name
 
 
 @pytest.mark.parametrize("n_atoms", [0, -1])
@@ -479,6 +481,11 @@ def test_importing_the_cli_leaves_multiprocessing_out():
 def test_importing_the_cli_leaves_dataclasses_and_inspect_out():
     # the records are named tuples; dataclasses would pull in inspect, ast and dis
     assert _loaded_by_importing_the_cli("dataclasses", "inspect") == "[]\n"
+
+
+def test_importing_the_cli_leaves_argparse_gettext_and_locale_out():
+    # argparse is built only for help and usage errors
+    assert _loaded_by_importing_the_cli("argparse", "gettext", "locale") == "[]\n"
 
 
 def test_the_package_exports_api_names_and_no_module():

@@ -46,7 +46,11 @@ text and as machine output (``SCENARIO``); and a fresh ``python -B -c
 "import beliefchange.cli"`` on a copy of the package's sources without
 bytecode, timed from spawn to exit (``import_cli_ms``): it compiles the
 package from source and reads the standard library's bytecode, as a
-benchmark op on a fresh checkout does when no bytecode is written.
+benchmark op on a fresh checkout does when no bytecode is written; and
+a fresh ``python -B`` on the same copy running ``cli.main`` on the first
+closure file in machine format, ``--n 3``, from spawn to exit
+(``closure_op_n3_ms``): one closure-n3 benchmark op, its argv read
+included.
 
 Every round times each layer once per loaded copy, in load order or in
 its reverse, alternating between rounds, so the host's drift falls on
@@ -328,6 +332,13 @@ def layers(bc, drawn):
     def import_cli():
         _python(fresh.name, "-c", "import beliefchange.cli")
 
+    op_file = Path(fresh.name) / "closure-n3.txt"
+    op_file.write_text(files[0])
+    op_argv = ["--format", "machine", "closure", str(op_file), "--n", "3"]
+
+    def closure_op():
+        return _python(fresh.name, "-c", f"from beliefchange.cli import main; main({op_argv!r})")
+
     default = {"n_atoms": 3, "mode": "sampled"}
     small = {"n_atoms": 3, "mode": "sampled", "seed": 1, "sample": 6}
     composed = post._NliComposition(stq_lex, natural)
@@ -375,6 +386,7 @@ def layers(bc, drawn):
         ),
         "run_scenario_n2_ms": (scenario_runs, 1, 1e3),
         "import_cli_ms": (import_cli, 1, 1e3),
+        "closure_op_n3_ms": (closure_op, 1, 1e3),
     }
 
 
