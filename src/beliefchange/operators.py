@@ -24,7 +24,11 @@ kernel, ``_posteriors``, that takes one prior and a batch of input masks
 (``revise`` and ``contract`` pass one).  It builds each result through
 the one validating constructor ``Tpo(masks, n_atoms)``, after checking
 every input mask against the preorder's world set: anything but a
-nonnegative int with no bit beyond it raises ``ValueError``.
+nonnegative int with no bit beyond it raises ``ValueError``.  The
+checker's scans on pair matrices take the posteriors' matrices under
+every built-in but ``contract-stq-lex`` from a closed form instead
+(``postulates._posterior_relations``), which restates the rules above
+on pair matrices and is tested against this kernel.
 
 Any object with a ``posterior`` method revises too, e.g. a
 ``TabularRevision``.  Its seeded random instances, which pass Success
@@ -130,6 +134,16 @@ def revise(t: Tpo, sentence_models: int, method: RevisionMethod) -> Tpo:
     return posterior(t, mask)
 
 
+def _check_masks(qs, n_atoms: int) -> int:
+    """The world set's mask, after checking each input mask of qs as
+    ``_consistent_mask`` does, with its error."""
+    full = all_worlds(n_atoms)
+    for q in qs:
+        if type(q) is not int or q <= 0 or q & ~full:
+            _consistent_mask(q, n_atoms)
+    return full
+
+
 def _posteriors(function, t: State, qs, method) -> list:
     """``function(t, q, method)`` for each input mask q of qs, in order: one
     pass for a built-in ``revise`` or ``contract``, else one call per mask.
@@ -140,10 +154,7 @@ def _posteriors(function, t: State, qs, method) -> list:
     if not contracting and (function is not revise or type(method) is not Revision):
         return [function(t, q, method) for q in qs]
     n = t.n_atoms
-    full = all_worlds(n)
-    for q in qs:
-        if type(q) is not int or q <= 0 or q & ~full:
-            _consistent_mask(q, n)
+    full = _check_masks(qs, n)
     if contracting and isinstance(t, Absurd):
         return [Tpo((full,), n)] * len(qs)
     masks, out, built = t.masks, [], {}

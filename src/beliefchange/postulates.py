@@ -81,36 +81,42 @@ inputs, count the composition's first preorder on every input, and
 IIAP, which sums over single inputs of a pair of preorders, counts each
 pair of its first row of a composition on every input.
 
-The scan context, ``_Ctx``, keeps one memo of orders (``ctx.orders``).
-An order is ``revise`` or ``contract`` of a prior by one input mask
-under one operator; the memo keeps it by (function, operator), then
-prior, then mask, and a read computes the masks it lacks in one batch
-(``ctx.memo``; ``operators._posteriors``).
-The scans name the orders they read, for prior t and input p
-(``_NAMED``, read by ``ctx.order``): ``rev`` and ``con`` apply the
-context's revision or contraction by p, ``revneg`` and ``conneg`` apply
-them by p's complement (``conneg`` is t itself on the tautology), and
-``prior`` is t.  A route under another operator reads the same memo
-under that operator: NLI and iLIRC revise the contracted preorder under
-the checked revision and under natural revision.  So contracting by q
-and contracting by the negation of q's complement are one entry, and a
-contracted preorder's revision is one entry whether a scan reaches it
-as a prior or along a route.  The context also keeps pair matrices by
-order, prior or posterior, each computed on its first read
-(``ctx.relations``; ``ctx.matrices`` for a named order), and each
-prior's outcome row on every input: the input, its minimal worlds and
-the revision's matrices (``ctx.rows``).  Posteriors repeat across
-inputs and priors (the natural revision of t by p depends only on t's
-minimal worlds of p), so the orders outnumber the matrices they need.
-So a postulate's ``count`` and ``gen`` share one computation of each
-order, so do the postulates of one claim's verdicts, and an exhaustive
-pair scan in one job revises each prior once.  Contexts given one
-``shared`` dict share both memos, so ``pair_profile``'s nine operator
-pairs compute each order and its matrices once between them: each
-revision serves every contraction, and each contraction every
-revision.  Neut revises only on the inputs that an isomorphism of its
-pair keeps.  Red, which checks that revising twice gives one
-posterior, calls the operator directly.
+The scan context, ``_Ctx``, keeps one memo of orders
+(``ctx.orders``).  An order is ``revise`` or ``contract`` of a prior by
+one input mask under one operator; the memo keeps it by (function,
+operator), then prior, then mask, and a read computes the masks it lacks
+in one batch (``ctx.memo``; ``operators._posteriors``).  The scans name
+the orders they read, for prior t and input p (``_NAMED``, read by
+``ctx.order``): ``rev`` and ``con`` apply the context's revision or
+contraction by p, ``revneg`` and ``conneg`` apply them by p's complement
+(``conneg`` is t itself on the tautology), and ``prior`` is t.  A route
+under another operator reads the same memo under that operator: NLI and
+iLIRC revise the contracted preorder under the checked revision and
+under natural revision.  So contracting by q and contracting by the
+negation of q's complement are one entry, and a contracted preorder's
+revision is one entry whether a scan reaches it as a prior or along a
+route.  The context also keeps pair matrices by preorder, prior or
+posterior, each computed on its first read (``ctx.relations``).  The
+pair matrices of a named order (``ctx.matrices``) come from that memo,
+except under the built-ins whose posteriors' matrices have a closed form
+in the prior's matrices and the input: the three revisions and the
+natural and restrained contractions (``_posterior_relations``).  There
+no posterior is built or hashed: a second memo, kept like the orders,
+holds the matrices themselves by function and operator, then prior, then
+mask (``ctx.closed_memo``).  The pair rules, IIAP, IIAI and Beta1/Beta2
+read them; Success, HI/LI_beliefs, NLI, iLIRC and Neut read the
+preorders, so an instance they share with a pair rule is computed once
+in each memo.  The context keeps each prior's outcome row on every input
+too: the input, its minimal worlds and the revision's matrices
+(``ctx.rows``).  So a postulate's ``count`` and ``gen`` share one
+computation of each order, so do the postulates of one claim's verdicts,
+and an exhaustive pair scan in one job revises each prior once.
+Contexts given one ``shared`` dict share every memo, so
+``pair_profile``'s nine operator pairs compute each order and its
+matrices once between them: each revision serves every contraction, and
+each contraction every revision.  Neut revises only on the inputs that
+an isomorphism of its pair keeps.  Red, which checks that revising twice
+gives one posterior, calls the operator directly.
 
 The scans yield raw witnesses (preorders, input masks, worlds and a
 note).  Every check, state diagram and claim counts into one tally,
@@ -173,6 +179,7 @@ from .operators import (
     Revision,
     RevisionMethod,
     TabularRevision,
+    _check_masks,
     _posteriors,
     contract,
     contract_by_negation,
@@ -183,6 +190,7 @@ from .operators import (
 from .tpo import (
     Tpo,
     _a_preserving_isos,
+    _min_mask,
     conditional_set,
     count_tpos,
     enumerate_tpos,
@@ -288,6 +296,31 @@ class _Matrices(dict):
         return out
 
 
+class _ClosedOrders(dict):
+    """prior -> input mask -> the pair matrices of ``revise``, or of
+    ``contract`` if ``contracting``, of the prior by the mask under a
+    built-in operator with a closed form (``_posterior_relations``): the
+    orders computed so far, as ``_Orders`` keeps them, but without
+    building them.  At the empty mask each prior's entry holds its own
+    matrices, read from ``relations``."""
+
+    __slots__ = ("contracting", "operator", "relations")
+
+    def __init__(self, contracting: bool, operator, relations: _Matrices):
+        self.contracting, self.operator, self.relations = contracting, operator, relations
+
+    def at(self, t: Tpo, qs) -> dict:
+        """Prior t's matrices, computed for at least the masks qs, in one batch."""
+        out = self.get(t)
+        if out is None:
+            out = self[t] = {0: self.relations[t]}
+        missing = [q for q in qs if q not in out]
+        if missing:
+            found = _posterior_relations(self.contracting, t, out[0], missing, self.operator)
+            out.update(zip(missing, found))
+        return out
+
+
 class _Orders(dict):
     """prior -> input mask -> ``function(prior, mask, operator)``, for one
     function and operator: the orders computed so far (see ``at``).  At
@@ -328,10 +361,13 @@ class _Ctx:
     and ``contractions`` are its entries under the context's own
     operators, which ``order`` reads by name (see ``_NAMED``); a route
     under another operator reads ``memo`` directly.  ``relations`` maps
-    every order read, prior or posterior, to its pair matrices, and
-    ``rows`` keeps each prior's outcome row on every input.  Contexts
-    given one ``shared`` dict keep ``orders`` and ``relations`` there, so
-    they compute each order and its matrices once between them."""
+    every preorder read, prior or posterior, to its pair matrices;
+    ``closed`` keeps, under each built-in with a closed form, the pair
+    matrices of its orders without the orders (``closed_memo``; see
+    ``_ClosedOrders``), which ``matrices`` reads by name; and ``rows``
+    keeps each prior's outcome row on every input.  Contexts given one
+    ``shared`` dict keep ``orders``, ``closed`` and ``relations`` there,
+    so they compute each order and its matrices once between them."""
 
     def __init__(self, n_atoms: int, rev=None, con: Contraction | None = None, shared=None):
         self.n = n_atoms
@@ -346,13 +382,18 @@ class _Ctx:
         shared = {} if shared is None else shared
         self.relations = shared.setdefault("matrices", _Matrices())
         self.orders = shared.setdefault("orders", {})  # see ``memo``
+        self.closed = shared.setdefault("closed", {})  # see ``closed_memo``
         self.revisions = self.memo(revise, rev)
         self.contractions = self.memo(contract, con)
+        self._closed_named = {
+            "revisions": self.closed_memo(False, rev),
+            "contractions": self.closed_memo(True, con),
+        }
 
     def clear(self):
         self._outcomes.clear()
         self.relations.clear()
-        for memo in self.orders.values():
+        for memo in (*self.orders.values(), *self.closed.values()):
             memo.clear()
 
     def memo(self, function, operator) -> _Orders:
@@ -363,6 +404,20 @@ class _Ctx:
         out = self.orders.get((function, id(operator)))
         if out is None:
             out = self.orders[function, id(operator)] = _Orders(function, operator)
+        return out
+
+    def closed_memo(self, contracting: bool, operator) -> _ClosedOrders | None:
+        """The pair matrices of ``revise``, or of ``contract`` if
+        ``contracting``, under ``operator`` (see ``_ClosedOrders``), kept
+        like ``memo``'s orders; None if the operator has no closed form
+        (see ``_CLOSED_FORMS``)."""
+        if operator not in _CLOSED_FORMS[contracting]:
+            return None
+        out = self.closed.get((contracting, id(operator)))
+        if out is None:
+            out = self.closed[contracting, id(operator)] = _ClosedOrders(
+                contracting, operator, self.relations
+            )
         return out
 
     def order(self, name: str, t: Tpo, ps) -> list:
@@ -378,11 +433,18 @@ class _Ctx:
     def matrices(self, name: str, t: Tpo, ps) -> list:
         """The pair matrices of ``order``'s orders, in their order; for
         the prior itself one lookup, not one per input, as each lookup
-        hashes the preorder."""
+        hashes the preorder.  Under an operator with a closed form they
+        come from ``closed_memo``, and no posterior is built."""
         relations = self.relations
         if name == "prior":
             return [relations[t]] * len(ps)
-        return [relations[order] for order in self.order(name, t, ps)]
+        memo, complement = _NAMED[name]
+        closed = self._closed_named[memo]
+        if closed is None:
+            return [relations[order] for order in self.order(name, t, ps)]
+        qs = [self.full - p for p in ps] if complement else ps
+        found = closed.at(t, qs)
+        return [found[q] for q in qs]
 
     def rows(self, t: Tpo) -> list:
         """(input, its minimal worlds, the revision's pair matrices) for
@@ -390,7 +452,8 @@ class _Ctx:
         out = self._outcomes.get(t)
         if out is None:
             rev = self.matrices("rev", t, self.props)
-            out = self._outcomes[t] = [(p, min_worlds(t, p), m) for p, m in zip(self.props, rev)]
+            masks = t.masks  # ``props`` needs no ``min_worlds`` check
+            out = self._outcomes[t] = [(p, _min_mask(masks, p), m) for p, m in zip(self.props, rev)]
         return out
 
     def witness(self, tpos, inputs, worlds, note="") -> Witness:
@@ -477,6 +540,73 @@ def _relations(t: Tpo) -> tuple:
         rest &= ~c
         lt |= row * rest
     return lt, le
+
+
+# The built-in operators whose posteriors' pair matrices have a closed form
+# (``_posterior_relations``), by whether they contract
+_CLOSED_FORMS = {
+    False: tuple(Revision),
+    True: (Contraction.NATURAL, Contraction.STQ_RESTRAINED),
+}
+
+
+def _posterior_relations(contracting: bool, t: Tpo, own: tuple, qs, operator) -> list:
+    """The pair matrices (see ``_relations``) of ``revise`` of prior t by
+    each input mask q of qs under a built-in operator, or of ``contract``
+    if ``contracting`` (see ``_CLOSED_FORMS``), without building the
+    posteriors; ``own`` is t's (lt, le), and a bad mask raises what
+    ``revise`` or ``contract`` raises.  Write X*Y for the pairs (x, y)
+    with x in X and y in Y (``_spread(n)[X] * Y``), ~q for the complement
+    of q, and eq for the ties, ``le & ~lt``.  Each revision puts the
+    minimal worlds m of q below the other worlds r:
+
+    * natural keeps the prior's order on r: lt' = m*r | lt & r*r and
+      le' = m*full | le & r*r;
+    * restrained also breaks each tie in r in favour of q:
+      lt' = m*r | r*r & (lt | eq & q*~q) and
+      le' = m*full | r*r & (lt | eq & ~(~q*q));
+    * lexicographic puts q below ~q and keeps the prior's order on each
+      side: with same = q*q | ~q*~q, lt' = q*~q | lt & same and
+      le' = q*~q | le & same.
+
+    Both contractions (see ``operators._posteriors``) join the minimal
+    worlds of ~q to the prior's first cell, F, put F below the other
+    worlds r and keep the prior's order on r: lt' = F*r | lt & r*r and
+    le' = F*full | le & r*r.  Contracting by the tautology gives the
+    prior's own matrices."""
+    masks, spread = t.masks, _spread(t.n_atoms)
+    full = _check_masks(qs, t.n_atoms)
+    lt, le = own
+    out = []
+    if operator is Revision.LEXICOGRAPHIC:
+        for q in qs:
+            rest = full & ~q
+            below = spread[q] * rest
+            same = spread[q] * q | spread[rest] * rest
+            out.append((below | lt & same, below | le & same))
+        return out
+    if operator is Revision.RESTRAINED:
+        eq = le & ~lt
+        for q in qs:
+            bottom, other = _min_mask(masks, q), full & ~q
+            rest = full & ~bottom
+            first, kept = spread[bottom], spread[rest] * rest
+            strict, weak = lt | eq & spread[q] * other, lt | eq & ~(spread[other] * q)
+            out.append((first * rest | strict & kept, first * full | weak & kept))
+        return out
+    built = {}  # bottom: the matrices, which depend on it alone
+    for q in qs:
+        if contracting and q == full:
+            out.append(own)
+            continue
+        bottom = masks[0] | _min_mask(masks, full & ~q) if contracting else _min_mask(masks, q)
+        found = built.get(bottom)
+        if found is None:
+            rest = full & ~bottom
+            first, kept = spread[bottom], spread[rest] * rest
+            found = built[bottom] = (first * rest | lt & kept, first * full | le & kept)
+        out.append(found)
+    return out
 
 
 def _bit_pairs(mask: int, width: int):
@@ -1062,7 +1192,8 @@ def _orbit_weights(sizes: tuple) -> tuple:
     """``_input_orbits``'s weights for cells of these sizes, all zeros first."""
     weights = [1]
     for size in sizes:
-        weights = [w * comb(size, k) for w in weights for k in range(size + 1)]
+        row = [comb(size, k) for k in range(size + 1)]
+        weights = [w * c for w in weights for c in row]
     return tuple(weights)
 
 

@@ -2,10 +2,13 @@
 
 The tool reaches into private names of the package (``_merge_masks``,
 ``_POSTULATES``, ``_scan``, ``_counted``, ``_Ctx``, ``_NliComposition``,
-``_dp_posterior_candidates``, ``_Ctx.memo``), builds drawn pair rows as ``_outers``
-does, and counts orders by wrapping the ``revise``, ``contract`` and
-``contract_by_negation`` that ``postulates`` calls; running every layer
-and count once here catches a refactor that removes one.
+``_dp_posterior_candidates``, ``_Ctx.memo``, ``_Ctx.rows``), builds drawn
+pair rows as ``_outers`` does, and counts orders by wrapping the
+``revise``, ``contract``, ``contract_by_negation`` and
+``_posterior_relations`` that ``postulates`` calls; running every layer
+and count once here catches a refactor that removes one.  The layers
+run inside ``layers``' context, whose exit removes the temporary copy of
+the sources; the test configuration turns a leaked one into a failure.
 """
 
 import importlib.util
@@ -30,21 +33,23 @@ EARLIER_LAYERS = (
     "check_DP1_natural_n3_default_w2_s", "check_IIAI_natural_n3_sample6_ms",
     "check_IIAI_natural_n3_sample6_w2_ms", "closure_query_n3_ms", "parse_3000_lines_n4_ms",
     "compositions_DP3_natural_ms", "compositions_CR4_natural_stq_lex_ms",
-    "parse_closure_n3_ms",
+    "parse_closure_n3_ms", "compositions_DP1_lexicographic_ms", "compositions_DP4_restrained_ms",
+    "rows_restrained_n3_call_us",
 )
 
 
 def test_every_layer_runs_once_on_this_tree():
     bc = ab_layers._load("ab_layers_smoke", ROOT / "src")
-    table = ab_layers.layers(bc, ab_layers.draws())
-    assert set(EARLIER_LAYERS) <= set(table)
-    for run, _, _ in table.values():
-        run()
+    with ab_layers.layers(bc, ab_layers.draws()) as table:
+        assert set(EARLIER_LAYERS) <= set(table)
+        for run, _, _ in table.values():
+            run()
 
 
 def test_the_scenario_layer_runs_every_step_on_this_tree():
     bc = ab_layers._load("ab_layers_scenario", ROOT / "src")
-    assert "run_scenario_n2_ms" in ab_layers.layers(bc, ab_layers.draws())
+    with ab_layers.layers(bc, ab_layers.draws()) as table:
+        assert "run_scenario_n2_ms" in table
     cli = importlib.import_module(bc.__name__ + ".cli")
     code, out, err = cli.run_scenario(ab_layers.SCENARIO)
     assert (code, err) == (0, "")
@@ -56,12 +61,16 @@ def test_the_order_counts_are_ints_on_this_tree():
     counts = ab_layers.order_counts(bc)
     assert set(counts) == {"pair_profile_n2_orders", "check_Neut_natural_n2_orders"}
     assert all(type(found) is int and found > 0 for found in counts.values())
+    # the totals of the order-count tests in test_postulates.py, the closed
+    # form's entries included
+    assert counts == {"pair_profile_n2_orders": 1024, "check_Neut_natural_n2_orders": 435}
 
 
 def test_the_import_layer_and_count_run_on_this_tree():
     bc = ab_layers._load("ab_layers_import", ROOT / "src")
-    run, calls, _ = ab_layers.layers(bc, ab_layers.draws())["import_cli_ms"]
-    run()
+    with ab_layers.layers(bc, ab_layers.draws()) as table:
+        run, calls, _ = table["import_cli_ms"]
+        run()
     counts = ab_layers.import_counts(bc)
     assert calls == 1 and set(counts) == {"cli_import_modules"}
     assert type(counts["cli_import_modules"]) is int and counts["cli_import_modules"] > 0
@@ -70,9 +79,10 @@ def test_the_import_layer_and_count_run_on_this_tree():
 def test_the_memo_layer_fills_every_order_of_each_prior_on_this_tree():
     bc = ab_layers._load("ab_layers_memo", ROOT / "src")
     drawn = ab_layers.draws()
-    run, calls, _ = ab_layers.layers(bc, drawn)["memo_all_inputs_n3_call_us"]
-    assert calls == 6 * len(drawn["outers"])
-    run()
+    with ab_layers.layers(bc, drawn) as table:
+        run, calls, _ = table["memo_all_inputs_n3_call_us"]
+        assert calls == 6 * len(drawn["outers"])
+        run()
     post, ops = bc.postulates, bc.operators
     ctx = post._Ctx(3)
     t = bc.tpo.tpo_at_index(drawn["outers"][0], 3)
@@ -85,6 +95,7 @@ def test_the_memo_layer_fills_every_order_of_each_prior_on_this_tree():
 
 def test_the_closure_op_layer_runs_one_fresh_closure_op_on_this_tree():
     bc = ab_layers._load("ab_layers_closure_op", ROOT / "src")
-    run, calls, _ = ab_layers.layers(bc, ab_layers.draws())["closure_op_n3_ms"]
-    assert calls == 1
-    assert json.loads(run())["fast_path"] is True
+    with ab_layers.layers(bc, ab_layers.draws()) as table:
+        run, calls, _ = table["closure_op_n3_ms"]
+        assert calls == 1
+        assert json.loads(run())["fast_path"] is True

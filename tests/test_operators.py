@@ -21,9 +21,13 @@ from beliefchange.operators import (
 )
 from beliefchange.operators import _merge_masks, _posteriors
 from beliefchange.postulates import (
+    _CLOSED_FORMS,
+    _Ctx,
     _equivariant,
     _holding,
     _NliComposition,
+    _posterior_relations,
+    _relations,
     make_random_dp_operator,
 )
 from beliefchange.tpo import (
@@ -508,11 +512,10 @@ def test_the_kernel_matches_the_oracles_on_every_instance_up_to_two_atoms():
             _assert_kernel_matches_the_oracles(t, list(propositions(n_atoms)))
 
 
-def test_the_kernel_matches_the_oracles_on_each_three_atom_composition():
-    # one preorder per composition of the eight worlds, its cells cut from
-    # a seeded order of the worlds, on all 255 inputs
+def _one_per_three_atom_composition():
+    """One preorder per composition of the eight worlds, its cells cut
+    from a seeded order of the worlds."""
     rng = random.Random(30)
-    props = list(propositions(3))
     for cuts in range(1 << 7):
         worlds = rng.sample(range(8), 8)
         cells, cell = [], 0
@@ -521,7 +524,69 @@ def test_the_kernel_matches_the_oracles_on_each_three_atom_composition():
             if i == 7 or cuts >> i & 1:
                 cells.append(cell)
                 cell = 0
-        _assert_kernel_matches_the_oracles(Tpo(cells, 3), props)
+        yield Tpo(cells, 3)
+
+
+def test_the_kernel_matches_the_oracles_on_each_three_atom_composition():
+    # on all 255 inputs
+    props = list(propositions(3))
+    for t in _one_per_three_atom_composition():
+        _assert_kernel_matches_the_oracles(t, props)
+
+
+# ---------------------------------------------------------------------------
+# The closed form of the built-ins' pair matrices (``_posterior_relations``),
+# read by the scan context's named orders, against the matrices of the
+# kernel's posteriors
+
+# (revision, contraction, named order) of every named order that the
+# closed form serves
+CLOSED_ORDERS = (
+    *((rev, None, name) for rev in Revision for name in ("rev", "revneg")),
+    *(
+        (None, con, name)
+        for con in (Contraction.NATURAL, Contraction.STQ_RESTRAINED)
+        for name in ("con", "conneg")
+    ),
+)
+
+
+def _assert_closed_form_matches_the_kernel(priors, n_atoms) -> int:
+    """Check every closed-form named order of each prior on every input
+    it is read on; how many entries were checked."""
+    checked = 0
+    for rev, con, name in CLOSED_ORDERS:
+        ctx = _Ctx(n_atoms, rev, con)
+        memo = ctx.closed_memo(con is not None, rev or con)
+        ps = ctx.props_proper if name == "revneg" else ctx.props
+        for t in priors:
+            got = ctx.matrices(name, t, ps)
+            assert t in memo  # read from the closed form
+            assert got == [_relations(u) for u in ctx.order(name, t, ps)], (t, rev, con, name)
+            checked += len(ps)
+    return checked
+
+
+def test_the_closed_form_matches_the_kernel_on_every_instance_up_to_two_atoms():
+    checked = sum(
+        _assert_closed_form_matches_the_kernel(list(enumerate_tpos(n)), n) for n in (1, 2)
+    )
+    assert checked == 3 * (3 * 5 + 2 * 6) + 75 * (3 * 29 + 2 * 30)
+
+
+def test_the_closed_form_matches_the_kernel_on_each_three_atom_composition():
+    priors = list(_one_per_three_atom_composition())
+    checked = _assert_closed_form_matches_the_kernel(priors, 3)
+    assert checked == 128 * (3 * (255 + 254) + 2 * (255 + 255))
+
+
+def test_the_closed_form_serves_exactly_the_built_ins_it_covers():
+    composed = _NliComposition(Contraction.STQ_LEX, Revision.NATURAL)
+    ctx = _Ctx(2, Revision.NATURAL, Contraction.STQ_LEX)
+    for contracting, operator in ((False, composed), (False, None), (True, Contraction.STQ_LEX)):
+        assert ctx.closed_memo(contracting, operator) is None
+    for rev, con, _ in CLOSED_ORDERS:
+        assert ctx.closed_memo(con is not None, rev or con) is not None
 
 
 def _outcome(call):
@@ -540,6 +605,23 @@ def test_the_kernel_rejects_a_bad_mask_as_revise_and_contract_do(bad):
                 expected = _outcome(lambda: function(prior, bad, method))
                 assert isinstance(expected, tuple) and issubclass(expected[0], Exception)
                 assert _outcome(lambda: _posteriors(function, prior, [P, bad, FULL], method)) == expected
+
+
+@pytest.mark.parametrize("bad", (0, -1, 1 << 8, True))
+def test_the_closed_form_rejects_a_bad_mask_as_revise_and_contract_do(bad):
+    for prior in (M0, tpo_at_index(4321, 3)):
+        full = all_worlds(prior.n_atoms)
+        for contracting, methods in _CLOSED_FORMS.items():
+            function = contract if contracting else revise
+            for method in methods:
+                expected = _outcome(lambda: function(prior, bad, method))
+                assert isinstance(expected, tuple) and issubclass(expected[0], Exception)
+                got = _outcome(
+                    lambda: _posterior_relations(
+                        contracting, prior, _relations(prior), [1, bad, full], method
+                    )
+                )
+                assert got == expected
 
 
 def test_the_kernel_treats_an_absurd_prior_as_revise_and_contract_do():

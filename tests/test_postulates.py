@@ -8,6 +8,7 @@ import subprocess
 import sys
 import types
 import weakref
+from collections import Counter
 from functools import lru_cache, partial
 from itertools import islice, product
 from math import prod
@@ -1257,7 +1258,9 @@ def test_counted_reports_match_the_brute_force_reducer(postulate):
 def revisions(monkeypatch):
     """The function name and (prior, input, operator) arguments of every
     ``revise``, ``contract`` and ``contract_by_negation`` call a scan
-    makes."""
+    makes, and of every entry whose pair matrices the closed form of the
+    built-ins computes (``_posterior_relations``), named ``revise
+    matrices`` or ``contract matrices``: each is one order computed."""
     calls = []
     for name in ("revise", "contract", "contract_by_negation"):
 
@@ -1266,15 +1269,25 @@ def revisions(monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(postulates, name, counted)
+
+    def closed(contracting, t, own, qs, operator, _real=postulates._posterior_relations):
+        name = "contract matrices" if contracting else "revise matrices"
+        calls.extend((name, t, q, operator) for q in qs)
+        return _real(contracting, t, own, qs, operator)
+
+    monkeypatch.setattr(postulates, "_posterior_relations", closed)
     return calls
 
 
 def test_a_single_prior_scan_revises_each_instance_once(revisions):
     # one preorder per composition of the four worlds, each on one input
-    # per orbit of its cells: the product of (cell size + 1), less one
+    # per orbit of its cells: the product of (cell size + 1), less one;
+    # a pair rule under a built-in reads the closed form, so it builds no
+    # posterior
     check_postulate("DP1", Revision.NATURAL, n_atoms=2)
     assert len(revisions) == 74
     assert len(set(revisions)) == len(revisions)
+    assert {name for name, *_ in revisions} == {"revise matrices"}
 
 
 def test_a_counted_scan_and_its_witnesses_share_one_row_per_prior(revisions):
@@ -1286,6 +1299,8 @@ def test_a_counted_scan_and_its_witnesses_share_one_row_per_prior(revisions):
 def test_an_exhaustive_pair_scan_revises_each_prior_once(revisions):
     check_postulate("IIAP", Revision.NATURAL, n_atoms=2)
     assert len(revisions) == 75 * 15
+    assert len(set(revisions)) == len(revisions)
+    assert {name for name, *_ in revisions} == {"revise matrices"}
 
 
 def test_neutrality_revises_only_the_inputs_it_reads(revisions):
@@ -1310,13 +1325,16 @@ def test_a_generator_computes_the_orders_of_the_inputs_it_reaches(revisions):
     # a report keeps the first ten witnesses, and a single-input scan's
     # generator takes the inputs a chunk at a time: here the tenth
     # witness lies on input 17, in the second chunk; CR4 revises by each
-    # input and contracts by its complement
+    # input (in closed form, under natural revision) and contracts by its
+    # complement
     ctx = _Ctx(3, Revision.NATURAL, Contraction.STQ_LEX)
     raws = list(islice(_POSTULATES["CR4"].gen(ctx, tpo_at_index(0, 3)), WITNESS_CAP))
     assert len(raws) == WITNESS_CAP and raws[-1][1] == (17,)
-    reached = {p if name == "revise" else ctx.full - p for name, _, p, _ in revisions}
-    assert {name for name, *_ in revisions} == {"revise", "contract"}
+    reached = {p if name != "contract" else ctx.full - p for name, _, p, _ in revisions}
+    assert {name for name, *_ in revisions} == {"revise matrices", "contract"}
     assert reached == set(range(1, 2 * postulates._GEN_CHUNK + 1))
+    assert len(revisions) == 2 * 2 * postulates._GEN_CHUNK
+    assert len(set(revisions)) == len(revisions)
 
 
 def test_a_failing_routed_scan_and_its_witnesses_share_each_direct_order(revisions):
@@ -1338,7 +1356,7 @@ def test_one_memo_entry_serves_every_route_to_an_order(revisions):
     t = parse_tpo("11 | 10 01 | 00", 2)
     _POSTULATES["CC1"].count(ctx, t)
     _POSTULATES["CR1"].count(ctx, t)
-    contractions = [call for call in revisions if call[0] != "revise"]
+    contractions = [call for call in revisions if not call[0].startswith("revise")]
     assert [(name, q) for name, _, q, _ in contractions] == [("contract", q) for q in ctx.props]
     # iLIRC under natural revision reads the contractions back, and its
     # routed revisions are the ``rev`` entries of the contracted preorders
@@ -1407,11 +1425,20 @@ def test_the_pair_profile_computes_each_order_once_per_instance(revisions):
     # every contraction and each contraction every revision; revising or
     # contracting by the negated input is revising or contracting by its
     # complement; each prior is counted on one input per orbit of its
-    # cells, and the failing pairs' witnesses read the rest
+    # cells, and the failing pairs' witnesses read the rest.  The pair
+    # rules read the closed form under the built-ins that have one, the
+    # other scans the built preorders, so an instance may be computed
+    # once in each memo
     pair_profile.cache_clear()
     pair_profile(2)
-    assert len(revisions) == 616
+    assert len(revisions) == 1024
     assert len(set(revisions)) == len(revisions)
+    assert Counter(name for name, *_ in revisions) == {
+        "revise": 304,
+        "contract": 226,
+        "revise matrices": 306,
+        "contract matrices": 188,
+    }
 
 
 def test_a_scan_computes_the_pair_matrices_of_each_order_once(monkeypatch):

@@ -12,45 +12,48 @@ alike.  The second form times one tree against itself: its ratio
 quartiles are then that tree's noise floor.
 
 The layers are built by ``layers(bc, drawn)`` for each loaded package
-from one set of seeded preorder indices, inputs and masks
-(``draws()``), so both trees time the same instances.  Each layer's name
-ends in its unit, per call of the layer (``_call_us`` is microseconds
-per operator call, ``_x1000_ms`` milliseconds per 1000 calls, a bare
-``_ms`` or ``_s`` per run of the whole layer).  The layers, at three
-atoms unless the name says otherwise: building a preorder from its cell
-masks; ``revise`` and ``contract`` under every built-in method;
-``_merge_masks``, the synchronized-minima merge of ``contract``; the
-scan context's order memo filling one prior's orders on all 255 inputs
-(``_Ctx(3).memo(revise | contract, method).at(t, ctx.props)``, a fresh
-context per call) for each built-in method on the drawn outer preorders;
-``tpo_at_index``; a full ``enumerate_tpos(3)``; one postulate scan of
-one outer, as a sampled check runs it (Neut's outers pair each preorder
-with a permutation of its worlds, so the isomorphism path runs); the
-counts of DP3 natural and of CR4 natural + ``contract-stq-lex`` on one
-preorder of each of the 128 compositions of the eight worlds, cut from
-a seeded order of the worlds, without witnesses; the exhaustive checks
-at two atoms of CR4 (which fails), IIAP and Neut; the claims P2, T1, T3
-(its ``pair_profile`` cache cleared), L_flattest, T4, P1 (its
-``_dp_posterior_candidates`` cache cleared, as in a fresh ``verify P1``
-process) and P3 at two atoms;
-the six diagram scans; ``pair_profile(2)`` and
-``_dp_posterior_candidates(2)`` with their caches cleared; the default
-sampled DP1 check (10000 samples) and a six-sample IIAI check, at one
-and at two workers; a closure query (``parse_conditional_set`` plus
-``closure_answer``) on a preorder's full conditional set plus its belief
-set, and the ``parse_conditional_set`` part of it alone; parsing the
-first 3000 lines of a four-atom preorder's full conditional set; and
-``run_scenario`` on a two-atom scenario of 36 steps that cycles through
-the four step kinds, with belief and conditional queries, rendered as
-text and as machine output (``SCENARIO``); and a fresh ``python -B -c
-"import beliefchange.cli"`` on a copy of the package's sources without
-bytecode, timed from spawn to exit (``import_cli_ms``): it compiles the
-package from source and reads the standard library's bytecode, as a
-benchmark op on a fresh checkout does when no bytecode is written; and
-a fresh ``python -B`` on the same copy running ``cli.main`` on the first
-closure file in machine format, ``--n 3``, from spawn to exit
-(``closure_op_n3_ms``): one closure-n3 benchmark op, its argv read
-included.
+from one set of seeded preorder indices, inputs and masks (``draws()``),
+so both trees time the same instances; it is a context manager, whose
+exit removes the temporary copy of the sources that the fresh-process
+layers run.  Each layer's name ends in its unit, per call of the layer
+(``_call_us`` is microseconds per operator call, ``_x1000_ms``
+milliseconds per 1000 calls, a bare ``_ms`` or ``_s`` per run of the
+whole layer).  The layers, at three atoms unless the name says
+otherwise: building a preorder from its cell masks; ``revise`` and
+``contract`` under every built-in method; ``_merge_masks``, the
+synchronized-minima merge of ``contract``; the scan context's order memo
+filling one prior's orders on all 255 inputs (``_Ctx(3).memo(revise |
+contract, method).at(t, ctx.props)``, a fresh context per call) for each
+built-in method on the drawn outer preorders; one prior's outcome row on
+every input under restrained revision (``_Ctx(3, restrained).rows(t)``,
+a fresh context per call) on the same preorders; ``tpo_at_index``; a
+full ``enumerate_tpos(3)``; one postulate scan of one outer, as a
+sampled check runs it (Neut's outers pair each preorder with a
+permutation of its worlds, so the isomorphism path runs); the counts of
+DP3 natural, DP1 lexicographic, DP4 restrained and CR4 natural +
+``contract-stq-lex`` on one preorder of each of the 128 compositions of
+the eight worlds, cut from a seeded order of the worlds, without
+witnesses; the exhaustive checks at two atoms of CR4 (which fails), IIAP
+and Neut; the claims P2, T1, T3 (its ``pair_profile`` cache cleared),
+L_flattest, T4, P1 (its ``_dp_posterior_candidates`` cache cleared, as
+in a fresh ``verify P1`` process) and P3 at two atoms; the six diagram
+scans; ``pair_profile(2)`` and ``_dp_posterior_candidates(2)`` with
+their caches cleared; the default sampled DP1 check (10000 samples) and
+a six-sample IIAI check, at one and at two workers; a closure query
+(``parse_conditional_set`` plus ``closure_answer``) on a preorder's full
+conditional set plus its belief set, and the ``parse_conditional_set``
+part of it alone; parsing the first 3000 lines of a four-atom preorder's
+full conditional set; and ``run_scenario`` on a two-atom scenario of 36
+steps that cycles through the four step kinds, with belief and
+conditional queries, rendered as text and as machine output
+(``SCENARIO``); and a fresh ``python -B -c "import beliefchange.cli"``
+on a copy of the package's sources without bytecode, timed from spawn to
+exit (``import_cli_ms``): it compiles the package from source and reads
+the standard library's bytecode, as a benchmark op on a fresh checkout
+does when no bytecode is written; and a fresh ``python -B`` on the same
+copy running ``cli.main`` on the first closure file in machine format,
+``--n 3``, from spawn to exit (``closure_op_n3_ms``): one closure-n3
+benchmark op, its argv read included.
 
 Every round times each layer once per loaded copy, in load order or in
 its reverse, alternating between rounds, so the host's drift falls on
@@ -64,11 +67,11 @@ and the rounds in which the change was faster.
 Beside the timings, ``counts`` gives each tree's exact number of orders
 computed by ``pair_profile(2)`` (its cache cleared) and by the
 exhaustive Neut check under natural revision at two atoms
-(``order_counts``): how often the scan context's memo computes an order
-rather than reusing one.  ``cli_import_modules`` is the number of
-modules that ``import beliefchange.cli`` adds in a fresh interpreter
-(``import_counts``).  A count repeats exactly, so it carries none of the
-timings' noise floor.
+(``order_counts``): how often the scan context's memos compute an order,
+or the pair matrices of one in closed form, rather than reusing it.
+``cli_import_modules`` is the number of modules that ``import
+beliefchange.cli`` adds in a fresh interpreter (``import_counts``).  A
+count repeats exactly, so it carries none of the timings' noise floor.
 """
 
 import gc
@@ -82,6 +85,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 ROUNDS = 21
@@ -208,12 +212,16 @@ def _fast_path_file(bc, t):
     return "\n".join(lines) + "\n"
 
 
+@contextmanager
 def layers(bc, drawn):
     """Each layer's name -> (one run of it, the calls in that run, the
-    unit's scale from seconds), for the loaded package ``bc``."""
+    unit's scale from seconds), for the loaded package ``bc``, while the
+    context lasts: the fresh-process layers run on a copy of its sources
+    in a temporary directory, removed on exit."""
     tpo, ops, post = bc.tpo, bc.operators, bc.postulates
     cli = importlib.import_module(bc.__name__ + ".cli")
     natural, stq_lex = ops.Revision.NATURAL, ops.Contraction.STQ_LEX
+    restrained, lexicographic = ops.Revision.RESTRAINED, ops.Revision.LEXICOGRAPHIC
 
     def unrank(index):
         return tpo.tpo_at_index(index, 3)
@@ -284,6 +292,13 @@ def layers(bc, drawn):
 
         return run
 
+    def rows(rev):
+        def run():
+            for t in outers:
+                post._Ctx(3, rev).rows(t)
+
+        return run
+
     def check(postulate, rev=natural, con=None, **scope):
         return lambda: post.check_postulate(postulate, rev, con, **scope)
 
@@ -322,72 +337,77 @@ def layers(bc, drawn):
         for fmt in ("text", "machine"):
             cli.run_scenario(SCENARIO, fmt)
 
-    fresh = tempfile.TemporaryDirectory()  # the package's sources alone: no bytecode to read
-    shutil.copytree(
-        Path(bc.__file__).parent,
-        Path(fresh.name) / "beliefchange",
-        ignore=shutil.ignore_patterns("__pycache__"),
-    )
+    with tempfile.TemporaryDirectory() as fresh:  # the sources alone: no bytecode to read
+        shutil.copytree(
+            Path(bc.__file__).parent,
+            Path(fresh) / "beliefchange",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
 
-    def import_cli():
-        _python(fresh.name, "-c", "import beliefchange.cli")
+        def import_cli():
+            _python(fresh, "-c", "import beliefchange.cli")
 
-    op_file = Path(fresh.name) / "closure-n3.txt"
-    op_file.write_text(files[0])
-    op_argv = ["--format", "machine", "closure", str(op_file), "--n", "3"]
+        op_file = Path(fresh) / "closure-n3.txt"
+        op_file.write_text(files[0])
+        op_argv = ["--format", "machine", "closure", str(op_file), "--n", "3"]
 
-    def closure_op():
-        return _python(fresh.name, "-c", f"from beliefchange.cli import main; main({op_argv!r})")
+        def closure_op():
+            return _python(fresh, "-c", f"from beliefchange.cli import main; main({op_argv!r})")
 
-    default = {"n_atoms": 3, "mode": "sampled"}
-    small = {"n_atoms": 3, "mode": "sampled", "seed": 1, "sample": 6}
-    composed = post._NliComposition(stq_lex, natural)
-    return {
-        "construct_call_us": (construct, DRAWS, 1e6),
-        "revise_call_us": (revisions, 3 * DRAWS, 1e6),
-        "contract_call_us": (contractions, 3 * DRAWS, 1e6),
-        "merge_masks_call_us": (merges, DRAWS, 1e6),
-        "memo_all_inputs_n3_call_us": (memo_orders, 6 * SCANS, 1e6),
-        "tpo_at_index_x1000_ms": (unranks, 1, 1e3),
-        "enumerate_tpos_3_s": (enumeration, 1, 1.0),
-        "scan_DP1_natural_ms": (scans("DP1", natural), SCANS, 1e3),
-        "scan_NLI_natural_stq_lex_ms": (scans("NLI", natural, stq_lex), SCANS, 1e3),
-        "scan_IIAI_natural_ms": (scans("IIAI", natural), SCANS, 1e3),
-        "scan_IIAP_natural_ms": (scans("IIAP", natural), SCANS, 1e3),
-        "scan_Beta1_natural_ms": (scans("Beta1", natural), SCANS, 1e3),
-        "scan_Neut_natural_ms": (scans("Neut", natural, pairs=isomorphic_pairs), SCANS, 1e3),
-        "scan_IIAI_stq_lex_then_natural_ms": (scans("IIAI", composed), SCANS, 1e3),
-        "scan_CR4_natural_stq_lex_ms": (scans("CR4", natural, stq_lex), SCANS, 1e3),
-        "compositions_DP3_natural_ms": (counts("DP3", natural), len(compositions), 1e3),
-        "compositions_CR4_natural_stq_lex_ms": (
-            counts("CR4", natural, stq_lex), len(compositions), 1e3
-        ),
-        "check_CR4_natural_stq_lex_n2_ms": (check("CR4", con=stq_lex, n_atoms=2), 1, 1e3),
-        "check_IIAP_natural_n2_ms": (check("IIAP", n_atoms=2), 1, 1e3),
-        "check_Neut_natural_n2_ms": (check("Neut", n_atoms=2), 1, 1e3),
-        "claim_P2_n2_s": (claim("P2"), 1, 1.0),
-        "claim_T1_n2_s": (claim("T1"), 1, 1.0),
-        "diagrams_n2_ms": (diagrams, 1, 1e3),
-        "claim_T3_n2_s": (equivalence, 1, 1.0),
-        "pair_profile_n2_s": (profile, 1, 1.0),
-        "dp_candidates_n2_ms": (dp_candidates, 1, 1e3),
-        "l_flattest_n2_ms": (claim("L_flattest"), 1, 1e3),
-        "claim_T4_n2_ms": (claim("T4"), 1, 1e3),
-        "claim_P1_n2_s": (random_operators, 1, 1.0),
-        "claim_P3_n2_ms": (claim("P3"), 1, 1e3),
-        "check_DP1_natural_n3_default_s": (check("DP1", **default), 1, 1.0),
-        "check_DP1_natural_n3_default_w2_s": (check("DP1", **default, workers=2), 1, 1.0),
-        "check_IIAI_natural_n3_sample6_ms": (check("IIAI", **small), 1, 1e3),
-        "check_IIAI_natural_n3_sample6_w2_ms": (check("IIAI", **small, workers=2), 1, 1e3),
-        "closure_query_n3_ms": (closures, CLOSURES, 1e3),
-        "parse_closure_n3_ms": (closure_parses, CLOSURES, 1e3),
-        "parse_3000_lines_n4_ms": (
-            lambda: cli.parse_conditional_set(parse_text, ATOMS4), 1, 1e3
-        ),
-        "run_scenario_n2_ms": (scenario_runs, 1, 1e3),
-        "import_cli_ms": (import_cli, 1, 1e3),
-        "closure_op_n3_ms": (closure_op, 1, 1e3),
-    }
+        default = {"n_atoms": 3, "mode": "sampled"}
+        small = {"n_atoms": 3, "mode": "sampled", "seed": 1, "sample": 6}
+        composed = post._NliComposition(stq_lex, natural)
+        yield {
+            "construct_call_us": (construct, DRAWS, 1e6),
+            "revise_call_us": (revisions, 3 * DRAWS, 1e6),
+            "contract_call_us": (contractions, 3 * DRAWS, 1e6),
+            "merge_masks_call_us": (merges, DRAWS, 1e6),
+            "memo_all_inputs_n3_call_us": (memo_orders, 6 * SCANS, 1e6),
+            "tpo_at_index_x1000_ms": (unranks, 1, 1e3),
+            "enumerate_tpos_3_s": (enumeration, 1, 1.0),
+            "scan_DP1_natural_ms": (scans("DP1", natural), SCANS, 1e3),
+            "scan_NLI_natural_stq_lex_ms": (scans("NLI", natural, stq_lex), SCANS, 1e3),
+            "scan_IIAI_natural_ms": (scans("IIAI", natural), SCANS, 1e3),
+            "scan_IIAP_natural_ms": (scans("IIAP", natural), SCANS, 1e3),
+            "scan_Beta1_natural_ms": (scans("Beta1", natural), SCANS, 1e3),
+            "scan_Neut_natural_ms": (scans("Neut", natural, pairs=isomorphic_pairs), SCANS, 1e3),
+            "scan_IIAI_stq_lex_then_natural_ms": (scans("IIAI", composed), SCANS, 1e3),
+            "scan_CR4_natural_stq_lex_ms": (scans("CR4", natural, stq_lex), SCANS, 1e3),
+            "compositions_DP3_natural_ms": (counts("DP3", natural), len(compositions), 1e3),
+            "compositions_CR4_natural_stq_lex_ms": (
+                counts("CR4", natural, stq_lex), len(compositions), 1e3
+            ),
+            "compositions_DP1_lexicographic_ms": (
+                counts("DP1", lexicographic), len(compositions), 1e3
+            ),
+            "compositions_DP4_restrained_ms": (counts("DP4", restrained), len(compositions), 1e3),
+            "rows_restrained_n3_call_us": (rows(restrained), SCANS, 1e6),
+            "check_CR4_natural_stq_lex_n2_ms": (check("CR4", con=stq_lex, n_atoms=2), 1, 1e3),
+            "check_IIAP_natural_n2_ms": (check("IIAP", n_atoms=2), 1, 1e3),
+            "check_Neut_natural_n2_ms": (check("Neut", n_atoms=2), 1, 1e3),
+            "claim_P2_n2_s": (claim("P2"), 1, 1.0),
+            "claim_T1_n2_s": (claim("T1"), 1, 1.0),
+            "diagrams_n2_ms": (diagrams, 1, 1e3),
+            "claim_T3_n2_s": (equivalence, 1, 1.0),
+            "pair_profile_n2_s": (profile, 1, 1.0),
+            "dp_candidates_n2_ms": (dp_candidates, 1, 1e3),
+            "l_flattest_n2_ms": (claim("L_flattest"), 1, 1e3),
+            "claim_T4_n2_ms": (claim("T4"), 1, 1e3),
+            "claim_P1_n2_s": (random_operators, 1, 1.0),
+            "claim_P3_n2_ms": (claim("P3"), 1, 1e3),
+            "check_DP1_natural_n3_default_s": (check("DP1", **default), 1, 1.0),
+            "check_DP1_natural_n3_default_w2_s": (check("DP1", **default, workers=2), 1, 1.0),
+            "check_IIAI_natural_n3_sample6_ms": (check("IIAI", **small), 1, 1e3),
+            "check_IIAI_natural_n3_sample6_w2_ms": (check("IIAI", **small, workers=2), 1, 1e3),
+            "closure_query_n3_ms": (closures, CLOSURES, 1e3),
+            "parse_closure_n3_ms": (closure_parses, CLOSURES, 1e3),
+            "parse_3000_lines_n4_ms": (
+                lambda: cli.parse_conditional_set(parse_text, ATOMS4), 1, 1e3
+            ),
+            "run_scenario_n2_ms": (scenario_runs, 1, 1e3),
+            "import_cli_ms": (import_cli, 1, 1e3),
+            "closure_op_n3_ms": (closure_op, 1, 1e3),
+        }
 
 
 def import_counts(bc):
@@ -400,23 +420,38 @@ def import_counts(bc):
     return {"cli_import_modules": int(_python(Path(bc.__file__).parent.parent, "-c", code))}
 
 
+def _one(*args) -> int:
+    return 1
+
+
+# The functions of ``postulates`` that compute orders, with the orders one
+# call computes: one, or, for the closed form of the built-ins' pair
+# matrices, one per input mask of its batch (where the tree has it).
+ORDER_FUNCTIONS = {
+    "revise": _one,
+    "contract": _one,
+    "contract_by_negation": _one,
+    "_posterior_relations": lambda contracting, t, own, qs, operator: len(qs),
+}
+
+
 def order_counts(bc):
     """Each count's name -> the orders its run computes in the loaded
-    package ``bc``: the calls of ``revise``, ``contract`` and
-    ``contract_by_negation`` that ``postulates`` makes, counted by
-    wrapping them in its namespace for the run."""
+    package ``bc``: the orders that the ``ORDER_FUNCTIONS`` calls of
+    ``postulates`` compute, counted by wrapping them in its namespace
+    for the run."""
     post = bc.postulates
     natural = bc.operators.Revision.NATURAL
     runs = {
         "pair_profile_n2_orders": lambda: (post.pair_profile.cache_clear(), post.pair_profile(2)),
         "check_Neut_natural_n2_orders": lambda: post.check_postulate("Neut", natural, n_atoms=2),
     }
-    real = {name: getattr(post, name) for name in ("revise", "contract", "contract_by_negation")}
+    real = {name: getattr(post, name) for name in ORDER_FUNCTIONS if hasattr(post, name)}
     calls = []
 
-    def counted(function):
+    def counted(function, orders):
         def wrapper(*args):
-            calls.append(None)
+            calls.append(orders(*args))
             return function(*args)
 
         return wrapper
@@ -424,11 +459,11 @@ def order_counts(bc):
     out = {}
     try:
         for name, function in real.items():
-            setattr(post, name, counted(function))
+            setattr(post, name, counted(function, ORDER_FUNCTIONS[name]))
         for name, run in runs.items():
             calls.clear()
             run()
-            out[name] = len(calls)
+            out[name] = sum(calls)
     finally:
         for name, function in real.items():
             setattr(post, name, function)
@@ -439,14 +474,9 @@ def order_counts(bc):
 COPIES = (("ab_parent", 0), ("ab_change", 1), ("ab_change_2", 1), ("ab_parent_2", 0))
 
 
-def main(parent_src, change_src):
-    drawn = draws()
-    packages = [_load(alias, (parent_src, change_src)[tree]) for alias, tree in COPIES]
-    counts = {}
-    for (_, tree), bc in zip(COPIES[:2], packages):
-        for name, found in {**order_counts(bc), **import_counts(bc)}.items():
-            counts.setdefault(name, {})[("parent", "change")[tree]] = found
-    sides = [layers(bc, drawn) for bc in packages]
+def _timed(sides) -> dict:
+    """Each layer's name -> its readings (parent, change), one per round
+    (see the module doc), after one untimed warm-up run of every layer."""
     for side in sides:  # warm-up, untimed: fills the per-process tables and caches
         for run, _, _ in side.values():
             run()
@@ -465,6 +495,18 @@ def main(parent_src, change_src):
             for tree in (0, 1):
                 readings[tree].append(sums[tree])
     gc.enable()
+    return times
+
+
+def main(parent_src, change_src):
+    drawn = draws()
+    packages = [_load(alias, (parent_src, change_src)[tree]) for alias, tree in COPIES]
+    counts = {}
+    for (_, tree), bc in zip(COPIES[:2], packages):
+        for name, found in {**order_counts(bc), **import_counts(bc)}.items():
+            counts.setdefault(name, {})[("parent", "change")[tree]] = found
+    with ExitStack() as stack:
+        times = _timed([stack.enter_context(layers(bc, drawn)) for bc in packages])
     out = {}
     for name, (parent, change) in times.items():
         ratios = [c / p for p, c in zip(parent, change)]
