@@ -102,8 +102,7 @@ def _content_lines(text: str):
 
 
 def parse_scenario(text: str) -> Scenario:
-    atoms = None
-    initial = None
+    header = {}  # "atoms" and "initial": the content of their one line
     steps = []
     queries = []
     for number, line in _content_lines(text):
@@ -112,10 +111,10 @@ def parse_scenario(text: str) -> Scenario:
         section, _, content = line.partition(":")
         section = section.strip()
         content = content.strip()
-        if section == "atoms":
-            atoms = tuple(content.split())
-        elif section == "initial":
-            initial = content
+        if section in ("atoms", "initial"):
+            if section in header:
+                raise ScenarioError(f"line {number}: duplicate '{section}:' line")
+            header[section] = content
         elif section == "step":
             parts = content.split()
             if not parts:
@@ -147,10 +146,10 @@ def parse_scenario(text: str) -> Scenario:
             queries.append((number, line, len(line) - len(parts[1]), parts[0]))
         else:
             raise ScenarioError(f"line {number}: unknown section {section!r}")
-    if atoms is None:
-        raise ScenarioError("missing 'atoms:' line")
-    if initial is None:
-        raise ScenarioError("missing 'initial:' line")
+    for section in ("atoms", "initial"):
+        if section not in header:
+            raise ScenarioError(f"missing '{section}:' line")
+    atoms = tuple(header["atoms"].split())
     try:
         check_atoms(atoms)
     except ValueError as exc:
@@ -163,7 +162,7 @@ def parse_scenario(text: str) -> Scenario:
         Query(f"{kind} {line[start:]}", _query_sentence(number, kind, line, start, atoms))
         for number, line, start, kind in queries
     )
-    return Scenario(atoms=atoms, initial_text=initial, steps=steps, queries=queries)
+    return Scenario(atoms=atoms, initial_text=header["initial"], steps=steps, queries=queries)
 
 
 def _models_at(

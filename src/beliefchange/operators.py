@@ -25,10 +25,12 @@ kernel, ``_posteriors``, that takes one prior and a batch of input masks
 the one validating constructor ``Tpo(masks, n_atoms)``, after checking
 every input mask against the preorder's world set: anything but a
 nonnegative int with no bit beyond it raises ``ValueError``.  The
-checker's scans on pair matrices take the posteriors' matrices under
-every built-in but ``contract-stq-lex`` from a closed form instead
-(``postulates._posterior_relations``), which restates the rules above
-on pair matrices and is tested against this kernel.
+checker's scan context reads the kernel's posteriors through its memo,
+which keeps their pair matrices too.  Under every built-in but
+``contract-stq-lex`` it computes those matrices from a closed form
+instead (``postulates._posterior_relations``), which restates the rules
+above on pair matrices and is tested against this kernel; under any
+other operator they are the matrices of the kernel's posteriors.
 
 Any object with a ``posterior`` method revises too, e.g. a
 ``TabularRevision``.  Its seeded random instances, which pass Success

@@ -81,42 +81,44 @@ inputs, count the composition's first preorder on every input, and
 IIAP, which sums over single inputs of a pair of preorders, counts each
 pair of its first row of a composition on every input.
 
-The scan context, ``_Ctx``, keeps one memo of orders
-(``ctx.orders``).  An order is ``revise`` or ``contract`` of a prior by
-one input mask under one operator; the memo keeps it by (function,
-operator), then prior, then mask, and a read computes the masks it lacks
-in one batch (``ctx.memo``; ``operators._posteriors``).  The scans name
+The scan context, ``_Ctx``, keeps one memo (``ctx.orders``) of the
+results of ``revise`` or ``contract`` of a prior by one input mask under
+one operator: the orders themselves, or their pair matrices.  It keeps
+them by (function, operator, kind), then prior, then mask, and a read
+computes the masks it lacks in one batch (``ctx.memo``).  Each memo
+picks how it computes when it is built: orders come from
+``operators._posteriors``; the matrices under a built-in whose
+posteriors' matrices have a closed form in the prior's matrices and the
+input, the three revisions and the natural and restrained contractions,
+come from that form, with no posterior built or hashed
+(``_posterior_relations``); the matrices under any other operator are
+those of its orders, looked up once per prior and mask.  The scans name
 the orders they read, for prior t and input p (``_NAMED``, read by
-``ctx.order``): ``rev`` and ``con`` apply the context's revision or
-contraction by p, ``revneg`` and ``conneg`` apply them by p's complement
-(``conneg`` is t itself on the tautology), and ``prior`` is t.  A route
-under another operator reads the same memo under that operator: NLI and
-iLIRC revise the contracted preorder under the checked revision and
-under natural revision.  So contracting by q and contracting by the
-negation of q's complement are one entry, and a contracted preorder's
-revision is one entry whether a scan reaches it as a prior or along a
-route.  The context also keeps pair matrices by preorder, prior or
-posterior, each computed on its first read (``ctx.relations``).  The
-pair matrices of a named order (``ctx.matrices``) come from that memo,
-except under the built-ins whose posteriors' matrices have a closed form
-in the prior's matrices and the input: the three revisions and the
-natural and restrained contractions (``_posterior_relations``).  There
-no posterior is built or hashed: a second memo, kept like the orders,
-holds the matrices themselves by function and operator, then prior, then
-mask (``ctx.closed_memo``).  The pair rules, IIAP, IIAI and Beta1/Beta2
-read them; Success, HI/LI_beliefs, NLI, iLIRC and Neut read the
-preorders, so an instance they share with a pair rule is computed once
-in each memo.  The context keeps each prior's outcome row on every input
-too: the input, its minimal worlds and the revision's matrices
-(``ctx.rows``).  So a postulate's ``count`` and ``gen`` share one
-computation of each order, so do the postulates of one claim's verdicts,
-and an exhaustive pair scan in one job revises each prior once.
-Contexts given one ``shared`` dict share every memo, so
-``pair_profile``'s nine operator pairs compute each order and its
-matrices once between them: each revision serves every contraction, and
-each contraction every revision.  Neut revises only on the inputs that
-an isomorphism of its pair keeps.  Red, which checks that revising twice
-gives one posterior, calls the operator directly.
+``ctx.order`` and, for their matrices, ``ctx.matrices``): ``rev`` and
+``con`` apply the context's revision or contraction by p, ``revneg`` and
+``conneg`` apply them by p's complement (``conneg`` is t itself on the
+tautology), and ``prior`` is t.  A route under another operator reads
+the same memo under that operator: NLI and iLIRC revise the contracted
+preorder under the checked revision and under natural revision.  So
+contracting by q and contracting by the negation of q's complement are
+one entry, and a contracted preorder's revision is one entry whether a
+scan reaches it as a prior or along a route.  The context also keeps
+pair matrices by preorder, prior or posterior, each computed on its
+first read (``ctx.relations``).  The pair rules, IIAP, IIAI and
+Beta1/Beta2 read matrices; Success, HI/LI_beliefs, NLI, iLIRC and Neut
+read the preorders, so under a closed form an instance they share with
+a pair rule is computed once as an order and once as matrices.  The
+context keeps each prior's outcome row on every input too: the input,
+its minimal worlds and the revision's matrices (``ctx.rows``).  So a
+postulate's ``count`` and ``gen`` share one computation of each order,
+so do the postulates of one claim's verdicts, and an exhaustive pair
+scan in one job revises each prior once.  Contexts given one ``shared``
+dict share every memo, so ``pair_profile``'s nine operator pairs compute
+each order and its matrices once between them: each revision serves
+every contraction, and each contraction every revision.  Neut revises
+only on the inputs that an isomorphism of its pair keeps.  Red, which
+checks that revising twice gives one posterior, calls the operator
+directly.
 
 The scans yield raw witnesses (preorders, input masks, worlds and a
 note).  Every check, state diagram and claim counts into one tally,
@@ -296,78 +298,55 @@ class _Matrices(dict):
         return out
 
 
-class _ClosedOrders(dict):
-    """prior -> input mask -> the pair matrices of ``revise``, or of
-    ``contract`` if ``contracting``, of the prior by the mask under a
-    built-in operator with a closed form (``_posterior_relations``): the
-    orders computed so far, as ``_Orders`` keeps them, but without
-    building them.  At the empty mask each prior's entry holds its own
-    matrices, read from ``relations``."""
+class _Orders(dict):
+    """prior -> input mask -> a result of the prior by the mask, for one
+    function, ``revise`` or ``contract``, and one operator: the order the
+    function gives, or its pair matrices (see ``_relations``), as the
+    context's ``memo`` chose to compute them (``compute(t, own, qs)``, for
+    prior t, its entry at the empty mask and the masks qs).  At the empty
+    mask each prior's entry holds the prior itself, or its own matrices,
+    as contracting by an inconsistent sentence changes nothing."""
 
-    __slots__ = ("contracting", "operator", "relations")
+    __slots__ = ("operator", "relations", "compute")
 
-    def __init__(self, contracting: bool, operator, relations: _Matrices):
-        self.contracting, self.operator, self.relations = contracting, operator, relations
+    def __init__(self, operator, relations: _Matrices | None, compute):
+        self.operator, self.relations, self.compute = operator, relations, compute
 
     def at(self, t: Tpo, qs) -> dict:
-        """Prior t's matrices, computed for at least the masks qs, in one batch."""
+        """Prior t's results, computed for at least the masks qs, in one batch."""
         out = self.get(t)
         if out is None:
-            out = self[t] = {0: self.relations[t]}
+            out = self[t] = {0: t if self.relations is None else self.relations[t]}
         missing = [q for q in qs if q not in out]
         if missing:
-            found = _posterior_relations(self.contracting, t, out[0], missing, self.operator)
-            out.update(zip(missing, found))
+            out.update(zip(missing, self.compute(t, out[0], missing)))
         return out
 
 
-class _Orders(dict):
-    """prior -> input mask -> ``function(prior, mask, operator)``, for one
-    function and operator: the orders computed so far (see ``at``).  At
-    the empty mask each prior's orders hold the prior itself, as
-    contracting by an inconsistent sentence changes nothing."""
-
-    __slots__ = ("function", "operator")
-
-    def __init__(self, function, operator):
-        self.function, self.operator = function, operator
-
-    def at(self, t: Tpo, qs) -> dict:
-        """Prior t's orders, computed for at least the masks qs, in one batch."""
-        out = self.get(t) or self.setdefault(t, {0: t})
-        missing = [q for q in qs if q not in out]
-        if missing:
-            out.update(zip(missing, _posteriors(self.function, t, missing, self.operator)))
-        return out
-
-
-# The orders the scans name, for prior t and input p: the context's memo
-# that keeps them (``None``: t itself), and whether they are read at p's
-# complement, where the tautology's is the empty mask (see ``_Orders``)
+# The orders the scans name, for prior t and input p: whether they contract
+# t under the context's contraction rather than revise it under its
+# revision, and whether they are read at p's complement, where the
+# tautology's is the empty mask (see ``_Orders``).  ``prior`` is t itself.
 _NAMED = {
-    "prior": (None, False),
-    "rev": ("revisions", False),
-    "revneg": ("revisions", True),
-    "con": ("contractions", False),
-    "conneg": ("contractions", True),
+    "rev": (False, False),
+    "revneg": (False, True),
+    "con": (True, False),
+    "conneg": (True, True),
 }
 
 
 class _Ctx:
     """One run's instance space and operators, plus its memos, kept until
-    ``clear``.  ``orders`` is the one order memo: for each function,
-    ``revise`` or ``contract``, and operator, the orders it has given so
-    far (``memo``; see ``_Orders``), each computed once.  ``revisions``
-    and ``contractions`` are its entries under the context's own
-    operators, which ``order`` reads by name (see ``_NAMED``); a route
-    under another operator reads ``memo`` directly.  ``relations`` maps
-    every preorder read, prior or posterior, to its pair matrices;
-    ``closed`` keeps, under each built-in with a closed form, the pair
-    matrices of its orders without the orders (``closed_memo``; see
-    ``_ClosedOrders``), which ``matrices`` reads by name; and ``rows``
-    keeps each prior's outcome row on every input.  Contexts given one
-    ``shared`` dict keep ``orders``, ``closed`` and ``relations`` there,
-    so they compute each order and its matrices once between them."""
+    ``clear``.  ``orders`` holds every memo: for each function, ``revise``
+    or ``contract``, and operator, the orders it has given so far and
+    their pair matrices, each computed once (``memo``; see ``_Orders``).
+    ``order`` and ``matrices`` read by name the memos under the context's
+    own operators (see ``_NAMED``); a route under another operator reads
+    ``memo`` directly.  ``relations`` maps every preorder read, prior or
+    posterior, to its pair matrices, and ``rows`` keeps each prior's
+    outcome row on every input.  Contexts given one ``shared`` dict keep
+    ``orders`` and ``relations`` there, so they compute each order and its
+    matrices once between them."""
 
     def __init__(self, n_atoms: int, rev=None, con: Contraction | None = None, shared=None):
         self.n = n_atoms
@@ -382,69 +361,66 @@ class _Ctx:
         shared = {} if shared is None else shared
         self.relations = shared.setdefault("matrices", _Matrices())
         self.orders = shared.setdefault("orders", {})  # see ``memo``
-        self.closed = shared.setdefault("closed", {})  # see ``closed_memo``
-        self.revisions = self.memo(revise, rev)
-        self.contractions = self.memo(contract, con)
-        self._closed_named = {
-            "revisions": self.closed_memo(False, rev),
-            "contractions": self.closed_memo(True, con),
-        }
 
     def clear(self):
         self._outcomes.clear()
         self.relations.clear()
-        for memo in (*self.orders.values(), *self.closed.values()):
+        for memo in self.orders.values():
             memo.clear()
 
-    def memo(self, function, operator) -> _Orders:
-        """The orders of ``function`` under ``operator``.  They are kept by
-        the operator's identity, so no lookup runs the Python-level
-        ``Enum.__hash__``; the entry holds the operator, so no other
-        object takes its id while it is kept."""
-        out = self.orders.get((function, id(operator)))
-        if out is None:
-            out = self.orders[function, id(operator)] = _Orders(function, operator)
+    def memo(self, function, operator, matrices: bool = False) -> _Orders:
+        """The orders of ``function`` under ``operator``, or their pair
+        matrices if ``matrices``.  A memo picks how it computes when it is
+        built: orders come from ``operators._posteriors``; the matrices
+        under a built-in with a closed form (see ``_CLOSED_FORMS``) from
+        ``_posterior_relations``, with no posterior built; any other
+        matrices are those of the memo's orders.  Memos are kept by the
+        operator's identity, so no lookup runs the Python-level
+        ``Enum.__hash__``; each holds its operator, so no other object
+        takes its id while it is kept."""
+        key = function, id(operator), matrices
+        out = self.orders.get(key)
+        if out is not None:
+            return out
+        relations = self.relations if matrices else None
+        contracting = function is contract
+        if not matrices:
+
+            def compute(t, own, qs):
+                return _posteriors(function, t, qs, operator)
+
+        elif operator in _CLOSED_FORMS[contracting]:
+
+            def compute(t, own, qs):
+                return _posterior_relations(contracting, t, own, qs, operator)
+
+        else:
+            orders = self.memo(function, operator)
+
+            def compute(t, own, qs):
+                found = orders.at(t, qs)
+                return [relations[found[q]] for q in qs]
+
+        out = self.orders[key] = _Orders(operator, relations, compute)
         return out
 
-    def closed_memo(self, contracting: bool, operator) -> _ClosedOrders | None:
-        """The pair matrices of ``revise``, or of ``contract`` if
-        ``contracting``, under ``operator`` (see ``_ClosedOrders``), kept
-        like ``memo``'s orders; None if the operator has no closed form
-        (see ``_CLOSED_FORMS``)."""
-        if operator not in _CLOSED_FORMS[contracting]:
-            return None
-        out = self.closed.get((contracting, id(operator)))
-        if out is None:
-            out = self.closed[contracting, id(operator)] = _ClosedOrders(
-                contracting, operator, self.relations
-            )
-        return out
-
-    def order(self, name: str, t: Tpo, ps) -> list:
+    def order(self, name: str, t: Tpo, ps, matrices: bool = False) -> list:
         """The named order (see ``_NAMED``) of prior t by each input of
-        ps, in their order."""
-        memo, complement = _NAMED[name]
-        if memo is None:
-            return [t] * len(ps)
+        ps, in their order, or its pair matrices if ``matrices``; the
+        prior's own matrices in one lookup, not one per input, as each
+        lookup hashes the preorder."""
+        if name == "prior":
+            return [self.relations[t] if matrices else t] * len(ps)
+        contracting, complement = _NAMED[name]
+        operator = self.con if contracting else self.rev
+        memo = self.memo(contract if contracting else revise, operator, matrices)
         qs = [self.full - p for p in ps] if complement else ps
-        orders = getattr(self, memo).at(t, qs)
-        return [orders[q] for q in qs]
+        found = memo.at(t, qs)
+        return [found[q] for q in qs]
 
     def matrices(self, name: str, t: Tpo, ps) -> list:
-        """The pair matrices of ``order``'s orders, in their order; for
-        the prior itself one lookup, not one per input, as each lookup
-        hashes the preorder.  Under an operator with a closed form they
-        come from ``closed_memo``, and no posterior is built."""
-        relations = self.relations
-        if name == "prior":
-            return [relations[t]] * len(ps)
-        memo, complement = _NAMED[name]
-        closed = self._closed_named[memo]
-        if closed is None:
-            return [relations[order] for order in self.order(name, t, ps)]
-        qs = [self.full - p for p in ps] if complement else ps
-        found = closed.at(t, qs)
-        return [found[q] for q in qs]
+        """The pair matrices of ``order``'s orders, in their order."""
+        return self.order(name, t, ps, matrices=True)
 
     def rows(self, t: Tpo) -> list:
         """(input, its minimal worlds, the revision's pair matrices) for

@@ -2,10 +2,13 @@
 
 The tool reaches into private names of the package (``_merge_masks``,
 ``_POSTULATES``, ``_scan``, ``_counted``, ``_Ctx``, ``_NliComposition``,
-``_dp_posterior_candidates``, ``_Ctx.memo``, ``_Ctx.rows``), builds drawn
-pair rows as ``_outers`` does, and counts orders by wrapping the
-``revise``, ``contract``, ``contract_by_negation`` and
-``_posterior_relations`` that ``postulates`` calls; running every layer
+``_dp_posterior_candidates``, ``_Ctx.memo`` for orders, ``_Ctx.rows``),
+builds drawn pair rows as ``_outers`` does, and counts orders by
+wrapping the ``revise``, ``contract``, ``contract_by_negation`` and
+``_posterior_relations`` that ``postulates`` calls: the scan context's
+one memo computes an order through ``revise`` or ``contract``, and the
+pair matrices of one in closed form through ``_posterior_relations``.
+Running every layer
 and count once here catches a refactor that removes one.  The layers
 run inside ``layers``' context, whose exit removes the temporary copy of
 the sources; the test configuration turns a leaked one into a failure.

@@ -110,6 +110,8 @@ def test_scenario_parse_errors_exit_2():
         "atoms: p q\ninitial: 00 | 11 | 01 10\nstep: revise sideways p\n",
         "atoms: p q\ninitial: 00 | 11 | 01 10\nstep: revise natural p &\n",
         "atoms: p q\ninitial: 00 | 11 | 01 10\nnonsense: 1\n",
+        "atoms: p q\natoms: r s\ninitial: 00 | 11 | 01 10\n",  # a second atoms line
+        "atoms: p q\ninitial: 00 | 11 | 01 10\ninitial: 11 | 00 01 10\n",  # a second initial
     ):
         code, out, err = run_scenario(text)
         assert code == 2, text

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from beliefchange import postulates
 from beliefchange.exceptions import (
     AbsurdStateError,
     EmptyModelSetError,
@@ -535,9 +536,18 @@ def test_the_kernel_matches_the_oracles_on_each_three_atom_composition():
 
 
 # ---------------------------------------------------------------------------
-# The closed form of the built-ins' pair matrices (``_posterior_relations``),
-# read by the scan context's named orders, against the matrices of the
-# kernel's posteriors
+# The pair matrices of the named orders, read from the scan context's memo:
+# under the built-ins with a closed form (``_posterior_relations``) and
+# under every other operator, against the matrices of the kernel's
+# posteriors
+
+
+class _Reversed:
+    """Natural revision of the reversed prior: a revision that is no built-in."""
+
+    def posterior(self, t, sentence_models):
+        return revise(Tpo(t.masks[::-1], t.n_atoms), sentence_models, Revision.NATURAL)
+
 
 # (revision, contraction, named order) of every named order that the
 # closed form serves
@@ -549,44 +559,63 @@ CLOSED_ORDERS = (
         for name in ("con", "conneg")
     ),
 )
+# and of some that it does not: the third contraction, a revision that is
+# no built-in and a composition
+OTHER_ORDERS = (
+    *((None, Contraction.STQ_LEX, name) for name in ("con", "conneg")),
+    *(
+        (rev, None, name)
+        for rev in (_Reversed(), _NliComposition(Contraction.STQ_LEX, Revision.NATURAL))
+        for name in ("rev", "revneg")
+    ),
+)
 
 
-def _assert_closed_form_matches_the_kernel(priors, n_atoms) -> int:
-    """Check every closed-form named order of each prior on every input
-    it is read on; how many entries were checked."""
+def _assert_memo_matches_the_kernel(priors, n_atoms) -> int:
+    """Check every named order's pair matrices, as the memo keeps them,
+    for each prior on every input it is read on; how many entries were
+    checked."""
     checked = 0
-    for rev, con, name in CLOSED_ORDERS:
+    for rev, con, name in CLOSED_ORDERS + OTHER_ORDERS:
         ctx = _Ctx(n_atoms, rev, con)
-        memo = ctx.closed_memo(con is not None, rev or con)
+        memo = ctx.memo(revise if con is None else contract, rev or con, matrices=True)
         ps = ctx.props_proper if name == "revneg" else ctx.props
         for t in priors:
             got = ctx.matrices(name, t, ps)
-            assert t in memo  # read from the closed form
+            assert t in memo  # read from the memo
             assert got == [_relations(u) for u in ctx.order(name, t, ps)], (t, rev, con, name)
             checked += len(ps)
     return checked
 
 
 def test_the_closed_form_matches_the_kernel_on_every_instance_up_to_two_atoms():
-    checked = sum(
-        _assert_closed_form_matches_the_kernel(list(enumerate_tpos(n)), n) for n in (1, 2)
-    )
-    assert checked == 3 * (3 * 5 + 2 * 6) + 75 * (3 * 29 + 2 * 30)
+    checked = sum(_assert_memo_matches_the_kernel(list(enumerate_tpos(n)), n) for n in (1, 2))
+    assert checked == 3 * (5 * 5 + 3 * 6) + 75 * (5 * 29 + 3 * 30)
 
 
 def test_the_closed_form_matches_the_kernel_on_each_three_atom_composition():
     priors = list(_one_per_three_atom_composition())
-    checked = _assert_closed_form_matches_the_kernel(priors, 3)
-    assert checked == 128 * (3 * (255 + 254) + 2 * (255 + 255))
+    checked = _assert_memo_matches_the_kernel(priors, 3)
+    assert checked == 128 * (5 * (255 + 254) + 3 * (255 + 255))
 
 
-def test_the_closed_form_serves_exactly_the_built_ins_it_covers():
-    composed = _NliComposition(Contraction.STQ_LEX, Revision.NATURAL)
-    ctx = _Ctx(2, Revision.NATURAL, Contraction.STQ_LEX)
-    for contracting, operator in ((False, composed), (False, None), (True, Contraction.STQ_LEX)):
-        assert ctx.closed_memo(contracting, operator) is None
-    for rev, con, _ in CLOSED_ORDERS:
-        assert ctx.closed_memo(con is not None, rev or con) is not None
+def test_the_closed_form_serves_exactly_the_built_ins_it_covers(monkeypatch):
+    # a matrix memo under a built-in with a closed form builds no
+    # posterior; under any other operator it reads the memo's orders
+    built = []
+
+    def counted(function, t, qs, method, _real=postulates._posteriors):
+        built.append(method)
+        return _real(function, t, qs, method)
+
+    monkeypatch.setattr(postulates, "_posteriors", counted)
+    t = tpo_at_index(40, 2)
+    for rev, con, name in CLOSED_ORDERS + OTHER_ORDERS:
+        built.clear()
+        ctx = _Ctx(2, rev, con)
+        ctx.matrices(name, t, ctx.props_proper)
+        assert (built == []) == ((rev, con, name) in CLOSED_ORDERS), (rev, con, name)
+        assert set(built) <= {rev or con}
 
 
 def _outcome(call):

@@ -1370,6 +1370,34 @@ def test_one_memo_entry_serves_every_route_to_an_order(revisions):
     assert len(set(revisions)) == len(revisions)
 
 
+def test_a_second_matrix_read_looks_up_no_posterior(monkeypatch):
+    # under a contraction with no closed form the memo keeps the matrices
+    # of each order by prior and mask: the first read computes each
+    # distinct posterior's matrices once, the second reads them back
+    # without hashing a posterior
+    computed, looked_up = [], []
+
+    def relations(t, _real=postulates._relations):
+        computed.append(t)
+        return _real(t)
+
+    def lookup(self, t, _real=dict.__getitem__):
+        looked_up.append(t)
+        return _real(self, t)
+
+    monkeypatch.setattr(postulates, "_relations", relations)
+    monkeypatch.setattr(postulates._Matrices, "__getitem__", lookup)
+    ctx = _Ctx(2, Revision.NATURAL, Contraction.STQ_LEX)
+    t = parse_tpo("11 | 10 01 | 00", 2)
+    first = ctx.matrices("conneg", t, ctx.props)
+    posteriors = set(ctx.order("conneg", t, ctx.props))
+    assert len(posteriors) > 1 and t in posteriors  # the tautology's is t
+    assert sorted(computed) == sorted(posteriors)
+    looked_up.clear()
+    assert ctx.matrices("conneg", t, ctx.props) == first
+    assert looked_up == []
+
+
 def test_a_finished_scan_context_is_freed_without_the_cycle_collector():
     gc.disable()
     try:

@@ -67,7 +67,7 @@ and the rounds in which the change was faster.
 Beside the timings, ``counts`` gives each tree's exact number of orders
 computed by ``pair_profile(2)`` (its cache cleared) and by the
 exhaustive Neut check under natural revision at two atoms
-(``order_counts``): how often the scan context's memos compute an order,
+(``order_counts``): how often the scan context's memo computes an order,
 or the pair matrices of one in closed form, rather than reusing it.
 ``cli_import_modules`` is the number of modules that ``import
 beliefchange.cli`` adds in a fresh interpreter (``import_counts``).  A
