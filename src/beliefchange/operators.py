@@ -35,7 +35,9 @@ other operator they are the matrices of the kernel's posteriors.
 Any object with a ``posterior`` method revises too, e.g. a
 ``TabularRevision``.  Its seeded random instances, which pass Success
 and DP1-DP4 by construction, are built by
-``postulates.make_random_dp_operator`` from the checker's own DP rules.
+``postulates.make_random_dp_operator``: each posterior is drawn among
+the merges of the prior's cells inside the input with its cells
+outside it that those postulates allow.
 
 All functions are pure; every value is immutable.
 """
@@ -61,16 +63,7 @@ class Contraction(enum.Enum):
     STQ_RESTRAINED = "contract-stq-restrained"
     STQ_LEX = "contract-stq-lex"
 
-    @property
-    def base(self) -> Revision:
-        return _CONTRACTION_BASE[self]
 
-
-_CONTRACTION_BASE = {
-    Contraction.NATURAL: Revision.NATURAL,
-    Contraction.STQ_RESTRAINED: Revision.RESTRAINED,
-    Contraction.STQ_LEX: Revision.LEXICOGRAPHIC,
-}
 _LEXICOGRAPHIC = (Revision.LEXICOGRAPHIC, Contraction.STQ_LEX)  # tested by identity: no Enum lookup
 
 

@@ -10,9 +10,11 @@ The fourteen pair-relation postulates (DP1-4, CC1-4, CR1-4, SPU, WPU)
 are rows of one table, ``_PAIR_RULES``: premise orders, a conclusion
 order, a region of world pairs relative to the input, and the relation
 the conclusion must keep.  The seeded random revisions of claim P1
-(``make_random_dp_operator``) pick each posterior among those that pass
-Success and the DP1-DP4 rows.  NLI and iLIRC share one generator; they
-differ only in the final revision of the contraction route.
+(``make_random_dp_operator``) pick each posterior among those that
+Success and DP1-DP4 allow, built directly as merges of the prior's
+cells inside the input with its cells outside it
+(``_dp_posterior_candidates``).  NLI and iLIRC share one generator;
+they differ only in the final revision of the contraction route.
 
 The pair rules and IIAP work on bit matrices: a preorder's pair
 relations are two ints of W^2 bits for W worlds, ``lt`` with bit W*x+y
@@ -676,29 +678,45 @@ _PAIR_RULES = {
 }
 
 
+def _dp_merges(t: Tpo, p: int):
+    """Every posterior, as cell masks, that Success and DP1-DP4 allow in
+    revising prior t by input mask p.  DP1 and DP2 keep the order of t's
+    cells cut to p and of those cut to its complement, so a posterior
+    merges these two chains, each cell keeping its rank in t, one level
+    at a time: the next inside cell alone, always allowed and the only
+    choice for the first level (Success); the next outside cell alone,
+    if no inside cell is left or the next one ranks strictly above it
+    (DP3, DP4); or the two tied, if the inside cell ranks at least as
+    high (DP3)."""
+
+    def merges(ins, outs, head):
+        if not ins and not outs:
+            yield head
+            return
+        if ins:
+            yield from merges(ins[1:], outs, head + (ins[0][1],))
+        if head and outs:
+            if not ins or ins[0][0] > outs[0][0]:
+                yield from merges(ins, outs[1:], head + (outs[0][1],))
+            if ins and ins[0][0] >= outs[0][0]:
+                yield from merges(ins[1:], outs[1:], head + (ins[0][1] | outs[0][1],))
+
+    chains = ([(rank, c & side) for rank, c in enumerate(t.masks) if c & side] for side in (p, ~p))
+    return merges(*chains, ())
+
+
 @lru_cache(maxsize=4)
 def _dp_posterior_candidates(n_atoms: int) -> dict:
     """For each (prior, input), in enumeration and input order, every
-    preorder of the enumeration, in its order, that may revise it: its
-    first cell lies inside the input (Success), and no rule DP1-DP4 of
-    ``_PAIR_RULES`` finds a broken pair from the prior to it."""
+    preorder that may revise it under Success and DP1-DP4: its merges
+    (``_dp_merges``), as the enumeration's own preorders in its order."""
     pool = _enumeration(n_atoms)
-    matrices = [_relations(t) for t in pool]
-    rules = [
-        (_region_masks(region, n_atoms), _BROKEN[relation])
-        for _, _, region, relation in (_PAIR_RULES[f"DP{i}"] for i in (1, 2, 3, 4))
-    ]
-    candidates = {}
-    for prior, own in zip(pool, matrices):
-        for p in propositions(n_atoms):
-            checks = [(regions[p], broken) for regions, broken in rules]
-            candidates[prior.masks, p] = tuple(
-                post
-                for post, after in zip(pool, matrices)
-                if not post.masks[0] & ~p
-                and not any(region & broken(own, after) for region, broken in checks)
-            )
-    return candidates
+    index = {t.masks: i for i, t in enumerate(pool)}
+    return {
+        (prior.masks, p): tuple(pool[i] for i in sorted(index[m] for m in _dp_merges(prior, p)))
+        for prior in pool
+        for p in propositions(n_atoms)
+    }
 
 
 def make_random_dp_operator(seed: int, n_atoms: int) -> TabularRevision:
@@ -712,7 +730,10 @@ def make_random_dp_operator(seed: int, n_atoms: int) -> TabularRevision:
     _validate_atoms(n_atoms)
     _scope_int(seed, "seed")
     if n_atoms > 2:
-        raise ValueError("random tabular operators are supported for at most 2 atoms")
+        raise ScopeError(
+            "random tabular operators support at most 2 atoms: their table holds "
+            "one entry per (prior, input), 139,187,925 at 3 atoms"
+        )
     rng = random.Random(seed)
     table = {}
     # Insertion order of the candidate map is the enumeration order of

@@ -43,7 +43,7 @@ from beliefchange.tpo import (
     tpo_at_index,
 )
 
-from ranks import rank
+from ranks import one_per_three_atom_composition, rank
 
 ATOMS = ("p", "q")
 
@@ -368,12 +368,21 @@ def _oracle_stq_merge(cells1, cells2):
     return tuple(out)
 
 
+# The revision whose posterior by the negated input each contraction
+# merges with the prior
+_ORACLE_BASE = {
+    Contraction.NATURAL: Revision.NATURAL,
+    Contraction.STQ_RESTRAINED: Revision.RESTRAINED,
+    Contraction.STQ_LEX: Revision.LEXICOGRAPHIC,
+}
+
+
 def _oracle_contract(cells, sentence_models, method):
     world_set = frozenset().union(*cells)
     if sentence_models == world_set:
         return cells
     negated = world_set - sentence_models
-    return _oracle_stq_merge(cells, _oracle_revise(cells, negated, method.base))
+    return _oracle_stq_merge(cells, _oracle_revise(cells, negated, _ORACLE_BASE[method]))
 
 
 def _assert_matches_oracle(t, p):
@@ -500,7 +509,9 @@ def _assert_kernel_matches_the_oracles(t, qs):
         got = _posteriors(contract, t, qs, method)
         assert got == [_from_cells(_oracle_contract(cells, _set(q), method), n) for q in qs]
         merged = [
-            _from_cells(_oracle_revise(cells, _set(full & ~q), method.base), n) if q != full else t
+            _from_cells(_oracle_revise(cells, _set(full & ~q), _ORACLE_BASE[method]), n)
+            if q != full
+            else t
             for q in qs
         ]
         assert got == [u if u is t else stq_merge(t, u) for u in merged]
@@ -513,25 +524,10 @@ def test_the_kernel_matches_the_oracles_on_every_instance_up_to_two_atoms():
             _assert_kernel_matches_the_oracles(t, list(propositions(n_atoms)))
 
 
-def _one_per_three_atom_composition():
-    """One preorder per composition of the eight worlds, its cells cut
-    from a seeded order of the worlds."""
-    rng = random.Random(30)
-    for cuts in range(1 << 7):
-        worlds = rng.sample(range(8), 8)
-        cells, cell = [], 0
-        for i, w in enumerate(worlds):
-            cell |= 1 << w
-            if i == 7 or cuts >> i & 1:
-                cells.append(cell)
-                cell = 0
-        yield Tpo(cells, 3)
-
-
 def test_the_kernel_matches_the_oracles_on_each_three_atom_composition():
     # on all 255 inputs
     props = list(propositions(3))
-    for t in _one_per_three_atom_composition():
+    for t in one_per_three_atom_composition():
         _assert_kernel_matches_the_oracles(t, props)
 
 
@@ -594,7 +590,7 @@ def test_the_closed_form_matches_the_kernel_on_every_instance_up_to_two_atoms():
 
 
 def test_the_closed_form_matches_the_kernel_on_each_three_atom_composition():
-    priors = list(_one_per_three_atom_composition())
+    priors = list(one_per_three_atom_composition())
     checked = _assert_memo_matches_the_kernel(priors, 3)
     assert checked == 128 * (5 * (255 + 254) + 3 * (255 + 255))
 

@@ -66,7 +66,7 @@ from beliefchange.tpo import (
     tpo_at_index,
 )
 
-from ranks import rank
+from ranks import one_per_three_atom_composition, rank
 
 ATOMS = ("p", "q")
 
@@ -240,6 +240,12 @@ def test_a_seed_that_is_no_int_is_rejected(seed):
 @pytest.mark.parametrize("n_atoms", [0, -1])
 def test_random_dp_operators_reject_atom_counts_below_one(n_atoms):
     with pytest.raises(ScopeError, match="at least 1 atom is required"):
+        make_random_dp_operator(1, n_atoms)
+
+
+@pytest.mark.parametrize("n_atoms", [3, 4])
+def test_random_dp_operators_reject_atom_counts_above_two(n_atoms):
+    with pytest.raises(ScopeError, match="at most 2 atoms"):
         make_random_dp_operator(1, n_atoms)
 
 
@@ -895,6 +901,36 @@ def test_dp_candidates_equal_the_rank_filter(n_atoms):
     }
     assert list(got) == list(expected)
     assert got == expected
+
+
+def test_dp_merges_pass_the_rank_filter_on_each_three_atom_composition():
+    # sound: on a few inputs of one preorder per composition, every merge
+    # passes Success and DP1-DP4 and none repeats
+    rng = random.Random(36)
+    for t in one_per_three_atom_composition():
+        for p in (255, *rng.sample(range(1, 255), 3)):
+            merges = list(postulates._dp_merges(t, p))
+            assert len(set(merges)) == len(merges), (t, p)
+            assert all(_success_and_dp(t, p, Tpo(masks, 3)) for masks in merges), (t, p)
+
+
+def test_dp_merges_equal_the_rank_filter_on_three_atom_keys():
+    # complete: on three keys, the merges are every preorder of the
+    # enumeration that passes the rank oracle (129 for the first: the most
+    # any three-atom key has)
+    keys = (
+        (Tpo(tuple(1 << w for w in range(8)), 3), 0b11110000),
+        (Tpo((0b00000011, 0b00011100, 0b11100000), 3), 0b01010101),
+        (Tpo((0b00100101, 0b11011010), 3), 0b00001111),
+    )
+    found = {key: set() for key in keys}
+    for s in enumerate_tpos(3):
+        for (t, p), posts in found.items():
+            if _success_and_dp(t, p, s):
+                posts.add(s.masks)
+    for (t, p), posts in found.items():
+        assert set(postulates._dp_merges(t, p)) == posts, (t, p)
+    assert len(found[keys[0]]) == 129
 
 
 def test_strict_relation_matches_rank_preferences():
