@@ -26,11 +26,12 @@ the one validating constructor ``Tpo(masks, n_atoms)``, after checking
 every input mask against the preorder's world set: anything but a
 nonnegative int with no bit beyond it raises ``ValueError``.  The
 checker's scan context reads the kernel's posteriors through its memo,
-which keeps their pair matrices too.  Under every built-in but
-``contract-stq-lex`` it computes those matrices from a closed form
-instead (``postulates._posterior_relations``), which restates the rules
-above on pair matrices and is tested against this kernel; under any
-other operator they are the matrices of the kernel's posteriors.
+which keeps their pair matrices too.  Under every built-in it computes
+those matrices from a closed form instead
+(``postulates._posterior_relations``), which restates the rules above on
+pair matrices, or on the levels of the merge under ``contract-stq-lex``,
+and is tested against this kernel; under any other operator they are
+the matrices of the kernel's posteriors.
 
 Any object with a ``posterior`` method revises too, e.g. a
 ``TabularRevision``.  Its seeded random instances, which pass Success

@@ -37,9 +37,9 @@ yields the outer's witnesses in order, and ``count`` says how many it
 would yield, without them.  Every scan has a ``count``: the pair rules
 and IIAP count the set bits of their per-input masks, IIAI and
 Beta1/Beta2 take their closed forms, NLI and iLIRC count the inputs
-whose two routes differ, Neut's count is its generator's length, and
-Success, Red, HI/LI_beliefs and the diagram scan count their
-witnesses input by input.  Every verdict reads the counts from one
+whose two routes give different pair matrices, Neut's count is its
+generator's length, and Success, Red, HI/LI_beliefs and the diagram
+scan count their witnesses input by input.  Every verdict reads the counts from one
 helper, ``_counted``: ``_scan`` adds each to the tally and runs ``gen``
 again only while the tally has room for witnesses, so the report keeps
 the same witnesses in the same order, and a boolean verdict
@@ -89,9 +89,8 @@ one operator: the orders themselves, or their pair matrices.  It keeps
 them by (function, operator, kind), then prior, then mask, and a read
 computes the masks it lacks in one batch (``ctx.memo``).  Each memo
 picks how it computes when it is built: orders come from
-``operators._posteriors``; the matrices under a built-in whose
-posteriors' matrices have a closed form in the prior's matrices and the
-input, the three revisions and the natural and restrained contractions,
+``operators._posteriors``; the matrices under a built-in, whose
+posteriors' matrices have a closed form in the prior and the input,
 come from that form, with no posterior built or hashed
 (``_posterior_relations``); the matrices under any other operator are
 those of its orders, looked up once per prior and mask.  The scans name
@@ -107,9 +106,11 @@ one entry, and a contracted preorder's revision is one entry whether a
 scan reaches it as a prior or along a route.  The context also keeps
 pair matrices by preorder, prior or posterior, each computed on its
 first read (``ctx.relations``).  The pair rules, IIAP, IIAI and
-Beta1/Beta2 read matrices; Success, HI/LI_beliefs, NLI, iLIRC and Neut
-read the preorders, so under a closed form an instance they share with
-a pair rule is computed once as an order and once as matrices.  The
+Beta1/Beta2 read matrices, and so do the counts of NLI and iLIRC, but
+for the contracted preorders that their routes revise; Success,
+HI/LI_beliefs and Neut read the preorders, and so do the witnesses of
+NLI and iLIRC.  So an instance that a matrix read and an order read
+share is computed once as an order and once as matrices.  The
 context keeps each prior's outcome row on every input too: the input,
 its minimal worlds and the revision's matrices (``ctx.rows``).  So a
 postulate's ``count`` and ``gen`` share one computation of each order,
@@ -374,9 +375,10 @@ class _Ctx:
         """The orders of ``function`` under ``operator``, or their pair
         matrices if ``matrices``.  A memo picks how it computes when it is
         built: orders come from ``operators._posteriors``; the matrices
-        under a built-in with a closed form (see ``_CLOSED_FORMS``) from
-        ``_posterior_relations``, with no posterior built; any other
-        matrices are those of the memo's orders.  Memos are kept by the
+        under a built-in, each with a closed form (see ``_CLOSED_FORMS``),
+        from ``_posterior_relations``, with no posterior built; the
+        matrices under any other operator, a tabular or composed
+        revision, are those of the memo's orders.  Memos are kept by the
         operator's identity, so no lookup runs the Python-level
         ``Enum.__hash__``; each holds its operator, so no other object
         takes its id while it is kept."""
@@ -509,10 +511,14 @@ def _relations(t: Tpo) -> tuple:
     x ranks strictly below y, of ``le`` iff x ranks at most as high.  The
     two bits of a pair sum to 2 if x is below y, 1 if they tie and 0 if x
     is above y."""
-    spread = _spread(t.n_atoms)
-    rest = all_worlds(t.n_atoms)
+    return _cell_relations(t.masks, _spread(t.n_atoms), all_worlds(t.n_atoms))
+
+
+def _cell_relations(cells, spread: tuple, rest: int) -> tuple:
+    """The pair matrices of the cells, bottom first, of a preorder on the
+    worlds of ``rest``; an empty cell adds nothing."""
     lt = le = 0
-    for c in t.masks:
+    for c in cells:
         row = spread[c]
         le |= row * rest
         rest &= ~c
@@ -524,7 +530,7 @@ def _relations(t: Tpo) -> tuple:
 # (``_posterior_relations``), by whether they contract
 _CLOSED_FORMS = {
     False: tuple(Revision),
-    True: (Contraction.NATURAL, Contraction.STQ_RESTRAINED),
+    True: tuple(Contraction),
 }
 
 
@@ -547,15 +553,47 @@ def _posterior_relations(contracting: bool, t: Tpo, own: tuple, qs, operator) ->
       side: with same = q*q | ~q*~q, lt' = q*~q | lt & same and
       le' = q*~q | le & same.
 
-    Both contractions (see ``operators._posteriors``) join the minimal
-    worlds of ~q to the prior's first cell, F, put F below the other
-    worlds r and keep the prior's order on r: lt' = F*r | lt & r*r and
-    le' = F*full | le & r*r.  Contracting by the tautology gives the
-    prior's own matrices."""
+    The natural and restrained contractions (see
+    ``operators._posteriors``) join the minimal worlds of ~q to the
+    prior's first cell, F, put F below the other worlds r and keep the
+    prior's order on r: lt' = F*r | lt & r*r and le' = F*full | le & r*r.
+    ``contract-stq-lex`` merges the prior with its lexicographic revision
+    by s = ~q, whose s-cells are the prior's own cells cut to s.  So its
+    posterior's levels come from one pass over the prior's cells c,
+    bottom first, with two counters, ``rank`` and ``lag``, both from 0:
+    c & s goes to level ``rank`` and c & q to level ``rank + lag``; then
+    a cell of q-worlds only adds 1 to ``lag``, one of s-worlds only takes
+    1 from it unless it is 0, and every cell with s-worlds adds 1 to
+    ``rank``.  The nonempty levels, in order, are the posterior's cells:
+    the merge takes the revision's next s-cell at each step, so the
+    s-worlds keep their rank in the s-chain, and the prior's pointer
+    trails it by a queue's (Lindley's) recursion.  Its matrices are those
+    of the levels (``_cell_relations``).  Contracting by the tautology
+    gives the prior's own matrices."""
     masks, spread = t.masks, _spread(t.n_atoms)
     full = _check_masks(qs, t.n_atoms)
     lt, le = own
     out = []
+    if operator is Contraction.STQ_LEX:
+        for q in qs:
+            if q == full:
+                out.append(own)
+                continue
+            # rank + lag never passes a cell's index, so len(masks) levels do
+            s, levels, rank, lag = full & ~q, [0] * len(masks), 0, 0
+            for c in masks:
+                if c & s:
+                    levels[rank] |= c & s
+                    if c & q:
+                        levels[rank + lag] |= c & q
+                    elif lag:
+                        lag -= 1
+                    rank += 1
+                else:
+                    levels[rank + lag] |= c
+                    lag += 1
+            out.append(_cell_relations(levels, spread, full))
+        return out
     if operator is Revision.LEXICOGRAPHIC:
         for q in qs:
             rest = full & ~q
@@ -922,15 +960,18 @@ def _routed_rule(final: Revision | None, route: str):
     context's memo under ``final``: one entry with the contracted
     preorder's revision as a prior, with every prior that contracts to
     that preorder, and with the direct revision on the tautology, whose
-    contraction by the negation is the prior itself."""
+    contraction by the negation is the prior itself.  ``counts`` compares
+    the two revisions' pair matrices, as equal matrices mean equal
+    preorders; ``body`` compares the orders, which its witnesses show."""
 
-    def differing(ctx, t, ps):
+    def differing(ctx, t, ps, matrices=False):
         """Per input of ps, whether its direct and routed revisions
-        differ, with both."""
-        routes = ctx.memo(revise, ctx.rev if final is None else final)
-        for p, direct, contracted in zip(ps, ctx.order("rev", t, ps), ctx.order("conneg", t, ps)):
+        differ, with both, or with their pair matrices if ``matrices``."""
+        routes = ctx.memo(revise, ctx.rev if final is None else final, matrices)
+        direct = ctx.order("rev", t, ps, matrices)
+        for p, d, contracted in zip(ps, direct, ctx.order("conneg", t, ps)):
             routed = routes.at(contracted, (p,))[p]
-            yield direct != routed, p, direct, routed
+            yield d != routed, p, d, routed
 
     def body(ctx, t, ps):
         for differs, p, direct, routed in differing(ctx, t, ps):
@@ -939,7 +980,7 @@ def _routed_rule(final: Revision | None, route: str):
                 yield (t,), (p,), pair, ("direct ", direct, f"; {route} ", routed)
 
     def counts(ctx, t, ps):
-        return (differs for differs, *_ in differing(ctx, t, ps))
+        return (differs for differs, *_ in differing(ctx, t, ps, True))
 
     return _by_input(body, counts=counts, needs_con=True)
 

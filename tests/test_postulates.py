@@ -30,6 +30,7 @@ from beliefchange.operators import (
     contract,
     contract_by_negation,
     method_name,
+    nli_revise,
     revise,
 )
 from beliefchange.postulates import (
@@ -1217,6 +1218,23 @@ def test_routed_counts_equal_oracle_lengths_on_every_two_atom_preorder():
     assert nonzero == {"NLI", "iLIRC"}
 
 
+def test_routed_matrix_counts_equal_the_order_comparison_on_every_two_atom_instance():
+    # NLI and iLIRC count on the two routes' pair matrices and find their
+    # witnesses by comparing the orders: equal matrices mean equal orders
+    differing = 0
+    for rev, con in product(_BUILTIN_REVISIONS, _BUILTIN_CONTRACTIONS):
+        ctx = _Ctx(2, rev, con)
+        for postulate, final in (("NLI", rev), ("iLIRC", Revision.NATURAL)):
+            spec = _POSTULATES[postulate]
+            for t in enumerate_tpos(2):
+                expected = [nli_revise(t, p, con, final) != revise(t, p, rev) for p in ctx.props]
+                assert list(spec.counts(ctx, t, ctx.props)) == expected, (postulate, rev, con, t)
+                found = Counter(raw[1][0] for raw in spec.gen(ctx, t))
+                assert [found[p] for p in ctx.props] == expected, (postulate, rev, con, t)
+                differing += sum(expected)
+    assert differing > 0
+
+
 def test_iiap_counts_equal_oracle_lengths_on_every_two_atom_preorder_pair():
     pool = list(enumerate_tpos(2))
     nonzero = 0
@@ -1361,13 +1379,12 @@ def test_a_generator_computes_the_orders_of_the_inputs_it_reaches(revisions):
     # a report keeps the first ten witnesses, and a single-input scan's
     # generator takes the inputs a chunk at a time: here the tenth
     # witness lies on input 17, in the second chunk; CR4 revises by each
-    # input (in closed form, under natural revision) and contracts by its
-    # complement
+    # input and contracts by its complement, both in closed form
     ctx = _Ctx(3, Revision.NATURAL, Contraction.STQ_LEX)
     raws = list(islice(_POSTULATES["CR4"].gen(ctx, tpo_at_index(0, 3)), WITNESS_CAP))
     assert len(raws) == WITNESS_CAP and raws[-1][1] == (17,)
-    reached = {p if name != "contract" else ctx.full - p for name, _, p, _ in revisions}
-    assert {name for name, *_ in revisions} == {"revise matrices", "contract"}
+    reached = {ctx.full - p if name[0] == "c" else p for name, _, p, _ in revisions}
+    assert {name for name, *_ in revisions} == {"revise matrices", "contract matrices"}
     assert reached == set(range(1, 2 * postulates._GEN_CHUNK + 1))
     assert len(revisions) == 2 * 2 * postulates._GEN_CHUNK
     assert len(set(revisions)) == len(revisions)
@@ -1375,12 +1392,13 @@ def test_a_generator_computes_the_orders_of_the_inputs_it_reaches(revisions):
 
 def test_a_failing_routed_scan_and_its_witnesses_share_each_direct_order(revisions):
     # the routed revision is the contracted preorder's own revision, so
-    # the memo shares it with the direct revision of that preorder; the
+    # the memo shares it with the direct revision of that preorder, as
+    # matrices for the count and as orders for the witnesses; the
     # contraction by the negated input is the contraction by the input's
     # complement
     report = check_postulate("NLI", Revision.NATURAL, Contraction.STQ_LEX, n_atoms=2)
     assert report.outcome == "fail"
-    assert {name for name, *_ in revisions} == {"revise", "contract"}
+    assert {name for name, *_ in revisions} == {"revise", "revise matrices", "contract"}
     assert len(set(revisions)) == len(revisions)
 
 
@@ -1393,24 +1411,28 @@ def test_one_memo_entry_serves_every_route_to_an_order(revisions):
     _POSTULATES["CC1"].count(ctx, t)
     _POSTULATES["CR1"].count(ctx, t)
     contractions = [call for call in revisions if not call[0].startswith("revise")]
-    assert [(name, q) for name, _, q, _ in contractions] == [("contract", q) for q in ctx.props]
-    # iLIRC under natural revision reads the contractions back, and its
-    # routed revisions are the ``rev`` entries of the contracted preorders
+    expected = [("contract matrices", q) for q in ctx.props]
+    assert [(name, q) for name, _, q, _ in contractions] == expected
+    # iLIRC under natural revision builds each contracted preorder once,
+    # and its routed revisions are the ``rev`` entries of those preorders
     revisions.clear()
     _POSTULATES["iLIRC"].count(ctx, t)
-    assert revisions and {call[0] for call in revisions} == {"revise"}
+    assert [(name, q) for name, _, q, _ in revisions if name == "contract"] == [
+        ("contract", ctx.full - p) for p in ctx.props_proper
+    ]
+    assert {call[0] for call in revisions} == {"contract", "revise matrices"}
     routed = len(revisions)
     for p, contracted in zip(ctx.props, ctx.order("conneg", t, ctx.props)):
-        ctx.order("rev", contracted, (p,))
+        ctx.matrices("rev", contracted, (p,))
     assert len(revisions) == routed
     assert len(set(revisions)) == len(revisions)
 
 
 def test_a_second_matrix_read_looks_up_no_posterior(monkeypatch):
-    # under a contraction with no closed form the memo keeps the matrices
-    # of each order by prior and mask: the first read computes each
-    # distinct posterior's matrices once, the second reads them back
-    # without hashing a posterior
+    # under a revision with no closed form the memo keeps the matrices of
+    # each order by prior and mask: the first read computes each distinct
+    # posterior's matrices once, the second reads them back without
+    # hashing a posterior
     computed, looked_up = [], []
 
     def relations(t, _real=postulates._relations):
@@ -1423,14 +1445,14 @@ def test_a_second_matrix_read_looks_up_no_posterior(monkeypatch):
 
     monkeypatch.setattr(postulates, "_relations", relations)
     monkeypatch.setattr(postulates._Matrices, "__getitem__", lookup)
-    ctx = _Ctx(2, Revision.NATURAL, Contraction.STQ_LEX)
+    ctx = _Ctx(2, _NliComposition(Contraction.STQ_LEX, Revision.NATURAL))
     t = parse_tpo("11 | 10 01 | 00", 2)
-    first = ctx.matrices("conneg", t, ctx.props)
-    posteriors = set(ctx.order("conneg", t, ctx.props))
+    first = ctx.matrices("rev", t, ctx.props)
+    posteriors = set(ctx.order("rev", t, ctx.props))
     assert len(posteriors) > 1 and t in posteriors  # the tautology's is t
     assert sorted(computed) == sorted(posteriors)
     looked_up.clear()
-    assert ctx.matrices("conneg", t, ctx.props) == first
+    assert ctx.matrices("rev", t, ctx.props) == first
     assert looked_up == []
 
 
@@ -1489,19 +1511,17 @@ def test_the_pair_profile_computes_each_order_once_per_instance(revisions):
     # every contraction and each contraction every revision; revising or
     # contracting by the negated input is revising or contracting by its
     # complement; each prior is counted on one input per orbit of its
-    # cells, and the failing pairs' witnesses read the rest.  The pair
-    # rules read the closed form under the built-ins that have one, the
-    # other scans the built preorders, so an instance may be computed
-    # once in each memo
+    # cells.  Every built-in has a closed form, and the verdicts read
+    # matrices but for NLI's routes, which revise the built contracted
+    # preorders, so a contraction may be computed once in each memo
     pair_profile.cache_clear()
     pair_profile(2)
-    assert len(revisions) == 1024
+    assert len(revisions) == 814
     assert len(set(revisions)) == len(revisions)
     assert Counter(name for name, *_ in revisions) == {
-        "revise": 304,
-        "contract": 226,
-        "revise matrices": 306,
-        "contract matrices": 188,
+        "contract": 198,
+        "revise matrices": 334,
+        "contract matrices": 282,
     }
 
 

@@ -26,11 +26,16 @@ filling one prior's orders on all 255 inputs (``_Ctx(3).memo(revise |
 contract, method).at(t, ctx.props)``, a fresh context per call) for each
 built-in method on the drawn outer preorders; one prior's outcome row on
 every input under restrained revision (``_Ctx(3, restrained).rows(t)``,
-a fresh context per call) on the same preorders; ``tpo_at_index``; a
+a fresh context per call) on the same preorders; the pair matrices of
+one prior's ``contract-stq-lex`` contraction by one input, as the scan
+context's matrix memo computes them for all 255 inputs of each drawn
+outer preorder (``_Ctx(3).memo(contract, stq_lex, matrices=True).at(t,
+ctx.props)``, a fresh context per outer); ``tpo_at_index``; a
 full ``enumerate_tpos(3)``; one postulate scan of one outer, as a
 sampled check runs it (Neut's outers pair each preorder with a
-permutation of its worlds, so the isomorphism path runs); the counts of
-DP3 natural, DP1 lexicographic, DP4 restrained and CR4 natural +
+permutation of its worlds, so the isomorphism path runs), among them
+iLIRC under lexicographic revision and ``contract-stq-restrained``; the
+counts of DP3 natural, DP1 lexicographic, DP4 restrained and CR4 natural +
 ``contract-stq-lex`` on one preorder of each of the 128 compositions of
 the eight worlds, cut from a seeded order of the worlds, without
 witnesses; the exhaustive checks at two atoms of CR4 (which fails), IIAP
@@ -221,6 +226,7 @@ def layers(bc, drawn):
     tpo, ops, post = bc.tpo, bc.operators, bc.postulates
     cli = importlib.import_module(bc.__name__ + ".cli")
     natural, stq_lex = ops.Revision.NATURAL, ops.Contraction.STQ_LEX
+    stq_restrained = ops.Contraction.STQ_RESTRAINED
     restrained, lexicographic = ops.Revision.RESTRAINED, ops.Revision.LEXICOGRAPHIC
 
     def unrank(index):
@@ -258,6 +264,11 @@ def layers(bc, drawn):
                 for method in methods:
                     ctx = post._Ctx(3)
                     ctx.memo(function, method).at(t, ctx.props)
+
+    def stq_lex_matrices():
+        for t in outers:
+            ctx = post._Ctx(3)
+            ctx.memo(post.contract, stq_lex, matrices=True).at(t, ctx.props)
 
     def merges():
         full = bc.lang.all_worlds(3)
@@ -362,6 +373,7 @@ def layers(bc, drawn):
             "revise_call_us": (revisions, 3 * DRAWS, 1e6),
             "contract_call_us": (contractions, 3 * DRAWS, 1e6),
             "merge_masks_call_us": (merges, DRAWS, 1e6),
+            "contract_stq_lex_matrices_call_us": (stq_lex_matrices, 255 * SCANS, 1e6),
             "memo_all_inputs_n3_call_us": (memo_orders, 6 * SCANS, 1e6),
             "tpo_at_index_x1000_ms": (unranks, 1, 1e3),
             "enumerate_tpos_3_s": (enumeration, 1, 1.0),
@@ -373,6 +385,9 @@ def layers(bc, drawn):
             "scan_Neut_natural_ms": (scans("Neut", natural, pairs=isomorphic_pairs), SCANS, 1e3),
             "scan_IIAI_stq_lex_then_natural_ms": (scans("IIAI", composed), SCANS, 1e3),
             "scan_CR4_natural_stq_lex_ms": (scans("CR4", natural, stq_lex), SCANS, 1e3),
+            "scan_iLIRC_lexicographic_stq_restrained_ms": (
+                scans("iLIRC", lexicographic, stq_restrained), SCANS, 1e3
+            ),
             "compositions_DP3_natural_ms": (counts("DP3", natural), len(compositions), 1e3),
             "compositions_CR4_natural_stq_lex_ms": (
                 counts("CR4", natural, stq_lex), len(compositions), 1e3
