@@ -17,7 +17,11 @@ revision by the negated input using the synchronized-minima TeamQueue
 recurrence (repeatedly pop the union of both orders' current minima).
 The recurrence makes the contraction's first cell the union of the prior
 beliefs with the revised beliefs, and preserves any strict preference on
-which the two merged orders agree.
+which the two merged orders agree.  No merge of two arbitrary orders is
+computed: under natural or restrained revision the merge is the prior
+with the negation's minimal worlds joined to its first cell, and
+``contract-stq-lex`` takes its cells from one pass over the prior's
+cells (``_stq_lex_levels``).
 
 The operators work on the preorders' cell masks (see ``tpo``), in one
 kernel, ``_posteriors``, that takes one prior and a batch of input masks
@@ -29,9 +33,9 @@ checker's scan context reads the kernel's posteriors through its memo,
 which keeps their pair matrices too.  Under every built-in it computes
 those matrices from a closed form instead
 (``postulates._posterior_relations``), which restates the rules above on
-pair matrices, or on the levels of the merge under ``contract-stq-lex``,
-and is tested against this kernel; under any other operator they are
-the matrices of the kernel's posteriors.
+pair matrices, or takes those of the same levels under
+``contract-stq-lex``, and is tested against this kernel; under any other
+operator they are the matrices of the kernel's posteriors.
 
 Any object with a ``posterior`` method revises too, e.g. a
 ``TabularRevision``.  Its seeded random instances, which pass Success
@@ -63,9 +67,6 @@ class Contraction(enum.Enum):
     NATURAL = "contract-natural"
     STQ_RESTRAINED = "contract-stq-restrained"
     STQ_LEX = "contract-stq-lex"
-
-
-_LEXICOGRAPHIC = (Revision.LEXICOGRAPHIC, Contraction.STQ_LEX)  # tested by identity: no Enum lookup
 
 
 class TabularRevision:
@@ -145,7 +146,9 @@ def _posteriors(function, t: State, qs, method) -> list:
     pass for a built-in ``revise`` or ``contract``, else one call per mask.
     Under natural or restrained revision, the merge that contracts t by q
     is t with the minimal worlds m of q's complement joined to its first
-    cell and taken out of the others: the two contractions are one."""
+    cell and taken out of the others: the two contractions are one.
+    Under lexicographic revision its cells are the nonempty levels of
+    ``_stq_lex_levels``."""
     contracting = function is contract and type(method) is Contraction
     if not contracting and (function is not revise or type(method) is not Revision):
         return [function(t, q, method) for q in qs]
@@ -154,15 +157,20 @@ def _posteriors(function, t: State, qs, method) -> list:
     if contracting and isinstance(t, Absurd):
         return [Tpo((full,), n)] * len(qs)
     masks, out, built = t.masks, [], {}
-    lex = method in _LEXICOGRAPHIC
-    split = method is Revision.RESTRAINED
+    # tested once each, by identity, and only for its kind of method: an
+    # Enum attribute lookup is slow
+    stq_lex = contracting and method is Contraction.STQ_LEX
+    lex = not contracting and method is Revision.LEXICOGRAPHIC
+    split = not contracting and method is Revision.RESTRAINED
     for q in qs:
         s = full & ~q if contracting else q
         if not s:  # contracting by the tautology
             out.append(t)
+        elif stq_lex:
+            out.append(Tpo([c for c in _stq_lex_levels(masks, q, s) if c], n))
         elif lex:
             cells = (*[c for m in masks if (c := m & s)], *[c for m in masks if (c := m & ~s)])
-            out.append(Tpo(_merge_masks(masks, cells, full) if contracting else cells, n))
+            out.append(Tpo(cells, n))
         elif split:  # each prior cell splits into its input and other worlds
             minimal = _min_mask(masks, s)
             inside, cells = s & ~minimal, [minimal]
@@ -183,24 +191,32 @@ def _posteriors(function, t: State, qs, method) -> list:
     return out
 
 
-def _merge_masks(a: tuple, b: tuple, full: int) -> tuple:
-    """Cell masks of the synchronized-minima merge of two mask partitions.
-
-    Once a cell has no unassigned world left it never has one again, so
-    each side's current minimum only moves forward.
-    """
-    cells = []
-    remaining = full
-    i = j = 0
-    while remaining:
-        while not a[i] & remaining:
-            i += 1
-        while not b[j] & remaining:
-            j += 1
-        current = (a[i] | b[j]) & remaining
-        cells.append(current)
-        remaining &= ~current
-    return tuple(cells)
+def _stq_lex_levels(masks: tuple, q: int, s: int) -> list:
+    """The levels, bottom first, of the prior of cell masks ``masks``
+    contracted by q under ``contract-stq-lex``, s being q's complement:
+    one level per prior cell, the empty ones included.  The merge takes
+    the lexicographic revision's next s-cell, the prior's cells cut to
+    s, at each step, so the s-worlds keep their rank in the s-chain, and
+    the prior's pointer trails it by a queue's (Lindley's) recursion.
+    So one pass over the prior's cells c, bottom first, with two
+    counters, ``rank`` and ``lag``, both from 0, puts c & s on level
+    ``rank`` and c & q on level ``rank + lag``; then a cell of q-worlds
+    only adds 1 to ``lag``, one of s-worlds only takes 1 from it unless
+    it is 0, and every cell with s-worlds adds 1 to ``rank``."""
+    # rank + lag never passes a cell's index, so len(masks) levels do
+    levels, rank, lag = [0] * len(masks), 0, 0
+    for c in masks:
+        if c & s:
+            levels[rank] |= c & s
+            if c & q:
+                levels[rank + lag] |= c & q
+            elif lag:
+                lag -= 1
+            rank += 1
+        else:
+            levels[rank + lag] |= c
+            lag += 1
+    return levels
 
 
 def contract(state: State, sentence_models: int, method: Contraction) -> Tpo:

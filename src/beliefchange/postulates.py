@@ -88,12 +88,12 @@ results of ``revise`` or ``contract`` of a prior by one input mask under
 one operator: the orders themselves, or their pair matrices.  It keeps
 them by (function, operator, kind), then prior, then mask, and a read
 computes the masks it lacks in one batch (``ctx.memo``).  Each memo
-picks how it computes when it is built: orders come from
-``operators._posteriors``; the matrices under a built-in, whose
-posteriors' matrices have a closed form in the prior and the input,
-come from that form, with no posterior built or hashed
-(``_posterior_relations``); the matrices under any other operator are
-those of its orders, looked up once per prior and mask.  The scans name
+picks one of two routes when it is built: the matrices under a
+built-in, whose posteriors' matrices have a closed form in the prior
+and the input, come from that form, with no posterior built or hashed
+(``_posterior_relations``); everything else comes from a batch of
+``operators._posteriors``, the orders themselves or, under any other
+operator, the matrices of its posteriors.  The scans name
 the orders they read, for prior t and input p (``_NAMED``, read by
 ``ctx.order`` and, for their matrices, ``ctx.matrices``): ``rev`` and
 ``con`` apply the context's revision or contraction by p, ``revneg`` and
@@ -106,11 +106,11 @@ one entry, and a contracted preorder's revision is one entry whether a
 scan reaches it as a prior or along a route.  The context also keeps
 pair matrices by preorder, prior or posterior, each computed on its
 first read (``ctx.relations``).  The pair rules, IIAP, IIAI and
-Beta1/Beta2 read matrices, and so do the counts of NLI and iLIRC, but
-for the contracted preorders that their routes revise; Success,
-HI/LI_beliefs and Neut read the preorders, and so do the witnesses of
-NLI and iLIRC.  So an instance that a matrix read and an order read
-share is computed once as an order and once as matrices.  The
+Beta1/Beta2 read matrices, and so do NLI and iLIRC, but for the
+contracted preorders that their routes revise and the two revisions
+that each of their witnesses shows; Success, HI/LI_beliefs and Neut
+read the preorders.  So an instance that a matrix read and an order
+read share is computed once as an order and once as matrices.  The
 context keeps each prior's outcome row on every input too: the input,
 its minimal worlds and the revision's matrices (``ctx.rows``).  So a
 postulate's ``count`` and ``gen`` share one computation of each order,
@@ -186,6 +186,7 @@ from .operators import (
     TabularRevision,
     _check_masks,
     _posteriors,
+    _stq_lex_levels,
     contract,
     contract_by_negation,
     method_name,
@@ -374,36 +375,29 @@ class _Ctx:
     def memo(self, function, operator, matrices: bool = False) -> _Orders:
         """The orders of ``function`` under ``operator``, or their pair
         matrices if ``matrices``.  A memo picks how it computes when it is
-        built: orders come from ``operators._posteriors``; the matrices
-        under a built-in, each with a closed form (see ``_CLOSED_FORMS``),
-        from ``_posterior_relations``, with no posterior built; the
-        matrices under any other operator, a tabular or composed
-        revision, are those of the memo's orders.  Memos are kept by the
-        operator's identity, so no lookup runs the Python-level
-        ``Enum.__hash__``; each holds its operator, so no other object
-        takes its id while it is kept."""
+        built: the matrices under a built-in, each with a closed form,
+        come from ``_posterior_relations``, with no posterior built;
+        everything else comes from one ``operators._posteriors`` batch,
+        the orders themselves or, under a tabular or composed revision,
+        their matrices.  Memos are kept by the operator's identity, so no
+        lookup runs the Python-level ``Enum.__hash__``; each holds its
+        operator, so no other object takes its id while it is kept."""
         key = function, id(operator), matrices
         out = self.orders.get(key)
         if out is not None:
             return out
         relations = self.relations if matrices else None
-        contracting = function is contract
-        if not matrices:
-
-            def compute(t, own, qs):
-                return _posteriors(function, t, qs, operator)
-
-        elif operator in _CLOSED_FORMS[contracting]:
+        if matrices and type(operator) in (Revision, Contraction):
+            contracting = function is contract
 
             def compute(t, own, qs):
                 return _posterior_relations(contracting, t, own, qs, operator)
 
         else:
-            orders = self.memo(function, operator)
 
             def compute(t, own, qs):
-                found = orders.at(t, qs)
-                return [relations[found[q]] for q in qs]
+                found = _posteriors(function, t, qs, operator)
+                return found if relations is None else [relations[u] for u in found]
 
         out = self.orders[key] = _Orders(operator, relations, compute)
         return out
@@ -526,18 +520,10 @@ def _cell_relations(cells, spread: tuple, rest: int) -> tuple:
     return lt, le
 
 
-# The built-in operators whose posteriors' pair matrices have a closed form
-# (``_posterior_relations``), by whether they contract
-_CLOSED_FORMS = {
-    False: tuple(Revision),
-    True: tuple(Contraction),
-}
-
-
 def _posterior_relations(contracting: bool, t: Tpo, own: tuple, qs, operator) -> list:
     """The pair matrices (see ``_relations``) of ``revise`` of prior t by
-    each input mask q of qs under a built-in operator, or of ``contract``
-    if ``contracting`` (see ``_CLOSED_FORMS``), without building the
+    each input mask q of qs under a built-in revision, or of ``contract``
+    under a built-in contraction if ``contracting``, without building the
     posteriors; ``own`` is t's (lt, le), and a bad mask raises what
     ``revise`` or ``contract`` raises.  Write X*Y for the pairs (x, y)
     with x in X and y in Y (``_spread(n)[X] * Y``), ~q for the complement
@@ -557,19 +543,10 @@ def _posterior_relations(contracting: bool, t: Tpo, own: tuple, qs, operator) ->
     ``operators._posteriors``) join the minimal worlds of ~q to the
     prior's first cell, F, put F below the other worlds r and keep the
     prior's order on r: lt' = F*r | lt & r*r and le' = F*full | le & r*r.
-    ``contract-stq-lex`` merges the prior with its lexicographic revision
-    by s = ~q, whose s-cells are the prior's own cells cut to s.  So its
-    posterior's levels come from one pass over the prior's cells c,
-    bottom first, with two counters, ``rank`` and ``lag``, both from 0:
-    c & s goes to level ``rank`` and c & q to level ``rank + lag``; then
-    a cell of q-worlds only adds 1 to ``lag``, one of s-worlds only takes
-    1 from it unless it is 0, and every cell with s-worlds adds 1 to
-    ``rank``.  The nonempty levels, in order, are the posterior's cells:
-    the merge takes the revision's next s-cell at each step, so the
-    s-worlds keep their rank in the s-chain, and the prior's pointer
-    trails it by a queue's (Lindley's) recursion.  Its matrices are those
-    of the levels (``_cell_relations``).  Contracting by the tautology
-    gives the prior's own matrices."""
+    ``contract-stq-lex`` takes the matrices (``_cell_relations``) of the
+    levels that the kernel builds its posterior from, one pass over the
+    prior's cells (``operators._stq_lex_levels``).  Contracting by the
+    tautology gives the prior's own matrices."""
     masks, spread = t.masks, _spread(t.n_atoms)
     full = _check_masks(qs, t.n_atoms)
     lt, le = own
@@ -579,20 +556,7 @@ def _posterior_relations(contracting: bool, t: Tpo, own: tuple, qs, operator) ->
             if q == full:
                 out.append(own)
                 continue
-            # rank + lag never passes a cell's index, so len(masks) levels do
-            s, levels, rank, lag = full & ~q, [0] * len(masks), 0, 0
-            for c in masks:
-                if c & s:
-                    levels[rank] |= c & s
-                    if c & q:
-                        levels[rank + lag] |= c & q
-                    elif lag:
-                        lag -= 1
-                    rank += 1
-                else:
-                    levels[rank + lag] |= c
-                    lag += 1
-            out.append(_cell_relations(levels, spread, full))
+            out.append(_cell_relations(_stq_lex_levels(masks, q, full & ~q), spread, full))
         return out
     if operator is Revision.LEXICOGRAPHIC:
         for q in qs:
@@ -946,13 +910,6 @@ def _g_li_beliefs(ctx, t, ps):
             yield (t,), (p,), (), "revision beliefs differ from post-contraction minima"
 
 
-def _first_diff_pair(ctx, ta: Tpo, tb: Tpo) -> tuple:
-    """The first pair x < y that two different orders relate differently:
-    their ``same`` mask is symmetric, so its lowest set bit has x < y."""
-    bad = _BROKEN["same"](ctx.relations[ta], ctx.relations[tb])
-    return next(_bit_pairs(bad, len(ctx.worlds)))
-
-
 def _routed_rule(final: Revision | None, route: str):
     """NLI (``final`` None: the checked revision) and iLIRC (natural
     revision): revising directly equals contracting by the negated input,
@@ -960,27 +917,31 @@ def _routed_rule(final: Revision | None, route: str):
     context's memo under ``final``: one entry with the contracted
     preorder's revision as a prior, with every prior that contracts to
     that preorder, and with the direct revision on the tautology, whose
-    contraction by the negation is the prior itself.  ``counts`` compares
+    contraction by the negation is the prior itself.  Both routes compare
     the two revisions' pair matrices, as equal matrices mean equal
-    preorders; ``body`` compares the orders, which its witnesses show."""
+    preorders: ``counts`` counts the inputs whose ``same`` mask is
+    nonzero, and ``body`` builds the two orders, which its witnesses
+    show, only for those inputs.  The mask is symmetric, so its lowest
+    set bit is the first pair x < y that the orders relate differently."""
 
-    def differing(ctx, t, ps, matrices=False):
-        """Per input of ps, whether its direct and routed revisions
-        differ, with both, or with their pair matrices if ``matrices``."""
-        routes = ctx.memo(revise, ctx.rev if final is None else final, matrices)
-        direct = ctx.order("rev", t, ps, matrices)
+    def differing(ctx, t, ps):
+        """Per input of ps, the ``same`` mask of its direct and routed
+        revisions' pair matrices, and its contracted preorder."""
+        routes = ctx.memo(revise, final or ctx.rev, True)
+        direct = ctx.matrices("rev", t, ps)
         for p, d, contracted in zip(ps, direct, ctx.order("conneg", t, ps)):
-            routed = routes.at(contracted, (p,))[p]
-            yield d != routed, p, d, routed
+            yield _BROKEN["same"](d, routes.at(contracted, (p,))[p]), contracted
 
     def body(ctx, t, ps):
-        for differs, p, direct, routed in differing(ctx, t, ps):
-            if differs:
-                pair = _first_diff_pair(ctx, direct, routed)
+        for p, (same, contracted) in zip(ps, differing(ctx, t, ps)):
+            if same:
+                direct = ctx.order("rev", t, (p,))[0]
+                routed = ctx.memo(revise, final or ctx.rev).at(contracted, (p,))[p]
+                pair = next(_bit_pairs(same, len(ctx.worlds)))
                 yield (t,), (p,), pair, ("direct ", direct, f"; {route} ", routed)
 
     def counts(ctx, t, ps):
-        return (differs for differs, *_ in differing(ctx, t, ps, True))
+        return (bool(same) for same, _ in differing(ctx, t, ps))
 
     return _by_input(body, counts=counts, needs_con=True)
 
@@ -1599,17 +1560,6 @@ def check_diagram(diagram, n_atoms: int = 2) -> CheckReport:
 # ---------------------------------------------------------------------------
 # Claim verification
 
-_BUILTIN_REVISIONS = (
-    Revision.NATURAL,
-    Revision.RESTRAINED,
-    Revision.LEXICOGRAPHIC,
-)
-_BUILTIN_CONTRACTIONS = (
-    Contraction.NATURAL,
-    Contraction.STQ_RESTRAINED,
-    Contraction.STQ_LEX,
-)
-
 ELEMENTARY_POSTULATES = (
     "Success",
     "DP1",
@@ -1636,8 +1586,8 @@ def pair_profile(n_atoms: int = 2) -> tuple:
     shared = {}
     return tuple(
         (rev, con, MappingProxyType(_holding(ids, rev, con, n_atoms, shared)))
-        for rev in _BUILTIN_REVISIONS
-        for con in _BUILTIN_CONTRACTIONS
+        for rev in Revision
+        for con in Contraction
     )
 
 
@@ -1652,7 +1602,7 @@ def _yn(value: bool) -> str:
 def _verify_t1(tally: _Tally) -> str:
     n_atoms = tally.ctx.n
     lines = []
-    for rev in _BUILTIN_REVISIONS:
+    for rev in Revision:
         outcomes = _holding(ELEMENTARY_POSTULATES, rev, None, n_atoms)
         tally.instances += len(outcomes)
         tally.violations += sum(1 for v in outcomes.values() if not v)
@@ -1709,7 +1659,7 @@ def _verify_t4(tally: _Tally) -> str:
     """
     pool = _enumeration(tally.ctx.n)
     resolved: dict = {}  # (contracted, input): the instance's raw witnesses
-    for con in _BUILTIN_CONTRACTIONS:
+    for con in Contraction:
         for t in pool:
             for p in tally.ctx.props:
                 tally.instances += 1
@@ -1738,7 +1688,7 @@ def _verify_p1(tally: _Tally) -> str:
         (f"seed {seed}", make_random_dp_operator(seed, n_atoms)) for seed in range(_P1_OPERATORS)
     ]
     # The three built-ins cover the branch where both sides hold.
-    pool.extend((rev.value, rev) for rev in _BUILTIN_REVISIONS)
+    pool.extend((rev.value, rev) for rev in Revision)
     both_hold = 0
     for label, op in pool:
         holds = _holding(("Beta1", "Beta2", "IIAI"), op, None, n_atoms)
@@ -1757,7 +1707,8 @@ def _verify_p1(tally: _Tally) -> str:
 
 def _verify_p2(tally: _Tally) -> str:
     ctx = tally.ctx
-    for con in _BUILTIN_CONTRACTIONS:
+    revisions = tuple(Revision)  # read per instance: iterating the Enum is slow
+    for con in Contraction:
         for t in _enumeration(ctx.n):
             for p in ctx.props:
                 contracted = contract_by_negation(t, p, con)
@@ -1769,7 +1720,7 @@ def _verify_p2(tally: _Tally) -> str:
                 omitted = not cn_extended_member(naive, item)
                 contained = True
                 identity_fails = True
-                for rev in _BUILTIN_REVISIONS:
+                for rev in revisions:
                     revised_set = conditional_set(revise(t, p, rev))
                     contained = contained and cn_extended_member(revised_set, item)
                     identity_fails = identity_fails and naive != revised_set
@@ -1800,9 +1751,9 @@ class _NliComposition:
 def _verify_p3(tally: _Tally) -> str:
     n_atoms = tally.ctx.n
     lines = []
-    for con in _BUILTIN_CONTRACTIONS:
+    for con in Contraction:
         cc_ok = all(_holding(("CC1", "CC2", "CC3", "CC4"), None, con, n_atoms).values())
-        for rev in _BUILTIN_REVISIONS:
+        for rev in Revision:
             composed = _NliComposition(con, rev)
             outcomes = _holding(("DP1", "DP2", "DP3", "DP4"), composed, None, n_atoms)
             tally.instances += len(outcomes)

@@ -1,17 +1,17 @@
 """Smoke test of the layer-timing tool ``tools/ab_layers.py``.
 
-The tool reaches into private names of the package (``_merge_masks``,
-``_POSTULATES``, ``_scan``, ``_counted``, ``_Ctx``, ``_NliComposition``,
+The tool reaches into private names of the package (``_POSTULATES``,
+``_scan``, ``_counted``, ``_Ctx``, ``_NliComposition``,
 ``_dp_posterior_candidates``, ``_Ctx.memo`` for orders, ``_Ctx.rows``),
 builds drawn pair rows as ``_outers`` does, and counts orders by
 wrapping the ``revise``, ``contract``, ``contract_by_negation`` and
 ``_posterior_relations`` that ``postulates`` calls: the scan context's
 one memo computes an order through ``revise`` or ``contract``, and the
 pair matrices of one in closed form through ``_posterior_relations``.
-Running every layer
-and count once here catches a refactor that removes one.  The layers
-run inside ``layers``' context, whose exit removes the temporary copy of
-the sources; the test configuration turns a leaked one into a failure.
+Running every layer and count once here catches a refactor that removes
+one.  The layers run inside ``layers``' context, whose exit removes the
+temporary copy of the sources; the test configuration turns a leaked one
+into a failure.
 """
 
 import importlib.util
@@ -25,7 +25,7 @@ _SPEC.loader.exec_module(ab_layers)
 
 # The layer names of earlier BENCH_*.json readings, kept so they stay comparable.
 EARLIER_LAYERS = (
-    "revise_call_us", "contract_call_us", "merge_masks_call_us", "tpo_at_index_x1000_ms",
+    "revise_call_us", "contract_call_us", "tpo_at_index_x1000_ms",
     "enumerate_tpos_3_s", "scan_DP1_natural_ms", "scan_NLI_natural_stq_lex_ms",
     "scan_IIAI_natural_ms", "scan_IIAP_natural_ms", "scan_Beta1_natural_ms",
     "scan_Neut_natural_ms", "scan_IIAI_stq_lex_then_natural_ms",
@@ -63,11 +63,19 @@ def test_the_scenario_layer_runs_every_step_on_this_tree():
 def test_the_order_counts_are_ints_on_this_tree():
     bc = ab_layers._load("ab_layers_counts", ROOT / "src")
     counts = ab_layers.order_counts(bc)
-    assert set(counts) == {"pair_profile_n2_orders", "check_Neut_natural_n2_orders"}
+    assert set(counts) == {
+        "pair_profile_n2_orders",
+        "check_Neut_natural_n2_orders",
+        "check_NLI_natural_stq_lex_n2_revise_orders",
+    }
     assert all(type(found) is int and found > 0 for found in counts.values())
     # the totals of the order-count tests in test_postulates.py, the closed
-    # form's entries included
-    assert counts == {"pair_profile_n2_orders": 814, "check_Neut_natural_n2_orders": 435}
+    # form's entries included, and the revision orders of the NLI report
+    assert counts == {
+        "pair_profile_n2_orders": 814,
+        "check_Neut_natural_n2_orders": 435,
+        "check_NLI_natural_stq_lex_n2_revise_orders": 18,
+    }
 
 
 def test_the_import_layer_and_count_run_on_this_tree():

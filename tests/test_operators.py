@@ -20,9 +20,8 @@ from beliefchange.operators import (
     nli_revise,
     revise,
 )
-from beliefchange.operators import _merge_masks, _posteriors
+from beliefchange.operators import _posteriors
 from beliefchange.postulates import (
-    _CLOSED_FORMS,
     _Ctx,
     _equivariant,
     _holding,
@@ -49,8 +48,8 @@ ATOMS = ("p", "q")
 
 
 def stq_merge(t1, t2):
-    """The synchronized-minima merge of two preorders, on their cell masks."""
-    return Tpo(_merge_masks(t1.masks, t2.masks, all_worlds(t1.n_atoms)), t1.n_atoms)
+    """The synchronized-minima merge of two preorders, by the oracle below."""
+    return _from_cells(_oracle_stq_merge(_cells(t1), _cells(t2)), t1.n_atoms)
 
 
 def holds(postulate, revision, n_atoms):
@@ -138,7 +137,7 @@ def test_preorders_reject_cells_that_are_no_world_masks(bad):
 
 
 # ---------------------------------------------------------------------------
-# TeamQueue merge
+# TeamQueue merge: the oracle's, which every contraction is tested against
 
 
 def test_merge_is_idempotent():
@@ -401,14 +400,6 @@ def test_mask_operators_match_the_oracle_on_every_two_atom_instance():
             _assert_matches_oracle(t, p)
 
 
-def test_mask_merge_matches_the_oracle_on_every_two_atom_pair():
-    pool = list(enumerate_tpos(2))
-    for t1 in pool:
-        for t2 in pool:
-            expected = _from_cells(_oracle_stq_merge(_cells(t1), _cells(t2)), 2)
-            assert stq_merge(t1, t2) == expected
-
-
 def test_mask_operators_match_the_oracle_on_three_atom_draws():
     rng = random.Random(6)
     props = propositions(3)
@@ -416,9 +407,6 @@ def test_mask_operators_match_the_oracle_on_three_atom_draws():
     for _ in range(2000):
         t = tpo_at_index(rng.randrange(total), 3)
         _assert_matches_oracle(t, rng.choice(props))
-        other = tpo_at_index(rng.randrange(total), 3)
-        expected = _from_cells(_oracle_stq_merge(_cells(t), _cells(other)), 3)
-        assert stq_merge(t, other) == expected
 
 
 def test_one_constructor_gives_one_value():
@@ -494,13 +482,13 @@ def test_operators_commute_with_world_permutations():
 
 # ---------------------------------------------------------------------------
 # The batch kernel: each built-in revision and contraction of one prior by
-# many inputs in one pass, against the frozenset oracle above and against
-# the Harper merge (``_merge_masks``) of the prior with the oracle's
-# revision by each input's complement
+# many inputs in one pass, against the frozenset oracle above, whose
+# contraction merges the prior with its revision by each input's
+# complement
 
 
 def _assert_kernel_matches_the_oracles(t, qs):
-    n, cells, full = t.n_atoms, _cells(t), all_worlds(t.n_atoms)
+    n, cells = t.n_atoms, _cells(t)
     for method in Revision:
         got = _posteriors(revise, t, qs, method)
         assert got == [_from_cells(_oracle_revise(cells, _set(q), method), n) for q in qs]
@@ -508,13 +496,6 @@ def _assert_kernel_matches_the_oracles(t, qs):
     for method in Contraction:
         got = _posteriors(contract, t, qs, method)
         assert got == [_from_cells(_oracle_contract(cells, _set(q), method), n) for q in qs]
-        merged = [
-            _from_cells(_oracle_revise(cells, _set(full & ~q), _ORACLE_BASE[method]), n)
-            if q != full
-            else t
-            for q in qs
-        ]
-        assert got == [u if u is t else stq_merge(t, u) for u in merged]
         assert _posteriors(contract, t, qs[::-1], method) == got[::-1]
 
 
@@ -545,6 +526,8 @@ class _Reversed:
         return revise(Tpo(t.masks[::-1], t.n_atoms), sentence_models, Revision.NATURAL)
 
 
+# The built-ins, each with a closed form, by whether they contract
+BUILT_INS = ((False, Revision), (True, Contraction))
 # (revision, contraction, named order) of every named order that the
 # closed form serves
 CLOSED_ORDERS = (
@@ -590,7 +573,10 @@ def test_the_closed_form_matches_the_kernel_on_each_three_atom_composition():
 
 def test_the_closed_form_matches_the_kernel_on_four_atom_preorders():
     # a flat, a linear and four seeded preorders of the sixteen worlds,
-    # each on a seeded tenth of its 65,535 inputs and the tautology
+    # each on a seeded tenth of its 65,535 inputs and the tautology; the
+    # kernel's contractions are checked against the oracle too, as the
+    # kernel and the closed form of ``contract-stq-lex`` share its levels
+    # (``operators._stq_lex_levels``)
     rng = random.Random(37)
     full = all_worlds(4)
     priors = [Tpo((full,), 4), Tpo([1 << w for w in rng.sample(range(16), 16)], 4)]
@@ -600,17 +586,23 @@ def test_the_closed_form_matches_the_kernel_on_four_atom_preorders():
         priors.append(Tpo(cells, 4))
     for t in priors:
         qs = [*rng.sample(range(1, full), 6500), full]
-        for contracting, methods in _CLOSED_FORMS.items():
+        for contracting, methods in BUILT_INS:
             function = contract if contracting else revise
             for method in methods:
-                expected = [_relations(u) for u in _posteriors(function, t, qs, method)]
+                posteriors = _posteriors(function, t, qs, method)
+                expected = [_relations(u) for u in posteriors]
                 got = _posterior_relations(contracting, t, _relations(t), qs, method)
                 assert got == expected, (t, method)
+                if contracting:
+                    cells = _cells(t)
+                    oracle = [_oracle_contract(cells, _set(q), method) for q in qs]
+                    assert posteriors == [_from_cells(c, 4) for c in oracle], (t, method)
 
 
 def test_the_closed_form_serves_exactly_the_built_ins_it_covers(monkeypatch):
     # a matrix memo under a built-in with a closed form builds no
-    # posterior; under any other operator it reads the memo's orders
+    # posterior; under any other operator it takes the matrices of the
+    # kernel's posteriors
     built = []
 
     def counted(function, t, qs, method, _real=postulates._posteriors):
@@ -649,7 +641,7 @@ def test_the_kernel_rejects_a_bad_mask_as_revise_and_contract_do(bad):
 def test_the_closed_form_rejects_a_bad_mask_as_revise_and_contract_do(bad):
     for prior in (M0, tpo_at_index(4321, 3)):
         full = all_worlds(prior.n_atoms)
-        for contracting, methods in _CLOSED_FORMS.items():
+        for contracting, methods in BUILT_INS:
             function = contract if contracting else revise
             for method in methods:
                 expected = _outcome(lambda: function(prior, bad, method))

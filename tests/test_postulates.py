@@ -34,8 +34,6 @@ from beliefchange.operators import (
     revise,
 )
 from beliefchange.postulates import (
-    _BUILTIN_CONTRACTIONS,
-    _BUILTIN_REVISIONS,
     _POSTULATES,
     CLAIM_IDS,
     DIAGRAM_IDS,
@@ -807,7 +805,7 @@ def test_a_failing_t4_counts_and_keeps_its_witnesses(monkeypatch):
     monkeypatch.setattr(postulates, "rational_closure_fast", lambda contracted, p: contracted)
     pool = list(enumerate_tpos(2))
     expected = []
-    for con in _BUILTIN_CONTRACTIONS:
+    for con in Contraction:
         for t in pool:
             for p in propositions(2):
                 contracted = contract_by_negation(t, p, con)
@@ -1168,13 +1166,13 @@ def _assert_counts_match(ctx, outer, counted=COUNTED):
 def _revisions():
     """The built-in revisions, then operators that break what they keep."""
     return (
-        list(_BUILTIN_REVISIONS)
+        list(Revision)
         + [_Reversed()]
         + [make_random_dp_operator(seed, 2) for seed in range(10)]
         + [
             _NliComposition(con, rev)
-            for con in _BUILTIN_CONTRACTIONS
-            for rev in _BUILTIN_REVISIONS
+            for con in Contraction
+            for rev in Revision
         ]
     )
 
@@ -1182,9 +1180,9 @@ def _revisions():
 def _operator_pairs():
     """The nine built-in pairs, then each other revision with a built-in
     contraction in turn."""
-    others = _revisions()[len(_BUILTIN_REVISIONS) :]
-    return [(rev, con) for rev in _BUILTIN_REVISIONS for con in _BUILTIN_CONTRACTIONS] + [
-        (rev, _BUILTIN_CONTRACTIONS[i % 3]) for i, rev in enumerate(others)
+    others = _revisions()[len(Revision) :]
+    return [(rev, con) for rev in Revision for con in Contraction] + [
+        (rev, tuple(Contraction)[i % 3]) for i, rev in enumerate(others)
     ]
 
 
@@ -1222,7 +1220,7 @@ def test_routed_matrix_counts_equal_the_order_comparison_on_every_two_atom_insta
     # NLI and iLIRC count on the two routes' pair matrices and find their
     # witnesses by comparing the orders: equal matrices mean equal orders
     differing = 0
-    for rev, con in product(_BUILTIN_REVISIONS, _BUILTIN_CONTRACTIONS):
+    for rev, con in product(Revision, Contraction):
         ctx = _Ctx(2, rev, con)
         for postulate, final in (("NLI", rev), ("iLIRC", Revision.NATURAL)):
             spec = _POSTULATES[postulate]
@@ -1402,6 +1400,24 @@ def test_a_failing_routed_scan_and_its_witnesses_share_each_direct_order(revisio
     assert len(set(revisions)) == len(revisions)
 
 
+@pytest.mark.parametrize(
+    "postulate, rev, con, witnessed",
+    [
+        ("NLI", Revision.NATURAL, Contraction.STQ_LEX, 18),
+        ("iLIRC", Revision.LEXICOGRAPHIC, Contraction.STQ_RESTRAINED, 20),
+    ],
+)
+def test_a_routed_count_builds_no_revision_order(postulate, rev, con, witnessed, revisions):
+    # the count compares pair matrices, so a verdict builds no revision
+    # order; a report builds the two orders of each of its ten witnesses,
+    # and the direct and routed revisions of an input may be one order
+    assert not postulates._holding((postulate,), rev, con, 2)[postulate]
+    assert revisions and not [call for call in revisions if call[0] == "revise"]
+    report = check_postulate(postulate, rev, con, n_atoms=2)
+    assert len(report.witnesses) == WITNESS_CAP
+    assert sum(call[0] == "revise" for call in revisions) == witnessed
+
+
 def test_one_memo_entry_serves_every_route_to_an_order(revisions):
     # contracting by q (CC1's ``con``) and by the negation of its
     # complement (CR1's ``conneg``) is one entry, so each contraction is
@@ -1477,13 +1493,13 @@ def test_a_finished_scan_context_is_freed_without_the_cycle_collector():
 def _claim_verdicts():
     """(postulates, revision, contraction) of each one-pass verdict that
     T1, T2, T3, Cor1 and P3 ask for."""
-    for rev in _BUILTIN_REVISIONS:
+    for rev in Revision:
         yield postulates.ELEMENTARY_POSTULATES, rev, None
-        for con in _BUILTIN_CONTRACTIONS:
+        for con in Contraction:
             yield ("NLI", "CR1", "CR2", "CR3", "CR4", "SPU", "WPU"), rev, con
-    for con in _BUILTIN_CONTRACTIONS:
+    for con in Contraction:
         yield ("CC1", "CC2", "CC3", "CC4"), None, con
-        for rev in _BUILTIN_REVISIONS:
+        for rev in Revision:
             yield ("DP1", "DP2", "DP3", "DP4"), _NliComposition(con, rev), None
 
 
@@ -1570,8 +1586,8 @@ def test_orbit_reports_equal_the_full_scan(postulate, monkeypatch):
     spec = _POSTULATES[postulate]
     runs = [
         (rev, con, scope)
-        for rev in (_BUILTIN_REVISIONS if spec.needs_rev else (None,))
-        for con in (_BUILTIN_CONTRACTIONS if spec.needs_con else (None,))
+        for rev in (Revision if spec.needs_rev else (None,))
+        for con in (Contraction if spec.needs_con else (None,))
         for scope in ORBIT_SCOPES
     ]
     orbit = [check_postulate(postulate, rev, con, **scope) for rev, con, scope in runs]
@@ -1595,8 +1611,8 @@ def test_diagram_reports_equal_the_full_scan(monkeypatch):
 
 
 EQUIVARIANT = (
-    *_BUILTIN_REVISIONS,
-    *(_NliComposition(con, rev) for con in _BUILTIN_CONTRACTIONS for rev in _BUILTIN_REVISIONS),
+    *Revision,
+    *(_NliComposition(con, rev) for con in Contraction for rev in Revision),
 )
 
 
@@ -1703,7 +1719,7 @@ NEVER_FAILING = (
 _STQ_LEX_FAILS = {(rev, Contraction.STQ_LEX) for rev in (Revision.NATURAL, Revision.RESTRAINED)}
 FAILING_PAIRS = {
     **dict.fromkeys(("CR3", "CR4", "SPU", "WPU", "NLI"), _STQ_LEX_FAILS),
-    "iLIRC": set(product(_BUILTIN_REVISIONS, _BUILTIN_CONTRACTIONS))
+    "iLIRC": set(product(Revision, Contraction))
     - {(Revision.NATURAL, Contraction.NATURAL), (Revision.NATURAL, Contraction.STQ_RESTRAINED)},
     **{f"diagram {d}": {(d, None)} for d in ("d", "e", "f")},
 }
@@ -1718,7 +1734,7 @@ def _additive_cases(n_atoms, revisions):
     for postulate in INPUT_ADDITIVE:
         spec = _POSTULATES[postulate]
         for rev in revisions if spec.needs_rev else (None,):
-            for con in _BUILTIN_CONTRACTIONS if spec.needs_con else (None,):
+            for con in Contraction if spec.needs_con else (None,):
                 if (rev, con) not in contexts:
                     contexts[rev, con] = _Ctx(n_atoms, rev, con, shared)
                 yield (postulate, rev, con), spec, contexts[rev, con]
@@ -1747,7 +1763,7 @@ def _failing_cases(n_atoms, tpos, revisions):
     [
         (1, lambda: enumerate_tpos(1), EQUIVARIANT),
         (2, lambda: enumerate_tpos(2), EQUIVARIANT),
-        (3, lambda: _one_per_composition(3), _BUILTIN_REVISIONS),
+        (3, lambda: _one_per_composition(3), Revision),
     ],
     ids=["n1-every-tpo", "n2-every-tpo", "n3-one-tpo-per-composition"],
 )

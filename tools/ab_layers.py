@@ -20,8 +20,7 @@ layers run.  Each layer's name ends in its unit, per call of the layer
 milliseconds per 1000 calls, a bare ``_ms`` or ``_s`` per run of the
 whole layer).  The layers, at three atoms unless the name says
 otherwise: building a preorder from its cell masks; ``revise`` and
-``contract`` under every built-in method; ``_merge_masks``, the
-synchronized-minima merge of ``contract``; the scan context's order memo
+``contract`` under every built-in method; the scan context's order memo
 filling one prior's orders on all 255 inputs (``_Ctx(3).memo(revise |
 contract, method).at(t, ctx.props)``, a fresh context per call) for each
 built-in method on the drawn outer preorders; one prior's outcome row on
@@ -71,7 +70,9 @@ and the rounds in which the change was faster.
 
 Beside the timings, ``counts`` gives each tree's exact number of orders
 computed by ``pair_profile(2)`` (its cache cleared) and by the
-exhaustive Neut check under natural revision at two atoms
+exhaustive Neut check under natural revision at two atoms, and of
+revision orders, through ``revise``, computed by the exhaustive NLI
+check under natural revision and ``contract-stq-lex`` at two atoms
 (``order_counts``): how often the scan context's memo computes an order,
 or the pair matrices of one in closed form, rather than reusing it.
 ``cli_import_modules`` is the number of modules that ``import
@@ -153,7 +154,9 @@ def draws():
     rng = random.Random(2019)
     pool = [rng.randrange(TPOS3) for _ in range(200)]
     inputs = [(rng.choice(pool), rng.choice(INPUTS3)) for _ in range(DRAWS)]
-    pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(DRAWS)]
+    # the preorder pairs of a merge layer since removed, still drawn so that
+    # every later draw stays as in earlier readings
+    [rng.choice(pool) for _ in range(2 * DRAWS)]
     indices = [rng.randrange(TPOS3) for _ in range(1000)]
     outers = [rng.randrange(TPOS3) for _ in range(SCANS)]
     outer_pairs = [(rng.choice(outers), rng.choice(outers)) for _ in range(SCANS)]
@@ -170,7 +173,6 @@ def draws():
     )
     return {
         "inputs": inputs,
-        "pairs": pairs,
         "indices": indices,
         "outers": outers,
         "outer_pairs": outer_pairs,
@@ -233,7 +235,6 @@ def layers(bc, drawn):
         return tpo.tpo_at_index(index, 3)
 
     inputs = [(unrank(i), p) for i, p in drawn["inputs"]]
-    pairs = [(unrank(a).masks, unrank(b).masks) for a, b in drawn["pairs"]]
     outers = [unrank(i) for i in drawn["outers"]]
     outer_pairs = [(unrank(a), unrank(b)) for a, b in drawn["outer_pairs"]]
     isomorphic_pairs = [
@@ -269,11 +270,6 @@ def layers(bc, drawn):
         for t in outers:
             ctx = post._Ctx(3)
             ctx.memo(post.contract, stq_lex, matrices=True).at(t, ctx.props)
-
-    def merges():
-        full = bc.lang.all_worlds(3)
-        for a, b in pairs:
-            ops._merge_masks(a, b, full)
 
     def unranks():
         for index in drawn["indices"]:
@@ -372,7 +368,6 @@ def layers(bc, drawn):
             "construct_call_us": (construct, DRAWS, 1e6),
             "revise_call_us": (revisions, 3 * DRAWS, 1e6),
             "contract_call_us": (contractions, 3 * DRAWS, 1e6),
-            "merge_masks_call_us": (merges, DRAWS, 1e6),
             "contract_stq_lex_matrices_call_us": (stq_lex_matrices, 255 * SCANS, 1e6),
             "memo_all_inputs_n3_call_us": (memo_orders, 6 * SCANS, 1e6),
             "tpo_at_index_x1000_ms": (unranks, 1, 1e3),
@@ -452,21 +447,32 @@ ORDER_FUNCTIONS = {
 
 def order_counts(bc):
     """Each count's name -> the orders its run computes in the loaded
-    package ``bc``: the orders that the ``ORDER_FUNCTIONS`` calls of
-    ``postulates`` compute, counted by wrapping them in its namespace
-    for the run."""
+    package ``bc``: the orders that the calls of ``postulates`` to the
+    run's ``ORDER_FUNCTIONS`` compute, counted by wrapping them in its
+    namespace for the run."""
     post = bc.postulates
     natural = bc.operators.Revision.NATURAL
+    stq_lex = bc.operators.Contraction.STQ_LEX
     runs = {
-        "pair_profile_n2_orders": lambda: (post.pair_profile.cache_clear(), post.pair_profile(2)),
-        "check_Neut_natural_n2_orders": lambda: post.check_postulate("Neut", natural, n_atoms=2),
+        "pair_profile_n2_orders": (
+            ORDER_FUNCTIONS,
+            lambda: (post.pair_profile.cache_clear(), post.pair_profile(2)),
+        ),
+        "check_Neut_natural_n2_orders": (
+            ORDER_FUNCTIONS,
+            lambda: post.check_postulate("Neut", natural, n_atoms=2),
+        ),
+        "check_NLI_natural_stq_lex_n2_revise_orders": (
+            ("revise",),
+            lambda: post.check_postulate("NLI", natural, stq_lex, n_atoms=2),
+        ),
     }
     real = {name: getattr(post, name) for name in ORDER_FUNCTIONS if hasattr(post, name)}
     calls = []
 
-    def counted(function, orders):
+    def counted(name, function):
         def wrapper(*args):
-            calls.append(orders(*args))
+            calls.append((name, ORDER_FUNCTIONS[name](*args)))
             return function(*args)
 
         return wrapper
@@ -474,11 +480,11 @@ def order_counts(bc):
     out = {}
     try:
         for name, function in real.items():
-            setattr(post, name, counted(function, ORDER_FUNCTIONS[name]))
-        for name, run in runs.items():
+            setattr(post, name, counted(name, function))
+        for name, (functions, run) in runs.items():
             calls.clear()
             run()
-            out[name] = sum(calls)
+            out[name] = sum(orders for function, orders in calls if function in functions)
     finally:
         for name, function in real.items():
             setattr(post, name, function)
