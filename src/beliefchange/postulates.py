@@ -151,12 +151,19 @@ Quantification conventions, fixed once for the whole module:
 
 Exhaustive checks are supported for at most 2 atoms; sampled checks,
 drawing preorders uniformly via ordered-partition unranking, for at
-most 3.  A sampled check draws its preorder indices once.  Its outers,
-those preorders or the enumeration, are split into one contiguous job
-per worker, at most ``_CHUNKS`` (16).  A job is a closure over its scan
-and outers: the first runs in process and each other one, at most 15,
-in a forked child, which pipes back only its result (``_run_jobs``).
-Without ``os.fork`` (Windows) every job runs in process.
+most 3.  A sampled check draws its preorder indices once.  A check
+scans its outers, those preorders or the enumeration, in process on one
+context and one tally.  At one worker that is the whole check, and it
+reads no clock.  At more, it reads the clock between outers, and once
+``_FORK_AFTER_S`` has passed it splits the outers left into one
+contiguous part per worker, at most ``_CHUNKS`` (16) and at most one per
+outer.  A part is a closure over the scan, the context and its outers:
+the first runs in process and each other one, at most 15, in a forked
+child, which pipes back only its result (``_run_jobs``).  A child
+inherits the context, so it reuses the orders and the per-composition
+counts that the prefix computed.  The tallies merge in scan order:
+prefix, first part, then the children's.  Where ``os.fork`` does not
+exist (Windows), or a fork fails, those parts run in process.
 """
 
 from __future__ import annotations
@@ -170,6 +177,7 @@ from functools import lru_cache, partial
 from itertools import islice
 from math import comb
 from operator import mul
+from time import perf_counter
 from types import MappingProxyType
 
 from .conditionals import flattest_satisfier, rational_closure_fast
@@ -210,6 +218,13 @@ from .tpo import (
 
 WITNESS_CAP = 10
 _CHUNKS = 16
+# In-process time after which a check at more than one worker forks the
+# rest of its outers.  On a 2-vCPU x86-64 host, a bare ``_run_jobs`` of
+# two trivial jobs took 2.0-2.3 ms, and each small sampled IIAI,
+# Beta1/Beta2, IIAP and Neut check at three atoms lost 2.5-15 ms at two
+# workers.  A check that forks after 50 ms has spent over twenty times a
+# fork's cost, and over three times the largest loss, in process.
+_FORK_AFTER_S = 0.05
 # Inputs per step of a single-input scan's generator (``_by_input``).  At
 # three atoms a failing scan's first ten witnesses mostly lie within its
 # first 20 inputs, so the generator seldom computes orders past them.
@@ -350,7 +365,10 @@ class _Ctx:
     posterior, to its pair matrices, and ``rows`` keeps each prior's
     outcome row on every input.  Contexts given one ``shared`` dict keep
     ``orders`` and ``relations`` there, so they compute each order and its
-    matrices once between them."""
+    matrices once between them.  ``orbits`` keeps, per scan, the counts
+    that ``_counted`` reads back by composition; it is this context's own
+    and survives ``clear``, so a forked part of a check never recounts a
+    composition that the check counted before the split."""
 
     def __init__(self, n_atoms: int, rev=None, con: Contraction | None = None, shared=None):
         self.n = n_atoms
@@ -362,6 +380,7 @@ class _Ctx:
         self.rev = rev
         self.con = con
         self._outcomes = {}  # prior: its outcome rows
+        self.orbits = {}  # scan: {composition: count}
         shared = {} if shared is None else shared
         self.relations = shared.setdefault("matrices", _Matrices())
         self.orders = shared.setdefault("orders", {})  # see ``memo``
@@ -445,20 +464,22 @@ class _Ctx:
 
 
 class _Tally:
-    """One verdict, of a check, a diagram or a claim: instances and
-    violations counted in full, and the first ``WITNESS_CAP`` raw
-    witnesses in scan order, rendered by ``ctx.witness`` only when
-    ``report`` builds the report."""
+    """One verdict, of a check, a diagram or a claim: outers, instances
+    and violations counted in full, and the first ``cap`` raw witnesses
+    in scan order, rendered by ``ctx.witness`` only when ``report`` builds
+    the report."""
 
-    def __init__(self, ctx: _Ctx):
+    def __init__(self, ctx: _Ctx, cap: int = WITNESS_CAP):
         self.ctx = ctx
+        self.cap = cap
+        self.outers = 0
         self.instances = 0
         self.violations = 0
         self.raws = []
 
     @property
     def room(self) -> int:
-        return WITNESS_CAP - len(self.raws)
+        return self.cap - len(self.raws)
 
     def keep(self, raws) -> int:
         """Keep raw witnesses while there is room; how many."""
@@ -1116,13 +1137,13 @@ def _enumeration(n_atoms: int) -> tuple:
 
 
 def _outers(pair_outer, n_atoms, part):
-    """One job's outers: the enumeration from ``part.start`` to
-    ``part.stop`` (a slice; stop None runs to the end), or the preorders
-    at a list of drawn indices.  Pair outers come in rows (see
-    ``_counted``): (first preorder, second preorders, whether those are
-    the whole enumeration).  An exhaustive row pairs each preorder of the
-    slice with the whole enumeration; a drawn pair is a row of its own."""
-    if isinstance(part, slice):
+    """The outers at some indices: the enumeration's at a range of its
+    indices, or the preorders at a list of drawn indices.  Pair outers
+    come in rows (see ``_counted``): (first preorder, second preorders,
+    whether those are the whole enumeration).  An exhaustive row pairs
+    each preorder of the range with the whole enumeration; a drawn pair
+    is a row of its own."""
+    if isinstance(part, range):
         pool = _enumeration(n_atoms)
         firsts = islice(pool, part.start, part.stop)
         return ((first, pool, True) for first in firsts) if pair_outer else firsts
@@ -1225,7 +1246,9 @@ def _counted(ctx: _Ctx, spec: _PostulateDef, outers):
     preorder's scan that sums over single inputs takes it on one input
     per orbit of the preorder's cells, weighted by the orbit's size
     (``_orbit_count``).  Drawn rows, and every outer under other
-    operators (a tabular or a random operator), are counted in full."""
+    operators (a tabular or a random operator), are counted in full.
+    The counts by composition are kept on the context (``ctx.orbits``),
+    so a later scan of the same postulate on it reads them back too."""
     equivariant = _equivariant(ctx.rev, ctx.con)
     by_orbits = equivariant and spec.counts is not None and not spec.pair_outer
 
@@ -1234,7 +1257,7 @@ def _counted(ctx: _Ctx, spec: _PostulateDef, outers):
             return _orbit_count(ctx, spec, outer)
         return sum(spec.count(ctx, pair) for pair in _pairs(spec, outer))
 
-    orbits = {}
+    orbits = ctx.orbits.setdefault(spec, {})
     for outer in outers:
         first, whole = (outer[0], outer[2]) if spec.pair_outer else (outer, True)
         if not (equivariant and whole):
@@ -1246,17 +1269,20 @@ def _counted(ctx: _Ctx, spec: _PostulateDef, outers):
         yield outer, orbits[key]
 
 
-def _scan(ctx: _Ctx, spec: _PostulateDef, outers, clear: bool = False) -> _Tally:
+def _scan(
+    ctx: _Ctx, spec: _PostulateDef, outers, clear: bool = False, cap: int = WITNESS_CAP
+) -> _Tally:
     """Tally a scan over outers (rows for a pair scan): each outer's
     violation count (see ``_counted``), its instances (a row's for each
-    of its pairs), and its witnesses from ``gen``, pair by pair in a row,
-    only while there is room for them.  ``clear`` drops the context's
-    memo after each outer: sampled outers seldom share a prior, and at
-    three atoms each prior's orders cover 255 inputs."""
-    tally = _Tally(ctx)
+    of its pairs), and its first ``cap`` witnesses from ``gen``, pair by
+    pair in a row, only while there is room for them.  ``clear`` drops
+    the context's memo after each outer: sampled outers seldom share a
+    prior, and at three atoms each prior's orders cover 255 inputs."""
+    tally = _Tally(ctx, cap)
     per_outer = spec.inputs_per_outer(ctx)
     for outer, found in _counted(ctx, spec, outers):
         pairs = _pairs(spec, outer)
+        tally.outers += 1
         tally.instances += per_outer * len(pairs)
         tally.violations += found
         for pair in pairs if found else ():
@@ -1268,11 +1294,21 @@ def _scan(ctx: _Ctx, spec: _PostulateDef, outers, clear: bool = False) -> _Tally
     return tally
 
 
-def _run_job(spec: _PostulateDef, rev, con, n_atoms: int, part) -> tuple:
-    """One check job: the scan's tally on its part of the outers, as
-    (instances, violations, raw witnesses)."""
-    outers = _outers(spec.pair_outer, n_atoms, part)
-    tally = _scan(_Ctx(n_atoms, rev, con), spec, outers, clear=isinstance(part, list))
+def _within_budget(outers):
+    """The outers, until ``_FORK_AFTER_S`` has passed since the first was
+    asked for; the clock is read before each."""
+    start = perf_counter()
+    for outer in outers:
+        if perf_counter() - start >= _FORK_AFTER_S:
+            return
+        yield outer
+
+
+def _run_job(ctx: _Ctx, spec: _PostulateDef, clear: bool, cap: int, part) -> tuple:
+    """One part of a check's outers, scanned on the check's context: its
+    tally as (instances, violations, raw witnesses), keeping at most
+    ``cap`` raws, the room the check had left when it split."""
+    tally = _scan(ctx, spec, _outers(spec.pair_outer, ctx.n, part), clear, cap)
     return tally.instances, tally.violations, tally.raws
 
 
@@ -1285,25 +1321,19 @@ def _run_jobs(jobs) -> list:
     no exit hook.  A child's exception is raised again here.  Every child
     is reaped before this returns or raises; on an error the read ends are
     closed first, so no child stays blocked on its write.  The checker
-    starts no thread, so forking is safe.  Without ``os.fork`` (Windows)
-    every job runs in process."""
-    if not hasattr(os, "fork"):
-        return [job() for job in jobs]
+    starts no thread, so forking is safe.  Without ``os.fork`` (Windows),
+    or once a pipe or a fork fails (say, with no process to spare), the
+    jobs not yet forked run in process, after job 0."""
     children = []  # (pid, read end) per forked job
     try:
-        for job in jobs[1:]:
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                _child(job, read, write, children)
-            os.close(write)
-            children.append((pid, open(read, "rb")))
-        results = [jobs[0]()]
+        if hasattr(os, "fork"):
+            for job in jobs[1:]:
+                try:
+                    children.append(_fork(job, children))
+                except OSError:
+                    break
+        own = [job() for job in (jobs[0], *jobs[1 + len(children) :])]
+        results = own[:1]
         for index, (_, pipe) in enumerate(children, 1):
             try:
                 ok, value = pickle.load(pipe)
@@ -1312,12 +1342,29 @@ def _run_jobs(jobs) -> list:
             if not ok:
                 raise value
             results.append(value)
-        return results
+        return results + own[1:]
     finally:
         for _, pipe in children:
             pipe.close()
         for pid, _ in children:
             os.waitpid(pid, 0)
+
+
+def _fork(job, siblings) -> tuple:
+    """A forked child running ``job`` (see ``_child``): its pid and the
+    read end of its pipe.  An OSError from the pipe or the fork leaves no
+    end of the pipe open."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        _child(job, read, write, siblings)
+    os.close(write)
+    return pid, open(read, "rb")
 
 
 def _child(job, read: int, write: int, siblings) -> None:
@@ -1358,13 +1405,15 @@ def check_postulate(
     only sampled mode takes a ``seed`` or ``sample``.
     Violations are counted in full; the report keeps the first ten
     witnesses in enumeration order, whatever the worker count.  The
-    outers (an exhaustive pair scan's first preorders) are split into
-    one contiguous job per worker, at most ``_CHUNKS`` (16) and at most
-    one per outer, so every exhaustive row is whole.  Each job is a
-    closure over the scan, the operators and its outers: the first runs
-    in process and every other one, at most 15, in a forked child, and
-    only its result crosses the pipe (see ``_run_jobs``).  Only the kept
-    witnesses are rendered, in this process.
+    outers (an exhaustive pair scan's first preorders, so every
+    exhaustive row is whole) are scanned in process.  At more than one
+    worker the clock is read between outers, and once ``_FORK_AFTER_S``
+    has passed the outers left are split into one contiguous part per
+    worker, at most ``_CHUNKS`` (16) and at most one per outer.  Each
+    part is a closure over the scan, the context and its outers: the
+    first runs in process and every other one, at most 15, in a forked
+    child, and only its result crosses the pipe (see ``_run_jobs``).
+    Only the kept witnesses are rendered, in this process.
     """
     spec = _spec(postulate, revision, contraction)
     _validate_scope(n_atoms, mode)
@@ -1380,23 +1429,26 @@ def check_postulate(
         raise ScopeError("the sample size must be at most 1000000")
     if workers < 1:
         raise ScopeError("the worker count must be at least 1")
-    if mode == "sampled":
+    sampled = mode == "sampled"
+    if sampled:
         seed = 0 if seed is None else seed
         sample = 10000 if sample is None else sample
-        draws = _draws(spec.pair_outer, n_atoms, seed, sample)
-        total = sample
+        indices = _draws(spec.pair_outer, n_atoms, seed, sample)
     else:
-        draws = None
-        total = count_tpos(n_atoms)  # first preorders, for a pair scan
-    n_jobs = min(workers, _CHUNKS, total)
-    bounds = [(total * i // n_jobs, total * (i + 1) // n_jobs) for i in range(n_jobs)]
-    parts = [slice(start, stop) if draws is None else draws[start:stop] for start, stop in bounds]
-    jobs = [partial(_run_job, spec, revision, contraction, n_atoms, part) for part in parts]
-    tally = _Tally(_Ctx(n_atoms))
-    for instances, violations, raws in _run_jobs(jobs):
-        tally.instances += instances
-        tally.violations += violations
-        tally.keep(raws)
+        indices = range(count_tpos(n_atoms))  # first preorders, for a pair scan
+    ctx = _Ctx(n_atoms, revision, contraction)
+    outers = _outers(spec.pair_outer, n_atoms, indices)
+    tally = _scan(ctx, spec, outers if workers == 1 else _within_budget(outers), sampled)
+    left = indices[tally.outers :]
+    if left:
+        n_jobs = min(workers, _CHUNKS, len(left))
+        bounds = [len(left) * i // n_jobs for i in range(n_jobs + 1)]
+        parts = [left[start:stop] for start, stop in zip(bounds, bounds[1:])]
+        jobs = [partial(_run_job, ctx, spec, sampled, tally.room, part) for part in parts]
+        for instances, violations, raws in _run_jobs(jobs):
+            tally.instances += instances
+            tally.violations += violations
+            tally.keep(raws)
     return tally.report(postulate, CheckScope(n_atoms, mode, sample, seed), revision, contraction)
 
 
@@ -1409,10 +1461,10 @@ def _holding(ids, revision, contraction, n_atoms: int, shared=None) -> dict:
     specs = {postulate: _spec(postulate, revision, contraction) for postulate in ids}
     _validate_scope(n_atoms, "exhaustive")
     ctx = _Ctx(n_atoms, revision, contraction, shared)
+    everything = range(count_tpos(n_atoms))
     return {
         postulate: not any(
-            found
-            for _, found in _counted(ctx, spec, _outers(spec.pair_outer, n_atoms, slice(0, None)))
+            found for _, found in _counted(ctx, spec, _outers(spec.pair_outer, n_atoms, everything))
         )
         for postulate, spec in specs.items()
     }

@@ -1,3 +1,4 @@
+import errno
 import gc
 import json
 import operator
@@ -10,7 +11,7 @@ import types
 import weakref
 from collections import Counter
 from functools import lru_cache, partial
-from itertools import islice, product
+from itertools import count, islice, product
 from math import prod
 
 import pytest
@@ -323,6 +324,14 @@ class _Alternating:
         return "alternating"
 
 
+class _Reversed:
+    """Natural revision of the reversed prior: fails IIAI, so a counted
+    scan rebuilds its witnesses with the generator."""
+
+    def posterior(self, t, sentence_models):
+        return revise(Tpo(t.masks[::-1], t.n_atoms), sentence_models, Revision.NATURAL)
+
+
 def test_posterior_only_operators_are_named_in_the_report():
     composed = _NliComposition(Contraction.NATURAL, Revision.NATURAL)
     report = check_postulate("DP1", composed, n_atoms=1)
@@ -357,9 +366,22 @@ def test_reports_are_deterministic_across_runs_and_workers():
     assert render_machine(first) == render_machine(parallel)
 
 
-def test_worker_pool_is_sized_by_the_jobs(monkeypatch):
-    """A check runs one job per worker, at most 16 and at most one per
-    outer; the stand-in runner runs them in process."""
+def _split_before(k):
+    """A stand-in for ``postulates.perf_counter``, for one check: it
+    crosses the fork budget just before outer k.  It reads 0 at the
+    scan's start and before outers 0 to k - 1, and an hour after."""
+    reads = count()
+    return lambda: 0.0 if next(reads) <= k else 3600.0
+
+
+def _no_clock():
+    raise AssertionError("read the clock")
+
+
+def test_the_outers_left_at_the_budget_are_split_by_the_workers(monkeypatch):
+    """Once the clock crosses the budget before outer k, the outers left
+    are split into min(workers, 16, outers left) parts; the stand-in
+    runner runs them in process.  At one worker no clock is read."""
     sizes = []
 
     def sized_jobs(jobs):
@@ -368,22 +390,95 @@ def test_worker_pool_is_sized_by_the_jobs(monkeypatch):
 
     monkeypatch.setattr(postulates, "_run_jobs", sized_jobs)
     sampled = dict(n_atoms=3, mode="sampled", seed=1)
-    cases = [
-        (dict(n_atoms=2, workers=64), 16),  # 75 outers in 16 chunks
-        (dict(n_atoms=2, workers=3), 3),
-        (dict(sample=3, workers=64, **sampled), 3),
-        (dict(sample=1, workers=64, **sampled), 1),
-        (dict(sample=2, workers=2, **sampled), 2),
-        (dict(sample=5, workers=1, **sampled), 1),
+    cases = [  # (scope, k, parts); None: every outer ran before the budget
+        (dict(n_atoms=2, workers=64), 0, 16),  # 75 outers in 16 parts
+        (dict(n_atoms=2, workers=64), 70, 5),
+        (dict(n_atoms=2, workers=3), 0, 3),
+        (dict(n_atoms=2, workers=3), 40, 3),
+        (dict(n_atoms=2, workers=3), 74, 1),
+        (dict(n_atoms=2, workers=3), 75, None),
+        (dict(sample=3, workers=64, **sampled), 0, 3),
+        (dict(sample=3, workers=64, **sampled), 2, 1),
+        (dict(sample=1, workers=64, **sampled), 0, 1),
+        (dict(sample=2, workers=2, **sampled), 0, 2),
+        (dict(sample=5, workers=2, **sampled), 5, None),
     ]
-    for kwargs, expected in cases:
+    for scope, k, parts in cases:
         del sizes[:]
-        serial = dict(kwargs, workers=1)
-        report = check_postulate("DP1", Revision.LEXICOGRAPHIC, **kwargs)
-        assert sizes == [expected], kwargs
-        assert render_machine(report) == render_machine(
-            check_postulate("DP1", Revision.LEXICOGRAPHIC, **serial)
-        )
+        monkeypatch.setattr(postulates, "perf_counter", _split_before(k))
+        report = check_postulate("DP1", Revision.LEXICOGRAPHIC, **scope)
+        assert sizes == ([] if parts is None else [parts]), (scope, k)
+        monkeypatch.setattr(postulates, "perf_counter", _no_clock)
+        serial = check_postulate("DP1", Revision.LEXICOGRAPHIC, **dict(scope, workers=1))
+        assert sizes == ([] if parts is None else [parts]), (scope, k)
+        assert render_machine(report) == render_machine(serial), (scope, k)
+
+
+SPLIT_CHECKS = {  # (postulate, revision, contraction, scope, witnesses kept)
+    "CR4 natural contract-stq-lex sampled": (
+        "CR4",
+        Revision.NATURAL,
+        Contraction.STQ_LEX,
+        dict(n_atoms=3, mode="sampled", sample=30, seed=1),
+        WITNESS_CAP,
+    ),
+    "IIAP natural": ("IIAP", Revision.NATURAL, None, dict(n_atoms=2), 0),
+    "IIAP reversed": ("IIAP", _Reversed(), None, dict(n_atoms=2), WITNESS_CAP),
+}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="forks its jobs")
+@pytest.mark.parametrize("case", SPLIT_CHECKS)
+def test_reports_agree_at_every_split_point(case, monkeypatch, reaped):
+    # the parts run in process at every k but 0 and the middle one, where
+    # they run in forked children
+    postulate, rev, con, scope, kept = SPLIT_CHECKS[case]
+    serial = check_postulate(postulate, rev, con, **scope)
+    assert len(serial.witnesses) == kept
+    serial = render_machine(serial)
+    outers = scope.get("sample", count_tpos(scope["n_atoms"]))
+    forked = (0, outers // 2)
+    run_jobs = postulates._run_jobs
+    for k in range(outers + 1):
+        runner = run_jobs if k in forked else _in_process_jobs
+        monkeypatch.setattr(postulates, "_run_jobs", runner)
+        for workers in (2, 3, 16):
+            monkeypatch.setattr(postulates, "perf_counter", _split_before(k))
+            report = check_postulate(postulate, rev, con, workers=workers, **scope)
+            assert render_machine(report) == serial, (k, workers)
+
+
+def test_a_check_under_the_budget_forks_no_child(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked under the budget")
+
+    # a few ms of work, far below the budget even on a slow host
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    assert check_postulate("DP1", Revision.NATURAL, n_atoms=2, workers=2).passed
+
+
+def test_a_child_runs_no_generator_once_the_prefix_keeps_every_witness(monkeypatch):
+    spec = _POSTULATES["CR4"]
+    split = []  # set once the prefix is scanned
+    after = []  # the generators run after the split
+
+    def gen(ctx, outer):
+        if split:
+            after.append(outer)
+        return spec.gen(ctx, outer)
+
+    def jobs_after_the_split(jobs):
+        split.append(len(jobs))
+        return _in_process_jobs(jobs)
+
+    monkeypatch.setitem(_POSTULATES, "CR4", spec._replace(gen=gen))
+    monkeypatch.setattr(postulates, "_run_jobs", jobs_after_the_split)
+    monkeypatch.setattr(postulates, "perf_counter", _split_before(15))
+    scope = dict(n_atoms=3, mode="sampled", sample=30, seed=1)
+    report = check_postulate("CR4", Revision.NATURAL, Contraction.STQ_LEX, workers=2, **scope)
+    assert split == [2] and after == []
+    assert len(report.witnesses) == WITNESS_CAP
+    assert report.violations == 17132
 
 
 def _in_process_jobs(jobs):
@@ -452,19 +547,47 @@ def test_an_error_in_the_parent_job_still_reaps_every_child(reaped):
 
 
 def test_a_single_job_forks_no_child(monkeypatch):
+    # one worker, or one outer left at the split
     def no_fork():
         raise AssertionError("forked for a single job")
 
     monkeypatch.setattr(os, "fork", no_fork, raising=False)
     kwargs = dict(n_atoms=3, mode="sampled", seed=1)
     for scope in (dict(sample=5, workers=1), dict(sample=1, workers=4)):
+        monkeypatch.setattr(postulates, "perf_counter", _split_before(0))
         assert check_postulate("DP1", Revision.NATURAL, **scope, **kwargs).instances
 
 
 def test_without_fork_every_job_runs_in_process(monkeypatch):
     serial = check_postulate("IIAP", Revision.NATURAL, n_atoms=2)
     monkeypatch.delattr(os, "fork", raising=False)
+    monkeypatch.setattr(postulates, "perf_counter", _split_before(0))
     assert check_postulate("IIAP", Revision.NATURAL, n_atoms=2, workers=3) == serial
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="forks its jobs")
+def test_a_failed_fork_runs_its_part_in_process(monkeypatch, capsys, reaped):
+    # the first fork starts a child; the second fails as it does with no
+    # process to spare, and its part and the rest run in this process.
+    # The check fails on one input of each of 24 outers, so the first
+    # ten witnesses come from the first four parts of 16.
+    argv = ["check", "CR3", "restrained", "contract-stq-lex", "--n", "2"]
+    assert cli.main([*argv, "--workers", "1"]) == 1
+    serial = capsys.readouterr()
+    forks = []
+    fork = os.fork
+
+    def failing_fork():
+        forks.append(None)
+        if len(forks) == 2:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    monkeypatch.setattr(postulates, "perf_counter", _split_before(0))
+    assert cli.main([*argv, "--workers", "16"]) == 1
+    assert capsys.readouterr() == serial
+    assert len(forks) == 2
 
 
 def _loaded_by_importing_the_cli(*names):
@@ -539,28 +662,39 @@ def test_records_keep_their_reprs_and_refuse_assignment():
             record.extra = None
 
 
-def test_each_worker_runs_one_job_that_counts_a_composition_once(monkeypatch):
-    running = []  # the index of the job that runs
-    counts = []  # (job, composition) of every orbit count taken
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="forks its jobs")
+def test_each_worker_runs_one_job_that_counts_a_composition_once(monkeypatch, tmp_path, reaped):
+    # the clock crosses the budget halfway; every process logs the
+    # compositions it counts, by its pid, and this one marks the split
+    log = tmp_path / "counts"
     orbit_count = postulates._orbit_count
+    run_jobs = postulates._run_jobs
 
-    def jobs_in_turn(jobs):
-        results = []
-        for index, job in enumerate(jobs):
-            running[:] = [index]
-            results.append(job())
-        return results
+    def logged(line):
+        with open(log, "a") as out:
+            out.write(line + "\n")
 
     def counted(ctx, spec, t):
-        counts.append((running[0], postulates._composition(t)))
+        logged(f"{os.getpid()} {postulates._composition(t)}")
         return orbit_count(ctx, spec, t)
 
-    monkeypatch.setattr(postulates, "_run_jobs", jobs_in_turn)
+    def marked(jobs):
+        logged("split")
+        return run_jobs(jobs)
+
     monkeypatch.setattr(postulates, "_orbit_count", counted)
+    monkeypatch.setattr(postulates, "_run_jobs", marked)
+    monkeypatch.setattr(postulates, "perf_counter", _split_before(100))
     kwargs = dict(n_atoms=3, mode="sampled", sample=200, seed=1)
     report = check_postulate("DP1", Revision.NATURAL, workers=2, **kwargs)
-    assert {job for job, _ in counts} == {0, 1}
-    assert len(set(counts)) == len(counts)
+    lines = log.read_text().splitlines()
+    split = lines.index("split")
+    before = {line.split(" ", 1)[1] for line in lines[:split]}
+    after = [tuple(line.split(" ", 1)) for line in lines[split + 1 :]]
+    assert len(before) == split  # once before the split
+    assert len({pid for pid, _ in after}) == 2  # this process and one child
+    assert len(set(after)) == len(after)  # once per process after it
+    assert not before & {composition for _, composition in after}
     assert report == check_postulate("DP1", Revision.NATURAL, **kwargs)
 
 
@@ -1140,14 +1274,6 @@ ORACLES = {
 }
 
 
-class _Reversed:
-    """Natural revision of the reversed prior: fails IIAI, so a counted
-    scan rebuilds its witnesses with the generator."""
-
-    def posterior(self, t, sentence_models):
-        return revise(Tpo(t.masks[::-1], t.n_atoms), sentence_models, Revision.NATURAL)
-
-
 def _assert_counts_match(ctx, outer, counted=COUNTED):
     """Each postulate's count equals its rank oracle's length, and its
     witnesses equal the oracle's in order.  Raw witnesses are compared: a
@@ -1476,7 +1602,7 @@ def test_a_finished_scan_context_is_freed_without_the_cycle_collector():
     gc.disable()
     try:
         ctx = _Ctx(2, Revision.NATURAL, Contraction.STQ_LEX)
-        outers = postulates._outers(False, 2, slice(0, None))
+        outers = postulates._outers(False, 2, range(count_tpos(2)))
         tally = postulates._scan(ctx, _POSTULATES["CR4"], outers)
         assert tally.violations
         ref = weakref.ref(ctx)
@@ -1619,11 +1745,15 @@ EQUIVARIANT = (
 @pytest.mark.parametrize("op", EQUIVARIANT, ids=method_name)
 @pytest.mark.parametrize("postulate", ["IIAP", "Neut"])
 def test_row_reports_equal_the_full_scan(postulate, op, monkeypatch):
-    # every job takes whole rows, whatever the worker count; a failing
-    # scan (IIAP under stq-lex then natural or restrained) reads its later
-    # rows of each composition back with their violations
+    # every job takes whole rows, whatever the worker count, the split
+    # forced before the first row; a failing scan (IIAP under stq-lex
+    # then natural or restrained) reads its later rows of each
+    # composition back with their violations
     monkeypatch.setattr(postulates, "_run_jobs", _in_process_jobs)
-    rows = [check_postulate(postulate, op, n_atoms=2, workers=w) for w in (1, 2, 3, 16)]
+    rows = []
+    for w in (1, 2, 3, 16):
+        monkeypatch.setattr(postulates, "perf_counter", _split_before(0))
+        rows.append(check_postulate(postulate, op, n_atoms=2, workers=w))
     _full_scan(monkeypatch)
     assert rows == [check_postulate(postulate, op, n_atoms=2)] * 4
 
