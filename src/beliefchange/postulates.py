@@ -85,15 +85,17 @@ pair of its first row of a composition on every input.
 
 The scan context, ``_Ctx``, keeps one memo (``ctx.orders``) of the
 results of ``revise`` or ``contract`` of a prior by one input mask under
-one operator: the orders themselves, or their pair matrices.  It keeps
-them by (function, operator, kind), then prior, then mask, and a read
-computes the masks it lacks in one batch (``ctx.memo``).  Each memo
-picks one of two routes when it is built: the matrices under a
-built-in, whose posteriors' matrices have a closed form in the prior
-and the input, come from that form, with no posterior built or hashed
-(``_posterior_relations``); everything else comes from a batch of
-``operators._posteriors``, the orders themselves or, under any other
-operator, the matrices of its posteriors.  The scans name
+one operator: the orders themselves, their pair matrices or their first
+cells.  It keeps them by (function, operator, kind), then prior, then
+mask, and a read computes the masks it lacks in one batch
+(``ctx.memo``).  Each memo picks its route when it is built: the
+matrices and first cells under a built-in, which have a closed form in
+the prior and the input, come from that form, with no posterior built
+or hashed (``_posterior_relations``, ``_posterior_firsts``); first
+cells under any other operator are those of the memo's orders;
+everything else comes from a batch of ``operators._posteriors``, the
+orders themselves or, under any other operator, the matrices of its
+posteriors.  The scans name
 the orders they read, for prior t and input p (``_NAMED``, read by
 ``ctx.order`` and, for their matrices, ``ctx.matrices``): ``rev`` and
 ``con`` apply the context's revision or contraction by p, ``revneg`` and
@@ -107,10 +109,15 @@ scan reaches it as a prior or along a route.  The context also keeps
 pair matrices by preorder, prior or posterior, each computed on its
 first read (``ctx.relations``).  The pair rules, IIAP, IIAI and
 Beta1/Beta2 read matrices, and so do NLI and iLIRC, but for the
-contracted preorders that their routes revise and the two revisions
-that each of their witnesses shows; Success, HI/LI_beliefs and Neut
-read the preorders.  So an instance that a matrix read and an order
-read share is computed once as an order and once as matrices.  The
+contracted preorders that their routes revise, each read once for all
+the inputs that contract to it, and the two revisions that each of
+their witnesses shows.  Success and HI/LI_beliefs, the belief-level
+forms of Success and of the Harper and Levi Identities, read only first
+cells, the beliefs after each change; LI_beliefs reads a contracted
+preorder itself only where its first cell misses the input, which no
+built-in does.  Neut reads the preorders.  So an instance that a matrix
+read and an order read share is computed once as an order and once as
+matrices.  The
 context keeps each prior's outcome row on every input too: the input,
 its minimal worlds and the revision's matrices (``ctx.rows``).  So a
 postulate's ``count`` and ``gen`` share one computation of each order,
@@ -320,22 +327,23 @@ class _Matrices(dict):
 class _Orders(dict):
     """prior -> input mask -> a result of the prior by the mask, for one
     function, ``revise`` or ``contract``, and one operator: the order the
-    function gives, or its pair matrices (see ``_relations``), as the
-    context's ``memo`` chose to compute them (``compute(t, own, qs)``, for
-    prior t, its entry at the empty mask and the masks qs).  At the empty
-    mask each prior's entry holds the prior itself, or its own matrices,
-    as contracting by an inconsistent sentence changes nothing."""
+    function gives, its pair matrices (see ``_relations``) or its first
+    cell, as the context's ``memo`` chose to compute them (``compute(t,
+    own, qs)``, for prior t, its entry at the empty mask and the masks
+    qs).  At the empty mask each prior's entry holds the prior itself
+    (``own`` None), or its own matrices or first cell (``own(t)``), as
+    contracting by an inconsistent sentence changes nothing."""
 
-    __slots__ = ("operator", "relations", "compute")
+    __slots__ = ("operator", "own", "compute")
 
-    def __init__(self, operator, relations: _Matrices | None, compute):
-        self.operator, self.relations, self.compute = operator, relations, compute
+    def __init__(self, operator, own, compute):
+        self.operator, self.own, self.compute = operator, own, compute
 
     def at(self, t: Tpo, qs) -> dict:
         """Prior t's results, computed for at least the masks qs, in one batch."""
         out = self.get(t)
         if out is None:
-            out = self[t] = {0: t if self.relations is None else self.relations[t]}
+            out = self[t] = {0: t if self.own is None else self.own(t)}
         missing = [q for q in qs if q not in out]
         if missing:
             out.update(zip(missing, self.compute(t, out[0], missing)))
@@ -391,23 +399,38 @@ class _Ctx:
         for memo in self.orders.values():
             memo.clear()
 
-    def memo(self, function, operator, matrices: bool = False) -> _Orders:
-        """The orders of ``function`` under ``operator``, or their pair
-        matrices if ``matrices``.  A memo picks how it computes when it is
-        built: the matrices under a built-in, each with a closed form,
-        come from ``_posterior_relations``, with no posterior built;
-        everything else comes from one ``operators._posteriors`` batch,
-        the orders themselves or, under a tabular or composed revision,
-        their matrices.  Memos are kept by the operator's identity, so no
-        lookup runs the Python-level ``Enum.__hash__``; each holds its
-        operator, so no other object takes its id while it is kept."""
-        key = function, id(operator), matrices
+    def memo(self, function, operator, matrices: bool = False, firsts: bool = False) -> _Orders:
+        """The orders of ``function`` under ``operator``, their pair
+        matrices if ``matrices``, or their first cells if ``firsts``.  A
+        memo picks how it computes when it is built: the matrices and
+        first cells under a built-in, each with a closed form, come from
+        ``_posterior_relations`` and ``_posterior_firsts``, with no
+        posterior built; any other operator's first cells are those of
+        this context's orders; everything else comes from one
+        ``operators._posteriors`` batch, the orders themselves or, under
+        a tabular or composed revision, their matrices.  Memos are kept
+        by the operator's identity, so no lookup runs the Python-level
+        ``Enum.__hash__``; each holds its operator, so no other object
+        takes its id while it is kept."""
+        key = function, id(operator), matrices, firsts
         out = self.orders.get(key)
         if out is not None:
             return out
         relations = self.relations if matrices else None
-        if matrices and type(operator) in (Revision, Contraction):
-            contracting = function is contract
+        contracting = function is contract
+        if firsts and type(operator) in (Revision, Contraction):
+
+            def compute(t, own, qs):
+                return _posterior_firsts(contracting, t, qs)
+
+        elif firsts:
+            orders = self.memo(function, operator)
+
+            def compute(t, own, qs):
+                found = orders.at(t, qs)
+                return [found[q].masks[0] for q in qs]
+
+        elif matrices and type(operator) in (Revision, Contraction):
 
             def compute(t, own, qs):
                 return _posterior_relations(contracting, t, own, qs, operator)
@@ -418,19 +441,20 @@ class _Ctx:
                 found = _posteriors(function, t, qs, operator)
                 return found if relations is None else [relations[u] for u in found]
 
-        out = self.orders[key] = _Orders(operator, relations, compute)
+        own = relations.__getitem__ if matrices else (lambda t: t.masks[0]) if firsts else None
+        out = self.orders[key] = _Orders(operator, own, compute)
         return out
 
-    def order(self, name: str, t: Tpo, ps, matrices: bool = False) -> list:
+    def order(self, name: str, t: Tpo, ps, matrices: bool = False, firsts: bool = False) -> list:
         """The named order (see ``_NAMED``) of prior t by each input of
-        ps, in their order, or its pair matrices if ``matrices``; the
-        prior's own matrices in one lookup, not one per input, as each
-        lookup hashes the preorder."""
+        ps, in their order, its pair matrices if ``matrices``, or its
+        first cell if ``firsts``; the prior's own matrices in one lookup,
+        not one per input, as each lookup hashes the preorder."""
         if name == "prior":
             return [self.relations[t] if matrices else t] * len(ps)
         contracting, complement = _NAMED[name]
         operator = self.con if contracting else self.rev
-        memo = self.memo(contract if contracting else revise, operator, matrices)
+        memo = self.memo(contract if contracting else revise, operator, matrices, firsts)
         qs = [self.full - p for p in ps] if complement else ps
         found = memo.at(t, qs)
         return [found[q] for q in qs]
@@ -438,6 +462,12 @@ class _Ctx:
     def matrices(self, name: str, t: Tpo, ps) -> list:
         """The pair matrices of ``order``'s orders, in their order."""
         return self.order(name, t, ps, matrices=True)
+
+    def firsts(self, name: str, t: Tpo, ps) -> list:
+        """The first cells of ``order``'s orders, in their order: the
+        beliefs after each change, all that Success and HI/LI_beliefs
+        compare."""
+        return self.order(name, t, ps, firsts=True)
 
     def rows(self, t: Tpo) -> list:
         """(input, its minimal worlds, the revision's pair matrices) for
@@ -610,6 +640,23 @@ def _posterior_relations(contracting: bool, t: Tpo, own: tuple, qs, operator) ->
     return out
 
 
+def _posterior_firsts(contracting: bool, t: Tpo, qs) -> list:
+    """The first cells of ``revise`` of prior t by each input mask q of qs
+    under every built-in revision, or of ``contract`` under every built-in
+    contraction if ``contracting``, without building the posteriors; a
+    bad mask raises what ``revise`` or ``contract`` raises.  Each
+    revision puts the minimal worlds of q first.  Each contraction's
+    beliefs are the prior's and those of its revision by ~q (the Harper
+    Identity): its first cell F | m for the prior's first cell F and the
+    minimal worlds m of ~q, and F itself on the tautology."""
+    masks = t.masks
+    full = _check_masks(qs, t.n_atoms)
+    if not contracting:
+        return [_min_mask(masks, q) for q in qs]
+    first = masks[0]
+    return [first | _min_mask(masks, full & ~q) if q != full else first for q in qs]
+
+
 def _bit_pairs(mask: int, width: int):
     """The world pairs (x, y) of a pair matrix's set bits, bit W*x+y, in
     ascending order."""
@@ -624,8 +671,8 @@ def _bit_pairs(mask: int, width: int):
 
 
 def _g_success(ctx, t, ps):
-    for p, rev in zip(ps, ctx.order("rev", t, ps)):
-        stray = rev.masks[0] & ~p
+    for p, first in zip(ps, ctx.firsts("rev", t, ps)):
+        stray = first & ~p
         if stray:
             lowest = (stray & -stray).bit_length() - 1
             yield (t,), (p,), (lowest,), "minimal world outside input"
@@ -920,14 +967,19 @@ def _g_red(ctx, t, ps):
 
 
 def _g_hi_beliefs(ctx, t, ps):
-    for p, con, revneg in zip(ps, ctx.order("con", t, ps), ctx.order("revneg", t, ps)):
-        if con.masks[0] != t.masks[0] | revneg.masks[0]:
+    beliefs = t.masks[0]
+    for p, con, revneg in zip(ps, ctx.firsts("con", t, ps), ctx.firsts("revneg", t, ps)):
+        if con != beliefs | revneg:
             yield (t,), (p,), (), "contraction beliefs differ from union of minima"
 
 
 def _g_li_beliefs(ctx, t, ps):
-    for p, rev, conneg in zip(ps, ctx.order("rev", t, ps), ctx.order("conneg", t, ps)):
-        if rev.masks[0] != min_worlds(conneg, p):
+    """The minimal p-worlds of the contraction by ~p are those of its
+    first cell, if it has any: always under the built-ins; else they are
+    read from the contracted preorder itself."""
+    for p, rev, conneg in zip(ps, ctx.firsts("rev", t, ps), ctx.firsts("conneg", t, ps)):
+        minimal = conneg & p or min_worlds(ctx.order("conneg", t, (p,))[0], p)
+        if rev != minimal:
             yield (t,), (p,), (), "revision beliefs differ from post-contraction minima"
 
 
@@ -947,11 +999,21 @@ def _routed_rule(final: Revision | None, route: str):
 
     def differing(ctx, t, ps):
         """Per input of ps, the ``same`` mask of its direct and routed
-        revisions' pair matrices, and its contracted preorder."""
+        revisions' pair matrices, and its contracted preorder.  The
+        routed memo is read once per contracted preorder, on all the
+        inputs that contract to it."""
         routes = ctx.memo(revise, final or ctx.rev, True)
         direct = ctx.matrices("rev", t, ps)
-        for p, d, contracted in zip(ps, direct, ctx.order("conneg", t, ps)):
-            yield _BROKEN["same"](d, routes.at(contracted, (p,))[p]), contracted
+        contracted = ctx.order("conneg", t, ps)
+        groups = {}
+        for p, c in zip(ps, contracted):
+            groups.setdefault(c, []).append(p)
+        routed = {}
+        for c, group in groups.items():
+            found = routes.at(c, group)
+            routed.update((p, found[p]) for p in group)
+        for p, d, c in zip(ps, direct, contracted):
+            yield _BROKEN["same"](d, routed[p]), c
 
     def body(ctx, t, ps):
         for p, (same, contracted) in zip(ps, differing(ctx, t, ps)):

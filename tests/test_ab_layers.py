@@ -4,10 +4,11 @@ The tool reaches into private names of the package (``_POSTULATES``,
 ``_scan``, ``_counted``, ``_Ctx``, ``_NliComposition``,
 ``_dp_posterior_candidates``, ``_Ctx.memo`` for orders, ``_Ctx.rows``),
 builds drawn pair rows as ``_outers`` does, and counts orders by
-wrapping the ``revise``, ``contract``, ``contract_by_negation`` and
-``_posterior_relations`` that ``postulates`` calls: the scan context's
-one memo computes an order through ``revise`` or ``contract``, and the
-pair matrices of one in closed form through ``_posterior_relations``.
+wrapping the ``revise``, ``contract``, ``contract_by_negation``,
+``_posterior_relations`` and ``_posterior_firsts`` that ``postulates``
+calls: the scan context's one memo computes an order through ``revise``
+or ``contract``, and the pair matrices or first cell of one in closed
+form through ``_posterior_relations`` or ``_posterior_firsts``.
 Running every layer and count once here catches a refactor that removes
 one.  The layers run inside ``layers``' context, whose exit removes the
 temporary copy of the sources; the test configuration turns a leaked one
@@ -38,7 +39,8 @@ EARLIER_LAYERS = (
     "compositions_DP3_natural_ms", "compositions_CR4_natural_stq_lex_ms",
     "parse_closure_n3_ms", "compositions_DP1_lexicographic_ms", "compositions_DP4_restrained_ms",
     "rows_restrained_n3_call_us", "contract_stq_lex_matrices_call_us",
-    "scan_iLIRC_lexicographic_stq_restrained_ms",
+    "scan_iLIRC_lexicographic_stq_restrained_ms", "scan_Success_lexicographic_ms",
+    "scan_HI_beliefs_restrained_stq_restrained_ms", "scan_iLIRC_lexicographic_natural_ms",
 )
 
 

@@ -26,6 +26,7 @@ from beliefchange.postulates import (
     _equivariant,
     _holding,
     _NliComposition,
+    _posterior_firsts,
     _posterior_relations,
     _relations,
     make_random_dp_operator,
@@ -576,7 +577,7 @@ def test_the_closed_form_matches_the_kernel_on_four_atom_preorders():
     # each on a seeded tenth of its 65,535 inputs and the tautology; the
     # kernel's contractions are checked against the oracle too, as the
     # kernel and the closed form of ``contract-stq-lex`` share its levels
-    # (``operators._stq_lex_levels``)
+    # (``operators._stq_lex_levels``); so are the first cells
     rng = random.Random(37)
     full = all_worlds(4)
     priors = [Tpo((full,), 4), Tpo([1 << w for w in rng.sample(range(16), 16)], 4)]
@@ -593,10 +594,45 @@ def test_the_closed_form_matches_the_kernel_on_four_atom_preorders():
                 expected = [_relations(u) for u in posteriors]
                 got = _posterior_relations(contracting, t, _relations(t), qs, method)
                 assert got == expected, (t, method)
+                firsts = [u.masks[0] for u in posteriors]
+                assert _posterior_firsts(contracting, t, qs) == firsts, (t, method)
                 if contracting:
                     cells = _cells(t)
                     oracle = [_oracle_contract(cells, _set(q), method) for q in qs]
                     assert posteriors == [_from_cells(c, 4) for c in oracle], (t, method)
+
+
+def _assert_firsts_match_the_kernel(priors, n_atoms) -> int:
+    """Check the first cells of the closed form, on every input and the
+    tautology under each built-in, and of the context's first-cell route
+    on every named order, against the kernel's posteriors; how many
+    closed-form instances were checked."""
+    checked, props = 0, list(propositions(n_atoms))
+    for t in priors:
+        for contracting, methods in BUILT_INS:
+            function = contract if contracting else revise
+            got = _posterior_firsts(contracting, t, props)
+            for method in methods:
+                expected = [u.masks[0] for u in _posteriors(function, t, props, method)]
+                assert got == expected, (t, method)
+                checked += len(props)
+    for rev, con, name in CLOSED_ORDERS + OTHER_ORDERS:
+        ctx = _Ctx(n_atoms, rev, con)
+        ps = ctx.props_proper if name == "revneg" else ctx.props
+        for t in priors:
+            expected = [u.masks[0] for u in ctx.order(name, t, ps)]
+            assert ctx.firsts(name, t, ps) == expected, (t, rev, con, name)
+    return checked
+
+
+def test_the_first_cells_match_the_kernel_on_every_instance_up_to_two_atoms():
+    checked = sum(_assert_firsts_match_the_kernel(list(enumerate_tpos(n)), n) for n in (1, 2))
+    assert checked == 6 * (3 * 3 + 75 * 15)
+
+
+def test_the_first_cells_match_the_kernel_on_each_three_atom_composition():
+    checked = _assert_firsts_match_the_kernel(list(one_per_three_atom_composition()), 3)
+    assert checked == 6 * 128 * 255
 
 
 def test_the_closed_form_serves_exactly_the_built_ins_it_covers(monkeypatch):
@@ -651,6 +687,8 @@ def test_the_closed_form_rejects_a_bad_mask_as_revise_and_contract_do(bad):
                         contracting, prior, _relations(prior), [1, bad, full], method
                     )
                 )
+                assert got == expected
+                got = _outcome(lambda: _posterior_firsts(contracting, prior, [1, bad, full]))
                 assert got == expected
 
 

@@ -1438,7 +1438,11 @@ def revisions(monkeypatch):
     ``revise``, ``contract`` and ``contract_by_negation`` call a scan
     makes, and of every entry whose pair matrices the closed form of the
     built-ins computes (``_posterior_relations``), named ``revise
-    matrices`` or ``contract matrices``: each is one order computed."""
+    matrices`` or ``contract matrices``: each is one order computed.  The
+    first cells that the built-ins' closed form computes
+    (``_posterior_firsts``) are entries too, ``revise firsts`` or
+    ``contract firsts`` with (prior, input): the form is one for every
+    built-in of a kind, and takes no operator."""
     calls = []
     for name in ("revise", "contract", "contract_by_negation"):
 
@@ -1454,6 +1458,13 @@ def revisions(monkeypatch):
         return _real(contracting, t, own, qs, operator)
 
     monkeypatch.setattr(postulates, "_posterior_relations", closed)
+
+    def firsts(contracting, t, qs, _real=postulates._posterior_firsts):
+        name = "contract firsts" if contracting else "revise firsts"
+        calls.extend((name, t, q) for q in qs)
+        return _real(contracting, t, qs)
+
+    monkeypatch.setattr(postulates, "_posterior_firsts", firsts)
     return calls
 
 
@@ -1542,6 +1553,99 @@ def test_a_routed_count_builds_no_revision_order(postulate, rev, con, witnessed,
     report = check_postulate(postulate, rev, con, n_atoms=2)
     assert len(report.witnesses) == WITNESS_CAP
     assert sum(call[0] == "revise" for call in revisions) == witnessed
+
+
+BELIEF_SCANS = ("Success", "HI_beliefs", "LI_beliefs")
+
+
+@pytest.mark.parametrize("rev, con", list(product(Revision, Contraction)))
+def test_the_belief_scans_build_no_posterior(rev, con, revisions, monkeypatch):
+    # under the built-ins Success and HI/LI_beliefs read first cells in
+    # closed form alone: no kernel batch, no pair matrices, and each
+    # prior's first cell on an input once
+    built = []
+    for name in ("_posteriors", "_posterior_relations"):
+
+        def counted(*args, _name=name, _real=getattr(postulates, name)):
+            built.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(postulates, name, counted)
+    assert postulates._holding(BELIEF_SCANS, rev, con, 2) == dict.fromkeys(BELIEF_SCANS, True)
+    assert built == []
+    assert {name for name, *_ in revisions} == {"revise firsts", "contract firsts"}
+    assert len(set(revisions)) == len(revisions)
+
+
+def test_success_under_a_random_operator_computes_each_posterior_once(revisions):
+    # an operator with no closed form: the first cells are those of the
+    # orders memo's posteriors, so no second batch builds them again
+    report = check_postulate("Success", make_random_dp_operator(0, 2), n_atoms=2)
+    assert report.passed
+    assert {name for name, *_ in revisions} == {"revise"}
+    assert len(revisions) == 75 * 15
+    assert len(set(revisions)) == len(revisions)
+
+
+def test_li_beliefs_reads_the_contracted_preorder_where_its_first_cell_misses_the_input(
+    monkeypatch,
+):
+    # patched, each contraction's first cell is the contracted mask
+    # itself, which for the negated input p misses p: every LI_beliefs
+    # instance but the tautology then takes the minimal p-worlds from the
+    # built contracted preorder, and every report stays as it was
+    cases = [(rev, con) for rev in (*Revision, _Reversed()) for con in Contraction]
+    expected = [
+        render_machine(check_postulate("LI_beliefs", rev, con, n_atoms=2)) for rev, con in cases
+    ]
+    assert '"outcome": "fail"' in expected[-1]  # the reversed prior's revision fails LI
+    fallbacks = []
+
+    def firsts(contracting, t, qs, _real=postulates._posterior_firsts):
+        return list(qs) if contracting else _real(contracting, t, qs)
+
+    def counted(t, s, _real=postulates.min_worlds):
+        fallbacks.append(t)
+        return _real(t, s)
+
+    monkeypatch.setattr(postulates, "_posterior_firsts", firsts)
+    monkeypatch.setattr(postulates, "min_worlds", counted)
+    got = [render_machine(check_postulate("LI_beliefs", rev, con, n_atoms=2)) for rev, con in cases]
+    assert got == expected
+    assert fallbacks
+
+
+@pytest.mark.parametrize(
+    "postulate, rev, con",
+    [
+        ("NLI", Revision.NATURAL, Contraction.STQ_LEX),
+        ("iLIRC", Revision.LEXICOGRAPHIC, Contraction.NATURAL),
+    ],
+)
+def test_a_routed_count_reads_the_routed_memo_once_per_contracted_preorder(
+    postulate, rev, con, monkeypatch
+):
+    reads = []
+
+    def at(self, t, qs, _real=postulates._Orders.at):
+        reads.append((self, t, list(qs)))
+        return _real(self, t, qs)
+
+    monkeypatch.setattr(postulates._Orders, "at", at)
+    ctx = _Ctx(3, rev, con)
+    routes = ctx.memo(revise, Revision.NATURAL if postulate == "iLIRC" else rev, True)
+    for index in (0, 4321, 200000):
+        t = tpo_at_index(index, 3)
+        contracted = ctx.order("conneg", t, ctx.props)
+        groups = {}
+        for p, c in zip(ctx.props, contracted):
+            groups.setdefault(c, []).append(p)
+        assert len(groups) < len(ctx.props)
+        # NLI's routed memo is the direct revision's too, read first on t
+        expected = [(t, list(ctx.props))] * (postulate == "NLI") + list(groups.items())
+        reads.clear()
+        list(_POSTULATES[postulate].counts(ctx, t, ctx.props))
+        assert [(u, qs) for memo, u, qs in reads if memo is routes] == expected
 
 
 def test_one_memo_entry_serves_every_route_to_an_order(revisions):

@@ -33,7 +33,9 @@ ctx.props)``, a fresh context per outer); ``tpo_at_index``; a
 full ``enumerate_tpos(3)``; one postulate scan of one outer, as a
 sampled check runs it (Neut's outers pair each preorder with a
 permutation of its worlds, so the isomorphism path runs), among them
-iLIRC under lexicographic revision and ``contract-stq-restrained``; the
+iLIRC under lexicographic revision and ``contract-stq-restrained`` or
+``contract-natural``, Success under lexicographic revision, and
+HI_beliefs under restrained revision and ``contract-stq-restrained``; the
 counts of DP3 natural, DP1 lexicographic, DP4 restrained and CR4 natural +
 ``contract-stq-lex`` on one preorder of each of the 128 compositions of
 the eight worlds, cut from a seeded order of the worlds, without
@@ -74,7 +76,8 @@ exhaustive Neut check under natural revision at two atoms, and of
 revision orders, through ``revise``, computed by the exhaustive NLI
 check under natural revision and ``contract-stq-lex`` at two atoms
 (``order_counts``): how often the scan context's memo computes an order,
-or the pair matrices of one in closed form, rather than reusing it.
+or the pair matrices or first cell of one in closed form, rather than
+reusing it.
 ``cli_import_modules`` is the number of modules that ``import
 beliefchange.cli`` adds in a fresh interpreter (``import_counts``).  A
 count repeats exactly, so it carries none of the timings' noise floor.
@@ -383,6 +386,13 @@ def layers(bc, drawn):
             "scan_iLIRC_lexicographic_stq_restrained_ms": (
                 scans("iLIRC", lexicographic, stq_restrained), SCANS, 1e3
             ),
+            "scan_iLIRC_lexicographic_natural_ms": (
+                scans("iLIRC", lexicographic, ops.Contraction.NATURAL), SCANS, 1e3
+            ),
+            "scan_Success_lexicographic_ms": (scans("Success", lexicographic), SCANS, 1e3),
+            "scan_HI_beliefs_restrained_stq_restrained_ms": (
+                scans("HI_beliefs", restrained, stq_restrained), SCANS, 1e3
+            ),
             "compositions_DP3_natural_ms": (counts("DP3", natural), len(compositions), 1e3),
             "compositions_CR4_natural_stq_lex_ms": (
                 counts("CR4", natural, stq_lex), len(compositions), 1e3
@@ -435,13 +445,15 @@ def _one(*args) -> int:
 
 
 # The functions of ``postulates`` that compute orders, with the orders one
-# call computes: one, or, for the closed form of the built-ins' pair
-# matrices, one per input mask of its batch (where the tree has it).
+# call computes: one, or, for the closed forms of the built-ins' pair
+# matrices and first cells, one per input mask of its batch (where the
+# tree has them).
 ORDER_FUNCTIONS = {
     "revise": _one,
     "contract": _one,
     "contract_by_negation": _one,
     "_posterior_relations": lambda contracting, t, own, qs, operator: len(qs),
+    "_posterior_firsts": lambda contracting, t, qs: len(qs),
 }
 
 
