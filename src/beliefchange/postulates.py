@@ -20,11 +20,18 @@ The pair rules and IIAP work on bit matrices: a preorder's pair
 relations are two ints of W^2 bits for W worlds, ``lt`` with bit W*x+y
 set iff x ranks strictly below y and ``le`` iff at most as high, so an
 input's violations are the set bits of a few ands and xors over a
-region mask.  That per-input mask is each such postulate's one route
-(``_pair_rule`` for the pair rules, ``_iiap_masks`` for IIAP, both read
-by ``_mask_scan``): its set bits, read in ascending order, are the
-witnesses in scan order, their number is the count, and any set bit is
-a failure.  IIAI, Beta1/Beta2 and Neut read the same matrices, the
+region mask.  That per-input mask is IIAP's route (``_iiap_masks``,
+read by ``_mask_scan``), and the pair rules' under ``contract-stq-lex``
+and any operator that is no built-in: its set bits, read in ascending
+order, are the witnesses in scan order, their number is the count, and
+any set bit is a failure.  Under the other built-ins, each with a
+closed form in the prior and the input, a pair rule lays the matrices
+of every input of a prior side by side in one int, input q's in lane q
+of W^2 bits, and takes them all in one pass of the same ands and xors,
+with broadword (SWAR) steps for an input's minimal worlds
+(``_packed_relations``); the set bits of that one mask, in ascending
+order, are its witnesses in the same order, and their number is its
+count.  IIAI, Beta1/Beta2 and Neut read the same matrices, the
 revisions' from the prior's row on every input (``ctx.rows``).  IIAI
 and Beta1/Beta2, quadratic in the inputs, are counted per world pair by
 a closed form over the inputs grouped by their outcome on the pair,
@@ -35,7 +42,7 @@ ascending order.
 Each postulate is a pair of callables on (context, outer): ``gen``
 yields the outer's witnesses in order, and ``count`` says how many it
 would yield, without them.  Every scan has a ``count``: the pair rules
-and IIAP count the set bits of their per-input masks, IIAI and
+and IIAP count the set bits of their masks, IIAI and
 Beta1/Beta2 take their closed forms, NLI and iLIRC count the inputs
 whose two routes give different pair matrices, Neut's count is its
 generator's length, and Success, Red, HI/LI_beliefs and the diagram
@@ -63,9 +70,10 @@ first preorders share a composition find as many violations too.  So
 one rule serves both: under those operators ``_counted`` takes the
 count of a preorder, or of a whole row, once per composition (of the
 row's first preorder) and reads it back for every later outer of it,
-for ``_scan`` and ``_holding`` alike.  Witnesses still come from the
-generator run on the actual outer, so a report keeps the same
-witnesses in the same order.  Drawn rows, and every outer under other
+for ``_scan``, and a verdict (``_holding``) takes only the first
+preorder, or the first whole row, of each composition.  Witnesses
+still come from the generator run on the actual outer, so a report
+keeps the same witnesses in the same order.  Drawn rows, and every outer under other
 operators (a tabular or a random operator), are counted in full.  A
 diagram scan takes the per-composition rule like a postulate scan.
 
@@ -74,12 +82,15 @@ permutation that fixes each of its cells maps its violations on one
 input onto those on the image.  An input's orbit under those
 permutations is fixed by how many worlds it takes from each cell, so a
 single-preorder scan whose count is a sum over single inputs
-(``_by_input``: Success, the 14 pair rules, HI/LI_beliefs, NLI, iLIRC,
-Red and the diagram scan) counts each orbit once, at the input taking
-the lowest worlds of each cell, times the orbit's size
-(``_input_orbits``): prod(s_i + 1) - 1 inputs for cells of sizes s_i,
-in place of 2^W - 1.  IIAI and Beta1/Beta2, which count pairs of
-inputs, count the composition's first preorder on every input, and
+(``_by_input``: Success, HI/LI_beliefs, NLI, iLIRC, Red, the diagram
+scan, and the 14 pair rules where they read a ``contract-stq-lex``
+contraction) counts each orbit once, at the input taking the lowest
+worlds of each cell, times the orbit's size (``_input_orbits``):
+prod(s_i + 1) - 1 inputs for cells of sizes s_i, in place of 2^W - 1.
+The pair rules under the other built-ins take every input in one
+packed pass, cheaper than the orbits' per-input loop.  IIAI and
+Beta1/Beta2, which count pairs of inputs, count the composition's first
+preorder on every input, and
 IIAP, which sums over single inputs of a pair of preorders, counts each
 pair of its first row of a composition on every input.
 
@@ -91,12 +102,11 @@ mask, and a read computes the masks it lacks in one batch
 (``ctx.memo``).  Each memo picks its route when it is built: the
 matrices and first cells under a built-in, which have a closed form in
 the prior and the input, come from that form, with no posterior built
-or hashed (``_posterior_relations``, ``_posterior_firsts``); first
-cells under any other operator are those of the memo's orders;
-everything else comes from a batch of ``operators._posteriors``, the
-orders themselves or, under any other operator, the matrices of its
-posteriors.  The scans name
-the orders they read, for prior t and input p (``_NAMED``, read by
+or hashed (``_posterior_relations``, ``_posterior_firsts``); under any
+other operator both are those of the memo's orders, so each posterior
+is built once; the orders themselves come from a batch of
+``operators._posteriors``.  The scans name the orders they read, for
+prior t and input p (``_NAMED``, read by
 ``ctx.order`` and, for their matrices, ``ctx.matrices``): ``rev`` and
 ``con`` apply the context's revision or contraction by p, ``revneg`` and
 ``conneg`` apply them by p's complement (``conneg`` is t itself on the
@@ -107,18 +117,19 @@ contracting by q and contracting by the negation of q's complement are
 one entry, and a contracted preorder's revision is one entry whether a
 scan reaches it as a prior or along a route.  The context also keeps
 pair matrices by preorder, prior or posterior, each computed on its
-first read (``ctx.relations``).  The pair rules, IIAP, IIAI and
-Beta1/Beta2 read matrices, and so do NLI and iLIRC, but for the
-contracted preorders that their routes revise, each read once for all
+first read (``ctx.relations``).  IIAP, IIAI and Beta1/Beta2 read
+matrices, and so do the pair rules where they take the per-input
+route, and NLI and iLIRC, but for the contracted preorders that their
+routes revise, each read once for all
 the inputs that contract to it, and the two revisions that each of
 their witnesses shows.  Success and HI/LI_beliefs, the belief-level
 forms of Success and of the Harper and Levi Identities, read only first
 cells, the beliefs after each change; LI_beliefs reads a contracted
 preorder itself only where its first cell misses the input, which no
-built-in does.  Neut reads the preorders.  So an instance that a matrix
-read and an order read share is computed once as an order and once as
-matrices.  The
-context keeps each prior's outcome row on every input too: the input,
+built-in does.  Neut reads the preorders.  So under a built-in an
+instance that a matrix read and an order read share is computed once
+as an order and once as matrices.  The context keeps each prior's
+outcome row on every input too: the input,
 its minimal worlds and the revision's matrices (``ctx.rows``).  So a
 postulate's ``count`` and ``gen`` share one computation of each order,
 so do the postulates of one claim's verdicts, and an exhaustive pair
@@ -405,43 +416,43 @@ class _Ctx:
         memo picks how it computes when it is built: the matrices and
         first cells under a built-in, each with a closed form, come from
         ``_posterior_relations`` and ``_posterior_firsts``, with no
-        posterior built; any other operator's first cells are those of
-        this context's orders; everything else comes from one
-        ``operators._posteriors`` batch, the orders themselves or, under
-        a tabular or composed revision, their matrices.  Memos are kept
-        by the operator's identity, so no lookup runs the Python-level
-        ``Enum.__hash__``; each holds its operator, so no other object
-        takes its id while it is kept."""
+        posterior built; under any other operator they are those of this
+        context's orders, so each posterior is built once; the orders
+        themselves come from one ``operators._posteriors`` batch.  A
+        pair rule under built-ins with a packed form reads none of these
+        memos (see ``_pair_rule``).  Memos are kept by the operator's
+        identity, so no lookup runs the Python-level ``Enum.__hash__``;
+        each holds its operator, so no other object takes its id while
+        it is kept."""
         key = function, id(operator), matrices, firsts
         out = self.orders.get(key)
         if out is not None:
             return out
-        relations = self.relations if matrices else None
         contracting = function is contract
-        if firsts and type(operator) in (Revision, Contraction):
+        built_in = type(operator) in (Revision, Contraction)
+        own = self.relations.__getitem__ if matrices else (lambda t: t.masks[0]) if firsts else None
+        if firsts and built_in:
 
             def compute(t, own, qs):
                 return _posterior_firsts(contracting, t, qs)
 
-        elif firsts:
-            orders = self.memo(function, operator)
-
-            def compute(t, own, qs):
-                found = orders.at(t, qs)
-                return [found[q].masks[0] for q in qs]
-
-        elif matrices and type(operator) in (Revision, Contraction):
+        elif matrices and built_in:
 
             def compute(t, own, qs):
                 return _posterior_relations(contracting, t, own, qs, operator)
 
+        elif firsts or matrices:
+            orders, read = self.memo(function, operator), own
+
+            def compute(t, own, qs):
+                found = orders.at(t, qs)
+                return [read(found[q]) for q in qs]
+
         else:
 
             def compute(t, own, qs):
-                found = _posteriors(function, t, qs, operator)
-                return found if relations is None else [relations[u] for u in found]
+                return _posteriors(function, t, qs, operator)
 
-        own = relations.__getitem__ if matrices else (lambda t: t.masks[0]) if firsts else None
         out = self.orders[key] = _Orders(operator, own, compute)
         return out
 
@@ -1032,8 +1043,8 @@ def _routed_rule(final: Revision | None, route: str):
 class _PostulateDef(
     namedtuple(
         "_PostulateDef",
-        "gen count pair_outer needs_con needs_rev inputs_per_outer counts inputs",
-        defaults=(False, False, True, lambda ctx: len(ctx.props), None, "props"),
+        "gen count pair_outer needs_con needs_rev inputs_per_outer counts inputs packed",
+        defaults=(False, False, True, lambda ctx: len(ctx.props), None, "props", None),
     )
 ):
     """One postulate, or the diagram scan: ``gen(ctx, outer)`` yields the
@@ -1041,7 +1052,9 @@ class _PostulateDef(
     it would yield, without them.  Both read their orders from the
     context's memo, so they share one computation of each.  A scan that
     sums over single inputs (see ``_by_input``) also has ``counts(ctx,
-    outer, ps)``, each input's count on the inputs ps.  The scan is held
+    outer, ps)``, each input's count on the inputs ps.  A pair rule has
+    ``packed(ctx)``: whether, under the context's operators, ``count``
+    takes every input at once (see ``_pair_rule``).  The scan is held
     by a check job's closure (see ``_run_jobs``), so it never crosses a
     pipe."""
 
@@ -1096,13 +1109,126 @@ def _mask_scan(masks, inputs: str = "props", pair_outer: bool = False, **kw) -> 
     return _by_input(body, inputs, counts, pair_outer=pair_outer, **kw)
 
 
+def _packed(values, size: int) -> int:
+    """One int holding values[q] in lane q, its bits [q*size, (q+1)*size)."""
+    return int("".join(format(v, f"0{size}b") for v in reversed(values)), 2)
+
+
+class _Lanes:
+    """The packed route's layout at n atoms, W = 2^n worlds: lane q, for
+    q = 0 .. full, holds a pair matrix (see ``_relations``) in its W^2
+    bits.  In one lane ``row`` sets bit 0 of each row; in every lane
+    ``rep`` sets bit 0, ``diag`` the pairs (x, x), ``low`` row 0,
+    ``ones`` every bit, and ``lo`` and ``hi`` the other bits and the top
+    bit of each row.  ``sides`` holds two triples, (q in row 0, the rows
+    x in q, the columns y in q) in lane q, and the same for q's
+    complement.  Built once per atom count (``_lanes``)."""
+
+    def __init__(self, n_atoms: int):
+        width = self.width = 1 << n_atoms
+        size = self.size = width * width
+        lanes = 1 << width
+        rep = self.rep = _packed([1] * lanes, size)
+        row = self.row = _spread(n_atoms)[lanes - 1]
+        self.lo, self.hi = row * rep * ((1 << width - 1) - 1), row * rep << width - 1
+        self.diag = sum(1 << (width + 1) * x for x in range(width)) * rep
+        low, ones = self.low, self.ones = (lanes - 1) * rep, ((1 << size) - 1) * rep
+        qlow = _packed(range(lanes), size)
+        qcol = qlow * row
+        qrow = self.rowfill(qcol & self.diag)
+        self.sides = (qlow, qrow, qcol), (qlow ^ low, ones ^ qrow, ones ^ qcol)
+
+    def rowfill(self, v: int) -> int:
+        """v with each nonzero row of every lane made all ones: a row's top
+        bit is set, or its other bits carry into it."""
+        nz = ((v & self.lo) + self.lo | v) & self.hi
+        return (nz << 1) - (nz >> self.width - 1)
+
+    def fold(self, v: int) -> int:
+        """v with each lane's rows ORed into its row 0, to be read there
+        alone; its other rows keep partial ORs.  A bit shifted across a
+        lane moves down by less than a lane, so it reaches no row 0."""
+        s = self.size >> 1
+        while s >= self.width:
+            v |= v >> s
+            s >>= 1
+        return v
+
+
+_lanes = lru_cache(maxsize=None)(_Lanes)
+
+
+def _closed(operator) -> bool:
+    """Whether the packed route has a form for the operator: every
+    built-in revision, and the natural and restrained contractions."""
+    return type(operator) in (Revision, Contraction) and operator is not Contraction.STQ_LEX
+
+
+def _packed_relations(ctx: _Ctx, t: Tpo, names) -> dict:
+    """Prior t's matrices, as ``prior``, and the named orders of names
+    (see ``_NAMED``) under the context's operators, each ``_closed``, by
+    every input at once: name -> (lt, le)
+    with lane q holding the pair matrices that ``_posterior_relations``
+    gives for input q.  Write I for the input (``inside``, or
+    ``outside`` for an order read at the complement) and O for its
+    complement (see ``_Lanes``); the formulas are
+    ``_posterior_relations``' own, with X*Y
+    the and of X's rows and Y's columns.  The bottom that a natural or
+    restrained revision puts first is I's minimal worlds, those of I
+    with no world of I strictly below them; a contraction's is the
+    prior's first cell and O's minimal worlds, so on the tautology's
+    lane it gives the prior's own matrices."""
+    lanes = _lanes(ctx.n)
+    lt, le = ctx.relations[t]
+    lt, le = lt * lanes.rep, le * lanes.rep
+    out = {"prior": (lt, le)}
+    for name in names:
+        contracting, complement = _NAMED[name]
+        (ilow, irow, icol), (olow, orow, ocol) = lanes.sides[::-1] if complement else lanes.sides
+        operator = ctx.con if contracting else ctx.rev
+        if operator is Revision.LEXICOGRAPHIC:
+            below, same = irow & ocol, irow & icol | orow & ocol
+            out[name] = below | lt & same, below | le & same
+            continue
+        if contracting:
+            bottom = t.masks[0] * lanes.rep | olow & ~lanes.fold(lt & orow)
+        else:
+            bottom = ilow & ~lanes.fold(lt & irow)
+        bcol = bottom * lanes.row
+        brow = lanes.rowfill(bcol & lanes.diag)
+        kept = lanes.ones & ~(brow | bcol)
+        strict, weak = lt, le
+        if operator is Revision.RESTRAINED:
+            eq = le & ~lt
+            strict, weak = lt | eq & irow & ocol, lt | eq & ~(orow & icol)
+        out[name] = brow & ~bcol | strict & kept, brow | weak & kept
+    return out
+
+
+@lru_cache(maxsize=None)
+def _packed_region(region: str, proper: bool, n_atoms: int) -> int:
+    """A region's masks (see ``_region_masks``) in the lanes of the
+    inputs a rule reads: every consistent input, but the tautology if
+    ``proper``."""
+    masks = _region_masks(region, n_atoms)
+    return _packed([0, *masks[1:-1], 0 if proper else masks[-1]], (1 << n_atoms) ** 2)
+
+
 def _pair_rule(premises, conclusion, region, relation) -> _PostulateDef:
-    """One row of ``_PAIR_RULES``, a ``_mask_scan`` of the pairs in its
-    region whose relation the conclusion order does not keep."""
+    """One row of ``_PAIR_RULES``: the pairs in its region whose relation
+    the conclusion order does not keep.  Where every order the rule
+    reads is ``_closed``, it takes them on every input of a prior in one
+    packed mask (``_packed_relations``): its count is the mask's set
+    bits, and its witnesses are those bits in ascending order, input by
+    input and then as ``_bit_pairs`` reads a pair matrix.  Under
+    ``contract-stq-lex`` and any operator that is no built-in it is a
+    ``_mask_scan`` of one mask per input, counted by input orbits; that
+    route is the packed one's oracle in the tests."""
     orders = set(premises) | {conclusion}
     # revising by the complement skips the tautology (see the module doc)
     inputs = "props_proper" if "revneg" in orders else "props"
     broken = _BROKEN[relation]
+    read = orders - {"prior"}
 
     def masks(ctx, t, ps):
         """Per input of ps, the pair mask of the rule's violations."""
@@ -1115,12 +1241,37 @@ def _pair_rule(premises, conclusion, region, relation) -> _PostulateDef:
                 bad &= ~broken(first[i], other[i])
             yield bad
 
-    return _mask_scan(
+    def packed(ctx):
+        return all(_closed(ctx.con if _NAMED[name][0] else ctx.rev) for name in read)
+
+    def packed_mask(ctx, t):
+        """The rule's violations on prior t, lane q holding input q's."""
+        found = _packed_relations(ctx, t, read)
+        first, *others = (found[name] for name in premises)
+        bad = _packed_region(region, inputs != "props", ctx.n) & broken(first, found[conclusion])
+        for other in others:
+            bad &= ~broken(first, other)
+        return bad
+
+    def gen(ctx, t):
+        if not packed(ctx):
+            yield from scan.gen(ctx, t)
+            return
+        width = len(ctx.worlds)
+        for row, y in _bit_pairs(packed_mask(ctx, t), width):
+            q, x = divmod(row, width)
+            yield (t,), (q,), (x, y), ""
+
+    def count(ctx, t):
+        return packed_mask(ctx, t).bit_count() if packed(ctx) else scan.count(ctx, t)
+
+    scan = _mask_scan(
         masks,
         inputs,
         needs_con=bool(orders & {"con", "conneg"}),
         needs_rev=bool(orders & {"rev", "revneg"}),
     )
+    return scan._replace(gen=gen, count=count, packed=packed)
 
 
 _POSTULATES = {
@@ -1307,12 +1458,14 @@ def _counted(ctx: _Ctx, spec: _PostulateDef, outers):
     read back for every later outer of that composition.  A single
     preorder's scan that sums over single inputs takes it on one input
     per orbit of the preorder's cells, weighted by the orbit's size
-    (``_orbit_count``).  Drawn rows, and every outer under other
+    (``_orbit_count``), unless it is ``packed`` and takes every input at
+    once.  Drawn rows, and every outer under other
     operators (a tabular or a random operator), are counted in full.
     The counts by composition are kept on the context (``ctx.orbits``),
     so a later scan of the same postulate on it reads them back too."""
     equivariant = _equivariant(ctx.rev, ctx.con)
-    by_orbits = equivariant and spec.counts is not None and not spec.pair_outer
+    packed = spec.packed is not None and spec.packed(ctx)
+    by_orbits = equivariant and spec.counts is not None and not spec.pair_outer and not packed
 
     def count(outer):
         if by_orbits:
@@ -1514,22 +1667,34 @@ def check_postulate(
     return tally.report(postulate, CheckScope(n_atoms, mode, sample, seed), revision, contraction)
 
 
+@lru_cache(maxsize=None)
+def _first_of_each_composition(n_atoms: int) -> tuple:
+    """The first preorder of each composition in enumeration order."""
+    firsts = {}
+    for t in _enumeration(n_atoms):
+        firsts.setdefault(_composition(t), t)
+    return tuple(firsts.values())
+
+
 def _holding(ids, revision, contraction, n_atoms: int, shared=None) -> dict:
     """Exhaustive verdicts of several postulates on one operator pair: each
     holds unless ``_counted`` finds an outer with a violation, and its scan
-    stops there.  The postulates share one scan context, so each prior's
-    orders are computed once for all of them; ``shared`` (see ``_Ctx``)
-    extends that to other operator pairs."""
+    stops there.  Under equivariant operators every outer of a
+    composition finds as many violations (see ``_counted``), so the scan
+    takes only the first preorder, or the first whole row, of each.  The
+    postulates share one scan context, so each prior's orders are
+    computed once for all of them; ``shared`` (see ``_Ctx``) extends that
+    to other operator pairs."""
     specs = {postulate: _spec(postulate, revision, contraction) for postulate in ids}
     _validate_scope(n_atoms, "exhaustive")
     ctx = _Ctx(n_atoms, revision, contraction, shared)
-    everything = range(count_tpos(n_atoms))
-    return {
-        postulate: not any(
-            found for _, found in _counted(ctx, spec, _outers(spec.pair_outer, n_atoms, everything))
-        )
-        for postulate, spec in specs.items()
-    }
+    pool = _enumeration(n_atoms)
+    firsts = _first_of_each_composition(n_atoms) if _equivariant(revision, contraction) else pool
+    verdicts = {}
+    for postulate, spec in specs.items():
+        outers = [(first, pool, True) for first in firsts] if spec.pair_outer else firsts
+        verdicts[postulate] = not any(found for _, found in _counted(ctx, spec, outers))
+    return verdicts
 
 
 def replay_witness(

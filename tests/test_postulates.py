@@ -665,24 +665,25 @@ def test_records_keep_their_reprs_and_refuse_assignment():
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="forks its jobs")
 def test_each_worker_runs_one_job_that_counts_a_composition_once(monkeypatch, tmp_path, reaped):
     # the clock crosses the budget halfway; every process logs the
-    # compositions it counts, by its pid, and this one marks the split
+    # compositions it counts, by its pid, and this one marks the split;
+    # under natural revision DP1 counts a whole prior at once
     log = tmp_path / "counts"
-    orbit_count = postulates._orbit_count
+    spec = _POSTULATES["DP1"]
     run_jobs = postulates._run_jobs
 
     def logged(line):
         with open(log, "a") as out:
             out.write(line + "\n")
 
-    def counted(ctx, spec, t):
+    def counted(ctx, t):
         logged(f"{os.getpid()} {postulates._composition(t)}")
-        return orbit_count(ctx, spec, t)
+        return spec.count(ctx, t)
 
     def marked(jobs):
         logged("split")
         return run_jobs(jobs)
 
-    monkeypatch.setattr(postulates, "_orbit_count", counted)
+    monkeypatch.setitem(_POSTULATES, "DP1", spec._replace(count=counted))
     monkeypatch.setattr(postulates, "_run_jobs", marked)
     monkeypatch.setattr(postulates, "perf_counter", _split_before(100))
     kwargs = dict(n_atoms=3, mode="sampled", sample=200, seed=1)
@@ -1471,12 +1472,26 @@ def revisions(monkeypatch):
 def test_a_single_prior_scan_revises_each_instance_once(revisions):
     # one preorder per composition of the four worlds, each on one input
     # per orbit of its cells: the product of (cell size + 1), less one;
-    # a pair rule under a built-in reads the closed form, so it builds no
-    # posterior
-    check_postulate("DP1", Revision.NATURAL, n_atoms=2)
+    # a pair rule under contract-stq-lex reads the memo's closed form, so
+    # it builds no posterior
+    check_postulate("CC1", contraction=Contraction.STQ_LEX, n_atoms=2)
     assert len(revisions) == 74
     assert len(set(revisions)) == len(revisions)
-    assert {name for name, *_ in revisions} == {"revise matrices"}
+    assert {name for name, *_ in revisions} == {"contract matrices"}
+
+
+def test_a_packed_pair_rule_reads_no_memo(revisions):
+    # under the built-ins with a packed form, a pair rule takes every
+    # input of a prior at once, with no entry in the context's memo
+    for postulate, rev, con in (
+        ("DP1", Revision.NATURAL, None),
+        ("CC4", Revision.RESTRAINED, Contraction.STQ_RESTRAINED),
+        ("SPU", Revision.LEXICOGRAPHIC, Contraction.NATURAL),
+    ):
+        ctx = _Ctx(2, rev, con)
+        assert _POSTULATES[postulate].packed(ctx)
+        assert check_postulate(postulate, rev, con, n_atoms=2).passed
+    assert revisions == []
 
 
 def test_a_counted_scan_and_its_witnesses_share_one_row_per_prior(revisions):
@@ -1759,16 +1774,31 @@ def test_the_pair_profile_computes_each_order_once_per_instance(revisions):
     # complement; each prior is counted on one input per orbit of its
     # cells.  Every built-in has a closed form, and the verdicts read
     # matrices but for NLI's routes, which revise the built contracted
-    # preorders, so a contraction may be computed once in each memo
+    # preorders, so a contraction may be computed once in each memo.  The
+    # pair rules under the natural and restrained contractions take
+    # their packed route, which computes no memo entry
     pair_profile.cache_clear()
     pair_profile(2)
-    assert len(revisions) == 814
+    assert len(revisions) == 604
     assert len(set(revisions)) == len(revisions)
     assert Counter(name for name, *_ in revisions) == {
         "contract": 198,
-        "revise matrices": 334,
-        "contract matrices": 282,
+        "revise matrices": 312,
+        "contract matrices": 94,
     }
+    assert {call[-1] for call in revisions if call[0] == "contract matrices"} == {
+        Contraction.STQ_LEX
+    }
+
+
+def test_a_verdict_under_a_random_operator_computes_each_posterior_once(revisions):
+    # the matrix memo under an operator that is no built-in reads the
+    # context's orders, so each (prior, input) is revised once: 75 priors
+    # on 15 inputs, whichever of the scans reads it first
+    operator = make_random_dp_operator(0, 2)
+    postulates._holding(postulates.ELEMENTARY_POSTULATES, operator, None, 2)
+    assert Counter(name for name, *_ in revisions) == {"revise": 1125}
+    assert len(set(revisions)) == 1125
 
 
 def test_a_scan_computes_the_pair_matrices_of_each_order_once(monkeypatch):
@@ -1830,6 +1860,45 @@ def test_orbit_verdicts_equal_the_full_scan(monkeypatch):
     orbit = [postulates._holding(ids, rev, con, 2) for ids, rev, con in cases]
     _full_scan(monkeypatch)
     assert orbit == [postulates._holding(ids, rev, con, 2) for ids, rev, con in cases]
+
+
+def _walked_verdicts(ids, rev, con, n_atoms):
+    """Each postulate's verdict from ``_counted`` on every outer of the
+    enumeration, a pair scan's in whole rows."""
+    ctx = _Ctx(n_atoms, rev, con)
+    everything = range(count_tpos(n_atoms))
+    verdicts = {}
+    for postulate in ids:
+        spec = _POSTULATES[postulate]
+        outers = postulates._outers(spec.pair_outer, n_atoms, everything)
+        verdicts[postulate] = not any(found for _, found in postulates._counted(ctx, spec, outers))
+    return verdicts
+
+
+def test_verdicts_take_one_outer_per_composition(monkeypatch):
+    # under equivariant operators a verdict takes the first preorder, or
+    # the first whole row, of each composition: 2 of 3 at one atom and 8
+    # of 75 at two; under any other operator it walks every outer
+    cases = [
+        (n_atoms, rev, con, POSTULATE_IDS if isinstance(rev, Revision) else SINGLE_OUTER)
+        for n_atoms in (1, 2)
+        for rev, con in (*product(Revision, Contraction), (_Reversed(), Contraction.NATURAL))
+    ]
+    expected = [_walked_verdicts(ids, rev, con, n) for n, rev, con, ids in cases]
+    seen, counted = [], postulates._counted
+
+    def logged(ctx, spec, outers):
+        outers = list(outers)
+        seen.append(len(outers))
+        return counted(ctx, spec, outers)
+
+    monkeypatch.setattr(postulates, "_counted", logged)
+    for (n_atoms, rev, con, ids), verdicts in zip(cases, expected):
+        seen.clear()
+        assert postulates._holding(ids, rev, con, n_atoms) == verdicts, (n_atoms, rev, con)
+        walked = count_tpos(n_atoms) if isinstance(rev, _Reversed) else {1: 2, 2: 8}[n_atoms]
+        assert seen == [walked] * len(ids)
+    assert not all(all(verdicts.values()) for verdicts in expected)
 
 
 def test_diagram_reports_equal_the_full_scan(monkeypatch):
@@ -2035,3 +2104,105 @@ def test_a_failing_check_renders_only_the_kept_witnesses(monkeypatch):
         )
         assert len(report.witnesses) == WITNESS_CAP
         assert len(calls) == WITNESS_CAP, workers
+
+
+# ---------------------------------------------------------------------------
+# Packed pair rules: under the built-ins with a packed form, a pair rule
+# takes every input of a prior at once, lane q of one int holding input
+# q's pair matrices; the per-input route is its oracle
+
+PACKED = (*Revision, Contraction.NATURAL, Contraction.STQ_RESTRAINED)
+
+
+def _lanes_of(packed, n_atoms) -> list:
+    """The lanes of a packed int, one per mask 0 .. full."""
+    size = (1 << n_atoms) ** 2
+    return [packed >> q * size & (1 << size) - 1 for q in range(all_worlds(n_atoms) + 1)]
+
+
+def _assert_lanes_match_the_closed_form(priors, n_atoms) -> int:
+    """Check each lane of each packed order of each prior against the
+    memo's closed form (``_posterior_relations``); how many lanes were
+    checked."""
+    checked = 0
+    for operator in PACKED:
+        contracting = type(operator) is Contraction
+        ctx = _Ctx(n_atoms, None if contracting else operator, operator if contracting else None)
+        names = ("con", "conneg") if contracting else ("rev", "revneg")
+        for t in priors:
+            own = postulates._relations(t)
+            packed = postulates._packed_relations(ctx, t, names)
+            lanes = {
+                name: list(zip(*(_lanes_of(m, n_atoms) for m in matrices)))
+                for name, matrices in packed.items()
+            }
+            assert set(lanes["prior"]) == {own}
+            if contracting:  # the tautology's lane: the prior's own matrices
+                assert lanes["con"][-1] == lanes["conneg"][-1] == own
+            for name in names:
+                ps = ctx.props_proper if name == "revneg" else ctx.props
+                expected = ctx.matrices(name, t, ps)
+                assert [lanes[name][q] for q in ps] == expected, (t, operator, name)
+                checked += len(ps)
+    return checked
+
+
+def test_packed_orders_match_the_closed_form_on_every_prior_up_to_two_atoms():
+    checked = sum(
+        _assert_lanes_match_the_closed_form(list(enumerate_tpos(n)), n) for n in (1, 2)
+    )
+    assert checked == 3 * (3 * 5 + 2 * 6) + 75 * (3 * 29 + 2 * 30)
+
+
+def test_packed_orders_match_the_closed_form_on_each_three_atom_composition():
+    checked = _assert_lanes_match_the_closed_form(list(one_per_three_atom_composition()), 3)
+    assert checked == 128 * (3 * (255 + 254) + 2 * (255 + 255))
+
+
+def test_a_packed_region_holds_the_region_on_the_inputs_read():
+    for n_atoms in (1, 2, 3):
+        full = all_worlds(n_atoms)
+        for region in postulates._REGIONS:
+            masks = postulates._region_masks(region, n_atoms)
+            for proper in (False, True):
+                lanes = _lanes_of(postulates._packed_region(region, proper, n_atoms), n_atoms)
+                inputs = range(1, full) if proper else range(1, full + 1)
+                assert lanes == [masks[q] if q in inputs else 0 for q in range(full + 1)]
+
+
+# rules that fail on almost every input, each read on every input it
+# takes: the revision, a contraction by the complement, and a revision by
+# the complement (no tautology) against a contraction
+SYNTHETIC_RULES = (
+    (("prior",), "rev", "all", "same"),
+    (("prior",), "conneg", "all", "same"),
+    (("revneg",), "con", "all", "weak"),
+)
+
+
+@pytest.mark.parametrize("row", SYNTHETIC_RULES, ids=lambda row: "-".join(row[0] + row[1:]))
+def test_a_packed_rule_yields_the_per_input_witnesses(row, monkeypatch):
+    rule = postulates._pair_rule(*row)
+    cases = [
+        (n_atoms, rev, con, t)
+        for n_atoms in (1, 2)
+        for rev in (Revision if rule.needs_rev else (None,))
+        for con in (Contraction if rule.needs_con else (None,))
+        if con is not Contraction.STQ_LEX
+        for t in enumerate_tpos(n_atoms)
+    ]
+
+    def run():
+        out = []
+        for n_atoms, rev, con, t in cases:
+            ctx = _Ctx(n_atoms, rev, con)
+            out.append((list(rule.gen(ctx, t)), rule.count(ctx, t)))
+        return out
+
+    assert all(rule.packed(_Ctx(n, rev, con)) for n, rev, con, _ in cases)
+    packed = run()
+    monkeypatch.setattr(postulates, "_closed", lambda operator: False)
+    assert not rule.packed(_Ctx(2, *cases[0][1:3]))
+    assert packed == run()
+    assert all(len(raws) == found for raws, found in packed)
+    assert sum(found for _, found in packed) > len(cases)

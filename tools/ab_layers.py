@@ -36,7 +36,9 @@ permutation of its worlds, so the isomorphism path runs), among them
 iLIRC under lexicographic revision and ``contract-stq-restrained`` or
 ``contract-natural``, Success under lexicographic revision, and
 HI_beliefs under restrained revision and ``contract-stq-restrained``; the
-counts of DP3 natural, DP1 lexicographic, DP4 restrained and CR4 natural +
+counts of DP3 natural, DP1 lexicographic, DP4 restrained, CC4 under
+restrained revision and ``contract-stq-restrained``, SPU under
+lexicographic revision and ``contract-natural``, and CR4 natural +
 ``contract-stq-lex`` on one preorder of each of the 128 compositions of
 the eight worlds, cut from a seeded order of the worlds, without
 witnesses; the exhaustive checks at two atoms of CR4 (which fails), IIAP
@@ -401,6 +403,12 @@ def layers(bc, drawn):
                 counts("DP1", lexicographic), len(compositions), 1e3
             ),
             "compositions_DP4_restrained_ms": (counts("DP4", restrained), len(compositions), 1e3),
+            "compositions_CC4_restrained_stq_restrained_ms": (
+                counts("CC4", restrained, stq_restrained), len(compositions), 1e3
+            ),
+            "compositions_SPU_lexicographic_natural_ms": (
+                counts("SPU", lexicographic, ops.Contraction.NATURAL), len(compositions), 1e3
+            ),
             "rows_restrained_n3_call_us": (rows(restrained), SCANS, 1e6),
             "check_CR4_natural_stq_lex_n2_ms": (check("CR4", con=stq_lex, n_atoms=2), 1, 1e3),
             "check_IIAP_natural_n2_ms": (check("IIAP", n_atoms=2), 1, 1e3),
