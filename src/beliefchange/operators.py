@@ -35,7 +35,11 @@ those matrices from a closed form instead
 (``postulates._posterior_relations``), which restates the rules above on
 pair matrices, or takes those of the same levels under
 ``contract-stq-lex``, and is tested against this kernel; under any other
-operator they are the matrices of the kernel's posteriors.
+operator they are the matrices of the kernel's posteriors.  A pair rule
+under built-ins takes the same closed forms for every input of a prior
+at once, packed side by side in one int
+(``postulates._packed_relations``); under ``contract-stq-lex`` that is
+the level pass run for all inputs together.
 
 Any object with a ``posterior`` method revises too, e.g. a
 ``TabularRevision``.  Its seeded random instances, which pass Success

@@ -21,14 +21,14 @@ relations are two ints of W^2 bits for W worlds, ``lt`` with bit W*x+y
 set iff x ranks strictly below y and ``le`` iff at most as high, so an
 input's violations are the set bits of a few ands and xors over a
 region mask.  That per-input mask is IIAP's route (``_iiap_masks``,
-read by ``_mask_scan``), and the pair rules' under ``contract-stq-lex``
-and any operator that is no built-in: its set bits, read in ascending
-order, are the witnesses in scan order, their number is the count, and
-any set bit is a failure.  Under the other built-ins, each with a
-closed form in the prior and the input, a pair rule lays the matrices
-of every input of a prior side by side in one int, input q's in lane q
-of W^2 bits, and takes them all in one pass of the same ands and xors,
-with broadword (SWAR) steps for an input's minimal worlds
+read by ``_mask_scan``), and the pair rules' under any operator that is
+no built-in: its set bits, read in ascending order, are the witnesses
+in scan order, their number is the count, and any set bit is a failure.
+Under the built-ins, each with a closed form in the prior and the
+input, a pair rule lays the matrices of every input of a prior side by
+side in one int, input q's in lane q of W^2 bits, and takes them all in
+one pass of the same ands and xors, with broadword (SWAR) steps for an
+input's minimal worlds or, under ``contract-stq-lex``, for its levels
 (``_packed_relations``); the set bits of that one mask, in ascending
 order, are its witnesses in the same order, and their number is its
 count.  IIAI, Beta1/Beta2 and Neut read the same matrices, the
@@ -83,12 +83,12 @@ input onto those on the image.  An input's orbit under those
 permutations is fixed by how many worlds it takes from each cell, so a
 single-preorder scan whose count is a sum over single inputs
 (``_by_input``: Success, HI/LI_beliefs, NLI, iLIRC, Red, the diagram
-scan, and the 14 pair rules where they read a ``contract-stq-lex``
-contraction) counts each orbit once, at the input taking the lowest
-worlds of each cell, times the orbit's size (``_input_orbits``):
-prod(s_i + 1) - 1 inputs for cells of sizes s_i, in place of 2^W - 1.
-The pair rules under the other built-ins take every input in one
-packed pass, cheaper than the orbits' per-input loop.  IIAI and
+scan, and the 14 pair rules under a composed revision) counts each
+orbit once, at the input taking the lowest worlds of each cell, times
+the orbit's size (``_input_orbits``): prod(s_i + 1) - 1 inputs for
+cells of sizes s_i, in place of 2^W - 1.  The pair rules under the
+built-ins take every input in one packed pass, cheaper than the orbits'
+per-input loop.  IIAI and
 Beta1/Beta2, which count pairs of inputs, count the composition's first
 preorder on every input, and
 IIAP, which sums over single inputs of a pair of preorders, counts each
@@ -418,9 +418,10 @@ class _Ctx:
         ``_posterior_relations`` and ``_posterior_firsts``, with no
         posterior built; under any other operator they are those of this
         context's orders, so each posterior is built once; the orders
-        themselves come from one ``operators._posteriors`` batch.  A
-        pair rule under built-ins with a packed form reads none of these
-        memos (see ``_pair_rule``).  Memos are kept by the operator's
+        themselves come from one ``operators._posteriors`` batch.  The
+        test for a built-in is ``_closed``, the packed route's too: a
+        pair rule under built-ins reads none of these memos (see
+        ``_pair_rule``).  Memos are kept by the operator's
         identity, so no lookup runs the Python-level ``Enum.__hash__``;
         each holds its operator, so no other object takes its id while
         it is kept."""
@@ -429,7 +430,7 @@ class _Ctx:
         if out is not None:
             return out
         contracting = function is contract
-        built_in = type(operator) in (Revision, Contraction)
+        built_in = _closed(operator)
         own = self.relations.__getitem__ if matrices else (lambda t: t.masks[0]) if firsts else None
         if firsts and built_in:
 
@@ -1138,11 +1139,14 @@ class _Lanes:
         qrow = self.rowfill(qcol & self.diag)
         self.sides = (qlow, qrow, qcol), (qlow ^ low, ones ^ qrow, ones ^ qcol)
 
+    def nonzero(self, v: int) -> int:
+        """Bit 0 of each nonzero row of every lane of v: a row's top bit
+        is set, or its other bits carry into it."""
+        return (((v & self.lo) + self.lo | v) & self.hi) >> self.width - 1
+
     def rowfill(self, v: int) -> int:
-        """v with each nonzero row of every lane made all ones: a row's top
-        bit is set, or its other bits carry into it."""
-        nz = ((v & self.lo) + self.lo | v) & self.hi
-        return (nz << 1) - (nz >> self.width - 1)
+        """v with each nonzero row of every lane made all ones."""
+        return self.nonzero(v) * ((1 << self.width) - 1)
 
     def fold(self, v: int) -> int:
         """v with each lane's rows ORed into its row 0, to be read there
@@ -1159,9 +1163,12 @@ _lanes = lru_cache(maxsize=None)(_Lanes)
 
 
 def _closed(operator) -> bool:
-    """Whether the packed route has a form for the operator: every
-    built-in revision, and the natural and restrained contractions."""
-    return type(operator) in (Revision, Contraction) and operator is not Contraction.STQ_LEX
+    """Whether the operator is a built-in, every one of which has a closed
+    form: its orders' pair matrices and first cells follow from the prior
+    and the input (``_posterior_relations``, ``_posterior_firsts``), for
+    all inputs of a prior at once in the packed route
+    (``_packed_relations``)."""
+    return type(operator) in (Revision, Contraction)
 
 
 def _packed_relations(ctx: _Ctx, t: Tpo, names) -> dict:
@@ -1169,15 +1176,18 @@ def _packed_relations(ctx: _Ctx, t: Tpo, names) -> dict:
     (see ``_NAMED``) under the context's operators, each ``_closed``, by
     every input at once: name -> (lt, le)
     with lane q holding the pair matrices that ``_posterior_relations``
-    gives for input q.  Write I for the input (``inside``, or
-    ``outside`` for an order read at the complement) and O for its
-    complement (see ``_Lanes``); the formulas are
+    gives for input q.  Write I for the input (the first triple of
+    ``_Lanes.sides``, or the second for an order read at the complement)
+    and O for its complement; the formulas are
     ``_posterior_relations``' own, with X*Y
     the and of X's rows and Y's columns.  The bottom that a natural or
     restrained revision puts first is I's minimal worlds, those of I
-    with no world of I strictly below them; a contraction's is the
-    prior's first cell and O's minimal worlds, so on the tautology's
-    lane it gives the prior's own matrices."""
+    with no world of I strictly below them; a natural or restrained
+    contraction's is the prior's first cell and O's minimal worlds, so
+    on the tautology's lane it gives the prior's own matrices.
+    ``contract-stq-lex`` compares the levels of one pass over the
+    prior's cells (``_packed_levels``), which on the lanes of the
+    tautology and of the empty mask are the prior's own cells."""
     lanes = _lanes(ctx.n)
     lt, le = ctx.relations[t]
     lt, le = lt * lanes.rep, le * lanes.rep
@@ -1186,6 +1196,9 @@ def _packed_relations(ctx: _Ctx, t: Tpo, names) -> dict:
         contracting, complement = _NAMED[name]
         (ilow, irow, icol), (olow, orow, ocol) = lanes.sides[::-1] if complement else lanes.sides
         operator = ctx.con if contracting else ctx.rev
+        if operator is Contraction.STQ_LEX:
+            out[name] = _packed_levels(lanes, t, irow, icol, ocol)
+            continue
         if operator is Revision.LEXICOGRAPHIC:
             below, same = irow & ocol, irow & icol | orow & ocol
             out[name] = below | lt & same, below | le & same
@@ -1205,6 +1218,43 @@ def _packed_relations(ctx: _Ctx, t: Tpo, names) -> dict:
     return out
 
 
+def _packed_levels(lanes: _Lanes, t: Tpo, irow: int, icol: int, ocol: int) -> tuple:
+    """The pair matrices of ``contract-stq-lex`` of prior t by I in lane
+    I, for every I at once (see ``_packed_relations``): the levels of
+    ``operators._stq_lex_levels`` in one pass over the prior's cells for
+    all lanes together, row x of a lane holding x's level as a W-bit
+    number.  The cells laid in rows, cell j in row j, give in one step
+    whether each meets O and I, read one row a cell.  A cell that meets
+    O adds 1 to the level of every world above it, and a world of I
+    takes its cell's ``lag`` on top; ``lag``, kept in row 0, gains 1
+    after a cell inside I (one that misses O) and loses 1, unless it is
+    0, after a cell inside O.  Then, for each level v, the rows at or
+    above it (level + W - v reaches bit log2 W) and their columns
+    (``fold`` of the diagonal) give the pairs across v."""
+    w, rep, low, spread = lanes.width, lanes.rep, lanes.low, _spread(t.n_atoms)
+    laid = sum(c << w * j for j, c in enumerate(t.masks)) * rep
+    meets_o, meets_i = lanes.nonzero(laid & ocol), lanes.nonzero(laid & icol)
+    level = extra = lag = 0
+    above = all_worlds(t.n_atoms)
+    for c in t.masks:
+        above &= ~c
+        has_o = meets_o & rep
+        extra += lag * spread[c]
+        level += has_o * spread[above]
+        lag += rep ^ has_o
+        lag -= ~meets_i & rep & (lag + low) >> w
+        meets_o, meets_i = meets_o >> w, meets_i >> w
+    bits, shift, lt, gt = lanes.row * rep, w.bit_length() - 1, 0, 0
+    level += (extra & irow) + (w - 1) * bits
+    for _ in t.masks[1:]:
+        rows = (level >> shift & bits) * ((1 << w) - 1)
+        level -= bits
+        cols = (lanes.fold(rows & lanes.diag) & low) * lanes.row
+        lt |= cols & ~rows
+        gt |= rows & ~cols
+    return lt, lanes.ones ^ gt
+
+
 @lru_cache(maxsize=None)
 def _packed_region(region: str, proper: bool, n_atoms: int) -> int:
     """A region's masks (see ``_region_masks``) in the lanes of the
@@ -1217,11 +1267,11 @@ def _packed_region(region: str, proper: bool, n_atoms: int) -> int:
 def _pair_rule(premises, conclusion, region, relation) -> _PostulateDef:
     """One row of ``_PAIR_RULES``: the pairs in its region whose relation
     the conclusion order does not keep.  Where every order the rule
-    reads is ``_closed``, it takes them on every input of a prior in one
-    packed mask (``_packed_relations``): its count is the mask's set
-    bits, and its witnesses are those bits in ascending order, input by
-    input and then as ``_bit_pairs`` reads a pair matrix.  Under
-    ``contract-stq-lex`` and any operator that is no built-in it is a
+    reads is ``_closed``, under built-ins alone, it takes them on every
+    input of a prior in one packed mask (``_packed_relations``): its
+    count is the mask's set bits, and its witnesses are those bits in
+    ascending order, input by input and then as ``_bit_pairs`` reads a
+    pair matrix.  Under any operator that is no built-in it is a
     ``_mask_scan`` of one mask per input, counted by input orbits; that
     route is the packed one's oracle in the tests."""
     orders = set(premises) | {conclusion}

@@ -28,6 +28,7 @@ from beliefchange.operators import (
     Contraction,
     Revision,
     TabularRevision,
+    _posteriors,
     contract,
     contract_by_negation,
     method_name,
@@ -1472,25 +1473,27 @@ def revisions(monkeypatch):
 def test_a_single_prior_scan_revises_each_instance_once(revisions):
     # one preorder per composition of the four worlds, each on one input
     # per orbit of its cells: the product of (cell size + 1), less one;
-    # a pair rule under contract-stq-lex reads the memo's closed form, so
-    # it builds no posterior
-    check_postulate("CC1", contraction=Contraction.STQ_LEX, n_atoms=2)
+    # a pair rule under a composed revision, equivariant but no built-in,
+    # reads the memo's orders, one revision of the prior by each input
+    composed = _NliComposition(Contraction.STQ_LEX, Revision.NATURAL)
+    check_postulate("DP1", composed, n_atoms=2)
     assert len(revisions) == 74
     assert len(set(revisions)) == len(revisions)
-    assert {name for name, *_ in revisions} == {"contract matrices"}
+    assert {name for name, *_ in revisions} == {"revise"}
 
 
 def test_a_packed_pair_rule_reads_no_memo(revisions):
-    # under the built-ins with a packed form, a pair rule takes every
-    # input of a prior at once, with no entry in the context's memo
-    for postulate, rev, con in (
-        ("DP1", Revision.NATURAL, None),
-        ("CC4", Revision.RESTRAINED, Contraction.STQ_RESTRAINED),
-        ("SPU", Revision.LEXICOGRAPHIC, Contraction.NATURAL),
+    # under the built-ins, each with a packed form, a pair rule takes
+    # every input of a prior at once, with no entry in the context's memo
+    for postulate, rev, con, passed in (
+        ("DP1", Revision.NATURAL, None, True),
+        ("CC4", Revision.RESTRAINED, Contraction.STQ_RESTRAINED, True),
+        ("SPU", Revision.LEXICOGRAPHIC, Contraction.NATURAL, True),
+        ("CR4", Revision.NATURAL, Contraction.STQ_LEX, False),
     ):
         ctx = _Ctx(2, rev, con)
         assert _POSTULATES[postulate].packed(ctx)
-        assert check_postulate(postulate, rev, con, n_atoms=2).passed
+        assert check_postulate(postulate, rev, con, n_atoms=2).passed is passed
     assert revisions == []
 
 
@@ -1528,13 +1531,15 @@ def test_a_failing_counted_scan_and_its_witnesses_share_each_order(postulate, re
 def test_a_generator_computes_the_orders_of_the_inputs_it_reaches(revisions):
     # a report keeps the first ten witnesses, and a single-input scan's
     # generator takes the inputs a chunk at a time: here the tenth
-    # witness lies on input 17, in the second chunk; CR4 revises by each
-    # input and contracts by its complement, both in closed form
-    ctx = _Ctx(3, Revision.NATURAL, Contraction.STQ_LEX)
+    # witness lies on input 17, in the second chunk; CR4 under a composed
+    # revision, no built-in, revises by each input through the memo's
+    # orders and contracts by its complement in closed form
+    composed = _NliComposition(Contraction.NATURAL, Revision.NATURAL)
+    ctx = _Ctx(3, composed, Contraction.STQ_LEX)
     raws = list(islice(_POSTULATES["CR4"].gen(ctx, tpo_at_index(0, 3)), WITNESS_CAP))
     assert len(raws) == WITNESS_CAP and raws[-1][1] == (17,)
     reached = {ctx.full - p if name[0] == "c" else p for name, _, p, _ in revisions}
-    assert {name for name, *_ in revisions} == {"revise matrices", "contract matrices"}
+    assert {name for name, *_ in revisions} == {"revise", "contract matrices"}
     assert reached == set(range(1, 2 * postulates._GEN_CHUNK + 1))
     assert len(revisions) == 2 * 2 * postulates._GEN_CHUNK
     assert len(set(revisions)) == len(revisions)
@@ -1664,18 +1669,21 @@ def test_a_routed_count_reads_the_routed_memo_once_per_contracted_preorder(
 
 
 def test_one_memo_entry_serves_every_route_to_an_order(revisions):
-    # contracting by q (CC1's ``con``) and by the negation of its
+    # contracting by q (SPU's ``con``) and by the negation of its
     # complement (CR1's ``conneg``) is one entry, so each contraction is
-    # computed once between the two scans
-    ctx = _Ctx(2, Revision.NATURAL, Contraction.STQ_LEX)
+    # computed once between the two scans: under a revision that is no
+    # built-in neither takes the packed route, SPU contracts by every
+    # input but the tautology, and CR1 contracts by nothing new
     t = parse_tpo("11 | 10 01 | 00", 2)
-    _POSTULATES["CC1"].count(ctx, t)
+    ctx = _Ctx(2, _Reversed(), Contraction.STQ_LEX)
+    _POSTULATES["SPU"].count(ctx, t)
     _POSTULATES["CR1"].count(ctx, t)
     contractions = [call for call in revisions if not call[0].startswith("revise")]
-    expected = [("contract matrices", q) for q in ctx.props]
+    expected = [("contract matrices", q) for q in ctx.props_proper]
     assert [(name, q) for name, _, q, _ in contractions] == expected
     # iLIRC under natural revision builds each contracted preorder once,
     # and its routed revisions are the ``rev`` entries of those preorders
+    ctx = _Ctx(2, Revision.NATURAL, Contraction.STQ_LEX)
     revisions.clear()
     _POSTULATES["iLIRC"].count(ctx, t)
     assert [(name, q) for name, _, q, _ in revisions if name == "contract"] == [
@@ -1775,20 +1783,13 @@ def test_the_pair_profile_computes_each_order_once_per_instance(revisions):
     # cells.  Every built-in has a closed form, and the verdicts read
     # matrices but for NLI's routes, which revise the built contracted
     # preorders, so a contraction may be computed once in each memo.  The
-    # pair rules under the natural and restrained contractions take
-    # their packed route, which computes no memo entry
+    # pair rules take their packed route under every built-in, which
+    # computes no memo entry, so no contraction's matrices are read
     pair_profile.cache_clear()
     pair_profile(2)
-    assert len(revisions) == 604
+    assert len(revisions) == 502
     assert len(set(revisions)) == len(revisions)
-    assert Counter(name for name, *_ in revisions) == {
-        "contract": 198,
-        "revise matrices": 312,
-        "contract matrices": 94,
-    }
-    assert {call[-1] for call in revisions if call[0] == "contract matrices"} == {
-        Contraction.STQ_LEX
-    }
+    assert Counter(name for name, *_ in revisions) == {"contract": 198, "revise matrices": 304}
 
 
 def test_a_verdict_under_a_random_operator_computes_each_posterior_once(revisions):
@@ -2107,11 +2108,11 @@ def test_a_failing_check_renders_only_the_kept_witnesses(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Packed pair rules: under the built-ins with a packed form, a pair rule
-# takes every input of a prior at once, lane q of one int holding input
-# q's pair matrices; the per-input route is its oracle
+# Packed pair rules: under the built-ins, each with a packed form, a pair
+# rule takes every input of a prior at once, lane q of one int holding
+# input q's pair matrices; the per-input route is its oracle
 
-PACKED = (*Revision, Contraction.NATURAL, Contraction.STQ_RESTRAINED)
+PACKED = (*Revision, *Contraction)
 
 
 def _lanes_of(packed, n_atoms) -> list:
@@ -2120,13 +2121,15 @@ def _lanes_of(packed, n_atoms) -> list:
     return [packed >> q * size & (1 << size) - 1 for q in range(all_worlds(n_atoms) + 1)]
 
 
-def _assert_lanes_match_the_closed_form(priors, n_atoms) -> int:
+def _assert_lanes_match_the_closed_form(priors, n_atoms, kernel=False) -> int:
     """Check each lane of each packed order of each prior against the
-    memo's closed form (``_posterior_relations``); how many lanes were
-    checked."""
+    memo's closed form (``_posterior_relations``), and, if ``kernel``,
+    against the matrices of the posteriors that ``operators._posteriors``
+    builds; how many lanes were checked."""
     checked = 0
     for operator in PACKED:
         contracting = type(operator) is Contraction
+        function = contract if contracting else revise
         ctx = _Ctx(n_atoms, None if contracting else operator, operator if contracting else None)
         names = ("con", "conneg") if contracting else ("rev", "revneg")
         for t in priors:
@@ -2137,26 +2140,32 @@ def _assert_lanes_match_the_closed_form(priors, n_atoms) -> int:
                 for name, matrices in packed.items()
             }
             assert set(lanes["prior"]) == {own}
-            if contracting:  # the tautology's lane: the prior's own matrices
+            if contracting:  # by the tautology or by nothing: the prior's own matrices
                 assert lanes["con"][-1] == lanes["conneg"][-1] == own
+                assert lanes["con"][0] == lanes["conneg"][0] == own
             for name in names:
                 ps = ctx.props_proper if name == "revneg" else ctx.props
                 expected = ctx.matrices(name, t, ps)
                 assert [lanes[name][q] for q in ps] == expected, (t, operator, name)
                 checked += len(ps)
+                if kernel:
+                    qs = [ctx.full - p for p in ps] if name.endswith("neg") else ps
+                    built = [_posteriors(function, t, (q,), operator)[0] if q else t for q in qs]
+                    assert [lanes[name][q] for q in ps] == list(map(postulates._relations, built))
     return checked
 
 
 def test_packed_orders_match_the_closed_form_on_every_prior_up_to_two_atoms():
     checked = sum(
-        _assert_lanes_match_the_closed_form(list(enumerate_tpos(n)), n) for n in (1, 2)
+        _assert_lanes_match_the_closed_form(list(enumerate_tpos(n)), n, kernel=True)
+        for n in (1, 2)
     )
-    assert checked == 3 * (3 * 5 + 2 * 6) + 75 * (3 * 29 + 2 * 30)
+    assert checked == 3 * (3 * 5 + 3 * 6) + 75 * (3 * 29 + 3 * 30)
 
 
 def test_packed_orders_match_the_closed_form_on_each_three_atom_composition():
     checked = _assert_lanes_match_the_closed_form(list(one_per_three_atom_composition()), 3)
-    assert checked == 128 * (3 * (255 + 254) + 2 * (255 + 255))
+    assert checked == 128 * (3 * (255 + 254) + 3 * (255 + 255))
 
 
 def test_a_packed_region_holds_the_region_on_the_inputs_read():
@@ -2188,7 +2197,6 @@ def test_a_packed_rule_yields_the_per_input_witnesses(row, monkeypatch):
         for n_atoms in (1, 2)
         for rev in (Revision if rule.needs_rev else (None,))
         for con in (Contraction if rule.needs_con else (None,))
-        if con is not Contraction.STQ_LEX
         for t in enumerate_tpos(n_atoms)
     ]
 

@@ -38,10 +38,10 @@ iLIRC under lexicographic revision and ``contract-stq-restrained`` or
 HI_beliefs under restrained revision and ``contract-stq-restrained``; the
 counts of DP3 natural, DP1 lexicographic, DP4 restrained, CC4 under
 restrained revision and ``contract-stq-restrained``, SPU under
-lexicographic revision and ``contract-natural``, and CR4 natural +
-``contract-stq-lex`` on one preorder of each of the 128 compositions of
-the eight worlds, cut from a seeded order of the worlds, without
-witnesses; the exhaustive checks at two atoms of CR4 (which fails), IIAP
+lexicographic revision and ``contract-natural``, and CR4 natural, CC3
+natural and SPU restrained + ``contract-stq-lex`` on one preorder of
+each of the 128 compositions of the eight worlds, cut from a seeded
+order of the worlds, without witnesses; the exhaustive checks at two atoms of CR4 (which fails), IIAP
 and Neut; the claims P2, T1, T3 (its ``pair_profile`` cache cleared),
 L_flattest, T4, P1 (its ``_dp_posterior_candidates`` cache cleared, as
 in a fresh ``verify P1`` process) and P3 at two atoms; the six diagram
@@ -398,6 +398,12 @@ def layers(bc, drawn):
             "compositions_DP3_natural_ms": (counts("DP3", natural), len(compositions), 1e3),
             "compositions_CR4_natural_stq_lex_ms": (
                 counts("CR4", natural, stq_lex), len(compositions), 1e3
+            ),
+            "compositions_CC3_natural_stq_lex_ms": (
+                counts("CC3", natural, stq_lex), len(compositions), 1e3
+            ),
+            "compositions_SPU_restrained_stq_lex_ms": (
+                counts("SPU", restrained, stq_lex), len(compositions), 1e3
             ),
             "compositions_DP1_lexicographic_ms": (
                 counts("DP1", lexicographic), len(compositions), 1e3
