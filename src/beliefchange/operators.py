@@ -31,15 +31,14 @@ every input mask against the preorder's world set: anything but a
 nonnegative int with no bit beyond it raises ``ValueError``.  The
 checker's scan context reads the kernel's posteriors through its memo,
 which keeps their pair matrices too.  Under every built-in it computes
-those matrices from a closed form instead
-(``postulates._posterior_relations``), which restates the rules above on
-pair matrices, or takes those of the same levels under
-``contract-stq-lex``, and is tested against this kernel; under any other
-operator they are the matrices of the kernel's posteriors.  A pair rule
-under built-ins takes the same closed forms for every input of a prior
-at once, packed side by side in one int
-(``postulates._packed_relations``); under ``contract-stq-lex`` that is
-the level pass run for all inputs together.
+those matrices from one closed form instead, which restates the rules
+above on pair matrices for every input of a prior at once, packed side
+by side in one int (``postulates._packed_order``); under
+``contract-stq-lex`` that is the level pass of ``_stq_lex_levels`` run
+for all inputs together.  It is tested against this kernel; under any
+other operator the matrices are those of the kernel's posteriors.  The
+pair rules, NLI and iLIRC under built-ins read the packed matrices
+directly.
 
 Any object with a ``posterior`` method revises too, e.g. a
 ``TabularRevision``.  Its seeded random instances, which pass Success

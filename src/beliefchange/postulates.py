@@ -29,9 +29,14 @@ input, a pair rule lays the matrices of every input of a prior side by
 side in one int, input q's in lane q of W^2 bits, and takes them all in
 one pass of the same ands and xors, with broadword (SWAR) steps for an
 input's minimal worlds or, under ``contract-stq-lex``, for its levels
-(``_packed_relations``); the set bits of that one mask, in ascending
+(``_packed_order``); the set bits of that one mask, in ascending
 order, are its witnesses in the same order, and their number is its
-count.  IIAI, Beta1/Beta2 and Neut read the same matrices, the
+count.  NLI and iLIRC take the same pass under the built-ins: the
+revision formulas read the matrices lane by lane, so they revise the
+packed contractions by each input's negation as well as the prior.
+That one form per built-in serves the context's matrix memo too, which
+splits a prior's lanes into one entry per input.  IIAI, Beta1/Beta2 and
+Neut read the same matrices, the
 revisions' from the prior's row on every input (``ctx.rows``).  IIAI
 and Beta1/Beta2, quadratic in the inputs, are counted per world pair by
 a closed form over the inputs grouped by their outcome on the pair,
@@ -99,30 +104,32 @@ results of ``revise`` or ``contract`` of a prior by one input mask under
 one operator: the orders themselves, their pair matrices or their first
 cells.  It keeps them by (function, operator, kind), then prior, then
 mask, and a read computes the masks it lacks in one batch
-(``ctx.memo``).  Each memo picks its route when it is built: the
-matrices and first cells under a built-in, which have a closed form in
-the prior and the input, come from that form, with no posterior built
-or hashed (``_posterior_relations``, ``_posterior_firsts``); under any
-other operator both are those of the memo's orders, so each posterior
-is built once; the orders themselves come from a batch of
+(``ctx.memo``).  Each memo picks its route when it is built: under a
+built-in, which has a closed form in the prior and the input, no
+posterior is built or hashed; the first read of a prior's matrices
+fills every input mask from one packed pass (``_lane_relations``), and
+the first cells come from ``_posterior_firsts``; under any other
+operator both are those of the memo's orders, so each posterior is
+built once; the orders themselves come from a batch of
 ``operators._posteriors``.  The scans name the orders they read, for
 prior t and input p (``_NAMED``, read by
 ``ctx.order`` and, for their matrices, ``ctx.matrices``): ``rev`` and
 ``con`` apply the context's revision or contraction by p, ``revneg`` and
 ``conneg`` apply them by p's complement (``conneg`` is t itself on the
 tautology), and ``prior`` is t.  A route under another operator reads
-the same memo under that operator: NLI and iLIRC revise the contracted
-preorder under the checked revision and under natural revision.  So
+the same memo under that operator: NLI and iLIRC, where they take the
+inputs one by one, revise the contracted preorder under the checked
+revision or under natural revision.  So
 contracting by q and contracting by the negation of q's complement are
 one entry, and a contracted preorder's revision is one entry whether a
 scan reaches it as a prior or along a route.  The context also keeps
 pair matrices by preorder, prior or posterior, each computed on its
 first read (``ctx.relations``).  IIAP, IIAI and Beta1/Beta2 read
-matrices, and so do the pair rules where they take the per-input
-route, and NLI and iLIRC, but for the contracted preorders that their
-routes revise, each read once for all
-the inputs that contract to it, and the two revisions that each of
-their witnesses shows.  Success and HI/LI_beliefs, the belief-level
+matrices.  So do the pair rules, NLI and iLIRC where they take the
+per-input route, except that NLI and iLIRC read the contracted
+preorders that their routes revise as orders.  Their witnesses read
+their two revisions as orders on either route.  Success and
+HI/LI_beliefs, the belief-level
 forms of Success and of the Harper and Levi Identities, read only first
 cells, the beliefs after each change; LI_beliefs reads a contracted
 preorder itself only where its first cell misses the input, which no
@@ -134,9 +141,11 @@ its minimal worlds and the revision's matrices (``ctx.rows``).  So a
 postulate's ``count`` and ``gen`` share one computation of each order,
 so do the postulates of one claim's verdicts, and an exhaustive pair
 scan in one job revises each prior once.  Contexts given one ``shared``
-dict share every memo, so ``pair_profile``'s nine operator pairs compute
-each order and its matrices once between them: each revision serves
-every contraction, and each contraction every revision.  Neut revises
+dict share every memo, so ``pair_profile``'s nine operator pairs would
+compute each order and its matrices once between them, each revision
+serving every contraction and each contraction every revision; as
+their verdicts all take the packed route, they share each prior's own
+matrices.  Neut revises
 only on the inputs that an isomorphism of its pair keeps.  Red, which
 checks that revising twice gives one posterior, calls the operator
 directly.
@@ -190,6 +199,7 @@ import json
 import os
 import pickle
 import random
+import sys
 from collections import Counter, namedtuple
 from functools import lru_cache, partial
 from itertools import islice
@@ -212,7 +222,6 @@ from .operators import (
     TabularRevision,
     _check_masks,
     _posteriors,
-    _stq_lex_levels,
     contract,
     contract_by_negation,
     method_name,
@@ -341,9 +350,10 @@ class _Orders(dict):
     function gives, its pair matrices (see ``_relations``) or its first
     cell, as the context's ``memo`` chose to compute them (``compute(t,
     own, qs)``, for prior t, its entry at the empty mask and the masks
-    qs).  At the empty mask each prior's entry holds the prior itself
-    (``own`` None), or its own matrices or first cell (``own(t)``), as
-    contracting by an inconsistent sentence changes nothing."""
+    qs, gives (mask, result) pairs for at least qs).  At the empty mask
+    each prior's entry holds the prior itself (``own`` None), or its own
+    matrices or first cell (``own(t)``), as contracting by an
+    inconsistent sentence changes nothing."""
 
     __slots__ = ("operator", "own", "compute")
 
@@ -357,7 +367,7 @@ class _Orders(dict):
             out = self[t] = {0: t if self.own is None else self.own(t)}
         missing = [q for q in qs if q not in out]
         if missing:
-            out.update(zip(missing, self.compute(t, out[0], missing)))
+            out.update(self.compute(t, out[0], missing))
         return out
 
 
@@ -413,15 +423,17 @@ class _Ctx:
     def memo(self, function, operator, matrices: bool = False, firsts: bool = False) -> _Orders:
         """The orders of ``function`` under ``operator``, their pair
         matrices if ``matrices``, or their first cells if ``firsts``.  A
-        memo picks how it computes when it is built: the matrices and
-        first cells under a built-in, each with a closed form, come from
-        ``_posterior_relations`` and ``_posterior_firsts``, with no
-        posterior built; under any other operator they are those of this
-        context's orders, so each posterior is built once; the orders
-        themselves come from one ``operators._posteriors`` batch.  The
-        test for a built-in is ``_closed``, the packed route's too: a
+        memo picks how it computes when it is built: under a built-in,
+        each with a closed form, no posterior is built; the first cells
+        come from ``_posterior_firsts``, and the first read of a prior's
+        matrices fills every input mask from one packed pass
+        (``_lane_relations``); under any other operator both are those
+        of this context's orders, so each posterior is built once; the
+        orders themselves come from one ``operators._posteriors`` batch.
+        The test for a built-in is ``_closed``, the packed route's too: a
         pair rule under built-ins reads none of these memos (see
-        ``_pair_rule``).  Memos are kept by the operator's
+        ``_pair_rule``), nor do NLI and iLIRC (see ``_routed_rule``).
+        Memos are kept by the operator's
         identity, so no lookup runs the Python-level ``Enum.__hash__``;
         each holds its operator, so no other object takes its id while
         it is kept."""
@@ -435,24 +447,24 @@ class _Ctx:
         if firsts and built_in:
 
             def compute(t, own, qs):
-                return _posterior_firsts(contracting, t, qs)
+                return zip(qs, _posterior_firsts(contracting, t, qs))
 
         elif matrices and built_in:
 
             def compute(t, own, qs):
-                return _posterior_relations(contracting, t, own, qs, operator)
+                return _lane_relations(t, own, qs, operator)
 
         elif firsts or matrices:
             orders, read = self.memo(function, operator), own
 
             def compute(t, own, qs):
                 found = orders.at(t, qs)
-                return [read(found[q]) for q in qs]
+                return [(q, read(found[q])) for q in qs]
 
         else:
 
             def compute(t, own, qs):
-                return _posteriors(function, t, qs, operator)
+                return zip(qs, _posteriors(function, t, qs, operator))
 
         out = self.orders[key] = _Orders(operator, own, compute)
         return out
@@ -568,88 +580,14 @@ def _relations(t: Tpo) -> tuple:
     x ranks strictly below y, of ``le`` iff x ranks at most as high.  The
     two bits of a pair sum to 2 if x is below y, 1 if they tie and 0 if x
     is above y."""
-    return _cell_relations(t.masks, _spread(t.n_atoms), all_worlds(t.n_atoms))
-
-
-def _cell_relations(cells, spread: tuple, rest: int) -> tuple:
-    """The pair matrices of the cells, bottom first, of a preorder on the
-    worlds of ``rest``; an empty cell adds nothing."""
+    spread, rest = _spread(t.n_atoms), all_worlds(t.n_atoms)
     lt = le = 0
-    for c in cells:
+    for c in t.masks:
         row = spread[c]
         le |= row * rest
         rest &= ~c
         lt |= row * rest
     return lt, le
-
-
-def _posterior_relations(contracting: bool, t: Tpo, own: tuple, qs, operator) -> list:
-    """The pair matrices (see ``_relations``) of ``revise`` of prior t by
-    each input mask q of qs under a built-in revision, or of ``contract``
-    under a built-in contraction if ``contracting``, without building the
-    posteriors; ``own`` is t's (lt, le), and a bad mask raises what
-    ``revise`` or ``contract`` raises.  Write X*Y for the pairs (x, y)
-    with x in X and y in Y (``_spread(n)[X] * Y``), ~q for the complement
-    of q, and eq for the ties, ``le & ~lt``.  Each revision puts the
-    minimal worlds m of q below the other worlds r:
-
-    * natural keeps the prior's order on r: lt' = m*r | lt & r*r and
-      le' = m*full | le & r*r;
-    * restrained also breaks each tie in r in favour of q:
-      lt' = m*r | r*r & (lt | eq & q*~q) and
-      le' = m*full | r*r & (lt | eq & ~(~q*q));
-    * lexicographic puts q below ~q and keeps the prior's order on each
-      side: with same = q*q | ~q*~q, lt' = q*~q | lt & same and
-      le' = q*~q | le & same.
-
-    The natural and restrained contractions (see
-    ``operators._posteriors``) join the minimal worlds of ~q to the
-    prior's first cell, F, put F below the other worlds r and keep the
-    prior's order on r: lt' = F*r | lt & r*r and le' = F*full | le & r*r.
-    ``contract-stq-lex`` takes the matrices (``_cell_relations``) of the
-    levels that the kernel builds its posterior from, one pass over the
-    prior's cells (``operators._stq_lex_levels``).  Contracting by the
-    tautology gives the prior's own matrices."""
-    masks, spread = t.masks, _spread(t.n_atoms)
-    full = _check_masks(qs, t.n_atoms)
-    lt, le = own
-    out = []
-    if operator is Contraction.STQ_LEX:
-        for q in qs:
-            if q == full:
-                out.append(own)
-                continue
-            out.append(_cell_relations(_stq_lex_levels(masks, q, full & ~q), spread, full))
-        return out
-    if operator is Revision.LEXICOGRAPHIC:
-        for q in qs:
-            rest = full & ~q
-            below = spread[q] * rest
-            same = spread[q] * q | spread[rest] * rest
-            out.append((below | lt & same, below | le & same))
-        return out
-    if operator is Revision.RESTRAINED:
-        eq = le & ~lt
-        for q in qs:
-            bottom, other = _min_mask(masks, q), full & ~q
-            rest = full & ~bottom
-            first, kept = spread[bottom], spread[rest] * rest
-            strict, weak = lt | eq & spread[q] * other, lt | eq & ~(spread[other] * q)
-            out.append((first * rest | strict & kept, first * full | weak & kept))
-        return out
-    built = {}  # bottom: the matrices, which depend on it alone
-    for q in qs:
-        if contracting and q == full:
-            out.append(own)
-            continue
-        bottom = masks[0] | _min_mask(masks, full & ~q) if contracting else _min_mask(masks, q)
-        found = built.get(bottom)
-        if found is None:
-            rest = full & ~bottom
-            first, kept = spread[bottom], spread[rest] * rest
-            found = built[bottom] = (first * rest | lt & kept, first * full | le & kept)
-        out.append(found)
-    return out
 
 
 def _posterior_firsts(contracting: bool, t: Tpo, qs) -> list:
@@ -998,47 +936,68 @@ def _g_li_beliefs(ctx, t, ps):
 def _routed_rule(final: Revision | None, route: str):
     """NLI (``final`` None: the checked revision) and iLIRC (natural
     revision): revising directly equals contracting by the negated input,
-    then revising by ``final``.  The routed revision is read from the
-    context's memo under ``final``: one entry with the contracted
-    preorder's revision as a prior, with every prior that contracts to
-    that preorder, and with the direct revision on the tautology, whose
-    contraction by the negation is the prior itself.  Both routes compare
-    the two revisions' pair matrices, as equal matrices mean equal
-    preorders: ``counts`` counts the inputs whose ``same`` mask is
-    nonzero, and ``body`` builds the two orders, which its witnesses
-    show, only for those inputs.  The mask is symmetric, so its lowest
-    set bit is the first pair x < y that the orders relate differently."""
+    then revising by ``final``.  Both compare the two revisions' pair
+    matrices, as equal matrices mean equal preorders, and build the two
+    orders, which a witness shows, only for an input where they differ.
+    Their ``same`` mask is symmetric, so its lowest set bit is the first
+    pair x < y that the orders relate differently.  Under built-ins alone
+    (``packed``) they take every input of a prior at once: the packed
+    contractions by each input's complement (``conneg``) are revised lane
+    by lane by the input under ``final`` (``_packed_order``), and the
+    count is the number of lanes of consistent inputs where the two
+    revisions differ.  Under a revision that is no built-in they take the
+    inputs one by one, and that route is the packed one's oracle in the
+    tests: the routed revision is read from the context's memo under
+    ``final``, by the contracted preorder as a prior, so it is one entry
+    with that preorder's direct revision."""
+
+    def witness(ctx, t, p, same):
+        direct, contracted = ctx.order("rev", t, (p,))[0], ctx.order("conneg", t, (p,))[0]
+        routed = ctx.memo(revise, final or ctx.rev).at(contracted, (p,))[p]
+        pair = next(_bit_pairs(same, len(ctx.worlds)))
+        return (t,), (p,), pair, ("direct ", direct, f"; {route} ", routed)
 
     def differing(ctx, t, ps):
         """Per input of ps, the ``same`` mask of its direct and routed
-        revisions' pair matrices, and its contracted preorder.  The
-        routed memo is read once per contracted preorder, on all the
-        inputs that contract to it."""
+        revisions' pair matrices."""
         routes = ctx.memo(revise, final or ctx.rev, True)
-        direct = ctx.matrices("rev", t, ps)
-        contracted = ctx.order("conneg", t, ps)
-        groups = {}
-        for p, c in zip(ps, contracted):
-            groups.setdefault(c, []).append(p)
-        routed = {}
-        for c, group in groups.items():
-            found = routes.at(c, group)
-            routed.update((p, found[p]) for p in group)
-        for p, d, c in zip(ps, direct, contracted):
-            yield _BROKEN["same"](d, routed[p]), c
+        for p, d, c in zip(ps, ctx.matrices("rev", t, ps), ctx.order("conneg", t, ps)):
+            yield _BROKEN["same"](d, routes.at(c, (p,))[p])
 
     def body(ctx, t, ps):
-        for p, (same, contracted) in zip(ps, differing(ctx, t, ps)):
+        for p, same in zip(ps, differing(ctx, t, ps)):
             if same:
-                direct = ctx.order("rev", t, (p,))[0]
-                routed = ctx.memo(revise, final or ctx.rev).at(contracted, (p,))[p]
-                pair = next(_bit_pairs(same, len(ctx.worlds)))
-                yield (t,), (p,), pair, ("direct ", direct, f"; {route} ", routed)
+                yield witness(ctx, t, p, same)
 
     def counts(ctx, t, ps):
-        return (bool(same) for same, _ in differing(ctx, t, ps))
+        return map(bool, differing(ctx, t, ps))
 
-    return _by_input(body, counts=counts, needs_con=True)
+    def packed(ctx):
+        return _closed(ctx.rev) and _closed(ctx.con)
+
+    def packed_same(ctx, t):
+        """Prior t's ``same`` masks, lane q holding input q's, and a flag
+        in bit 0 of each lane of a consistent input where it is nonzero."""
+        lanes = _lanes(ctx.n)
+        found = _packed_relations(ctx, t, ("rev", "conneg"))
+        routed = _packed_order(lanes, t, *found["conneg"], final or ctx.rev, lanes.sides)
+        same = _BROKEN["same"](found["rev"], routed)
+        return same, lanes.fold(lanes.nonzero(same)) & lanes.rep & ~1
+
+    def gen(ctx, t):
+        if not packed(ctx):
+            yield from scan.gen(ctx, t)
+            return
+        same, flags = packed_same(ctx, t)
+        size = len(ctx.worlds) ** 2
+        for p, _ in _bit_pairs(flags, size):
+            yield witness(ctx, t, p, same >> p * size & (1 << size) - 1)
+
+    def count(ctx, t):
+        return packed_same(ctx, t)[1].bit_count() if packed(ctx) else scan.count(ctx, t)
+
+    scan = _by_input(body, counts=counts, needs_con=True)
+    return scan._replace(gen=gen, count=count, packed=packed)
 
 
 class _PostulateDef(
@@ -1117,8 +1076,8 @@ def _packed(values, size: int) -> int:
 
 class _Lanes:
     """The packed route's layout at n atoms, W = 2^n worlds: lane q, for
-    q = 0 .. full, holds a pair matrix (see ``_relations``) in its W^2
-    bits.  In one lane ``row`` sets bit 0 of each row; in every lane
+    q = 0 .. full (``lanes`` lanes), holds a pair matrix (see
+    ``_relations``) in its ``size`` = W^2 bits.  In one lane ``row`` sets bit 0 of each row; in every lane
     ``rep`` sets bit 0, ``diag`` the pairs (x, x), ``low`` row 0,
     ``ones`` every bit, and ``lo`` and ``hi`` the other bits and the top
     bit of each row.  ``sides`` holds two triples, (q in row 0, the rows
@@ -1128,7 +1087,7 @@ class _Lanes:
     def __init__(self, n_atoms: int):
         width = self.width = 1 << n_atoms
         size = self.size = width * width
-        lanes = 1 << width
+        lanes = self.lanes = 1 << width
         rep = self.rep = _packed([1] * lanes, size)
         row = self.row = _spread(n_atoms)[lanes - 1]
         self.lo, self.hi = row * rep * ((1 << width - 1) - 1), row * rep << width - 1
@@ -1148,6 +1107,21 @@ class _Lanes:
         """v with each nonzero row of every lane made all ones."""
         return self.nonzero(v) * ((1 << self.width) - 1)
 
+    def split(self, v: int) -> list:
+        """The lanes of v, lane q at index q: 16- and 64-bit lanes in one
+        cast of v's bytes, wider ones by slices of them, narrower by
+        shifts."""
+        size, lanes = self.size, self.lanes
+        if size < 8:
+            return [v >> size * q & (1 << size) - 1 for q in range(lanes)]
+        step = size // 8
+        if size in (16, 64):
+            data = memoryview(v.to_bytes(step * lanes, sys.byteorder))
+            out = data.cast("H" if size == 16 else "Q").tolist()
+            return out if sys.byteorder == "little" else out[::-1]
+        data = v.to_bytes(step * lanes, "little")
+        return [int.from_bytes(data[i : i + step], "little") for i in range(0, len(data), step)]
+
     def fold(self, v: int) -> int:
         """v with each lane's rows ORed into its row 0, to be read there
         alone; its other rows keep partial ORs.  A bit shifted across a
@@ -1165,62 +1139,96 @@ _lanes = lru_cache(maxsize=None)(_Lanes)
 def _closed(operator) -> bool:
     """Whether the operator is a built-in, every one of which has a closed
     form: its orders' pair matrices and first cells follow from the prior
-    and the input (``_posterior_relations``, ``_posterior_firsts``), for
-    all inputs of a prior at once in the packed route
-    (``_packed_relations``)."""
+    and the input (``_packed_order``, ``_posterior_firsts``), the
+    matrices for all inputs of a prior at once."""
     return type(operator) in (Revision, Contraction)
+
+
+def _packed_order(lanes: _Lanes, t: Tpo, lt: int, le: int, operator, sides) -> tuple:
+    """The pair matrices (see ``_relations``) of ``revise`` by I under a
+    built-in revision, or of ``contract`` by I under a built-in
+    contraction, in lane I for every I at once, from matrices (lt, le)
+    laid per lane; I and its complement O are the two triples of
+    ``sides``, ``_Lanes.sides`` or, for an order read at the
+    complement, the two swapped.  Write X*Y for the pairs (x, y) with x
+    in X and y in Y, the and of X's rows and Y's columns, and eq for the
+    ties, ``le & ~lt``.  Each revision puts the minimal worlds m of I,
+    those of I with no world of I strictly below them, below the other
+    worlds r:
+
+    * natural keeps the order on r: lt' = m*r | lt & r*r and
+      le' = m*full | le & r*r;
+    * restrained also breaks each tie in r in favour of I:
+      lt' = m*r | r*r & (lt | eq & I*O) and
+      le' = m*full | r*r & (lt | eq & ~(O*I));
+    * lexicographic puts I below O and keeps the order on each side:
+      with same = I*I | O*O, lt' = I*O | lt & same and
+      le' = I*O | le & same.
+
+    A revision reads lt and le only through ands with lane masks and
+    ``fold``, so it holds lane by lane for any matrices, one preorder's
+    per lane as well as the prior's in every lane.  A contraction reads
+    the prior t itself, so lt and le must then be t's in every lane.  The
+    natural and restrained contractions (see ``operators._posteriors``)
+    join the minimal worlds of O to the prior's first cell, F, put F
+    below the other worlds r and keep the prior's order on r:
+    lt' = F*r | lt & r*r and le' = F*full | le & r*r, so on the
+    tautology's lane they give the prior's own matrices.
+    ``contract-stq-lex`` compares the levels of one pass over the
+    prior's cells (``_packed_levels``), which on the lanes of the
+    tautology and of the empty mask are the prior's own cells."""
+    (ilow, irow, icol), (olow, orow, ocol) = sides
+    if operator is Contraction.STQ_LEX:
+        return _packed_levels(lanes, t, irow, icol, ocol)
+    if operator is Revision.LEXICOGRAPHIC:
+        below, same = irow & ocol, irow & icol | orow & ocol
+        return below | lt & same, below | le & same
+    if type(operator) is Contraction:
+        bottom = t.masks[0] * lanes.rep | olow & ~lanes.fold(lt & orow)
+    else:
+        bottom = ilow & ~lanes.fold(lt & irow)
+    bcol = bottom * lanes.row
+    brow = lanes.rowfill(bcol & lanes.diag)
+    kept = lanes.ones & ~(brow | bcol)
+    strict, weak = lt, le
+    if operator is Revision.RESTRAINED:
+        eq = le & ~lt
+        strict, weak = lt | eq & irow & ocol, lt | eq & ~(orow & icol)
+    return brow & ~bcol | strict & kept, brow | weak & kept
 
 
 def _packed_relations(ctx: _Ctx, t: Tpo, names) -> dict:
     """Prior t's matrices, as ``prior``, and the named orders of names
     (see ``_NAMED``) under the context's operators, each ``_closed``, by
-    every input at once: name -> (lt, le)
-    with lane q holding the pair matrices that ``_posterior_relations``
-    gives for input q.  Write I for the input (the first triple of
-    ``_Lanes.sides``, or the second for an order read at the complement)
-    and O for its complement; the formulas are
-    ``_posterior_relations``' own, with X*Y
-    the and of X's rows and Y's columns.  The bottom that a natural or
-    restrained revision puts first is I's minimal worlds, those of I
-    with no world of I strictly below them; a natural or restrained
-    contraction's is the prior's first cell and O's minimal worlds, so
-    on the tautology's lane it gives the prior's own matrices.
-    ``contract-stq-lex`` compares the levels of one pass over the
-    prior's cells (``_packed_levels``), which on the lanes of the
-    tautology and of the empty mask are the prior's own cells."""
+    every input at once: name -> (lt, le) with lane q holding the pair
+    matrices of input q's order (``_packed_order``)."""
     lanes = _lanes(ctx.n)
     lt, le = ctx.relations[t]
     lt, le = lt * lanes.rep, le * lanes.rep
     out = {"prior": (lt, le)}
     for name in names:
         contracting, complement = _NAMED[name]
-        (ilow, irow, icol), (olow, orow, ocol) = lanes.sides[::-1] if complement else lanes.sides
         operator = ctx.con if contracting else ctx.rev
-        if operator is Contraction.STQ_LEX:
-            out[name] = _packed_levels(lanes, t, irow, icol, ocol)
-            continue
-        if operator is Revision.LEXICOGRAPHIC:
-            below, same = irow & ocol, irow & icol | orow & ocol
-            out[name] = below | lt & same, below | le & same
-            continue
-        if contracting:
-            bottom = t.masks[0] * lanes.rep | olow & ~lanes.fold(lt & orow)
-        else:
-            bottom = ilow & ~lanes.fold(lt & irow)
-        bcol = bottom * lanes.row
-        brow = lanes.rowfill(bcol & lanes.diag)
-        kept = lanes.ones & ~(brow | bcol)
-        strict, weak = lt, le
-        if operator is Revision.RESTRAINED:
-            eq = le & ~lt
-            strict, weak = lt | eq & irow & ocol, lt | eq & ~(orow & icol)
-        out[name] = brow & ~bcol | strict & kept, brow | weak & kept
+        sides = lanes.sides[::-1] if complement else lanes.sides
+        out[name] = _packed_order(lanes, t, lt, le, operator, sides)
     return out
+
+
+def _lane_relations(t: Tpo, own: tuple, qs, operator) -> islice:
+    """(mask, pair matrices) of ``revise`` of prior t by every input mask
+    under a built-in revision, or of ``contract`` under a built-in
+    contraction, from one ``_packed_order`` pass; ``own`` is t's (lt,
+    le), and a bad mask among the masks qs asked for raises what
+    ``revise`` or ``contract`` raises."""
+    _check_masks(qs, t.n_atoms)
+    lanes, (lt, le) = _lanes(t.n_atoms), own
+    lt, le = _packed_order(lanes, t, lt * lanes.rep, le * lanes.rep, operator, lanes.sides)
+    return islice(enumerate(zip(lanes.split(lt), lanes.split(le))), 1, None)
 
 
 def _packed_levels(lanes: _Lanes, t: Tpo, irow: int, icol: int, ocol: int) -> tuple:
     """The pair matrices of ``contract-stq-lex`` of prior t by I in lane
-    I, for every I at once (see ``_packed_relations``): the levels of
+    I, for every I at once (see ``_packed_order``): the levels of
     ``operators._stq_lex_levels`` in one pass over the prior's cells for
     all lanes together, row x of a lane holding x's level as a W-bit
     number.  The cells laid in rows, cell j in row j, give in one step
@@ -1908,9 +1916,10 @@ def pair_profile(n_atoms: int = 2) -> tuple:
     """``(revision, contraction, verdicts)`` for all nine built-in
     operator pairs, ``verdicts`` a read-only map from each of NLI,
     CR1-CR4, SPU and WPU to whether it holds (the rows are cached, so
-    the claims read them too).  The pairs share their orders: each
-    revision's for every contraction, and each contraction's for every
-    revision."""
+    the claims read them too).  The pairs share their memos (see
+    ``_Ctx``): each prior's matrices, which every verdict's packed route
+    reads, and any order a verdict reads, each revision's for every
+    contraction and each contraction's for every revision."""
     ids = ("NLI", "CR1", "CR2", "CR3", "CR4", "SPU", "WPU")
     shared = {}
     return tuple(

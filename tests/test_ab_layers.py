@@ -5,10 +5,11 @@ The tool reaches into private names of the package (``_POSTULATES``,
 ``_dp_posterior_candidates``, ``_Ctx.memo`` for orders, ``_Ctx.rows``),
 builds drawn pair rows as ``_outers`` does, and counts orders by
 wrapping the ``revise``, ``contract``, ``contract_by_negation``,
-``_posterior_relations`` and ``_posterior_firsts`` that ``postulates``
+``_lane_relations`` and ``_posterior_firsts`` that ``postulates``
 calls: the scan context's one memo computes an order through ``revise``
-or ``contract``, and the pair matrices or first cell of one in closed
-form through ``_posterior_relations`` or ``_posterior_firsts``.
+or ``contract``, the pair matrices of a prior's orders on every input
+in one packed pass through ``_lane_relations``, and the first cell of
+one in closed form through ``_posterior_firsts``.
 Running every layer and count once here catches a refactor that removes
 one.  The layers run inside ``layers``' context, whose exit removes the
 temporary copy of the sources; the test configuration turns a leaked one
@@ -43,6 +44,7 @@ EARLIER_LAYERS = (
     "scan_HI_beliefs_restrained_stq_restrained_ms", "scan_iLIRC_lexicographic_natural_ms",
     "compositions_CC4_restrained_stq_restrained_ms", "compositions_SPU_lexicographic_natural_ms",
     "compositions_CC3_natural_stq_lex_ms", "compositions_SPU_restrained_stq_lex_ms",
+    "compositions_NLI_restrained_stq_lex_ms", "compositions_iLIRC_lexicographic_stq_restrained_ms",
 )
 
 
@@ -72,11 +74,13 @@ def test_the_order_counts_are_ints_on_this_tree():
         "check_Neut_natural_n2_orders",
         "check_NLI_natural_stq_lex_n2_revise_orders",
     }
-    assert all(type(found) is int and found > 0 for found in counts.values())
+    assert all(type(found) is int for found in counts.values())
     # the totals of the order-count tests in test_postulates.py, the closed
-    # form's entries included, and the revision orders of the NLI report
+    # form's entries included, and the revision orders of the NLI report;
+    # the pair profile's verdicts all take the packed route, which fills
+    # no memo
     assert counts == {
-        "pair_profile_n2_orders": 502,
+        "pair_profile_n2_orders": 0,
         "check_Neut_natural_n2_orders": 435,
         "check_NLI_natural_stq_lex_n2_revise_orders": 18,
     }

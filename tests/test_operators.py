@@ -27,7 +27,6 @@ from beliefchange.postulates import (
     _holding,
     _NliComposition,
     _posterior_firsts,
-    _posterior_relations,
     _relations,
     make_random_dp_operator,
 )
@@ -515,9 +514,9 @@ def test_the_kernel_matches_the_oracles_on_each_three_atom_composition():
 
 # ---------------------------------------------------------------------------
 # The pair matrices of the named orders, read from the scan context's memo:
-# under the built-ins with a closed form (``_posterior_relations``) and
-# under every other operator, against the matrices of the kernel's
-# posteriors
+# under the built-ins with a closed form (one packed pass per prior,
+# ``_lane_relations``) and under every other operator, against the
+# matrices of the kernel's posteriors
 
 
 class _Reversed:
@@ -574,10 +573,9 @@ def test_the_closed_form_matches_the_kernel_on_each_three_atom_composition():
 
 def test_the_closed_form_matches_the_kernel_on_four_atom_preorders():
     # a flat, a linear and four seeded preorders of the sixteen worlds,
-    # each on a seeded tenth of its 65,535 inputs and the tautology; the
-    # kernel's contractions are checked against the oracle too, as the
-    # kernel and the closed form of ``contract-stq-lex`` share its levels
-    # (``operators._stq_lex_levels``); so are the first cells
+    # each on a seeded tenth of its 65,535 inputs and the tautology, as the
+    # memo keeps their matrices; the kernel's contractions are checked
+    # against the oracle too; so are the first cells
     rng = random.Random(37)
     full = all_worlds(4)
     priors = [Tpo((full,), 4), Tpo([1 << w for w in rng.sample(range(16), 16)], 4)]
@@ -592,8 +590,8 @@ def test_the_closed_form_matches_the_kernel_on_four_atom_preorders():
             for method in methods:
                 posteriors = _posteriors(function, t, qs, method)
                 expected = [_relations(u) for u in posteriors]
-                got = _posterior_relations(contracting, t, _relations(t), qs, method)
-                assert got == expected, (t, method)
+                found = _Ctx(4).memo(function, method, matrices=True).at(t, qs)
+                assert [found[q] for q in qs] == expected, (t, method)
                 firsts = [u.masks[0] for u in posteriors]
                 assert _posterior_firsts(contracting, t, qs) == firsts, (t, method)
                 if contracting:
@@ -682,11 +680,8 @@ def test_the_closed_form_rejects_a_bad_mask_as_revise_and_contract_do(bad):
             for method in methods:
                 expected = _outcome(lambda: function(prior, bad, method))
                 assert isinstance(expected, tuple) and issubclass(expected[0], Exception)
-                got = _outcome(
-                    lambda: _posterior_relations(
-                        contracting, prior, _relations(prior), [1, bad, full], method
-                    )
-                )
+                memo = _Ctx(prior.n_atoms).memo(function, method, matrices=True)
+                got = _outcome(lambda: list(memo.compute(prior, _relations(prior), [1, bad, full])))
                 assert got == expected
                 got = _outcome(lambda: _posterior_firsts(contracting, prior, [1, bad, full]))
                 assert got == expected

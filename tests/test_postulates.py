@@ -1439,8 +1439,9 @@ def revisions(monkeypatch):
     """The function name and (prior, input, operator) arguments of every
     ``revise``, ``contract`` and ``contract_by_negation`` call a scan
     makes, and of every entry whose pair matrices the closed form of the
-    built-ins computes (``_posterior_relations``), named ``revise
-    matrices`` or ``contract matrices``: each is one order computed.  The
+    built-ins fills, every input of a prior in one packed pass
+    (``_lane_relations``), named ``revise matrices`` or ``contract
+    matrices``: each is one order computed.  The
     first cells that the built-ins' closed form computes
     (``_posterior_firsts``) are entries too, ``revise firsts`` or
     ``contract firsts`` with (prior, input): the form is one for every
@@ -1454,12 +1455,13 @@ def revisions(monkeypatch):
 
         monkeypatch.setattr(postulates, name, counted)
 
-    def closed(contracting, t, own, qs, operator, _real=postulates._posterior_relations):
-        name = "contract matrices" if contracting else "revise matrices"
-        calls.extend((name, t, q, operator) for q in qs)
-        return _real(contracting, t, own, qs, operator)
+    def closed(t, own, qs, operator, _real=postulates._lane_relations):
+        name = "contract matrices" if type(operator) is Contraction else "revise matrices"
+        filled = list(_real(t, own, qs, operator))
+        calls.extend((name, t, q, operator) for q, _ in filled)
+        return filled
 
-    monkeypatch.setattr(postulates, "_posterior_relations", closed)
+    monkeypatch.setattr(postulates, "_lane_relations", closed)
 
     def firsts(contracting, t, qs, _real=postulates._posterior_firsts):
         name = "contract firsts" if contracting else "revise firsts"
@@ -1533,27 +1535,29 @@ def test_a_generator_computes_the_orders_of_the_inputs_it_reaches(revisions):
     # generator takes the inputs a chunk at a time: here the tenth
     # witness lies on input 17, in the second chunk; CR4 under a composed
     # revision, no built-in, revises by each input through the memo's
-    # orders and contracts by its complement in closed form
+    # orders, and contracts by its complement in closed form, which fills
+    # every input of the prior at its first read
     composed = _NliComposition(Contraction.NATURAL, Revision.NATURAL)
     ctx = _Ctx(3, composed, Contraction.STQ_LEX)
     raws = list(islice(_POSTULATES["CR4"].gen(ctx, tpo_at_index(0, 3)), WITNESS_CAP))
     assert len(raws) == WITNESS_CAP and raws[-1][1] == (17,)
-    reached = {ctx.full - p if name[0] == "c" else p for name, _, p, _ in revisions}
-    assert {name for name, *_ in revisions} == {"revise", "contract matrices"}
+    reached = {p for name, _, p, _ in revisions if name == "revise"}
     assert reached == set(range(1, 2 * postulates._GEN_CHUNK + 1))
-    assert len(revisions) == 2 * 2 * postulates._GEN_CHUNK
+    contracted = [q for name, _, q, _ in revisions if name == "contract matrices"]
+    assert contracted == list(ctx.props)
+    assert len(revisions) == 2 * postulates._GEN_CHUNK + len(ctx.props)
     assert len(set(revisions)) == len(revisions)
 
 
 def test_a_failing_routed_scan_and_its_witnesses_share_each_direct_order(revisions):
     # the routed revision is the contracted preorder's own revision, so
-    # the memo shares it with the direct revision of that preorder, as
-    # matrices for the count and as orders for the witnesses; the
+    # the memo shares it with the direct revision of that preorder as
+    # orders for the witnesses, and the packed count reads no memo; the
     # contraction by the negated input is the contraction by the input's
     # complement
     report = check_postulate("NLI", Revision.NATURAL, Contraction.STQ_LEX, n_atoms=2)
     assert report.outcome == "fail"
-    assert {name for name, *_ in revisions} == {"revise", "revise matrices", "contract"}
+    assert {name for name, *_ in revisions} == {"revise", "contract"}
     assert len(set(revisions)) == len(revisions)
 
 
@@ -1565,11 +1569,12 @@ def test_a_failing_routed_scan_and_its_witnesses_share_each_direct_order(revisio
     ],
 )
 def test_a_routed_count_builds_no_revision_order(postulate, rev, con, witnessed, revisions):
-    # the count compares pair matrices, so a verdict builds no revision
-    # order; a report builds the two orders of each of its ten witnesses,
-    # and the direct and routed revisions of an input may be one order
+    # the count compares packed pair matrices, so a verdict reads no memo
+    # and builds no order; a report builds the two orders of each of its
+    # ten witnesses, and the direct and routed revisions of an input may
+    # be one order
     assert not postulates._holding((postulate,), rev, con, 2)[postulate]
-    assert revisions and not [call for call in revisions if call[0] == "revise"]
+    assert revisions == []
     report = check_postulate(postulate, rev, con, n_atoms=2)
     assert len(report.witnesses) == WITNESS_CAP
     assert sum(call[0] == "revise" for call in revisions) == witnessed
@@ -1584,7 +1589,7 @@ def test_the_belief_scans_build_no_posterior(rev, con, revisions, monkeypatch):
     # closed form alone: no kernel batch, no pair matrices, and each
     # prior's first cell on an input once
     built = []
-    for name in ("_posteriors", "_posterior_relations"):
+    for name in ("_posteriors", "_lane_relations"):
 
         def counted(*args, _name=name, _real=getattr(postulates, name)):
             built.append(_name)
@@ -1635,55 +1640,23 @@ def test_li_beliefs_reads_the_contracted_preorder_where_its_first_cell_misses_th
     assert fallbacks
 
 
-@pytest.mark.parametrize(
-    "postulate, rev, con",
-    [
-        ("NLI", Revision.NATURAL, Contraction.STQ_LEX),
-        ("iLIRC", Revision.LEXICOGRAPHIC, Contraction.NATURAL),
-    ],
-)
-def test_a_routed_count_reads_the_routed_memo_once_per_contracted_preorder(
-    postulate, rev, con, monkeypatch
-):
-    reads = []
-
-    def at(self, t, qs, _real=postulates._Orders.at):
-        reads.append((self, t, list(qs)))
-        return _real(self, t, qs)
-
-    monkeypatch.setattr(postulates._Orders, "at", at)
-    ctx = _Ctx(3, rev, con)
-    routes = ctx.memo(revise, Revision.NATURAL if postulate == "iLIRC" else rev, True)
-    for index in (0, 4321, 200000):
-        t = tpo_at_index(index, 3)
-        contracted = ctx.order("conneg", t, ctx.props)
-        groups = {}
-        for p, c in zip(ctx.props, contracted):
-            groups.setdefault(c, []).append(p)
-        assert len(groups) < len(ctx.props)
-        # NLI's routed memo is the direct revision's too, read first on t
-        expected = [(t, list(ctx.props))] * (postulate == "NLI") + list(groups.items())
-        reads.clear()
-        list(_POSTULATES[postulate].counts(ctx, t, ctx.props))
-        assert [(u, qs) for memo, u, qs in reads if memo is routes] == expected
-
-
 def test_one_memo_entry_serves_every_route_to_an_order(revisions):
     # contracting by q (SPU's ``con``) and by the negation of its
     # complement (CR1's ``conneg``) is one entry, so each contraction is
     # computed once between the two scans: under a revision that is no
-    # built-in neither takes the packed route, SPU contracts by every
-    # input but the tautology, and CR1 contracts by nothing new
+    # built-in neither takes the packed route, SPU's first read fills the
+    # contraction by every input, and CR1 contracts by nothing new
     t = parse_tpo("11 | 10 01 | 00", 2)
-    ctx = _Ctx(2, _Reversed(), Contraction.STQ_LEX)
+    shared = {}
+    ctx = _Ctx(2, _Reversed(), Contraction.STQ_LEX, shared)
     _POSTULATES["SPU"].count(ctx, t)
     _POSTULATES["CR1"].count(ctx, t)
     contractions = [call for call in revisions if not call[0].startswith("revise")]
-    expected = [("contract matrices", q) for q in ctx.props_proper]
+    expected = [("contract matrices", q) for q in ctx.props]
     assert [(name, q) for name, _, q, _ in contractions] == expected
-    # iLIRC under natural revision builds each contracted preorder once,
-    # and its routed revisions are the ``rev`` entries of those preorders
-    ctx = _Ctx(2, Revision.NATURAL, Contraction.STQ_LEX)
+    # iLIRC's route per input reads CR1's direct revisions, builds each
+    # contracted preorder once, and its routed revisions are the natural
+    # ``rev`` entries of those preorders
     revisions.clear()
     _POSTULATES["iLIRC"].count(ctx, t)
     assert [(name, q) for name, _, q, _ in revisions if name == "contract"] == [
@@ -1691,8 +1664,9 @@ def test_one_memo_entry_serves_every_route_to_an_order(revisions):
     ]
     assert {call[0] for call in revisions} == {"contract", "revise matrices"}
     routed = len(revisions)
+    natural = _Ctx(2, Revision.NATURAL, Contraction.STQ_LEX, shared)
     for p, contracted in zip(ctx.props, ctx.order("conneg", t, ctx.props)):
-        ctx.matrices("rev", contracted, (p,))
+        natural.matrices("rev", contracted, (p,))
     assert len(revisions) == routed
     assert len(set(revisions)) == len(revisions)
 
@@ -1776,20 +1750,13 @@ def test_one_pass_verdicts_match_the_oracles():
 
 
 def test_the_pair_profile_computes_each_order_once_per_instance(revisions):
-    # the nine operator pairs share their orders: each revision serves
-    # every contraction and each contraction every revision; revising or
-    # contracting by the negated input is revising or contracting by its
-    # complement; each prior is counted on one input per orbit of its
-    # cells.  Every built-in has a closed form, and the verdicts read
-    # matrices but for NLI's routes, which revise the built contracted
-    # preorders, so a contraction may be computed once in each memo.  The
-    # pair rules take their packed route under every built-in, which
-    # computes no memo entry, so no contraction's matrices are read
+    # every built-in has a closed form, and under the nine operator pairs
+    # each verdict of the profile, NLI's as well as the pair rules', takes
+    # its packed route: every input of a prior at once, with no memo
+    # entry, so the profile computes no order at all
     pair_profile.cache_clear()
     pair_profile(2)
-    assert len(revisions) == 502
-    assert len(set(revisions)) == len(revisions)
-    assert Counter(name for name, *_ in revisions) == {"contract": 198, "revise matrices": 304}
+    assert revisions == []
 
 
 def test_a_verdict_under_a_random_operator_computes_each_posterior_once(revisions):
@@ -2123,9 +2090,10 @@ def _lanes_of(packed, n_atoms) -> list:
 
 def _assert_lanes_match_the_closed_form(priors, n_atoms, kernel=False) -> int:
     """Check each lane of each packed order of each prior against the
-    memo's closed form (``_posterior_relations``), and, if ``kernel``,
-    against the matrices of the posteriors that ``operators._posteriors``
-    builds; how many lanes were checked."""
+    matrices the memo keeps, read input by input (``_lane_relations``,
+    checked against the kernel in ``test_operators``), and, if
+    ``kernel``, against the matrices of the posteriors that
+    ``operators._posteriors`` builds; how many lanes were checked."""
     checked = 0
     for operator in PACKED:
         contracting = type(operator) is Contraction
@@ -2214,3 +2182,70 @@ def test_a_packed_rule_yields_the_per_input_witnesses(row, monkeypatch):
     assert packed == run()
     assert all(len(raws) == found for raws, found in packed)
     assert sum(found for _, found in packed) > len(cases)
+
+
+# NLI and iLIRC under the built-ins take every input of a prior at once;
+# with ``_closed`` patched to admit no operator they take the inputs one
+# by one, on memos of the kernel's posteriors: that route is the oracle
+
+ROUTED_CASES = [
+    (postulate, rev, con) for postulate in ("NLI", "iLIRC") for rev in Revision for con in Contraction
+]
+
+
+@pytest.mark.parametrize(
+    "n_atoms, priors",
+    [
+        (1, lambda: enumerate_tpos(1)),
+        (2, lambda: enumerate_tpos(2)),
+        (3, one_per_three_atom_composition),
+    ],
+    ids=["n1-every-tpo", "n2-every-tpo", "n3-one-tpo-per-composition"],
+)
+def test_packed_routed_counts_and_witnesses_equal_the_per_input_route(
+    n_atoms, priors, monkeypatch
+):
+    priors = list(priors())
+
+    def run():
+        # the cases of a prior share their memos, as ``pair_profile``'s do
+        out = []
+        for t in priors:
+            shared = {}
+            for postulate, rev, con in ROUTED_CASES:
+                spec, ctx = _POSTULATES[postulate], _Ctx(n_atoms, rev, con, shared)
+                out.append((spec.count(ctx, t), list(spec.gen(ctx, t))))
+        return out
+
+    assert all(_POSTULATES[case[0]].packed(_Ctx(n_atoms, *case[1:])) for case in ROUTED_CASES)
+    packed = run()
+    monkeypatch.setattr(postulates, "_closed", lambda operator: False)
+    assert not _POSTULATES["NLI"].packed(_Ctx(n_atoms, *ROUTED_CASES[0][1:]))
+    assert packed == run()
+    assert all(len(raws) == found for found, raws in packed)
+    assert (sum(found for found, _ in packed) > 0) is (n_atoms > 1)
+
+
+def test_a_packed_routed_count_reads_no_lane_of_the_empty_mask(monkeypatch):
+    # lane 0, the empty mask, is no input: the revisions by it keep the
+    # prior, so its lane compares equal, but the count and the witnesses
+    # skip it whatever it holds
+    cases = [(case, t) for case in ROUTED_CASES for t in enumerate_tpos(2)]
+
+    def run():
+        out = []
+        for (postulate, rev, con), t in cases:
+            spec, ctx = _POSTULATES[postulate], _Ctx(2, rev, con)
+            out.append((spec.count(ctx, t), list(spec.gen(ctx, t))))
+        return out
+
+    expected = run()
+
+    def spoiled(ctx, t, names, _real=postulates._packed_relations):
+        out = _real(ctx, t, names)
+        lt, le = out["rev"]
+        out["rev"] = lt ^ (1 << postulates._lanes(ctx.n).size) - 1, le
+        return out
+
+    monkeypatch.setattr(postulates, "_packed_relations", spoiled)
+    assert run() == expected

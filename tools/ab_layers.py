@@ -38,12 +38,13 @@ iLIRC under lexicographic revision and ``contract-stq-restrained`` or
 HI_beliefs under restrained revision and ``contract-stq-restrained``; the
 counts of DP3 natural, DP1 lexicographic, DP4 restrained, CC4 under
 restrained revision and ``contract-stq-restrained``, SPU under
-lexicographic revision and ``contract-natural``, and CR4 natural, CC3
-natural and SPU restrained + ``contract-stq-lex`` on one preorder of
-each of the 128 compositions of the eight worlds, cut from a seeded
-order of the worlds, without witnesses; the exhaustive checks at two atoms of CR4 (which fails), IIAP
-and Neut; the claims P2, T1, T3 (its ``pair_profile`` cache cleared),
-L_flattest, T4, P1 (its ``_dp_posterior_candidates`` cache cleared, as
+lexicographic revision and ``contract-natural``, CR4 natural, CC3
+natural, SPU restrained and NLI restrained + ``contract-stq-lex``, and
+iLIRC under lexicographic revision and ``contract-stq-restrained``, on
+one preorder of each of the 128 compositions of the eight worlds, cut
+from a seeded order of the worlds, without witnesses; the exhaustive
+checks at two atoms of CR4 (which fails), IIAP and Neut; the claims
+P2, T1, T3 (its ``pair_profile`` cache cleared), L_flattest, T4, P1 (its ``_dp_posterior_candidates`` cache cleared, as
 in a fresh ``verify P1`` process) and P3 at two atoms; the six diagram
 scans; ``pair_profile(2)`` and ``_dp_posterior_candidates(2)`` with
 their caches cleared; the default sampled DP1 check (10000 samples) and
@@ -79,7 +80,8 @@ revision orders, through ``revise``, computed by the exhaustive NLI
 check under natural revision and ``contract-stq-lex`` at two atoms
 (``order_counts``): how often the scan context's memo computes an order,
 or the pair matrices or first cell of one in closed form, rather than
-reusing it.
+reusing it; a packed pass that fills a prior's matrices on every input
+counts one order per input mask.
 ``cli_import_modules`` is the number of modules that ``import
 beliefchange.cli`` adds in a fresh interpreter (``import_counts``).  A
 count repeats exactly, so it carries none of the timings' noise floor.
@@ -415,6 +417,12 @@ def layers(bc, drawn):
             "compositions_SPU_lexicographic_natural_ms": (
                 counts("SPU", lexicographic, ops.Contraction.NATURAL), len(compositions), 1e3
             ),
+            "compositions_NLI_restrained_stq_lex_ms": (
+                counts("NLI", restrained, stq_lex), len(compositions), 1e3
+            ),
+            "compositions_iLIRC_lexicographic_stq_restrained_ms": (
+                counts("iLIRC", lexicographic, stq_restrained), len(compositions), 1e3
+            ),
             "rows_restrained_n3_call_us": (rows(restrained), SCANS, 1e6),
             "check_CR4_natural_stq_lex_n2_ms": (check("CR4", con=stq_lex, n_atoms=2), 1, 1e3),
             "check_IIAP_natural_n2_ms": (check("IIAP", n_atoms=2), 1, 1e3),
@@ -460,13 +468,15 @@ def _one(*args) -> int:
 
 # The functions of ``postulates`` that compute orders, with the orders one
 # call computes: one, or, for the closed forms of the built-ins' pair
-# matrices and first cells, one per input mask of its batch (where the
-# tree has them).
+# matrices and first cells, one per input mask of its batch, or one per
+# input mask of the prior for the packed pass that fills them all (where
+# the tree has them).
 ORDER_FUNCTIONS = {
     "revise": _one,
     "contract": _one,
     "contract_by_negation": _one,
     "_posterior_relations": lambda contracting, t, own, qs, operator: len(qs),
+    "_lane_relations": lambda t, own, qs, operator: (1 << (1 << t.n_atoms)) - 1,
     "_posterior_firsts": lambda contracting, t, qs: len(qs),
 }
 
