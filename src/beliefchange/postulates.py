@@ -16,27 +16,28 @@ cells inside the input with its cells outside it
 (``_dp_posterior_candidates``).  NLI and iLIRC share one generator;
 they differ only in the final revision of the contraction route.
 
-The pair rules and IIAP work on bit matrices: a preorder's pair
-relations are two ints of W^2 bits for W worlds, ``lt`` with bit W*x+y
-set iff x ranks strictly below y and ``le`` iff at most as high, so an
-input's violations are the set bits of a few ands and xors over a
-region mask.  That per-input mask is IIAP's route (``_iiap_masks``,
-read by ``_mask_scan``), and the pair rules' under any operator that is
-no built-in: its set bits, read in ascending order, are the witnesses
-in scan order, their number is the count, and any set bit is a failure.
-Under the built-ins, each with a closed form in the prior and the
-input, a pair rule lays the matrices of every input of a prior side by
-side in one int, input q's in lane q of W^2 bits, and takes them all in
-one pass of the same ands and xors, with broadword (SWAR) steps for an
-input's minimal worlds or, under ``contract-stq-lex``, for its levels
-(``_packed_order``); the set bits of that one mask, in ascending
-order, are its witnesses in the same order, and their number is its
-count.  NLI and iLIRC take the same pass under the built-ins: the
-revision formulas read the matrices lane by lane, so they revise the
-packed contractions by each input's negation as well as the prior.
-That one form per built-in serves the context's matrix memo too, which
-splits a prior's lanes into one entry per input.  IIAI, Beta1/Beta2 and
-Neut read the same matrices, the
+The pair rules, NLI, iLIRC and IIAP work on bit matrices: a preorder's
+pair relations are two ints of W^2 bits for W worlds, ``lt`` with bit
+W*x+y set iff x ranks strictly below y and ``le`` iff at most as high,
+so an input's violations are the set bits of a few ands and xors over
+a region mask.  IIAP takes one such mask per input (``_iiap_masks``).
+A pair rule lays the matrices of every input of a prior side by side
+in one int, input q's in lane q of W^2 bits, and takes them all in one
+pass of the same ands and xors: the set bits of that one mask, in
+ascending order, are its witnesses in scan order, their number is its
+count, and any set bit is a failure.  The operator decides only where
+the lanes come from (``_packed_relations``).  Under a built-in, each
+with a closed form in the prior and the input, they come from one pass
+with broadword (SWAR) steps for an input's minimal worlds or, under
+``contract-stq-lex``, for its levels (``_packed_order``); under any
+other operator they are the context memo's matrices, one input's in
+each lane (``_laid``).  NLI and iLIRC take the same lanes: a built-in
+revision's formulas read the matrices lane by lane, so they revise the
+packed contractions by each input's negation as well as the prior, and
+a routed revision that is no built-in revises each contracted preorder
+through the memo.  The closed form serves the context's matrix memo
+too, which splits a prior's lanes into one entry per input.  IIAI,
+Beta1/Beta2 and Neut read the same matrices, the
 revisions' from the prior's row on every input (``ctx.rows``).  IIAI
 and Beta1/Beta2, quadratic in the inputs, are counted per world pair by
 a closed form over the inputs grouped by their outcome on the pair,
@@ -87,13 +88,13 @@ permutation that fixes each of its cells maps its violations on one
 input onto those on the image.  An input's orbit under those
 permutations is fixed by how many worlds it takes from each cell, so a
 single-preorder scan whose count is a sum over single inputs
-(``_by_input``: Success, HI/LI_beliefs, NLI, iLIRC, Red, the diagram
-scan, and the 14 pair rules under a composed revision) counts each
-orbit once, at the input taking the lowest worlds of each cell, times
-the orbit's size (``_input_orbits``): prod(s_i + 1) - 1 inputs for
-cells of sizes s_i, in place of 2^W - 1.  The pair rules under the
-built-ins take every input in one packed pass, cheaper than the orbits'
-per-input loop.  IIAI and
+(``_by_input``: Success, HI/LI_beliefs, Red and the diagram scan)
+counts each orbit once, at the input taking the lowest worlds of each
+cell, times the orbit's size (``_input_orbits``): prod(s_i + 1) - 1
+inputs for cells of sizes s_i, in place of 2^W - 1.  The pair rules,
+NLI and iLIRC take every input in one packed pass instead: under the
+built-ins it is cheaper than the orbits' per-input loop, and under a
+composed revision it reads every input's posterior.  IIAI and
 Beta1/Beta2, which count pairs of inputs, count the composition's first
 preorder on every input, and
 IIAP, which sums over single inputs of a pair of preorders, counts each
@@ -117,19 +118,19 @@ prior t and input p (``_NAMED``, read by
 ``con`` apply the context's revision or contraction by p, ``revneg`` and
 ``conneg`` apply them by p's complement (``conneg`` is t itself on the
 tautology), and ``prior`` is t.  A route under another operator reads
-the same memo under that operator: NLI and iLIRC, where they take the
-inputs one by one, revise the contracted preorder under the checked
-revision or under natural revision.  So
-contracting by q and contracting by the negation of q's complement are
-one entry, and a contracted preorder's revision is one entry whether a
-scan reaches it as a prior or along a route.  The context also keeps
+the same memo under that operator: NLI and iLIRC, under a routed
+revision that is no built-in, revise each contracted preorder as a
+prior under it.  So revising by q and by the negation of q's
+complement are one entry, as are the two contractions, and a
+contracted preorder's revision is one entry whether a scan reaches it
+as a prior or along a route.  The context also keeps
 pair matrices by preorder, prior or posterior, each computed on its
 first read (``ctx.relations``).  IIAP, IIAI and Beta1/Beta2 read
-matrices.  So do the pair rules, NLI and iLIRC where they take the
-per-input route, except that NLI and iLIRC read the contracted
-preorders that their routes revise as orders.  Their witnesses read
-their two revisions as orders on either route.  Success and
-HI/LI_beliefs, the belief-level
+matrices.  So do the pair rules, NLI and iLIRC under an operator that
+is no built-in, laying them in lanes, except that NLI and iLIRC read
+as orders the contracted preorders that such a routed revision
+revises.  Their witnesses read their two revisions as orders.
+Success and HI/LI_beliefs, the belief-level
 forms of Success and of the Harper and Levi Identities, read only first
 cells, the beliefs after each change; LI_beliefs reads a contracted
 preorder itself only where its first cell misses the input, which no
@@ -144,8 +145,8 @@ scan in one job revises each prior once.  Contexts given one ``shared``
 dict share every memo, so ``pair_profile``'s nine operator pairs would
 compute each order and its matrices once between them, each revision
 serving every contraction and each contraction every revision; as
-their verdicts all take the packed route, they share each prior's own
-matrices.  Neut revises
+their operators are all built-ins, their verdicts read no memo and
+share each prior's own matrices.  Neut revises
 only on the inputs that an isomorphism of its pair keeps.  Red, which
 checks that revising twice gives one posterior, calls the operator
 directly.
@@ -199,6 +200,7 @@ import json
 import os
 import pickle
 import random
+import struct
 import sys
 from collections import Counter, namedtuple
 from functools import lru_cache, partial
@@ -430,13 +432,13 @@ class _Ctx:
         (``_lane_relations``); under any other operator both are those
         of this context's orders, so each posterior is built once; the
         orders themselves come from one ``operators._posteriors`` batch.
-        The test for a built-in is ``_closed``, the packed route's too: a
-        pair rule under built-ins reads none of these memos (see
-        ``_pair_rule``), nor do NLI and iLIRC (see ``_routed_rule``).
-        Memos are kept by the operator's
-        identity, so no lookup runs the Python-level ``Enum.__hash__``;
-        each holds its operator, so no other object takes its id while
-        it is kept."""
+        The test for a built-in is ``_closed``, which also picks where
+        the pair rules', NLI's and iLIRC's lanes come from: a built-in's
+        from its closed form, with no memo read, any other's from these
+        memos (see ``_packed_relations``).  Memos are kept by the
+        operator's identity, so no lookup runs the Python-level
+        ``Enum.__hash__``; each holds its operator, so no other object
+        takes its id while it is kept."""
         key = function, id(operator), matrices, firsts
         out = self.orders.get(key)
         if out is not None:
@@ -763,18 +765,25 @@ def make_random_dp_operator(seed: int, n_atoms: int) -> TabularRevision:
     return TabularRevision(n_atoms, table, seed=seed)
 
 
-def _iiap_masks(ctx, pair, ps):
-    """IIAP violations: per input of ps, the pairs x < y outside both
-    minima that the priors order alike and the posteriors do not.  The
-    rows are in input order, so input p is entry p - 1."""
+def _iiap_masks(ctx, pair):
+    """IIAP violations: per input, in input order, the pairs x < y
+    outside both minima that the priors order alike and the posteriors do
+    not."""
     t1, t2 = pair
-    same = _BROKEN["same"]
+    same, full = _BROKEN["same"], ctx.full
     alike = ~same(ctx.relations[t1], ctx.relations[t2])
     within = _region_masks("in", ctx.n)
-    rows1, rows2 = ctx.rows(t1), ctx.rows(t2)
-    for p in ps:
-        (_, min1, rev1), (_, min2, rev2) = rows1[p - 1], rows2[p - 1]
-        yield within[ctx.full & ~(min1 | min2)] & alike & same(rev1, rev2)
+    for (_, min1, rev1), (_, min2, rev2) in zip(ctx.rows(t1), ctx.rows(t2)):
+        yield within[full & ~(min1 | min2)] & alike & same(rev1, rev2)
+
+
+def _g_iiap(ctx, pair):
+    """IIAP's witnesses: the set bits of each input's mask, in ascending
+    order."""
+    width = len(ctx.worlds)
+    for p, bad in zip(ctx.props, _iiap_masks(ctx, pair)):
+        for xy in _bit_pairs(bad, width):
+            yield pair, (p,), xy, ""
 
 
 def _g_iiai(ctx, t):
@@ -937,19 +946,19 @@ def _routed_rule(final: Revision | None, route: str):
     """NLI (``final`` None: the checked revision) and iLIRC (natural
     revision): revising directly equals contracting by the negated input,
     then revising by ``final``.  Both compare the two revisions' pair
-    matrices, as equal matrices mean equal preorders, and build the two
-    orders, which a witness shows, only for an input where they differ.
-    Their ``same`` mask is symmetric, so its lowest set bit is the first
-    pair x < y that the orders relate differently.  Under built-ins alone
-    (``packed``) they take every input of a prior at once: the packed
-    contractions by each input's complement (``conneg``) are revised lane
-    by lane by the input under ``final`` (``_packed_order``), and the
-    count is the number of lanes of consistent inputs where the two
-    revisions differ.  Under a revision that is no built-in they take the
-    inputs one by one, and that route is the packed one's oracle in the
-    tests: the routed revision is read from the context's memo under
-    ``final``, by the contracted preorder as a prior, so it is one entry
-    with that preorder's direct revision."""
+    matrices on every input of a prior at once, as equal matrices mean
+    equal preorders, and build the two orders, which a witness shows,
+    only for an input where they differ.  Their ``same`` mask is
+    symmetric, so its lowest set bit is the first pair x < y that the
+    orders relate differently.  The direct revisions and the contractions
+    by each input's complement (``conneg``) are laid in lanes
+    (``_packed_relations``).  Under a ``_closed`` ``final``, the
+    contractions are revised lane by lane by the input
+    (``_packed_order``); under any other, each contracted preorder is
+    revised as a prior through the context's memo under ``final``, so it
+    is one entry with that preorder's direct revision.  The count is the
+    number of lanes of consistent inputs where the two revisions
+    differ."""
 
     def witness(ctx, t, p, same):
         direct, contracted = ctx.order("rev", t, (p,))[0], ctx.order("conneg", t, (p,))[0]
@@ -957,54 +966,36 @@ def _routed_rule(final: Revision | None, route: str):
         pair = next(_bit_pairs(same, len(ctx.worlds)))
         return (t,), (p,), pair, ("direct ", direct, f"; {route} ", routed)
 
-    def differing(ctx, t, ps):
-        """Per input of ps, the ``same`` mask of its direct and routed
-        revisions' pair matrices."""
-        routes = ctx.memo(revise, final or ctx.rev, True)
-        for p, d, c in zip(ps, ctx.matrices("rev", t, ps), ctx.order("conneg", t, ps)):
-            yield _BROKEN["same"](d, routes.at(c, (p,))[p])
-
-    def body(ctx, t, ps):
-        for p, same in zip(ps, differing(ctx, t, ps)):
-            if same:
-                yield witness(ctx, t, p, same)
-
-    def counts(ctx, t, ps):
-        return map(bool, differing(ctx, t, ps))
-
-    def packed(ctx):
-        return _closed(ctx.rev) and _closed(ctx.con)
-
-    def packed_same(ctx, t):
+    def differing(ctx, t):
         """Prior t's ``same`` masks, lane q holding input q's, and a flag
         in bit 0 of each lane of a consistent input where it is nonzero."""
-        lanes = _lanes(ctx.n)
-        found = _packed_relations(ctx, t, ("rev", "conneg"))
-        routed = _packed_order(lanes, t, *found["conneg"], final or ctx.rev, lanes.sides)
+        lanes, routes = _lanes(ctx.n), final or ctx.rev
+        if _closed(routes):
+            found = _packed_relations(ctx, t, ("rev", "conneg"))
+            routed = _packed_order(lanes, t, *found["conneg"], routes, lanes.sides)
+        else:
+            found = _packed_relations(ctx, t, ("rev",))
+            memo, contracted = ctx.memo(revise, routes, True), ctx.order("conneg", t, ctx.props)
+            routed = _laid(lanes, [memo.at(c, (p,))[p] for p, c in zip(ctx.props, contracted)])
         same = _BROKEN["same"](found["rev"], routed)
         return same, lanes.fold(lanes.nonzero(same)) & lanes.rep & ~1
 
     def gen(ctx, t):
-        if not packed(ctx):
-            yield from scan.gen(ctx, t)
-            return
-        same, flags = packed_same(ctx, t)
+        same, flags = differing(ctx, t)
         size = len(ctx.worlds) ** 2
         for p, _ in _bit_pairs(flags, size):
             yield witness(ctx, t, p, same >> p * size & (1 << size) - 1)
 
-    def count(ctx, t):
-        return packed_same(ctx, t)[1].bit_count() if packed(ctx) else scan.count(ctx, t)
-
-    scan = _by_input(body, counts=counts, needs_con=True)
-    return scan._replace(gen=gen, count=count, packed=packed)
+    return _PostulateDef(
+        gen, count=lambda ctx, t: differing(ctx, t)[1].bit_count(), needs_con=True
+    )
 
 
 class _PostulateDef(
     namedtuple(
         "_PostulateDef",
-        "gen count pair_outer needs_con needs_rev inputs_per_outer counts inputs packed",
-        defaults=(False, False, True, lambda ctx: len(ctx.props), None, "props", None),
+        "gen count pair_outer needs_con needs_rev inputs_per_outer counts inputs",
+        defaults=(False, False, True, lambda ctx: len(ctx.props), None, "props"),
     )
 ):
     """One postulate, or the diagram scan: ``gen(ctx, outer)`` yields the
@@ -1012,29 +1003,26 @@ class _PostulateDef(
     it would yield, without them.  Both read their orders from the
     context's memo, so they share one computation of each.  A scan that
     sums over single inputs (see ``_by_input``) also has ``counts(ctx,
-    outer, ps)``, each input's count on the inputs ps.  A pair rule has
-    ``packed(ctx)``: whether, under the context's operators, ``count``
-    takes every input at once (see ``_pair_rule``).  The scan is held
+    outer, ps)``, each input's count on the inputs ps.  The scan is held
     by a check job's closure (see ``_run_jobs``), so it never crosses a
     pipe."""
 
     __slots__ = ()
 
 
-def _by_input(body, inputs: str = "props", counts=None, **kw) -> _PostulateDef:
+def _by_input(body, inputs: str = "props", **kw) -> _PostulateDef:
     """A scan that sums over single inputs: ``body(ctx, outer, ps)``
     yields the outer's raw witnesses on the inputs ps, in order, and
-    ``counts(ctx, outer, ps)`` each input's number of them (by default
-    counted from ``body``).  The scan runs both on the context's
-    ``inputs`` (``props`` or ``props_proper``); ``_counted`` may run
-    ``counts`` on fewer (see ``_orbit_count``).  Its generator runs
-    ``body`` on ``_GEN_CHUNK`` inputs at a time, so a report that keeps
-    its first witnesses computes the orders of the inputs it reaches."""
-    if counts is None:
+    ``counts(ctx, outer, ps)`` counts them per input.  The scan runs both
+    on the context's ``inputs`` (``props`` or ``props_proper``);
+    ``_counted`` may run ``counts`` on fewer (see ``_orbit_count``).  Its
+    generator runs ``body`` on ``_GEN_CHUNK`` inputs at a time, so a
+    report that keeps its first witnesses computes the orders of the
+    inputs it reaches."""
 
-        def counts(ctx, outer, ps):
-            found = Counter(raw[1][0] for raw in body(ctx, outer, ps))
-            return (found[p] for p in ps)
+    def counts(ctx, outer, ps):
+        found = Counter(raw[1][0] for raw in body(ctx, outer, ps))
+        return (found[p] for p in ps)
 
     def gen(ctx, outer):
         ps = getattr(ctx, inputs)
@@ -1051,31 +1039,18 @@ def _by_input(body, inputs: str = "props", counts=None, **kw) -> _PostulateDef:
     )
 
 
-def _mask_scan(masks, inputs: str = "props", pair_outer: bool = False, **kw) -> _PostulateDef:
-    """A ``_by_input`` scan whose violations are, per input, the set bits
-    of a pair mask: ``masks(ctx, outer, ps)`` yields one per input of ps.
-    Its witnesses are those bits in ascending order, bit W*x+y naming the
-    pair (x, y), and its count is their number."""
-
-    def body(ctx, outer, ps):
-        tpos = outer if pair_outer else (outer,)
-        for p, bad in zip(ps, masks(ctx, outer, ps)):
-            for xy in _bit_pairs(bad, len(ctx.worlds)):
-                yield tpos, (p,), xy, ""
-
-    def counts(ctx, outer, ps):
-        return map(int.bit_count, masks(ctx, outer, ps))
-
-    return _by_input(body, inputs, counts, pair_outer=pair_outer, **kw)
-
-
 def _packed(values, size: int) -> int:
-    """One int holding values[q] in lane q, its bits [q*size, (q+1)*size)."""
+    """One int holding values[q] in lane q, its bits [q*size, (q+1)*size):
+    16- and 64-bit lanes packed as bytes in one call, as ``_Lanes.split``
+    reads them back, others from their binary digits."""
+    if size in (16, 64):
+        data = struct.pack(f"<{len(values)}{'H' if size == 16 else 'Q'}", *values)
+        return int.from_bytes(data, "little")
     return int("".join(format(v, f"0{size}b") for v in reversed(values)), 2)
 
 
 class _Lanes:
-    """The packed route's layout at n atoms, W = 2^n worlds: lane q, for
+    """The packed lanes' layout at n atoms, W = 2^n worlds: lane q, for
     q = 0 .. full (``lanes`` lanes), holds a pair matrix (see
     ``_relations``) in its ``size`` = W^2 bits.  In one lane ``row`` sets bit 0 of each row; in every lane
     ``rep`` sets bit 0, ``diag`` the pairs (x, x), ``low`` row 0,
@@ -1140,7 +1115,9 @@ def _closed(operator) -> bool:
     """Whether the operator is a built-in, every one of which has a closed
     form: its orders' pair matrices and first cells follow from the prior
     and the input (``_packed_order``, ``_posterior_firsts``), the
-    matrices for all inputs of a prior at once."""
+    matrices for all inputs of a prior at once.  It picks how a memo
+    computes (see ``_Ctx.memo``) and where packed lanes come from (see
+    ``_packed_relations``); every rule takes one route either way."""
     return type(operator) in (Revision, Contraction)
 
 
@@ -1199,9 +1176,14 @@ def _packed_order(lanes: _Lanes, t: Tpo, lt: int, le: int, operator, sides) -> t
 
 def _packed_relations(ctx: _Ctx, t: Tpo, names) -> dict:
     """Prior t's matrices, as ``prior``, and the named orders of names
-    (see ``_NAMED``) under the context's operators, each ``_closed``, by
-    every input at once: name -> (lt, le) with lane q holding the pair
-    matrices of input q's order (``_packed_order``)."""
+    (see ``_NAMED``) under the context's operators by every input at
+    once: name -> (lt, le) with lane q holding the pair matrices of input
+    q's order.  Under a ``_closed`` operator the lanes come from its
+    closed form (``_packed_order``); under any other they are the
+    matrices of the context's memo, laid in lanes (``_laid``).  There the
+    tautology's lane of ``revneg`` holds the prior's own matrices, the
+    memo's entry at the empty mask, which the rules mask out
+    (``_packed_region``)."""
     lanes = _lanes(ctx.n)
     lt, le = ctx.relations[t]
     lt, le = lt * lanes.rep, le * lanes.rep
@@ -1209,9 +1191,20 @@ def _packed_relations(ctx: _Ctx, t: Tpo, names) -> dict:
     for name in names:
         contracting, complement = _NAMED[name]
         operator = ctx.con if contracting else ctx.rev
-        sides = lanes.sides[::-1] if complement else lanes.sides
-        out[name] = _packed_order(lanes, t, lt, le, operator, sides)
+        if _closed(operator):
+            sides = lanes.sides[::-1] if complement else lanes.sides
+            out[name] = _packed_order(lanes, t, lt, le, operator, sides)
+        else:
+            out[name] = _laid(lanes, ctx.matrices(name, t, ctx.props))
     return out
+
+
+def _laid(lanes: _Lanes, found) -> tuple:
+    """Per-input pair matrices (lt, le), input q's at index q - 1 of
+    found, as one packed (lt, le): lane q holds input q's, and lane 0 is
+    empty."""
+    lts, les = zip(*found)
+    return _packed((0, *lts), lanes.size), _packed((0, *les), lanes.size)
 
 
 def _lane_relations(t: Tpo, own: tuple, qs, operator) -> islice:
@@ -1274,68 +1267,47 @@ def _packed_region(region: str, proper: bool, n_atoms: int) -> int:
 
 def _pair_rule(premises, conclusion, region, relation) -> _PostulateDef:
     """One row of ``_PAIR_RULES``: the pairs in its region whose relation
-    the conclusion order does not keep.  Where every order the rule
-    reads is ``_closed``, under built-ins alone, it takes them on every
-    input of a prior in one packed mask (``_packed_relations``): its
-    count is the mask's set bits, and its witnesses are those bits in
-    ascending order, input by input and then as ``_bit_pairs`` reads a
-    pair matrix.  Under any operator that is no built-in it is a
-    ``_mask_scan`` of one mask per input, counted by input orbits; that
-    route is the packed one's oracle in the tests."""
+    the conclusion order does not keep, on every input of a prior in one
+    packed mask (``_packed_relations``).  Its count is the mask's set
+    bits, and its witnesses are those bits in ascending order, input by
+    input and then as ``_bit_pairs`` reads a pair matrix."""
     orders = set(premises) | {conclusion}
     # revising by the complement skips the tautology (see the module doc)
-    inputs = "props_proper" if "revneg" in orders else "props"
+    proper = "revneg" in orders
     broken = _BROKEN[relation]
-    read = orders - {"prior"}
 
-    def masks(ctx, t, ps):
-        """Per input of ps, the pair mask of the rule's violations."""
-        first, *others = (ctx.matrices(name, t, ps) for name in premises)
-        after = ctx.matrices(conclusion, t, ps)
-        regions = _region_masks(region, ctx.n)
-        for i, p in enumerate(ps):
-            bad = regions[p] & broken(first[i], after[i])
-            for other in others:
-                bad &= ~broken(first[i], other[i])
-            yield bad
-
-    def packed(ctx):
-        return all(_closed(ctx.con if _NAMED[name][0] else ctx.rev) for name in read)
-
-    def packed_mask(ctx, t):
+    def mask(ctx, t):
         """The rule's violations on prior t, lane q holding input q's."""
-        found = _packed_relations(ctx, t, read)
+        found = _packed_relations(ctx, t, orders - {"prior"})
         first, *others = (found[name] for name in premises)
-        bad = _packed_region(region, inputs != "props", ctx.n) & broken(first, found[conclusion])
+        bad = _packed_region(region, proper, ctx.n) & broken(first, found[conclusion])
         for other in others:
             bad &= ~broken(first, other)
         return bad
 
     def gen(ctx, t):
-        if not packed(ctx):
-            yield from scan.gen(ctx, t)
-            return
         width = len(ctx.worlds)
-        for row, y in _bit_pairs(packed_mask(ctx, t), width):
+        for row, y in _bit_pairs(mask(ctx, t), width):
             q, x = divmod(row, width)
             yield (t,), (q,), (x, y), ""
 
-    def count(ctx, t):
-        return packed_mask(ctx, t).bit_count() if packed(ctx) else scan.count(ctx, t)
-
-    scan = _mask_scan(
-        masks,
-        inputs,
+    return _PostulateDef(
+        gen,
+        count=lambda ctx, t: mask(ctx, t).bit_count(),
         needs_con=bool(orders & {"con", "conneg"}),
         needs_rev=bool(orders & {"rev", "revneg"}),
+        inputs_per_outer=lambda ctx: len(ctx.props_proper if proper else ctx.props),
     )
-    return scan._replace(gen=gen, count=count, packed=packed)
 
 
 _POSTULATES = {
     "Success": _by_input(_g_success),
     **{name: _pair_rule(*row) for name, row in _PAIR_RULES.items()},
-    "IIAP": _mask_scan(_iiap_masks, pair_outer=True),
+    "IIAP": _PostulateDef(
+        _g_iiap,
+        count=lambda ctx, pair: sum(map(int.bit_count, _iiap_masks(ctx, pair))),
+        pair_outer=True,
+    ),
     "IIAI": _PostulateDef(
         _g_iiai,
         count=_c_iiai,
@@ -1514,16 +1486,15 @@ def _counted(ctx: _Ctx, spec: _PostulateDef, outers):
     the count of a preorder or of a whole row is taken once per
     composition, of the preorder or of the row's first preorder, and
     read back for every later outer of that composition.  A single
-    preorder's scan that sums over single inputs takes it on one input
-    per orbit of the preorder's cells, weighted by the orbit's size
-    (``_orbit_count``), unless it is ``packed`` and takes every input at
-    once.  Drawn rows, and every outer under other
-    operators (a tabular or a random operator), are counted in full.
-    The counts by composition are kept on the context (``ctx.orbits``),
-    so a later scan of the same postulate on it reads them back too."""
+    preorder's scan that sums over single inputs (``_by_input``) takes it
+    on one input per orbit of the preorder's cells, weighted by the
+    orbit's size (``_orbit_count``).  Drawn rows, and every outer under
+    other operators (a tabular or a random operator), are counted in
+    full.  The counts by composition are kept on the context
+    (``ctx.orbits``), so a later scan of the same postulate on it reads
+    them back too."""
     equivariant = _equivariant(ctx.rev, ctx.con)
-    packed = spec.packed is not None and spec.packed(ctx)
-    by_orbits = equivariant and spec.counts is not None and not spec.pair_outer and not packed
+    by_orbits = equivariant and spec.counts is not None
 
     def count(outer):
         if by_orbits:
@@ -1917,7 +1888,7 @@ def pair_profile(n_atoms: int = 2) -> tuple:
     operator pairs, ``verdicts`` a read-only map from each of NLI,
     CR1-CR4, SPU and WPU to whether it holds (the rows are cached, so
     the claims read them too).  The pairs share their memos (see
-    ``_Ctx``): each prior's matrices, which every verdict's packed route
+    ``_Ctx``): each prior's matrices, which every verdict's packed pass
     reads, and any order a verdict reads, each revision's for every
     contraction and each contraction's for every revision."""
     ids = ("NLI", "CR1", "CR2", "CR3", "CR4", "SPU", "WPU")

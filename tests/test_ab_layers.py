@@ -5,11 +5,12 @@ The tool reaches into private names of the package (``_POSTULATES``,
 ``_dp_posterior_candidates``, ``_Ctx.memo`` for orders, ``_Ctx.rows``),
 builds drawn pair rows as ``_outers`` does, and counts orders by
 wrapping the ``revise``, ``contract``, ``contract_by_negation``,
-``_lane_relations`` and ``_posterior_firsts`` that ``postulates``
-calls: the scan context's one memo computes an order through ``revise``
-or ``contract``, the pair matrices of a prior's orders on every input
-in one packed pass through ``_lane_relations``, and the first cell of
-one in closed form through ``_posterior_firsts``.
+``_packed_order`` and ``_posterior_firsts`` that ``postulates`` calls:
+the scan context's one memo computes an order through ``revise`` or
+``contract``, the pair matrices of a prior's orders on every input in
+one packed pass through ``_packed_order``, whether a memo fill or a
+verdict runs it, and the first cell of one in closed form through
+``_posterior_firsts``.
 Running every layer and count once here catches a refactor that removes
 one.  The layers run inside ``layers``' context, whose exit removes the
 temporary copy of the sources; the test configuration turns a leaked one
@@ -77,10 +78,10 @@ def test_the_order_counts_are_ints_on_this_tree():
     assert all(type(found) is int for found in counts.values())
     # the totals of the order-count tests in test_postulates.py, the closed
     # form's entries included, and the revision orders of the NLI report;
-    # the pair profile's verdicts all take the packed route, which fills
-    # no memo
+    # the pair profile's verdicts fill no memo, and its orders are the
+    # input lanes of its packed passes, 926 of 15 lanes each
     assert counts == {
-        "pair_profile_n2_orders": 0,
+        "pair_profile_n2_orders": 926 * 15,
         "check_Neut_natural_n2_orders": 435,
         "check_NLI_natural_stq_lex_n2_revise_orders": 18,
     }

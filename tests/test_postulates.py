@@ -1346,7 +1346,8 @@ def test_routed_counts_equal_oracle_lengths_on_every_two_atom_preorder():
 
 def test_routed_matrix_counts_equal_the_order_comparison_on_every_two_atom_instance():
     # NLI and iLIRC count on the two routes' pair matrices and find their
-    # witnesses by comparing the orders: equal matrices mean equal orders
+    # witnesses by comparing the orders: equal matrices mean equal orders,
+    # so each input yields one witness where the orders differ
     differing = 0
     for rev, con in product(Revision, Contraction):
         ctx = _Ctx(2, rev, con)
@@ -1354,7 +1355,7 @@ def test_routed_matrix_counts_equal_the_order_comparison_on_every_two_atom_insta
             spec = _POSTULATES[postulate]
             for t in enumerate_tpos(2):
                 expected = [nli_revise(t, p, con, final) != revise(t, p, rev) for p in ctx.props]
-                assert list(spec.counts(ctx, t, ctx.props)) == expected, (postulate, rev, con, t)
+                assert spec.count(ctx, t) == sum(expected), (postulate, rev, con, t)
                 found = Counter(raw[1][0] for raw in spec.gen(ctx, t))
                 assert [found[p] for p in ctx.props] == expected, (postulate, rev, con, t)
                 differing += sum(expected)
@@ -1473,28 +1474,30 @@ def revisions(monkeypatch):
 
 
 def test_a_single_prior_scan_revises_each_instance_once(revisions):
-    # one preorder per composition of the four worlds, each on one input
-    # per orbit of its cells: the product of (cell size + 1), less one;
-    # a pair rule under a composed revision, equivariant but no built-in,
-    # reads the memo's orders, one revision of the prior by each input
+    # one preorder per composition of the four worlds: Success, a sum over
+    # single inputs, reads each on one input per orbit of its cells, the
+    # product of (cell size + 1), less one; a pair rule under a composed
+    # revision, equivariant but no built-in, lays the memo's revisions of
+    # the prior by every input in lanes
     composed = _NliComposition(Contraction.STQ_LEX, Revision.NATURAL)
-    check_postulate("DP1", composed, n_atoms=2)
-    assert len(revisions) == 74
-    assert len(set(revisions)) == len(revisions)
-    assert {name for name, *_ in revisions} == {"revise"}
+    for postulate, revised in (("Success", 74), ("DP1", 8 * 15)):
+        revisions.clear()
+        assert check_postulate(postulate, composed, n_atoms=2).passed
+        assert len(revisions) == revised
+        assert len(set(revisions)) == len(revisions)
+        assert {name for name, *_ in revisions} == {"revise"}
 
 
 def test_a_packed_pair_rule_reads_no_memo(revisions):
-    # under the built-ins, each with a packed form, a pair rule takes
-    # every input of a prior at once, with no entry in the context's memo
+    # under the built-ins, each with a closed form, a pair rule takes the
+    # lanes of every input of a prior from it, with no entry in the
+    # context's memo
     for postulate, rev, con, passed in (
         ("DP1", Revision.NATURAL, None, True),
         ("CC4", Revision.RESTRAINED, Contraction.STQ_RESTRAINED, True),
         ("SPU", Revision.LEXICOGRAPHIC, Contraction.NATURAL, True),
         ("CR4", Revision.NATURAL, Contraction.STQ_LEX, False),
     ):
-        ctx = _Ctx(2, rev, con)
-        assert _POSTULATES[postulate].packed(ctx)
         assert check_postulate(postulate, rev, con, n_atoms=2).passed is passed
     assert revisions == []
 
@@ -1532,20 +1535,18 @@ def test_a_failing_counted_scan_and_its_witnesses_share_each_order(postulate, re
 
 def test_a_generator_computes_the_orders_of_the_inputs_it_reaches(revisions):
     # a report keeps the first ten witnesses, and a single-input scan's
-    # generator takes the inputs a chunk at a time: here the tenth
-    # witness lies on input 17, in the second chunk; CR4 under a composed
-    # revision, no built-in, revises by each input through the memo's
-    # orders, and contracts by its complement in closed form, which fills
-    # every input of the prior at its first read
-    composed = _NliComposition(Contraction.NATURAL, Revision.NATURAL)
-    ctx = _Ctx(3, composed, Contraction.STQ_LEX)
-    raws = list(islice(_POSTULATES["CR4"].gen(ctx, tpo_at_index(0, 3)), WITNESS_CAP))
-    assert len(raws) == WITNESS_CAP and raws[-1][1] == (17,)
-    reached = {p for name, _, p, _ in revisions if name == "revise"}
-    assert reached == set(range(1, 2 * postulates._GEN_CHUNK + 1))
-    contracted = [q for name, _, q, _ in revisions if name == "contract matrices"]
-    assert contracted == list(ctx.props)
-    assert len(revisions) == 2 * postulates._GEN_CHUNK + len(ctx.props)
+    # generator takes the inputs a chunk at a time: here LI_beliefs's
+    # tenth witness lies on input 22, in the second chunk; the revision,
+    # no built-in, revises by each input through the memo's orders, and
+    # the contraction by its complement gives its first cell in closed
+    # form, a chunk of inputs at a time
+    ctx = _Ctx(3, _Reversed(), Contraction.STQ_LEX)
+    raws = list(islice(_POSTULATES["LI_beliefs"].gen(ctx, tpo_at_index(90727, 3)), WITNESS_CAP))
+    assert len(raws) == WITNESS_CAP and raws[-1][1] == (22,)
+    reached = set(range(1, 2 * postulates._GEN_CHUNK + 1))
+    assert {call[2] for call in revisions if call[0] == "revise"} == reached
+    assert {ctx.full - call[2] for call in revisions if call[0] == "contract firsts"} == reached
+    assert len(revisions) == 2 * len(reached)
     assert len(set(revisions)) == len(revisions)
 
 
@@ -1641,32 +1642,31 @@ def test_li_beliefs_reads_the_contracted_preorder_where_its_first_cell_misses_th
 
 
 def test_one_memo_entry_serves_every_route_to_an_order(revisions):
-    # contracting by q (SPU's ``con``) and by the negation of its
-    # complement (CR1's ``conneg``) is one entry, so each contraction is
-    # computed once between the two scans: under a revision that is no
-    # built-in neither takes the packed route, SPU's first read fills the
-    # contraction by every input, and CR1 contracts by nothing new
+    # revising by q (CR1's ``rev``) and by the negation of its complement
+    # (SPU's ``revneg``) is one entry, so under a revision that is no
+    # built-in, whose lanes are laid from the memo, each revision is
+    # computed once between the two scans: SPU's first read fills the
+    # revision by every input but the tautology, whose complement is the
+    # empty mask, and CR1 adds the tautology's alone; the contraction's
+    # lanes come from its closed form, with no memo entry
     t = parse_tpo("11 | 10 01 | 00", 2)
-    shared = {}
-    ctx = _Ctx(2, _Reversed(), Contraction.STQ_LEX, shared)
+    ctx = _Ctx(2, _Reversed(), Contraction.STQ_LEX)
     _POSTULATES["SPU"].count(ctx, t)
     _POSTULATES["CR1"].count(ctx, t)
-    contractions = [call for call in revisions if not call[0].startswith("revise")]
-    expected = [("contract matrices", q) for q in ctx.props]
-    assert [(name, q) for name, _, q, _ in contractions] == expected
-    # iLIRC's route per input reads CR1's direct revisions, builds each
-    # contracted preorder once, and its routed revisions are the natural
-    # ``rev`` entries of those preorders
+    expected = [("revise", ctx.full - p) for p in ctx.props_proper] + [("revise", ctx.full)]
+    assert [(name, q) for name, _, q, _ in revisions] == expected
+    # NLI's route under the same revision reads CR1's direct revisions,
+    # builds each contracted preorder once, and its routed revisions are
+    # the ``rev`` entries of those preorders, read as priors
     revisions.clear()
-    _POSTULATES["iLIRC"].count(ctx, t)
+    _POSTULATES["NLI"].count(ctx, t)
     assert [(name, q) for name, _, q, _ in revisions if name == "contract"] == [
         ("contract", ctx.full - p) for p in ctx.props_proper
     ]
-    assert {call[0] for call in revisions} == {"contract", "revise matrices"}
+    assert {call[0] for call in revisions} == {"contract", "revise"}
     routed = len(revisions)
-    natural = _Ctx(2, Revision.NATURAL, Contraction.STQ_LEX, shared)
     for p, contracted in zip(ctx.props, ctx.order("conneg", t, ctx.props)):
-        natural.matrices("rev", contracted, (p,))
+        ctx.matrices("rev", contracted, (p,))
     assert len(revisions) == routed
     assert len(set(revisions)) == len(revisions)
 
@@ -1752,7 +1752,7 @@ def test_one_pass_verdicts_match_the_oracles():
 def test_the_pair_profile_computes_each_order_once_per_instance(revisions):
     # every built-in has a closed form, and under the nine operator pairs
     # each verdict of the profile, NLI's as well as the pair rules', takes
-    # its packed route: every input of a prior at once, with no memo
+    # its lanes from it: every input of a prior at once, with no memo
     # entry, so the profile computes no order at all
     pair_profile.cache_clear()
     pair_profile(2)
@@ -1975,10 +1975,10 @@ def test_input_orbits_weigh_every_input_once():
                 assert sum(weights) == inputs - proper
 
 
-# The scans whose count is a sum over single inputs (see ``_by_input``)
-INPUT_ADDITIVE = tuple(
-    p for p, spec in _POSTULATES.items() if spec.counts is not None and not spec.pair_outer
-)
+# The scans whose count is a sum over single inputs (see ``_by_input``),
+# and the single-prior scans that count every input at once, on lanes
+INPUT_ADDITIVE = tuple(p for p, spec in _POSTULATES.items() if spec.counts is not None)
+LANE_SCANS = (*PAIR_RULES, "NLI", "iLIRC")
 
 # The scans that no equivariant operator pair below fails at one to three
 # atoms; among the built-in pairs the others fail exactly on FAILING_PAIRS
@@ -1998,11 +1998,12 @@ FAILING_PAIRS = {
 
 def _additive_cases(n_atoms, revisions):
     """((scan, revision, contraction), scan, context) for every
-    input-additive scan on every operator pair it takes, and for the six
-    diagram scans (named by their table); the scans of one operator pair
-    share a context, and every postulate context shares its orders."""
+    input-additive scan and every lane scan on every operator pair it
+    takes, and for the six diagram scans (named by their table); the
+    scans of one operator pair share a context, and every postulate
+    context shares its orders."""
     shared, contexts = {}, {}
-    for postulate in INPUT_ADDITIVE:
+    for postulate in INPUT_ADDITIVE + LANE_SCANS:
         spec = _POSTULATES[postulate]
         for rev in revisions if spec.needs_rev else (None,):
             for con in Contraction if spec.needs_con else (None,):
@@ -2015,13 +2016,15 @@ def _additive_cases(n_atoms, revisions):
 
 def _failing_cases(n_atoms, tpos, revisions):
     """The cases with a violation on some preorder of tpos, once the
-    orbit-weighted count is asserted equal to the full count on each."""
+    orbit-weighted count of each input-additive scan is asserted equal to
+    the full count on each."""
     cases = list(_additive_cases(n_atoms, revisions))
     failing = set()
     for t in tpos:
         for case, spec, ctx in cases:
             full = spec.count(ctx, t)
-            assert postulates._orbit_count(ctx, spec, t) == full, (case, t)
+            if spec.counts is not None:
+                assert postulates._orbit_count(ctx, spec, t) == full, (case, t)
             if full:
                 failing.add(case)
         for _, _, ctx in cases:
@@ -2043,8 +2046,10 @@ def test_input_orbit_counts_equal_the_full_counts(n_atoms, tpos, revisions):
     if n_atoms == 1:  # two worlds: no violation, and no triple for a diagram
         assert not failing
         return
+    assert set(INPUT_ADDITIVE).isdisjoint(LANE_SCANS)
     assert {scan for scan, _, _ in failing}.isdisjoint(NEVER_FAILING)
-    assert set(INPUT_ADDITIVE) - {scan for scan, _, _ in failing} == set(NEVER_FAILING)
+    scans = set(INPUT_ADDITIVE + LANE_SCANS)
+    assert scans - {scan for scan, _, _ in failing} == set(NEVER_FAILING)
     builtin = {case for case in failing if case[1] not in EQUIVARIANT[3:]}
     assert builtin == {(scan, *pair) for scan, pairs in FAILING_PAIRS.items() for pair in pairs}
 
@@ -2075,9 +2080,11 @@ def test_a_failing_check_renders_only_the_kept_witnesses(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Packed pair rules: under the built-ins, each with a packed form, a pair
-# rule takes every input of a prior at once, lane q of one int holding
-# input q's pair matrices; the per-input route is its oracle
+# Packed pair rules: a pair rule takes every input of a prior at once,
+# lane q of one int holding input q's pair matrices; under the built-ins
+# the lanes come from their closed form, and with ``_closed`` patched to
+# admit no operator they are the kernel's posteriors' matrices, laid in
+# lanes: that run is the oracle
 
 PACKED = (*Revision, *Contraction)
 
@@ -2158,7 +2165,7 @@ SYNTHETIC_RULES = (
 
 
 @pytest.mark.parametrize("row", SYNTHETIC_RULES, ids=lambda row: "-".join(row[0] + row[1:]))
-def test_a_packed_rule_yields_the_per_input_witnesses(row, monkeypatch):
+def test_pair_rule_witnesses_equal_those_on_kernel_lanes(row, monkeypatch):
     rule = postulates._pair_rule(*row)
     cases = [
         (n_atoms, rev, con, t)
@@ -2175,18 +2182,18 @@ def test_a_packed_rule_yields_the_per_input_witnesses(row, monkeypatch):
             out.append((list(rule.gen(ctx, t)), rule.count(ctx, t)))
         return out
 
-    assert all(rule.packed(_Ctx(n, rev, con)) for n, rev, con, _ in cases)
-    packed = run()
+    closed = run()
     monkeypatch.setattr(postulates, "_closed", lambda operator: False)
-    assert not rule.packed(_Ctx(2, *cases[0][1:3]))
-    assert packed == run()
-    assert all(len(raws) == found for raws, found in packed)
-    assert sum(found for _, found in packed) > len(cases)
+    assert closed == run()
+    assert all(len(raws) == found for raws, found in closed)
+    assert sum(found for _, found in closed) > len(cases)
 
 
-# NLI and iLIRC under the built-ins take every input of a prior at once;
-# with ``_closed`` patched to admit no operator they take the inputs one
-# by one, on memos of the kernel's posteriors: that route is the oracle
+# NLI and iLIRC take every input of a prior at once; under the built-ins
+# the routed lanes revise the closed form's contractions lane by lane, and
+# with ``_closed`` patched to admit no operator every lane is laid from
+# memos of the kernel's posteriors, the routed ones by revising each
+# contracted preorder as a prior: that run is the oracle
 
 ROUTED_CASES = [
     (postulate, rev, con) for postulate in ("NLI", "iLIRC") for rev in Revision for con in Contraction
@@ -2202,9 +2209,7 @@ ROUTED_CASES = [
     ],
     ids=["n1-every-tpo", "n2-every-tpo", "n3-one-tpo-per-composition"],
 )
-def test_packed_routed_counts_and_witnesses_equal_the_per_input_route(
-    n_atoms, priors, monkeypatch
-):
+def test_routed_scans_equal_those_on_kernel_lanes(n_atoms, priors, monkeypatch):
     priors = list(priors())
 
     def run():
@@ -2217,13 +2222,11 @@ def test_packed_routed_counts_and_witnesses_equal_the_per_input_route(
                 out.append((spec.count(ctx, t), list(spec.gen(ctx, t))))
         return out
 
-    assert all(_POSTULATES[case[0]].packed(_Ctx(n_atoms, *case[1:])) for case in ROUTED_CASES)
-    packed = run()
+    closed = run()
     monkeypatch.setattr(postulates, "_closed", lambda operator: False)
-    assert not _POSTULATES["NLI"].packed(_Ctx(n_atoms, *ROUTED_CASES[0][1:]))
-    assert packed == run()
-    assert all(len(raws) == found for found, raws in packed)
-    assert (sum(found for found, _ in packed) > 0) is (n_atoms > 1)
+    assert closed == run()
+    assert all(len(raws) == found for found, raws in closed)
+    assert (sum(found for found, _ in closed) > 0) is (n_atoms > 1)
 
 
 def test_a_packed_routed_count_reads_no_lane_of_the_empty_mask(monkeypatch):

@@ -79,9 +79,9 @@ exhaustive Neut check under natural revision at two atoms, and of
 revision orders, through ``revise``, computed by the exhaustive NLI
 check under natural revision and ``contract-stq-lex`` at two atoms
 (``order_counts``): how often the scan context's memo computes an order,
-or the pair matrices or first cell of one in closed form, rather than
-reusing it; a packed pass that fills a prior's matrices on every input
-counts one order per input mask.
+or the first cell of one in closed form, rather than reusing it, and how
+many orders' pair matrices the built-ins' packed pass computes, one per
+input lane of each pass, whether it fills a memo or serves a verdict.
 ``cli_import_modules`` is the number of modules that ``import
 beliefchange.cli`` adds in a fresh interpreter (``import_counts``).  A
 count repeats exactly, so it carries none of the timings' noise floor.
@@ -467,16 +467,15 @@ def _one(*args) -> int:
 
 
 # The functions of ``postulates`` that compute orders, with the orders one
-# call computes: one, or, for the closed forms of the built-ins' pair
-# matrices and first cells, one per input mask of its batch, or one per
-# input mask of the prior for the packed pass that fills them all (where
-# the tree has them).
+# call computes: one, or, for the closed forms of the built-ins' first
+# cells, one per input mask of its batch, and for the packed pass of their
+# pair matrices, which a memo fill and a verdict alike run, one per input
+# lane.
 ORDER_FUNCTIONS = {
     "revise": _one,
     "contract": _one,
     "contract_by_negation": _one,
-    "_posterior_relations": lambda contracting, t, own, qs, operator: len(qs),
-    "_lane_relations": lambda t, own, qs, operator: (1 << (1 << t.n_atoms)) - 1,
+    "_packed_order": lambda lanes, *args: lanes.lanes - 1,
     "_posterior_firsts": lambda contracting, t, qs: len(qs),
 }
 
