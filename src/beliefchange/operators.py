@@ -30,15 +30,13 @@ the one validating constructor ``Tpo(masks, n_atoms)``, after checking
 every input mask against the preorder's world set: anything but a
 nonnegative int with no bit beyond it raises ``ValueError``.  The
 checker's scan context reads the kernel's posteriors through its memo,
-which keeps their pair matrices too.  Under every built-in it computes
-those matrices from one closed form instead, which restates the rules
-above on pair matrices for every input of a prior at once, packed side
-by side in one int (``postulates._packed_order``); under
-``contract-stq-lex`` that is the level pass of ``_stq_lex_levels`` run
-for all inputs together.  It is tested against this kernel; under any
-other operator the matrices are those of the kernel's posteriors.  The
-pair rules, NLI and iLIRC under built-ins read the packed matrices
-directly.
+which keeps the posteriors alone.  It reads their pair matrices only
+packed side by side in one int, every input of a prior at once: under
+every built-in from one closed form, which restates the rules above on
+pair matrices (``postulates._packed_order``; under
+``contract-stq-lex`` the level pass of ``_stq_lex_levels`` run for all
+inputs together) and is tested against this kernel; under any other
+operator laid from the matrices of the kernel's posteriors.
 
 Any object with a ``posterior`` method revises too, e.g. a
 ``TabularRevision``.  Its seeded random instances, which pass Success

@@ -30,17 +30,16 @@ the lanes come from (``_packed_relations``).  Under a built-in, each
 with a closed form in the prior and the input, they come from one pass
 with broadword (SWAR) steps for an input's minimal worlds or, under
 ``contract-stq-lex``, for its levels (``_packed_order``); under any
-other operator they are the context memo's matrices, one input's in
-each lane (``_laid``).  NLI and iLIRC take the same lanes: a built-in
-revision's formulas read the matrices lane by lane, so they revise the
-packed contractions by each input's negation as well as the prior, and
-a routed revision that is no built-in revises each contracted preorder
-through the memo.  The closed form serves the context's matrix memo
-too, which splits a prior's lanes into one entry per input.  IIAI,
-Beta1/Beta2 and Neut read the same matrices, the
-revisions' from the prior's row on every input (``ctx.rows``).  IIAI
-and Beta1/Beta2, quadratic in the inputs, are counted per world pair by
-a closed form over the inputs grouped by their outcome on the pair,
+other operator they are the matrices of the context memo's orders,
+one input's in each lane (``_laid``).  NLI and iLIRC take the same
+lanes: a built-in revision's formulas read the matrices lane by lane,
+so they revise the packed contractions by each input's negation as
+well as the prior, and a routed revision that is no built-in revises
+each contracted preorder through the memo.  IIAI, Beta1/Beta2 and
+Neut read the same matrices, the revisions' from the prior's row on
+every input, the revision's lanes split (``ctx.rows``).  IIAI and
+Beta1/Beta2, quadratic in the inputs, are counted per world pair by a
+closed form over the inputs grouped by their outcome on the pair,
 taken for every pair at once on bit-sliced counts (``_bit_counts``).
 Their witnesses, like Neut's, are the set bits of pair masks, read in
 ascending order.
@@ -100,56 +99,42 @@ preorder on every input, and
 IIAP, which sums over single inputs of a pair of preorders, counts each
 pair of its first row of a composition on every input.
 
-The scan context, ``_Ctx``, keeps one memo (``ctx.orders``) of the
-results of ``revise`` or ``contract`` of a prior by one input mask under
-one operator: the orders themselves, their pair matrices or their first
-cells.  It keeps them by (function, operator, kind), then prior, then
-mask, and a read computes the masks it lacks in one batch
-(``ctx.memo``).  Each memo picks its route when it is built: under a
-built-in, which has a closed form in the prior and the input, no
-posterior is built or hashed; the first read of a prior's matrices
-fills every input mask from one packed pass (``_lane_relations``), and
-the first cells come from ``_posterior_firsts``; under any other
-operator both are those of the memo's orders, so each posterior is
-built once; the orders themselves come from a batch of
-``operators._posteriors``.  The scans name the orders they read, for
-prior t and input p (``_NAMED``, read by
-``ctx.order`` and, for their matrices, ``ctx.matrices``): ``rev`` and
-``con`` apply the context's revision or contraction by p, ``revneg`` and
-``conneg`` apply them by p's complement (``conneg`` is t itself on the
-tautology), and ``prior`` is t.  A route under another operator reads
-the same memo under that operator: NLI and iLIRC, under a routed
-revision that is no built-in, revise each contracted preorder as a
-prior under it.  So revising by q and by the negation of q's
+The scan context, ``_Ctx``, keeps one kind of memo (``ctx.orders``):
+the orders that ``revise`` or ``contract`` gives a prior by one input
+mask under one operator, kept by (function, operator), then prior, then
+mask.  A read computes the masks it lacks in one batch of
+``operators._posteriors`` (``ctx.memo``).  The scans name the orders
+they read, for prior t and input p (``_NAMED``, read by ``ctx.order``):
+``rev`` and ``con`` apply the context's revision or contraction by p,
+``revneg`` and ``conneg`` apply them by p's complement (``conneg`` is t
+itself on the tautology), and ``prior`` is t.  A route under another
+operator reads the same memo under that operator: NLI and iLIRC, under
+a routed revision that is no built-in, revise each contracted preorder
+as a prior under it.  So revising by q and by the negation of q's
 complement are one entry, as are the two contractions, and a
 contracted preorder's revision is one entry whether a scan reaches it
-as a prior or along a route.  The context also keeps
-pair matrices by preorder, prior or posterior, each computed on its
-first read (``ctx.relations``).  IIAP, IIAI and Beta1/Beta2 read
-matrices.  So do the pair rules, NLI and iLIRC under an operator that
-is no built-in, laying them in lanes, except that NLI and iLIRC read
-as orders the contracted preorders that such a routed revision
-revises.  Their witnesses read their two revisions as orders.
-Success and HI/LI_beliefs, the belief-level
-forms of Success and of the Harper and Levi Identities, read only first
-cells, the beliefs after each change; LI_beliefs reads a contracted
-preorder itself only where its first cell misses the input, which no
-built-in does.  Neut reads the preorders.  So under a built-in an
-instance that a matrix read and an order read share is computed once
-as an order and once as matrices.  The context keeps each prior's
-outcome row on every input too: the input,
-its minimal worlds and the revision's matrices (``ctx.rows``).  So a
-postulate's ``count`` and ``gen`` share one computation of each order,
-so do the postulates of one claim's verdicts, and an exhaustive pair
-scan in one job revises each prior once.  Contexts given one ``shared``
-dict share every memo, so ``pair_profile``'s nine operator pairs would
-compute each order and its matrices once between them, each revision
-serving every contraction and each contraction every revision; as
-their operators are all built-ins, their verdicts read no memo and
-share each prior's own matrices.  Neut revises
-only on the inputs that an isomorphism of its pair keeps.  Red, which
-checks that revising twice gives one posterior, calls the operator
-directly.
+as a prior or along a route.  The context also keeps pair matrices by
+preorder, prior or posterior, each computed on its first read
+(``ctx.relations``).  The named orders' pair matrices exist only as
+packed lanes (``_packed_relations``): under a built-in from its closed
+form, with no order built, and under any other operator laid from the
+memo's orders.  The pair rules, NLI and iLIRC read the lanes whole, and
+IIAP, IIAI and Beta1/Beta2 read the revision's split, in each prior's
+outcome row on every input: the input, its minimal worlds and the
+revision's matrices (``ctx.rows``).  The witnesses of NLI and iLIRC
+read their two revisions as orders.  Success and HI/LI_beliefs, the
+belief-level forms of Success and of the Harper and Levi Identities,
+read only first cells, the beliefs after each change (``ctx.firsts``):
+under a built-in straight from its closed form (``_posterior_firsts``),
+kept nowhere, as one costs less to compute than to look up; under any
+other operator those of the memo's orders.  LI_beliefs reads a
+contracted preorder itself only where its first cell misses the input,
+which no built-in does.  Neut reads the preorders.  So a postulate's
+``count`` and ``gen`` share one computation of each order and of each
+row, so do the postulates of one claim's verdicts, and an exhaustive
+pair scan in one job revises each prior once.  Neut revises only on the
+inputs that an isomorphism of its pair keeps.  Red, which checks that
+revising twice gives one posterior, calls the operator directly.
 
 The scans yield raw witnesses (preorders, input masks, worlds and a
 note).  Every check, state diagram and claim counts into one tally,
@@ -347,29 +332,26 @@ class _Matrices(dict):
 
 
 class _Orders(dict):
-    """prior -> input mask -> a result of the prior by the mask, for one
-    function, ``revise`` or ``contract``, and one operator: the order the
-    function gives, its pair matrices (see ``_relations``) or its first
-    cell, as the context's ``memo`` chose to compute them (``compute(t,
-    own, qs)``, for prior t, its entry at the empty mask and the masks
-    qs, gives (mask, result) pairs for at least qs).  At the empty mask
-    each prior's entry holds the prior itself (``own`` None), or its own
-    matrices or first cell (``own(t)``), as contracting by an
-    inconsistent sentence changes nothing."""
+    """prior -> input mask -> the order that one function, ``revise`` or
+    ``contract``, gives the prior by the mask under one operator, each
+    computed once: a read computes the masks it lacks in one
+    ``operators._posteriors`` batch.  At the empty mask each prior's
+    entry holds the prior itself, as contracting by an inconsistent
+    sentence changes nothing."""
 
-    __slots__ = ("operator", "own", "compute")
+    __slots__ = ("function", "operator")
 
-    def __init__(self, operator, own, compute):
-        self.operator, self.own, self.compute = operator, own, compute
+    def __init__(self, function, operator):
+        self.function, self.operator = function, operator
 
     def at(self, t: Tpo, qs) -> dict:
-        """Prior t's results, computed for at least the masks qs, in one batch."""
+        """Prior t's orders, computed for at least the masks qs, in one batch."""
         out = self.get(t)
         if out is None:
-            out = self[t] = {0: t if self.own is None else self.own(t)}
+            out = self[t] = {0: t}
         missing = [q for q in qs if q not in out]
         if missing:
-            out.update(self.compute(t, out[0], missing))
+            out.update(zip(missing, _posteriors(self.function, t, missing, self.operator)))
         return out
 
 
@@ -387,21 +369,19 @@ _NAMED = {
 
 class _Ctx:
     """One run's instance space and operators, plus its memos, kept until
-    ``clear``.  ``orders`` holds every memo: for each function, ``revise``
-    or ``contract``, and operator, the orders it has given so far and
-    their pair matrices, each computed once (``memo``; see ``_Orders``).
-    ``order`` and ``matrices`` read by name the memos under the context's
-    own operators (see ``_NAMED``); a route under another operator reads
+    ``clear``.  ``orders`` holds every memo of orders: for each function,
+    ``revise`` or ``contract``, and operator, the orders it has given so
+    far, each computed once (``memo``; see ``_Orders``).  ``order`` reads
+    them by name under the context's own operators (see ``_NAMED``), and
+    ``firsts`` their first cells; a route under another operator reads
     ``memo`` directly.  ``relations`` maps every preorder read, prior or
     posterior, to its pair matrices, and ``rows`` keeps each prior's
-    outcome row on every input.  Contexts given one ``shared`` dict keep
-    ``orders`` and ``relations`` there, so they compute each order and its
-    matrices once between them.  ``orbits`` keeps, per scan, the counts
+    outcome row on every input.  ``orbits`` keeps, per scan, the counts
     that ``_counted`` reads back by composition; it is this context's own
     and survives ``clear``, so a forked part of a check never recounts a
     composition that the check counted before the split."""
 
-    def __init__(self, n_atoms: int, rev=None, con: Contraction | None = None, shared=None):
+    def __init__(self, n_atoms: int, rev=None, con: Contraction | None = None):
         self.n = n_atoms
         self.full = all_worlds(n_atoms)
         self.atoms = default_atoms(n_atoms)
@@ -412,9 +392,8 @@ class _Ctx:
         self.con = con
         self._outcomes = {}  # prior: its outcome rows
         self.orbits = {}  # scan: {composition: count}
-        shared = {} if shared is None else shared
-        self.relations = shared.setdefault("matrices", _Matrices())
-        self.orders = shared.setdefault("orders", {})  # see ``memo``
+        self.relations = _Matrices()
+        self.orders = {}  # see ``memo``
 
     def clear(self):
         self._outcomes.clear()
@@ -422,85 +401,54 @@ class _Ctx:
         for memo in self.orders.values():
             memo.clear()
 
-    def memo(self, function, operator, matrices: bool = False, firsts: bool = False) -> _Orders:
-        """The orders of ``function`` under ``operator``, their pair
-        matrices if ``matrices``, or their first cells if ``firsts``.  A
-        memo picks how it computes when it is built: under a built-in,
-        each with a closed form, no posterior is built; the first cells
-        come from ``_posterior_firsts``, and the first read of a prior's
-        matrices fills every input mask from one packed pass
-        (``_lane_relations``); under any other operator both are those
-        of this context's orders, so each posterior is built once; the
-        orders themselves come from one ``operators._posteriors`` batch.
-        The test for a built-in is ``_closed``, which also picks where
-        the pair rules', NLI's and iLIRC's lanes come from: a built-in's
-        from its closed form, with no memo read, any other's from these
-        memos (see ``_packed_relations``).  Memos are kept by the
-        operator's identity, so no lookup runs the Python-level
+    def memo(self, function, operator) -> _Orders:
+        """The orders of ``function`` under ``operator``.  Memos are kept
+        by the operator's identity, so no lookup runs the Python-level
         ``Enum.__hash__``; each holds its operator, so no other object
         takes its id while it is kept."""
-        key = function, id(operator), matrices, firsts
+        key = function, id(operator)
         out = self.orders.get(key)
-        if out is not None:
-            return out
-        contracting = function is contract
-        built_in = _closed(operator)
-        own = self.relations.__getitem__ if matrices else (lambda t: t.masks[0]) if firsts else None
-        if firsts and built_in:
-
-            def compute(t, own, qs):
-                return zip(qs, _posterior_firsts(contracting, t, qs))
-
-        elif matrices and built_in:
-
-            def compute(t, own, qs):
-                return _lane_relations(t, own, qs, operator)
-
-        elif firsts or matrices:
-            orders, read = self.memo(function, operator), own
-
-            def compute(t, own, qs):
-                found = orders.at(t, qs)
-                return [(q, read(found[q])) for q in qs]
-
-        else:
-
-            def compute(t, own, qs):
-                return zip(qs, _posteriors(function, t, qs, operator))
-
-        out = self.orders[key] = _Orders(operator, own, compute)
+        if out is None:
+            out = self.orders[key] = _Orders(function, operator)
         return out
 
-    def order(self, name: str, t: Tpo, ps, matrices: bool = False, firsts: bool = False) -> list:
+    def order(self, name: str, t: Tpo, ps) -> list:
         """The named order (see ``_NAMED``) of prior t by each input of
-        ps, in their order, its pair matrices if ``matrices``, or its
-        first cell if ``firsts``; the prior's own matrices in one lookup,
-        not one per input, as each lookup hashes the preorder."""
-        if name == "prior":
-            return [self.relations[t] if matrices else t] * len(ps)
+        ps, in their order."""
         contracting, complement = _NAMED[name]
         operator = self.con if contracting else self.rev
-        memo = self.memo(contract if contracting else revise, operator, matrices, firsts)
         qs = [self.full - p for p in ps] if complement else ps
-        found = memo.at(t, qs)
+        found = self.memo(contract if contracting else revise, operator).at(t, qs)
         return [found[q] for q in qs]
-
-    def matrices(self, name: str, t: Tpo, ps) -> list:
-        """The pair matrices of ``order``'s orders, in their order."""
-        return self.order(name, t, ps, matrices=True)
 
     def firsts(self, name: str, t: Tpo, ps) -> list:
         """The first cells of ``order``'s orders, in their order: the
         beliefs after each change, all that Success and HI/LI_beliefs
-        compare."""
-        return self.order(name, t, ps, firsts=True)
+        compare.  Under a ``_closed`` operator they come from its closed
+        form (``_posterior_firsts``), with no order built or kept; the
+        closed form rejects the empty mask, the tautology's complement,
+        where the contraction keeps the prior's own first cell, as the
+        memo's entry there does.  Under any other operator they are those
+        of the memo's orders."""
+        contracting, complement = _NAMED[name]
+        if not _closed(self.con if contracting else self.rev):
+            return [u.masks[0] for u in self.order(name, t, ps)]
+        if not complement:
+            return _posterior_firsts(contracting, t, ps)
+        out = _posterior_firsts(contracting, t, [self.full - p for p in ps if p != self.full])
+        if len(out) < len(ps):
+            out.insert(ps.index(self.full), t.masks[0])
+        return out
 
     def rows(self, t: Tpo) -> list:
         """(input, its minimal worlds, the revision's pair matrices) for
-        every input, in input order."""
+        every input, in input order: the revision's lanes
+        (``_packed_relations``) split, lane q input q's."""
         out = self._outcomes.get(t)
         if out is None:
-            rev = self.matrices("rev", t, self.props)
+            lanes = _lanes(self.n)
+            lt, le = _packed_relations(self, t, ("rev",))["rev"]
+            rev = islice(zip(lanes.split(lt), lanes.split(le)), 1, None)
             masks = t.masks  # ``props`` needs no ``min_worlds`` check
             out = self._outcomes[t] = [(p, _min_mask(masks, p), m) for p, m in zip(self.props, rev)]
         return out
@@ -975,8 +923,8 @@ def _routed_rule(final: Revision | None, route: str):
             routed = _packed_order(lanes, t, *found["conneg"], routes, lanes.sides)
         else:
             found = _packed_relations(ctx, t, ("rev",))
-            memo, contracted = ctx.memo(revise, routes, True), ctx.order("conneg", t, ctx.props)
-            routed = _laid(lanes, [memo.at(c, (p,))[p] for p, c in zip(ctx.props, contracted)])
+            memo, contracted = ctx.memo(revise, routes), ctx.order("conneg", t, ctx.props)
+            routed = _laid(ctx, [memo.at(c, (p,))[p] for p, c in zip(ctx.props, contracted)])
         same = _BROKEN["same"](found["rev"], routed)
         return same, lanes.fold(lanes.nonzero(same)) & lanes.rep & ~1
 
@@ -1115,9 +1063,9 @@ def _closed(operator) -> bool:
     """Whether the operator is a built-in, every one of which has a closed
     form: its orders' pair matrices and first cells follow from the prior
     and the input (``_packed_order``, ``_posterior_firsts``), the
-    matrices for all inputs of a prior at once.  It picks how a memo
-    computes (see ``_Ctx.memo``) and where packed lanes come from (see
-    ``_packed_relations``); every rule takes one route either way."""
+    matrices for all inputs of a prior at once.  It picks where packed
+    lanes come from (see ``_packed_relations``) and first cells (see
+    ``_Ctx.firsts``); every rule takes one route either way."""
     return type(operator) in (Revision, Contraction)
 
 
@@ -1178,12 +1126,13 @@ def _packed_relations(ctx: _Ctx, t: Tpo, names) -> dict:
     """Prior t's matrices, as ``prior``, and the named orders of names
     (see ``_NAMED``) under the context's operators by every input at
     once: name -> (lt, le) with lane q holding the pair matrices of input
-    q's order.  Under a ``_closed`` operator the lanes come from its
+    q's order, the one form in which a scan reads the matrices of
+    posteriors.  Under a ``_closed`` operator the lanes come from its
     closed form (``_packed_order``); under any other they are the
-    matrices of the context's memo, laid in lanes (``_laid``).  There the
-    tautology's lane of ``revneg`` holds the prior's own matrices, the
-    memo's entry at the empty mask, which the rules mask out
-    (``_packed_region``)."""
+    matrices of the context's memo's orders, laid in lanes (``_laid``).
+    There the tautology's lane of ``revneg`` holds the prior's own
+    matrices, the memo's entry at the empty mask, which the rules mask
+    out (``_packed_region``)."""
     lanes = _lanes(ctx.n)
     lt, le = ctx.relations[t]
     lt, le = lt * lanes.rep, le * lanes.rep
@@ -1195,28 +1144,17 @@ def _packed_relations(ctx: _Ctx, t: Tpo, names) -> dict:
             sides = lanes.sides[::-1] if complement else lanes.sides
             out[name] = _packed_order(lanes, t, lt, le, operator, sides)
         else:
-            out[name] = _laid(lanes, ctx.matrices(name, t, ctx.props))
+            out[name] = _laid(ctx, ctx.order(name, t, ctx.props))
     return out
 
 
-def _laid(lanes: _Lanes, found) -> tuple:
-    """Per-input pair matrices (lt, le), input q's at index q - 1 of
-    found, as one packed (lt, le): lane q holds input q's, and lane 0 is
+def _laid(ctx: _Ctx, orders) -> tuple:
+    """The pair matrices (lt, le) of orders, input q's order at index
+    q - 1, as one packed (lt, le): lane q holds input q's, and lane 0 is
     empty."""
-    lts, les = zip(*found)
-    return _packed((0, *lts), lanes.size), _packed((0, *les), lanes.size)
-
-
-def _lane_relations(t: Tpo, own: tuple, qs, operator) -> islice:
-    """(mask, pair matrices) of ``revise`` of prior t by every input mask
-    under a built-in revision, or of ``contract`` under a built-in
-    contraction, from one ``_packed_order`` pass; ``own`` is t's (lt,
-    le), and a bad mask among the masks qs asked for raises what
-    ``revise`` or ``contract`` raises."""
-    _check_masks(qs, t.n_atoms)
-    lanes, (lt, le) = _lanes(t.n_atoms), own
-    lt, le = _packed_order(lanes, t, lt * lanes.rep, le * lanes.rep, operator, lanes.sides)
-    return islice(enumerate(zip(lanes.split(lt), lanes.split(le))), 1, None)
+    lts, les = zip(*map(ctx.relations.__getitem__, orders))
+    size = _lanes(ctx.n).size
+    return _packed((0, *lts), size), _packed((0, *les), size)
 
 
 def _packed_levels(lanes: _Lanes, t: Tpo, irow: int, icol: int, ocol: int) -> tuple:
@@ -1705,18 +1643,17 @@ def _first_of_each_composition(n_atoms: int) -> tuple:
     return tuple(firsts.values())
 
 
-def _holding(ids, revision, contraction, n_atoms: int, shared=None) -> dict:
+def _holding(ids, revision, contraction, n_atoms: int) -> dict:
     """Exhaustive verdicts of several postulates on one operator pair: each
     holds unless ``_counted`` finds an outer with a violation, and its scan
     stops there.  Under equivariant operators every outer of a
     composition finds as many violations (see ``_counted``), so the scan
     takes only the first preorder, or the first whole row, of each.  The
     postulates share one scan context, so each prior's orders are
-    computed once for all of them; ``shared`` (see ``_Ctx``) extends that
-    to other operator pairs."""
+    computed once for all of them."""
     specs = {postulate: _spec(postulate, revision, contraction) for postulate in ids}
     _validate_scope(n_atoms, "exhaustive")
-    ctx = _Ctx(n_atoms, revision, contraction, shared)
+    ctx = _Ctx(n_atoms, revision, contraction)
     pool = _enumeration(n_atoms)
     firsts = _first_of_each_composition(n_atoms) if _equivariant(revision, contraction) else pool
     verdicts = {}
@@ -1892,9 +1829,8 @@ def pair_profile(n_atoms: int = 2) -> tuple:
     reads, and any order a verdict reads, each revision's for every
     contraction and each contraction's for every revision."""
     ids = ("NLI", "CR1", "CR2", "CR3", "CR4", "SPU", "WPU")
-    shared = {}
     return tuple(
-        (rev, con, MappingProxyType(_holding(ids, rev, con, n_atoms, shared)))
+        (rev, con, MappingProxyType(_holding(ids, rev, con, n_atoms)))
         for rev in Revision
         for con in Contraction
     )

@@ -8,9 +8,9 @@ wrapping the ``revise``, ``contract``, ``contract_by_negation``,
 ``_packed_order`` and ``_posterior_firsts`` that ``postulates`` calls:
 the scan context's one memo computes an order through ``revise`` or
 ``contract``, the pair matrices of a prior's orders on every input in
-one packed pass through ``_packed_order``, whether a memo fill or a
-verdict runs it, and the first cell of one in closed form through
-``_posterior_firsts``.
+one packed pass through ``_packed_order``, whether a prior's outcome
+rows or a verdict runs it, and the first cell of one in closed form
+through ``_posterior_firsts``.
 Running every layer and count once here catches a refactor that removes
 one.  The layers run inside ``layers``' context, whose exit removes the
 temporary copy of the sources; the test configuration turns a leaked one

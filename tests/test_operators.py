@@ -25,7 +25,9 @@ from beliefchange.postulates import (
     _Ctx,
     _equivariant,
     _holding,
+    _lanes,
     _NliComposition,
+    _packed_relations,
     _posterior_firsts,
     _relations,
     make_random_dp_operator,
@@ -513,10 +515,10 @@ def test_the_kernel_matches_the_oracles_on_each_three_atom_composition():
 
 
 # ---------------------------------------------------------------------------
-# The pair matrices of the named orders, read from the scan context's memo:
-# under the built-ins with a closed form (one packed pass per prior,
-# ``_lane_relations``) and under every other operator, against the
-# matrices of the kernel's posteriors
+# The pair matrices of the named orders, read from the scan context's packed
+# lanes, split: under the built-ins with a closed form (one packed pass per
+# prior, ``_packed_order``) and under every other operator, laid from the
+# memo's orders, against the matrices of the kernel's posteriors
 
 
 class _Reversed:
@@ -543,39 +545,46 @@ OTHER_ORDERS = tuple(
 )
 
 
-def _assert_memo_matches_the_kernel(priors, n_atoms) -> int:
-    """Check every named order's pair matrices, as the memo keeps them,
-    for each prior on every input it is read on; how many entries were
-    checked."""
-    checked = 0
+def _assert_lanes_match_the_kernel(priors, n_atoms) -> int:
+    """Check every named order's pair matrices, as its packed lanes hold
+    them (``_packed_relations``, split), against those of the kernel's
+    posteriors, for each prior on every input it is read on, and so the
+    revision's rows (``ctx.rows``), minimal worlds too; how many lanes
+    were checked."""
+    checked, lanes = 0, _lanes(n_atoms)
     for rev, con, name in CLOSED_ORDERS + OTHER_ORDERS:
         ctx = _Ctx(n_atoms, rev, con)
-        memo = ctx.memo(revise if con is None else contract, rev or con, matrices=True)
         ps = ctx.props_proper if name == "revneg" else ctx.props
         for t in priors:
-            got = ctx.matrices(name, t, ps)
-            assert t in memo  # read from the memo
-            assert got == [_relations(u) for u in ctx.order(name, t, ps)], (t, rev, con, name)
+            lt, le = _packed_relations(ctx, t, (name,))[name]
+            got = list(zip(lanes.split(lt), lanes.split(le)))
+            expected = [_relations(u) for u in ctx.order(name, t, ps)]
+            assert [got[p] for p in ps] == expected, (t, rev, con, name)
+            if name == "rev":
+                rows = [(p, min_worlds(t, p), m) for p, m in zip(ps, expected)]
+                assert ctx.rows(t) == rows, (t, rev, con)
             checked += len(ps)
     return checked
 
 
 def test_the_closed_form_matches_the_kernel_on_every_instance_up_to_two_atoms():
-    checked = sum(_assert_memo_matches_the_kernel(list(enumerate_tpos(n)), n) for n in (1, 2))
+    checked = sum(_assert_lanes_match_the_kernel(list(enumerate_tpos(n)), n) for n in (1, 2))
     assert checked == 3 * (5 * 5 + 3 * 6) + 75 * (5 * 29 + 3 * 30)
 
 
 def test_the_closed_form_matches_the_kernel_on_each_three_atom_composition():
     priors = list(one_per_three_atom_composition())
-    checked = _assert_memo_matches_the_kernel(priors, 3)
+    checked = _assert_lanes_match_the_kernel(priors, 3)
     assert checked == 128 * (5 * (255 + 254) + 3 * (255 + 255))
 
 
 def test_the_closed_form_matches_the_kernel_on_four_atom_preorders():
     # a flat, a linear and four seeded preorders of the sixteen worlds,
     # each on a seeded tenth of its 65,535 inputs and the tautology, as the
-    # memo keeps their matrices; the kernel's contractions are checked
-    # against the oracle too; so are the first cells
+    # packed lanes hold their matrices, the revisions' read through their
+    # rows; the kernel's contractions are checked against the oracle too;
+    # so are the first cells
+    lanes = _lanes(4)
     rng = random.Random(37)
     full = all_worlds(4)
     priors = [Tpo((full,), 4), Tpo([1 << w for w in rng.sample(range(16), 16)], 4)]
@@ -590,8 +599,14 @@ def test_the_closed_form_matches_the_kernel_on_four_atom_preorders():
             for method in methods:
                 posteriors = _posteriors(function, t, qs, method)
                 expected = [_relations(u) for u in posteriors]
-                found = _Ctx(4).memo(function, method, matrices=True).at(t, qs)
-                assert [found[q] for q in qs] == expected, (t, method)
+                if contracting:
+                    lt, le = _packed_relations(_Ctx(4, None, method), t, ("con",))["con"]
+                    found = list(zip(lanes.split(lt), lanes.split(le)))
+                    assert [found[q] for q in qs] == expected, (t, method)
+                else:
+                    rows = _Ctx(4, method).rows(t)
+                    found = [rows[q - 1] for q in qs]
+                    assert found == [(q, min_worlds(t, q), m) for q, m in zip(qs, expected)]
                 firsts = [u.masks[0] for u in posteriors]
                 assert _posterior_firsts(contracting, t, qs) == firsts, (t, method)
                 if contracting:
@@ -634,9 +649,9 @@ def test_the_first_cells_match_the_kernel_on_each_three_atom_composition():
 
 
 def test_the_closed_form_serves_exactly_the_built_ins_it_covers(monkeypatch):
-    # a matrix memo under a built-in with a closed form builds no
-    # posterior; under any other operator it takes the matrices of the
-    # kernel's posteriors
+    # packed lanes under a built-in with a closed form build no
+    # posterior; under any other operator they are laid from the
+    # matrices of the kernel's posteriors
     built = []
 
     def counted(function, t, qs, method, _real=postulates._posteriors):
@@ -648,7 +663,10 @@ def test_the_closed_form_serves_exactly_the_built_ins_it_covers(monkeypatch):
     for rev, con, name in CLOSED_ORDERS + OTHER_ORDERS:
         built.clear()
         ctx = _Ctx(2, rev, con)
-        ctx.matrices(name, t, ctx.props_proper)
+        if name == "rev":
+            ctx.rows(t)
+        else:
+            _packed_relations(ctx, t, (name,))
         assert (built == []) == ((rev, con, name) in CLOSED_ORDERS), (rev, con, name)
         assert set(built) <= {rev or con}
 
@@ -680,9 +698,6 @@ def test_the_closed_form_rejects_a_bad_mask_as_revise_and_contract_do(bad):
             for method in methods:
                 expected = _outcome(lambda: function(prior, bad, method))
                 assert isinstance(expected, tuple) and issubclass(expected[0], Exception)
-                memo = _Ctx(prior.n_atoms).memo(function, method, matrices=True)
-                got = _outcome(lambda: list(memo.compute(prior, _relations(prior), [1, bad, full])))
-                assert got == expected
                 got = _outcome(lambda: _posterior_firsts(contracting, prior, [1, bad, full]))
                 assert got == expected
 

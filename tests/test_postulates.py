@@ -1439,11 +1439,11 @@ def test_counted_reports_match_the_brute_force_reducer(postulate):
 def revisions(monkeypatch):
     """The function name and (prior, input, operator) arguments of every
     ``revise``, ``contract`` and ``contract_by_negation`` call a scan
-    makes, and of every entry whose pair matrices the closed form of the
-    built-ins fills, every input of a prior in one packed pass
-    (``_lane_relations``), named ``revise matrices`` or ``contract
-    matrices``: each is one order computed.  The
-    first cells that the built-ins' closed form computes
+    makes, and of every input lane of each packed pass of the built-ins'
+    closed form (``_packed_order``), which gives a prior's pair matrices
+    on every input at once, named ``revise matrices`` or ``contract
+    matrices`` with (prior, lane, operator): each is one order computed.
+    The first cells that the built-ins' closed form computes
     (``_posterior_firsts``) are entries too, ``revise firsts`` or
     ``contract firsts`` with (prior, input): the form is one for every
     built-in of a kind, and takes no operator."""
@@ -1456,13 +1456,12 @@ def revisions(monkeypatch):
 
         monkeypatch.setattr(postulates, name, counted)
 
-    def closed(t, own, qs, operator, _real=postulates._lane_relations):
+    def packed(lanes, t, lt, le, operator, sides, _real=postulates._packed_order):
         name = "contract matrices" if type(operator) is Contraction else "revise matrices"
-        filled = list(_real(t, own, qs, operator))
-        calls.extend((name, t, q, operator) for q, _ in filled)
-        return filled
+        calls.extend((name, t, q, operator) for q in range(1, lanes.lanes))
+        return _real(lanes, t, lt, le, operator, sides)
 
-    monkeypatch.setattr(postulates, "_lane_relations", closed)
+    monkeypatch.setattr(postulates, "_packed_order", packed)
 
     def firsts(contracting, t, qs, _real=postulates._posterior_firsts):
         name = "contract firsts" if contracting else "revise firsts"
@@ -1471,6 +1470,10 @@ def revisions(monkeypatch):
 
     monkeypatch.setattr(postulates, "_posterior_firsts", firsts)
     return calls
+
+
+# the names of the ``revisions`` entries of packed input lanes
+LANES = {"revise matrices", "contract matrices"}
 
 
 def test_a_single_prior_scan_revises_each_instance_once(revisions):
@@ -1491,7 +1494,7 @@ def test_a_single_prior_scan_revises_each_instance_once(revisions):
 def test_a_packed_pair_rule_reads_no_memo(revisions):
     # under the built-ins, each with a closed form, a pair rule takes the
     # lanes of every input of a prior from it, with no entry in the
-    # context's memo
+    # context's memo: it builds no order and no first cell
     for postulate, rev, con, passed in (
         ("DP1", Revision.NATURAL, None, True),
         ("CC4", Revision.RESTRAINED, Contraction.STQ_RESTRAINED, True),
@@ -1499,7 +1502,7 @@ def test_a_packed_pair_rule_reads_no_memo(revisions):
         ("CR4", Revision.NATURAL, Contraction.STQ_LEX, False),
     ):
         assert check_postulate(postulate, rev, con, n_atoms=2).passed is passed
-    assert revisions == []
+    assert {name for name, *_ in revisions} == LANES
 
 
 def test_a_counted_scan_and_its_witnesses_share_one_row_per_prior(revisions):
@@ -1527,10 +1530,11 @@ def test_neutrality_revises_only_the_inputs_it_reads(revisions):
 
 @pytest.mark.parametrize("postulate", ["CR4", "SPU"])
 def test_a_failing_counted_scan_and_its_witnesses_share_each_order(postulate, revisions):
-    # the witness outers read the orders their count computed
+    # the witness outers read the packed lanes their count read, from the
+    # closed form, and build no order
     report = check_postulate(postulate, Revision.NATURAL, Contraction.STQ_LEX, n_atoms=2)
     assert report.outcome == "fail"
-    assert len(set(revisions)) == len(revisions)
+    assert {name for name, *_ in revisions} == LANES
 
 
 def test_a_generator_computes_the_orders_of_the_inputs_it_reaches(revisions):
@@ -1558,8 +1562,9 @@ def test_a_failing_routed_scan_and_its_witnesses_share_each_direct_order(revisio
     # complement
     report = check_postulate("NLI", Revision.NATURAL, Contraction.STQ_LEX, n_atoms=2)
     assert report.outcome == "fail"
-    assert {name for name, *_ in revisions} == {"revise", "contract"}
-    assert len(set(revisions)) == len(revisions)
+    orders = [call for call in revisions if call[0] not in LANES]
+    assert {name for name, *_ in orders} == {"revise", "contract"}
+    assert len(set(orders)) == len(orders)
 
 
 @pytest.mark.parametrize(
@@ -1575,7 +1580,7 @@ def test_a_routed_count_builds_no_revision_order(postulate, rev, con, witnessed,
     # ten witnesses, and the direct and routed revisions of an input may
     # be one order
     assert not postulates._holding((postulate,), rev, con, 2)[postulate]
-    assert revisions == []
+    assert {name for name, *_ in revisions} == LANES
     report = check_postulate(postulate, rev, con, n_atoms=2)
     assert len(report.witnesses) == WITNESS_CAP
     assert sum(call[0] == "revise" for call in revisions) == witnessed
@@ -1587,10 +1592,9 @@ BELIEF_SCANS = ("Success", "HI_beliefs", "LI_beliefs")
 @pytest.mark.parametrize("rev, con", list(product(Revision, Contraction)))
 def test_the_belief_scans_build_no_posterior(rev, con, revisions, monkeypatch):
     # under the built-ins Success and HI/LI_beliefs read first cells in
-    # closed form alone: no kernel batch, no pair matrices, and each
-    # prior's first cell on an input once
+    # closed form alone: no kernel batch and no pair matrices
     built = []
-    for name in ("_posteriors", "_lane_relations"):
+    for name in ("_posteriors", "_packed_order"):
 
         def counted(*args, _name=name, _real=getattr(postulates, name)):
             built.append(_name)
@@ -1600,7 +1604,6 @@ def test_the_belief_scans_build_no_posterior(rev, con, revisions, monkeypatch):
     assert postulates._holding(BELIEF_SCANS, rev, con, 2) == dict.fromkeys(BELIEF_SCANS, True)
     assert built == []
     assert {name for name, *_ in revisions} == {"revise firsts", "contract firsts"}
-    assert len(set(revisions)) == len(revisions)
 
 
 def test_success_under_a_random_operator_computes_each_posterior_once(revisions):
@@ -1654,7 +1657,8 @@ def test_one_memo_entry_serves_every_route_to_an_order(revisions):
     _POSTULATES["SPU"].count(ctx, t)
     _POSTULATES["CR1"].count(ctx, t)
     expected = [("revise", ctx.full - p) for p in ctx.props_proper] + [("revise", ctx.full)]
-    assert [(name, q) for name, _, q, _ in revisions] == expected
+    assert [(name, q) for name, _, q, _ in revisions if name not in LANES] == expected
+    assert {name for name, *_ in revisions} == {"revise", "contract matrices"}
     # NLI's route under the same revision reads CR1's direct revisions,
     # builds each contracted preorder once, and its routed revisions are
     # the ``rev`` entries of those preorders, read as priors
@@ -1666,37 +1670,9 @@ def test_one_memo_entry_serves_every_route_to_an_order(revisions):
     assert {call[0] for call in revisions} == {"contract", "revise"}
     routed = len(revisions)
     for p, contracted in zip(ctx.props, ctx.order("conneg", t, ctx.props)):
-        ctx.matrices("rev", contracted, (p,))
+        ctx.order("rev", contracted, (p,))
     assert len(revisions) == routed
     assert len(set(revisions)) == len(revisions)
-
-
-def test_a_second_matrix_read_looks_up_no_posterior(monkeypatch):
-    # under a revision with no closed form the memo keeps the matrices of
-    # each order by prior and mask: the first read computes each distinct
-    # posterior's matrices once, the second reads them back without
-    # hashing a posterior
-    computed, looked_up = [], []
-
-    def relations(t, _real=postulates._relations):
-        computed.append(t)
-        return _real(t)
-
-    def lookup(self, t, _real=dict.__getitem__):
-        looked_up.append(t)
-        return _real(self, t)
-
-    monkeypatch.setattr(postulates, "_relations", relations)
-    monkeypatch.setattr(postulates._Matrices, "__getitem__", lookup)
-    ctx = _Ctx(2, _NliComposition(Contraction.STQ_LEX, Revision.NATURAL))
-    t = parse_tpo("11 | 10 01 | 00", 2)
-    first = ctx.matrices("rev", t, ctx.props)
-    posteriors = set(ctx.order("rev", t, ctx.props))
-    assert len(posteriors) > 1 and t in posteriors  # the tautology's is t
-    assert sorted(computed) == sorted(posteriors)
-    looked_up.clear()
-    assert ctx.matrices("rev", t, ctx.props) == first
-    assert looked_up == []
 
 
 def test_a_finished_scan_context_is_freed_without_the_cycle_collector():
@@ -1753,10 +1729,12 @@ def test_the_pair_profile_computes_each_order_once_per_instance(revisions):
     # every built-in has a closed form, and under the nine operator pairs
     # each verdict of the profile, NLI's as well as the pair rules', takes
     # its lanes from it: every input of a prior at once, with no memo
-    # entry, so the profile computes no order at all
+    # entry, so the profile builds no order at all, only 926 packed
+    # passes of 15 input lanes
     pair_profile.cache_clear()
     pair_profile(2)
-    assert revisions == []
+    assert {name for name, *_ in revisions} == LANES
+    assert len(revisions) == 926 * 15
 
 
 def test_a_verdict_under_a_random_operator_computes_each_posterior_once(revisions):
@@ -1771,8 +1749,7 @@ def test_a_verdict_under_a_random_operator_computes_each_posterior_once(revision
 
 def test_a_scan_computes_the_pair_matrices_of_each_order_once(monkeypatch):
     # the context keeps pair matrices by order, so a posterior that several
-    # inputs or priors share, or that is a prior too, is read once; the
-    # pair profile's contexts share that memo across operator pairs
+    # inputs or priors share, or that is a prior too, is read once
     calls = []
 
     def counted(t, _real=postulates._relations):
@@ -1780,14 +1757,9 @@ def test_a_scan_computes_the_pair_matrices_of_each_order_once(monkeypatch):
         return _real(t)
 
     monkeypatch.setattr(postulates, "_relations", counted)
-    for run in (
-        lambda: check_postulate("DP1", Revision.NATURAL, n_atoms=2),
-        lambda: (pair_profile.cache_clear(), pair_profile(2)),
-    ):
-        calls.clear()
-        run()
-        assert calls
-        assert len(set(calls)) == len(calls)
+    check_postulate("DP1", Revision.NATURAL, n_atoms=2)
+    assert calls
+    assert len(set(calls)) == len(calls)
 
 
 # ---------------------------------------------------------------------------
@@ -2000,15 +1972,14 @@ def _additive_cases(n_atoms, revisions):
     """((scan, revision, contraction), scan, context) for every
     input-additive scan and every lane scan on every operator pair it
     takes, and for the six diagram scans (named by their table); the
-    scans of one operator pair share a context, and every postulate
-    context shares its orders."""
-    shared, contexts = {}, {}
+    scans of one operator pair share a context."""
+    contexts = {}
     for postulate in INPUT_ADDITIVE + LANE_SCANS:
         spec = _POSTULATES[postulate]
         for rev in revisions if spec.needs_rev else (None,):
             for con in Contraction if spec.needs_con else (None,):
                 if (rev, con) not in contexts:
-                    contexts[rev, con] = _Ctx(n_atoms, rev, con, shared)
+                    contexts[rev, con] = _Ctx(n_atoms, rev, con)
                 yield (postulate, rev, con), spec, contexts[rev, con]
     for d, table in postulates._DIAGRAMS.items():
         yield (f"diagram {d}", d, None), postulates._diagram_scan(table), _Ctx(n_atoms)
@@ -2096,11 +2067,13 @@ def _lanes_of(packed, n_atoms) -> list:
 
 
 def _assert_lanes_match_the_closed_form(priors, n_atoms, kernel=False) -> int:
-    """Check each lane of each packed order of each prior against the
-    matrices the memo keeps, read input by input (``_lane_relations``,
-    checked against the kernel in ``test_operators``), and, if
-    ``kernel``, against the matrices of the posteriors that
-    ``operators._posteriors`` builds; how many lanes were checked."""
+    """Check each lane of each packed order of each prior: an order read
+    at the complement (``revneg``, ``conneg``), packed with the sides
+    swapped, against the direct order's lane at the complement of the
+    input, and, if ``kernel``, every order against the matrices of the
+    posteriors that ``operators._posteriors`` builds (the context's
+    orders are checked against the kernel in ``test_operators``); how
+    many lanes were checked."""
     checked = 0
     for operator in PACKED:
         contracting = type(operator) is Contraction
@@ -2120,8 +2093,9 @@ def _assert_lanes_match_the_closed_form(priors, n_atoms, kernel=False) -> int:
                 assert lanes["con"][0] == lanes["conneg"][0] == own
             for name in names:
                 ps = ctx.props_proper if name == "revneg" else ctx.props
-                expected = ctx.matrices(name, t, ps)
-                assert [lanes[name][q] for q in ps] == expected, (t, operator, name)
+                if name in ("revneg", "conneg"):
+                    expected = [lanes[name[:3]][ctx.full - p] for p in ps]
+                    assert [lanes[name][p] for p in ps] == expected, (t, operator, name)
                 checked += len(ps)
                 if kernel:
                     qs = [ctx.full - p for p in ps] if name.endswith("neg") else ps
@@ -2213,12 +2187,12 @@ def test_routed_scans_equal_those_on_kernel_lanes(n_atoms, priors, monkeypatch):
     priors = list(priors())
 
     def run():
-        # the cases of a prior share their memos, as ``pair_profile``'s do
         out = []
         for t in priors:
-            shared = {}
+            contexts = {}  # NLI and iLIRC under one operator pair share one
             for postulate, rev, con in ROUTED_CASES:
-                spec, ctx = _POSTULATES[postulate], _Ctx(n_atoms, rev, con, shared)
+                ctx = contexts.setdefault((rev, con), _Ctx(n_atoms, rev, con))
+                spec = _POSTULATES[postulate]
                 out.append((spec.count(ctx, t), list(spec.gen(ctx, t))))
         return out
 

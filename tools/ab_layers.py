@@ -27,9 +27,9 @@ built-in method on the drawn outer preorders; one prior's outcome row on
 every input under restrained revision (``_Ctx(3, restrained).rows(t)``,
 a fresh context per call) on the same preorders; the pair matrices of
 one prior's ``contract-stq-lex`` contraction by one input, as the scan
-context's matrix memo computes them for all 255 inputs of each drawn
-outer preorder (``_Ctx(3).memo(contract, stq_lex, matrices=True).at(t,
-ctx.props)``, a fresh context per outer); ``tpo_at_index``; a
+context's packed pass lays them in lanes for all 255 inputs of each
+drawn outer preorder (``_packed_relations(_Ctx(3, None, stq_lex), t,
+("con",))``, a fresh context per outer); ``tpo_at_index``; a
 full ``enumerate_tpos(3)``; one postulate scan of one outer, as a
 sampled check runs it (Neut's outers pair each preorder with a
 permutation of its worlds, so the isomorphism path runs), among them
@@ -275,8 +275,7 @@ def layers(bc, drawn):
 
     def stq_lex_matrices():
         for t in outers:
-            ctx = post._Ctx(3)
-            ctx.memo(post.contract, stq_lex, matrices=True).at(t, ctx.props)
+            post._packed_relations(post._Ctx(3, None, stq_lex), t, ("con",))
 
     def unranks():
         for index in drawn["indices"]:
@@ -469,8 +468,8 @@ def _one(*args) -> int:
 # The functions of ``postulates`` that compute orders, with the orders one
 # call computes: one, or, for the closed forms of the built-ins' first
 # cells, one per input mask of its batch, and for the packed pass of their
-# pair matrices, which a memo fill and a verdict alike run, one per input
-# lane.
+# pair matrices, which a verdict and a prior's outcome rows alike run, one
+# per input lane.
 ORDER_FUNCTIONS = {
     "revise": _one,
     "contract": _one,
